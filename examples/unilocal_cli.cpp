@@ -1,7 +1,7 @@
 // unilocal_cli — run a uniform LOCAL algorithm on your own graph, or sweep
 // a campaign grid over the scenario registry.
 //
-//   unilocal_cli <problem> [file] [--stats] [--kernel=off|auto|on]
+//   unilocal_cli <problem> [file] [--stats]
 //
 //   <problem>: mis | matching | coloring | rulingset2
 //   [file]:    edge list ("n m" header then "u v" per line);
@@ -9,12 +9,9 @@
 //   --stats:   also print per-run engine statistics (arena bytes, peak
 //              messages/round, steps/sec, peak/final live nodes, frontier
 //              width, lazily cleared dirty spans, kernel/vtable step split)
-//              on stderr.
-//   --kernel:  engine execution path (src/runtime/kernel.h): flat step
-//              kernels where an algorithm has a lowering (auto, the
-//              default), the Process vtable path always (off), or kernels
-//              required — error when a stage has no lowering (on). Outputs
-//              are bit-identical across modes.
+//              on stderr. Every engine run takes an algorithm's flat step
+//              kernel when it has one (src/runtime/kernel.h) and the
+//              Process vtable path otherwise.
 //   --network: delivery layer (src/runtime/network.h): the round-exact
 //              synchronous arena (sync, the default) or the seeded
 //              event-queue transport (delay:uniform | delay:weighted |
@@ -28,7 +25,7 @@
 //
 //   unilocal_cli sweep [--scenarios=a,b,..] [--algorithms=x,y,..] [--n=N]
 //                      [--a=V] [--b=V] [--seeds=K] [--workers=W]
-//                      [--kernel=M] [--format=csv|json] [--log=FILE] [--list]
+//                      [--format=csv|json] [--log=FILE] [--list]
 //
 //   Runs the (scenario x algorithm x seed) grid concurrently on W workers
 //   (campaign layer, src/runtime/campaign.h), prints one CSV row (or JSON
@@ -39,7 +36,7 @@
 //   append-only run log and diffs against the last recorded sweep of the
 //   same grid.
 //
-//   unilocal_cli table1 [--n=N] [--seeds=K] [--workers=W] [--kernel=M]
+//   unilocal_cli table1 [--n=N] [--seeds=K] [--workers=W]
 //                       [--format=csv|json] [--log=FILE] [--smoke]
 //
 //   Regenerates the paper's Table 1 grid as ONE campaign: every registry
@@ -67,7 +64,7 @@
 //   seed) — to exercise every recovery path in tests and CI.
 //
 //   unilocal_cli shard plan --dir=DIR --shards=K [--policy=P] <grid flags>
-//   unilocal_cli shard run MANIFEST [--out=FILE] [--workers=W] [--kernel=M]
+//   unilocal_cli shard run MANIFEST [--out=FILE] [--workers=W]
 //   unilocal_cli shard merge PLAN RESULT... [--format=csv|json]
 //                            [--canonical] [--log=FILE]
 //
@@ -78,6 +75,9 @@
 //   result against the plan (missing/duplicate/foreign/hash-mismatched
 //   shards are rejected naming all offenders) and prints the merged
 //   campaign exactly like sweep does.
+//
+// Every verb rejects a flag it does not know with one line naming it
+// ("table1: unknown flag: --bogus") and exit status 2.
 //
 // Prints one line per node: "<identity> <output>" (plus a summary on
 // stderr). Every algorithm here is the uniform product of the paper's
@@ -111,7 +111,6 @@
 #include "src/prune/matching_prune.h"
 #include "src/prune/ruling_set_prune.h"
 #include "src/runtime/campaign.h"
-#include "src/runtime/kernel.h"
 #include "src/runtime/run_log.h"
 #include "src/runtime/shard.h"
 #include "src/runtime/supervisor.h"
@@ -125,14 +124,13 @@ int usage() {
   std::fprintf(stderr,
                "usage: unilocal_cli <mis|matching|coloring|rulingset2> "
                "[edge-list-file] [--stats] [--stats-json=FILE] "
-               "[--kernel=off|auto|on] "
                "[--network=sync|delay:uniform|delay:weighted|delay:heavytail] "
                "[--drop=P] [--dup=P] [--crash=P] [--late=P] [--max-delay=T] "
                "[--late-by=T] [--trace=FILE] [--metrics=FILE] "
                "[--trace-rounds=N]\n"
                "       unilocal_cli sweep [--scenarios=a,b,..] "
                "[--algorithms=x,y,..|all|glob*] [--n=N] [--a=V] [--b=V] "
-               "[--seeds=K] [--workers=W] [--kernel=M] "
+               "[--seeds=K] [--workers=W] "
                "[--network=SPEC,..] [fault knobs] [--shards=K] "
                "[--policy=round-robin|cost-balanced] [--max-attempts=N] "
                "[--shard-timeout=S] [--journal=FILE] [--allow-partial] "
@@ -140,7 +138,7 @@ int usage() {
                "[--canonical] [--log=FILE] [--trace=FILE] [--metrics=FILE] "
                "[--trace-rounds=N] [--list]\n"
                "       unilocal_cli table1 [--n=N] [--seeds=K] [--workers=W] "
-               "[--kernel=M] [--network=SPEC,..] [fault knobs] [--shards=K] "
+               "[--network=SPEC,..] [fault knobs] [--shards=K] "
                "[--policy=P] [--max-attempts=N] [--shard-timeout=S] "
                "[--journal=FILE] [--allow-partial] [--no-speculate] "
                "[--format=csv|json] "
@@ -151,10 +149,20 @@ int usage() {
                "--algorithms=..) [--n=N] [--a=V] [--b=V] [--seeds=K] "
                "[--network=SPEC,..] [fault knobs]\n"
                "       unilocal_cli shard run MANIFEST [--out=FILE] "
-               "[--workers=W] [--kernel=M] [--trace=FILE] [--metrics=FILE] "
+               "[--workers=W] [--trace=FILE] [--metrics=FILE] "
                "[--trace-rounds=N]\n"
                "       unilocal_cli shard merge PLAN RESULT... "
                "[--format=csv|json] [--canonical] [--log=FILE]\n");
+  return 2;
+}
+
+/// Rejects an argument no flag of `verb` recognised: one line naming it on
+/// stderr and the usage exit status, so a mistyped or retired flag is never
+/// silently misread.
+int reject_argument(const char* verb, const std::string& arg) {
+  std::fprintf(stderr, "%s: %s: %s\n", verb,
+               arg.rfind("--", 0) == 0 ? "unknown flag" : "unexpected argument",
+               arg.c_str());
   return 2;
 }
 
@@ -511,7 +519,7 @@ struct ScratchDir {
 /// --allow-partial degrades exhausted shards to an explicit report.
 int run_sharded(const char* what, const std::vector<CampaignCell>& cells,
                 int shards, ShardPolicy policy, int workers_per_shard,
-                KernelMode kernel_mode, bool json_output, bool canonical,
+                bool json_output, bool canonical,
                 const std::string& log_path,
                 const SupervisorFlags& supervisor_flags,
                 const TelemetryFlags& telemetry_flags) {
@@ -556,7 +564,7 @@ int run_sharded(const char* what, const std::vector<CampaignCell>& cells,
   const bool tracing = sinks.recorder != nullptr;
   const std::int64_t trace_rounds = telemetry_flags.trace_rounds;
   const WorkerCommand command =
-      [&exe, workers_per_shard, kernel_mode, &inject_spec, inject_seed,
+      [&exe, workers_per_shard, &inject_spec, inject_seed,
        tracing, trace_rounds,
        &worker_trace_path](const ShardAttemptContext& context) {
         std::vector<std::string> argv = {
@@ -565,8 +573,7 @@ int run_sharded(const char* what, const std::vector<CampaignCell>& cells,
             "run",
             context.manifest_path,
             "--out=" + context.result_path,
-            "--workers=" + std::to_string(workers_per_shard),
-            "--kernel=" + std::string(kernel_mode_name(kernel_mode))};
+            "--workers=" + std::to_string(workers_per_shard)};
         if (tracing) {
           argv.push_back("--trace=" + worker_trace_path(context.shard_index,
                                                         context.attempt));
@@ -731,7 +738,7 @@ int run_shard_plan(int argc, char** argv) {
       seeds = std::stoi(value());
       seeds_given = true;
     } else {
-      return usage();
+      return reject_argument("shard plan", arg);
     }
   }
   if (dir.empty() || shards < 1) return usage();
@@ -787,7 +794,6 @@ int run_shard_run(int argc, char** argv) {
   std::string out_path;
   unsigned workers = std::thread::hardware_concurrency();
   if (workers == 0) workers = 1;
-  KernelMode kernel_mode = KernelMode::kAuto;
   ChaosOptions chaos;
   TelemetryFlags telemetry_flags;
   int attempt = 1;
@@ -799,8 +805,6 @@ int run_shard_run(int argc, char** argv) {
       out_path = value();
     } else if (arg.rfind("--workers=", 0) == 0) {
       workers = static_cast<unsigned>(std::stoi(value()));
-    } else if (arg.rfind("--kernel=", 0) == 0) {
-      kernel_mode = parse_kernel_mode(value());
     } else if (arg.rfind("--inject=", 0) == 0) {
       const std::uint64_t seed = chaos.seed;
       chaos = parse_chaos_spec(value());
@@ -809,12 +813,10 @@ int run_shard_run(int argc, char** argv) {
       chaos.seed = std::stoull(value());
     } else if (arg.rfind("--attempt=", 0) == 0) {
       attempt = std::stoi(value());
-    } else if (arg.rfind("--", 0) == 0) {
-      return usage();
-    } else if (manifest_path.empty()) {
+    } else if (arg.rfind("--", 0) != 0 && manifest_path.empty()) {
       manifest_path = arg;
     } else {
-      return usage();
+      return reject_argument("shard run", arg);
     }
   }
   if (manifest_path.empty()) return usage();
@@ -844,7 +846,6 @@ int run_shard_run(int argc, char** argv) {
         1, "shard " + std::to_string(manifest.shard_index));
   CampaignOptions options;
   options.workers = static_cast<int>(workers);
-  options.kernel_mode = kernel_mode;
   options.trace = sinks.recorder.get();
   options.trace_rounds = telemetry_flags.trace_rounds;
   const ShardResult result = run_shard(manifest, options);
@@ -898,7 +899,7 @@ int run_shard_merge(int argc, char** argv) {
     } else if (arg.rfind("--log=", 0) == 0) {
       log_path = value();
     } else if (arg.rfind("--", 0) == 0) {
-      return usage();
+      return reject_argument("shard merge", arg);
     } else if (plan_path.empty()) {
       plan_path = arg;
     } else {
@@ -940,7 +941,6 @@ int run_sweep(int argc, char** argv) {
   bool workers_given = false;
   int shards = 0;
   ShardPolicy policy = ShardPolicy::kCostBalanced;
-  KernelMode kernel_mode = KernelMode::kAuto;
   NetworkFlags network_flags;
   SupervisorFlags supervisor_flags;
   TelemetryFlags telemetry_flags;
@@ -990,8 +990,6 @@ int run_sweep(int argc, char** argv) {
     } else if (arg.rfind("--workers=", 0) == 0) {
       workers = static_cast<unsigned>(std::stoi(value()));
       workers_given = true;
-    } else if (arg.rfind("--kernel=", 0) == 0) {
-      kernel_mode = parse_kernel_mode(value());
     } else if (arg.rfind("--shards=", 0) == 0) {
       shards = std::stoi(value());
     } else if (arg.rfind("--policy=", 0) == 0) {
@@ -1006,7 +1004,7 @@ int run_sweep(int argc, char** argv) {
       if (format != "csv" && format != "json") return usage();
       json_output = format == "json";
     } else {
-      return usage();
+      return reject_argument("sweep", arg);
     }
   }
   // Globs and 'all' expand against the registry; make_grid then validates
@@ -1028,8 +1026,8 @@ int run_sweep(int argc, char** argv) {
     const int per_shard = workers_given
                               ? static_cast<int>(workers)
                               : std::max(1, static_cast<int>(workers) / shards);
-    return run_sharded("sweep", cells, shards, policy, per_shard, kernel_mode,
-                       json_output, canonical, log_path, supervisor_flags,
+    return run_sharded("sweep", cells, shards, policy, per_shard, json_output,
+                       canonical, log_path, supervisor_flags,
                        telemetry_flags);
   }
   const TelemetrySinks sinks(telemetry_flags);
@@ -1038,7 +1036,6 @@ int run_sweep(int argc, char** argv) {
     sinks.recorder->set_process_name(1, "campaign");
   CampaignOptions options;
   options.workers = static_cast<int>(workers);
-  options.kernel_mode = kernel_mode;
   options.trace = sinks.recorder.get();
   options.trace_rounds = telemetry_flags.trace_rounds;
   const CampaignResult result = run_campaign(cells, options);
@@ -1055,7 +1052,6 @@ int run_table1(int argc, char** argv) {
   bool workers_given = false;
   int shards = 0;
   ShardPolicy policy = ShardPolicy::kCostBalanced;
-  KernelMode kernel_mode = KernelMode::kAuto;
   NetworkFlags network_flags;
   SupervisorFlags supervisor_flags;
   TelemetryFlags telemetry_flags;
@@ -1081,8 +1077,6 @@ int run_table1(int argc, char** argv) {
     } else if (arg.rfind("--workers=", 0) == 0) {
       workers = static_cast<unsigned>(std::stoi(value()));
       workers_given = true;
-    } else if (arg.rfind("--kernel=", 0) == 0) {
-      kernel_mode = parse_kernel_mode(value());
     } else if (arg.rfind("--shards=", 0) == 0) {
       shards = std::stoi(value());
     } else if (arg.rfind("--policy=", 0) == 0) {
@@ -1097,7 +1091,7 @@ int run_table1(int argc, char** argv) {
       if (format != "csv" && format != "json") return usage();
       json_output = format == "json";
     } else {
-      return usage();
+      return reject_argument("table1", arg);
     }
   }
   // --smoke shrinks only the knobs the user did not set explicitly, so
@@ -1120,8 +1114,8 @@ int run_table1(int argc, char** argv) {
                               ? static_cast<int>(workers)
                               : std::max(1, static_cast<int>(workers) / shards);
     return run_sharded("table1", cells, shards, policy, per_shard,
-                       kernel_mode, json_output, canonical, log_path,
-                       supervisor_flags, telemetry_flags);
+                       json_output, canonical, log_path, supervisor_flags,
+                       telemetry_flags);
   }
   const TelemetrySinks sinks(telemetry_flags);
   const telemetry::ScopedMetrics scoped_metrics(sinks.registry.get());
@@ -1129,7 +1123,6 @@ int run_table1(int argc, char** argv) {
     sinks.recorder->set_process_name(1, "campaign");
   CampaignOptions options;
   options.workers = static_cast<int>(workers);
-  options.kernel_mode = kernel_mode;
   options.trace = sinks.recorder.get();
   options.trace_rounds = telemetry_flags.trace_rounds;
   const CampaignResult result = run_campaign(cells, options);
@@ -1223,7 +1216,7 @@ int main(int argc, char** argv) {
     bool consumed = false;
     try {
       // Malformed --network=/--drop=/... values are rejected here with an
-      // error naming the flag, exactly like --kernel= below.
+      // error naming the flag.
       consumed = network_flags.consume(arg) || telemetry_flags.consume(arg);
     } catch (const std::exception& e) {
       std::fprintf(stderr, "%s\n", e.what());
@@ -1234,19 +1227,15 @@ int main(int argc, char** argv) {
       stats_json_path = arg.substr(arg.find('=') + 1);
     } else if (arg == "--stats") {
       want_stats = true;
-    } else if (arg.rfind("--kernel=", 0) == 0) {
-      try {
-        run_options.kernel_mode = parse_kernel_mode(argv[i] + 9);
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "%s\n", e.what());
-        return usage();
-      }
+    } else if (arg.rfind("--", 0) == 0) {
+      return reject_argument(
+          problem_arg != nullptr ? problem_arg : "unilocal_cli", arg);
     } else if (problem_arg == nullptr) {
       problem_arg = argv[i];
     } else if (file == nullptr) {
       file = argv[i];
     } else {
-      return usage();
+      return reject_argument(problem_arg, arg);
     }
   }
   if (problem_arg == nullptr) return usage();
@@ -1342,7 +1331,6 @@ int main(int argc, char** argv) {
     return usage();
   }
   } catch (const std::exception& e) {
-    // e.g. --kernel=on on a pipeline with unlowered stages.
     std::fprintf(stderr, "%s: %s\n", problem.c_str(), e.what());
     return 1;
   }

@@ -22,7 +22,7 @@ class ColeVishkin final : public Algorithm {
   std::unique_ptr<Process> spawn(const NodeInit& init) const override;
   std::string name() const override;
   std::int64_t schedule_rounds() const noexcept;
-  /// Flat-kernel lowering ("cole-vishkin" in the kernel registry).
+  /// Flat-kernel lowering.
   std::shared_ptr<const StepKernel> kernel() const override;
 
  private:

@@ -23,8 +23,8 @@ class ColorReduce final : public Algorithm {
   ColorReduce(std::int64_t k_start, std::int64_t target);
   std::unique_ptr<Process> spawn(const NodeInit& init) const override;
   std::string name() const override;
-  /// Flat-kernel lowering ("color-reduce" in the kernel registry); the
-  /// neighbour-color cache lives in the per-port state arena.
+  /// Flat-kernel lowering; the neighbour-color cache lives in the per-port
+  /// state arena.
   std::shared_ptr<const StepKernel> kernel() const override;
 
   /// Rounds the fixed schedule takes (use as a chain-stage budget).

@@ -20,7 +20,7 @@ class GreedyMis final : public Algorithm {
  public:
   std::unique_ptr<Process> spawn(const NodeInit& init) const override;
   std::string name() const override { return "greedy-mis"; }
-  /// Flat-kernel lowering ("greedy-mis" in the kernel registry).
+  /// Flat-kernel lowering.
   std::shared_ptr<const StepKernel> kernel() const override;
 };
 

@@ -63,8 +63,7 @@ class LinialColoring final : public Algorithm {
   std::unique_ptr<Process> spawn(const NodeInit& init) const override;
   std::string name() const override;
   const LinialSchedule& schedule() const noexcept { return schedule_; }
-  /// Flat-kernel lowering ("linial" in the kernel registry); covers the
-  /// degenerate empty-schedule case too.
+  /// Flat-kernel lowering; covers the degenerate empty-schedule case too.
   std::shared_ptr<const StepKernel> kernel() const override;
 
  private:

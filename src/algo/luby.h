@@ -19,7 +19,7 @@ class LubyMis final : public Algorithm {
  public:
   std::unique_ptr<Process> spawn(const NodeInit& init) const override;
   std::string name() const override { return "luby-mis"; }
-  /// Flat-kernel lowering ("luby" in the kernel registry).
+  /// Flat-kernel lowering.
   std::shared_ptr<const StepKernel> kernel() const override;
 };
 

@@ -24,7 +24,6 @@ NodeId AlternatingDriver::run_step(const Algorithm& algorithm,
   options.max_rounds = budget;
   options.seed = seed;
   options.num_threads = std::max(1, engine_threads);
-  options.kernel_mode = kernel_mode;
   options.network = network;
   const RunResult result =
       run_local(current_, algorithm, options, &workspace());

@@ -51,10 +51,6 @@ class AlternatingDriver {
   /// engine is thread-count invariant, so this only affects latency.
   int engine_threads = 1;
 
-  /// RunOptions::kernel_mode of every engine run the driver issues (flat
-  /// step kernels vs the Process vtable path; outputs are bit-identical).
-  KernelMode kernel_mode = KernelMode::kAuto;
-
   /// RunOptions::network of every engine run the driver issues (synchronous
   /// arena vs the seeded event-queue transport).
   NetworkOptions network;

@@ -262,7 +262,6 @@ ColoringTransformResult run_uniform_coloring_transform(
     RunOptions run_options;
     run_options.seed = seed++;
     run_options.num_threads = std::max(1, options.engine_threads);
-    run_options.kernel_mode = options.kernel_mode;
     run_options.network = options.network;
     const RunResult phase2 =
         run_local(recolor_instance, *phase2_algorithm, run_options,

@@ -16,13 +16,12 @@ class LocalExecutable final : public UniformExecutable {
   std::string name() const override { return algorithm_->name(); }
   AlternatingDriver::CustomOutcome run(
       const Instance& instance, std::int64_t budget, std::uint64_t seed,
-      EngineWorkspace* workspace, int engine_threads, KernelMode kernel_mode,
+      EngineWorkspace* workspace, int engine_threads,
       const NetworkOptions& network) const override {
     RunOptions options;
     options.max_rounds = budget;
     options.seed = seed;
     options.num_threads = std::max(1, engine_threads);
-    options.kernel_mode = kernel_mode;
     options.network = network;
     RunResult result = run_local(instance, *algorithm_, options, workspace);
     return {std::move(result.outputs), result.rounds_used, result.stats};
@@ -42,7 +41,7 @@ class TransformedExecutable final : public UniformExecutable {
   }
   AlternatingDriver::CustomOutcome run(
       const Instance& instance, std::int64_t budget, std::uint64_t seed,
-      EngineWorkspace* workspace, int engine_threads, KernelMode kernel_mode,
+      EngineWorkspace* workspace, int engine_threads,
       const NetworkOptions& network) const override {
     // The nested transformer's driver joins the lent arena (when the caller
     // lends one), so every Theorem-1/2/3 sub-run shares the outer driver's
@@ -52,7 +51,6 @@ class TransformedExecutable final : public UniformExecutable {
     options.round_cap = budget;
     options.workspace = workspace;
     options.engine_threads = engine_threads;
-    options.kernel_mode = kernel_mode;
     options.network = network;
     UniformRunResult result =
         run_uniform_transformer(instance, *algorithm_, *pruning_, options);
@@ -85,7 +83,6 @@ UniformRunResult run_fastest(
     const PruningAlgorithm& pruning, const UniformRunOptions& options) {
   AlternatingDriver driver(instance, pruning, options.workspace);
   driver.engine_threads = options.engine_threads;
-  driver.kernel_mode = options.kernel_mode;
   driver.network = options.network;
   UniformRunResult result;
   std::uint64_t seed = options.seed;
@@ -108,8 +105,7 @@ UniformRunResult run_fastest(
           [&](const Instance& current) {
             return algorithm->run(current, budget, step_seed,
                                   &driver.workspace(),
-                                  options.engine_threads,
-                                  options.kernel_mode, options.network);
+                                  options.engine_threads, options.network);
           },
           &trace);
       result.trace.push_back(std::move(trace));

@@ -29,7 +29,6 @@ class UniformExecutable {
   virtual AlternatingDriver::CustomOutcome run(
       const Instance& instance, std::int64_t budget, std::uint64_t seed,
       EngineWorkspace* workspace = nullptr, int engine_threads = 1,
-      KernelMode kernel_mode = KernelMode::kAuto,
       const NetworkOptions& network = {}) const = 0;
 };
 

@@ -14,7 +14,6 @@ UniformRunResult run_las_vegas_transformer(const Instance& instance,
 
   AlternatingDriver driver(instance, pruning, options.workspace);
   driver.engine_threads = options.engine_threads;
-  driver.kernel_mode = options.kernel_mode;
   driver.network = options.network;
   UniformRunResult result;
   std::uint64_t seed = options.seed;

@@ -20,7 +20,6 @@ UniformRunResult run_uniform_transformer(const Instance& instance,
   // composition never re-allocates engine state between stages.
   AlternatingDriver driver(instance, pruning, options.workspace);
   driver.engine_threads = options.engine_threads;
-  driver.kernel_mode = options.kernel_mode;
   driver.network = options.network;
   UniformRunResult result;
   std::uint64_t seed = options.seed;

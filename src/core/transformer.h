@@ -34,12 +34,8 @@ struct UniformRunOptions {
   EngineWorkspace* workspace = nullptr;
   /// Worker threads for every engine run driven by this transformer
   /// (RunOptions::num_threads of each sub-iteration). The engine is
-  /// thread-count invariant, so outputs are bit-identical for any value;
-  /// campaigns raise it for large cells to cut tail latency.
+  /// thread-count invariant, so outputs are bit-identical for any value.
   int engine_threads = 1;
-  /// RunOptions::kernel_mode of every sub-iteration (flat step kernels vs
-  /// the Process vtable path; outputs are bit-identical either way).
-  KernelMode kernel_mode = KernelMode::kAuto;
   /// RunOptions::network of every sub-iteration (synchronous arena vs the
   /// seeded event-queue transport with latency/fault injection).
   NetworkOptions network;

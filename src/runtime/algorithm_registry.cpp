@@ -148,7 +148,6 @@ UniformRunOptions uniform_options(const AlgorithmRunContext& context) {
   options.seed = context.seed;
   options.workspace = context.workspace;
   options.engine_threads = context.engine_threads;
-  options.kernel_mode = context.kernel_mode;
   options.network = context.network;
   return options;
 }
@@ -157,7 +156,6 @@ RunOptions local_options(const AlgorithmRunContext& context) {
   RunOptions options;
   options.seed = context.seed;
   options.num_threads = std::max(1, context.engine_threads);
-  options.kernel_mode = context.kernel_mode;
   options.network = context.network;
   return options;
 }

@@ -45,9 +45,6 @@ struct AlgorithmRunContext {
   /// RunOptions::num_threads for the entry's engine runs (thread-count
   /// invariant — affects latency only, never outputs).
   int engine_threads = 1;
-  /// RunOptions::kernel_mode for the entry's engine runs (flat step kernels
-  /// vs the Process vtable path; bit-identical outputs either way).
-  KernelMode kernel_mode = KernelMode::kAuto;
   /// RunOptions::network for the entry's engine runs (synchronous arena vs
   /// the seeded event-queue transport with latency/fault injection).
   NetworkOptions network;
@@ -68,12 +65,6 @@ struct AlgorithmSpec {
   /// stated over — what `unilocal_cli table1` pairs it with.
   std::vector<std::string> table1_scenarios;
   std::function<CellOutcome(const Instance&, const AlgorithmRunContext&)> run;
-  /// Whether every engine run inside the factory executes through the flat
-  /// step-kernel tier under KernelMode::kOn (i.e. the whole pipeline is
-  /// lowered). Campaigns validate this up front when kernel_mode is kOn —
-  /// one error naming every unlowered key — instead of N per-cell
-  /// failures. All built-in entries are lowered.
-  bool kernel_lowered = true;
 };
 
 /// Simple key glob: '*' matches any run (including empty), '?' any one

@@ -90,13 +90,7 @@ CellResult run_cell(const CampaignCell& cell,
     AlgorithmRunContext context;
     context.seed = cell.seed;
     context.workspace = workspace;
-    context.kernel_mode = options.kernel_mode;
     context.network = result.cell.network;
-    // The large-cell policy: big instances get engine threads (the engine
-    // is thread-count invariant, so the outputs stay bit-identical).
-    if (options.engine_threads_for_large_cells > 1 &&
-        instance.num_nodes() >= options.large_cell_node_threshold)
-      context.engine_threads = options.engine_threads_for_large_cells;
     CellOutcome outcome =
         algorithms.run(cell.algorithm, instance, context);
     result.rounds = outcome.rounds;
@@ -292,9 +286,6 @@ CampaignResult run_campaign(const std::vector<CampaignCell>& cells,
   if (pool == nullptr)
     pool = &owned_pool.emplace(std::max(1, options.workers));
 
-  if (options.kernel_mode == KernelMode::kOn)
-    validate_kernel_lowering(cells, algorithms);
-
   CampaignResult result;
   result.workers = pool->threads();
   result.cells.resize(cells.size());
@@ -379,21 +370,6 @@ void validate_cells(const std::vector<CampaignCell>& cells,
       unknown_algorithms.insert(cell.algorithm);
   }
   throw_on_unknown_keys(unknown_scenarios, unknown_algorithms);
-}
-
-void validate_kernel_lowering(const std::vector<CampaignCell>& cells,
-                              const AlgorithmRegistry& algorithms) {
-  std::set<std::string> unlowered;
-  for (const CampaignCell& cell : cells) {
-    if (algorithms.contains(cell.algorithm) &&
-        !algorithms.spec(cell.algorithm).kernel_lowered)
-      unlowered.insert(cell.algorithm);
-  }
-  if (unlowered.empty()) return;
-  std::string message;
-  describe_unknown(message, "algorithms", unlowered);
-  throw std::runtime_error("kernel mode 'on' requires lowered pipelines: " +
-                           message);
 }
 
 std::vector<CampaignCell> make_grid(
@@ -575,9 +551,8 @@ void write_campaign_json(std::ostream& out, const CampaignResult& result,
   write_percentiles_json(out, "dirty_spans_cleared",
                          result.dirty_spans_cleared);
   if (!options.canonical) {
-    // The kernel/vtable split depends on CampaignOptions::kernel_mode, not
-    // the grid: the same grid under --kernel=off and --kernel=auto must
-    // stay byte-identical in canonical mode (outputs are).
+    // The kernel/vtable split says how the engine ran the steps, not what
+    // they computed, so canonical documents leave it out.
     out << ',';
     write_percentiles_json(out, "kernel_steps", result.kernel_steps);
     out << ',';

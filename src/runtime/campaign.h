@@ -249,18 +249,6 @@ struct CampaignOptions {
   const ScenarioRegistry* scenarios = nullptr;
   /// Algorithm registry (default_algorithm_registry() when null).
   const AlgorithmRegistry* algorithms = nullptr;
-  /// Large-cell engine parallelism policy: cells whose instance has at
-  /// least `large_cell_node_threshold` nodes run their engine with
-  /// `engine_threads_for_large_cells` threads (the engine is thread-count
-  /// invariant, so outputs stay bit-identical — this cuts tail latency on
-  /// skewed grids without giving up determinism). 1 disables the policy.
-  int engine_threads_for_large_cells = 1;
-  NodeId large_cell_node_threshold = 100000;
-  /// Engine path for every cell (RunOptions::kernel_mode): flat step
-  /// kernels where available (auto, the default), vtable always (off), or
-  /// kernels required (on). Outputs are bit-identical across modes, so
-  /// campaign artifacts stay canonical regardless.
-  KernelMode kernel_mode = KernelMode::kAuto;
   /// Delivery layer applied to every cell whose own CampaignCell::network
   /// was left at the default (sync). A cell with an explicit non-default
   /// network keeps it — grids built with GridOptions::networks bake the
@@ -292,14 +280,6 @@ CampaignResult run_campaign(const std::vector<CampaignCell>& cells,
 void validate_cells(const std::vector<CampaignCell>& cells,
                     const ScenarioRegistry& scenarios,
                     const AlgorithmRegistry& algorithms);
-
-/// KernelMode::kOn validation: collects EVERY registered algorithm key in
-/// the cells whose spec is not kernel_lowered and throws one
-/// std::runtime_error naming all of them (the make_grid unknown-key error
-/// style). Unknown keys are left to validate_cells / per-cell errors.
-/// run_campaign calls this when options.kernel_mode is kOn.
-void validate_kernel_lowering(const std::vector<CampaignCell>& cells,
-                              const AlgorithmRegistry& algorithms);
 
 struct GridOptions {
   std::uint64_t base_seed = 1;

@@ -28,18 +28,18 @@
 //     synchronizer mode recv() spans point into the history arena, which a
 //     send may grow (the vtable path pays a defensive copy instead).
 //
-// Selection is RunOptions::kernel_mode (off / auto / on): `auto` uses the
-// kernel whenever Algorithm::kernel() provides one and falls back to the
-// vtable path otherwise — composed pipelines thereby pick up kernels
-// stage-by-stage; `on` requires one and throws when the algorithm has no
-// lowering.
+// Selection: the engine runs Algorithm::kernel() whenever it is non-null
+// and the vtable path otherwise, so composed pipelines pick up kernels
+// stage by stage and EngineStats::kernel_steps / vtable_steps
+// report where each step ran. Tests reach the vtable path of a lowered
+// algorithm through VtableOnly (src/runtime/reference.h). Lowering of the
+// whole registry zoo is pinned by tests/golden/table1-smoke.canonical.json:
+// every table1 smoke cell must run fully lowered and match those bytes.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <initializer_list>
-#include <map>
 #include <memory>
 #include <span>
 #include <string>
@@ -49,19 +49,6 @@
 #include "src/util/rng.h"
 
 namespace unilocal {
-
-/// Engine path selection, plumbed from the CLI (--kernel=) through
-/// CampaignOptions / UniformRunOptions / RunOptions.
-enum class KernelMode {
-  kOff,   // always the Process vtable path
-  kAuto,  // kernel when the algorithm is lowered, vtable otherwise
-  kOn,    // kernel required; run_local throws when there is no lowering
-};
-
-/// Stable names ("off", "auto", "on"); parse throws std::runtime_error on
-/// anything else.
-const char* kernel_mode_name(KernelMode mode);
-KernelMode parse_kernel_mode(const std::string& name);
 
 struct KernelCtx;
 
@@ -292,47 +279,5 @@ inline std::size_t kernel_phase_index(const StepKernel& kernel,
   return n == 1 ? 0
                : static_cast<std::size_t>(round % static_cast<std::int64_t>(n));
 }
-
-/// One registry row: a key (matching the algorithm-registry building block
-/// the kernel lowers), documentation, and the Algorithm -> StepKernel
-/// adapter (returns null when the algorithm is not an instance the key
-/// lowers — e.g. asking the "luby" row to lower a ColorReduce).
-struct KernelSpec {
-  std::string name;
-  std::string describe;
-  std::function<std::shared_ptr<const StepKernel>(const Algorithm&)> lower;
-};
-
-/// String-keyed table of kernel lowerings, symmetric with
-/// AlgorithmRegistry. The engine itself resolves kernels through
-/// Algorithm::kernel(); the registry is the introspectable index of what
-/// is lowered (CLI listings, tests, docs).
-class KernelRegistry {
- public:
-  /// Throws std::runtime_error on duplicate/empty names or missing adapters.
-  void add(KernelSpec spec);
-
-  bool contains(const std::string& name) const;
-  /// Registered keys, sorted.
-  std::vector<std::string> names() const;
-  /// Throws std::runtime_error on unknown names.
-  const KernelSpec& spec(const std::string& name) const;
-  /// Lowers `algorithm` through the named row. Throws std::runtime_error on
-  /// unknown kernel keys; returns null when the algorithm is not an
-  /// instance this row can lower.
-  std::shared_ptr<const StepKernel> lower(const std::string& name,
-                                          const Algorithm& algorithm) const;
-
- private:
-  std::map<std::string, KernelSpec> entries_;
-};
-
-/// The built-in table — every registry building block is lowered: luby,
-/// linial, color-reduce, greedy-mis, cole-vishkin, beta-luby, hpartition,
-/// out-linial, mis-color-sweep, proposal-matching, plus the composite
-/// rows (chain, truncated, slc-adapter) that forward to their inner
-/// kernels. With these, every default_algorithm_registry() pipeline runs
-/// end to end under --kernel=on.
-const KernelRegistry& default_kernel_registry();
 
 }  // namespace unilocal

@@ -170,22 +170,18 @@ class ArenaEngine {
     trace_ = telemetry::trace_binding();
     if (trace_ != nullptr && trace_->recorder == nullptr) trace_ = nullptr;
 
-    if (options.kernel_mode != KernelMode::kOff) {
-      kernel_ = algorithm.kernel();
-      if (kernel_ == nullptr && options.kernel_mode == KernelMode::kOn)
-        throw std::runtime_error("kernel mode 'on' but algorithm '" +
-                                 algorithm.name() + "' has no kernel lowering");
-      if (kernel_ != nullptr) {
-        if (kernel_->phases.empty())
-          throw std::runtime_error("kernel '" + kernel_->name +
-                                   "' has no phases");
-        for (const KernelPhase& phase : kernel_->phases) {
-          if (phase.fn == nullptr)
-            throw std::runtime_error("kernel '" + kernel_->name +
-                                     "' phase '" + phase.name +
-                                     "' has a null step function");
-          if (phase.batch != nullptr) kernel_has_batch_ = true;
-        }
+    // The engine path follows the algorithm: its flat kernel when it has
+    // one, the Process vtable path otherwise.
+    kernel_ = algorithm.kernel();
+    if (kernel_ != nullptr) {
+      if (kernel_->phases.empty())
+        throw std::runtime_error("kernel '" + kernel_->name +
+                                 "' has no phases");
+      for (const KernelPhase& phase : kernel_->phases) {
+        if (phase.fn == nullptr)
+          throw std::runtime_error("kernel '" + kernel_->name + "' phase '" +
+                                   phase.name + "' has a null step function");
+        if (phase.batch != nullptr) kernel_has_batch_ = true;
       }
     }
 

@@ -55,11 +55,6 @@ struct RunOptions {
   /// (1 = fully inline). Outputs are independent of this value; the
   /// synchronizer mode always runs single-threaded.
   int num_threads = 1;
-  /// Engine path: the flat step-kernel tier (src/runtime/kernel.h) when the
-  /// algorithm is lowered (kAuto, the default), the Process vtable path
-  /// always (kOff), or the kernel required (kOn — run_local throws when the
-  /// algorithm has no lowering). Outputs are bit-identical either way.
-  KernelMode kernel_mode = KernelMode::kAuto;
   /// Delivery layer (src/runtime/network.h): the round-exact synchronous
   /// arena (default), or the seeded event-queue transport with per-edge
   /// latency and fault injection. The delayed mode runs the event loop

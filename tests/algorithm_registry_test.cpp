@@ -207,28 +207,30 @@ TEST(AlgorithmRegistry, ConformanceAcrossWorkerCounts) {
   }
 }
 
-TEST(Campaign, LargeCellEngineThreadsPreserveOutputs) {
+TEST(AlgorithmRegistry, EngineThreadsPreserveOutputs) {
+  // Every engine run inside a pipeline steps on 4 threads; thread-count
+  // invariance keeps the outputs bit-identical to the 1-thread run.
   ScenarioParams params;
   params.n = 64;
   const auto cells =
       make_grid({"gnp", "layered-forest"}, params,
                 {"mis-uniform", "arb-mis", "coloring-theorem5", "luby-mis"},
                 1, 3);
-  CampaignOptions options;
-  options.keep_outputs = true;
-  const CampaignResult plain = run_campaign(cells, options);
-  // Threshold 1 forces every cell through the multi-threaded engine path;
-  // thread-count invariance keeps the outputs bit-identical.
-  options.engine_threads_for_large_cells = 4;
-  options.large_cell_node_threshold = 1;
-  options.workers = 2;
-  const CampaignResult threaded = run_campaign(cells, options);
-  ASSERT_EQ(threaded.cells.size(), plain.cells.size());
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    EXPECT_TRUE(threaded.cells[i].error.empty()) << threaded.cells[i].error;
-    EXPECT_EQ(threaded.cells[i].outputs, plain.cells[i].outputs)
-        << cells[i].algorithm << '/' << cells[i].scenario;
-    EXPECT_EQ(threaded.cells[i].output_hash, plain.cells[i].output_hash);
+  const AlgorithmRegistry& registry = default_algorithm_registry();
+  for (const CampaignCell& cell : cells) {
+    const Instance instance = make_instance(
+        default_scenarios().build(cell.scenario, cell.params, cell.seed),
+        cell.identities, cell.seed);
+    AlgorithmRunContext context;
+    context.seed = cell.seed;
+    const CellOutcome plain = registry.run(cell.algorithm, instance, context);
+    context.engine_threads = 4;
+    const CellOutcome threaded =
+        registry.run(cell.algorithm, instance, context);
+    const std::string tag = cell.algorithm + '/' + cell.scenario;
+    EXPECT_EQ(threaded.outputs, plain.outputs) << tag;
+    EXPECT_EQ(threaded.rounds, plain.rounds) << tag;
+    EXPECT_EQ(threaded.solved, plain.solved) << tag;
   }
 }
 

@@ -143,7 +143,6 @@ class BudgetRecorder final : public UniformExecutable {
   AlternatingDriver::CustomOutcome run(
       const Instance& instance, std::int64_t budget, std::uint64_t /*seed*/,
       EngineWorkspace* /*workspace*/, int /*engine_threads*/,
-      KernelMode /*kernel_mode*/,
       const NetworkOptions& /*network*/) const override {
     budgets_->push_back(budget);
     return {std::vector<std::int64_t>(

@@ -1,10 +1,11 @@
 // Step-kernel equivalence: for every lowered registry building block the
-// flat-kernel engine path (RunOptions::kernel_mode = auto/on) must produce
-// RunResult fields bit-identical to the Process vtable path (off) and to
-// the preserved seed engine (src/runtime/reference.cpp) — on every
-// instance family, thread count, and both engine modes (simultaneous and
-// synchronizer). Plus the KernelRegistry surface: names, error paths, the
-// auto fallback for algorithms with no lowering, and `on` refusing them.
+// flat-kernel engine path (what run_local picks whenever Algorithm::kernel()
+// is non-null) must produce RunResult fields bit-identical to the Process
+// vtable path (the same algorithm behind VtableOnly) and to the preserved
+// seed engine (src/runtime/reference.cpp) — on every instance family,
+// thread count, and both engine modes (simultaneous and synchronizer).
+// Lowering of whole registry pipelines is pinned separately by
+// tests/table1_golden_test.cpp.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -21,9 +22,7 @@
 #include "src/algo/luby.h"
 #include "src/algo/mis_from_coloring.h"
 #include "src/algo/ruling_set_mc.h"
-#include "src/core/coloring_transform.h"
 #include "src/graph/params.h"
-#include "src/runtime/campaign.h"
 #include "src/runtime/kernel.h"
 #include "src/runtime/reference.h"
 #include "src/runtime/runner.h"
@@ -46,36 +45,37 @@ void expect_same(const RunResult& want, const RunResult& got,
   EXPECT_EQ(want.max_message_words, got.max_message_words) << label;
 }
 
-/// Reference engine vs every (kernel mode x thread count) combination.
-/// `options.wake_rounds` decides the engine mode: empty = simultaneous,
-/// non-empty = synchronizer — callers exercise both.
+/// Reference engine vs the kernel path and the vtable path at every thread
+/// count. `options.wake_rounds` decides the engine mode: empty =
+/// simultaneous, non-empty = synchronizer — callers exercise both.
 void check_kernel_equivalence(const Instance& instance,
                               const Algorithm& algorithm, RunOptions options,
                               const std::string& label) {
-  options.kernel_mode = KernelMode::kOff;
+  ASSERT_NE(algorithm.kernel(), nullptr) << label;
+  const VtableOnly vtable(algorithm);
   const RunResult want = run_local_reference(instance, algorithm, options);
   for (const int threads : {1, 2, 8}) {
     options.num_threads = threads;
-    for (const KernelMode mode :
-         {KernelMode::kOff, KernelMode::kAuto, KernelMode::kOn}) {
-      options.kernel_mode = mode;
-      const RunResult got = run_local(instance, algorithm, options);
-      const std::string tag = label + "/" + kernel_mode_name(mode) +
+    for (const Algorithm* path : {static_cast<const Algorithm*>(&vtable),
+                                  &algorithm}) {
+      const bool lowered = path == &algorithm;
+      const RunResult got = run_local(instance, *path, options);
+      const std::string tag = label + (lowered ? "/kernel" : "/vtable") +
                               "/threads=" + std::to_string(threads);
       expect_same(want, got, tag);
       // The path split must report where the steps actually ran.
-      if (mode == KernelMode::kOff) {
-        EXPECT_EQ(got.stats.kernel_steps, 0) << tag;
-        EXPECT_EQ(got.stats.vtable_steps, got.stats.total_steps) << tag;
-      } else {
+      if (lowered) {
         EXPECT_EQ(got.stats.kernel_steps, got.stats.total_steps) << tag;
         EXPECT_EQ(got.stats.vtable_steps, 0) << tag;
+      } else {
+        EXPECT_EQ(got.stats.kernel_steps, 0) << tag;
+        EXPECT_EQ(got.stats.vtable_steps, got.stats.total_steps) << tag;
       }
       // Batched-step accounting: only kernel steps batch, each batch call
       // covers at least one step, and the vtable path never batches.
       EXPECT_LE(got.stats.kernel_batched_steps, got.stats.kernel_steps)
           << tag;
-      if (mode == KernelMode::kOff) {
+      if (!lowered) {
         EXPECT_EQ(got.stats.kernel_batched_steps, 0) << tag;
         EXPECT_EQ(got.stats.kernel_batch_calls, 0) << tag;
       }
@@ -285,9 +285,8 @@ TEST(KernelEquivalence, DelayedNetworkBitIdentity) {
     options.network.preset = preset;
     for (const Algorithm* algorithm :
          std::initializer_list<const Algorithm*>{&luby, mis.get()}) {
-      options.kernel_mode = KernelMode::kOff;
-      const RunResult off = run_local(instance, *algorithm, options);
-      options.kernel_mode = KernelMode::kOn;
+      const RunResult off =
+          run_local(instance, VtableOnly(*algorithm), options);
       const RunResult on = run_local(instance, *algorithm, options);
       const std::string tag = std::string("delayed/") + algorithm->name();
       expect_same(off, on, tag);
@@ -295,189 +294,6 @@ TEST(KernelEquivalence, DelayedNetworkBitIdentity) {
       EXPECT_EQ(on.stats.vtable_steps, 0) << tag;
     }
   }
-}
-
-TEST(KernelEquivalence, SlcAdapterThroughColoringTransform) {
-  // The Theorem 5 transform wraps its coloring black box in the SLC output
-  // adapter; under kernel mode `on` the whole pipeline must run lowered
-  // and reproduce the vtable-path result exactly.
-  Rng rng(127);
-  const Instance instance = make_instance(gnp(70, 0.08, rng),
-                                          IdentityScheme::kRandomPermuted, 7);
-  const auto algorithm = make_lambda_gdelta_coloring(1);
-  UniformRunOptions options;
-  options.seed = 53;
-  options.kernel_mode = KernelMode::kOff;
-  const ColoringTransformResult off =
-      run_uniform_coloring_transform(instance, *algorithm, options);
-  options.kernel_mode = KernelMode::kOn;
-  const ColoringTransformResult on =
-      run_uniform_coloring_transform(instance, *algorithm, options);
-  EXPECT_EQ(off.colors, on.colors);
-  EXPECT_EQ(off.solved, on.solved);
-  EXPECT_EQ(off.total_rounds, on.total_rounds);
-  EXPECT_EQ(on.engine_stats.vtable_steps, 0);
-  EXPECT_GT(on.engine_stats.kernel_steps, 0);
-}
-
-TEST(KernelRegistry, DefaultTableListsTheLoweredBlocks) {
-  const KernelRegistry& registry = default_kernel_registry();
-  const std::vector<std::string> expected = {
-      "beta-luby",    "chain",           "cole-vishkin",
-      "color-reduce", "greedy-mis",      "hpartition",
-      "linial",       "luby",            "mis-color-sweep",
-      "out-linial",   "proposal-matching", "slc-adapter",
-      "truncated"};
-  EXPECT_EQ(registry.names(), expected);
-  for (const std::string& name : expected) {
-    EXPECT_TRUE(registry.contains(name)) << name;
-    EXPECT_FALSE(registry.spec(name).describe.empty()) << name;
-  }
-  EXPECT_FALSE(registry.contains("no-such-kernel"));
-}
-
-TEST(KernelRegistry, LowersMatchingAlgorithmsOnly) {
-  const KernelRegistry& registry = default_kernel_registry();
-  const LubyMis luby;
-  const GreedyMis greedy;
-  // The right row lowers; the wrong row returns null (not an error).
-  EXPECT_NE(registry.lower("luby", luby), nullptr);
-  EXPECT_NE(registry.lower("greedy-mis", greedy), nullptr);
-  EXPECT_EQ(registry.lower("luby", greedy), nullptr);
-  EXPECT_EQ(registry.lower("cole-vishkin", luby), nullptr);
-  // Unknown keys throw.
-  EXPECT_THROW(registry.lower("no-such-kernel", luby), std::runtime_error);
-  EXPECT_THROW(registry.spec("no-such-kernel"), std::runtime_error);
-}
-
-TEST(KernelRegistry, LoweredKernelMatchesAlgorithmKernel) {
-  // The registry adapter and Algorithm::kernel() expose the same lowering.
-  const LubyMis luby;
-  const auto via_registry = default_kernel_registry().lower("luby", luby);
-  const auto via_algorithm = luby.kernel();
-  ASSERT_NE(via_registry, nullptr);
-  ASSERT_NE(via_algorithm, nullptr);
-  EXPECT_EQ(via_registry->name, via_algorithm->name);
-}
-
-/// Every registry building block is lowered now, so the fallback paths
-/// need a deliberately unlowered stand-in: finish with the identity after
-/// one broadcast round, vtable only.
-class UnloweredEcho final : public Algorithm {
- public:
-  std::unique_ptr<Process> spawn(const NodeInit&) const override {
-    class EchoProcess final : public Process {
-     public:
-      void step(Context& ctx) override {
-        if (ctx.round() == 0) {
-          ctx.broadcast({ctx.id()});
-          return;
-        }
-        ctx.finish(ctx.id());
-      }
-    };
-    return std::make_unique<EchoProcess>();
-  }
-  std::string name() const override { return "unlowered-echo"; }
-};
-
-TEST(KernelMode, AutoFallsBackToVtableForUnloweredAlgorithms) {
-  // An algorithm with no lowering: auto must silently run the vtable path
-  // bit-identically to off, and report the split accordingly.
-  Rng rng(83);
-  const Instance instance = make_instance(gnp(80, 0.06, rng),
-                                          IdentityScheme::kRandomPermuted, 3);
-  const UnloweredEcho echo;
-  ASSERT_EQ(echo.kernel(), nullptr);
-  RunOptions options;
-  options.seed = 29;
-  options.kernel_mode = KernelMode::kOff;
-  const RunResult off = run_local(instance, echo, options);
-  options.kernel_mode = KernelMode::kAuto;
-  const RunResult fallback = run_local(instance, echo, options);
-  expect_same(off, fallback, "echo-fallback");
-  EXPECT_EQ(fallback.stats.kernel_steps, 0);
-  EXPECT_GT(fallback.stats.vtable_steps, 0);
-}
-
-TEST(KernelMode, OnThrowsForUnloweredAlgorithms) {
-  Rng rng(89);
-  const Instance instance = make_instance(path_graph(10),
-                                          IdentityScheme::kSequential, 1);
-  const UnloweredEcho echo;
-  RunOptions options;
-  options.kernel_mode = KernelMode::kOn;
-  EXPECT_THROW(run_local(instance, echo, options), std::runtime_error);
-}
-
-TEST(KernelMode, BetaLubyRulingSetIsLowered) {
-  // Regression guard for the full-zoo lowering: the ruling set used to be
-  // the canonical unlowered fallback; now `on` must run it.
-  Rng rng(131);
-  const Instance instance = make_instance(gnp(40, 0.1, rng),
-                                          IdentityScheme::kRandomPermuted, 3);
-  const BetaLubyRulingSet ruling(2);
-  ASSERT_NE(ruling.kernel(), nullptr);
-  RunOptions options;
-  options.seed = 59;
-  options.kernel_mode = KernelMode::kOn;
-  const RunResult on = run_local(instance, ruling, options);
-  EXPECT_EQ(on.stats.vtable_steps, 0);
-  EXPECT_EQ(on.stats.kernel_steps, on.stats.total_steps);
-}
-
-TEST(KernelMode, CampaignCollectsAllUnloweredKeys) {
-  // KernelMode::kOn campaigns fail fast with ONE error naming every
-  // unlowered algorithm key (the make_grid unknown-key style), instead of
-  // N per-cell failures.
-  AlgorithmRegistry registry;
-  const auto noop = [](const Instance& instance, const AlgorithmRunContext&) {
-    return CellOutcome{std::vector<std::int64_t>(
-                           static_cast<std::size_t>(instance.num_nodes()), 1),
-                       0, true, EngineStats{}};
-  };
-  AlgorithmSpec lowered{"lowered-a", "mis", "", {}, {"gnp"}, noop};
-  registry.add(lowered);
-  AlgorithmSpec raw_b{"vtable-b", "mis", "", {}, {"gnp"}, noop};
-  raw_b.kernel_lowered = false;
-  registry.add(raw_b);
-  AlgorithmSpec raw_c{"vtable-c", "mis", "", {}, {"gnp"}, noop};
-  raw_c.kernel_lowered = false;
-  registry.add(raw_c);
-
-  ScenarioParams params;
-  params.n = 16;
-  GridOptions grid_options;
-  grid_options.algorithms = &registry;
-  const std::vector<CampaignCell> cells =
-      make_grid({"gnp"}, params, {"lowered-a", "vtable-b", "vtable-c"}, 1,
-                grid_options);
-
-  CampaignOptions options;
-  options.algorithms = &registry;
-  options.kernel_mode = KernelMode::kOn;
-  try {
-    run_campaign(cells, options);
-    FAIL() << "expected validate_kernel_lowering to throw";
-  } catch (const std::runtime_error& e) {
-    const std::string message = e.what();
-    EXPECT_NE(message.find("vtable-b"), std::string::npos) << message;
-    EXPECT_NE(message.find("vtable-c"), std::string::npos) << message;
-    EXPECT_EQ(message.find("lowered-a"), std::string::npos) << message;
-    EXPECT_NE(message.find("kernel mode 'on'"), std::string::npos) << message;
-  }
-  // Off/auto campaigns run the same grid without complaint.
-  options.kernel_mode = KernelMode::kAuto;
-  const CampaignResult result = run_campaign(cells, options);
-  EXPECT_EQ(result.failed, 0);
-}
-
-TEST(KernelMode, NamesRoundTrip) {
-  for (const KernelMode mode :
-       {KernelMode::kOff, KernelMode::kAuto, KernelMode::kOn})
-    EXPECT_EQ(parse_kernel_mode(kernel_mode_name(mode)), mode);
-  EXPECT_THROW(parse_kernel_mode("bogus"), std::runtime_error);
-  EXPECT_THROW(parse_kernel_mode(""), std::runtime_error);
 }
 
 }  // namespace

@@ -30,6 +30,7 @@
 #include "src/graph/generators.h"
 #include "src/runtime/campaign.h"
 #include "src/runtime/network.h"
+#include "src/runtime/reference.h"
 #include "src/runtime/run_log.h"
 #include "src/runtime/runner.h"
 #include "src/runtime/shard.h"
@@ -310,10 +311,9 @@ TEST(DelayedNetwork, KernelTierBitIdenticalThroughDelayedLayer) {
     RunOptions options;
     options.seed = 29;
     options.network = network;
-    options.kernel_mode = KernelMode::kAuto;
     const RunResult with_kernel = run_local(named.instance, luby, options);
-    options.kernel_mode = KernelMode::kOff;
-    const RunResult without = run_local(named.instance, luby, options);
+    const RunResult without =
+        run_local(named.instance, VtableOnly(luby), options);
     expect_same_result(with_kernel, without, named.name);
     EXPECT_EQ(with_kernel.stats.vtable_steps, 0) << named.name;
     EXPECT_EQ(without.stats.kernel_steps, 0) << named.name;
