@@ -3,6 +3,7 @@
 // protocols, instance restriction, and the pruning fast path.
 #include <benchmark/benchmark.h>
 
+#include "src/algo/color_reduce.h"
 #include "src/algo/luby.h"
 #include "src/algo/greedy_mis.h"
 #include "src/algo/mis_from_coloring.h"
@@ -13,6 +14,7 @@
 #include "src/runtime/kernel.h"
 #include "src/runtime/reference.h"
 #include "src/runtime/runner.h"
+#include "src/runtime/telemetry.h"
 
 namespace unilocal {
 namespace {
@@ -416,6 +418,54 @@ void BM_EngineLongTail_GnpLubyWakeTail(benchmark::State& state) {
   state.counters["nodes"] = static_cast<double>(instance.num_nodes());
 }
 BENCHMARK(BM_EngineLongTail_GnpLubyWakeTail)->Unit(benchmark::kMillisecond);
+
+// --- quiescent nodes (BENCH_engine.json quiescent_engine) ------------
+//
+// color-reduce from the identity coloring of a 4096-node G(n, 8/n): 4096
+// rounds in which each node recolours at most once, so nearly every
+// logical step is an idle poll the engine can skip while the node sleeps.
+// "logical_steps" is EngineStats::total_steps (unchanged by sleeping);
+// "executed_steps" subtracts the engine.slept_steps counter. Arg = engine
+// threads.
+
+void BM_EngineQuiescent_ColorReduceGnp4096(benchmark::State& state) {
+  const NodeId n = 4096;
+  Rng rng(12);
+  Instance instance = make_instance(gnp(n, 8.0 / n, rng),
+                                    IdentityScheme::kRandomPermuted, 6);
+  for (NodeId v = 0; v < n; ++v)
+    instance.inputs[static_cast<std::size_t>(v)] = {
+        instance.identities[static_cast<std::size_t>(v)]};
+  const ColorReduce algorithm(n, /*target=*/0);
+  RunOptions options;
+  options.num_threads = static_cast<int>(state.range(0));
+  telemetry::MetricsRegistry metrics;
+  EngineWorkspace workspace;
+  std::int64_t logical = 0, messages = 0;
+  {
+    telemetry::ScopedMetrics scope(&metrics);
+    for (auto _ : state) {
+      const RunResult result =
+          run_local(instance, algorithm, options, &workspace);
+      logical += result.stats.total_steps;
+      messages += result.messages_sent;
+      benchmark::DoNotOptimize(result.outputs.data());
+    }
+  }
+  std::int64_t slept = 0;
+  for (const auto& metric : metrics.snapshot())
+    if (metric.name == "engine.slept_steps") slept = metric.value;
+  state.counters["logical_steps"] = benchmark::Counter(
+      static_cast<double>(logical), benchmark::Counter::kAvgIterations);
+  state.counters["executed_steps"] = benchmark::Counter(
+      static_cast<double>(logical - slept), benchmark::Counter::kAvgIterations);
+  state.counters["messages"] = benchmark::Counter(
+      static_cast<double>(messages), benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_EngineQuiescent_ColorReduceGnp4096)
+    ->Arg(1)
+    ->Arg(2)
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace unilocal

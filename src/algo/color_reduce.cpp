@@ -77,6 +77,24 @@ struct ColorReduceKernelState {
   std::int64_t color;
 };
 
+std::int64_t color_reduce_palette_max(const KernelCtx& ctx,
+                                      const ColorReduceKernelConfig& cfg) {
+  return cfg.target <= 0 ? static_cast<std::int64_t>(ctx.degree) + 1
+                         : cfg.target;
+}
+
+// Sleep hint: absent mail, the next step that does anything is this node's
+// elimination round (while its color is above the palette) or the final
+// round; every round in between only polls an empty inbox.
+void color_reduce_sleep(KernelCtx& ctx, const ColorReduceKernelConfig& cfg,
+                        std::int64_t color) {
+  std::int64_t next = cfg.rounds - 1;
+  const std::int64_t eliminated_at = cfg.k_start - color + 1;
+  if (color > color_reduce_palette_max(ctx, cfg) && eliminated_at > ctx.round)
+    next = std::min(next, eliminated_at);
+  ctx.sleep_until(next);
+}
+
 void color_reduce_kernel_init(KernelCtx& ctx) {
   const auto* cfg = static_cast<const ColorReduceKernelConfig*>(ctx.config);
   auto& st = ctx.state_as<ColorReduceKernelState>();
@@ -88,6 +106,7 @@ void color_reduce_kernel_init(KernelCtx& ctx) {
     return;
   }
   ctx.broadcast({st.color});
+  color_reduce_sleep(ctx, *cfg, st.color);
 }
 
 // Palette intersection: marks each cached neighbour color in used[]. Lane
@@ -123,9 +142,7 @@ void color_reduce_kernel_eliminate(KernelCtx& ctx) {
     const auto m = ctx.recv(j, &present);
     if (present) ctx.port_state[j] = m[0];
   }
-  const std::int64_t palette_max =
-      cfg->target <= 0 ? static_cast<std::int64_t>(ctx.degree) + 1
-                       : cfg->target;
+  const std::int64_t palette_max = color_reduce_palette_max(ctx, *cfg);
   // Round r eliminates color value k_start - r + 1.
   const std::int64_t eliminated = cfg->k_start - ctx.round + 1;
   if (st.color == eliminated && st.color > palette_max) {
@@ -141,7 +158,11 @@ void color_reduce_kernel_eliminate(KernelCtx& ctx) {
     st.color = chosen;
     if (ctx.round + 1 < cfg->rounds) ctx.broadcast({st.color});
   }
-  if (ctx.round + 1 >= cfg->rounds) ctx.finish(st.color);
+  if (ctx.round + 1 >= cfg->rounds) {
+    ctx.finish(st.color);
+    return;
+  }
+  color_reduce_sleep(ctx, *cfg, st.color);
 }
 
 // --- batched stepping (phase-grouped buckets; see KernelBatchCtx) -----------

@@ -1,5 +1,7 @@
 #include "src/algo/luby.h"
 
+#include <algorithm>
+
 #include "src/runtime/kernel.h"
 #include "src/util/math.h"
 
@@ -190,12 +192,14 @@ void truncated_kernel_step(KernelCtx& ctx) {
   ctx.config = inner.config.get();
   inner.phases[kernel_phase_index(inner, ctx.round, ctx.state)].fn(ctx);
   ctx.config = cfg;
+  // The budget round must step to latch the fallback.
+  if (ctx.wake_round > cfg->budget) ctx.sleep_until(cfg->budget);
 }
 
 // Forwards maximal same-inner-phase runs of the bucket to the inner kernel's
 // batch fns, so truncation keeps the inner kernel's batching instead of
 // degrading every step to a scalar dispatch. Past-budget nodes latch the
-// fallback directly.
+// fallback directly, and latched sleep hints are clamped to the budget.
 void truncated_kernel_batch(const KernelBatchCtx& b) {
   const auto* cfg = static_cast<const TruncateKernelConfig*>(b.config);
   const StepKernel& inner = *cfg->inner;
@@ -229,6 +233,12 @@ void truncated_kernel_batch(const KernelBatchCtx& b) {
         KernelCtx ctx = sub.node_ctx(k);
         phase.fn(ctx);
         sub.latch(k, ctx);
+      }
+    }
+    if (b.wake_rounds != nullptr) {
+      for (std::size_t k = i; k < j; ++k) {
+        std::int64_t& wake = b.wake_rounds[b.nodes[k]];
+        wake = std::min(wake, cfg->budget);
       }
     }
     i = j;

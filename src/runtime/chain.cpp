@@ -90,7 +90,8 @@ class ChainProcess final : public Process {
 // The stage index is derived from the round via the cumulative schedule, so
 // it needs no state of its own. Idle rounds (stage finished early, budget
 // not yet elapsed) send nothing and draw no randomness, matching the
-// process path's skipped inner step.
+// process path's skipped inner step, so an idle node sleeps until the
+// stage boundary.
 
 struct ChainKernelHeader {
   std::int64_t carry;       // output of the most recently finished stage
@@ -127,6 +128,14 @@ std::size_t chain_stage_of(const ChainKernelConfig& cfg, std::int64_t round) {
   return k;
 }
 
+// The round at which stage k next needs a step regardless of the inner
+// kernel: the next stage's entry, or the last stage's final (finishing)
+// round.
+std::int64_t chain_stage_boundary(const ChainKernelConfig& cfg,
+                                  std::size_t k) {
+  return k + 1 == cfg.stages.size() ? cfg.total - 1 : cfg.stages[k + 1].start;
+}
+
 std::uint16_t chain_kernel_select(std::int64_t round, const std::byte* state,
                                   const void* config) {
   const auto* cfg = static_cast<const ChainKernelConfig*>(config);
@@ -141,7 +150,8 @@ std::uint16_t chain_kernel_select(std::int64_t round, const std::byte* state,
 // (stage-relative round, stage input, inner config/state), dispatches the
 // inner phase, restores, and folds an inner finish into the header instead
 // of the engine latch. Applies the process path's early finish on the final
-// round of the last stage.
+// round of the last stage. An inner sleep hint is stage-relative: it is
+// moved to absolute rounds and clamped to the stage boundary.
 void chain_forward(KernelCtx& ctx, const ChainKernelConfig& cfg, std::size_t k,
                    std::span<const std::int64_t> stage_input) {
   auto& h = ctx.state_as<ChainKernelHeader>();
@@ -164,6 +174,10 @@ void chain_forward(KernelCtx& ctx, const ChainKernelConfig& cfg, std::size_t k,
     h.inner_done = 1;
     ctx.finished = false;
     ctx.output = 0;
+    ctx.sleep_until(chain_stage_boundary(cfg, k));
+  } else if (ctx.wake_round != 0) {
+    ctx.sleep_until(std::min(ctx.wake_round + cfg.stages[k].start,
+                             chain_stage_boundary(cfg, k)));
   }
   if (k + 1 == cfg.stages.size() &&
       round + 1 >= cfg.stages[k].start + cfg.stages[k].rounds)
@@ -211,7 +225,11 @@ void chain_kernel_run(KernelCtx& ctx) {
 void chain_kernel_idle(KernelCtx& ctx) {
   const auto& cfg = *static_cast<const ChainKernelConfig*>(ctx.config);
   auto& h = ctx.state_as<ChainKernelHeader>();
-  if (ctx.round + 1 >= cfg.total) ctx.finish(h.carry);
+  if (ctx.round + 1 >= cfg.total) {
+    ctx.finish(h.carry);
+    return;
+  }
+  ctx.sleep_until(chain_stage_boundary(cfg, chain_stage_of(cfg, ctx.round)));
 }
 
 void chain_kernel_done(KernelCtx& ctx) {

@@ -28,6 +28,22 @@
 //     synchronizer mode recv() spans point into the history arena, which a
 //     send may grow (the vtable path pays a defensive copy instead).
 //
+// Sleep contract (KernelCtx::sleep_until): a step may end with
+// sleep_until(r), r a local round. It promises that every step of this
+// node before round r that receives no message would send nothing, draw no
+// randomness, change no state and not finish. The simultaneous loop then
+// stops stepping the node until round r or until a message lands for it,
+// whichever comes first (a step that receives mail is a real step, and it
+// may sleep again). Skipped steps still count as steps in EngineStats, so
+// every stat and canonical byte is the same as with the hint ignored.
+// Composites keep the promise in the outer round numbering: the chain
+// turns an inner stage's request into absolute rounds and clamps it to
+// the stage boundary, the truncation wrapper clamps it to its budget, and
+// the slc-adapter passes the ctx through unchanged. The engine clamps to
+// max_rounds - 1 so the cut-off fires on the same round. The synchronizer
+// and delayed loops ignore the hint, which is always correct: it only
+// marks steps that would do nothing.
+//
 // Selection: the engine runs Algorithm::kernel() whenever it is non-null
 // and the vtable path otherwise, so composed pipelines pick up kernels
 // stage by stage and EngineStats::kernel_steps / vtable_steps
@@ -100,6 +116,10 @@ struct KernelCtx {
   // Finish latch (mirrors Context::finish).
   bool finished = false;
   std::int64_t output = 0;
+  /// Sleep hint (0 = none): the local round at which this node next needs
+  /// a step if no message arrives. Set through sleep_until; see the sleep
+  /// contract above.
+  std::int64_t wake_round = 0;
 
   // Engine transport; filled by the engine, opaque to kernels.
   void* engine = nullptr;
@@ -139,6 +159,10 @@ struct KernelCtx {
     finished = true;
     output = out;
   }
+
+  /// Promises that steps before local round r without incoming messages
+  /// would be no-ops, so the engine may skip them.
+  void sleep_until(std::int64_t r) { wake_round = r; }
 };
 
 /// Batched counterpart of KernelCtx: one bucket of same-phase nodes per
@@ -173,13 +197,15 @@ struct KernelBatchCtx {
 
   /// Engine-side per-NodeId tables: CSR adjacency offsets (degree(v) =
   /// csr_offsets[v+1] - csr_offsets[v]), identities, spawn inputs, private
-  /// RNG streams, and the finish/output latches.
+  /// RNG streams, the finish/output latches, and the sleep-hint latch
+  /// (null when the running loop ignores hints).
   const std::int64_t* csr_offsets = nullptr;
   const std::int64_t* identities = nullptr;
   const std::vector<std::int64_t>* inputs = nullptr;
   Rng* rngs = nullptr;
   char* finished = nullptr;
   std::int64_t* outputs = nullptr;
+  std::int64_t* wake_rounds = nullptr;
 
   /// Shared per-thread scratch and the kernel's config blob.
   std::vector<std::int64_t>* scratch = nullptr;
@@ -218,13 +244,15 @@ struct KernelBatchCtx {
     return ctx;
   }
 
-  /// Latches a stepped node's finish/output into the engine arrays (what
-  /// the engine does after a scalar step).
+  /// Latches a stepped node's finish/output and sleep hint into the engine
+  /// arrays (what the engine does after a scalar step).
   void latch(std::size_t i, const KernelCtx& ctx) const {
     if (ctx.finished) {
       finished[nodes[i]] = 1;
       outputs[nodes[i]] = ctx.output;
     }
+    if (ctx.wake_round != 0 && wake_rounds != nullptr)
+      wake_rounds[nodes[i]] = ctx.wake_round;
   }
 };
 

@@ -33,19 +33,36 @@ struct StepDelta {
   /// Per-phase bucket sizes of this thread's step_bucketed calls; filled
   /// only while a traced round is in flight (empty otherwise).
   std::vector<std::int64_t> phase_sizes;
+  /// Simultaneous-mode sleep traffic: stepped nodes that asked to sleep,
+  /// and sleeping receivers of this round's messages (with repeats).
+  std::vector<NodeId> parking;
+  std::vector<NodeId> mailed;
+
+  /// Zeroes the counters and empties the lists, keeping their capacity.
+  void clear() {
+    messages = max_words = steps = batched_steps = batch_calls = 0;
+    newly_finished = cut_off = 0;
+    phase_sizes.clear();
+    parking.clear();
+    mailed.clear();
+  }
 };
 
 /// Publishes one finished run's counters into the installed metrics
 /// registry; a single null check when none is installed. Counters sum and
 /// gauges take the max under the registry's per-thread-cell merge, so the
 /// merged snapshot is identical for any worker-thread placement of runs.
-void publish_engine_metrics(const EngineStats& stats, std::int64_t rounds) {
+/// engine.slept_steps counts the steps of total_steps the simultaneous
+/// loop skipped because the node was asleep (see kernel.h's sleep contract).
+void publish_engine_metrics(const EngineStats& stats, std::int64_t rounds,
+                            std::int64_t slept_steps) {
   telemetry::MetricsRegistry* reg = telemetry::metrics();
   if (reg == nullptr) return;
   reg->add("engine.runs", 1);
   reg->observe("engine.rounds", rounds);
   reg->add("engine.messages", stats.total_messages);
   reg->add("engine.steps", stats.total_steps);
+  reg->add("engine.slept_steps", slept_steps);
   reg->add("engine.kernel_steps", stats.kernel_steps);
   reg->add("engine.vtable_steps", stats.vtable_steps);
   reg->add("engine.kernel_batched_steps", stats.kernel_batched_steps);
@@ -73,6 +90,10 @@ struct EngineWorkspaceState {
   std::vector<Rng> rngs;
   std::vector<char> finished;
   std::vector<std::int64_t> outputs;
+  // Local round of each node (synchronizer and delayed modes). Every
+  // unfinished node of a simultaneous run is at the global round, so that
+  // loop keeps its slot for the node's sleep hint instead: the requested
+  // wake round while it is asleep or just stepped, 0 otherwise.
   std::vector<std::int64_t> local_round;
   std::vector<std::int64_t> finish_local;
   std::vector<std::int64_t> finish_global;
@@ -90,9 +111,15 @@ struct EngineWorkspaceState {
   std::vector<std::int32_t> pending;
   std::vector<std::pair<std::int64_t, NodeId>> step_heap;
 
-  // Compacted list of unfinished nodes (simultaneous mode), ascending; the
-  // per-round thread chunks partition this list, not the node-id space.
+  // Compacted list of unfinished awake nodes (simultaneous mode),
+  // ascending; the per-round thread chunks partition this list, not the
+  // node-id space. Sleeping nodes are flagged in asleep (written only
+  // between rounds, so stepping threads may read it) and queued by wake
+  // round in sleepers; the loop borrows candidates/next_frontier below as
+  // its woken list and merge buffer.
   std::vector<NodeId> live;
+  std::vector<char> asleep;
+  SleeperQueue sleepers;
 
   // Grow-only history arena (synchronizer mode): hist[e][i] = what the
   // owner of directed edge e emitted in its local round i.
@@ -269,9 +296,13 @@ class ArenaEngine {
 
     ws_.live.resize(static_cast<std::size_t>(n_));
     std::iota(ws_.live.begin(), ws_.live.end(), NodeId{0});
+    ws_.asleep.assign(static_cast<std::size_t>(n_), 0);
+    ws_.sleepers.clear();
+    ws_.candidates.clear();
+    if (kernel_ != nullptr) wake_at_ = ws_.local_round.data();
 
     deltas_.assign(static_cast<std::size_t>(threads_), StepDelta{});
-    NodeId live = n_;
+    NodeId live = n_;  // unfinished nodes, awake or asleep
     peak_live_ = n_;
     std::int64_t prev_round_messages =
         static_cast<std::int64_t>(slots);  // round 0 assumes a dense start
@@ -286,6 +317,7 @@ class ArenaEngine {
       std::int64_t round_steps = 0;
       std::int64_t round_batched = 0, round_batch_calls = 0;
       const std::size_t live_n = ws_.live.size();
+      const std::int64_t round_asleep = live - static_cast<NodeId>(live_n);
       if (threads_ == 1) {
         step_range(0, 0, live_n, round);
       } else {
@@ -301,12 +333,15 @@ class ArenaEngine {
           step_range(t, lo, hi, round);
         });
       }
+      // Sleepers count as stepped: total_steps stays the logical count.
+      total_steps_ += live;
+      slept_steps_ += round_asleep;
+      const NodeId live_before = live;
       for (auto& delta : deltas_) {
         live -= delta.newly_finished;
         messages_sent_ += delta.messages;
         round_messages += delta.messages;
         max_message_words_ = std::max(max_message_words_, delta.max_words);
-        total_steps_ += delta.steps;
         round_steps += delta.steps;
         batched_steps_ += delta.batched_steps;
         batch_calls_ += delta.batch_calls;
@@ -319,17 +354,25 @@ class ArenaEngine {
           for (std::size_t p = 0; p < delta.phase_sizes.size(); ++p)
             trace_phases_[p] += delta.phase_sizes[p];
         }
-        delta = StepDelta{};
       }
       peak_round_messages_ =
           std::max(peak_round_messages_, round_messages);
       prev_round_messages = round_messages;
+      const bool parked = settle_sleepers(round);
+      for (auto& delta : deltas_) delta.clear();
       net.end_round();
-      erase_finished(ws_.live, ws_.finished);
+      if (parked || live < live_before) {
+        std::erase_if(ws_.live, [this](NodeId v) {
+          const std::size_t vi = static_cast<std::size_t>(v);
+          return ws_.finished[vi] != 0 || ws_.asleep[vi] != 0;
+        });
+      }
+      readmit_woken();
       if (traced) {
         telemetry::TraceEvent event = make_round_event(trace_t0);
         event.arg("round", round);
         event.arg("frontier", static_cast<std::int64_t>(live_n));
+        event.arg("asleep", round_asleep);
         event.arg("messages", round_messages);
         event.arg("steps", round_steps);
         if (kernel_has_batch_) {
@@ -827,6 +870,8 @@ class ArenaEngine {
       ws_.finished[vi] = 1;
       ws_.outputs[vi] = ctx.output;
     }
+    if (ctx.wake_round != 0 && wake_at_ != nullptr)
+      wake_at_[vi] = ctx.wake_round;
   }
 
   void step_kernel(int tid, NodeId v, std::int64_t round) {
@@ -856,6 +901,7 @@ class ArenaEngine {
     b.rngs = ws_.rngs.data();
     b.finished = ws_.finished.data();
     b.outputs = ws_.outputs.data();
+    b.wake_rounds = wake_at_;
     b.scratch = &ws_.scratch[static_cast<std::size_t>(tid)].kwords;
     b.config = kernel_->config.get();
     b.engine = this;
@@ -941,8 +987,8 @@ class ArenaEngine {
     }
   }
 
-  /// Steps the live-list slice [lo, hi); every listed node is unfinished at
-  /// round start (the list is compacted after each round).
+  /// Steps the live-list slice [lo, hi); every listed node is unfinished
+  /// and awake at round start (the list is compacted after each round).
   void step_range(int tid, std::size_t lo, std::size_t hi,
                   std::int64_t round) {
     StepDelta& delta = deltas_[static_cast<std::size_t>(tid)];
@@ -952,26 +998,35 @@ class ArenaEngine {
       step_bucketed(tid, ws_.live.data() + lo, hi - lo, round,
                     &delta.batched_steps, &delta.batch_calls,
                     trace_round_active_ ? &delta.phase_sizes : nullptr);
+    // asleep only changes between rounds, so it is safe to read here.
+    const bool watch_mail = asleep_ > 0;
     for (std::size_t i = lo; i < hi; ++i) {
       const NodeId v = ws_.live[i];
+      const std::size_t vi = static_cast<std::size_t>(v);
       if (!kernel_has_batch_) step_one(tid, v, round);
       ++delta.steps;
-      ++ws_.local_round[static_cast<std::size_t>(v)];
-      if (ws_.finished[static_cast<std::size_t>(v)]) {
-        ws_.finish_local[static_cast<std::size_t>(v)] = round;
-        ws_.finish_global[static_cast<std::size_t>(v)] = round;
+      std::int64_t wake = 0;
+      if (wake_at_ != nullptr && wake_at_[vi] != 0) {
+        wake = std::min(wake_at_[vi], options_.max_rounds - 1);
+        wake_at_[vi] = 0;
+      }
+      if (ws_.finished[vi]) {
+        ws_.finish_local[vi] = round;
+        ws_.finish_global[vi] = round;
         ++delta.newly_finished;
-      } else if (ws_.local_round[static_cast<std::size_t>(v)] >=
-                 options_.max_rounds) {
-        ws_.finished[static_cast<std::size_t>(v)] = 1;
-        ws_.outputs[static_cast<std::size_t>(v)] = options_.default_output;
+      } else if (round + 1 >= options_.max_rounds) {
+        ws_.finished[vi] = 1;
+        ws_.outputs[vi] = options_.default_output;
         ++delta.cut_off;
-        ws_.finish_local[static_cast<std::size_t>(v)] = options_.max_rounds;
-        ws_.finish_global[static_cast<std::size_t>(v)] = round;
+        ws_.finish_local[vi] = options_.max_rounds;
+        ws_.finish_global[vi] = round;
         ++delta.newly_finished;
+      } else if (wake > round + 1) {
+        wake_at_[vi] = wake;
+        delta.parking.push_back(v);
       }
       // Post-step message accounting over this node's out-ports (identical
-      // to the seed engine's outbox scan).
+      // to the seed engine's outbox scan), noting sleeping receivers.
       const std::int64_t base = csr_.offset(v);
       const NodeId deg = csr_.degree(v);
       for (NodeId j = 0; j < deg; ++j) {
@@ -979,9 +1034,78 @@ class ArenaEngine {
         if (s.words >= 0) {
           ++delta.messages;
           delta.max_words = std::max(delta.max_words, s.words);
+          if (watch_mail) {
+            const NodeId u = csr_.neighbor(v, j);
+            if (ws_.asleep[static_cast<std::size_t>(u)])
+              delta.mailed.push_back(u);
+          }
         }
       }
     }
+  }
+
+  /// Runs between rounds, while the send half still holds this round's
+  /// mail. Parks the stepped nodes that asked to sleep, except those with
+  /// mail sent this round (a sleeping receiver is caught by its sender,
+  /// but these were awake when the mail went out). Then wakes, into
+  /// ws_.candidates, every sleeper that got mail or whose wake round is
+  /// next. Returns whether any node parked.
+  bool settle_sleepers(std::int64_t round) {
+    bool parked = false;
+    for (const StepDelta& delta : deltas_) {
+      for (const NodeId v : delta.parking) {
+        const std::size_t vi = static_cast<std::size_t>(v);
+        if (has_mail(v)) {
+          wake_at_[vi] = 0;
+          continue;
+        }
+        ws_.asleep[vi] = 1;
+        ++asleep_;
+        ws_.sleepers.push(wake_at_[vi], v);
+        parked = true;
+      }
+    }
+    for (const StepDelta& delta : deltas_)
+      for (const NodeId u : delta.mailed) wake(u);
+    const auto current = [this](std::int64_t r, NodeId v) {
+      const std::size_t vi = static_cast<std::size_t>(v);
+      return ws_.asleep[vi] != 0 && wake_at_[vi] == r;
+    };
+    ws_.sleepers.pop_due(round + 1, current, [this](NodeId v) { wake(v); });
+    if (ws_.sleepers.size() > 2 * static_cast<std::size_t>(asleep_) + 1024)
+      ws_.sleepers.prune(current);
+    return parked;
+  }
+
+  bool has_mail(NodeId v) const {
+    const NodeId deg = csr_.degree(v);
+    for (NodeId j = 0; j < deg; ++j)
+      if (ws_.sim_net.send_span(csr_.in_edge_index(v, j)).words >= 0)
+        return true;
+    return false;
+  }
+
+  void wake(NodeId v) {
+    const std::size_t vi = static_cast<std::size_t>(v);
+    if (ws_.asleep[vi] == 0) return;
+    ws_.asleep[vi] = 0;
+    wake_at_[vi] = 0;
+    --asleep_;
+    ws_.candidates.push_back(v);
+  }
+
+  /// Merges the nodes settle_sleepers woke back into the ascending live
+  /// list.
+  void readmit_woken() {
+    auto& woken = ws_.candidates;
+    if (woken.empty()) return;
+    std::sort(woken.begin(), woken.end());
+    auto& merged = ws_.next_frontier;
+    merged.resize(ws_.live.size() + woken.size());
+    std::merge(ws_.live.begin(), ws_.live.end(), woken.begin(), woken.end(),
+               merged.begin());
+    std::swap(ws_.live, merged);
+    woken.clear();
   }
 
   RunResult finalize(NodeId live, std::int64_t max_local,
@@ -1107,7 +1231,7 @@ class ArenaEngine {
       event.arg("steps", stats.total_steps);
       trace_->recorder->record(std::move(event));
     }
-    publish_engine_metrics(stats, result.rounds_used);
+    publish_engine_metrics(stats, result.rounds_used, slept_steps_);
   }
 
   const Instance& instance_;
@@ -1129,6 +1253,12 @@ class ArenaEngine {
   std::int64_t batch_calls_ = 0;
   bool sync_mode_ = false;
   bool delayed_mode_ = false;
+  // Simultaneous kernel runs only: the sleep-hint latch (ws_.local_round's
+  // storage; null when hints are ignored), the sleeping-node count, and
+  // the steps skipped because their node was asleep.
+  std::int64_t* wake_at_ = nullptr;
+  NodeId asleep_ = 0;
+  std::int64_t slept_steps_ = 0;
   // Ambient trace binding (null = untraced run) and per-run trace state.
   const telemetry::TraceBinding* trace_ = nullptr;
   std::int64_t trace_run_t0_ = 0;
