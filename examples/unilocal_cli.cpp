@@ -396,10 +396,6 @@ struct TelemetrySinks {
   }
 };
 
-void print_percentiles(const char* what, const CampaignPercentiles& p) {
-  std::fprintf(stderr, "  %-16s p50=%.0f p90=%.0f p99=%.0f max=%.0f\n", what,
-               p.p50, p.p90, p.p99, p.max);
-}
 
 /// Writes the per-cell output, prints the aggregate summary and every
 /// non-valid cell, optionally appends to / diffs against the run log.
@@ -420,19 +416,12 @@ int report_campaign(const char* what, const CampaignResult& result,
                what, result.cells.size(), result.workers, result.solved,
                result.valid, result.failed, result.elapsed_seconds,
                result.cells_per_second);
-  print_percentiles("rounds", result.rounds);
-  print_percentiles("messages", result.messages);
-  print_percentiles("steps/sec", result.steps_per_second);
-  print_percentiles("peak_live", result.peak_live_nodes);
-  print_percentiles("peak_frontier", result.peak_frontier_nodes);
-  print_percentiles("dirty_cleared", result.dirty_spans_cleared);
-  print_percentiles("kernel_steps", result.kernel_steps);
-  print_percentiles("vtable_steps", result.vtable_steps);
-  print_percentiles("batched_steps", result.kernel_batched_steps);
-  print_percentiles("batch_occupancy", result.kernel_batch_occupancy);
-  print_percentiles("msgs_dropped", result.messages_dropped);
-  print_percentiles("msgs_duplicated", result.messages_duplicated);
-  print_percentiles("delivery_skew", result.max_delivery_skew);
+  for_each_campaign_percentile(
+      result.percentiles,
+      [](const char* key, bool, const CampaignPercentiles& p) {
+        std::fprintf(stderr, "  %-22s p50=%.0f p90=%.0f p99=%.0f max=%.0f\n",
+                     key, p.p50, p.p90, p.p99, p.max);
+      });
   if (result.supervision.enabled) {
     const SupervisionSummary& sup = result.supervision;
     std::fprintf(stderr,
@@ -1131,36 +1120,13 @@ int run_table1(int argc, char** argv) {
 }
 
 void emit_stats(const EngineStats& stats, const char* what) {
-  std::fprintf(stderr,
-               "%s engine: arena_bytes=%lld peak_messages_per_round=%lld "
-               "steps=%lld steps_per_sec=%.0f threads=%d\n",
-               what, static_cast<long long>(stats.arena_bytes),
-               static_cast<long long>(stats.peak_round_messages),
-               static_cast<long long>(stats.total_steps),
-               stats.steps_per_second, stats.threads);
-  std::fprintf(stderr,
-               "%s frontier: peak_live=%lld final_live=%lld "
-               "peak_frontier=%lld dirty_spans_cleared=%lld\n",
-               what, static_cast<long long>(stats.peak_live_nodes),
-               static_cast<long long>(stats.final_live_nodes),
-               static_cast<long long>(stats.peak_frontier_nodes),
-               static_cast<long long>(stats.dirty_spans_cleared));
-  std::fprintf(stderr,
-               "%s path: kernel_steps=%lld vtable_steps=%lld "
-               "batched_steps=%lld batch_occupancy=%.1f\n",
-               what, static_cast<long long>(stats.kernel_steps),
-               static_cast<long long>(stats.vtable_steps),
-               static_cast<long long>(stats.kernel_batched_steps),
-               stats.kernel_batch_calls > 0
-                   ? static_cast<double>(stats.kernel_batched_steps) /
-                         static_cast<double>(stats.kernel_batch_calls)
-                   : 0.0);
-  std::fprintf(stderr,
-               "%s delivery: messages_dropped=%lld messages_duplicated=%lld "
-               "max_delivery_skew=%lld\n",
-               what, static_cast<long long>(stats.messages_dropped),
-               static_cast<long long>(stats.messages_duplicated),
-               static_cast<long long>(stats.max_delivery_skew));
+  std::ostringstream line;
+  line << what << " engine:";
+  for_each_engine_stat([&](const EngineStatField& field, auto member) {
+    line << ' ' << field.name << '=' << stats.*member;
+  });
+  line << " batch_occupancy=" << stats.batch_occupancy() << '\n';
+  std::fputs(line.str().c_str(), stderr);
 }
 
 void emit(const Instance& instance, const std::vector<std::int64_t>& outputs,
@@ -1291,7 +1257,6 @@ int main(int argc, char** argv) {
          result.solved &&
              is_maximal_independent_set(instance.graph, result.outputs),
          "mis");
-    if (want_stats) emit_stats(result.engine_stats, "mis");
     engine_stats = result.engine_stats;
     total_rounds = result.total_rounds;
   } else if (problem == "matching") {
@@ -1302,7 +1267,6 @@ int main(int argc, char** argv) {
     emit(instance, result.outputs, result.total_rounds,
          result.solved && is_maximal_matching(instance.graph, result.outputs),
          "matching");
-    if (want_stats) emit_stats(result.engine_stats, "matching");
     engine_stats = result.engine_stats;
     total_rounds = result.total_rounds;
   } else if (problem == "coloring") {
@@ -1312,7 +1276,6 @@ int main(int argc, char** argv) {
     emit(instance, result.colors, result.total_rounds,
          result.solved && is_proper_coloring(instance.graph, result.colors),
          "coloring");
-    if (want_stats) emit_stats(result.engine_stats, "coloring");
     engine_stats = result.engine_stats;
     total_rounds = result.total_rounds;
   } else if (problem == "rulingset2") {
@@ -1324,12 +1287,12 @@ int main(int argc, char** argv) {
          result.solved &&
              is_two_beta_ruling_set(instance.graph, result.outputs, 2),
          "rulingset2");
-    if (want_stats) emit_stats(result.engine_stats, "rulingset2");
     engine_stats = result.engine_stats;
     total_rounds = result.total_rounds;
   } else {
     return usage();
   }
+  if (want_stats) emit_stats(engine_stats, problem.c_str());
   } catch (const std::exception& e) {
     std::fprintf(stderr, "%s: %s\n", problem.c_str(), e.what());
     return 1;
@@ -1339,45 +1302,10 @@ int main(int argc, char** argv) {
     if (!stats_json_path.empty()) {
       // One document: the run's EngineStats merged with the metrics
       // snapshot (the same registry the engine reported into).
-      json::Value engine = json::Value::object();
-      engine.set("arena_bytes", json::Value::number(engine_stats.arena_bytes));
-      engine.set("peak_round_messages",
-                 json::Value::number(engine_stats.peak_round_messages));
-      engine.set("total_messages",
-                 json::Value::number(engine_stats.total_messages));
-      engine.set("total_steps", json::Value::number(engine_stats.total_steps));
-      engine.set("kernel_steps",
-                 json::Value::number(engine_stats.kernel_steps));
-      engine.set("vtable_steps",
-                 json::Value::number(engine_stats.vtable_steps));
-      engine.set("kernel_batched_steps",
-                 json::Value::number(engine_stats.kernel_batched_steps));
-      engine.set("kernel_batch_calls",
-                 json::Value::number(engine_stats.kernel_batch_calls));
-      engine.set("peak_live_nodes",
-                 json::Value::number(engine_stats.peak_live_nodes));
-      engine.set("final_live_nodes",
-                 json::Value::number(engine_stats.final_live_nodes));
-      engine.set("peak_frontier_nodes",
-                 json::Value::number(engine_stats.peak_frontier_nodes));
-      engine.set("dirty_spans_cleared",
-                 json::Value::number(engine_stats.dirty_spans_cleared));
-      engine.set("messages_dropped",
-                 json::Value::number(engine_stats.messages_dropped));
-      engine.set("messages_duplicated",
-                 json::Value::number(engine_stats.messages_duplicated));
-      engine.set("max_delivery_skew",
-                 json::Value::number(engine_stats.max_delivery_skew));
-      engine.set("elapsed_seconds",
-                 json::Value::number(engine_stats.elapsed_seconds));
-      engine.set("steps_per_second",
-                 json::Value::number(engine_stats.steps_per_second));
-      engine.set("threads", json::Value::number(
-                                static_cast<std::int64_t>(engine_stats.threads)));
       json::Value doc = json::Value::object();
       doc.set("problem", json::Value::string(problem));
       doc.set("rounds", json::Value::number(total_rounds));
-      doc.set("engine", std::move(engine));
+      doc.set("engine", engine_stats_to_json(engine_stats));
       const json::Value metrics_doc = sinks.registry->to_json();
       doc.set("metrics", *metrics_doc.find("metrics"));
       write_text_file(stats_json_path, doc.dump() + "\n");

@@ -1,7 +1,9 @@
 #include "src/graph/io.h"
 
+#include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
 namespace unilocal {
 
@@ -15,6 +17,10 @@ Graph read_edge_list(std::istream& in) {
   std::int64_t m = 0;
   if (!(in >> n >> m) || n < 0 || m < 0)
     throw std::runtime_error("edge list: bad header");
+  constexpr std::int64_t kMaxNodes = std::numeric_limits<NodeId>::max();
+  if (n > kMaxNodes)
+    throw std::runtime_error("edge list: node count " + std::to_string(n) +
+                             " exceeds " + std::to_string(kMaxNodes));
   GraphBuilder builder(static_cast<NodeId>(n));
   for (std::int64_t e = 0; e < m; ++e) {
     std::int64_t u = 0;

@@ -175,14 +175,6 @@ CampaignPercentiles campaign_percentiles(std::vector<double> values) {
   return result;
 }
 
-namespace {
-
-CampaignPercentiles percentiles(std::vector<double> values) {
-  return campaign_percentiles(std::move(values));
-}
-
-}  // namespace
-
 const char* identity_scheme_name(IdentityScheme scheme) {
   switch (scheme) {
     case IdentityScheme::kSequential:
@@ -215,18 +207,8 @@ void finalize_campaign_aggregates(CampaignResult& result) {
           ? static_cast<double>(result.cells.size()) / result.elapsed_seconds
           : 0.0;
   std::vector<double> rounds;
-  std::vector<double> messages;
-  std::vector<double> steps_per_second;
-  std::vector<double> peak_live;
-  std::vector<double> peak_frontier;
-  std::vector<double> dirty_cleared;
-  std::vector<double> kernel_steps;
-  std::vector<double> vtable_steps;
-  std::vector<double> batched_steps;
+  std::array<std::vector<double>, kEngineStatCount> engine;
   std::vector<double> batch_occupancy;
-  std::vector<double> dropped;
-  std::vector<double> duplicated;
-  std::vector<double> delivery_skew;
   for (const CellResult& cell : result.cells) {
     if (!cell.error.empty()) {
       ++result.failed;
@@ -236,40 +218,22 @@ void finalize_campaign_aggregates(CampaignResult& result) {
     ++result.solved;
     if (cell.valid) ++result.valid;
     rounds.push_back(static_cast<double>(cell.rounds));
-    messages.push_back(static_cast<double>(cell.stats.total_messages));
-    if (cell.stats.steps_per_second > 0.0)
-      steps_per_second.push_back(cell.stats.steps_per_second);
-    peak_live.push_back(static_cast<double>(cell.stats.peak_live_nodes));
-    peak_frontier.push_back(
-        static_cast<double>(cell.stats.peak_frontier_nodes));
-    dirty_cleared.push_back(
-        static_cast<double>(cell.stats.dirty_spans_cleared));
-    kernel_steps.push_back(static_cast<double>(cell.stats.kernel_steps));
-    vtable_steps.push_back(static_cast<double>(cell.stats.vtable_steps));
-    batched_steps.push_back(
-        static_cast<double>(cell.stats.kernel_batched_steps));
-    if (cell.stats.kernel_batch_calls > 0)
-      batch_occupancy.push_back(
-          static_cast<double>(cell.stats.kernel_batched_steps) /
-          static_cast<double>(cell.stats.kernel_batch_calls));
-    dropped.push_back(static_cast<double>(cell.stats.messages_dropped));
-    duplicated.push_back(static_cast<double>(cell.stats.messages_duplicated));
-    delivery_skew.push_back(
-        static_cast<double>(cell.stats.max_delivery_skew));
+    for_each_engine_stat([&](const EngineStatField& field, auto member) {
+      const auto value = static_cast<double>(cell.stats.*member);
+      if (field.percentile == nullptr ||
+          (field.merge == StatMerge::kDerived && value <= 0.0))
+        return;
+      engine[static_cast<std::size_t>(field.id)].push_back(value);
+    });
+    const double occupancy = cell.stats.batch_occupancy();
+    if (occupancy > 0.0) batch_occupancy.push_back(occupancy);
   }
-  result.rounds = percentiles(std::move(rounds));
-  result.messages = percentiles(std::move(messages));
-  result.steps_per_second = percentiles(std::move(steps_per_second));
-  result.peak_live_nodes = percentiles(std::move(peak_live));
-  result.peak_frontier_nodes = percentiles(std::move(peak_frontier));
-  result.dirty_spans_cleared = percentiles(std::move(dirty_cleared));
-  result.kernel_steps = percentiles(std::move(kernel_steps));
-  result.vtable_steps = percentiles(std::move(vtable_steps));
-  result.kernel_batched_steps = percentiles(std::move(batched_steps));
-  result.kernel_batch_occupancy = percentiles(std::move(batch_occupancy));
-  result.messages_dropped = percentiles(std::move(dropped));
-  result.messages_duplicated = percentiles(std::move(duplicated));
-  result.max_delivery_skew = percentiles(std::move(delivery_skew));
+  CampaignStatPercentiles& p = result.percentiles;
+  p.rounds = campaign_percentiles(std::move(rounds));
+  for (std::size_t i = 0; i < kEngineStatCount; ++i)
+    p.engine[i] = campaign_percentiles(std::move(engine[i]));
+  p.kernel_batch_occupancy =
+      campaign_percentiles(std::move(batch_occupancy));
 }
 
 CampaignResult run_campaign(const std::vector<CampaignCell>& cells,
@@ -462,12 +426,11 @@ std::string csv_escape(const std::string& field) {
 
 void write_campaign_csv(std::ostream& out, const CampaignResult& result) {
   out << "scenario,n,a,b,algorithm,seed,identities,network,drop,duplicate,"
-         "crash,late,nodes,edges,rounds,"
-         "solved,valid,seconds,messages,peak_round_messages,steps,"
-         "kernel_steps,vtable_steps,kernel_batched_steps,kernel_batch_calls,"
-         "steps_per_sec,arena_bytes,peak_live_nodes,peak_frontier_nodes,"
-         "dirty_spans_cleared,messages_dropped,messages_duplicated,"
-         "max_delivery_skew,output_hash,error\n";
+         "crash,late,nodes,edges,rounds,solved,valid,seconds,";
+  for_each_engine_stat([&](const EngineStatField& field, auto) {
+    if (field.report != nullptr) out << field.report << ',';
+  });
+  out << "output_hash,error\n";
   for (const CellResult& cell : result.cells) {
     out << csv_escape(cell.cell.scenario) << ',' << cell.cell.params.n << ','
         << cell.cell.params.a << ',' << cell.cell.params.b << ','
@@ -479,19 +442,11 @@ void write_campaign_csv(std::ostream& out, const CampaignResult& result) {
         << cell.nodes
         << ',' << cell.edges << ',' << cell.rounds << ','
         << (cell.solved ? 1 : 0) << ',' << (cell.valid ? 1 : 0) << ','
-        << cell.seconds << ',' << cell.stats.total_messages << ','
-        << cell.stats.peak_round_messages << ',' << cell.stats.total_steps
-        << ',' << cell.stats.kernel_steps << ',' << cell.stats.vtable_steps
-        << ',' << cell.stats.kernel_batched_steps << ','
-        << cell.stats.kernel_batch_calls
-        << ',' << cell.stats.steps_per_second << ','
-        << cell.stats.arena_bytes << ',' << cell.stats.peak_live_nodes << ','
-        << cell.stats.peak_frontier_nodes << ','
-        << cell.stats.dirty_spans_cleared << ','
-        << cell.stats.messages_dropped << ','
-        << cell.stats.messages_duplicated << ','
-        << cell.stats.max_delivery_skew << ',' << cell.output_hash << ','
-        << csv_escape(cell.error) << '\n';
+        << cell.seconds << ',';
+    for_each_engine_stat([&](const EngineStatField& field, auto member) {
+      if (field.report != nullptr) out << cell.stats.*member << ',';
+    });
+    out << cell.output_hash << ',' << csv_escape(cell.error) << '\n';
   }
 }
 
@@ -520,6 +475,32 @@ void write_percentiles_json(std::ostream& out, const char* key,
 
 }  // namespace
 
+void write_percentile_set_json(std::ostream& out,
+                               const CampaignStatPercentiles& set,
+                               bool canonical_only) {
+  const char* separator = "";
+  for_each_campaign_percentile(
+      set, [&](const char* key, bool canonical, const CampaignPercentiles& p) {
+        if (canonical_only && !canonical) return;
+        out << separator;
+        separator = ",";
+        write_percentiles_json(out, key, p);
+      });
+}
+
+void write_supervision_totals_json(std::ostream& out,
+                                   const SupervisionSummary& summary) {
+  out << "\"shards\":" << summary.shards
+      << ",\"attempts\":" << summary.attempts
+      << ",\"retries\":" << summary.retries
+      << ",\"requeues\":" << summary.requeues
+      << ",\"stragglers_respawned\":" << summary.stragglers_respawned
+      << ",\"shards_from_journal\":" << summary.shards_from_journal
+      << ",\"attempts_killed\":" << summary.attempts_killed
+      << ",\"shards_failed\":" << summary.shards_failed << ',';
+  write_percentiles_json(out, "attempt_seconds", summary.attempt_seconds);
+}
+
 void write_campaign_json(std::ostream& out, const CampaignResult& result,
                          const CampaignJsonOptions& options) {
   out << '{';
@@ -535,89 +516,48 @@ void write_campaign_json(std::ostream& out, const CampaignResult& result,
     out << "\"elapsed_seconds\":" << result.elapsed_seconds
         << ",\"cells_per_second\":" << result.cells_per_second << ',';
   }
-  write_percentiles_json(out, "rounds", result.rounds);
-  out << ',';
-  write_percentiles_json(out, "messages", result.messages);
-  out << ',';
-  if (!options.canonical) {
-    write_percentiles_json(out, "steps_per_second", result.steps_per_second);
-    out << ',';
-  }
-  write_percentiles_json(out, "peak_live_nodes", result.peak_live_nodes);
-  out << ',';
-  write_percentiles_json(out, "peak_frontier_nodes",
-                         result.peak_frontier_nodes);
-  out << ',';
-  write_percentiles_json(out, "dirty_spans_cleared",
-                         result.dirty_spans_cleared);
-  if (!options.canonical) {
-    // The kernel/vtable split says how the engine ran the steps, not what
-    // they computed, so canonical documents leave it out.
-    out << ',';
-    write_percentiles_json(out, "kernel_steps", result.kernel_steps);
-    out << ',';
-    write_percentiles_json(out, "vtable_steps", result.vtable_steps);
-    out << ',';
-    write_percentiles_json(out, "kernel_batched_steps",
-                           result.kernel_batched_steps);
-    out << ',';
-    write_percentiles_json(out, "kernel_batch_occupancy",
-                           result.kernel_batch_occupancy);
-    // The fault counters are delivery-layer telemetry, not grid identity:
-    // like the kernel/vtable split they stay out of canonical mode, which
-    // describes only what the grid deterministically computes (outputs,
-    // rounds, verdicts) — properties Observation 2.1 keeps invariant under
-    // the delivery layer whenever every message eventually arrives.
-    out << ',';
-    write_percentiles_json(out, "messages_dropped", result.messages_dropped);
-    out << ',';
-    write_percentiles_json(out, "messages_duplicated",
-                           result.messages_duplicated);
-    out << ',';
-    write_percentiles_json(out, "max_delivery_skew",
-                           result.max_delivery_skew);
-    if (result.supervision.enabled) {
-      // Supervision history describes the worker processes, not the grid:
-      // a retried shard computed the same bytes as a first-try one, so —
-      // like the kernel/vtable split — it stays out of canonical mode.
-      const SupervisionSummary& sup = result.supervision;
-      out << ",\"supervision\":{\"shards\":" << sup.shards
-          << ",\"attempts\":" << sup.attempts << ",\"retries\":" << sup.retries
-          << ",\"requeues\":" << sup.requeues
-          << ",\"stragglers_respawned\":" << sup.stragglers_respawned
-          << ",\"shards_from_journal\":" << sup.shards_from_journal
-          << ",\"attempts_killed\":" << sup.attempts_killed
-          << ",\"shards_failed\":" << sup.shards_failed << ',';
-      write_percentiles_json(out, "attempt_seconds", sup.attempt_seconds);
-      out << ",\"per_shard\":[";
-      for (std::size_t i = 0; i < sup.rows.size(); ++i) {
-        const ShardSupervisionRow& row = sup.rows[i];
-        if (i != 0) out << ',';
-        out << "{\"shard\":" << row.shard_index
-            << ",\"completed\":" << (row.completed ? "true" : "false")
-            << ",\"from_journal\":" << (row.from_journal ? "true" : "false")
-            << ",\"attempts\":" << row.attempts
-            << ",\"retries\":" << row.retries
-            << ",\"stragglers_respawned\":" << row.stragglers_respawned
-            << ",\"total_attempt_seconds\":" << row.total_attempt_seconds;
-        // Per-attempt timing (PR 10): start/end relative to supervision
-        // start plus the kill flag, so a killed straggler's timeline is
-        // reconstructable without the live trace.
-        out << ",\"attempt_log\":[";
-        for (std::size_t a = 0; a < row.attempt_log.size(); ++a) {
-          const ShardAttemptTiming& at = row.attempt_log[a];
-          if (a != 0) out << ',';
-          out << "{\"attempt\":" << at.attempt
-              << ",\"speculative\":" << (at.speculative ? "true" : "false")
-              << ",\"start_seconds\":" << at.start_seconds
-              << ",\"end_seconds\":" << at.end_seconds
-              << ",\"killed\":" << (at.killed ? "true" : "false")
-              << ",\"outcome\":\"" << json::escape(at.outcome) << "\"}";
-        }
-        out << "]}";
+  // Canonical documents keep only the rows that are a pure function of
+  // the grid (the field table's canonical column). The kernel/vtable split
+  // says how the engine ran the steps, and the fault counters are
+  // delivery-layer telemetry: properties Observation 2.1 keeps invariant
+  // (outputs, rounds, verdicts) do not depend on them, so they stay out
+  // like the wall-clock rates and the workspace-dependent arena capacity.
+  write_percentile_set_json(out, result.percentiles, options.canonical);
+  if (!options.canonical && result.supervision.enabled) {
+    // Supervision history describes the worker processes, not the grid:
+    // a retried shard computed the same bytes as a first-try one, so —
+    // like the kernel/vtable split — it stays out of canonical mode.
+    const SupervisionSummary& sup = result.supervision;
+    out << ",\"supervision\":{";
+    write_supervision_totals_json(out, sup);
+    out << ",\"per_shard\":[";
+    for (std::size_t i = 0; i < sup.rows.size(); ++i) {
+      const ShardSupervisionRow& row = sup.rows[i];
+      if (i != 0) out << ',';
+      out << "{\"shard\":" << row.shard_index
+          << ",\"completed\":" << (row.completed ? "true" : "false")
+          << ",\"from_journal\":" << (row.from_journal ? "true" : "false")
+          << ",\"attempts\":" << row.attempts
+          << ",\"retries\":" << row.retries
+          << ",\"stragglers_respawned\":" << row.stragglers_respawned
+          << ",\"total_attempt_seconds\":" << row.total_attempt_seconds;
+      // Per-attempt timing (PR 10): start/end relative to supervision
+      // start plus the kill flag, so a killed straggler's timeline is
+      // reconstructable without the live trace.
+      out << ",\"attempt_log\":[";
+      for (std::size_t a = 0; a < row.attempt_log.size(); ++a) {
+        const ShardAttemptTiming& at = row.attempt_log[a];
+        if (a != 0) out << ',';
+        out << "{\"attempt\":" << at.attempt
+            << ",\"speculative\":" << (at.speculative ? "true" : "false")
+            << ",\"start_seconds\":" << at.start_seconds
+            << ",\"end_seconds\":" << at.end_seconds
+            << ",\"killed\":" << (at.killed ? "true" : "false")
+            << ",\"outcome\":\"" << json::escape(at.outcome) << "\"}";
       }
       out << "]}";
     }
+    out << "]}";
   }
   out << ",\"cell_results\":[";
   bool first = true;
@@ -643,26 +583,11 @@ void write_campaign_json(std::ostream& out, const CampaignResult& result,
         << ",\"solved\":" << (cell.solved ? "true" : "false")
         << ",\"valid\":" << (cell.valid ? "true" : "false");
     if (!options.canonical) out << ",\"seconds\":" << cell.seconds;
-    out << ",\"messages\":" << cell.stats.total_messages
-        << ",\"steps\":" << cell.stats.total_steps;
-    if (!options.canonical)
-      out << ",\"kernel_steps\":" << cell.stats.kernel_steps
-          << ",\"vtable_steps\":" << cell.stats.vtable_steps
-          << ",\"kernel_batched_steps\":" << cell.stats.kernel_batched_steps
-          << ",\"kernel_batch_calls\":" << cell.stats.kernel_batch_calls
-          << ",\"messages_dropped\":" << cell.stats.messages_dropped
-          << ",\"messages_duplicated\":" << cell.stats.messages_duplicated
-          << ",\"max_delivery_skew\":" << cell.stats.max_delivery_skew;
-    if (!options.canonical) {
-      // steps/sec is wall-clock; arena_bytes is the workspace's *capacity*,
-      // which depends on what the reused workspace ran before this cell.
-      out << ",\"steps_per_sec\":" << cell.stats.steps_per_second
-          << ",\"arena_bytes\":" << cell.stats.arena_bytes;
-    }
-    out << ",\"peak_live_nodes\":" << cell.stats.peak_live_nodes
-        << ",\"peak_frontier_nodes\":" << cell.stats.peak_frontier_nodes
-        << ",\"dirty_spans_cleared\":" << cell.stats.dirty_spans_cleared
-        << ",\"output_hash\":\"" << cell.output_hash << "\",\"error\":\""
+    for_each_engine_stat([&](const EngineStatField& field, auto member) {
+      if (field.report != nullptr && (field.canonical || !options.canonical))
+        out << ",\"" << field.report << "\":" << cell.stats.*member;
+    });
+    out << ",\"output_hash\":\"" << cell.output_hash << "\",\"error\":\""
         << json::escape(cell.error) << "\"}";
   }
   out << "]}";

@@ -23,6 +23,7 @@
 // nothing below src/runtime/campaign.* may include it.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
@@ -115,6 +116,36 @@ struct CampaignPercentiles {
   double max = 0.0;
 };
 
+/// The campaign percentile set, over the solved cells: rounds, every
+/// EngineStats row with a percentile key (indexed by EngineStat; the other
+/// slots stay zero), and the mean batch occupancy of the cells that ran
+/// batched steps. CampaignResult and RunLogEntry share it.
+struct CampaignStatPercentiles {
+  CampaignPercentiles rounds;
+  std::array<CampaignPercentiles, kEngineStatCount> engine{};
+  CampaignPercentiles kernel_batch_occupancy;
+
+  CampaignPercentiles& operator[](EngineStat stat) {
+    return engine[static_cast<std::size_t>(stat)];
+  }
+  const CampaignPercentiles& operator[](EngineStat stat) const {
+    return engine[static_cast<std::size_t>(stat)];
+  }
+};
+
+/// Calls f(key, canonical, percentiles) for every block of `set` in report
+/// order: rounds, the table's percentile rows, kernel_batch_occupancy.
+/// `Set` is CampaignStatPercentiles, const or not.
+template <typename Set, typename F>
+void for_each_campaign_percentile(Set& set, F&& f) {
+  f("rounds", true, set.rounds);
+  for_each_engine_stat([&](const EngineStatField& field, auto) {
+    if (field.percentile != nullptr)
+      f(field.percentile, field.canonical, set[field.id]);
+  });
+  f("kernel_batch_occupancy", false, set.kernel_batch_occupancy);
+}
+
 /// The nearest-rank percentile computation the campaign aggregates use,
 /// exported for other telemetry surfaces (supervision attempt times, run
 /// log). Returns all zeros for an empty input.
@@ -179,6 +210,16 @@ struct SupervisionSummary {
   std::vector<ShardSupervisionRow> rows;
 };
 
+/// JSON members shared by the campaign JSON and the run log, written
+/// without the enclosing braces: every percentile block of `set` as
+/// "key":{"p50":..,"p90":..,"p99":..,"max":..} (only the canonical ones
+/// when canonical_only), and the supervision totals with attempt_seconds.
+void write_percentile_set_json(std::ostream& out,
+                               const CampaignStatPercentiles& set,
+                               bool canonical_only);
+void write_supervision_totals_json(std::ostream& out,
+                                   const SupervisionSummary& summary);
+
 struct CampaignResult {
   /// One entry per input cell, in input order (independent of the
   /// scheduling order the pool actually used).
@@ -189,32 +230,7 @@ struct CampaignResult {
   int solved = 0;
   int valid = 0;
   int failed = 0;
-  CampaignPercentiles rounds;
-  CampaignPercentiles messages;
-  CampaignPercentiles steps_per_second;
-  /// Frontier telemetry (the PR 4 engine counters), aggregated over the
-  /// solved cells like rounds/messages: how much of each cell the engine
-  /// actually had live, how wide the scheduled frontier got, and how much
-  /// span-clearing the dirty lists absorbed.
-  CampaignPercentiles peak_live_nodes;
-  CampaignPercentiles peak_frontier_nodes;
-  CampaignPercentiles dirty_spans_cleared;
-  /// Engine-path split (PR 6 step kernels): node steps executed through the
-  /// flat kernel tier vs the Process vtable path, per solved cell.
-  CampaignPercentiles kernel_steps;
-  CampaignPercentiles vtable_steps;
-  /// Batched-execution split (PR 8): kernel steps executed through
-  /// phase-grouped batch functions, and the mean batch occupancy
-  /// (batched steps / batch calls) per solved cell with at least one
-  /// batch call.
-  CampaignPercentiles kernel_batched_steps;
-  CampaignPercentiles kernel_batch_occupancy;
-  /// Fault-injection telemetry (the PR 7 delivery layer), per solved cell:
-  /// dropped transmissions, duplicated deliveries, and the worst delivery
-  /// latency beyond the synchronous one-tick ideal. All zero on sync grids.
-  CampaignPercentiles messages_dropped;
-  CampaignPercentiles messages_duplicated;
-  CampaignPercentiles max_delivery_skew;
+  CampaignStatPercentiles percentiles;
   /// Supervision telemetry (PR 9): filled by the sharded drivers after
   /// merge_shard_results; enabled = false on plain run_campaign results.
   /// finalize_campaign_aggregates leaves it untouched — it describes the

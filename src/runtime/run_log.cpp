@@ -28,12 +28,6 @@ void hash_string(std::uint64_t& hash, const std::string& text) {
   hash_word(hash, text.size());  // length-delimited: "ab"+"c" != "a"+"bc"
 }
 
-void write_percentiles(std::ostream& out, const char* key,
-                       const CampaignPercentiles& p) {
-  out << '"' << key << "\":{\"p50\":" << p.p50 << ",\"p90\":" << p.p90
-      << ",\"p99\":" << p.p99 << ",\"max\":" << p.max << '}';
-}
-
 CampaignPercentiles parse_percentiles(const json::Value& value) {
   CampaignPercentiles p;
   p.p50 = value.at("p50").as_double();
@@ -43,66 +37,41 @@ CampaignPercentiles parse_percentiles(const json::Value& value) {
   return p;
 }
 
-/// Telemetry blocks are newer than the log format; absent means zero.
-CampaignPercentiles parse_optional_percentiles(const json::Value& root,
-                                               const char* key) {
-  const json::Value* value = root.find(key);
-  return value != nullptr ? parse_percentiles(*value) : CampaignPercentiles{};
-}
-
 bool parse_entry(const std::string& line, RunLogEntry& entry) {
   try {
     const json::Value root = json::Value::parse(line);
     entry.date = root.at("date").as_string();
     entry.grid_hash = json::u64_field(root.at("grid_hash"));
-    entry.workers = static_cast<int>(root.at("workers").as_i64());
-    entry.cells = static_cast<int>(root.at("cells").as_i64());
-    entry.solved = static_cast<int>(root.at("solved").as_i64());
-    entry.valid = static_cast<int>(root.at("valid").as_i64());
-    entry.failed = static_cast<int>(root.at("failed").as_i64());
+    entry.workers = json::int_field<int>(root, "workers");
+    entry.cells = json::int_field<int>(root, "cells");
+    entry.solved = json::int_field<int>(root, "solved");
+    entry.valid = json::int_field<int>(root, "valid");
+    entry.failed = json::int_field<int>(root, "failed");
     entry.elapsed_seconds = root.at("elapsed_seconds").as_double();
     entry.cells_per_second = root.at("cells_per_second").as_double();
-    entry.rounds = parse_percentiles(root.at("rounds"));
-    entry.messages = parse_percentiles(root.at("messages"));
-    entry.steps_per_second = parse_percentiles(root.at("steps_per_second"));
-    entry.peak_live_nodes =
-        parse_optional_percentiles(root, "peak_live_nodes");
-    entry.peak_frontier_nodes =
-        parse_optional_percentiles(root, "peak_frontier_nodes");
-    entry.dirty_spans_cleared =
-        parse_optional_percentiles(root, "dirty_spans_cleared");
-    entry.kernel_steps = parse_optional_percentiles(root, "kernel_steps");
-    entry.vtable_steps = parse_optional_percentiles(root, "vtable_steps");
-    entry.kernel_batched_steps =
-        parse_optional_percentiles(root, "kernel_batched_steps");
-    entry.kernel_batch_occupancy =
-        parse_optional_percentiles(root, "kernel_batch_occupancy");
-    entry.messages_dropped =
-        parse_optional_percentiles(root, "messages_dropped");
-    entry.messages_duplicated =
-        parse_optional_percentiles(root, "messages_duplicated");
-    entry.max_delivery_skew =
-        parse_optional_percentiles(root, "max_delivery_skew");
+    // Percentile blocks grew with the engine counters; an older line
+    // lacks the newer ones, which read as zero.
+    for_each_campaign_percentile(
+        entry.percentiles,
+        [&](const char* key, bool, CampaignPercentiles& p) {
+          if (const json::Value* value = root.find(key))
+            p = parse_percentiles(*value);
+        });
     if (const json::Value* sup = root.find("supervision")) {
-      entry.supervision_shards =
-          static_cast<int>(sup->at("shards").as_i64());
-      entry.supervision_attempts =
-          static_cast<int>(sup->at("attempts").as_i64());
-      entry.supervision_retries =
-          static_cast<int>(sup->at("retries").as_i64());
-      entry.supervision_requeues =
-          static_cast<int>(sup->at("requeues").as_i64());
-      entry.supervision_stragglers_respawned =
-          static_cast<int>(sup->at("stragglers_respawned").as_i64());
-      entry.supervision_shards_from_journal =
-          static_cast<int>(sup->at("shards_from_journal").as_i64());
-      entry.supervision_shards_failed =
-          static_cast<int>(sup->at("shards_failed").as_i64());
-      if (const json::Value* killed = sup->find("attempts_killed"))
-        entry.supervision_attempts_killed =
-            static_cast<int>(killed->as_i64());
-      entry.supervision_attempt_seconds =
-          parse_percentiles(sup->at("attempt_seconds"));
+      SupervisionSummary& summary = entry.supervision;
+      summary.enabled = true;
+      summary.shards = json::int_field<int>(*sup, "shards");
+      summary.attempts = json::int_field<int>(*sup, "attempts");
+      summary.retries = json::int_field<int>(*sup, "retries");
+      summary.requeues = json::int_field<int>(*sup, "requeues");
+      summary.stragglers_respawned =
+          json::int_field<int>(*sup, "stragglers_respawned");
+      summary.shards_from_journal =
+          json::int_field<int>(*sup, "shards_from_journal");
+      summary.shards_failed = json::int_field<int>(*sup, "shards_failed");
+      if (sup->find("attempts_killed") != nullptr)
+        summary.attempts_killed = json::int_field<int>(*sup, "attempts_killed");
+      summary.attempt_seconds = parse_percentiles(sup->at("attempt_seconds"));
     }
   } catch (...) {
     return false;
@@ -173,31 +142,10 @@ RunLogEntry make_run_log_entry(const CampaignResult& result) {
   entry.failed = result.failed;
   entry.elapsed_seconds = result.elapsed_seconds;
   entry.cells_per_second = result.cells_per_second;
-  entry.rounds = result.rounds;
-  entry.messages = result.messages;
-  entry.steps_per_second = result.steps_per_second;
-  entry.peak_live_nodes = result.peak_live_nodes;
-  entry.peak_frontier_nodes = result.peak_frontier_nodes;
-  entry.dirty_spans_cleared = result.dirty_spans_cleared;
-  entry.kernel_steps = result.kernel_steps;
-  entry.vtable_steps = result.vtable_steps;
-  entry.kernel_batched_steps = result.kernel_batched_steps;
-  entry.kernel_batch_occupancy = result.kernel_batch_occupancy;
-  entry.messages_dropped = result.messages_dropped;
-  entry.messages_duplicated = result.messages_duplicated;
-  entry.max_delivery_skew = result.max_delivery_skew;
+  entry.percentiles = result.percentiles;
   if (result.supervision.enabled) {
-    entry.supervision_shards = result.supervision.shards;
-    entry.supervision_attempts = result.supervision.attempts;
-    entry.supervision_retries = result.supervision.retries;
-    entry.supervision_requeues = result.supervision.requeues;
-    entry.supervision_stragglers_respawned =
-        result.supervision.stragglers_respawned;
-    entry.supervision_shards_from_journal =
-        result.supervision.shards_from_journal;
-    entry.supervision_shards_failed = result.supervision.shards_failed;
-    entry.supervision_attempts_killed = result.supervision.attempts_killed;
-    entry.supervision_attempt_seconds = result.supervision.attempt_seconds;
+    entry.supervision = result.supervision;
+    entry.supervision.rows.clear();
   }
   return entry;
 }
@@ -212,48 +160,12 @@ void append_run_log(const std::string& path, const CampaignResult& result) {
       << ",\"valid\":" << entry.valid << ",\"failed\":" << entry.failed
       << ",\"elapsed_seconds\":" << entry.elapsed_seconds
       << ",\"cells_per_second\":" << entry.cells_per_second << ',';
-  write_percentiles(out, "rounds", entry.rounds);
-  out << ',';
-  write_percentiles(out, "messages", entry.messages);
-  out << ',';
-  write_percentiles(out, "steps_per_second", entry.steps_per_second);
-  out << ',';
-  write_percentiles(out, "peak_live_nodes", entry.peak_live_nodes);
-  out << ',';
-  write_percentiles(out, "peak_frontier_nodes", entry.peak_frontier_nodes);
-  out << ',';
-  write_percentiles(out, "dirty_spans_cleared", entry.dirty_spans_cleared);
-  out << ',';
-  write_percentiles(out, "kernel_steps", entry.kernel_steps);
-  out << ',';
-  write_percentiles(out, "vtable_steps", entry.vtable_steps);
-  out << ',';
-  write_percentiles(out, "kernel_batched_steps", entry.kernel_batched_steps);
-  out << ',';
-  write_percentiles(out, "kernel_batch_occupancy",
-                    entry.kernel_batch_occupancy);
-  out << ',';
-  write_percentiles(out, "messages_dropped", entry.messages_dropped);
-  out << ',';
-  write_percentiles(out, "messages_duplicated", entry.messages_duplicated);
-  out << ',';
-  write_percentiles(out, "max_delivery_skew", entry.max_delivery_skew);
+  write_percentile_set_json(out, entry.percentiles, false);
   // Supervision block only for supervised campaigns — entries from plain
   // runs stay byte-for-byte in the pre-supervisor format.
-  if (entry.supervision_shards > 0) {
-    out << ",\"supervision\":{\"shards\":" << entry.supervision_shards
-        << ",\"attempts\":" << entry.supervision_attempts
-        << ",\"retries\":" << entry.supervision_retries
-        << ",\"requeues\":" << entry.supervision_requeues
-        << ",\"stragglers_respawned\":"
-        << entry.supervision_stragglers_respawned
-        << ",\"shards_from_journal\":"
-        << entry.supervision_shards_from_journal
-        << ",\"shards_failed\":" << entry.supervision_shards_failed
-        << ",\"attempts_killed\":" << entry.supervision_attempts_killed
-        << ',';
-    write_percentiles(out, "attempt_seconds",
-                      entry.supervision_attempt_seconds);
+  if (entry.supervision.shards > 0) {
+    out << ",\"supervision\":{";
+    write_supervision_totals_json(out, entry.supervision);
     out << '}';
   }
   out << "}\n";
@@ -286,11 +198,15 @@ RunLogComparison compare_run_log(const std::string& path,
   }
   if (!comparison.found) return comparison;
   const RunLogEntry& baseline = comparison.baseline;
-  comparison.rounds_p50_ratio = ratio(result.rounds.p50, baseline.rounds.p50);
-  comparison.messages_p50_ratio =
-      ratio(result.messages.p50, baseline.messages.p50);
+  const CampaignStatPercentiles& now = result.percentiles;
+  const CampaignStatPercentiles& then = baseline.percentiles;
+  comparison.rounds_p50_ratio = ratio(now.rounds.p50, then.rounds.p50);
+  const auto p50_ratio = [&](EngineStat stat) {
+    return ratio(now[stat].p50, then[stat].p50);
+  };
+  comparison.messages_p50_ratio = p50_ratio(EngineStat::total_messages);
   comparison.steps_per_second_p50_ratio =
-      ratio(result.steps_per_second.p50, baseline.steps_per_second.p50);
+      p50_ratio(EngineStat::steps_per_second);
   comparison.cells_per_second_ratio =
       ratio(result.cells_per_second, baseline.cells_per_second);
   comparison.elapsed_ratio =

@@ -25,43 +25,13 @@ struct RunLogEntry {
   int failed = 0;
   double elapsed_seconds = 0.0;
   double cells_per_second = 0.0;
-  CampaignPercentiles rounds;
-  CampaignPercentiles messages;
-  CampaignPercentiles steps_per_second;
-  /// Frontier telemetry percentiles; zero when the entry predates them
-  /// (the reader tolerates their absence).
-  CampaignPercentiles peak_live_nodes;
-  CampaignPercentiles peak_frontier_nodes;
-  CampaignPercentiles dirty_spans_cleared;
-  /// Engine-path split (kernel vs vtable steps); zero when the entry
-  /// predates the step-kernel tier.
-  CampaignPercentiles kernel_steps;
-  CampaignPercentiles vtable_steps;
-  /// Batched-execution split (phase-grouped batch kernels); zero when the
-  /// entry predates batched stepping.
-  CampaignPercentiles kernel_batched_steps;
-  CampaignPercentiles kernel_batch_occupancy;
-  /// Fault-injection telemetry (the delivery layer); zero when the entry
-  /// predates it or the grid ran synchronously.
-  CampaignPercentiles messages_dropped;
-  CampaignPercentiles messages_duplicated;
-  CampaignPercentiles max_delivery_skew;
-  /// Supervision telemetry (the PR 9 shard supervisor): process-level
-  /// retry/requeue history for supervised sharded campaigns. All zero when
-  /// the campaign ran unsupervised or the entry predates supervision (the
-  /// reader tolerates the block's absence).
-  int supervision_shards = 0;
-  int supervision_attempts = 0;
-  int supervision_retries = 0;
-  int supervision_requeues = 0;
-  int supervision_stragglers_respawned = 0;
-  int supervision_shards_from_journal = 0;
-  int supervision_shards_failed = 0;
-  /// Attempts the supervisor SIGKILLed (deadline overrun or superseded by
-  /// an accepted sibling); zero when the entry predates it.
-  int supervision_attempts_killed = 0;
-  /// Percentiles of per-shard total attempt wall-clock.
-  CampaignPercentiles supervision_attempt_seconds;
+  /// The campaign's percentile set; blocks missing from an older line
+  /// read as zero.
+  CampaignStatPercentiles percentiles;
+  /// Supervision totals of a supervised sharded campaign (rows left
+  /// empty); enabled = false and all zero when the campaign ran
+  /// unsupervised or the entry predates supervision.
+  SupervisionSummary supervision;
 };
 
 /// FNV-1a over every cell's identifying fields, independent of outcomes.

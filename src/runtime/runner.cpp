@@ -7,6 +7,8 @@
 #include <numeric>
 #include <optional>
 #include <stdexcept>
+#include <string>
+#include <type_traits>
 #include <utility>
 
 #include "src/graph/csr.h"
@@ -60,21 +62,16 @@ void publish_engine_metrics(const EngineStats& stats, std::int64_t rounds,
   if (reg == nullptr) return;
   reg->add("engine.runs", 1);
   reg->observe("engine.rounds", rounds);
-  reg->add("engine.messages", stats.total_messages);
-  reg->add("engine.steps", stats.total_steps);
   reg->add("engine.slept_steps", slept_steps);
-  reg->add("engine.kernel_steps", stats.kernel_steps);
-  reg->add("engine.vtable_steps", stats.vtable_steps);
-  reg->add("engine.kernel_batched_steps", stats.kernel_batched_steps);
-  reg->add("engine.kernel_batch_calls", stats.kernel_batch_calls);
-  reg->add("engine.dirty_spans_cleared", stats.dirty_spans_cleared);
-  reg->add("engine.messages_dropped", stats.messages_dropped);
-  reg->add("engine.messages_duplicated", stats.messages_duplicated);
-  reg->record_max("engine.peak_live_nodes", stats.peak_live_nodes);
-  reg->record_max("engine.peak_frontier_nodes", stats.peak_frontier_nodes);
-  reg->record_max("engine.peak_round_messages", stats.peak_round_messages);
-  reg->record_max("engine.max_delivery_skew", stats.max_delivery_skew);
-  reg->record_max("engine.arena_bytes", stats.arena_bytes);
+  for_each_engine_stat([&](const EngineStatField& field, auto member) {
+    if (field.metric == StatMetric::kNone) return;
+    const std::string name = std::string("engine.") + field.report;
+    const auto value = static_cast<std::int64_t>(stats.*member);
+    if (field.metric == StatMetric::kCounter)
+      reg->add(name, value);
+    else
+      reg->record_max(name, value);
+  });
 }
 
 }  // namespace
@@ -1363,6 +1360,32 @@ std::vector<std::int64_t> termination_times(
     result[static_cast<std::size_t>(u)] = t;
   }
   return result;
+}
+
+json::Value engine_stats_to_json(const EngineStats& stats) {
+  json::Value out = json::Value::object();
+  for_each_engine_stat([&](const EngineStatField& field, auto member) {
+    const auto value = stats.*member;
+    if constexpr (std::is_floating_point_v<decltype(value)>)
+      out.set(field.name, json::Value::number(value));
+    else
+      out.set(field.name,
+              json::Value::number(static_cast<std::int64_t>(value)));
+  });
+  return out;
+}
+
+EngineStats engine_stats_from_json(const json::Value& value) {
+  EngineStats stats;
+  for_each_engine_stat([&](const EngineStatField& field, auto member) {
+    auto& slot = stats.*member;
+    using T = std::remove_reference_t<decltype(slot)>;
+    if constexpr (std::is_floating_point_v<T>)
+      slot = value.at(field.name).as_double();
+    else
+      slot = json::int_field<T>(value, field.name);
+  });
+  return stats;
 }
 
 }  // namespace unilocal

@@ -38,6 +38,7 @@
 #include "src/runtime/kernel.h"
 #include "src/runtime/local.h"
 #include "src/runtime/network.h"
+#include "src/util/json.h"
 
 namespace unilocal {
 
@@ -63,84 +64,158 @@ struct RunOptions {
   NetworkOptions network;
 };
 
-/// Engine-side counters of one run (RunResult::stats).
+/// The EngineStats field table: one row per engine counter and the only
+/// list of them. EngineStats declares its members from it; merge, the
+/// engine.* metrics, the shard `stats` block, --stats-json, the campaign
+/// CSV/JSON and percentiles, the run log and the CLI all walk it through
+/// for_each_engine_stat. Adding a counter is one row plus the engine site
+/// that fills it. Row order is the campaign CSV column order. Columns:
+///   member, type, initial value;
+///   merge rule across composed stages: kSum, kMax, kLast (the latest
+///     stage wins) or kDerived (recomputed after the fold);
+///   metric kind (kCounter, kGauge, kNone), published as "engine.<report>";
+///   report: CSV column and per-cell JSON key (nullptr = not per cell);
+///     the shard `stats` block and --stats-json key rows by member name;
+///   canonical: kept by canonical campaign JSON (a pure function of the
+///     grid, not of timing or workspace reuse);
+///   percentile: the campaign / run-log percentile block (nullptr = none);
+///     derived rows are rates that read 0 when untimed, so skip zeros.
+#define UNILOCAL_ENGINE_STATS(X)                                              \
+  /* Messages sent (RunResult::messages_sent, summed across stages). */      \
+  X(total_messages, std::int64_t, 0, kSum, kCounter, "messages", true,        \
+    "messages")                                                               \
+  /* Most messages in flight in any single round. */                         \
+  X(peak_round_messages, std::int64_t, 0, kMax, kGauge,                       \
+    "peak_round_messages", false, nullptr)                                    \
+  /* Node steps, counted logically (a sleeping node's rounds count). */      \
+  X(total_steps, std::int64_t, 0, kSum, kCounter, "steps", true, nullptr)     \
+  /* Steps through the flat kernel path / the Process vtable path; they sum \
+     to total_steps (composed algorithms may mix both). */                   \
+  X(kernel_steps, std::int64_t, 0, kSum, kCounter, "kernel_steps", false,     \
+    "kernel_steps")                                                           \
+  X(vtable_steps, std::int64_t, 0, kSum, kCounter, "vtable_steps", false,     \
+    "vtable_steps")                                                           \
+  /* Kernel steps run through phase-grouped KernelBatchFn buckets, and the   \
+     batch calls that carried them (see batch_occupancy()). */               \
+  X(kernel_batched_steps, std::int64_t, 0, kSum, kCounter,                    \
+    "kernel_batched_steps", false, "kernel_batched_steps")                    \
+  X(kernel_batch_calls, std::int64_t, 0, kSum, kCounter,                      \
+    "kernel_batch_calls", false, nullptr)                                     \
+  X(elapsed_seconds, double, 0.0, kSum, kNone, nullptr, false, nullptr)       \
+  /* total_steps / elapsed_seconds (0 when the run was too fast to time). */ \
+  X(steps_per_second, double, 0.0, kDerived, kNone, "steps_per_sec", false,   \
+    "steps_per_second")                                                       \
+  /* Capacity held by the arenas, span tables and node state at the end of  \
+     the run; depends on what the workspace ran before. */                   \
+  X(arena_bytes, std::int64_t, 0, kMax, kGauge, "arena_bytes", false,         \
+    nullptr)                                                                  \
+  X(threads, int, 1, kMax, kNone, nullptr, false, nullptr)                    \
+  /* Most unfinished nodes at the start of any round. */                     \
+  X(peak_live_nodes, std::int64_t, 0, kMax, kGauge, "peak_live_nodes", true,  \
+    "peak_live_nodes")                                                        \
+  /* Unfinished nodes when the run ended (non-zero only when a round cap    \
+     cut the run off). */                                                    \
+  X(final_live_nodes, std::int64_t, 0, kLast, kNone, nullptr, false, nullptr) \
+  /* Most nodes stepped within one (global) round. */                        \
+  X(peak_frontier_nodes, std::int64_t, 0, kMax, kGauge,                       \
+    "peak_frontier_nodes", true, "peak_frontier_nodes")                       \
+  /* Send-span slots reset through the dirty lists (simultaneous mode). */   \
+  X(dirty_spans_cleared, std::int64_t, 0, kSum, kCounter,                     \
+    "dirty_spans_cleared", true, "dirty_spans_cleared")                       \
+  /* DelayedNetwork faults (zero when synchronous): lost transmissions,     \
+     duplicated deliveries, worst latency beyond the one-tick ideal. */      \
+  X(messages_dropped, std::int64_t, 0, kSum, kCounter, "messages_dropped",    \
+    false, "messages_dropped")                                                \
+  X(messages_duplicated, std::int64_t, 0, kSum, kCounter,                     \
+    "messages_duplicated", false, "messages_duplicated")                      \
+  X(max_delivery_skew, std::int64_t, 0, kMax, kGauge, "max_delivery_skew",    \
+    false, "max_delivery_skew")
+
+/// Engine-side counters of one run (RunResult::stats), one member per row
+/// of UNILOCAL_ENGINE_STATS.
 struct EngineStats {
-  /// Bytes held by the message arenas (word buffers + span tables) at the
-  /// end of the run; capacity, not live size.
-  std::int64_t arena_bytes = 0;
-  /// Maximum number of messages in flight across any single round.
-  std::int64_t peak_round_messages = 0;
-  /// Total messages sent over the whole run (RunResult::messages_sent,
-  /// summed across stages for composed algorithms).
-  std::int64_t total_messages = 0;
-  /// Total Process::step invocations.
-  std::int64_t total_steps = 0;
-  /// Node steps executed through the flat kernel path / the Process vtable
-  /// path (kernel_steps + vtable_steps == total_steps; composed algorithms
-  /// mix both when only some stages are lowered).
-  std::int64_t kernel_steps = 0;
-  std::int64_t vtable_steps = 0;
-  /// Of kernel_steps, how many ran through phase-grouped KernelBatchFn
-  /// buckets (the rest went through the scalar per-node loop), and how many
-  /// batch calls carried them — kernel_batched_steps / kernel_batch_calls
-  /// is the mean batch occupancy (nodes stepped per batch dispatch).
-  std::int64_t kernel_batched_steps = 0;
-  std::int64_t kernel_batch_calls = 0;
-  /// Most unfinished nodes at the start of any round (= n for a non-empty
-  /// run; informative per stage in composed algorithms).
-  std::int64_t peak_live_nodes = 0;
-  /// Unfinished nodes when the run ended (non-zero only when the round cap
-  /// or the synchronizer's global cap cut the run off).
-  std::int64_t final_live_nodes = 0;
-  /// Most nodes stepped within one (global) round: the live-list width in
-  /// the simultaneous mode, the eligible-frontier width under the
-  /// synchronizer.
-  std::int64_t peak_frontier_nodes = 0;
-  /// Send-span slots lazily reset through the dirty lists instead of an
-  /// O(edges) per-round fill (simultaneous mode only; the engine's clearing
-  /// work is proportional to this, not to rounds x edges).
-  std::int64_t dirty_spans_cleared = 0;
-  /// Fault-injection counters (DelayedNetwork runs; all zero under the
-  /// synchronous network): transmissions lost to the drop knob (each
-  /// retransmission attempt counts), duplicated deliveries, and the worst
-  /// delivery latency in excess of the synchronous one-tick ideal.
-  std::int64_t messages_dropped = 0;
-  std::int64_t messages_duplicated = 0;
-  std::int64_t max_delivery_skew = 0;
-  double elapsed_seconds = 0.0;
-  /// total_steps / elapsed_seconds (0 when the run was too fast to time).
-  double steps_per_second = 0.0;
-  int threads = 1;
+#define UNILOCAL_ENGINE_STAT_MEMBER(member, type, init, ...) type member = init;
+  UNILOCAL_ENGINE_STATS(UNILOCAL_ENGINE_STAT_MEMBER)
+#undef UNILOCAL_ENGINE_STAT_MEMBER
 
   /// Folds another run's stats in (composed algorithms aggregate the stats
-  /// of their stages): counters add, high-water marks take the max, and
-  /// final_live_nodes tracks the most recently merged stage.
-  void merge(const EngineStats& other) {
-    arena_bytes = std::max(arena_bytes, other.arena_bytes);
-    peak_round_messages =
-        std::max(peak_round_messages, other.peak_round_messages);
-    total_messages += other.total_messages;
-    total_steps += other.total_steps;
-    kernel_steps += other.kernel_steps;
-    vtable_steps += other.vtable_steps;
-    kernel_batched_steps += other.kernel_batched_steps;
-    kernel_batch_calls += other.kernel_batch_calls;
-    peak_live_nodes = std::max(peak_live_nodes, other.peak_live_nodes);
-    final_live_nodes = other.final_live_nodes;
-    peak_frontier_nodes =
-        std::max(peak_frontier_nodes, other.peak_frontier_nodes);
-    dirty_spans_cleared += other.dirty_spans_cleared;
-    messages_dropped += other.messages_dropped;
-    messages_duplicated += other.messages_duplicated;
-    max_delivery_skew = std::max(max_delivery_skew, other.max_delivery_skew);
-    elapsed_seconds += other.elapsed_seconds;
-    steps_per_second =
-        elapsed_seconds > 0.0
-            ? static_cast<double>(total_steps) / elapsed_seconds
-            : 0.0;
-    threads = std::max(threads, other.threads);
+  /// of their stages) by each row's merge rule.
+  void merge(const EngineStats& other);
+
+  /// Mean nodes stepped per batch dispatch (kernel_batched_steps /
+  /// kernel_batch_calls); 0 without batch calls.
+  double batch_occupancy() const {
+    return kernel_batch_calls > 0
+               ? static_cast<double>(kernel_batched_steps) /
+                     static_cast<double>(kernel_batch_calls)
+               : 0.0;
   }
 };
+
+/// Row ids, in table order (EngineStat::total_messages, ...).
+enum class EngineStat : std::size_t {
+#define UNILOCAL_ENGINE_STAT_ID(member, ...) member,
+  UNILOCAL_ENGINE_STATS(UNILOCAL_ENGINE_STAT_ID)
+#undef UNILOCAL_ENGINE_STAT_ID
+  kCount
+};
+inline constexpr std::size_t kEngineStatCount =
+    static_cast<std::size_t>(EngineStat::kCount);
+
+enum class StatMerge { kSum, kMax, kLast, kDerived };
+enum class StatMetric { kCounter, kGauge, kNone };
+
+/// One row of the field table, without the member itself.
+struct EngineStatField {
+  EngineStat id;
+  /// The member name: the key in the shard `stats` block and --stats-json.
+  const char* name;
+  StatMerge merge;
+  StatMetric metric;
+  const char* report;
+  bool canonical;
+  const char* percentile;
+};
+
+/// Calls f(field, &EngineStats::member) for every row, in table order.
+template <typename F>
+void for_each_engine_stat(F&& f) {
+#define UNILOCAL_ENGINE_STAT_VISIT(member, type, init, merge, metric, report, \
+                                   canonical, percentile)                     \
+  f(EngineStatField{EngineStat::member, #member, StatMerge::merge,            \
+                    StatMetric::metric, report, canonical, percentile},       \
+    &EngineStats::member);
+  UNILOCAL_ENGINE_STATS(UNILOCAL_ENGINE_STAT_VISIT)
+#undef UNILOCAL_ENGINE_STAT_VISIT
+}
+
+inline void EngineStats::merge(const EngineStats& other) {
+  for_each_engine_stat([&](const EngineStatField& field, auto member) {
+    auto& mine = this->*member;
+    switch (field.merge) {
+      case StatMerge::kSum:
+        mine += other.*member;
+        break;
+      case StatMerge::kMax:
+        mine = std::max(mine, other.*member);
+        break;
+      case StatMerge::kLast:
+        mine = other.*member;
+        break;
+      case StatMerge::kDerived:
+        break;
+    }
+  });
+  steps_per_second = elapsed_seconds > 0.0
+                         ? static_cast<double>(total_steps) / elapsed_seconds
+                         : 0.0;
+}
+
+/// The shard `stats` block and the --stats-json `engine` object: every row
+/// under its member name. from_json throws std::runtime_error on a missing
+/// key, a non-number, or an integer that does not fit its member.
+json::Value engine_stats_to_json(const EngineStats& stats);
+EngineStats engine_stats_from_json(const json::Value& value);
 
 struct RunResult {
   std::vector<std::int64_t> outputs;

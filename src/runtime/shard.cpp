@@ -54,9 +54,9 @@ void cell_identity_to_json(json::Value& out, std::size_t index,
 CampaignCell cell_identity_from_json(const json::Value& value,
                                      std::size_t& index) {
   CampaignCell cell;
-  index = static_cast<std::size_t>(value.at("index").as_u64());
+  index = json::int_field<std::size_t>(value, "index");
   cell.scenario = value.at("scenario").as_string();
-  cell.params.n = static_cast<NodeId>(value.at("n").as_i64());
+  cell.params.n = json::int_field<NodeId>(value, "n");
   cell.params.a = value.at("a").as_double();
   cell.params.b = value.at("b").as_double();
   cell.algorithm = value.at("algorithm").as_string();
@@ -83,38 +83,7 @@ json::Value cell_result_to_json(std::size_t index, const CellResult& cell) {
   out.set("seconds", json::Value::number(cell.seconds));
   out.set("output_hash", u64_string(cell.output_hash));
   out.set("error", json::Value::string(cell.error));
-  json::Value stats = json::Value::object();
-  stats.set("arena_bytes", json::Value::number(cell.stats.arena_bytes));
-  stats.set("peak_round_messages",
-            json::Value::number(cell.stats.peak_round_messages));
-  stats.set("total_messages", json::Value::number(cell.stats.total_messages));
-  stats.set("total_steps", json::Value::number(cell.stats.total_steps));
-  stats.set("kernel_steps", json::Value::number(cell.stats.kernel_steps));
-  stats.set("vtable_steps", json::Value::number(cell.stats.vtable_steps));
-  stats.set("kernel_batched_steps",
-            json::Value::number(cell.stats.kernel_batched_steps));
-  stats.set("kernel_batch_calls",
-            json::Value::number(cell.stats.kernel_batch_calls));
-  stats.set("peak_live_nodes",
-            json::Value::number(cell.stats.peak_live_nodes));
-  stats.set("final_live_nodes",
-            json::Value::number(cell.stats.final_live_nodes));
-  stats.set("peak_frontier_nodes",
-            json::Value::number(cell.stats.peak_frontier_nodes));
-  stats.set("dirty_spans_cleared",
-            json::Value::number(cell.stats.dirty_spans_cleared));
-  stats.set("messages_dropped",
-            json::Value::number(cell.stats.messages_dropped));
-  stats.set("messages_duplicated",
-            json::Value::number(cell.stats.messages_duplicated));
-  stats.set("max_delivery_skew",
-            json::Value::number(cell.stats.max_delivery_skew));
-  stats.set("elapsed_seconds", json::Value::number(cell.stats.elapsed_seconds));
-  stats.set("steps_per_second",
-            json::Value::number(cell.stats.steps_per_second));
-  stats.set("threads",
-            json::Value::number(static_cast<std::int64_t>(cell.stats.threads)));
-  out.set("stats", std::move(stats));
+  out.set("stats", engine_stats_to_json(cell.stats));
   return out;
 }
 
@@ -122,7 +91,7 @@ CellResult cell_result_from_json(const json::Value& value,
                                  std::size_t& index) {
   CellResult cell;
   cell.cell = cell_identity_from_json(value, index);
-  cell.nodes = static_cast<NodeId>(value.at("nodes").as_i64());
+  cell.nodes = json::int_field<NodeId>(value, "nodes");
   cell.edges = value.at("edges").as_i64();
   cell.rounds = value.at("rounds").as_i64();
   cell.solved = value.at("solved").as_bool();
@@ -130,26 +99,7 @@ CellResult cell_result_from_json(const json::Value& value,
   cell.seconds = value.at("seconds").as_double();
   cell.output_hash = json::u64_field(value.at("output_hash"));
   cell.error = value.at("error").as_string();
-  const json::Value& stats = value.at("stats");
-  cell.stats.arena_bytes = stats.at("arena_bytes").as_i64();
-  cell.stats.peak_round_messages = stats.at("peak_round_messages").as_i64();
-  cell.stats.total_messages = stats.at("total_messages").as_i64();
-  cell.stats.total_steps = stats.at("total_steps").as_i64();
-  cell.stats.kernel_steps = stats.at("kernel_steps").as_i64();
-  cell.stats.vtable_steps = stats.at("vtable_steps").as_i64();
-  cell.stats.kernel_batched_steps =
-      stats.at("kernel_batched_steps").as_i64();
-  cell.stats.kernel_batch_calls = stats.at("kernel_batch_calls").as_i64();
-  cell.stats.peak_live_nodes = stats.at("peak_live_nodes").as_i64();
-  cell.stats.final_live_nodes = stats.at("final_live_nodes").as_i64();
-  cell.stats.peak_frontier_nodes = stats.at("peak_frontier_nodes").as_i64();
-  cell.stats.dirty_spans_cleared = stats.at("dirty_spans_cleared").as_i64();
-  cell.stats.messages_dropped = stats.at("messages_dropped").as_i64();
-  cell.stats.messages_duplicated = stats.at("messages_duplicated").as_i64();
-  cell.stats.max_delivery_skew = stats.at("max_delivery_skew").as_i64();
-  cell.stats.elapsed_seconds = stats.at("elapsed_seconds").as_double();
-  cell.stats.steps_per_second = stats.at("steps_per_second").as_double();
-  cell.stats.threads = static_cast<int>(stats.at("threads").as_i64());
+  cell.stats = engine_stats_from_json(value.at("stats"));
   return cell;
 }
 
@@ -303,8 +253,8 @@ json::Value ShardManifest::to_json() const {
 ShardManifest ShardManifest::from_json(const json::Value& value) {
   check_format(value, kManifestFormat);
   ShardManifest manifest;
-  manifest.shard_index = static_cast<int>(value.at("shard_index").as_i64());
-  manifest.num_shards = static_cast<int>(value.at("num_shards").as_i64());
+  manifest.shard_index = json::int_field<int>(value, "shard_index");
+  manifest.num_shards = json::int_field<int>(value, "num_shards");
   manifest.policy = parse_shard_policy(value.at("policy").as_string());
   manifest.plan_grid_hash = json::u64_field(value.at("plan_grid_hash"));
   manifest.shard_grid_hash = json::u64_field(value.at("shard_grid_hash"));
@@ -335,8 +285,7 @@ ShardPlan ShardPlan::from_json(const json::Value& value) {
   ShardPlan plan;
   plan.grid_hash = json::u64_field(value.at("grid_hash"));
   plan.policy = parse_shard_policy(value.at("policy").as_string());
-  plan.total_cells =
-      static_cast<std::size_t>(value.at("total_cells").as_u64());
+  plan.total_cells = json::int_field<std::size_t>(value, "total_cells");
   for (const json::Value& entry : value.at("shards").as_array())
     plan.shards.push_back(ShardManifest::from_json(entry));
   // merge_shard_results indexes plan.shards[result.shard_index], so the
@@ -398,11 +347,11 @@ json::Value ShardResult::to_json() const {
 ShardResult ShardResult::from_json(const json::Value& value) {
   check_format(value, kResultFormat);
   ShardResult result;
-  result.shard_index = static_cast<int>(value.at("shard_index").as_i64());
-  result.num_shards = static_cast<int>(value.at("num_shards").as_i64());
+  result.shard_index = json::int_field<int>(value, "shard_index");
+  result.num_shards = json::int_field<int>(value, "num_shards");
   result.plan_grid_hash = json::u64_field(value.at("plan_grid_hash"));
   result.shard_grid_hash = json::u64_field(value.at("shard_grid_hash"));
-  result.workers = static_cast<int>(value.at("workers").as_i64());
+  result.workers = json::int_field<int>(value, "workers");
   result.elapsed_seconds = value.at("elapsed_seconds").as_double();
   for (const json::Value& entry : value.at("cells").as_array()) {
     std::size_t index = 0;

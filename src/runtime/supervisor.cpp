@@ -228,7 +228,7 @@ SupervisorJournal read_supervisor_journal(const std::string& path,
     // a cache of deterministic work, so skipping is always safe.
     try {
       const json::Value entry = json::Value::parse(line);
-      const int shard = static_cast<int>(entry.at("shard").as_i64());
+      const int shard = json::int_field<int>(entry, "shard");
       ShardResult result = ShardResult::from_json(entry.at("result"));
       if (result.shard_index != shard) continue;
       if (!shard_result_problem(plan, result).empty()) continue;

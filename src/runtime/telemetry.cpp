@@ -387,8 +387,8 @@ TraceEvent TraceRecorder::parse_event(const json::Value& value) {
   event.phase = phase[0];
   event.ts = value.at("ts").as_i64();
   if (const json::Value* dur = value.find("dur")) event.dur = dur->as_i64();
-  event.pid = static_cast<int>(value.at("pid").as_i64());
-  event.tid = static_cast<int>(value.at("tid").as_i64());
+  event.pid = json::int_field<int>(value, "pid");
+  event.tid = json::int_field<int>(value, "tid");
   if (const json::Value* args = value.find("args")) event.args = *args;
   return event;
 }

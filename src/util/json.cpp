@@ -484,6 +484,11 @@ std::string escape(const std::string& text) {
   return result;
 }
 
+void throw_out_of_range(const std::string& key, const Value& value) {
+  throw std::runtime_error("json: \"" + key + "\" out of range: " +
+                           value.dump());
+}
+
 std::uint64_t u64_field(const Value& value) {
   if (value.is_string()) {
     const std::string& text = value.as_string();

@@ -21,7 +21,9 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -110,6 +112,29 @@ class Value {
   Array array_;
   Object object_;
 };
+
+/// int_field's error: `json: "<key>" out of range: <value>`.
+[[noreturn]] void throw_out_of_range(const std::string& key,
+                                     const Value& value);
+
+/// Reads the integer member `key` of `object` as T, throwing
+/// std::runtime_error (see throw_out_of_range) when the value does not fit
+/// T: a tampered document must not wrap silently into range.
+template <typename T>
+T int_field(const Value& object, const std::string& key) {
+  static_assert(std::is_integral_v<T>);
+  const Value& value = object.at(key);
+  using Limits = std::numeric_limits<T>;
+  if constexpr (std::is_signed_v<T>) {
+    const std::int64_t v = value.as_i64();
+    if (v < Limits::min() || v > Limits::max()) throw_out_of_range(key, value);
+    return static_cast<T>(v);
+  } else {
+    const std::uint64_t v = value.as_u64();
+    if (v > Limits::max()) throw_out_of_range(key, value);
+    return static_cast<T>(v);
+  }
+}
 
 }  // namespace json
 }  // namespace unilocal

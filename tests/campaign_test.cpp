@@ -101,10 +101,12 @@ TEST(Campaign, SolvesAndValidatesAWholeGrid) {
   EXPECT_EQ(result.solved, static_cast<int>(cells.size()));
   EXPECT_EQ(result.valid, static_cast<int>(cells.size()));
   EXPECT_GT(result.cells_per_second, 0.0);
-  EXPECT_LE(result.rounds.p50, result.rounds.p90);
-  EXPECT_LE(result.rounds.p90, result.rounds.p99);
-  EXPECT_LE(result.rounds.p99, result.rounds.max);
-  EXPECT_LE(result.messages.p50, result.messages.max);
+  EXPECT_LE(result.percentiles.rounds.p50, result.percentiles.rounds.p90);
+  EXPECT_LE(result.percentiles.rounds.p90, result.percentiles.rounds.p99);
+  EXPECT_LE(result.percentiles.rounds.p99, result.percentiles.rounds.max);
+  const CampaignPercentiles& messages =
+      result.percentiles[EngineStat::total_messages];
+  EXPECT_LE(messages.p50, messages.max);
 }
 
 TEST(Campaign, OutputsAreBitIdenticalForAnyWorkerCount) {
@@ -234,7 +236,15 @@ TEST(Campaign, WritesCsvAndJson) {
   std::ostringstream csv;
   write_campaign_csv(csv, result);
   const std::string csv_text = csv.str();
-  EXPECT_NE(csv_text.find("scenario,n,a,b,algorithm"), std::string::npos);
+  // The header is pinned byte for byte: downstream scripts index columns.
+  EXPECT_EQ(csv_text.substr(0, csv_text.find('\n')),
+            "scenario,n,a,b,algorithm,seed,identities,network,drop,duplicate,"
+            "crash,late,nodes,edges,rounds,solved,valid,seconds,messages,"
+            "peak_round_messages,steps,kernel_steps,vtable_steps,"
+            "kernel_batched_steps,kernel_batch_calls,steps_per_sec,"
+            "arena_bytes,peak_live_nodes,peak_frontier_nodes,"
+            "dirty_spans_cleared,messages_dropped,messages_duplicated,"
+            "max_delivery_skew,output_hash,error");
   // Header plus one row per cell.
   EXPECT_EQ(static_cast<std::size_t>(
                 std::count(csv_text.begin(), csv_text.end(), '\n')),
@@ -254,18 +264,22 @@ TEST(Campaign, AggregatesFrontierTelemetry) {
   ASSERT_EQ(result.failed, 0);
   // Every solved cell had at least one live node, so the percentiles are
   // populated and ordered like the other blocks.
-  EXPECT_GT(result.peak_live_nodes.p50, 0.0);
-  EXPECT_LE(result.peak_live_nodes.p50, result.peak_live_nodes.p90);
-  EXPECT_LE(result.peak_live_nodes.p90, result.peak_live_nodes.p99);
-  EXPECT_LE(result.peak_live_nodes.p99, result.peak_live_nodes.max);
-  EXPECT_GT(result.peak_frontier_nodes.max, 0.0);
-  EXPECT_LE(result.dirty_spans_cleared.p50, result.dirty_spans_cleared.max);
+  const CampaignPercentiles& live =
+      result.percentiles[EngineStat::peak_live_nodes];
+  EXPECT_GT(live.p50, 0.0);
+  EXPECT_LE(live.p50, live.p90);
+  EXPECT_LE(live.p90, live.p99);
+  EXPECT_LE(live.p99, live.max);
+  EXPECT_GT(result.percentiles[EngineStat::peak_frontier_nodes].max, 0.0);
+  const CampaignPercentiles& dirty =
+      result.percentiles[EngineStat::dirty_spans_cleared];
+  EXPECT_LE(dirty.p50, dirty.max);
   // The max percentile is the max over the cells' counters.
   double expected_max = 0.0;
   for (const CellResult& cell : result.cells)
     expected_max = std::max(
         expected_max, static_cast<double>(cell.stats.peak_live_nodes));
-  EXPECT_DOUBLE_EQ(result.peak_live_nodes.max, expected_max);
+  EXPECT_DOUBLE_EQ(live.max, expected_max);
 }
 
 TEST(Campaign, JsonStaysParseableWithHostileKeysAndErrors) {

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "src/graph/csr.h"
 #include "src/graph/generators.h"
 #include "src/graph/graph.h"
@@ -317,6 +320,25 @@ TEST(Io, RejectsWrongEdgeCountHeaders) {
   EXPECT_THROW(from_edge_list_string("4 1\n"), std::runtime_error);
   // A negative count is a bad header, not a truncation.
   EXPECT_THROW(from_edge_list_string("4 -1\n"), std::runtime_error);
+}
+
+/// from_edge_list_string's error message, or "" when it loads.
+std::string edge_list_error(const std::string& text) {
+  try {
+    from_edge_list_string(text);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Io, RejectsNodeCountsPastNodeId) {
+  // 4294967298 wraps to 2 in a 32-bit NodeId; 2147483648 to a negative
+  // count. Both must fail at the header, naming the count and the limit.
+  EXPECT_EQ(edge_list_error("4294967298 1\n0 2147483648\n"),
+            "edge list: node count 4294967298 exceeds 2147483647");
+  EXPECT_EQ(edge_list_error("2147483648 0\n"),
+            "edge list: node count 2147483648 exceeds 2147483647");
 }
 
 TEST(Io, DotContainsNodesAndEdges) {

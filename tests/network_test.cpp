@@ -382,9 +382,9 @@ TEST(DelayedCampaign, VerdictsHoldAndNetworkSeparatesGridIdentity) {
   const CampaignResult result = run_campaign(cells, {});
   EXPECT_EQ(result.failed, 0);
   EXPECT_EQ(result.valid, static_cast<int>(cells.size()));
-  EXPECT_GT(result.messages_dropped.max, 0.0);
-  EXPECT_GT(result.messages_duplicated.max, 0.0);
-  EXPECT_GT(result.max_delivery_skew.max, 0.0);
+  EXPECT_GT(result.percentiles[EngineStat::messages_dropped].max, 0.0);
+  EXPECT_GT(result.percentiles[EngineStat::messages_duplicated].max, 0.0);
+  EXPECT_GT(result.percentiles[EngineStat::max_delivery_skew].max, 0.0);
 
   std::vector<CampaignCell> sync_cells = cells;
   for (CampaignCell& cell : sync_cells) cell.network = NetworkOptions{};

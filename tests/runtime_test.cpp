@@ -1,12 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <string>
+#include <utility>
 
 #include "src/graph/generators.h"
 #include "src/graph/params.h"
 #include "src/runtime/chain.h"
 #include "src/runtime/instance.h"
 #include "src/runtime/runner.h"
+#include "tests/test_support.h"
 
 namespace unilocal {
 namespace {
@@ -248,6 +252,63 @@ TEST(RunnerStats, StatsMergeFoldsLiveCounters) {
   EXPECT_EQ(a.peak_frontier_nodes, 9);
   EXPECT_EQ(a.final_live_nodes, 0);  // last merged stage wins
   EXPECT_EQ(a.dirty_spans_cleared, 12);
+
+  // Every row folds by its table rule, merged in both directions so max
+  // is seen taking either side. The rules are pinned here: a new row fails
+  // this test until its rule is listed.
+  const std::map<std::string, StatMerge> rules = {
+      {"total_messages", StatMerge::kSum},
+      {"peak_round_messages", StatMerge::kMax},
+      {"total_steps", StatMerge::kSum},
+      {"kernel_steps", StatMerge::kSum},
+      {"vtable_steps", StatMerge::kSum},
+      {"kernel_batched_steps", StatMerge::kSum},
+      {"kernel_batch_calls", StatMerge::kSum},
+      {"elapsed_seconds", StatMerge::kSum},
+      {"steps_per_second", StatMerge::kDerived},
+      {"arena_bytes", StatMerge::kMax},
+      {"threads", StatMerge::kMax},
+      {"peak_live_nodes", StatMerge::kMax},
+      {"final_live_nodes", StatMerge::kLast},
+      {"peak_frontier_nodes", StatMerge::kMax},
+      {"dirty_spans_cleared", StatMerge::kSum},
+      {"messages_dropped", StatMerge::kSum},
+      {"messages_duplicated", StatMerge::kSum},
+      {"max_delivery_skew", StatMerge::kMax},
+  };
+  const EngineStats small = testing_support::distinct_engine_stats(2);
+  const EngineStats large = testing_support::distinct_engine_stats(3);
+  for (const auto& [into, from] :
+       {std::pair{small, large}, std::pair{large, small}}) {
+    EngineStats merged = into;
+    merged.merge(from);
+    std::size_t rows = 0;
+    for_each_engine_stat([&](const EngineStatField& field, auto member) {
+      ++rows;
+      const auto rule = rules.find(field.name);
+      ASSERT_NE(rule, rules.end()) << field.name << " has no pinned rule";
+      EXPECT_EQ(field.merge, rule->second) << field.name;
+      const auto got = merged.*member;
+      switch (field.merge) {
+        case StatMerge::kSum:
+          EXPECT_EQ(got, into.*member + from.*member) << field.name;
+          break;
+        case StatMerge::kMax:
+          EXPECT_EQ(got, std::max(into.*member, from.*member)) << field.name;
+          break;
+        case StatMerge::kLast:
+          EXPECT_EQ(got, from.*member) << field.name;
+          break;
+        case StatMerge::kDerived:
+          EXPECT_DOUBLE_EQ(static_cast<double>(got),
+                           static_cast<double>(merged.total_steps) /
+                               merged.elapsed_seconds)
+              << field.name;
+          break;
+      }
+    });
+    EXPECT_EQ(rows, rules.size());
+  }
 }
 
 TEST(RunnerSynchronized, StaggeredWakeupsSameAnswer) {

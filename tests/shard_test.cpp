@@ -7,12 +7,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "src/runtime/run_log.h"
 #include "src/runtime/shard.h"
+#include "tests/test_support.h"
 
 namespace unilocal {
 namespace {
@@ -111,12 +114,16 @@ TEST(Shard, MergeIsBitIdenticalToSingleProcessOverTable1) {
       EXPECT_EQ(merged.solved, single.solved);
       EXPECT_EQ(merged.valid, single.valid);
       EXPECT_EQ(merged.failed, 0);
-      EXPECT_DOUBLE_EQ(merged.rounds.p50, single.rounds.p50);
-      EXPECT_DOUBLE_EQ(merged.rounds.max, single.rounds.max);
-      EXPECT_DOUBLE_EQ(merged.messages.p90, single.messages.p90);
-      EXPECT_DOUBLE_EQ(merged.peak_live_nodes.p99, single.peak_live_nodes.p99);
-      EXPECT_DOUBLE_EQ(merged.dirty_spans_cleared.max,
-                       single.dirty_spans_cleared.max);
+      const CampaignStatPercentiles& m = merged.percentiles;
+      const CampaignStatPercentiles& s = single.percentiles;
+      EXPECT_DOUBLE_EQ(m.rounds.p50, s.rounds.p50);
+      EXPECT_DOUBLE_EQ(m.rounds.max, s.rounds.max);
+      for (const EngineStat stat :
+           {EngineStat::total_messages, EngineStat::peak_live_nodes,
+            EngineStat::dirty_spans_cleared}) {
+        EXPECT_DOUBLE_EQ(m[stat].p90, s[stat].p90);
+        EXPECT_DOUBLE_EQ(m[stat].max, s[stat].max);
+      }
     }
   }
 }
@@ -173,6 +180,83 @@ TEST(Shard, RunShardRejectsACorruptedManifest) {
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("corrupt"), std::string::npos)
         << e.what();
+  }
+}
+
+TEST(Shard, ManifestRejectsIntegersThatWouldWrapIntoRange) {
+  // 40 + 2^32 wraps back to 40 in a 32-bit NodeId, and the grid fingerprint
+  // is taken after the cast, so a narrowing read would run n=40 and accept
+  // the manifest. Every such field must be rejected, naming the key.
+  const ShardPlan plan = plan_shards(tiny_grid(), 2, ShardPolicy::kRoundRobin);
+  const std::string text = plan.shards[0].to_json().dump();
+  struct Tamper {
+    std::string from, to, error;
+  };
+  for (const Tamper& t : std::vector<Tamper>{
+           {"\"n\":40,", "\"n\":4294967336,",
+            "json: \"n\" out of range: 4294967336"},
+           {"\"shard_index\":0,", "\"shard_index\":4294967296,",
+            "json: \"shard_index\" out of range: 4294967296"},
+           {"\"num_shards\":2,", "\"num_shards\":4294967298,",
+            "json: \"num_shards\" out of range: 4294967298"}}) {
+    std::string tampered = text;
+    const std::size_t at = tampered.find(t.from);
+    ASSERT_NE(at, std::string::npos) << t.from << " not in " << text;
+    tampered.replace(at, t.from.size(), t.to);
+    try {
+      ShardManifest::from_json(json::Value::parse(tampered));
+      ADD_FAILURE() << "accepted " << t.to;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(t.error), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(Shard, ResultStatsSurviveJsonRoundTripRowForRow) {
+  // The key set the shard `stats` block and the --stats-json `engine`
+  // object (one writer, engine_stats_to_json) carried before the field
+  // table; readers across versions depend on it.
+  const std::set<std::string> keys = {
+      "arena_bytes",         "peak_round_messages", "total_messages",
+      "total_steps",         "kernel_steps",        "vtable_steps",
+      "kernel_batched_steps", "kernel_batch_calls", "peak_live_nodes",
+      "final_live_nodes",    "peak_frontier_nodes", "dirty_spans_cleared",
+      "messages_dropped",    "messages_duplicated", "max_delivery_skew",
+      "elapsed_seconds",     "steps_per_second",    "threads"};
+  ShardResult result;
+  CellResult cell;
+  cell.cell = tiny_grid()[0];
+  cell.stats = testing_support::distinct_engine_stats(7);
+  result.cells.push_back(cell);
+  result.cell_indices.push_back(0);
+  const json::Value doc = json::Value::parse(result.to_json().dump());
+  const ShardResult back = ShardResult::from_json(doc);
+  const json::Value engine =
+      json::Value::parse(engine_stats_to_json(cell.stats).dump());
+  const EngineStats engine_back = engine_stats_from_json(engine);
+  for (const json::Value* block :
+       {&doc.at("cells").as_array().at(0).at("stats"), &engine}) {
+    std::set<std::string> found;
+    for (const auto& member : block->as_object()) found.insert(member.first);
+    EXPECT_EQ(found, keys);
+  }
+  ASSERT_EQ(back.cells.size(), 1u);
+  for_each_engine_stat([&](const EngineStatField& field, auto member) {
+    EXPECT_EQ(back.cells[0].stats.*member, cell.stats.*member) << field.name;
+    EXPECT_EQ(engine_back.*member, cell.stats.*member) << field.name;
+  });
+  // A stats block whose integer does not fit its member is rejected.
+  json::Value wide = engine;
+  for (auto& member : wide.as_object())
+    if (member.first == "threads")
+      member.second = json::Value::number(std::int64_t{1} << 33);
+  try {
+    engine_stats_from_json(wide);
+    ADD_FAILURE() << "accepted threads = 2^33";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "json: \"threads\" out of range: 8589934592");
   }
 }
 

@@ -3,14 +3,31 @@
 #pragma once
 
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "src/graph/generators.h"
 #include "src/problems/matching.h"
 #include "src/runtime/instance.h"
+#include "src/runtime/runner.h"
 
 namespace unilocal {
 namespace testing_support {
+
+/// An EngineStats whose k-th table row (1-based) holds base * k, plus 1/3
+/// on floating-point rows: every row distinct and non-zero, so a dropped,
+/// swapped or rounded field shows up in a round trip.
+inline EngineStats distinct_engine_stats(int base) {
+  EngineStats stats;
+  int row = 0;
+  for_each_engine_stat([&](const EngineStatField&, auto member) {
+    ++row;
+    using T = std::remove_reference_t<decltype(stats.*member)>;
+    stats.*member = static_cast<T>(base * row);
+    if constexpr (std::is_floating_point_v<T>) stats.*member += 1.0 / 3.0;
+  });
+  return stats;
+}
 
 struct NamedInstance {
   std::string name;
