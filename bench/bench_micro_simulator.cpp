@@ -419,15 +419,51 @@ void BM_EngineLongTail_GnpLubyWakeTail(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineLongTail_GnpLubyWakeTail)->Unit(benchmark::kMillisecond);
 
-// --- quiescent nodes (BENCH_engine.json quiescent_engine) ------------
+// --- quiescent nodes (BENCH_engine.json quiescent_engine, clock_jump) -
 //
-// color-reduce from the identity coloring of a 4096-node G(n, 8/n): 4096
-// rounds in which each node recolours at most once, so nearly every
-// logical step is an idle poll the engine can skip while the node sleeps.
-// "logical_steps" is EngineStats::total_steps (unchanged by sleeping);
-// "executed_steps" subtracts the engine.slept_steps counter. Arg = engine
-// threads.
+// Both benches run color-reduce from a proper coloring of a G(n, 8/n), so
+// nearly every logical step is an idle poll the engine can skip while the
+// node sleeps. "logical_steps" is EngineStats::total_steps (unchanged by
+// sleeping); "executed_steps" subtracts the engine.slept_steps counter;
+// "jumped_rounds" is engine.jumped_rounds, the rounds the simultaneous
+// clock skipped because every node was asleep. Arg = engine threads.
 
+void run_quiescent(benchmark::State& state, const Instance& instance,
+                   const Algorithm& algorithm) {
+  RunOptions options;
+  options.num_threads = static_cast<int>(state.range(0));
+  telemetry::MetricsRegistry metrics;
+  EngineWorkspace workspace;
+  std::int64_t logical = 0, messages = 0, global_rounds = 0;
+  {
+    telemetry::ScopedMetrics scope(&metrics);
+    for (auto _ : state) {
+      const RunResult result =
+          run_local(instance, algorithm, options, &workspace);
+      logical += result.stats.total_steps;
+      messages += result.messages_sent;
+      global_rounds += result.global_rounds;
+      benchmark::DoNotOptimize(result.outputs.data());
+    }
+  }
+  std::int64_t slept = 0, jumped = 0;
+  for (const auto& metric : metrics.snapshot()) {
+    if (metric.name == "engine.slept_steps") slept = metric.value;
+    if (metric.name == "engine.jumped_rounds") jumped = metric.value;
+  }
+  const auto per_iteration = [](std::int64_t total) {
+    return benchmark::Counter(static_cast<double>(total),
+                              benchmark::Counter::kAvgIterations);
+  };
+  state.counters["logical_steps"] = per_iteration(logical);
+  state.counters["executed_steps"] = per_iteration(logical - slept);
+  state.counters["messages"] = per_iteration(messages);
+  state.counters["global_rounds"] = per_iteration(global_rounds);
+  state.counters["jumped_rounds"] = per_iteration(jumped);
+}
+
+// From the identity coloring of a 4096-node graph: 4096 rounds in which
+// each node recolours at most once.
 void BM_EngineQuiescent_ColorReduceGnp4096(benchmark::State& state) {
   const NodeId n = 4096;
   Rng rng(12);
@@ -436,33 +472,32 @@ void BM_EngineQuiescent_ColorReduceGnp4096(benchmark::State& state) {
   for (NodeId v = 0; v < n; ++v)
     instance.inputs[static_cast<std::size_t>(v)] = {
         instance.identities[static_cast<std::size_t>(v)]};
-  const ColorReduce algorithm(n, /*target=*/0);
-  RunOptions options;
-  options.num_threads = static_cast<int>(state.range(0));
-  telemetry::MetricsRegistry metrics;
-  EngineWorkspace workspace;
-  std::int64_t logical = 0, messages = 0;
-  {
-    telemetry::ScopedMetrics scope(&metrics);
-    for (auto _ : state) {
-      const RunResult result =
-          run_local(instance, algorithm, options, &workspace);
-      logical += result.stats.total_steps;
-      messages += result.messages_sent;
-      benchmark::DoNotOptimize(result.outputs.data());
-    }
-  }
-  std::int64_t slept = 0;
-  for (const auto& metric : metrics.snapshot())
-    if (metric.name == "engine.slept_steps") slept = metric.value;
-  state.counters["logical_steps"] = benchmark::Counter(
-      static_cast<double>(logical), benchmark::Counter::kAvgIterations);
-  state.counters["executed_steps"] = benchmark::Counter(
-      static_cast<double>(logical - slept), benchmark::Counter::kAvgIterations);
-  state.counters["messages"] = benchmark::Counter(
-      static_cast<double>(messages), benchmark::Counter::kAvgIterations);
+  run_quiescent(state, instance, ColorReduce(n, /*target=*/0));
 }
 BENCHMARK(BM_EngineQuiescent_ColorReduceGnp4096)
+    ->Arg(1)
+    ->Arg(2)
+    ->Unit(benchmark::kMillisecond);
+
+// From the sparse coloring 1 + 64 * identity of a 512-node graph: only
+// one in 64 of the ~32.8k elimination rounds has a node carrying the
+// eliminated color. The rounds in between have every node asleep and send
+// nothing, so the clock jumps over them.
+void BM_EngineQuiescent_SparsePaletteJumps(benchmark::State& state) {
+  const NodeId n = 512;
+  constexpr std::int64_t kSpacing = 64;
+  Rng rng(13);
+  Instance instance = make_instance(gnp(n, 8.0 / n, rng),
+                                    IdentityScheme::kRandomPermuted, 7);
+  std::int64_t k = 1;
+  for (NodeId v = 0; v < n; ++v) {
+    const std::size_t vi = static_cast<std::size_t>(v);
+    instance.inputs[vi] = {1 + kSpacing * instance.identities[vi]};
+    k = std::max(k, instance.inputs[vi][0]);
+  }
+  run_quiescent(state, instance, ColorReduce(k, /*target=*/0));
+}
+BENCHMARK(BM_EngineQuiescent_SparsePaletteJumps)
     ->Arg(1)
     ->Arg(2)
     ->Unit(benchmark::kMillisecond);

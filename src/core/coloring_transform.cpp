@@ -29,9 +29,8 @@ class SlcAdapterProcess final : public Process {
     base_->step(sub);
     if (!sub.finished()) return;
     const std::int64_t base_color = std::max<std::int64_t>(sub.output(), 1);
-    Input input(ctx.input().begin(), ctx.input().end());
     std::int64_t best = -1;
-    for (std::int64_t packed : slc_list(input)) {
+    for (std::int64_t packed : slc_list(ctx.input())) {
       if (slc_color_base(packed) != base_color) continue;
       if (best < 0 || slc_color_index(packed) < slc_color_index(best))
         best = packed;
@@ -73,9 +72,8 @@ void slc_adapter_kernel_step(KernelCtx& ctx) {
   ctx.input = saved_input;
   if (!ctx.finished) return;
   const std::int64_t base_color = std::max<std::int64_t>(ctx.output, 1);
-  Input input(ctx.input.begin(), ctx.input.end());
   std::int64_t best = -1;
-  for (std::int64_t packed : slc_list(input)) {
+  for (std::int64_t packed : slc_list(ctx.input)) {
     if (slc_color_base(packed) != base_color) continue;
     if (best < 0 || slc_color_index(packed) < slc_color_index(best))
       best = packed;

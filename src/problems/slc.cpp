@@ -35,17 +35,16 @@ Input make_slc_input(std::int64_t delta_hat,
   return input;
 }
 
-std::int64_t slc_delta_hat(const Input& input) {
+std::int64_t slc_delta_hat(std::span<const std::int64_t> input) {
   assert(input.size() >= 2);
   return input[0];
 }
 
-std::vector<std::int64_t> slc_list(const Input& input) {
+std::span<const std::int64_t> slc_list(std::span<const std::int64_t> input) {
   assert(input.size() >= 2);
   const std::size_t len = static_cast<std::size_t>(input[1]);
   assert(input.size() >= 2 + len);
-  return std::vector<std::int64_t>(input.begin() + 2,
-                                   input.begin() + 2 + static_cast<std::ptrdiff_t>(len));
+  return input.subspan(2, len);
 }
 
 std::vector<std::int64_t> full_slc_list(std::int64_t num_base_colors,

@@ -10,6 +10,8 @@
 //   [Delta_hat, |L|, packed colors ...].
 #pragma once
 
+#include <span>
+
 #include "src/problems/problem.h"
 
 namespace unilocal {
@@ -22,9 +24,11 @@ std::int64_t slc_color_index(std::int64_t packed);  // j
 Input make_slc_input(std::int64_t delta_hat,
                      const std::vector<std::int64_t>& packed_list);
 
-std::int64_t slc_delta_hat(const Input& input);
-/// View of the packed list inside an input built by make_slc_input.
-std::vector<std::int64_t> slc_list(const Input& input);
+std::int64_t slc_delta_hat(std::span<const std::int64_t> input);
+/// View of the packed list inside an input built by make_slc_input; it
+/// borrows the input's storage, so a temporary input is refused.
+std::span<const std::int64_t> slc_list(std::span<const std::int64_t> input);
+std::span<const std::int64_t> slc_list(Input&& input) = delete;
 
 /// The full list [1, num_base_colors] x [1, delta_hat + 1] every node of a
 /// fresh layer receives (paper: L''_i).

@@ -28,13 +28,12 @@ PruneResult SlcPruning::apply(const Instance& instance,
     }
     if (!conflict) result.pruned[static_cast<std::size_t>(v)] = true;
   }
+  std::vector<std::int64_t> filtered;  // reused across survivors
   for (NodeId v = 0; v < n; ++v) {
     if (result.pruned[static_cast<std::size_t>(v)]) continue;
     const Input& input = instance.inputs[static_cast<std::size_t>(v)];
-    auto list = slc_list(input);
-    std::vector<std::int64_t> filtered;
-    filtered.reserve(list.size());
-    for (std::int64_t packed : list) {
+    filtered.clear();
+    for (std::int64_t packed : slc_list(input)) {
       bool taken = false;
       for (NodeId u : g.neighbors(v)) {
         if (result.pruned[static_cast<std::size_t>(u)] &&
@@ -67,9 +66,8 @@ class SlcPruneProcess final : public Process {
         ctx.broadcast({color});
         break;
       case 1: {
-        // Reconstruct the list from the input (skipping the appended yhat).
-        Input base(ctx.input().begin(), ctx.input().end() - 1);
-        const auto list = slc_list(base);
+        // The list, viewed past the appended yhat.
+        const auto list = slc_list(ctx.input().first(ctx.input().size() - 1));
         bool in_list =
             std::find(list.begin(), list.end(), color) != list.end();
         bool conflict = false;

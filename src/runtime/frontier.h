@@ -92,7 +92,9 @@ class WakeSchedule {
 /// pop_due drops every entry the caller's predicate no longer vouches for,
 /// so neither case needs a search of the heap. Nodes that wake and sleep
 /// again many times before their round pile up stale entries; prune()
-/// drops them in one pass when they outnumber the live ones.
+/// drops them in one pass when they outnumber the live ones. next_due()
+/// lets the engine jump the clock to the earliest timed wake when no node
+/// is awake.
 class SleeperQueue {
  public:
   void clear() { heap_.clear(); }
@@ -115,6 +117,20 @@ class SleeperQueue {
       heap_.pop_back();
       if (current(round, v)) wake(v);
     }
+  }
+
+  /// Round of the earliest entry current(round, v) accepts, or nullopt
+  /// when none is left. Stale entries above it are dropped; the current one
+  /// stays queued for pop_due.
+  template <typename Current>
+  std::optional<std::int64_t> next_due(Current&& current) {
+    while (!heap_.empty()) {
+      const auto [round, v] = heap_.front();
+      if (current(round, v)) return round;
+      std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
+      heap_.pop_back();
+    }
+    return std::nullopt;
   }
 
   /// Keeps one copy of each entry current(round, v) accepts and drops the

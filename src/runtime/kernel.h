@@ -40,9 +40,14 @@
 // turns an inner stage's request into absolute rounds and clamps it to
 // the stage boundary, the truncation wrapper clamps it to its budget, and
 // the slc-adapter passes the ctx through unchanged. The engine clamps to
-// max_rounds - 1 so the cut-off fires on the same round. The synchronizer
-// and delayed loops ignore the hint, which is always correct: it only
-// marks steps that would do nothing.
+// max_rounds - 1 so the cut-off fires on the same round. When a round
+// sends nothing and leaves every unfinished node asleep, the rounds up to
+// the earliest wake round would step no one, so the simultaneous loop
+// jumps its clock straight there; the skipped rounds' sleepers count as
+// slept steps, and one silent round already leaves the network's arena
+// as the skipped rounds would, so dirty_spans_cleared does not move. The
+// synchronizer and delayed loops ignore the hint, which is always
+// correct: it only marks steps that would do nothing.
 //
 // Selection: the engine runs Algorithm::kernel() whenever it is non-null
 // and the vtable path otherwise, so composed pipelines pick up kernels

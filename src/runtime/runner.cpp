@@ -55,14 +55,18 @@ struct StepDelta {
 /// gauges take the max under the registry's per-thread-cell merge, so the
 /// merged snapshot is identical for any worker-thread placement of runs.
 /// engine.slept_steps counts the steps of total_steps the simultaneous
-/// loop skipped because the node was asleep (see kernel.h's sleep contract).
+/// loop skipped because the node was asleep (see kernel.h's sleep contract),
+/// and engine.jumped_rounds the rounds its clock jumped over because no
+/// node was awake.
 void publish_engine_metrics(const EngineStats& stats, std::int64_t rounds,
-                            std::int64_t slept_steps) {
+                            std::int64_t slept_steps,
+                            std::int64_t jumped_rounds) {
   telemetry::MetricsRegistry* reg = telemetry::metrics();
   if (reg == nullptr) return;
   reg->add("engine.runs", 1);
   reg->observe("engine.rounds", rounds);
   reg->add("engine.slept_steps", slept_steps);
+  reg->add("engine.jumped_rounds", jumped_rounds);
   for_each_engine_stat([&](const EngineStatField& field, auto member) {
     if (field.metric == StatMetric::kNone) return;
     const std::string name = std::string("engine.") + field.report;
@@ -365,6 +369,10 @@ class ArenaEngine {
         });
       }
       readmit_woken();
+      const std::int64_t jumped =
+          ws_.live.empty() && live > 0 && round_messages == 0
+              ? jump_to_next_wake(round, live)
+              : 0;
       if (traced) {
         telemetry::TraceEvent event = make_round_event(trace_t0);
         event.arg("round", round);
@@ -372,6 +380,7 @@ class ArenaEngine {
         event.arg("asleep", round_asleep);
         event.arg("messages", round_messages);
         event.arg("steps", round_steps);
+        if (jumped > 0) event.arg("jumped", jumped);
         if (kernel_has_batch_) {
           event.arg("batched_steps", round_batched);
           event.arg("batch_calls", round_batch_calls);
@@ -383,6 +392,7 @@ class ArenaEngine {
         ++round;
         break;
       }
+      round += jumped;
     }
     net.end_run();
     dirty_cleared_ = net.dirty_cleared();
@@ -1041,6 +1051,15 @@ class ArenaEngine {
     }
   }
 
+  /// Accepts the sleeper-queue entries (r, v) that still stand: v is
+  /// asleep and its latest request is round r.
+  auto current_sleeper() const {
+    return [this](std::int64_t r, NodeId v) {
+      const std::size_t vi = static_cast<std::size_t>(v);
+      return ws_.asleep[vi] != 0 && wake_at_[vi] == r;
+    };
+  }
+
   /// Runs between rounds, while the send half still holds this round's
   /// mail. Parks the stepped nodes that asked to sleep, except those with
   /// mail sent this round (a sleeping receiver is caught by its sender,
@@ -1064,14 +1083,34 @@ class ArenaEngine {
     }
     for (const StepDelta& delta : deltas_)
       for (const NodeId u : delta.mailed) wake(u);
-    const auto current = [this](std::int64_t r, NodeId v) {
-      const std::size_t vi = static_cast<std::size_t>(v);
-      return ws_.asleep[vi] != 0 && wake_at_[vi] == r;
-    };
+    const auto current = current_sleeper();
     ws_.sleepers.pop_due(round + 1, current, [this](NodeId v) { wake(v); });
     if (ws_.sleepers.size() > 2 * static_cast<std::size_t>(asleep_) + 1024)
       ws_.sleepers.prune(current);
     return parked;
+  }
+
+  /// Runs after a round that sent nothing and left all `live` unfinished
+  /// nodes asleep. Every round until the earliest timed wake w would step
+  /// no one and send nothing, and one silent round already leaves both
+  /// network halves as those rounds would: the older half is reset at the
+  /// next begin_round under the strategy it was written with, whatever
+  /// round that is, and the bulk choice sees 0 messages either way. So the
+  /// clock skips them: their sleepers count as slept steps, the nodes due
+  /// at w wake, and the caller resumes at round w. Returns the number of
+  /// rounds skipped (w - round - 1).
+  std::int64_t jump_to_next_wake(std::int64_t round, NodeId live) {
+    const auto current = current_sleeper();
+    const std::optional<std::int64_t> due = ws_.sleepers.next_due(current);
+    if (!due) return 0;
+    const std::int64_t skipped = *due - round - 1;
+    assert(skipped > 0);  // settle_sleepers already woke round + 1
+    total_steps_ += static_cast<std::int64_t>(live) * skipped;
+    slept_steps_ += static_cast<std::int64_t>(live) * skipped;
+    jumped_rounds_ += skipped;
+    ws_.sleepers.pop_due(*due, current, [this](NodeId v) { wake(v); });
+    readmit_woken();
+    return skipped;
   }
 
   bool has_mail(NodeId v) const {
@@ -1228,7 +1267,8 @@ class ArenaEngine {
       event.arg("steps", stats.total_steps);
       trace_->recorder->record(std::move(event));
     }
-    publish_engine_metrics(stats, result.rounds_used, slept_steps_);
+    publish_engine_metrics(stats, result.rounds_used, slept_steps_,
+                           jumped_rounds_);
   }
 
   const Instance& instance_;
@@ -1251,11 +1291,13 @@ class ArenaEngine {
   bool sync_mode_ = false;
   bool delayed_mode_ = false;
   // Simultaneous kernel runs only: the sleep-hint latch (ws_.local_round's
-  // storage; null when hints are ignored), the sleeping-node count, and
-  // the steps skipped because their node was asleep.
+  // storage; null when hints are ignored), the sleeping-node count, the
+  // steps skipped because their node was asleep, and the rounds the clock
+  // jumped over because every node was.
   std::int64_t* wake_at_ = nullptr;
   NodeId asleep_ = 0;
   std::int64_t slept_steps_ = 0;
+  std::int64_t jumped_rounds_ = 0;
   // Ambient trace binding (null = untraced run) and per-run trace state.
   const telemetry::TraceBinding* trace_ = nullptr;
   std::int64_t trace_run_t0_ = 0;

@@ -152,5 +152,50 @@ TEST(SleeperQueue, PruneKeepsOneCopyOfCurrentEntries) {
   EXPECT_EQ(woken, (std::vector<NodeId>{2, 0}));
 }
 
+TEST(SleeperQueue, NextDuePeeksTheEarliestCurrentEntry) {
+  SleeperQueue queue;
+  queue.push(9, 1);
+  queue.push(5, 3);
+  queue.push(5, 0);
+  const auto always = [](std::int64_t, NodeId) { return true; };
+  EXPECT_EQ(queue.next_due(always), std::optional<std::int64_t>(5));
+  EXPECT_EQ(queue.size(), 3u);  // peeking pops nothing
+  std::vector<NodeId> woken;
+  queue.pop_due(5, always, [&](NodeId v) { woken.push_back(v); });
+  EXPECT_EQ(woken, (std::vector<NodeId>{0, 3}));
+  EXPECT_EQ(queue.next_due(always), std::optional<std::int64_t>(9));
+}
+
+TEST(SleeperQueue, NextDueDropsStaleEntriesAboveTheCurrentOne) {
+  // Node 2 woke early from its round-4 sleep and now sleeps until round 8;
+  // node 6's round-3 entry is stale too. Both stale entries sit above the
+  // first current one and are dropped; later entries stay untouched.
+  SleeperQueue queue;
+  std::vector<std::int64_t> wake_at{0, 0, 8, 0, 0, 0, 0, 12};
+  queue.push(4, 2);
+  queue.push(3, 6);
+  queue.push(8, 2);
+  queue.push(12, 7);
+  queue.push(10, 6);
+  const auto current = [&](std::int64_t r, NodeId v) {
+    return wake_at[static_cast<std::size_t>(v)] == r;
+  };
+  EXPECT_EQ(queue.next_due(current), std::optional<std::int64_t>(8));
+  EXPECT_EQ(queue.size(), 3u);  // (8, 2), (10, 6), (12, 7)
+  std::vector<NodeId> woken;
+  queue.pop_due(100, current, [&](NodeId v) { woken.push_back(v); });
+  EXPECT_EQ(woken, (std::vector<NodeId>{2, 7}));
+}
+
+TEST(SleeperQueue, NextDueIsEmptyWithoutCurrentEntries) {
+  SleeperQueue queue;
+  const auto never = [](std::int64_t, NodeId) { return false; };
+  EXPECT_EQ(queue.next_due(never), std::nullopt);
+  queue.push(2, 0);
+  queue.push(7, 1);
+  EXPECT_EQ(queue.next_due(never), std::nullopt);
+  EXPECT_TRUE(queue.empty());
+}
+
 }  // namespace
 }  // namespace unilocal

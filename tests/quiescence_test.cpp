@@ -5,11 +5,15 @@
 // run_local_reference and the Process path at 1, 2 and 8 threads, alone
 // and behind the chain and truncation composites that clamp hints. The
 // engine.steps / engine.slept_steps counters then pin how many steps ran:
-// exactly the ones the probe's own bookkeeping says were needed.
+// exactly the ones the probe's own bookkeeping says were needed. When no
+// node is awake the engine jumps its clock to the next timed wake; the
+// per-round span's `jumped` arg and engine.jumped_rounds show the skipped
+// rounds, which must change nothing either.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -35,14 +39,16 @@ namespace {
 // answers each one with hops > 0 on the same port, and moves the next
 // action round when the value is even; an action round draws
 // randomness, sends [acc, hops] to one port and picks the next action
-// round; round `finish_at` finishes with the accumulator. Between actions,
-// with no mail, a step does nothing, so the kernel sleeps until the next
-// action or the finish round.
+// round; round `finish_at` (plus a spread by identity) finishes with the
+// accumulator. Between actions, with no mail, a step does nothing, so the
+// kernel sleeps until the next action or the finish round.
 
 struct ProbeConfig {
-  std::int64_t period = 4;      // action rounds are spaced 1..period apart
-  std::int64_t finish_at = 40;  // plus identity % 3
-  std::int64_t hops = 1;        // replies per action message
+  std::int64_t period = 4;         // action rounds are spaced 1..period apart
+  std::int64_t first_act = 1;      // plus identity % period
+  std::int64_t finish_at = 40;     // plus identity % finish_spread
+  std::int64_t finish_spread = 3;
+  std::int64_t hops = 1;           // replies per action message
 };
 
 struct ProbeState {
@@ -54,8 +60,8 @@ struct ProbeState {
 void probe_init(ProbeState& st, std::int64_t identity,
                 const ProbeConfig& cfg) {
   st.acc = identity;
-  st.next_act = 1 + identity % cfg.period;
-  st.finish_round = cfg.finish_at + identity % 3;
+  st.next_act = cfg.first_act + identity % cfg.period;
+  st.finish_round = cfg.finish_at + identity % cfg.finish_spread;
 }
 
 std::int64_t fold(std::int64_t acc, std::int64_t value, NodeId port) {
@@ -250,6 +256,12 @@ void expect_same(const RunResult& want, const RunResult& got,
   EXPECT_EQ(want.stats.total_steps, got.stats.total_steps) << label;
 }
 
+/// What a run skipped: steps of sleeping nodes and rounds the clock jumped.
+struct Skipped {
+  std::int64_t slept = 0;
+  std::int64_t jumped = 0;
+};
+
 std::int64_t counter(const telemetry::MetricsRegistry& reg,
                      const std::string& name) {
   for (const auto& m : reg.snapshot())
@@ -258,16 +270,19 @@ std::int64_t counter(const telemetry::MetricsRegistry& reg,
 }
 
 /// The kernel (batched and scalar) and the Process path against the
-/// reference engine at 1, 2 and 8 threads. Returns the kernel runs' slept
-/// step count at one thread.
-std::int64_t check_against_reference(const Instance& instance,
-                                     const Algorithm& batched,
-                                     const Algorithm& scalar,
-                                     const RunOptions& base,
-                                     const std::string& label) {
+/// reference engine at 1, 2 and 8 threads. The Process path never sleeps
+/// or jumps, so it also pins the arena's dirty_spans_cleared. Returns what
+/// the kernel runs skipped, the same on every kernel path and thread count.
+Skipped check_against_reference(const Instance& instance,
+                                const Algorithm& batched,
+                                const Algorithm& scalar,
+                                const RunOptions& base,
+                                const std::string& label) {
   const RunResult want = run_local_reference(instance, batched, base);
   const VtableOnly vtable(batched);
-  std::int64_t slept = -1;
+  const std::int64_t dirty_cleared =
+      run_local(instance, vtable, base).stats.dirty_spans_cleared;
+  std::optional<Skipped> skipped;
   for (const int threads : {1, 2, 8}) {
     RunOptions options = base;
     options.num_threads = threads;
@@ -287,31 +302,91 @@ std::int64_t check_against_reference(const Instance& instance,
       }
       expect_same(want, got, tag);
       EXPECT_EQ(counter(reg, "engine.steps"), want.stats.total_steps) << tag;
-      const std::int64_t path_slept = counter(reg, "engine.slept_steps");
+      EXPECT_EQ(got.stats.dirty_spans_cleared, dirty_cleared) << tag;
+      const Skipped path_skipped{counter(reg, "engine.slept_steps"),
+                                 counter(reg, "engine.jumped_rounds")};
       if (path == &vtable) {
-        EXPECT_EQ(path_slept, 0) << tag;  // Processes give no hints
-      } else if (slept < 0) {
-        slept = path_slept;
+        // Processes give no hints.
+        EXPECT_EQ(path_skipped.slept, 0) << tag;
+        EXPECT_EQ(path_skipped.jumped, 0) << tag;
+      } else if (!skipped) {
+        skipped = path_skipped;
       } else {
-        EXPECT_EQ(path_slept, slept) << tag;  // same sleeps on every path
+        // Same sleeps and jumps on every path.
+        EXPECT_EQ(path_skipped.slept, skipped->slept) << tag;
+        EXPECT_EQ(path_skipped.jumped, skipped->jumped) << tag;
       }
     }
   }
-  return slept;
+  return *skipped;
 }
 
 /// Runs the probe through check_against_reference and then checks the
 /// executed step count is exactly what the probe's bookkeeping needs.
-void check_probe(const Instance& instance, const ProbeConfig& cfg,
-                 const RunOptions& options, const std::string& label) {
+/// Returns what the engine skipped.
+Skipped check_probe(const Instance& instance, const ProbeConfig& cfg,
+                    const RunOptions& options, const std::string& label) {
   std::int64_t needed = 0;
   const Probe counting(cfg, true, options.max_rounds, &needed);
   const RunResult want = run_local_reference(instance, counting, options);
   const Probe batched(cfg, true);
   const Probe scalar(cfg, false);
-  const std::int64_t slept =
+  const Skipped skipped =
       check_against_reference(instance, batched, scalar, options, label);
-  EXPECT_EQ(want.stats.total_steps - slept, needed) << label;
+  EXPECT_EQ(want.stats.total_steps - skipped.slept, needed) << label;
+  return skipped;
+}
+
+/// The per-round spans of one traced run of `algorithm`.
+struct RoundSpan {
+  std::int64_t round = 0;
+  std::int64_t frontier = 0;
+  std::int64_t messages = 0;
+  std::int64_t jumped = 0;
+};
+
+std::vector<RoundSpan> traced_rounds(const Instance& instance,
+                                     const Algorithm& algorithm,
+                                     const RunOptions& options) {
+  telemetry::TraceRecorder recorder;
+  telemetry::TraceBinding binding;
+  binding.recorder = &recorder;
+  binding.trace_rounds = options.max_rounds;
+  {
+    telemetry::ScopedTraceBinding scope(binding);
+    run_local(instance, algorithm, options);
+  }
+  std::vector<RoundSpan> spans;
+  for (const auto& event : recorder.events()) {
+    if (event.name != "round") continue;
+    RoundSpan span;
+    span.round = event.args.find("round")->as_i64();
+    span.frontier = event.args.find("frontier")->as_i64();
+    span.messages = event.args.find("messages")->as_i64();
+    if (const json::Value* jumped = event.args.find("jumped"))
+      span.jumped = jumped->as_i64();
+    spans.push_back(span);
+  }
+  return spans;
+}
+
+/// Every round is either stepped (one span) or jumped over (counted in the
+/// span of the round before the jump), and a jump resumes at the round
+/// after the skipped ones. Returns the rounds jumped over.
+std::int64_t check_round_spans(const std::vector<RoundSpan>& spans,
+                               std::int64_t global_rounds,
+                               const std::string& label) {
+  std::int64_t jumped = 0;
+  for (std::size_t i = 0; i < spans.size(); ++i) {
+    const RoundSpan& span = spans[i];
+    if (span.jumped > 0) EXPECT_EQ(span.messages, 0) << label;
+    if (i + 1 < spans.size())
+      EXPECT_EQ(spans[i + 1].round, span.round + 1 + span.jumped) << label;
+    jumped += span.jumped;
+  }
+  EXPECT_EQ(static_cast<std::int64_t>(spans.size()) + jumped, global_rounds)
+      << label;
+  return jumped;
 }
 
 Instance gnp_instance(NodeId n, double p, std::uint64_t seed) {
@@ -390,31 +465,106 @@ TEST(Quiescence, SleepersReachTheCutoff) {
 
 TEST(Quiescence, RoundsWithEveryNodeAsleep) {
   // Without replies and with actions far apart, whole rounds pass with no
-  // node awake; the per-round trace span shows them (frontier 0, asleep =
-  // every unfinished node) and the run still matches the reference.
+  // node awake. The clock jumps over them: the spans' `jumped` args add up
+  // to engine.jumped_rounds, and the run still matches the reference.
   ProbeConfig cfg;
   cfg.period = 12;
   cfg.hops = 0;
   const Instance instance = gnp_instance(6, 0.3, 8);
-  check_probe(instance, cfg, RunOptions{}, "all-asleep");
+  const Skipped skipped =
+      check_probe(instance, cfg, RunOptions{}, "all-asleep");
+  const RunResult got = run_local(instance, Probe(cfg, true));
+  const std::int64_t jumped = check_round_spans(
+      traced_rounds(instance, Probe(cfg, true), RunOptions{}),
+      got.global_rounds, "all-asleep");
+  EXPECT_GT(jumped, 0);
+  EXPECT_EQ(jumped, skipped.jumped);
+}
 
-  telemetry::TraceRecorder recorder;
-  telemetry::TraceBinding binding;
-  binding.recorder = &recorder;
-  {
-    telemetry::ScopedTraceBinding scope(binding);
-    run_local(instance, Probe(cfg, true), RunOptions{});
+TEST(Quiescence, EveryNodeSleepsToTheCutoffRound) {
+  // Every action and finish round lies past max_rounds, so in round 0 all
+  // nodes ask to sleep to a round the engine clamps to max_rounds - 1. The
+  // clock jumps straight there (max_rounds = 2 leaves nothing to jump),
+  // the cut-off fires on that round, and the finish rounds are the
+  // reference's.
+  ProbeConfig cfg;
+  cfg.first_act = 1000;
+  cfg.finish_at = 2000;
+  const Instance instance = gnp_instance(30, 0.1, 3);
+  for (const std::int64_t max_rounds : {2, 3, 50}) {
+    RunOptions options;
+    options.max_rounds = max_rounds;
+    options.default_output = -1;
+    const std::string label = "max_rounds=" + std::to_string(max_rounds);
+    const Skipped skipped = check_probe(instance, cfg, options, label);
+    EXPECT_EQ(skipped.jumped, max_rounds - 2) << label;
+    const RunResult got = run_local(instance, Probe(cfg, true), options);
+    EXPECT_FALSE(got.all_finished) << label;
+    EXPECT_EQ(got.global_rounds, max_rounds) << label;
+    EXPECT_EQ(got.finish_rounds, std::vector<std::int64_t>(30, max_rounds))
+        << label;
+    check_round_spans(traced_rounds(instance, Probe(cfg, true), options),
+                      got.global_rounds, label);
   }
-  std::int64_t all_asleep_rounds = 0;
-  for (const auto& event : recorder.events()) {
-    if (event.name != "round") continue;
-    const json::Value* frontier = event.args.find("frontier");
-    const json::Value* asleep = event.args.find("asleep");
-    ASSERT_NE(frontier, nullptr);
-    ASSERT_NE(asleep, nullptr);
-    if (frontier->as_i64() == 0 && asleep->as_i64() > 0) ++all_asleep_rounds;
+}
+
+TEST(Quiescence, MailInTheRoundBeforeAJump) {
+  // Identities 13 apart: node v first acts in round 1 + 13v, without
+  // replies, and finishes in round 20 + 13v, so rounds with mail are
+  // islands between all-asleep stretches. Two kinds of stretch must
+  // follow mail: one after a round whose mail woke a receiver, which read
+  // it, sent nothing and slept (the jump follows that round at once), and
+  // one after a round whose mail went to a finished node, so no one woke
+  // (the jump waits one silent round). Both leave dirty arena slots
+  // behind, which must be cleared as often as without the jump.
+  ProbeConfig cfg;
+  cfg.period = 200;
+  cfg.hops = 0;
+  cfg.finish_at = 20;
+  cfg.finish_spread = 400;
+  bool woke_then_jumped = false;
+  bool silent_then_jumped = false;
+  for (const std::uint64_t seed : {1, 2, 3, 4, 5, 6}) {
+    Instance instance = gnp_instance(10, 0.4, seed);
+    for (NodeId v = 0; v < instance.num_nodes(); ++v)
+      instance.identities[static_cast<std::size_t>(v)] = 13 * v;
+    RunOptions options;
+    options.seed = seed;
+    const std::string label = "seed=" + std::to_string(seed);
+    check_probe(instance, cfg, options, label);
+    const RunResult got = run_local(instance, Probe(cfg, true), options);
+    const std::vector<RoundSpan> spans =
+        traced_rounds(instance, Probe(cfg, true), options);
+    check_round_spans(spans, got.global_rounds, label);
+    for (std::size_t i = 1; i < spans.size(); ++i) {
+      if (spans[i - 1].messages == 0 || spans[i].jumped == 0) continue;
+      if (spans[i].frontier > 0) woke_then_jumped = true;
+      if (spans[i].frontier == 0) silent_then_jumped = true;
+    }
   }
-  EXPECT_GT(all_asleep_rounds, 0);
+  EXPECT_TRUE(woke_then_jumped);
+  EXPECT_TRUE(silent_then_jumped);
+}
+
+TEST(Quiescence, JumpsWithTwoThreads) {
+  // The jump runs between rounds, outside the pool: a two-thread run jumps
+  // over the same rounds as a one-thread run and matches the reference.
+  ProbeConfig cfg;
+  cfg.period = 2000;
+  cfg.hops = 1;
+  cfg.finish_at = 100;
+  cfg.finish_spread = 400;
+  const Instance instance = gnp_instance(300, 0.01, 41);
+  RunOptions options;
+  options.seed = 5;
+  const Skipped skipped = check_probe(instance, cfg, options, "threads");
+  EXPECT_GT(skipped.jumped, 0);
+  options.num_threads = 2;
+  const RunResult got = run_local(instance, Probe(cfg, true), options);
+  EXPECT_EQ(check_round_spans(traced_rounds(instance, Probe(cfg, true),
+                                            options),
+                              got.global_rounds, "threads=2"),
+            skipped.jumped);
 }
 
 TEST(Quiescence, CompositesClampInnerHints) {
@@ -446,10 +596,12 @@ TEST(Quiescence, CompositesClampInnerHints) {
   RunOptions options;
   options.seed = 17;
   EXPECT_GT(check_against_reference(instance, chain_batched, chain_scalar,
-                                    options, "chain"),
+                                    options, "chain")
+                .slept,
             0);
   EXPECT_GT(check_against_reference(instance, *trunc_batched, *trunc_scalar,
-                                    options, "truncated"),
+                                    options, "truncated")
+                .slept,
             0);
 }
 
