@@ -76,8 +76,17 @@
 //   shards are rejected naming all offenders) and prints the merged
 //   campaign exactly like sweep does.
 //
+//   unilocal_cli ledger
+//
+//   Prints the paper ledger (src/runtime/paper_ledger.h): Table 1's
+//   uniform rounds against the correct-guess baselines at n = 64 and 256,
+//   byte for byte the checked-in BENCH_paper.json. Exit status 0 iff every
+//   run and baseline passed its checker.
+//
 // Every verb rejects a flag it does not know with one line naming it
-// ("table1: unknown flag: --bogus") and exit status 2.
+// ("table1: unknown flag: --bogus") and exit status 2, and likewise a
+// numeric flag value that is not a number or out of range
+// ("table1: --n: expected a number in [0, 2147483647], got '-1'").
 //
 // Prints one line per node: "<identity> <output>" (plus a summary on
 // stderr). Every algorithm here is the uniform product of the paper's
@@ -85,12 +94,14 @@
 // them; that is the point of the paper.
 #include <unistd.h>
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -111,6 +122,7 @@
 #include "src/prune/matching_prune.h"
 #include "src/prune/ruling_set_prune.h"
 #include "src/runtime/campaign.h"
+#include "src/runtime/paper_ledger.h"
 #include "src/runtime/run_log.h"
 #include "src/runtime/shard.h"
 #include "src/runtime/supervisor.h"
@@ -152,7 +164,8 @@ int usage() {
                "[--workers=W] [--trace=FILE] [--metrics=FILE] "
                "[--trace-rounds=N]\n"
                "       unilocal_cli shard merge PLAN RESULT... "
-               "[--format=csv|json] [--canonical] [--log=FILE]\n");
+               "[--format=csv|json] [--canonical] [--log=FILE]\n"
+               "       unilocal_cli ledger\n");
   return 2;
 }
 
@@ -164,6 +177,35 @@ int reject_argument(const char* verb, const std::string& arg) {
                arg.rfind("--", 0) == 0 ? "unknown flag" : "unexpected argument",
                arg.c_str());
   return 2;
+}
+
+/// A malformed flag value; main() reports it with the usage exit status.
+struct FlagError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
+constexpr unsigned kMaxWorkers = 1024;
+constexpr int kMaxShards = 1024;
+
+/// The value of `arg` ("--flag=value") as a T in [lo, hi]. Anything else —
+/// not a number, trailing characters, out of T's range or of [lo, hi] —
+/// throws FlagError naming the flag and the bad value.
+template <typename T>
+T flag_number(const std::string& arg, T lo,
+              T hi = std::numeric_limits<T>::max()) {
+  const std::size_t eq = arg.find('=');
+  const std::string text = arg.substr(eq + 1);
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  if (text.empty() || error != std::errc() || stop != end ||
+      !(value >= lo && value <= hi)) {
+    std::ostringstream message;
+    message << arg.substr(0, eq) << ": expected a number in [" << lo << ", "
+            << hi << "], got '" << text << "'";
+    throw FlagError(message.str());
+  }
+  return value;
 }
 
 /// argv[0], for the sharded driver to re-invoke itself; /proc/self/exe
@@ -303,15 +345,9 @@ struct SupervisorFlags {
   bool consume(const std::string& arg) {
     const auto value = [&arg] { return arg.substr(arg.find('=') + 1); };
     if (arg.rfind("--max-attempts=", 0) == 0) {
-      max_attempts = std::stoi(value());
-      if (max_attempts < 1)
-        throw std::runtime_error("--max-attempts: must be >= 1, got " +
-                                 value());
+      max_attempts = flag_number(arg, 1);
     } else if (arg.rfind("--shard-timeout=", 0) == 0) {
-      base_timeout_seconds = std::stod(value());
-      if (!(base_timeout_seconds > 0.0))
-        throw std::runtime_error("--shard-timeout: must be > 0, got " +
-                                 value());
+      base_timeout_seconds = flag_number(arg, 0.001, 1e6);
     } else if (arg == "--allow-partial") {
       allow_partial = true;
     } else if (arg == "--no-speculate") {
@@ -323,7 +359,7 @@ struct SupervisorFlags {
       chaos = parse_chaos_spec(value());
       chaos.seed = seed;
     } else if (arg.rfind("--inject-seed=", 0) == 0) {
-      chaos.seed = std::stoull(value());
+      chaos.seed = flag_number<std::uint64_t>(arg, 0);
     } else {
       return false;
     }
@@ -362,10 +398,7 @@ struct TelemetryFlags {
       if (metrics_path.empty())
         throw std::runtime_error("--metrics: expected a file path");
     } else if (arg.rfind("--trace-rounds=", 0) == 0) {
-      trace_rounds = std::stoll(value());
-      if (trace_rounds < 0)
-        throw std::runtime_error("--trace-rounds: must be >= 0, got " +
-                                 value());
+      trace_rounds = flag_number<std::int64_t>(arg, 0);
     } else {
       return false;
     }
@@ -708,7 +741,7 @@ int run_shard_plan(int argc, char** argv) {
     } else if (arg.rfind("--dir=", 0) == 0) {
       dir = value();
     } else if (arg.rfind("--shards=", 0) == 0) {
-      shards = std::stoi(value());
+      shards = flag_number(arg, 1, kMaxShards);
     } else if (arg.rfind("--policy=", 0) == 0) {
       policy = parse_shard_policy(value());
     } else if (arg.rfind("--scenarios=", 0) == 0) {
@@ -717,14 +750,14 @@ int run_shard_plan(int argc, char** argv) {
                arg.rfind("--algos=", 0) == 0) {
       algorithm_patterns = split_csv(value());
     } else if (arg.rfind("--n=", 0) == 0) {
-      params.n = static_cast<NodeId>(std::stol(value()));
+      params.n = flag_number<NodeId>(arg, 0);
       n_given = true;
     } else if (arg.rfind("--a=", 0) == 0) {
-      params.a = std::stod(value());
+      params.a = flag_number(arg, 0.0, 1e6);
     } else if (arg.rfind("--b=", 0) == 0) {
-      params.b = std::stod(value());
+      params.b = flag_number(arg, 0.0, 1e6);
     } else if (arg.rfind("--seeds=", 0) == 0) {
-      seeds = std::stoi(value());
+      seeds = flag_number(arg, 1);
       seeds_given = true;
     } else {
       return reject_argument("shard plan", arg);
@@ -793,15 +826,15 @@ int run_shard_run(int argc, char** argv) {
     } else if (arg.rfind("--out=", 0) == 0) {
       out_path = value();
     } else if (arg.rfind("--workers=", 0) == 0) {
-      workers = static_cast<unsigned>(std::stoi(value()));
+      workers = flag_number(arg, 1u, kMaxWorkers);
     } else if (arg.rfind("--inject=", 0) == 0) {
       const std::uint64_t seed = chaos.seed;
       chaos = parse_chaos_spec(value());
       chaos.seed = seed;
     } else if (arg.rfind("--inject-seed=", 0) == 0) {
-      chaos.seed = std::stoull(value());
+      chaos.seed = flag_number<std::uint64_t>(arg, 0);
     } else if (arg.rfind("--attempt=", 0) == 0) {
-      attempt = std::stoi(value());
+      attempt = flag_number(arg, 1);
     } else if (arg.rfind("--", 0) != 0 && manifest_path.empty()) {
       manifest_path = arg;
     } else {
@@ -969,18 +1002,18 @@ int run_sweep(int argc, char** argv) {
                arg.rfind("--algos=", 0) == 0) {
       algorithm_patterns = split_csv(value());
     } else if (arg.rfind("--n=", 0) == 0) {
-      params.n = static_cast<NodeId>(std::stol(value()));
+      params.n = flag_number<NodeId>(arg, 0);
     } else if (arg.rfind("--a=", 0) == 0) {
-      params.a = std::stod(value());
+      params.a = flag_number(arg, 0.0, 1e6);
     } else if (arg.rfind("--b=", 0) == 0) {
-      params.b = std::stod(value());
+      params.b = flag_number(arg, 0.0, 1e6);
     } else if (arg.rfind("--seeds=", 0) == 0) {
-      seeds = std::stoi(value());
+      seeds = flag_number(arg, 1);
     } else if (arg.rfind("--workers=", 0) == 0) {
-      workers = static_cast<unsigned>(std::stoi(value()));
+      workers = flag_number(arg, 1u, kMaxWorkers);
       workers_given = true;
     } else if (arg.rfind("--shards=", 0) == 0) {
-      shards = std::stoi(value());
+      shards = flag_number(arg, 0, kMaxShards);
     } else if (arg.rfind("--policy=", 0) == 0) {
       policy = parse_shard_policy(value());
     } else if (arg == "--canonical") {
@@ -1058,16 +1091,16 @@ int run_table1(int argc, char** argv) {
     } else if (arg == "--smoke") {
       smoke = true;
     } else if (arg.rfind("--n=", 0) == 0) {
-      params.n = static_cast<NodeId>(std::stol(value()));
+      params.n = flag_number<NodeId>(arg, 0);
       n_given = true;
     } else if (arg.rfind("--seeds=", 0) == 0) {
-      seeds = std::stoi(value());
+      seeds = flag_number(arg, 1);
       seeds_given = true;
     } else if (arg.rfind("--workers=", 0) == 0) {
-      workers = static_cast<unsigned>(std::stoi(value()));
+      workers = flag_number(arg, 1u, kMaxWorkers);
       workers_given = true;
     } else if (arg.rfind("--shards=", 0) == 0) {
-      shards = std::stoi(value());
+      shards = flag_number(arg, 0, kMaxShards);
     } else if (arg.rfind("--policy=", 0) == 0) {
       policy = parse_shard_policy(value());
     } else if (arg == "--canonical") {
@@ -1119,6 +1152,18 @@ int run_table1(int argc, char** argv) {
   return report_campaign("table1", result, json_output, canonical, log_path);
 }
 
+int run_ledger(int argc, char** argv) {
+  if (argc > 2) return reject_argument("ledger", argv[2]);
+  const std::vector<PaperLedgerRow> rows = compute_paper_ledger();
+  std::cout << paper_ledger_json(rows);
+  int invalid = 0;
+  for (const PaperLedgerRow& row : rows)
+    if (!row.valid || (row.has_baseline && !row.baseline_valid)) ++invalid;
+  std::fprintf(stderr, "ledger: %zu rows, %d not checker-valid\n",
+               rows.size(), invalid);
+  return invalid == 0 ? 0 : 1;
+}
+
 void emit_stats(const EngineStats& stats, const char* what) {
   std::ostringstream line;
   line << what << " engine:";
@@ -1146,27 +1191,20 @@ void emit(const Instance& instance, const std::vector<std::int64_t>& outputs,
 
 int main(int argc, char** argv) {
   if (argc >= 1 && argv[0] != nullptr) g_self_path = argv[0];
-  if (argc >= 2 && std::strcmp(argv[1], "shard") == 0) {
+  const std::pair<const char*, int (*)(int, char**)> verbs[] = {
+      {"shard", run_shard_command},
+      {"sweep", run_sweep},
+      {"table1", run_table1},
+      {"ledger", run_ledger}};
+  for (const auto& [verb, run] : verbs) {
+    if (argc < 2 || std::strcmp(argv[1], verb) != 0) continue;
     try {
-      return run_shard_command(argc, argv);
+      return run(argc, argv);
+    } catch (const FlagError& e) {
+      std::fprintf(stderr, "%s: %s\n", verb, e.what());
+      return 2;
     } catch (const std::exception& e) {
-      std::fprintf(stderr, "shard: %s\n", e.what());
-      return 1;
-    }
-  }
-  if (argc >= 2 && std::strcmp(argv[1], "sweep") == 0) {
-    try {
-      return run_sweep(argc, argv);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "sweep: %s\n", e.what());
-      return 1;
-    }
-  }
-  if (argc >= 2 && std::strcmp(argv[1], "table1") == 0) {
-    try {
-      return run_table1(argc, argv);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "table1: %s\n", e.what());
+      std::fprintf(stderr, "%s: %s\n", verb, e.what());
       return 1;
     }
   }

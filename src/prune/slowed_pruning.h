@@ -3,8 +3,8 @@
 // constant running_time(); this decorator inflates the accounted time (and
 // pads the LOCAL realization with idle rounds) without changing the pruning
 // decision, so the predicted overhead — extra_rounds per sub-iteration,
-// i.e. h(S*) times the (logarithmic) number of sub-iterations — can be
-// measured directly (bench_ablation_pruning).
+// i.e. h(S*) times the (logarithmic) number of sub-iterations — is checked
+// directly (PropertySweep.SlowedPruningStillCorrectAndAccounted).
 #pragma once
 
 #include <memory>

@@ -162,7 +162,7 @@ RunOptions local_options(const AlgorithmRunContext& context) {
 
 CellOutcome from_uniform(UniformRunResult result) {
   return {std::move(result.outputs), result.total_rounds, result.solved,
-          result.engine_stats};
+          result.engine_stats, result.iterations_used};
 }
 
 CellOutcome from_local(RunResult result) {
@@ -180,6 +180,35 @@ CellOutcome run_correct_guess_baseline(const NonUniformAlgorithm& wrapped,
   return from_local(
       run_local(instance, *algorithm, local_options(context),
                 context.workspace));
+}
+
+using BaselineHook = std::function<BaselineOutcome(
+    const Instance&, const AlgorithmRunContext&)>;
+
+/// The baseline hook of an entry that transforms `original`.
+BaselineHook correct_guess_baseline(
+    std::shared_ptr<const NonUniformAlgorithm> original) {
+  return [original](const Instance& instance,
+                    const AlgorithmRunContext& context) {
+    return BaselineOutcome{
+        run_correct_guess_baseline(*original, instance, context),
+        bound_at_correct_params(*original, instance)};
+  };
+}
+
+/// Theorem 5's original: the lambda(Delta+1) black box told (Delta*, m*).
+BaselineHook gdelta_baseline(std::int64_t lambda) {
+  return [lambda](const Instance& instance,
+                  const AlgorithmRunContext& context) {
+    const auto black_box = make_lambda_gdelta_coloring(lambda);
+    const std::int64_t delta = eval_param(Param::kMaxDegree, instance);
+    const std::int64_t m = eval_param(Param::kMaxIdentity, instance);
+    const auto algorithm = black_box->instantiate(delta, m);
+    return BaselineOutcome{
+        from_local(run_local(instance, *algorithm, local_options(context),
+                             context.workspace)),
+        black_box->bound(delta, m)};
+  };
 }
 
 /// Theorem 3 wrapper that leaves Lambda = {n}: eliminates the arboricity
@@ -265,7 +294,8 @@ AlgorithmRegistry make_default_registry() {
          const RulingSetPruning pruning(1);
          return from_uniform(run_uniform_transformer(
              instance, *algorithm, pruning, uniform_options(context)));
-       }});
+       },
+       correct_guess_baseline(make_coloring_mis())});
   table.add(
       {"mis-global-uniform", "mis",
        "Theorem 1 over greedy-by-identity MIS as A_n (Table 1 row 2)",
@@ -276,7 +306,8 @@ AlgorithmRegistry make_default_registry() {
          const RulingSetPruning pruning(1);
          return from_uniform(run_uniform_transformer(
              instance, *algorithm, pruning, uniform_options(context)));
-       }});
+       },
+       correct_guess_baseline(make_global_mis())});
   table.add(
       {"arb-mis", "mis",
        "Theorems 3+1: arboricity MIS with a and m dominated away "
@@ -288,7 +319,8 @@ AlgorithmRegistry make_default_registry() {
          const RulingSetPruning pruning(1);
          return from_uniform(run_uniform_transformer(
              instance, *algorithm, pruning, uniform_options(context)));
-       }});
+       },
+       correct_guess_baseline(make_arb_mis())});
   table.add(
       {"mis-fastest", "mis",
        "Theorem 4 combinator of greedy-as-A_n and the coloring MIS",
@@ -335,7 +367,8 @@ AlgorithmRegistry make_default_registry() {
          const RulingSetPruning pruning(1);
          return from_uniform(run_las_vegas_transformer(
              instance, *algorithm, pruning, uniform_options(context)));
-       }});
+       },
+       correct_guess_baseline(make_truncated_luby_mis())});
   table.add(
       {"luby-mis", "mis",
        "plain Las Vegas Luby baseline (Table 1 last row)",
@@ -366,14 +399,14 @@ AlgorithmRegistry make_default_registry() {
        "box, lambda=1 (Corollary 1(iii))",
        {{"lambda", 1.0}},
        {"gnp", "bounded-degree", "power-law"},
-       theorem5(1)});
+       theorem5(1), gdelta_baseline(1)});
   table.add(
       {"coloring-theorem5-lambda4", "coloring",
        "Theorem 5 transform with palette slack lambda=4 (shorter "
        "reduction tail, 4x colors)",
        {{"lambda", 4.0}},
        {"bounded-degree", "gnp"},
-       theorem5(4)});
+       theorem5(4), gdelta_baseline(4)});
   table.add(
       {"arb-coloring", "coloring",
        "H-partition -> out-Linial O(a^2)-coloring with correct guesses "
@@ -480,7 +513,8 @@ AlgorithmRegistry make_default_registry() {
          const MatchingPruning pruning;
          return from_uniform(run_uniform_transformer(
              instance, *algorithm, pruning, uniform_options(context)));
-       }});
+       },
+       correct_guess_baseline(make_colored_matching())});
 
   // --- ruling sets ---------------------------------------------------------
   const auto ruling_set = [&table](int beta,
@@ -499,7 +533,8 @@ AlgorithmRegistry make_default_registry() {
            const RulingSetPruning pruning(beta);
            return from_uniform(run_las_vegas_transformer(
                instance, *algorithm, pruning, uniform_options(context)));
-         }});
+         },
+         correct_guess_baseline(make_mc_ruling_set(beta))});
   };
   ruling_set(2, {"gnp", "power-law"});
   ruling_set(3, {"gnp", "geometric"});

@@ -35,6 +35,16 @@ struct CellOutcome {
   std::int64_t rounds = 0;
   bool solved = false;
   EngineStats stats;
+  /// Guess-doubling iterations (UniformRunResult::iterations_used); 0 for
+  /// pipelines that do not double guesses.
+  int iterations = 0;
+};
+
+/// An entry's non-uniform original run once with the correct guesses — the
+/// paper's reference configuration — and its bound f* there.
+struct BaselineOutcome {
+  CellOutcome outcome;
+  double f_star = 0.0;
 };
 
 /// Everything a factory run needs beyond the instance.
@@ -65,6 +75,12 @@ struct AlgorithmSpec {
   /// stated over — what `unilocal_cli table1` pairs it with.
   std::vector<std::string> table1_scenarios;
   std::function<CellOutcome(const Instance&, const AlgorithmRunContext&)> run;
+  /// Set on entries that transform a non-uniform original: runs that
+  /// original with the correct guesses (the denominator of Table 1's ratio,
+  /// src/runtime/paper_ledger.h). Null for entries that are their own
+  /// baseline.
+  std::function<BaselineOutcome(const Instance&, const AlgorithmRunContext&)>
+      baseline = nullptr;
 };
 
 /// Simple key glob: '*' matches any run (including empty), '?' any one

@@ -172,6 +172,35 @@ TEST(MakeTable1Grid, CrossesEveryEntryWithItsOwnFamilies) {
   }
 }
 
+// The edge sweep: every entry and every baseline hook on its own Table 1
+// families at n = 0, 1 and 2 solves and passes its checker. The families
+// round n = 0 up to a node or two, so n = 0 runs the empty graph itself.
+TEST(AlgorithmRegistry, TinyGraphsSolveOnEveryFamily) {
+  const AlgorithmRegistry& registry = default_algorithm_registry();
+  for (const std::string& name : registry.names()) {
+    const AlgorithmSpec& spec = registry.spec(name);
+    for (const std::string& scenario : spec.table1_scenarios) {
+      for (const NodeId n : {0, 1, 2}) {
+        const Instance instance = make_instance(
+            n == 0 ? Graph(0)
+                   : default_scenarios().build(scenario, {.n = n}, 1),
+            IdentityScheme::kRandomPermuted, 1);
+        const std::string cell =
+            name + '/' + scenario + " n=" + std::to_string(n);
+        const CellOutcome outcome = spec.run(instance, {});
+        EXPECT_TRUE(outcome.solved) << cell;
+        EXPECT_TRUE(registry.problem(name).check(instance, outcome.outputs))
+            << cell;
+        if (!spec.baseline) continue;
+        const CellOutcome baseline = spec.baseline(instance, {}).outcome;
+        EXPECT_TRUE(baseline.solved) << cell << " baseline";
+        EXPECT_TRUE(registry.problem(name).check(instance, baseline.outputs))
+            << cell << " baseline";
+      }
+    }
+  }
+}
+
 // The conformance sweep: every registered algorithm, on its own Table 1
 // families, solves, passes its centralized checker, and produces
 // bit-identical per-cell outputs for 1 vs 4 campaign workers.

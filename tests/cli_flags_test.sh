@@ -2,6 +2,8 @@
 # Every unilocal_cli verb rejects a flag it does not know: a non-zero exit
 # and one stderr line naming the flag. --kernel=on is the retired
 # engine-path switch, so it must be rejected like any other unknown flag.
+# A numeric flag value that is out of range, would wrap in a narrowing
+# cast, or is not a number exits 2 naming the flag and the value.
 #
 #   sh tests/cli_flags_test.sh path/to/unilocal_cli
 set -u
@@ -27,8 +29,35 @@ check() {
   fi
 }
 
+check_value() {
+  flag="$1"
+  shift
+  err=$("$cli" "$@" "$flag" </dev/null 2>&1 >/dev/null)
+  status=$?
+  if [ "$status" -ne 2 ]; then
+    echo "FAIL: '$* $flag' exited $status, expected 2"
+    failures=$((failures + 1))
+  elif ! printf '%s\n' "$err" | grep -qF -- "${flag%%=*}: " ||
+       ! printf '%s\n' "$err" | grep -qF -- "'${flag#*=}'"; then
+    echo "FAIL: '$* $flag' did not name the flag and value; stderr was:"
+    printf '%s\n' "$err"
+    failures=$((failures + 1))
+  fi
+}
+
+for flag in --n=-1 --n=4294967297 --n=abc --seeds=0 --seeds=-2; do
+  check_value "$flag" sweep
+  check_value "$flag" table1
+  check_value "$flag" shard plan --dir=unused --table1
+done
+check_value --workers=-1 sweep
+check_value --workers=-1 table1
+check_value --workers=-1 shard run
+check_value --trace-rounds=-1 mis
+
 for flag in --bogus --kernel=on; do
   check "$flag" mis
+  check "$flag" ledger
   check "$flag" sweep
   check "$flag" table1 --smoke
   check "$flag" shard plan
@@ -36,5 +65,5 @@ for flag in --bogus --kernel=on; do
   check "$flag" shard merge
 done
 
-[ "$failures" -eq 0 ] && echo "cli_flags_test: all verbs name unknown flags"
+[ "$failures" -eq 0 ] && echo "cli_flags_test: all verbs name unknown flags and bad values"
 exit "$failures"

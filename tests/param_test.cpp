@@ -1,33 +1,12 @@
+// The parameter oracle: the true values Gamma*(instance) that correct
+// guesses and f* are evaluated at.
 #include <gtest/gtest.h>
 
 #include "src/core/param.h"
-#include "src/util/table.h"
 #include "tests/test_support.h"
 
 namespace unilocal {
 namespace {
-
-TEST(TextTable, AlignsColumns) {
-  TextTable table({"a", "long-header"});
-  table.add_row({"wide-cell", "1"});
-  const std::string out = table.to_string();
-  EXPECT_NE(out.find("| a         | long-header |"), std::string::npos);
-  EXPECT_NE(out.find("| wide-cell | 1           |"), std::string::npos);
-  EXPECT_NE(out.find("|-"), std::string::npos);
-}
-
-TEST(TextTable, PadsShortRows) {
-  TextTable table({"x", "y", "z"});
-  table.add_row({"1"});
-  const std::string out = table.to_string();
-  EXPECT_NE(out.find("| 1 |   |   |"), std::string::npos);
-}
-
-TEST(TextTable, NumberFormatting) {
-  EXPECT_EQ(TextTable::fmt(std::int64_t{42}), "42");
-  EXPECT_EQ(TextTable::fmt(3.14159, 2), "3.14");
-  EXPECT_EQ(TextTable::fmt(2.0, 0), "2");
-}
 
 TEST(ParamOracle, NamesAndValues) {
   Instance instance = make_instance(complete_graph(5),

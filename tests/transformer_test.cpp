@@ -94,6 +94,29 @@ TEST(Theorem1, BudgetsDoubleAcrossIterations) {
     EXPECT_LE(step.rounds_used, step.budget);
 }
 
+TEST(Theorem1, SurvivorsNeverGrow) {
+  // Monotone progress (Section 3): greedy-as-A_n on a path with sorted
+  // identities settles the next prefix with every doubled guess, never
+  // rolls work back, and its last sub-iteration prunes every survivor.
+  const auto algorithm = make_global_mis();
+  const RulingSetPruning pruning(1);
+  const Instance instance =
+      make_instance(path_graph(3000), IdentityScheme::kSequential);
+  const UniformRunResult result =
+      run_uniform_transformer(instance, *algorithm, pruning);
+  ASSERT_TRUE(result.solved);
+  ASSERT_FALSE(result.trace.empty());
+  EXPECT_EQ(result.trace.front().nodes_before, instance.num_nodes());
+  for (std::size_t k = 1; k < result.trace.size(); ++k) {
+    EXPECT_EQ(result.trace[k].nodes_before,
+              result.trace[k - 1].nodes_before -
+                  result.trace[k - 1].nodes_pruned)
+        << "step " << k;
+  }
+  EXPECT_EQ(result.trace.back().nodes_pruned,
+            result.trace.back().nodes_before);
+}
+
 TEST(Theorem1, GuessesComeFromSetSequenceOnly) {
   const auto algorithm = make_coloring_mis();
   const RulingSetPruning pruning(1);
