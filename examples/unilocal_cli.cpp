@@ -14,10 +14,10 @@
 //              Process vtable path otherwise.
 //   --network: delivery layer (src/runtime/network.h): the round-exact
 //              synchronous arena (sync, the default) or the seeded
-//              event-queue transport (delay:uniform | delay:weighted |
+//              delayed network (delay:uniform | delay:weighted |
 //              delay:heavytail). Fault knobs — --drop/--dup/--crash/--late
-//              (probabilities) and --max-delay/--late-by (ticks) — apply
-//              to the delayed presets only. When every message is
+//              (probabilities) and --max-delay/--late-by (ticks, at most
+//              2^32) — apply to the delayed presets only. When every message is
 //              eventually delivered, outputs are bit-identical to the
 //              synchronous run (the paper's Observation 2.1); sweep and
 //              table1 accept a comma-separated spec list and cross the
@@ -245,9 +245,9 @@ std::vector<std::string> split_csv(const std::string& text) {
 
 /// The delivery-layer flag group every subcommand shares: --network=SPEC[,..]
 /// plus the fault knobs. Flags may arrive in any order, so the knobs are
-/// buffered and applied to the delayed specs in resolve(). consume() and
-/// resolve() throw std::runtime_error naming the offending flag on
-/// malformed or inconsistent values.
+/// buffered and applied to the delayed specs in resolve(). consume() throws
+/// FlagError on a malformed or out-of-range value and resolve() throws
+/// std::runtime_error on inconsistent ones, both naming the offending flag.
 struct NetworkFlags {
   std::vector<std::string> specs;  // raw --network= values, in order
   NetworkOptions knobs;
@@ -255,6 +255,14 @@ struct NetworkFlags {
   bool late_set = false, max_delay_set = false, late_by_set = false;
 
   bool consume(const std::string& arg) {
+    try {
+      return consume_value(arg);
+    } catch (const std::runtime_error& e) {
+      throw FlagError(e.what());
+    }
+  }
+
+  bool consume_value(const std::string& arg) {
     const auto value = [&arg] { return arg.substr(arg.find('=') + 1); };
     if (arg.rfind("--network=", 0) == 0) {
       for (const std::string& spec : split_csv(value()))

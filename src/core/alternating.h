@@ -52,7 +52,7 @@ class AlternatingDriver {
   int engine_threads = 1;
 
   /// RunOptions::network of every engine run the driver issues (synchronous
-  /// arena vs the seeded event-queue transport).
+  /// arena vs the seeded delayed network).
   NetworkOptions network;
 
   bool done() const noexcept { return current_.num_nodes() == 0; }

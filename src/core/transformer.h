@@ -37,7 +37,7 @@ struct UniformRunOptions {
   /// thread-count invariant, so outputs are bit-identical for any value.
   int engine_threads = 1;
   /// RunOptions::network of every sub-iteration (synchronous arena vs the
-  /// seeded event-queue transport with latency/fault injection).
+  /// seeded delayed network with latency/fault injection).
   NetworkOptions network;
 };
 

@@ -56,7 +56,7 @@ struct AlgorithmRunContext {
   /// invariant — affects latency only, never outputs).
   int engine_threads = 1;
   /// RunOptions::network for the entry's engine runs (synchronous arena vs
-  /// the seeded event-queue transport with latency/fault injection).
+  /// the seeded delayed network with latency/fault injection).
   NetworkOptions network;
 };
 

@@ -5,18 +5,13 @@
 #include <cerrno>
 #include <cstdlib>
 #include <stdexcept>
-#include <tuple>
 
 namespace unilocal {
 
 namespace {
 
-/// hist_ slot sentinel: the pulse for this round exists but has not been
-/// delivered yet (distinct from -1, a delivered silent pulse).
-constexpr std::int64_t kNotArrived = -2;
-
 /// A transmission lost this many consecutive times is abandoned — the
-/// receiver stalls and the run ends at the cutoff instead of spinning. At
+/// receiver stalls for good instead of waiting on endless retries. At
 /// drop=0.05 abandonment has probability 0.05^64: never; it only bites at
 /// adversarial drop rates.
 constexpr int kMaxRetransmits = 64;
@@ -101,9 +96,10 @@ double parse_unit_interval(const char* flag, const std::string& text) {
 
 std::int64_t parse_positive_ticks(const char* flag, const std::string& text) {
   std::int64_t value = 0;
-  if (!parse_i64(text, &value) || value < 1)
+  if (!parse_i64(text, &value) || value < 1 || value > kMaxTicks)
     throw std::runtime_error(std::string(flag) +
-                             ": expected an integer >= 1, got '" + text +
+                             ": expected an integer in [1, " +
+                             std::to_string(kMaxTicks) + "], got '" + text +
                              "'");
   return value;
 }
@@ -118,10 +114,14 @@ void validate_network_options(const NetworkOptions& options) {
   check_unit("duplicate", options.duplicate);
   check_unit("crash", options.crash);
   check_unit("late", options.late);
-  if (options.max_delay < 1)
-    throw std::runtime_error("NetworkOptions::max_delay must be >= 1");
-  if (options.late_by < 1)
-    throw std::runtime_error("NetworkOptions::late_by must be >= 1");
+  const auto check_ticks = [](const char* name, std::int64_t value) {
+    if (value < 1 || value > kMaxTicks)
+      throw std::runtime_error(std::string("NetworkOptions::") + name +
+                               " must be in [1, " + std::to_string(kMaxTicks) +
+                               "], got " + std::to_string(value));
+  };
+  check_ticks("max_delay", options.max_delay);
+  check_ticks("late_by", options.late_by);
 }
 
 // --- SynchronousNetwork ----------------------------------------------------
@@ -202,21 +202,8 @@ std::int64_t SynchronousNetwork::arena_bytes() const {
 
 // --- DelayedNetwork --------------------------------------------------------
 
-namespace {
-
-/// Min-heap "pops later" predicate: strict total order (seq is unique), so
-/// the pop sequence never depends on the heap implementation.
-bool event_after(const DelayedNetwork::Event& a,
-                 const DelayedNetwork::Event& b) {
-  return std::tie(a.time, a.edge, a.round, a.seq) >
-         std::tie(b.time, b.edge, b.round, b.seq);
-}
-
-}  // namespace
-
 void DelayedNetwork::begin_run(const CsrGraph& csr, std::uint64_t seed,
                                const NetworkOptions& options) {
-  csr_ = &csr;
   opts_ = options;
   retransmit_after_ = 2 * opts_.max_delay;
   const std::size_t slots = static_cast<std::size_t>(csr.num_directed_edges());
@@ -247,23 +234,7 @@ void DelayedNetwork::begin_run(const CsrGraph& csr, std::uint64_t seed,
         wake_extra_[v] = fault_rng.next_in(1, opts_.late_by);
     }
   }
-
-  hist_.resize(slots);
-  for (auto& h : hist_) h.clear();
-  prefix_.assign(slots, 0);
-  final_round_.assign(slots, -1);
-  words_.clear();
-  heap_.clear();
-  seq_ = 0;
-
-  NodeId max_degree = 0;
-  for (NodeId v = 0; v < csr.num_nodes(); ++v)
-    max_degree = std::max(max_degree, csr.degree(v));
-  outbox_.assign(static_cast<std::size_t>(max_degree), Span{});
-  outbox_words_.clear();
-
   dropped_ = duplicated_ = 0;
-  max_skew_ = 0;
 }
 
 std::int64_t DelayedNetwork::draw_delay(std::int64_t edge) {
@@ -289,151 +260,39 @@ std::int64_t DelayedNetwork::draw_delay(std::int64_t edge) {
   return 1;
 }
 
-void DelayedNetwork::push_event(Event event) {
-  event.seq = seq_++;
-  heap_.push_back(event);
-  std::push_heap(heap_.begin(), heap_.end(), event_after);
-}
-
-void DelayedNetwork::transmit(std::int64_t edge, NodeId receiver,
-                              std::int64_t round, std::int64_t now,
-                              Span payload, bool final_round) {
+DelayedNetwork::Pulse DelayedNetwork::draw_pulse(std::int64_t edge,
+                                                 std::int64_t now) {
+  Pulse pulse;
   std::int64_t delay = draw_delay(edge);
   if (opts_.drop >= 1.0) {
-    // Degenerate knob: nothing is ever delivered; receivers stall and the
-    // run drains cleanly instead of retrying forever.
+    // Degenerate knob: nothing is ever delivered, and nothing retries
+    // forever.
     ++dropped_;
-    return;
+    return pulse;
   }
+  Rng& rng = edge_rngs_[static_cast<std::size_t>(edge)];
   if (opts_.drop > 0.0) {
-    Rng& rng = edge_rngs_[static_cast<std::size_t>(edge)];
     int attempts = 0;
     while (rng.next_bool(opts_.drop)) {
       ++dropped_;
-      if (++attempts >= kMaxRetransmits) return;  // abandoned
+      if (++attempts >= kMaxRetransmits) return pulse;  // abandoned
       // Lost transmission: the sender retries after a timeout, so the pulse
       // arrives late rather than never (outputs stay those of the
       // synchronous run; only timestamps move).
       delay += retransmit_after_ + draw_delay(edge);
     }
   }
-  Event event;
-  event.time = now + delay;
-  event.edge = edge;
-  event.round = round;
-  event.offset = payload.offset;
-  event.words = payload.words;
-  event.sent_at = now;
-  event.receiver = receiver;
-  event.final_round = final_round;
-  push_event(event);
-  if (opts_.duplicate > 0.0 &&
-      edge_rngs_[static_cast<std::size_t>(edge)].next_bool(opts_.duplicate)) {
+  pulse.arrival = now + delay;
+  if (opts_.duplicate > 0.0 && rng.next_bool(opts_.duplicate)) {
     ++duplicated_;
-    event.time += draw_delay(edge);  // the copy lands strictly later
-    push_event(event);
+    pulse.duplicate = pulse.arrival + draw_delay(edge);  // strictly later
   }
-}
-
-void DelayedNetwork::stage(NodeId port, const std::int64_t* data,
-                           std::size_t words) {
-  Span& s = outbox_[static_cast<std::size_t>(port)];
-  s.offset = static_cast<std::int64_t>(outbox_words_.size());
-  s.words = static_cast<std::int64_t>(words);
-  outbox_words_.insert(outbox_words_.end(), data, data + words);
-}
-
-DelayedNetwork::FlushDelta DelayedNetwork::flush_node(NodeId v,
-                                                      std::int64_t round,
-                                                      std::int64_t now,
-                                                      bool sender_finished) {
-  FlushDelta delta;
-  const std::int64_t base = csr_->offset(v);
-  const NodeId deg = csr_->degree(v);
-  for (NodeId j = 0; j < deg; ++j) {
-    Span payload = outbox_[static_cast<std::size_t>(j)];
-    if (payload.words >= 0) {
-      ++delta.messages;
-      delta.max_words = std::max(delta.max_words, payload.words);
-      // Persist the payload: outbox words only live until the next step,
-      // delivery may be arbitrarily later.
-      const std::int64_t offset = static_cast<std::int64_t>(words_.size());
-      words_.insert(
-          words_.end(), outbox_words_.begin() + payload.offset,
-          outbox_words_.begin() + payload.offset + payload.words);
-      payload.offset = offset;
-      outbox_[static_cast<std::size_t>(j)] = Span{};
-    }
-    transmit(base + j, csr_->neighbor(v, j), round, now, payload,
-             sender_finished);
-  }
-  outbox_words_.clear();
-  return delta;
-}
-
-bool DelayedNetwork::pop_delivery(Delivery* out) {
-  if (heap_.empty()) return false;
-  std::pop_heap(heap_.begin(), heap_.end(), event_after);
-  const Event event = heap_.back();
-  heap_.pop_back();
-
-  const std::size_t e = static_cast<std::size_t>(event.edge);
-  out->time = event.time;
-  out->edge = event.edge;
-  out->receiver = event.receiver;
-  out->round = event.round;
-  out->payload = event.words >= 0;
-  out->prefix_before = prefix_[e];
-  out->saturated_before = saturated(event.edge);
-  max_skew_ = std::max(max_skew_, event.time - event.sent_at - 1);
-
-  auto& h = hist_[e];
-  if (static_cast<std::int64_t>(h.size()) <= event.round)
-    h.resize(static_cast<std::size_t>(event.round) + 1,
-             Span{0, kNotArrived});
-  Span& slot = h[static_cast<std::size_t>(event.round)];
-  if (slot.words == kNotArrived) {
-    slot.offset = event.offset;
-    slot.words = event.words;
-    if (event.final_round) final_round_[e] = event.round;
-    while (prefix_[e] < static_cast<std::int64_t>(h.size()) &&
-           h[static_cast<std::size_t>(prefix_[e])].words != kNotArrived)
-      ++prefix_[e];
-  }
-  // else: the duplicate of an already-delivered pulse — ignored.
-
-  out->prefix_after = prefix_[e];
-  out->saturated_after = saturated(event.edge);
-  return true;
-}
-
-std::span<const std::int64_t> DelayedNetwork::recv(std::int64_t edge,
-                                                   std::int64_t round,
-                                                   bool* present) const {
-  const auto& h = hist_[static_cast<std::size_t>(edge)];
-  if (round < 0 || round >= static_cast<std::int64_t>(h.size())) {
-    *present = false;  // never pulsed: the sender finished earlier
-    return {};
-  }
-  const Span s = h[static_cast<std::size_t>(round)];
-  if (s.words < 0) {
-    *present = false;  // silent pulse (or, defensively, not yet arrived)
-    return {};
-  }
-  *present = true;
-  return {words_.data() + s.offset, static_cast<std::size_t>(s.words)};
+  return pulse;
 }
 
 std::int64_t DelayedNetwork::arena_bytes() const {
-  std::int64_t bytes = 0;
-  bytes += static_cast<std::int64_t>(words_.capacity()) * 8;
-  for (const auto& h : hist_)
-    bytes += static_cast<std::int64_t>(h.capacity() * sizeof(Span));
-  bytes += static_cast<std::int64_t>(heap_.capacity() * sizeof(Event));
-  bytes += static_cast<std::int64_t>(edge_rngs_.capacity() * sizeof(Rng));
-  bytes += static_cast<std::int64_t>(edge_base_.capacity()) * 8;
-  bytes += static_cast<std::int64_t>(outbox_words_.capacity()) * 8;
-  return bytes;
+  return static_cast<std::int64_t>(edge_rngs_.capacity() * sizeof(Rng)) +
+         static_cast<std::int64_t>(edge_base_.capacity()) * 8;
 }
 
 }  // namespace unilocal

@@ -8,15 +8,21 @@
 //     round r+1, nothing is lost. This is the default and stays
 //     bit-identical to the seed reference engine.
 //
-//   DelayedNetwork — an event-queue transport for the asynchronous regime
-//     the paper's synchronizer exists to tame: every transmission of a
-//     directed edge gets a latency drawn from a per-edge stream (uniform,
-//     per-edge-weighted, or heavy-tail presets), with fault knobs for
-//     message drops (lost transmissions retransmitted after a timeout),
-//     duplication, fail-stop crashed nodes, and late joiners. All draws
-//     derive from the run seed through dedicated streams consumed in
-//     sender-schedule order, so a run is bit-repeatable for any engine
-//     thread count and shards merge byte-identically.
+//   DelayedNetwork — the asynchronous regime the paper's synchronizer
+//     exists to tame: every transmission of a directed edge gets a latency
+//     drawn from a per-edge stream (uniform, per-edge-weighted, or
+//     heavy-tail presets), with fault knobs for message drops (lost
+//     transmissions retransmitted after a timeout), duplication, fail-stop
+//     crashed nodes, and late joiners. The synchronizer is asynchrony-
+//     transparent (Observation 2.1), so a delayed run steps the same local
+//     rounds with the same messages as the synchronous one; only the
+//     timestamps, fault counters and stalls differ. The engine therefore
+//     runs it as lockstep rounds over the synchronous arena plus a max-plus
+//     recurrence for each node's step time (run_delayed in
+//     src/runtime/runner.cpp). All draws derive from the run seed through
+//     dedicated streams consumed in sender-round order, so a run is
+//     bit-repeatable for any engine thread count and shards merge
+//     byte-identically.
 //
 // A NetworkOptions value travels with RunOptions (and through the campaign
 // and shard layers as a grid dimension); parsing/naming helpers here back
@@ -24,6 +30,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <string>
 #include <vector>
@@ -36,7 +43,7 @@ namespace unilocal {
 /// Which delivery layer a run executes through.
 enum class NetworkKind : std::uint8_t {
   kSynchronous,  // round-exact arena (the default)
-  kDelayed,      // seeded event-queue transport with latency + faults
+  kDelayed,      // seeded per-edge latencies + faults
 };
 
 /// Latency family of the DelayedNetwork, per directed edge and message.
@@ -55,7 +62,7 @@ struct NetworkOptions {
   /// retransmitted after a timeout of 2*max_delay ticks (so moderate drop
   /// rates delay delivery instead of changing outputs); a transmission
   /// abandoned after 64 consecutive losses — or any transmission when
-  /// drop >= 1 — is never delivered and stalls its receiver at the cutoff.
+  /// drop >= 1 — is never delivered and stalls its receiver for good.
   double drop = 0.0;
   /// Probability that a delivered message arrives a second time (the copy
   /// lands strictly later; receivers ignore it).
@@ -66,15 +73,24 @@ struct NetworkOptions {
   /// Fraction of nodes that join late: their wake is delayed by a per-node
   /// draw in [1, late_by] ticks on top of any RunOptions::wake_rounds.
   double late = 0.0;
-  /// Latency ceiling of the uniform/weighted presets (>= 1, in ticks);
+  /// Latency ceiling of the uniform/weighted presets (in [1, kMaxTicks]);
   /// also sets the retransmission timeout (2*max_delay) for every preset.
   std::int64_t max_delay = 8;
-  /// Ceiling of a late joiner's extra wake delay (>= 1, in ticks).
+  /// Ceiling of a late joiner's extra wake delay (in [1, kMaxTicks]).
   std::int64_t late_by = 64;
 
   friend bool operator==(const NetworkOptions&,
                          const NetworkOptions&) = default;
 };
+
+/// Ceiling of max_delay and late_by. One local round can add at most
+/// 64 attempts x (2*max_delay timeout + a latency below max(max_delay,
+/// 2^17)) plus a duplicate's latency to a timestamp, so with both knobs at
+/// 2^32 a run of max_rounds rounds ends below about
+/// max_rounds x (64 x (2*2^32 + 2^17) + 2^32) + late_by, that is
+/// max_rounds x 2^39.01 + 2^32: 2^23 rounds of worst-case pulses still fit
+/// an int64 timestamp.
+inline constexpr std::int64_t kMaxTicks = std::int64_t{1} << 32;
 
 /// Stable preset names ("uniform", "weighted", "heavytail").
 const char* delay_preset_name(DelayPreset preset);
@@ -90,7 +106,7 @@ NetworkOptions parse_network_spec(const std::string& spec);
 
 /// Strict CLI knob parsing: the whole text must parse and land in range, or
 /// a std::runtime_error naming `flag` is thrown. parse_unit_interval
-/// accepts [0, 1]; parse_positive_ticks accepts integers >= 1.
+/// accepts [0, 1]; parse_positive_ticks accepts integers in [1, kMaxTicks].
 double parse_unit_interval(const char* flag, const std::string& text);
 std::int64_t parse_positive_ticks(const char* flag, const std::string& text);
 
@@ -210,61 +226,40 @@ class SynchronousNetwork {
   std::int64_t dirty_cleared_ = 0;
 };
 
-/// The asynchronous delivery layer: a seeded deterministic event queue.
+/// The asynchronous delivery layer's randomness: one private latency stream
+/// per directed edge plus the crash and late-joiner draws.
 ///
-/// Every (sender, local round, port) transmission is one "pulse" — silence
+/// Every (sender, local round, port) transmission is one "pulse", silence
 /// included, because under the alpha synchronizer the arrival of round-r
 /// traffic IS the signal that the neighbour performed round r (paper,
-/// "Synchronicity and time complexity"). Each pulse gets a latency from the
-/// owning edge's private stream, may be lost (retransmitted after a
-/// timeout) or duplicated, and lands in a per-edge delivered history; the
-/// receiver's contiguous delivered prefix generalizes the synchronizer's
-/// dependency-lag counters from round stamps to delivery timestamps.
+/// "Synchronicity and time complexity"). draw_pulse() decides a pulse's
+/// fate when it is sent: a latency from the edge's stream, losses (each
+/// retransmitted after a timeout, up to an abandonment cap) and a possible
+/// duplicate. The engine turns these arrival times into step times (see
+/// run_delayed in src/runtime/runner.cpp); the payloads themselves travel
+/// through the round-exact SynchronousNetwork.
 ///
-/// Determinism contract: all draws happen at SEND time in sender-schedule
-/// order from per-edge streams split off a network-tagged base seed (never
-/// the per-node algorithm streams), and the event queue breaks timestamp
-/// ties by (edge, round, push sequence) — so the delivery order is a pure
-/// function of (topology, seed, options), independent of engine thread
-/// count, shard count, and heap implementation.
+/// Determinism contract: all draws come from per-edge streams split off a
+/// network-tagged base seed (never the per-node algorithm streams), and an
+/// edge's stream is consumed in its sender's round order — so every arrival
+/// is a pure function of (topology, seed, options), independent of engine
+/// thread count and shard count.
 class DelayedNetwork {
  public:
-  /// One delivered pulse, popped in deterministic timestamp order.
-  struct Delivery {
-    std::int64_t time = 0;
-    std::int64_t edge = 0;  // directed-edge slot it was delivered on
-    NodeId receiver = 0;
-    std::int64_t round = 0;  // sender-local round of the pulse
-    bool payload = false;    // carried words (vs a silent round pulse)
-    // Receiver-side bookkeeping around this delivery, for the engine's
-    // eligibility update: the contiguous delivered prefix of the edge and
-    // whether the edge is saturated (sender finished, everything it ever
-    // sent delivered — nothing further to wait for).
-    std::int64_t prefix_before = 0, prefix_after = 0;
-    bool saturated_before = false, saturated_after = false;
+  /// A pulse that never arrives (abandoned), and the "no duplicate" mark.
+  static constexpr std::int64_t kNever =
+      std::numeric_limits<std::int64_t>::max();
+
+  /// Where one pulse lands: its arrival time (kNever when abandoned) and
+  /// the arrival of its duplicate (kNever when none; always later).
+  struct Pulse {
+    std::int64_t arrival = kNever;
+    std::int64_t duplicate = kNever;
   };
 
-  struct FlushDelta {
-    std::int64_t messages = 0;  // payload pulses (parity with sync totals)
-    std::int64_t max_words = 0;
-  };
-
-  /// One scheduled delivery (public for the file-local heap comparator).
-  struct Event {
-    std::int64_t time = 0;
-    std::int64_t edge = 0;
-    std::int64_t round = 0;
-    std::int64_t offset = 0;  // into words_; meaningful when words >= 0
-    std::int64_t words = -1;  // -1 = silent pulse
-    std::int64_t sent_at = 0;
-    std::uint64_t seq = 0;  // push order: the deterministic tie-breaker
-    NodeId receiver = 0;
-    bool final_round = false;
-  };
-
-  /// Per-run preparation: derives edge/fault streams from `seed`, draws the
-  /// crash/late-joiner sets, and clears the delivered histories. Capacity
-  /// is kept across runs (workspace reuse).
+  /// Per-run preparation: derives edge/fault streams from `seed` and draws
+  /// the crash/late-joiner sets. Capacity is kept across runs (workspace
+  /// reuse).
   void begin_run(const CsrGraph& csr, std::uint64_t seed,
                  const NetworkOptions& options);
 
@@ -276,58 +271,18 @@ class DelayedNetwork {
     return wake_extra_[static_cast<std::size_t>(v)];
   }
 
-  /// Sender side. stage() buffers the stepping node's outgoing message for
-  /// one of its ports (a resend overwrites: last write wins, as in the
-  /// synchronous arena); flush_node() — called once after the step — draws
-  /// latency/fault decisions for every port's pulse, silent ports included,
-  /// and schedules the deliveries. sender_finished marks the pulses as the
-  /// sender's final round so receivers saturate instead of waiting forever.
-  void stage(NodeId port, const std::int64_t* data, std::size_t words);
-  FlushDelta flush_node(NodeId v, std::int64_t round, std::int64_t now,
-                        bool sender_finished);
-
-  /// Earliest pending delivery timestamp; false when the queue is empty
-  /// (either done or stalled on undeliverable dependencies).
-  bool next_delivery_time(std::int64_t* time) const {
-    if (heap_.empty()) return false;
-    *time = heap_.front().time;
-    return true;
-  }
-  /// Pops the next delivery, lands it in the edge history, and advances the
-  /// receiver's contiguous prefix. A duplicate of an already-delivered
-  /// pulse is a no-op (prefix_before == prefix_after).
-  bool pop_delivery(Delivery* out);
-
-  std::int64_t prefix(std::int64_t edge) const {
-    return prefix_[static_cast<std::size_t>(edge)];
-  }
-  /// Sender finished and every round it ever pulsed has been delivered.
-  bool saturated(std::int64_t edge) const {
-    const std::size_t e = static_cast<std::size_t>(edge);
-    return final_round_[e] >= 0 && prefix_[e] > final_round_[e];
-  }
-
-  /// What `edge` delivered for the sender's local round `round`; absent for
-  /// rounds never pulsed (sender finished earlier) or not yet delivered.
-  /// The span stays valid for a whole step: the payload arena only grows in
-  /// flush_node, which runs between steps.
-  std::span<const std::int64_t> recv(std::int64_t edge, std::int64_t round,
-                                    bool* present) const;
+  /// Draws the fate of the pulse `edge` carries when its sender steps at
+  /// time `now`: the latency, then each loss (a retransmission after
+  /// 2*max_delay ticks plus a fresh latency), then the duplicate.
+  Pulse draw_pulse(std::int64_t edge, std::int64_t now);
 
   std::int64_t dropped() const { return dropped_; }
   std::int64_t duplicated() const { return duplicated_; }
-  /// Max over delivered pulses of (arrival - send - 1): the worst latency
-  /// in excess of the synchronous network's exactly-one-tick delivery.
-  std::int64_t max_skew() const { return max_skew_; }
   std::int64_t arena_bytes() const;
 
  private:
   std::int64_t draw_delay(std::int64_t edge);
-  void transmit(std::int64_t edge, NodeId receiver, std::int64_t round,
-                std::int64_t now, Span payload, bool final_round);
-  void push_event(Event event);
 
-  const CsrGraph* csr_ = nullptr;
   NetworkOptions opts_;
   std::int64_t retransmit_after_ = 0;
 
@@ -336,28 +291,8 @@ class DelayedNetwork {
   std::vector<char> crashed_;
   std::vector<std::int64_t> wake_extra_;
 
-  // Delivered history per edge: hist_[e][r] = the round-r pulse, words
-  // kNotArrived until delivery, -1 for a delivered silent pulse, >= 0 a
-  // span into words_. prefix_[e] = contiguous delivered rounds;
-  // final_round_[e] = the sender's last round once a final pulse landed.
-  std::vector<std::vector<Span>> hist_;
-  std::vector<std::int64_t> prefix_;
-  std::vector<std::int64_t> final_round_;
-  std::vector<std::int64_t> words_;
-
-  // Min-heap over (time, edge, round, seq) via std::push_heap/pop_heap —
-  // the strict total order keeps pops identical across stdlib heaps.
-  std::vector<Event> heap_;
-  std::uint64_t seq_ = 0;
-
-  // Per-step staging (outbox): spans per port into outbox_words_, flushed
-  // and cleared by flush_node.
-  std::vector<Span> outbox_;
-  std::vector<std::int64_t> outbox_words_;
-
   std::int64_t dropped_ = 0;
   std::int64_t duplicated_ = 0;
-  std::int64_t max_skew_ = 0;
 };
 
 }  // namespace unilocal

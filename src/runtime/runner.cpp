@@ -1,9 +1,11 @@
 #include "src/runtime/runner.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <chrono>
 #include <cstdint>
+#include <limits>
 #include <numeric>
 #include <optional>
 #include <stdexcept>
@@ -78,6 +80,125 @@ void publish_engine_metrics(const EngineStats& stats, std::int64_t rounds,
   });
 }
 
+/// The delayed loop's per-timestamp tallies: the steps taken and the payload
+/// pulses (duplicates included) arriving at one timestamp, and the worst
+/// skew (arrival - send - 1) of any pulse arriving then. An open-addressing
+/// table holds only the ticks later rounds can still add to: a tick below
+/// the floor (the earliest time any node can still step at) is final, and
+/// folds into the running maxima whenever the table rehashes.
+class TickTable {
+ public:
+  struct Tick {
+    std::int64_t time = kEmpty;
+    std::int64_t steps = 0;
+    std::int64_t payload = 0;
+    std::int64_t skew = 0;
+  };
+
+  void reset() {
+    slots_.assign(kMinSlots, Tick{});
+    shift_ = 64 - std::countr_zero(kMinSlots);
+    used_ = 0;
+    floor_ = kEmpty;
+    peak_steps_ = peak_payload_ = max_skew_ = 0;
+  }
+
+  /// Ticks below `floor` can no longer change (floors never decrease).
+  void set_floor(std::int64_t floor) { floor_ = floor; }
+
+  void add_step(std::int64_t time) { ++at(time).steps; }
+
+  void add_arrival(std::int64_t time, std::int64_t skew, bool payload) {
+    // A silent pulse only matters for the skew, and cannot raise it past a
+    // maximum already folded from final ticks.
+    if (!payload && skew <= max_skew_) return;
+    Tick& tick = at(time);
+    tick.payload += payload ? 1 : 0;
+    tick.skew = std::max(tick.skew, skew);
+  }
+
+  /// Folds every tick left: steps always, arrivals only up to `last`.
+  void finish(std::int64_t last) {
+    for (const Tick& tick : slots_)
+      if (tick.time != kEmpty) fold(tick, tick.time <= last);
+    used_ = 0;
+  }
+
+  std::int64_t peak_steps() const { return peak_steps_; }
+  std::int64_t peak_payload() const { return peak_payload_; }
+  std::int64_t max_skew() const { return max_skew_; }
+  std::int64_t bytes() const {
+    return static_cast<std::int64_t>(slots_.capacity() * sizeof(Tick));
+  }
+
+ private:
+  static constexpr std::int64_t kEmpty =
+      std::numeric_limits<std::int64_t>::min();
+  static constexpr std::size_t kMinSlots = 64;
+
+  std::size_t slot(std::int64_t time) const {
+    return static_cast<std::size_t>(
+        (static_cast<std::uint64_t>(time) * 0x9E3779B97F4A7C15ULL) >> shift_);
+  }
+
+  Tick& at(std::int64_t time) {
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t i = slot(time);; i = (i + 1) & mask) {
+      Tick& tick = slots_[i];
+      if (tick.time == time) return tick;
+      if (tick.time != kEmpty) continue;
+      if (2 * (used_ + 1) <= slots_.size()) {
+        ++used_;
+        tick.time = time;
+        return tick;
+      }
+      rehash();
+      return at(time);
+    }
+  }
+
+  void fold(const Tick& tick, bool arrivals) {
+    peak_steps_ = std::max(peak_steps_, tick.steps);
+    if (!arrivals) return;
+    peak_payload_ = std::max(peak_payload_, tick.payload);
+    max_skew_ = std::max(max_skew_, tick.skew);
+  }
+
+  /// Folds the final ticks away, then doubles the table if the live ones
+  /// still fill a quarter of it.
+  void rehash() {
+    std::vector<Tick> old = std::move(slots_);
+    std::size_t live = 0;
+    for (const Tick& tick : old) {
+      if (tick.time == kEmpty) continue;
+      if (tick.time < floor_)
+        fold(tick, true);
+      else
+        ++live;
+    }
+    std::size_t size = old.size();
+    if (4 * (live + 1) > size) size *= 2;
+    slots_.assign(size, Tick{});
+    shift_ = 64 - std::countr_zero(size);
+    used_ = live;
+    const std::size_t mask = size - 1;
+    for (const Tick& tick : old) {
+      if (tick.time == kEmpty || tick.time < floor_) continue;
+      std::size_t i = slot(tick.time);
+      while (slots_[i].time != kEmpty) i = (i + 1) & mask;
+      slots_[i] = tick;
+    }
+  }
+
+  std::vector<Tick> slots_;
+  int shift_ = 58;
+  std::size_t used_ = 0;
+  std::int64_t floor_ = kEmpty;
+  std::int64_t peak_steps_ = 0;
+  std::int64_t peak_payload_ = 0;
+  std::int64_t max_skew_ = 0;
+};
+
 }  // namespace
 
 /// All storage the engine needs, owned by EngineWorkspace so consecutive
@@ -100,17 +221,20 @@ struct EngineWorkspaceState {
   std::vector<std::int64_t> finish_global;
 
   // Delivery layers (src/runtime/network.h), owned here so consecutive
-  // runs reuse their capacity: the double-buffered round arena of the
-  // simultaneous mode and the event-queue transport of the delayed mode.
+  // runs reuse their capacity: the double-buffered round arena (which the
+  // delayed mode's lockstep rounds use too) and the delayed mode's latency
+  // and fault streams.
   SynchronousNetwork sim_net;
   DelayedNetwork delayed_net;
 
-  // Delayed-mode scheduling state: pending[v] counts in-edges still owing
-  // rounds below v's next local round (v is eligible exactly when awake,
-  // unfinished, and pending == 0); step_heap is the (time, node) min-heap
-  // of eligible steps, merged against the network's delivery queue.
-  std::vector<std::int32_t> pending;
-  std::vector<std::pair<std::int64_t, NodeId>> step_heap;
+  // Delayed-mode timing state: step_time[v] is the time of v's latest
+  // local round (DelayedNetwork::kNever once v stalls for good), reach[e]
+  // the latest arrival among the pulses edge e has carried (kNever once
+  // one was abandoned or its sender stalled), and ticks the per-timestamp
+  // tallies behind the peak stats.
+  std::vector<std::int64_t> step_time;
+  std::vector<std::int64_t> reach;
+  TickTable ticks;
 
   // Compacted list of unfinished awake nodes (simultaneous mode),
   // ascending; the per-round thread chunks partition this list, not the
@@ -582,141 +706,165 @@ class ArenaEngine {
     return result;
   }
 
-  /// The asynchronous mode: one merged event loop over message deliveries
-  /// (the DelayedNetwork's queue) and node steps (ws_.step_heap), both in
-  /// deterministic timestamp order with deliveries first at ties. This
-  /// generalizes the synchronizer from round stamps to delivery timestamps:
-  /// a node performs local round r once every in-edge's contiguous
-  /// delivered prefix covers round r-1 (or is saturated — the sender
-  /// finished and everything it pulsed has landed), which is exactly the
-  /// alpha-synchronizer eligibility rule applied to what has physically
-  /// arrived instead of what has been computed. When every pulse is
-  /// eventually delivered, each node sees the same message contents in the
-  /// same local rounds as the synchronous run, so outputs are bit-identical
-  /// to it (the paper's Observation 2.1); drops past the retransmission cap
-  /// and crashed nodes starve their neighbourhoods, the queues drain, and
-  /// the loop exits cleanly with the survivors finalized as cut off.
+  /// The asynchronous mode, run as lockstep local rounds plus a max-plus
+  /// recurrence for the timestamps. Under the alpha synchronizer a node
+  /// performs local round r once every in-edge has delivered its sender's
+  /// pulses of rounds < r (or all of them, when the sender finished first).
+  /// Each pulse's arrival is fixed when it is sent, and each edge's stream
+  /// is consumed in its sender's round order, so step times follow
+  ///   t(v,0) = wake(v) + late-joiner delay,
+  ///   t(v,r) = max(t(v,r-1), max over in-edges e of R_e(r-1)),
+  /// where R_e(k) is the latest arrival among the sender's pulses of rounds
+  /// <= min(k, its final round) — infinite when one of those pulses was
+  /// abandoned, or when the sender is unfinished and never performs round k
+  /// (crashed or stalled). A node whose time is infinite stalls for good.
+  /// Every node therefore sees the synchronous run's messages in each local
+  /// round it performs (the paper's Observation 2.1), so payloads move
+  /// through the round-exact arena; each round first computes every t(v,r)
+  /// from round r-1's arrivals, then steps the nodes whose time is finite
+  /// and draws their pulses. Sleep hints are ignored: sleepers still pulse.
+  ///
+  /// The stats read as the timeline of a discrete-event run that delivers
+  /// before stepping at equal times and stops right after the last
+  /// finishing step, at T_end: peak_frontier_nodes is the most steps
+  /// sharing one timestamp; peak_round_messages (payload pulses) and
+  /// max_delivery_skew count the pulses, duplicates included, arriving by
+  /// T_end — all of them when the run stalls; global_rounds is T_end, or
+  /// the latest step or arrival of a stalled run.
   RunResult run_delayed(const std::vector<std::int64_t>& wake_rounds) {
+    constexpr std::int64_t kNever = DelayedNetwork::kNever;
     const auto start = std::chrono::steady_clock::now();
     begin_trace_run();
     DelayedNetwork& net = ws_.delayed_net;
     net.begin_run(csr_, options_.seed, options_.network);
-    const std::size_t nn = static_cast<std::size_t>(n_);
-    ws_.pending.assign(nn, 0);
-    auto& steps = ws_.step_heap;
-    steps.clear();
-    const auto step_after = [](const std::pair<std::int64_t, NodeId>& a,
-                               const std::pair<std::int64_t, NodeId>& b) {
-      return a > b;  // (time, node) min-heap; nodes are queued at most once
+    const std::size_t slots = static_cast<std::size_t>(
+        csr_.num_directed_edges());
+    SynchronousNetwork& arena = ws_.sim_net;
+    arena.begin_run(slots, 1);
+    auto& time = ws_.step_time;
+    auto& reach = ws_.reach;
+    time.assign(static_cast<std::size_t>(n_), kNever);
+    reach.assign(slots, std::numeric_limits<std::int64_t>::min());
+    ws_.ticks.reset();
+    const auto stall = [&](NodeId v) {
+      const std::int64_t base = csr_.offset(v);
+      for (NodeId j = 0; j < csr_.degree(v); ++j)
+        reach[static_cast<std::size_t>(base + j)] = kNever;
     };
-    const auto push_step = [&](std::int64_t time, NodeId v) {
-      steps.emplace_back(time, v);
-      std::push_heap(steps.begin(), steps.end(), step_after);
-    };
+
+    // Crashed nodes never step; they stay live and are finalized as cut
+    // off, like any node that stalls.
+    auto& active = ws_.live;
+    active.clear();
+    NodeId stalled = 0;
+    for (NodeId v = 0; v < n_; ++v) {
+      if (net.crashed(v)) {
+        stall(v);
+        ++stalled;
+        continue;
+      }
+      time[static_cast<std::size_t>(v)] =
+          (wake_rounds.empty() ? 0 : wake_rounds[static_cast<std::size_t>(v)]) +
+          net.wake_delay(v);
+      active.push_back(v);
+    }
 
     NodeId live = n_;
     peak_live_ = n_;
-    // Round 0 needs no messages: every non-crashed node's first step is
-    // scheduled at its wake time (plus a late joiner's extra delay).
-    // Crashed nodes never step; they stay live and are finalized as cut
-    // off, like any node starved past the cutoff.
-    for (NodeId v = 0; v < n_; ++v) {
-      if (net.crashed(v)) continue;
-      const std::int64_t wake =
-          (wake_rounds.empty()
-               ? 0
-               : wake_rounds[static_cast<std::size_t>(v)]) +
-          net.wake_delay(v);
-      push_step(wake, v);
-    }
-
-    std::int64_t global = 0;
-    // Per-tick accounting: deliveries/steps sharing one timestamp form the
-    // delayed mode's analogue of a round for the peak stats.
-    std::int64_t cur_tick = -1;
-    std::int64_t tick_messages = 0, tick_steps = 0;
-    const auto enter_tick = [&](std::int64_t time) {
-      if (time == cur_tick) return;
-      peak_round_messages_ = std::max(peak_round_messages_, tick_messages);
-      peak_frontier_ = std::max(peak_frontier_, tick_steps);
-      cur_tick = time;
-      tick_messages = tick_steps = 0;
-    };
-    while (live > 0) {
-      std::int64_t delivery_time = 0;
-      const bool has_delivery = net.next_delivery_time(&delivery_time);
-      const bool has_step = !steps.empty();
-      if (!has_delivery && !has_step) break;  // stall: starved dependencies
-      if (has_delivery && (!has_step || delivery_time <= steps[0].first)) {
-        DelayedNetwork::Delivery d;
-        net.pop_delivery(&d);
-        global = std::max(global, d.time);
-        enter_tick(d.time);
-        if (d.payload) ++tick_messages;
-        const std::size_t ui = static_cast<std::size_t>(d.receiver);
-        // A receiver waiting on this edge (stepped at least once, so its
-        // pending count is current) may become eligible. Nodes that never
-        // stepped need nothing (round 0), so prefix_before < need is
-        // impossible for them and the update is skipped naturally — but
-        // finished/crashed receivers must be skipped explicitly.
-        if (!ws_.finished[ui] && !net.crashed(d.receiver) &&
-            ws_.local_round[ui] > 0) {
-          const std::int64_t need = ws_.local_round[ui];
-          const bool was_blocking =
-              !d.saturated_before && d.prefix_before < need;
-          const bool now_ready = d.saturated_after || d.prefix_after >= need;
-          if (was_blocking && now_ready && --ws_.pending[ui] == 0)
-            push_step(d.time, d.receiver);
+    std::int64_t last_step = 0, last_arrival = 0;
+    std::int64_t prev_round_messages = static_cast<std::int64_t>(slots);
+    for (std::int64_t r = 0; !active.empty(); ++r) {
+      const bool traced = begin_trace_round();
+      const std::int64_t trace_t0 = traced ? trace_->recorder->now() : 0;
+      if (r > 0) {
+        for (const NodeId v : active) {
+          std::int64_t& t = time[static_cast<std::size_t>(v)];
+          for (NodeId j = 0; j < csr_.degree(v); ++j)
+            t = std::max(t, reach[static_cast<std::size_t>(
+                                csr_.in_edge_index(v, j))]);
         }
-        continue;
-      }
-      const auto [now, v] = steps[0];
-      std::pop_heap(steps.begin(), steps.end(), step_after);
-      steps.pop_back();
-      global = std::max(global, now);
-      enter_tick(now);
-      ++tick_steps;
-      const std::size_t vi = static_cast<std::size_t>(v);
-      const std::int64_t r = ws_.local_round[vi];
-      step_one(0, v, r);
-      ++total_steps_;
-      ++ws_.local_round[vi];
-      if (ws_.finished[vi]) {
-        ws_.finish_local[vi] = r;
-        ws_.finish_global[vi] = now;
-        --live;
-      } else if (ws_.local_round[vi] >= options_.max_rounds) {
-        ws_.finished[vi] = 1;
-        ws_.outputs[vi] = options_.default_output;
-        ++cut_off_;
-        ws_.finish_local[vi] = options_.max_rounds;
-        ws_.finish_global[vi] = now;
-        --live;
-      }
-      // Flush the step's pulses AFTER the finish bookkeeping so a finishing
-      // (or cut-off) node's last-round traffic goes out flagged final —
-      // receivers saturate those edges instead of waiting forever. The
-      // messages of the finishing step are still delivered, matching the
-      // synchronous modes.
-      const auto delta =
-          net.flush_node(v, r, now, ws_.finished[vi] != 0);
-      messages_sent_ += delta.messages;
-      max_message_words_ = std::max(max_message_words_, delta.max_words);
-      if (!ws_.finished[vi]) {
-        // Recount the in-edges still owing rounds below the new local
-        // round; an immediately-satisfied node re-queues at the same tick.
-        const std::int64_t need = ws_.local_round[vi];
-        std::int32_t owing = 0;
-        const NodeId deg = csr_.degree(v);
-        for (NodeId j = 0; j < deg; ++j) {
-          const std::int64_t e = csr_.in_edge_index(v, j);
-          if (!net.saturated(e) && net.prefix(e) < need) ++owing;
+        // Only now, with every round-r time read off round r-1's arrivals,
+        // may a newly stalled node's edges turn infinite.
+        for (const NodeId v : active) {
+          if (time[static_cast<std::size_t>(v)] != kNever) continue;
+          stall(v);
+          ++stalled;
         }
-        ws_.pending[vi] = owing;
-        if (owing == 0) push_step(now, v);
+      }
+      arena.begin_round(prev_round_messages);
+      std::int64_t round_messages = 0, stepped = 0;
+      for (const NodeId v : active) {
+        const std::size_t vi = static_cast<std::size_t>(v);
+        const std::int64_t now = time[vi];
+        if (now == kNever) continue;
+        step_one(0, v, r);
+        ++stepped;
+        ws_.ticks.add_step(now);
+        last_step = std::max(last_step, now);
+        ++ws_.local_round[vi];
+        if (ws_.finished[vi]) {
+          ws_.finish_local[vi] = r;
+          ws_.finish_global[vi] = now;
+          --live;
+        } else if (ws_.local_round[vi] >= options_.max_rounds) {
+          ws_.finished[vi] = 1;
+          ws_.outputs[vi] = options_.default_output;
+          ++cut_off_;
+          ws_.finish_local[vi] = options_.max_rounds;
+          ws_.finish_global[vi] = now;
+          --live;
+        }
+        const std::int64_t base = csr_.offset(v);
+        for (NodeId j = 0; j < csr_.degree(v); ++j) {
+          const std::int64_t e = base + j;
+          const std::int64_t words = arena.send_span(e).words;
+          if (words >= 0) {
+            ++round_messages;
+            max_message_words_ = std::max(max_message_words_, words);
+          }
+          const DelayedNetwork::Pulse pulse = net.draw_pulse(e, now);
+          std::int64_t& latest = reach[static_cast<std::size_t>(e)];
+          latest = std::max(latest, pulse.arrival);
+          if (pulse.arrival == kNever) continue;
+          ws_.ticks.add_arrival(pulse.arrival, pulse.arrival - now - 1,
+                                words >= 0);
+          last_arrival = std::max(last_arrival, pulse.arrival);
+          if (pulse.duplicate == kNever) continue;
+          ws_.ticks.add_arrival(pulse.duplicate, pulse.duplicate - now - 1,
+                                words >= 0);
+          last_arrival = std::max(last_arrival, pulse.duplicate);
+        }
+      }
+      arena.end_round();
+      total_steps_ += stepped;
+      messages_sent_ += round_messages;
+      prev_round_messages = round_messages;
+      std::erase_if(active, [&](NodeId v) {
+        const std::size_t vi = static_cast<std::size_t>(v);
+        return ws_.finished[vi] != 0 || time[vi] == kNever;
+      });
+      std::int64_t floor = kNever;
+      for (const NodeId v : active)
+        floor = std::min(floor, time[static_cast<std::size_t>(v)]);
+      ws_.ticks.set_floor(floor);
+      if (traced) {
+        telemetry::TraceEvent event = make_round_event(trace_t0);
+        event.arg("round", r);
+        event.arg("frontier", stepped);
+        event.arg("stalled", static_cast<std::int64_t>(stalled));
+        event.arg("messages", round_messages);
+        event.arg("steps", stepped);
+        trace_->recorder->record(std::move(event));
       }
     }
-    enter_tick(cur_tick + 1);  // flush the last tick's peaks
+    arena.end_run();
+    // A run where every node finished ends at its last step, T_end; a
+    // stalled one counts every pulse it sent.
+    const std::int64_t global =
+        live == 0 ? last_step : std::max(last_step, last_arrival);
+    ws_.ticks.finish(live == 0 ? last_step : kNever);
+    peak_frontier_ = ws_.ticks.peak_steps();
+    peak_round_messages_ = ws_.ticks.peak_payload();
     final_live_ = live;
     std::int64_t max_local = 0;
     for (NodeId v = 0; v < n_; ++v)
@@ -747,12 +895,6 @@ class ArenaEngine {
 
   void do_send(int tid, NodeId node, NodeId port, const std::int64_t* data,
                std::size_t words) {
-    if (delayed_mode_) {
-      // Staged per port; the event loop flushes the whole step's pulses
-      // (with their latency/fault draws) after the step returns.
-      ws_.delayed_net.stage(port, data, words);
-      return;
-    }
     if (!sync_mode_) {
       ws_.sim_net.send(tid, csr_.edge_index(node, port), data, words);
       return;
@@ -775,14 +917,6 @@ class ArenaEngine {
   /// do_recv/do_recv_message (which copy through the scratch) may hold it.
   std::span<const std::int64_t> raw_recv(NodeId node, NodeId port,
                                          bool* present) {
-    if (delayed_mode_) {
-      // Eligibility guarantees the previous round's pulse has been
-      // delivered on every non-saturated in-edge, so this lookup sees
-      // exactly what the synchronous run would.
-      return ws_.delayed_net.recv(
-          csr_.in_edge_index(node, port),
-          ws_.local_round[static_cast<std::size_t>(node)] - 1, present);
-    }
     if (!sync_mode_)
       return ws_.sim_net.recv(csr_.in_edge_index(node, port), present);
     const std::int64_t want =
@@ -805,11 +939,11 @@ class ArenaEngine {
 
   std::span<const std::int64_t> do_recv(int tid, NodeId node, NodeId port,
                                         bool* present) {
-    // The simultaneous mode reads the receive half, which no send of this
-    // round can touch, and the delayed mode's payload arena only grows
-    // between steps — both raw spans honour Context::received_span's
-    // valid-for-the-step contract directly. The synchronizer mode's history
-    // arena grows on send, so hand out the step-stable scratch copy instead.
+    // The round arena's receive half (simultaneous and delayed modes) is
+    // untouched by this round's sends, so its raw spans honour
+    // Context::received_span's valid-for-the-step contract directly. The
+    // synchronizer mode's history arena grows on send, so hand out the
+    // step-stable scratch copy instead.
     if (!sync_mode_) return raw_recv(node, port, present);
     const Message* m = do_recv_message(tid, node, port);
     if (m == nullptr) {
@@ -1227,10 +1361,11 @@ class ArenaEngine {
       const DelayedNetwork& net = ws_.delayed_net;
       stats.messages_dropped = net.dropped();
       stats.messages_duplicated = net.duplicated();
-      stats.max_delivery_skew = net.max_skew();
-      bytes += net.arena_bytes();
-      bytes += static_cast<std::int64_t>(ws_.step_heap.capacity() *
-                                         sizeof(ws_.step_heap[0]));
+      stats.max_delivery_skew = ws_.ticks.max_skew();
+      bytes += net.arena_bytes() + ws_.sim_net.arena_bytes() +
+               ws_.ticks.bytes();
+      bytes += static_cast<std::int64_t>(
+          (ws_.step_time.capacity() + ws_.reach.capacity()) * 8);
     } else if (sync_mode_) {
       bytes += static_cast<std::int64_t>(ws_.hist_words.capacity()) * 8;
       for (const auto& h : ws_.hist)
@@ -1283,8 +1418,8 @@ class ArenaEngine {
   std::size_t kstride_ = 0;
   std::size_t kport_words_ = 0;
   // True when any kernel phase has a KernelBatchFn: the simultaneous and
-  // synchronizer loops then step phase-bucketed (the delayed event loop is
-  // inherently one-node-at-a-time and always steps scalar).
+  // synchronizer loops then step phase-bucketed (the delayed loop steps
+  // scalar).
   bool kernel_has_batch_ = false;
   std::int64_t batched_steps_ = 0;
   std::int64_t batch_calls_ = 0;

@@ -25,7 +25,9 @@
 // pool; messages only cross the round barrier and every node owns a private
 // Rng stream, so results are bit-identical for any thread count (the
 // engine-equivalence test enforces this against the preserved seed engine in
-// src/runtime/reference.h).
+// src/runtime/reference.h). The delayed network (RunOptions::network) runs
+// lockstep local rounds over the same arena and derives each node's step
+// times from a max-plus recurrence over its in-edges' pulse arrivals.
 #pragma once
 
 #include <algorithm>
@@ -57,8 +59,8 @@ struct RunOptions {
   /// synchronizer mode always runs single-threaded.
   int num_threads = 1;
   /// Delivery layer (src/runtime/network.h): the round-exact synchronous
-  /// arena (default), or the seeded event-queue transport with per-edge
-  /// latency and fault injection. The delayed mode runs the event loop
+  /// arena (default), or the seeded delayed network with per-edge latency
+  /// and fault injection. The delayed mode runs its lockstep rounds
   /// single-threaded; outputs are a pure function of (instance, seed,
   /// network), so they stay invariant under num_threads and sharding.
   NetworkOptions network;

@@ -189,6 +189,10 @@ struct TraceEvent {
 
   /// Convenience arg appenders (create the args object on first use).
   void arg(const std::string& key, const std::string& value);
+  /// String literals too (they would otherwise convert to bool).
+  void arg(const std::string& key, const char* value) {
+    arg(key, std::string(value));
+  }
   void arg(const std::string& key, std::int64_t value);
   void arg(const std::string& key, std::uint64_t value);
   void arg(const std::string& key, double value);

@@ -54,6 +54,12 @@ check_value --workers=-1 sweep
 check_value --workers=-1 table1
 check_value --workers=-1 shard run
 check_value --trace-rounds=-1 mis
+# Tick knobs are capped at 2^32 so delayed-network timestamps cannot
+# overflow int64.
+check_value --max-delay=9223372036854775807 mis --network=delay:uniform --drop=0.5
+check_value --max-delay=4294967297 table1 --network=delay:heavytail
+check_value --late-by=9223372036854775807 sweep --network=delay:weighted --late=0.5
+check_value --late-by=0 shard plan --dir=unused --table1 --network=delay:uniform
 
 for flag in --bogus --kernel=on; do
   check "$flag" mis

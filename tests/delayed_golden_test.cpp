@@ -185,11 +185,14 @@ std::string compute_document() {
   return doc + "\n]\n";
 }
 
-/// Names the first field where two rows (one JSON object per line) differ.
-std::string first_difference(const std::string& computed_line,
-                             const std::string& golden_line) {
+/// Names the first field where two rows (one JSON object per line, with a
+/// trailing comma between rows) differ.
+std::string first_difference(std::string computed_line,
+                             std::string golden_line) {
   json::Value computed, golden;
   try {
+    for (std::string* line : {&computed_line, &golden_line})
+      if (!line->empty() && line->back() == ',') line->pop_back();
     computed = json::Value::parse(computed_line);
     golden = json::Value::parse(golden_line);
   } catch (const std::exception&) {

@@ -8,8 +8,8 @@
 //   * determinism: the full RunResult (timestamps and fault counters
 //     included) is invariant under engine thread count and run repetition;
 //   * degenerate faults: drop=1.0 and crashes stall the synchronizer
-//     cleanly (queues drain, survivors finalized as cut off) instead of
-//     spinning;
+//     cleanly (stalled nodes stop stepping, survivors finalized as cut
+//     off) instead of spinning;
 //   * the kernel tier works unchanged through the delayed layer.
 //
 // Campaign/shard-level determinism of delayed grids is covered in
@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -94,8 +95,10 @@ TEST(NetworkSpec, StrictKnobParsing) {
   EXPECT_EQ(parse_positive_ticks("--max-delay", "12"), 12);
   for (const char* bad : {"", "0.5x", "-0.1", "1.5", "nan"})
     EXPECT_THROW(parse_unit_interval("--drop", bad), std::runtime_error);
-  for (const char* bad : {"", "7.5", "0", "-3", "12x"})
+  for (const char* bad : {"", "7.5", "0", "-3", "12x", "4294967297",
+                          "9223372036854775807"})
     EXPECT_THROW(parse_positive_ticks("--late-by", bad), std::runtime_error);
+  EXPECT_EQ(parse_positive_ticks("--max-delay", "4294967296"), kMaxTicks);
   try {
     parse_unit_interval("--crash", "oops");
     FAIL() << "expected parse failure";
@@ -109,6 +112,11 @@ TEST(NetworkSpec, StrictKnobParsing) {
   EXPECT_THROW(validate_network_options(bad), std::runtime_error);
   bad = NetworkOptions{};
   bad.max_delay = 0;
+  EXPECT_THROW(validate_network_options(bad), std::runtime_error);
+  bad.max_delay = kMaxTicks + 1;
+  EXPECT_THROW(validate_network_options(bad), std::runtime_error);
+  bad = NetworkOptions{};
+  bad.late_by = std::numeric_limits<std::int64_t>::max();
   EXPECT_THROW(validate_network_options(bad), std::runtime_error);
   bad = NetworkOptions{};
   bad.late = -0.5;
@@ -191,8 +199,8 @@ TEST(DelayedNetwork, DeterministicAcrossThreadCountsAndRepetition) {
 }
 
 // drop=1.0: nothing is ever delivered. Round 0 needs no messages, so every
-// node steps once; from then on every non-isolated node starves. The event
-// queue drains and the run exits cleanly with the survivors cut off — it
+// node steps once; from then on every non-isolated node stalls for good,
+// and the run exits cleanly with the survivors cut off — it
 // must not spin to the round cap (guarded here by the default cap being
 // ~2^60: a spinning loop would never return).
 TEST(DelayedNetwork, DropEverythingStallsCleanly) {

@@ -186,7 +186,8 @@ TEST(Shard, RunShardRejectsACorruptedManifest) {
 TEST(Shard, ManifestRejectsIntegersThatWouldWrapIntoRange) {
   // 40 + 2^32 wraps back to 40 in a 32-bit NodeId, and the grid fingerprint
   // is taken after the cast, so a narrowing read would run n=40 and accept
-  // the manifest. Every such field must be rejected, naming the key.
+  // the manifest. Every such field, and every network knob out of its
+  // range, must be rejected, naming the key.
   const ShardPlan plan = plan_shards(tiny_grid(), 2, ShardPolicy::kRoundRobin);
   const std::string text = plan.shards[0].to_json().dump();
   struct Tamper {
@@ -198,7 +199,12 @@ TEST(Shard, ManifestRejectsIntegersThatWouldWrapIntoRange) {
            {"\"shard_index\":0,", "\"shard_index\":4294967296,",
             "json: \"shard_index\" out of range: 4294967296"},
            {"\"num_shards\":2,", "\"num_shards\":4294967298,",
-            "json: \"num_shards\" out of range: 4294967298"}}) {
+            "json: \"num_shards\" out of range: 4294967298"},
+           // Tick knobs past kMaxTicks could overflow delayed timestamps.
+           {"\"max_delay\":8", "\"max_delay\":9223372036854775807",
+            "max_delay must be in [1, 4294967296]"},
+           {"\"late_by\":64", "\"late_by\":0",
+            "late_by must be in [1, 4294967296]"}}) {
     std::string tampered = text;
     const std::size_t at = tampered.find(t.from);
     ASSERT_NE(at, std::string::npos) << t.from << " not in " << text;

@@ -9,8 +9,10 @@
 // timestamps that agree with its trace spans.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <stdexcept>
@@ -309,6 +311,54 @@ TEST(EngineTracing, TraceRoundsCapsPerRunRoundSpans) {
     EXPECT_GT(runs, 0) << "cap " << cap;
     EXPECT_LE(rounds, cap * runs) << "cap " << cap;
   }
+}
+
+// The delayed network's lockstep rounds emit one span per round, with the
+// nodes stepped, the nodes stalled for good and the payload pulses sent;
+// with every round traced, the spans' steps add up to the runs'. Crashes
+// make stalls show.
+TEST(EngineTracing, DelayedRoundSpansCountStepsAndStalls) {
+  GridOptions grid;
+  NetworkOptions network;
+  network.kind = NetworkKind::kDelayed;
+  network.preset = DelayPreset::kHeavyTail;
+  network.crash = 0.2;
+  network.drop = 0.1;
+  grid.networks = {network};
+  ScenarioParams params;
+  params.n = 32;
+  const auto cells =
+      make_grid({"gnp"}, params, {"luby-mis", "mis-uniform"}, 1, grid);
+  FakeClock clock(1);
+  TraceRecorder recorder(&clock);
+  CampaignOptions options;
+  options.workers = 1;
+  options.trace = &recorder;
+  options.trace_rounds = std::numeric_limits<std::int64_t>::max();
+  const CampaignResult traced = run_campaign(cells, options);
+
+  std::int64_t span_steps = 0, run_steps = 0, runs = 0, max_stalled = 0;
+  for (const TraceEvent& event : recorder.events()) {
+    if (event.name == "round") {
+      for (const char* key : {"round", "frontier", "stalled", "messages"})
+        EXPECT_TRUE(event.args.find(key) != nullptr) << key;
+      EXPECT_EQ(event.args.at("frontier").as_i64(),
+                event.args.at("steps").as_i64());
+      span_steps += event.args.at("steps").as_i64();
+      max_stalled = std::max(max_stalled, event.args.at("stalled").as_i64());
+    } else if (event.name == "engine.run") {
+      ++runs;
+      EXPECT_EQ(event.args.at("mode").as_string(), "delayed");
+      run_steps += event.args.at("steps").as_i64();
+    }
+  }
+  EXPECT_GT(runs, 2);
+  EXPECT_EQ(span_steps, run_steps);
+  EXPECT_GT(max_stalled, 0);
+
+  options.trace = nullptr;
+  EXPECT_EQ(canonical_json(run_campaign(cells, options)),
+            canonical_json(traced));
 }
 
 TEST(CampaignTelemetry, MetricsCountCellsDeterministically) {
