@@ -1,7 +1,6 @@
 #include "src/runtime/runner.h"
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
 #include <chrono>
 #include <cstdint>
@@ -11,6 +10,7 @@
 #include <stdexcept>
 #include <string>
 #include <type_traits>
+#include <unordered_map>
 #include <utility>
 
 #include "src/graph/csr.h"
@@ -82,24 +82,16 @@ void publish_engine_metrics(const EngineStats& stats, std::int64_t rounds,
 
 /// The delayed loop's per-timestamp tallies: the steps taken and the payload
 /// pulses (duplicates included) arriving at one timestamp, and the worst
-/// skew (arrival - send - 1) of any pulse arriving then. An open-addressing
-/// table holds only the ticks later rounds can still add to: a tick below
-/// the floor (the earliest time any node can still step at) is final, and
-/// folds into the running maxima whenever the table rehashes.
+/// skew (arrival - send - 1) of any pulse arriving then. Only the ticks
+/// later rounds can still add to are kept: a tick below the floor (the
+/// earliest time any node can still step at) is final, and folds into the
+/// running maxima whenever the table has doubled since the last sweep.
 class TickTable {
  public:
-  struct Tick {
-    std::int64_t time = kEmpty;
-    std::int64_t steps = 0;
-    std::int64_t payload = 0;
-    std::int64_t skew = 0;
-  };
-
   void reset() {
-    slots_.assign(kMinSlots, Tick{});
-    shift_ = 64 - std::countr_zero(kMinSlots);
-    used_ = 0;
-    floor_ = kEmpty;
+    ticks_.clear();
+    sweep_at_ = kMinSweep;
+    floor_ = std::numeric_limits<std::int64_t>::min();
     peak_steps_ = peak_payload_ = max_skew_ = 0;
   }
 
@@ -119,42 +111,35 @@ class TickTable {
 
   /// Folds every tick left: steps always, arrivals only up to `last`.
   void finish(std::int64_t last) {
-    for (const Tick& tick : slots_)
-      if (tick.time != kEmpty) fold(tick, tick.time <= last);
-    used_ = 0;
+    for (const auto& [time, tick] : ticks_) fold(tick, time <= last);
+    ticks_.clear();
   }
 
   std::int64_t peak_steps() const { return peak_steps_; }
   std::int64_t peak_payload() const { return peak_payload_; }
   std::int64_t max_skew() const { return max_skew_; }
   std::int64_t bytes() const {
-    return static_cast<std::int64_t>(slots_.capacity() * sizeof(Tick));
+    return static_cast<std::int64_t>(ticks_.bucket_count() * sizeof(void*));
   }
 
  private:
-  static constexpr std::int64_t kEmpty =
-      std::numeric_limits<std::int64_t>::min();
-  static constexpr std::size_t kMinSlots = 64;
-
-  std::size_t slot(std::int64_t time) const {
-    return static_cast<std::size_t>(
-        (static_cast<std::uint64_t>(time) * 0x9E3779B97F4A7C15ULL) >> shift_);
-  }
+  struct Tick {
+    std::int64_t steps = 0;
+    std::int64_t payload = 0;
+    std::int64_t skew = 0;
+  };
+  static constexpr std::size_t kMinSweep = 64;
 
   Tick& at(std::int64_t time) {
-    const std::size_t mask = slots_.size() - 1;
-    for (std::size_t i = slot(time);; i = (i + 1) & mask) {
-      Tick& tick = slots_[i];
-      if (tick.time == time) return tick;
-      if (tick.time != kEmpty) continue;
-      if (2 * (used_ + 1) <= slots_.size()) {
-        ++used_;
-        tick.time = time;
-        return tick;
-      }
-      rehash();
-      return at(time);
+    if (ticks_.size() >= sweep_at_) {
+      std::erase_if(ticks_, [this](const auto& entry) {
+        if (entry.first >= floor_) return false;
+        fold(entry.second, true);
+        return true;
+      });
+      sweep_at_ = 2 * ticks_.size() + kMinSweep;
     }
+    return ticks_[time];
   }
 
   void fold(const Tick& tick, bool arrivals) {
@@ -164,36 +149,9 @@ class TickTable {
     max_skew_ = std::max(max_skew_, tick.skew);
   }
 
-  /// Folds the final ticks away, then doubles the table if the live ones
-  /// still fill a quarter of it.
-  void rehash() {
-    std::vector<Tick> old = std::move(slots_);
-    std::size_t live = 0;
-    for (const Tick& tick : old) {
-      if (tick.time == kEmpty) continue;
-      if (tick.time < floor_)
-        fold(tick, true);
-      else
-        ++live;
-    }
-    std::size_t size = old.size();
-    if (4 * (live + 1) > size) size *= 2;
-    slots_.assign(size, Tick{});
-    shift_ = 64 - std::countr_zero(size);
-    used_ = live;
-    const std::size_t mask = size - 1;
-    for (const Tick& tick : old) {
-      if (tick.time == kEmpty || tick.time < floor_) continue;
-      std::size_t i = slot(tick.time);
-      while (slots_[i].time != kEmpty) i = (i + 1) & mask;
-      slots_[i] = tick;
-    }
-  }
-
-  std::vector<Tick> slots_;
-  int shift_ = 58;
-  std::size_t used_ = 0;
-  std::int64_t floor_ = kEmpty;
+  std::unordered_map<std::int64_t, Tick> ticks_;
+  std::size_t sweep_at_ = kMinSweep;
+  std::int64_t floor_ = std::numeric_limits<std::int64_t>::min();
   std::int64_t peak_steps_ = 0;
   std::int64_t peak_payload_ = 0;
   std::int64_t max_skew_ = 0;
