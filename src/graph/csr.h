@@ -55,12 +55,16 @@ class CsrGraph {
     return reverse_ports_[static_cast<std::size_t>(offset(v) + j)];
   }
 
-  /// Dense index of the directed edge (v, port j); message arenas use it as
-  /// a slot number.
+  /// Dense index of the directed edge (v, port j). Sender-keyed tables (the
+  /// synchronizer's history, the delayed network's per-edge streams) file
+  /// what v sends on port j here; the receiver-keyed round arena files what
+  /// v RECEIVES on port j here.
   std::int64_t edge_index(NodeId v, NodeId j) const { return offset(v) + j; }
 
-  /// Dense index of the directed edge carrying what v RECEIVES on port j:
-  /// the slot its j-th neighbour sends through towards v.
+  /// Dense index of the reverse directed edge (u, reverse_port(v, j)), u
+  /// the j-th neighbour of v. Sender-keyed tables read what v receives on
+  /// port j there; the receiver-keyed round arena writes v's send on port j
+  /// there.
   std::int64_t in_edge_index(NodeId v, NodeId j) const {
     const NodeId u = neighbor(v, j);
     return offset(u) + reverse_port(v, j);

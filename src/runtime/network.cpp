@@ -126,7 +126,9 @@ void validate_network_options(const NetworkOptions& options) {
 
 // --- SynchronousNetwork ----------------------------------------------------
 
-void SynchronousNetwork::begin_run(std::size_t slots, int threads) {
+void SynchronousNetwork::begin_run(const CsrGraph& csr, int threads) {
+  csr_ = &csr;
+  const auto slots = static_cast<std::size_t>(csr.num_directed_edges());
   if (!clean_ || send_spans_.size() != slots || recv_spans_.size() != slots) {
     send_spans_.assign(slots, Span{});
     recv_spans_.assign(slots, Span{});
@@ -183,6 +185,20 @@ void SynchronousNetwork::reset_half(
       spans[static_cast<std::size_t>(slot)].words = -1;
     dirty.clear();
   }
+}
+
+std::int64_t SynchronousNetwork::send_max_words() const {
+  std::int64_t max_words = 0;
+  if (send_bulk_) {
+    for (const Span& s : send_spans_) max_words = std::max(max_words, s.words);
+    return max_words;
+  }
+  // Every slot written this round is on exactly one dirty list.
+  for (const auto& dirty : send_dirty_)
+    for (const std::int64_t slot : dirty)
+      max_words = std::max(max_words,
+                           send_spans_[static_cast<std::size_t>(slot)].words);
+  return max_words;
 }
 
 std::int64_t SynchronousNetwork::arena_bytes() const {

@@ -3,9 +3,9 @@
 // The engine (src/runtime/runner.cpp) decides WHO steps; a network model
 // decides WHEN and WHETHER a sent message reaches its receiver:
 //
-//   SynchronousNetwork — the round-exact double-buffered span arena the
-//     engine has always used: everything sent in round r is available in
-//     round r+1, nothing is lost. This is the default and stays
+//   SynchronousNetwork — the round-exact double-buffered span arena, keyed
+//     by receiver: everything sent in round r is available in round r+1,
+//     nothing is lost. This is the default and stays
 //     bit-identical to the seed reference engine.
 //
 //   DelayedNetwork — the asynchronous regime the paper's synchronizer
@@ -29,6 +29,7 @@
 // the `--network=` / fault-knob CLI flags and the manifest round trip.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <span>
@@ -115,21 +116,22 @@ std::int64_t parse_positive_ticks(const char* flag, const std::string& text);
 /// malformed NetworkOptions fails fast instead of mid-run.
 void validate_network_options(const NetworkOptions& options);
 
-/// Arena descriptor of one directed edge's message: offset into the owning
-/// word buffer and length. words < 0 means no message. In the synchronous
-/// arena the top bits of offset carry the id of the stepping thread whose
-/// word buffer holds the payload — needed because the live list is
-/// re-chunked across threads every round, so a sender's thread cannot be
-/// derived from its node id; packing keeps the span at 16 bytes (4 per
-/// cache line) on the hot receive path.
+/// Arena descriptor of one message slot. words < 0 means no message. A
+/// one-word message is stored inline: the word itself sits in offset. Any
+/// other length lives in the word buffer of the thread that sent it, and
+/// offset packs that thread's id into its top bits above the word offset —
+/// needed because the live list is re-chunked across threads every round,
+/// so a sender's thread cannot be derived from its node id. Either way the
+/// span stays 16 bytes (4 per cache line) on the hot receive path.
 struct Span {
   std::int64_t offset = 0;
   std::int64_t words = -1;
 };
 
-/// offset layout: bits [kOwnerShift, 63) = writer thread, low bits = word
-/// offset. Word buffers stay far below 2^48 entries; thread counts below
-/// 2^15 are enforced in the engine constructor.
+/// offset layout of a buffered span: bits [kOwnerShift, 63) = writer
+/// thread, low bits = word offset. Word buffers stay far below 2^48
+/// entries; thread counts below 2^15 are enforced in the engine
+/// constructor.
 constexpr int kOwnerShift = 48;
 constexpr std::int64_t kOffsetMask = (std::int64_t{1} << kOwnerShift) - 1;
 
@@ -138,20 +140,27 @@ inline std::int64_t pack_offset(int owner, std::size_t offset) {
          static_cast<std::int64_t>(offset);
 }
 
-/// The round-exact delivery layer: spans indexed by directed-edge slot,
-/// double-buffered between a send half and a receive half that swap at each
-/// round barrier; payload words live in per-thread buffers (the owner rides
-/// the span offset's top bits). Slots are reset lazily through per-thread
-/// dirty lists — only the slots written two rounds ago — with an adaptive
-/// fallback to a linear fill on dense rounds; the all-clean exit invariant
-/// keeps reused workspaces O(m)-init-free. Owned by EngineWorkspaceState so
-/// capacity survives across runs. send() may be called from concurrent
-/// stepping threads as long as each thread passes its own tid.
+/// The round-exact delivery layer: one span per directed edge, keyed by
+/// RECEIVER — what node v receives on port j sits in slot offset(v) + j, so
+/// v's whole inbox is one contiguous run of spans, and a send from v on port
+/// j writes the slot its neighbour u reads as its own port,
+/// offset(u) + reverse_port(v, j). Callers speak (node, port); the slot
+/// layout stays inside this class, bound to the CsrGraph the run began with.
+/// The spans are double-buffered between a send half and a receive half
+/// that swap at each round barrier; one-word payloads ride inline in the
+/// span and longer ones in per-thread word buffers. Slots are reset lazily
+/// through per-thread dirty lists — only the slots written two rounds ago —
+/// with an adaptive fallback to a linear fill on dense rounds; the
+/// all-clean exit invariant keeps reused workspaces O(m)-init-free. Owned
+/// by EngineWorkspaceState so capacity survives across runs. send() may be
+/// called from concurrent stepping threads as long as each thread passes
+/// its own tid and no two threads send from the same node.
 class SynchronousNetwork {
  public:
-  /// Per-run preparation: rebuilds the span tables only when the slot count
-  /// changed or the last run exited dirty (a thrown step).
-  void begin_run(std::size_t slots, int threads);
+  /// Per-run preparation over `csr`, which must outlive the run: rebuilds
+  /// the span tables only when the slot count changed or the last run
+  /// exited dirty (a thrown step).
+  void begin_run(const CsrGraph& csr, int threads);
 
   /// Resets the send half (strategy it was written under) and picks this
   /// round's write strategy: a round whose predecessor moved at least a
@@ -167,38 +176,66 @@ class SynchronousNetwork {
   /// they were written with).
   void end_run();
 
-  void send(int tid, std::int64_t slot, const std::int64_t* data,
-            std::size_t words) {
-    auto& buf = send_words_[static_cast<std::size_t>(tid)];
+  /// Records data[0..words) as `node`'s message on `port` this round; a
+  /// second send on the same port overwrites the first (last write wins).
+  /// Returns the length the slot held before this write, -1 on the round's
+  /// first write — so callers can count each slot's final message once.
+  std::int64_t send(int tid, NodeId node, NodeId port,
+                    const std::int64_t* data, std::size_t words) {
+    const std::int64_t slot = csr_->in_edge_index(node, port);
     Span& s = send_spans_[static_cast<std::size_t>(slot)];
-    if (!send_bulk_ && s.words < 0)
+    const std::int64_t prev = s.words;
+    if (!send_bulk_ && prev < 0)
       send_dirty_[static_cast<std::size_t>(tid)]
           .push_back(slot);  // first write this round: schedule the reset
-    s.offset = pack_offset(tid, buf.size());
+    if (words == 1) {
+      s.offset = data[0];
+    } else {
+      auto& buf = send_words_[static_cast<std::size_t>(tid)];
+      s.offset = pack_offset(tid, buf.size());
+      buf.insert(buf.end(), data, data + words);
+    }
     s.words = static_cast<std::int64_t>(words);
-    buf.insert(buf.end(), data, data + words);
+    return prev;
   }
 
-  /// What the previous round sent through `slot`. The returned span points
-  /// into the receive half, which no send of the current round can touch,
-  /// so it stays valid for the whole step.
-  std::span<const std::int64_t> recv(std::int64_t slot, bool* present) const {
-    const Span s = recv_spans_[static_cast<std::size_t>(slot)];
+  /// What `node` received on `port`: the previous round's message from that
+  /// neighbour. The returned span points into the receive half (the span
+  /// table itself for an inline word), which no send of the current round
+  /// can touch, so it stays valid for the whole step.
+  std::span<const std::int64_t> recv(NodeId node, NodeId port,
+                                     bool* present) const {
+    const Span& s =
+        recv_spans_[static_cast<std::size_t>(csr_->offset(node) + port)];
     if (s.words < 0) {
       *present = false;
       return {};
     }
+    *present = true;
+    if (s.words == 1) return {&s.offset, 1};
     const auto& buf =
         recv_words_[static_cast<std::size_t>(s.offset >> kOwnerShift)];
-    *present = true;
     return {buf.data() + (s.offset & kOffsetMask),
             static_cast<std::size_t>(s.words)};
   }
 
-  /// Send-half slot inspection (post-step message accounting).
-  const Span& send_span(std::int64_t slot) const {
-    return send_spans_[static_cast<std::size_t>(slot)];
+  /// Whether `node` has sent on `port` this round.
+  bool sent(NodeId node, NodeId port) const {
+    return send_spans_[static_cast<std::size_t>(
+                           csr_->in_edge_index(node, port))]
+               .words >= 0;
   }
+
+  /// Whether any neighbour has sent to `node` this round.
+  bool has_mail(NodeId node) const {
+    const auto first = send_spans_.begin() + csr_->offset(node);
+    return std::any_of(first, first + csr_->degree(node),
+                       [](const Span& s) { return s.words >= 0; });
+  }
+
+  /// The longest message in the send half: this round's exact maximum
+  /// length after resends that shrank a slot (0 when nothing was sent).
+  std::int64_t send_max_words() const;
 
   /// Slots lazily reset through the dirty lists this run (the clearing-work
   /// stat; bulk fills are not counted).
@@ -212,6 +249,7 @@ class SynchronousNetwork {
                   std::vector<std::vector<std::int64_t>>& dirty_lists,
                   bool bulk);
 
+  const CsrGraph* csr_ = nullptr;
   std::vector<Span> send_spans_, recv_spans_;
   std::vector<std::vector<std::int64_t>> send_words_, recv_words_;
   std::vector<std::vector<std::int64_t>> send_dirty_, recv_dirty_;

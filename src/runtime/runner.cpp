@@ -25,10 +25,15 @@ namespace unilocal {
 namespace {
 
 /// Per-thread accumulators reduced after each round (keeps results
-/// independent of the node-stepping interleave).
-struct StepDelta {
+/// independent of the node-stepping interleave). Sends update the message
+/// counters, so each thread's delta gets its own cache line.
+struct alignas(64) StepDelta {
+  /// Slots first written this round, and the longest write. A resend that
+  /// shrinks its slot sets `shrunk`: max_words may then exceed the round's
+  /// true maximum, which the network rescans.
   std::int64_t messages = 0;
   std::int64_t max_words = 0;
+  bool shrunk = false;
   std::int64_t steps = 0;
   std::int64_t batched_steps = 0;
   std::int64_t batch_calls = 0;
@@ -45,6 +50,7 @@ struct StepDelta {
   /// Zeroes the counters and empties the lists, keeping their capacity.
   void clear() {
     messages = max_words = steps = batched_steps = batch_calls = 0;
+    shrunk = false;
     newly_finished = cut_off = 0;
     phase_sizes.clear();
     parking.clear();
@@ -367,6 +373,7 @@ class ArenaEngine {
 
     backends_.reserve(static_cast<std::size_t>(threads_));
     for (int t = 0; t < threads_; ++t) backends_.push_back(Backend{this, t});
+    deltas_.assign(static_cast<std::size_t>(threads_), StepDelta{});
   }
 
   RunResult run_simultaneous() {
@@ -375,7 +382,7 @@ class ArenaEngine {
     const std::size_t slots = static_cast<std::size_t>(
         csr_.num_directed_edges());
     SynchronousNetwork& net = ws_.sim_net;
-    net.begin_run(slots, threads_);
+    net.begin_run(csr_, threads_);
 
     ws_.live.resize(static_cast<std::size_t>(n_));
     std::iota(ws_.live.begin(), ws_.live.end(), NodeId{0});
@@ -384,7 +391,6 @@ class ArenaEngine {
     ws_.candidates.clear();
     if (kernel_ != nullptr) wake_at_ = ws_.local_round.data();
 
-    deltas_.assign(static_cast<std::size_t>(threads_), StepDelta{});
     NodeId live = n_;  // unfinished nodes, awake or asleep
     peak_live_ = n_;
     std::int64_t prev_round_messages =
@@ -420,11 +426,14 @@ class ArenaEngine {
       total_steps_ += live;
       slept_steps_ += round_asleep;
       const NodeId live_before = live;
+      std::int64_t round_max_words = 0;
+      bool shrunk = false;
       for (auto& delta : deltas_) {
         live -= delta.newly_finished;
         messages_sent_ += delta.messages;
         round_messages += delta.messages;
-        max_message_words_ = std::max(max_message_words_, delta.max_words);
+        round_max_words = std::max(round_max_words, delta.max_words);
+        shrunk = shrunk || delta.shrunk;
         round_steps += delta.steps;
         batched_steps_ += delta.batched_steps;
         batch_calls_ += delta.batch_calls;
@@ -438,6 +447,8 @@ class ArenaEngine {
             trace_phases_[p] += delta.phase_sizes[p];
         }
       }
+      if (shrunk) round_max_words = net.send_max_words();
+      max_message_words_ = std::max(max_message_words_, round_max_words);
       peak_round_messages_ =
           std::max(peak_round_messages_, round_messages);
       prev_round_messages = round_messages;
@@ -698,7 +709,8 @@ class ArenaEngine {
     const std::size_t slots = static_cast<std::size_t>(
         csr_.num_directed_edges());
     SynchronousNetwork& arena = ws_.sim_net;
-    arena.begin_run(slots, 1);
+    arena.begin_run(csr_, 1);
+    StepDelta& delta = deltas_[0];
     auto& time = ws_.step_time;
     auto& reach = ws_.reach;
     time.assign(static_cast<std::size_t>(n_), kNever);
@@ -750,7 +762,7 @@ class ArenaEngine {
         }
       }
       arena.begin_round(prev_round_messages);
-      std::int64_t round_messages = 0, stepped = 0;
+      std::int64_t stepped = 0;
       for (const NodeId v : active) {
         const std::size_t vi = static_cast<std::size_t>(v);
         const std::int64_t now = time[vi];
@@ -775,24 +787,25 @@ class ArenaEngine {
         const std::int64_t base = csr_.offset(v);
         for (NodeId j = 0; j < csr_.degree(v); ++j) {
           const std::int64_t e = base + j;
-          const std::int64_t words = arena.send_span(e).words;
-          if (words >= 0) {
-            ++round_messages;
-            max_message_words_ = std::max(max_message_words_, words);
-          }
+          const bool payload = arena.sent(v, j);
           const DelayedNetwork::Pulse pulse = net.draw_pulse(e, now);
           std::int64_t& latest = reach[static_cast<std::size_t>(e)];
           latest = std::max(latest, pulse.arrival);
           if (pulse.arrival == kNever) continue;
           ws_.ticks.add_arrival(pulse.arrival, pulse.arrival - now - 1,
-                                words >= 0);
+                                payload);
           last_arrival = std::max(last_arrival, pulse.arrival);
           if (pulse.duplicate == kNever) continue;
           ws_.ticks.add_arrival(pulse.duplicate, pulse.duplicate - now - 1,
-                                words >= 0);
+                                payload);
           last_arrival = std::max(last_arrival, pulse.duplicate);
         }
       }
+      const std::int64_t round_messages = delta.messages;
+      max_message_words_ = std::max(
+          max_message_words_,
+          delta.shrunk ? arena.send_max_words() : delta.max_words);
+      delta.clear();
       arena.end_round();
       total_steps_ += stepped;
       messages_sent_ += round_messages;
@@ -851,10 +864,28 @@ class ArenaEngine {
     }
   };
 
+  /// Round-arena sends are accounted as they happen: a slot's first write
+  /// counts the message and notes a sleeping receiver; a resend overwrites
+  /// it (last write wins) and only flags a shrink, which the round's
+  /// max-words reduction then resolves by rescanning the send half.
   void do_send(int tid, NodeId node, NodeId port, const std::int64_t* data,
                std::size_t words) {
     if (!sync_mode_) {
-      ws_.sim_net.send(tid, csr_.edge_index(node, port), data, words);
+      StepDelta& delta = deltas_[static_cast<std::size_t>(tid)];
+      const auto len = static_cast<std::int64_t>(words);
+      const std::int64_t prev = ws_.sim_net.send(tid, node, port, data, words);
+      if (prev < 0) {
+        ++delta.messages;
+        // asleep only changes between rounds, so it is safe to read here.
+        if (asleep_ > 0) {
+          const NodeId u = csr_.neighbor(node, port);
+          if (ws_.asleep[static_cast<std::size_t>(u)])
+            delta.mailed.push_back(u);
+        }
+      } else if (len < prev) {
+        delta.shrunk = true;
+      }
+      delta.max_words = std::max(delta.max_words, len);
       return;
     }
     const std::int64_t r = ws_.local_round[static_cast<std::size_t>(node)];
@@ -875,8 +906,7 @@ class ArenaEngine {
   /// do_recv/do_recv_message (which copy through the scratch) may hold it.
   std::span<const std::int64_t> raw_recv(NodeId node, NodeId port,
                                          bool* present) {
-    if (!sync_mode_)
-      return ws_.sim_net.recv(csr_.in_edge_index(node, port), present);
+    if (!sync_mode_) return ws_.sim_net.recv(node, port, present);
     const std::int64_t want =
         ws_.local_round[static_cast<std::size_t>(node)] - 1;
     const auto& h = ws_.hist[static_cast<std::size_t>(
@@ -1097,8 +1127,6 @@ class ArenaEngine {
       step_bucketed(tid, ws_.live.data() + lo, hi - lo, round,
                     &delta.batched_steps, &delta.batch_calls,
                     trace_round_active_ ? &delta.phase_sizes : nullptr);
-    // asleep only changes between rounds, so it is safe to read here.
-    const bool watch_mail = asleep_ > 0;
     for (std::size_t i = lo; i < hi; ++i) {
       const NodeId v = ws_.live[i];
       const std::size_t vi = static_cast<std::size_t>(v);
@@ -1124,22 +1152,6 @@ class ArenaEngine {
         wake_at_[vi] = wake;
         delta.parking.push_back(v);
       }
-      // Post-step message accounting over this node's out-ports (identical
-      // to the seed engine's outbox scan), noting sleeping receivers.
-      const std::int64_t base = csr_.offset(v);
-      const NodeId deg = csr_.degree(v);
-      for (NodeId j = 0; j < deg; ++j) {
-        const Span& s = ws_.sim_net.send_span(base + j);
-        if (s.words >= 0) {
-          ++delta.messages;
-          delta.max_words = std::max(delta.max_words, s.words);
-          if (watch_mail) {
-            const NodeId u = csr_.neighbor(v, j);
-            if (ws_.asleep[static_cast<std::size_t>(u)])
-              delta.mailed.push_back(u);
-          }
-        }
-      }
     }
   }
 
@@ -1163,7 +1175,7 @@ class ArenaEngine {
     for (const StepDelta& delta : deltas_) {
       for (const NodeId v : delta.parking) {
         const std::size_t vi = static_cast<std::size_t>(v);
-        if (has_mail(v)) {
+        if (ws_.sim_net.has_mail(v)) {
           wake_at_[vi] = 0;
           continue;
         }
@@ -1203,14 +1215,6 @@ class ArenaEngine {
     ws_.sleepers.pop_due(*due, current, [this](NodeId v) { wake(v); });
     readmit_woken();
     return skipped;
-  }
-
-  bool has_mail(NodeId v) const {
-    const NodeId deg = csr_.degree(v);
-    for (NodeId j = 0; j < deg; ++j)
-      if (ws_.sim_net.send_span(csr_.in_edge_index(v, j)).words >= 0)
-        return true;
-    return false;
   }
 
   void wake(NodeId v) {

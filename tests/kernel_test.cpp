@@ -8,7 +8,10 @@
 // tests/table1_golden_test.cpp.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <initializer_list>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -104,6 +107,165 @@ void check_both_engine_modes(const Instance& instance,
   for (auto& w : options.wake_rounds)
     w = static_cast<std::int64_t>(wake_rng.next_below(5));
   check_kernel_equivalence(instance, algorithm, options, label + "/sync");
+}
+
+/// One round of the resend probe: folds every received message, length
+/// included, into `acc`, then sends. Port 0 is written twice in the step —
+/// 3 words then 1 (a shrink) every round except `grow_round`, where it gets
+/// 1 word then 4 (a growth) — and every other port gets 2 words. Only the
+/// final writes count, so a run's max_message_words is 2 without a growth
+/// round and 4 with one, and every round sends exactly one message per
+/// port.
+template <typename Recv, typename Send>
+std::uint64_t resend_probe_round(std::int64_t round, std::int64_t grow_round,
+                                 NodeId degree, std::int64_t identity,
+                                 std::uint64_t acc, Recv recv, Send send) {
+  for (NodeId j = 0; j < degree; ++j) {
+    bool present = false;
+    const std::span<const std::int64_t> words = recv(j, &present);
+    acc = acc * 31 + (present ? words.size() + 1 : 0);
+    for (const std::int64_t w : words)
+      acc = acc * 31 + static_cast<std::uint64_t>(w);
+  }
+  for (NodeId j = 0; j < degree; ++j) {
+    const std::int64_t tag = identity * 1000 + round * 10 + j;
+    if (j > 0) {
+      send(j, {tag, -tag});
+    } else if (round == grow_round) {
+      send(j, {tag});
+      send(j, {tag, tag + 1, tag + 2, tag + 3});
+    } else {
+      send(j, {tag, tag + 1, tag + 2});
+      send(j, {tag + 5});
+    }
+  }
+  return acc;
+}
+
+/// Nodes finish after 4 to 6 rounds, by identity, so the live list
+/// shrinks while the survivors keep resending.
+bool resend_probe_done(std::int64_t round, std::int64_t identity) {
+  return round >= 3 + identity % 3;
+}
+
+std::int64_t resend_probe_output(std::uint64_t acc) {
+  return static_cast<std::int64_t>(acc >> 1);
+}
+
+struct ResendProbeState {
+  std::uint64_t acc;
+};
+
+void resend_probe_kernel(KernelCtx& ctx) {
+  const std::int64_t grow_round = *static_cast<const std::int64_t*>(ctx.config);
+  std::uint64_t& acc = ctx.state_as<ResendProbeState>().acc;
+  acc = resend_probe_round(
+      ctx.round, grow_round, ctx.degree, ctx.identity, acc,
+      [&ctx](NodeId j, bool* present) { return ctx.recv(j, present); },
+      [&ctx](NodeId j, std::initializer_list<std::int64_t> words) {
+        ctx.send(j, words);
+      });
+  if (resend_probe_done(ctx.round, ctx.identity))
+    ctx.finish(resend_probe_output(acc));
+}
+
+/// Pins last-write-wins message accounting (ContextBackend::send_words):
+/// a resend on one port within a step must count once, with its final
+/// length.
+class ResendProbe final : public Algorithm {
+ public:
+  explicit ResendProbe(std::int64_t grow_round) {
+    auto kernel = std::make_shared<StepKernel>();
+    kernel->name = name();
+    kernel->state_size = sizeof(ResendProbeState);
+    kernel->state_align = alignof(ResendProbeState);
+    kernel->phases.push_back({"probe", &resend_probe_kernel, nullptr});
+    kernel->config = std::make_shared<const std::int64_t>(grow_round);
+    kernel_ = std::move(kernel);
+    grow_round_ = grow_round;
+  }
+
+  std::unique_ptr<Process> spawn(const NodeInit&) const override {
+    return std::make_unique<Node>(grow_round_);
+  }
+  std::string name() const override { return "resend-probe"; }
+  std::shared_ptr<const StepKernel> kernel() const override { return kernel_; }
+
+ private:
+  class Node final : public Process {
+   public:
+    explicit Node(std::int64_t grow_round) : grow_round_(grow_round) {}
+    void step(Context& ctx) override {
+      acc_ = resend_probe_round(
+          ctx.round(), grow_round_, ctx.degree(), ctx.id(), acc_,
+          [&ctx](NodeId j, bool* present) {
+            return ctx.received_span(j, present);
+          },
+          [&ctx](NodeId j, std::initializer_list<std::int64_t> words) {
+            ctx.send(j, words);
+          });
+      if (resend_probe_done(ctx.round(), ctx.id()))
+        ctx.finish(resend_probe_output(acc_));
+    }
+
+   private:
+    std::int64_t grow_round_;
+    std::uint64_t acc_ = 0;
+  };
+
+  std::int64_t grow_round_ = -1;
+  std::shared_ptr<const StepKernel> kernel_;
+};
+
+TEST(KernelEquivalence, ResendProbeCountsFinalWritesOnly) {
+  for (const std::int64_t grow_round : {std::int64_t{-1}, std::int64_t{2}}) {
+    const ResendProbe probe(grow_round);
+    const VtableOnly vtable(probe);
+    const std::string tag = "resend-grow" + std::to_string(grow_round);
+    for (const auto& named : standard_instances(/*seed=*/83)) {
+      check_both_engine_modes(named.instance, probe, 19,
+                              tag + "/" + named.name);
+
+      // Under delay:heavytail the run sees the synchronous messages
+      // (Observation 2.1), so its counts match the reference too.
+      RunOptions options;
+      options.seed = 19;
+      const RunResult want =
+          run_local_reference(named.instance, probe, options);
+      options.network.kind = NetworkKind::kDelayed;
+      options.network.preset = DelayPreset::kHeavyTail;
+      for (const int threads : {1, 2, 8}) {
+        options.num_threads = threads;
+        for (const Algorithm* path : {static_cast<const Algorithm*>(&vtable),
+                                      static_cast<const Algorithm*>(&probe)}) {
+          const RunResult got = run_local(named.instance, *path, options);
+          const std::string label = tag + "/delayed/" + named.name +
+                                    (path == &probe ? "/kernel" : "/vtable") +
+                                    "/threads=" + std::to_string(threads);
+          EXPECT_EQ(want.outputs, got.outputs) << label;
+          EXPECT_EQ(want.finish_rounds, got.finish_rounds) << label;
+          EXPECT_EQ(want.all_finished, got.all_finished) << label;
+          EXPECT_EQ(want.rounds_used, got.rounds_used) << label;
+          EXPECT_EQ(want.messages_sent, got.messages_sent) << label;
+          EXPECT_EQ(want.max_message_words, got.max_message_words) << label;
+        }
+      }
+    }
+
+    // The oracle itself: every node is live and sends on every port in
+    // round 0, and only final lengths count.
+    const Instance cycle = make_instance(cycle_graph(41),
+                                         IdentityScheme::kRandomPermuted, 3);
+    const RunResult want = run_local_reference(cycle, probe, RunOptions{});
+    EXPECT_EQ(want.max_message_words, grow_round < 0 ? 2 : 4) << tag;
+    for (const int threads : {1, 2, 8}) {
+      RunOptions options;
+      options.num_threads = threads;
+      const RunResult got = run_local(cycle, probe, options);
+      EXPECT_EQ(got.stats.peak_round_messages, 2 * cycle.graph.num_edges())
+          << tag << " threads=" << threads;
+    }
+  }
 }
 
 TEST(KernelEquivalence, LubyAndGreedyAcrossInstances) {

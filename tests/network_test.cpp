@@ -1,5 +1,7 @@
 // The pluggable delivery layer (src/runtime/network.h): spec/knob parsing,
-// and the DelayedNetwork execution mode's core contracts —
+// the SynchronousNetwork round arena on its own (receiver-keyed slots,
+// inline one-word payloads, last-write-wins overwrites, the reset
+// strategies), and the DelayedNetwork execution mode's core contracts —
 //
 //   * asynchrony transparency: when every pulse is eventually delivered
 //     (no crashes, drops below the retransmission cap), outputs and local
@@ -18,6 +20,8 @@
 
 #include <cstdint>
 #include <limits>
+#include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -28,6 +32,7 @@
 #include "src/algo/greedy_mis.h"
 #include "src/algo/luby.h"
 #include "src/algo/ruling_set_mc.h"
+#include "src/graph/csr.h"
 #include "src/graph/generators.h"
 #include "src/runtime/campaign.h"
 #include "src/runtime/network.h"
@@ -124,6 +129,217 @@ TEST(NetworkSpec, StrictKnobParsing) {
   RunOptions options;
   options.network = bad;
   EXPECT_THROW(run_local(instance, LubyMis(), options), std::runtime_error);
+}
+
+// --- SynchronousNetwork ----------------------------------------------------
+
+using Words = std::vector<std::int64_t>;
+
+/// What the arena hands `node` on `port` this round; nullopt when absent.
+std::optional<Words> received(const SynchronousNetwork& net, NodeId node,
+                              NodeId port) {
+  bool present = false;
+  const std::span<const std::int64_t> words = net.recv(node, port, &present);
+  if (!present) return std::nullopt;
+  return Words(words.begin(), words.end());
+}
+
+void send(SynchronousNetwork& net, int tid, NodeId node, NodeId port,
+          const Words& words) {
+  net.send(tid, node, port, words.data(), words.size());
+}
+
+/// Every receive of the round is absent and nothing is sent yet.
+void expect_round_clean(const SynchronousNetwork& net, const CsrGraph& csr,
+                        const std::string& label) {
+  for (NodeId v = 0; v < csr.num_nodes(); ++v) {
+    EXPECT_FALSE(net.has_mail(v)) << label << " node " << v;
+    for (NodeId j = 0; j < csr.degree(v); ++j) {
+      EXPECT_EQ(received(net, v, j), std::nullopt)
+          << label << " node " << v << " port " << j;
+      EXPECT_FALSE(net.sent(v, j)) << label << " node " << v << " port " << j;
+    }
+  }
+}
+
+TEST(SynchronousNetwork, DeliversZeroOneAndThreeWordsFromTwoThreads) {
+  // K4: node v's port j message has j words (0, 1 or 3 for j = 0, 1, 2),
+  // sent by node 0 on thread 0 and node 1 on thread 1; nodes 2 and 3 stay
+  // silent.
+  const CsrGraph csr(complete_graph(4));
+  const auto message = [](NodeId v, NodeId j) {
+    Words words;
+    for (NodeId k = 0; k < (j == 2 ? 3 : j); ++k)
+      words.push_back(100 * v + 10 * j + k);
+    return words;
+  };
+  SynchronousNetwork net;
+  net.begin_run(csr, 2);
+  net.begin_round(csr.num_directed_edges());
+  for (const NodeId v : {0, 1})
+    for (NodeId j = 0; j < csr.degree(v); ++j) {
+      send(net, /*tid=*/v, v, j, message(v, j));
+      EXPECT_TRUE(net.sent(v, j));
+    }
+  for (NodeId u = 0; u < csr.num_nodes(); ++u) EXPECT_TRUE(net.has_mail(u));
+  EXPECT_EQ(net.send_max_words(), 3);
+  net.end_round();
+  net.begin_round(6);
+  for (NodeId u = 0; u < csr.num_nodes(); ++u)
+    for (NodeId p = 0; p < csr.degree(u); ++p) {
+      const NodeId v = csr.neighbor(u, p);
+      const std::string label =
+          "receiver " + std::to_string(u) + " port " + std::to_string(p);
+      if (v > 1) {
+        EXPECT_EQ(received(net, u, p), std::nullopt) << label;
+        continue;
+      }
+      // The sender's port towards u is the reverse port.
+      EXPECT_EQ(received(net, u, p), message(v, csr.reverse_port(u, p)))
+          << label;
+    }
+  net.end_run();
+}
+
+TEST(SynchronousNetwork, InlineAndBufferedOverwritesOfOneSlot) {
+  const CsrGraph csr(complete_graph(3));
+  SynchronousNetwork net;
+  net.begin_run(csr, 1);
+  for (const std::int64_t prev : {std::int64_t{6}, std::int64_t{0}}) {
+    // Bulk round (prev = every slot) first, then a dirty-list round.
+    net.begin_round(prev);
+    const std::string label = prev > 0 ? "bulk" : "dirty";
+    // Buffered then inline, inline then buffered, empty then inline.
+    EXPECT_EQ(net.send(0, 0, 0, Words{1, 2, 3}.data(), 3), -1) << label;
+    EXPECT_EQ(net.send(0, 0, 0, Words{4}.data(), 1), 3) << label;
+    EXPECT_EQ(net.send(0, 0, 1, Words{5}.data(), 1), -1) << label;
+    EXPECT_EQ(net.send(0, 0, 1, Words{6, 7, 8}.data(), 3), 1) << label;
+    EXPECT_EQ(net.send(0, 1, 0, nullptr, 0), -1) << label;
+    EXPECT_EQ(net.send(0, 1, 0, Words{9}.data(), 1), 0) << label;
+    EXPECT_EQ(net.send_max_words(), 3) << label;
+    // Shrinking the only long message leaves a one-word maximum.
+    EXPECT_EQ(net.send(0, 0, 1, Words{10}.data(), 1), 3) << label;
+    EXPECT_EQ(net.send_max_words(), 1) << label;
+    net.end_round();
+    net.begin_round(3);
+    const NodeId from0_to1 = csr.reverse_port(0, 0);
+    const NodeId from0_to2 = csr.reverse_port(0, 1);
+    const NodeId from1_to0 = csr.reverse_port(1, 0);
+    EXPECT_EQ(received(net, 1, from0_to1), Words{4}) << label;
+    EXPECT_EQ(received(net, 2, from0_to2), Words{10}) << label;
+    EXPECT_EQ(received(net, 0, from1_to0), Words{9}) << label;
+    EXPECT_EQ(received(net, 2, csr.reverse_port(1, 1)), std::nullopt)
+        << label;
+    net.end_round();
+  }
+  net.end_run();
+}
+
+TEST(SynchronousNetwork, ReceiveSpansStayValidThroughTheRound) {
+  const CsrGraph csr(complete_graph(5));
+  SynchronousNetwork net;
+  net.begin_run(csr, 2);
+  net.begin_round(csr.num_directed_edges());
+  // Round 0: even senders one inline word, odd senders three words.
+  const auto message = [](NodeId v, NodeId j) {
+    return v % 2 == 0 ? Words{10 * v + j} : Words{v, j, -v};
+  };
+  for (NodeId v = 0; v < csr.num_nodes(); ++v)
+    for (NodeId j = 0; j < csr.degree(v); ++j)
+      send(net, v % 2, v, j, message(v, j));
+  net.end_round();
+  net.begin_round(csr.num_directed_edges());
+  std::vector<std::span<const std::int64_t>> spans;
+  for (NodeId u = 0; u < csr.num_nodes(); ++u)
+    for (NodeId p = 0; p < csr.degree(u); ++p) {
+      bool present = false;
+      spans.push_back(net.recv(u, p, &present));
+      ASSERT_TRUE(present);
+    }
+  // Round 1 overwrites every slot of the send half, with long messages
+  // that regrow both threads' word buffers, and resends some inline.
+  const Words long_message(64, -7);
+  for (NodeId v = 0; v < csr.num_nodes(); ++v)
+    for (NodeId j = 0; j < csr.degree(v); ++j) {
+      send(net, v % 2, v, j, long_message);
+      if (j == 0) send(net, v % 2, v, j, Words{-1});
+    }
+  std::size_t i = 0;
+  for (NodeId u = 0; u < csr.num_nodes(); ++u)
+    for (NodeId p = 0; p < csr.degree(u); ++p, ++i) {
+      const Words want = message(csr.neighbor(u, p), csr.reverse_port(u, p));
+      EXPECT_EQ(Words(spans[i].begin(), spans[i].end()), want)
+          << "receiver " << u << " port " << p;
+    }
+  net.end_run();
+}
+
+TEST(SynchronousNetwork, BulkAndDirtyResetsLeaveTheArenaClean) {
+  // K6 has 30 slots; a round whose predecessor moved fewer than 30 / 4
+  // messages writes through the dirty lists.
+  const CsrGraph csr(complete_graph(6));
+  const std::int64_t slots = csr.num_directed_edges();
+  SynchronousNetwork net;
+  net.begin_run(csr, 2);
+
+  // Round 0 (bulk, round 0 assumes a dense start): node 0 on every port.
+  net.begin_round(slots);
+  for (NodeId j = 0; j < csr.degree(0); ++j) send(net, 0, 0, j, Words{j});
+  net.end_round();
+
+  // Round 1 (dirty): two slots, one written twice from the other thread.
+  net.begin_round(csr.degree(0));
+  send(net, 1, 3, 0, Words{1, 2});
+  send(net, 1, 3, 0, Words{3});
+  send(net, 0, 4, 1, Words{4});
+  // K6 ports list the other nodes in ascending order: node 3's port 0
+  // reaches node 0 and node 4's port 1 reaches node 1.
+  for (NodeId u = 0; u < csr.num_nodes(); ++u)
+    EXPECT_EQ(net.has_mail(u), u <= 1) << "node " << u;
+  net.end_round();
+
+  // Round 2: round 0's half came back reset by the bulk fill, which the
+  // dirty-clear stat does not count.
+  net.begin_round(2);
+  for (NodeId v = 0; v < csr.num_nodes(); ++v)
+    for (NodeId j = 0; j < csr.degree(v); ++j)
+      EXPECT_FALSE(net.sent(v, j)) << "node " << v << " port " << j;
+  EXPECT_EQ(net.dirty_cleared(), 0);
+  EXPECT_EQ(received(net, 0, csr.reverse_port(3, 0)), Words{3});
+  EXPECT_EQ(received(net, 1, csr.reverse_port(4, 1)), Words{4});
+  for (NodeId u = 0; u < csr.num_nodes(); ++u) EXPECT_FALSE(net.has_mail(u));
+  net.end_round();
+  net.end_run();
+  // end_run cleared round 1's two dirty slots; round 2 wrote nothing.
+  EXPECT_EQ(net.dirty_cleared(), 2);
+
+  // The next run starts with both halves clean (and no rebuild needed).
+  net.begin_run(csr, 2);
+  EXPECT_EQ(net.dirty_cleared(), 0);
+  net.begin_round(slots);
+  expect_round_clean(net, csr, "rerun round 0");
+  net.end_round();
+  net.begin_round(0);
+  expect_round_clean(net, csr, "rerun round 1");
+  net.end_round();
+  net.end_run();
+  EXPECT_EQ(net.dirty_cleared(), 0);
+
+  // A run that ends on bulk halves is clean afterwards too.
+  net.begin_run(csr, 1);
+  for (int round = 0; round < 2; ++round) {
+    net.begin_round(slots);
+    for (NodeId v = 0; v < csr.num_nodes(); ++v)
+      for (NodeId j = 0; j < csr.degree(v); ++j) send(net, 0, v, j, Words{v});
+    net.end_round();
+  }
+  net.end_run();
+  EXPECT_EQ(net.dirty_cleared(), 0);
+  net.begin_run(csr, 1);
+  net.begin_round(0);
+  expect_round_clean(net, csr, "after bulk run");
+  net.end_round();
+  net.end_run();
 }
 
 // When every pulse is eventually delivered, each node sees the same message
