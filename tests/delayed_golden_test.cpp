@@ -32,22 +32,12 @@
 #include "src/runtime/chain.h"
 #include "src/runtime/runner.h"
 #include "src/util/json.h"
+#include "tests/test_support.h"
 
 namespace unilocal {
 namespace {
 
-std::uint64_t fnv1a(const std::vector<std::int64_t>& values) {
-  std::uint64_t hash = 1469598103934665603ULL;
-  for (const std::int64_t value : values) {
-    auto word = static_cast<std::uint64_t>(value);
-    for (int byte = 0; byte < 8; ++byte) {
-      hash ^= word & 0xff;
-      hash *= 1099511628211ULL;
-      word >>= 8;
-    }
-  }
-  return hash;
-}
+using testing_support::fnv1a;
 
 json::Value int_array(const std::vector<std::int64_t>& values) {
   json::Value out = json::Value::array();

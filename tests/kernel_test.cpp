@@ -9,9 +9,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <fstream>
 #include <initializer_list>
+#include <map>
 #include <memory>
 #include <span>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -29,11 +32,13 @@
 #include "src/runtime/kernel.h"
 #include "src/runtime/reference.h"
 #include "src/runtime/runner.h"
+#include "src/util/json.h"
 #include "tests/test_support.h"
 
 namespace unilocal {
 namespace {
 
+using testing_support::fnv1a;
 using testing_support::standard_instances;
 
 void expect_same(const RunResult& want, const RunResult& got,
@@ -48,6 +53,115 @@ void expect_same(const RunResult& want, const RunResult& got,
   EXPECT_EQ(want.max_message_words, got.max_message_words) << label;
 }
 
+// --- the frozen building-block fixture -----------------------------------
+//
+// tests/golden/kernel-blocks.json holds one row per (block, instance, engine
+// mode) case below: digests of the outputs and of the local and global
+// finish rounds, plus the run's scalar results. The rows were computed when
+// each block still had a second, independently written per-node body, while
+// both bodies agreed; they stay the check on each block's logic.
+//
+// To regenerate after an intended change in a block, copy the
+// kernel-blocks.json this test writes into its working directory on a
+// mismatch over tests/golden/kernel-blocks.json.
+
+std::string fixture_path() {
+  return std::string(UNILOCAL_SOURCE_DIR) + "/tests/golden/kernel-blocks.json";
+}
+
+json::Value frozen_row(const std::string& run, const RunResult& result) {
+  std::vector<std::int64_t> finishes = result.finish_rounds;
+  finishes.insert(finishes.end(), result.global_finish_rounds.begin(),
+                  result.global_finish_rounds.end());
+  json::Value row = json::Value::object();
+  row.set("run", json::Value::string(run));
+  row.set("output_hash", json::Value::number(fnv1a(result.outputs)));
+  row.set("finish_hash", json::Value::number(fnv1a(finishes)));
+  row.set("all_finished", json::Value::boolean(result.all_finished));
+  row.set("rounds_used", json::Value::number(result.rounds_used));
+  row.set("global_rounds", json::Value::number(result.global_rounds));
+  row.set("messages_sent", json::Value::number(result.messages_sent));
+  row.set("max_message_words",
+          json::Value::number(result.max_message_words));
+  row.set("total_steps", json::Value::number(result.stats.total_steps));
+  return row;
+}
+
+/// The checked-in rows by run name, and the rows this process computed;
+/// on any mismatch the merged document goes to the working directory.
+struct Fixture {
+  std::map<std::string, json::Value> golden;
+  std::map<std::string, json::Value> computed;
+  bool stale = false;
+
+  Fixture() {
+    std::ifstream in(fixture_path(), std::ios::binary);
+    if (!in) return;
+    std::ostringstream text;
+    text << in.rdbuf();
+    const json::Value rows = json::Value::parse(text.str());
+    for (const json::Value& row : rows.as_array())
+      golden[row.at("run").as_string()] = row;
+  }
+
+  std::string document() const {
+    std::map<std::string, json::Value> rows = golden;
+    for (const auto& [run, row] : computed) rows[run] = row;
+    std::string doc = "[\n";
+    bool first = true;
+    for (const auto& [run, row] : rows) {
+      if (!first) doc += ",\n";
+      first = false;
+      doc += row.dump();
+    }
+    return doc + "\n]\n";
+  }
+};
+
+Fixture& fixture() {
+  static Fixture instance;
+  return instance;
+}
+
+class FixtureWriter final : public ::testing::Environment {
+ public:
+  void TearDown() override {
+    if (!fixture().stale) return;
+    std::ofstream("kernel-blocks.json", std::ios::binary)
+        << fixture().document();
+    ADD_FAILURE() << fixture_path() << " is stale; the computed document "
+                  << "was written to kernel-blocks.json in the test's "
+                  << "working directory";
+  }
+};
+
+const auto* const kFixtureWriter =
+    ::testing::AddGlobalTestEnvironment(new FixtureWriter);
+
+/// Expects `result` to match the frozen row of `run`, naming each field
+/// that differs. The reference run (`record`) also supplies the row a
+/// regenerated fixture would hold.
+void expect_frozen(const std::string& run, const RunResult& result,
+                   const std::string& tag, bool record = false) {
+  Fixture& fx = fixture();
+  const json::Value row = frozen_row(run, result);
+  if (record) fx.computed[run] = row;
+  const auto it = fx.golden.find(run);
+  if (it == fx.golden.end()) {
+    fx.stale = true;
+    ADD_FAILURE() << tag << ": no row for " << run << " in " << fixture_path();
+    return;
+  }
+  for (const auto& [key, value] : row.as_object()) {
+    const json::Value* want = it->second.find(key);
+    if (want != nullptr && *want == value) continue;
+    fx.stale = true;
+    ADD_FAILURE() << tag << ": " << key << " computed " << value.dump()
+                  << ", frozen "
+                  << (want != nullptr ? want->dump() : std::string("absent"));
+  }
+}
+
 /// Reference engine vs the kernel path and the vtable path at every thread
 /// count. `options.wake_rounds` decides the engine mode: empty =
 /// simultaneous, non-empty = synchronizer — callers exercise both.
@@ -57,6 +171,7 @@ void check_kernel_equivalence(const Instance& instance,
   ASSERT_NE(algorithm.kernel(), nullptr) << label;
   const VtableOnly vtable(algorithm);
   const RunResult want = run_local_reference(instance, algorithm, options);
+  expect_frozen(label, want, label + "/reference", /*record=*/true);
   for (const int threads : {1, 2, 8}) {
     options.num_threads = threads;
     for (const Algorithm* path : {static_cast<const Algorithm*>(&vtable),
@@ -66,6 +181,7 @@ void check_kernel_equivalence(const Instance& instance,
       const std::string tag = label + (lowered ? "/kernel" : "/vtable") +
                               "/threads=" + std::to_string(threads);
       expect_same(want, got, tag);
+      expect_frozen(label, got, tag);
       // The path split must report where the steps actually ran.
       if (lowered) {
         EXPECT_EQ(got.stats.kernel_steps, got.stats.total_steps) << tag;

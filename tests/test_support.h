@@ -2,6 +2,7 @@
 // and centralized reference solvers used to exercise the gluing property.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -13,6 +14,21 @@
 
 namespace unilocal {
 namespace testing_support {
+
+/// FNV-1a over the little-endian bytes of `values`: the compact digest the
+/// golden fixtures store for per-node vectors.
+inline std::uint64_t fnv1a(const std::vector<std::int64_t>& values) {
+  std::uint64_t hash = 1469598103934665603ULL;
+  for (const std::int64_t value : values) {
+    auto word = static_cast<std::uint64_t>(value);
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= word & 0xff;
+      hash *= 1099511628211ULL;
+      word >>= 8;
+    }
+  }
+  return hash;
+}
 
 /// An EngineStats whose k-th table row (1-based) holds base * k, plus 1/3
 /// on floating-point rows: every row distinct and non-zero, so a dropped,
