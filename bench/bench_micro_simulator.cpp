@@ -81,11 +81,15 @@ BENCHMARK(BM_RulingSetPruneApply)->Arg(4096)->Arg(32768);
 
 // --- engine before/after (BENCH_engine.json) --------------------------------
 //
-// The seed engine (run_local_reference: vector-per-message, per-run
-// reverse-port recomputation) against the arena engine (run_local: CSR +
-// flat double-buffered arena) on the acceptance workloads: Luby MIS on a
-// 100k-node random graph and on a 100k-node bounded-arboricity graph.
-// "steps/s" counters are Process::step invocations per wall second.
+// The seed engine's loops (run_local_reference: vector-per-message, per-run
+// reverse-port recomputation, every unfinished node stepped each round)
+// against the arena engine (run_local: CSR + flat double-buffered arena) on
+// the acceptance workloads: Luby MIS on a 100k-node random graph and on a
+// 100k-node bounded-arboricity graph. Both engines run Luby's kernel phase
+// functions (the seed rows ran a per-node virtual-dispatch body before the
+// kernel became the only form of an algorithm, so their absolute times are
+// not comparable across that change). "steps/s" counters are node steps
+// per wall second.
 
 Instance engine_gnp_instance() {
   const NodeId n = 100000;
@@ -151,14 +155,13 @@ BENCHMARK(BM_EngineArena_Arboricity100k)
     ->Unit(benchmark::kMillisecond)
     ->Iterations(3);
 
-// --- kernel vs vtable (BENCH_engine.json pr6_kernel_vs_vtable) --------------
+// --- batched vs scalar kernels (BENCH_engine.json pr8_batched_vs_scalar) ----
 //
-// The PR 6 step-kernel tier against the Process vtable path on the same
-// arena engine, dense small-state acceptance workloads (Luby and greedy
-// MIS at n = 100k), single thread: Arg(0) runs the algorithm behind
-// VtableOnly (the Process vtable path), Arg(1) the algorithm itself (its
-// flat kernel). Outputs are bit-identical; only the per-step dispatch and
-// state layout differ.
+// The batched tier against the same kernels stepped one node at a
+// time: Arg(0) runs a copy of the kernel with every KernelBatchFn
+// stripped (the engine falls back to the scalar per-node loop), Arg(1)
+// the batch functions as registered. Both run on one thread; outputs are
+// bit-identical, only the bucket dispatch and the laned scans differ.
 
 void run_kernel_bench(benchmark::State& state, const Instance& instance,
                       const Algorithm& algorithm) {
@@ -179,50 +182,6 @@ void run_kernel_bench(benchmark::State& state, const Instance& instance,
   state.counters["nodes"] = static_cast<double>(instance.num_nodes());
 }
 
-void run_path_bench(benchmark::State& state, const Instance& instance,
-                    const Algorithm& algorithm) {
-  const VtableOnly vtable(algorithm);
-  run_kernel_bench(state, instance,
-                   state.range(0) == 0 ? static_cast<const Algorithm&>(vtable)
-                                       : algorithm);
-}
-
-void BM_KernelVsVtable_LubyGnp100k(benchmark::State& state) {
-  run_path_bench(state, engine_gnp_instance(), LubyMis{});
-}
-BENCHMARK(BM_KernelVsVtable_LubyGnp100k)
-    ->Arg(0)
-    ->Arg(1)
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(3);
-
-void BM_KernelVsVtable_LubyArboricity100k(benchmark::State& state) {
-  run_path_bench(state, engine_arboricity_instance(), LubyMis{});
-}
-BENCHMARK(BM_KernelVsVtable_LubyArboricity100k)
-    ->Arg(0)
-    ->Arg(1)
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(3);
-
-void BM_KernelVsVtable_GreedyGnp100k(benchmark::State& state) {
-  run_path_bench(state, engine_gnp_instance(), GreedyMis{});
-}
-BENCHMARK(BM_KernelVsVtable_GreedyGnp100k)
-    ->Arg(0)
-    ->Arg(1)
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(3);
-
-// --- batched vs scalar kernels (BENCH_engine.json pr8_batched_vs_scalar) ----
-//
-// The PR 8 batched tier against the same kernels stepped one node at a
-// time: Arg(0) runs a copy of the kernel with every KernelBatchFn
-// stripped (the engine falls back to the scalar per-node loop), Arg(1)
-// the batch functions as registered. Both run the kernel path on one
-// thread; outputs are bit-identical, only the bucket dispatch and the
-// laned scans differ.
-
 /// Serves the inner algorithm's kernel with all batch fns removed.
 class ScalarKernelAlgorithm final : public Algorithm {
  public:
@@ -231,9 +190,6 @@ class ScalarKernelAlgorithm final : public Algorithm {
     auto stripped = std::make_shared<StepKernel>(*inner_->kernel());
     for (auto& phase : stripped->phases) phase.batch = nullptr;
     kernel_ = std::move(stripped);
-  }
-  std::unique_ptr<Process> spawn(const NodeInit& init) const override {
-    return inner_->spawn(init);
   }
   std::shared_ptr<const StepKernel> kernel() const override {
     return kernel_;
@@ -315,24 +271,21 @@ BENCHMARK(BM_KernelBatched_ChainMisArboricity100k)
 /// Broadcasts one word per round until round input[0], then finishes — the
 /// canonical long tail: nearly every node retires after a couple of rounds
 /// while a few input-marked stragglers run for thousands more.
-class StragglerCountdown final : public Algorithm {
- public:
-  class P final : public Process {
-   public:
-    void step(Context& ctx) override {
-      const std::int64_t deadline = ctx.input().empty() ? 0 : ctx.input()[0];
-      if (ctx.round() >= deadline) {
-        ctx.finish(ctx.round());
-        return;
-      }
-      ctx.broadcast({ctx.round()});
-    }
-  };
-  std::unique_ptr<Process> spawn(const NodeInit&) const override {
-    return std::make_unique<P>();
+void straggler_countdown_step(KernelCtx& ctx) {
+  const std::int64_t deadline = ctx.input.empty() ? 0 : ctx.input[0];
+  if (ctx.round >= deadline) {
+    ctx.finish(ctx.round);
+    return;
   }
-  std::string name() const override { return "straggler-countdown"; }
-};
+  ctx.broadcast({ctx.round});
+}
+
+KernelAlgorithm straggler_countdown() {
+  auto kernel = std::make_shared<StepKernel>();
+  kernel->name = "straggler-countdown";
+  kernel->phases = {{"countdown", straggler_countdown_step}};
+  return KernelAlgorithm("straggler-countdown", std::move(kernel));
+}
 
 /// High-diameter caterpillar (n = 100k) where every node finishes within 3
 /// steps except 100 spine stragglers that run for `tail` rounds.
@@ -351,7 +304,7 @@ Instance longtail_caterpillar_instance(std::int64_t tail) {
 
 void BM_EngineLongTail_CaterpillarStragglers(benchmark::State& state) {
   const Instance instance = longtail_caterpillar_instance(4000);
-  const StragglerCountdown algorithm;
+  const KernelAlgorithm algorithm = straggler_countdown();
   std::int64_t rounds = 0;
   EngineWorkspace workspace;
   for (auto _ : state) {
@@ -376,7 +329,7 @@ void BM_EngineLongTail_CaterpillarSyncStragglers(benchmark::State& state) {
   RunOptions options;
   options.wake_rounds.assign(
       static_cast<std::size_t>(instance.num_nodes()), 0);
-  const StragglerCountdown algorithm;
+  const KernelAlgorithm algorithm = straggler_countdown();
   std::int64_t global_rounds = 0;
   EngineWorkspace workspace;
   for (auto _ : state) {

@@ -126,7 +126,7 @@ int check_trace(const std::string& path, int expect_cells,
       ++rounds;
       require_args(event, {"round", "frontier", "messages", "steps"});
     } else if (event.name == "engine.run") {
-      require_args(event, {"mode", "path", "n", "rounds"});
+      require_args(event, {"mode", "n", "rounds"});
     }
   }
   for (auto& [lane, spans] : lanes) {

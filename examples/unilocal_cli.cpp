@@ -8,10 +8,9 @@
 //              reads stdin when omitted.
 //   --stats:   also print per-run engine statistics (arena bytes, peak
 //              messages/round, steps/sec, peak/final live nodes, frontier
-//              width, lazily cleared dirty spans, kernel/vtable step split)
-//              on stderr. Every engine run takes an algorithm's flat step
-//              kernel when it has one (src/runtime/kernel.h) and the
-//              Process vtable path otherwise.
+//              width, lazily cleared dirty spans, batched kernel steps)
+//              on stderr. Every algorithm runs as its step kernel
+//              (src/runtime/kernel.h).
 //   --network: delivery layer (src/runtime/network.h): the round-exact
 //              synchronous arena (sync, the default) or the seeded
 //              delayed network (delay:uniform | delay:weighted |

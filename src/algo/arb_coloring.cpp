@@ -17,60 +17,7 @@ struct OutLinialColoring::Impl {
 
 namespace {
 
-class OutLinialProcess final : public Process {
- public:
-  explicit OutLinialProcess(const OutLinialColoring::Impl* impl)
-      : impl_(impl) {}
-
-  void step(Context& ctx) override {
-    if (ctx.round() == 0) {
-      layer_ = ctx.input().empty() ? 0 : ctx.input()[0];
-      color_ = std::max<std::int64_t>(ctx.id() - 1, 0) %
-               impl_->schedule.initial_space;
-      ctx.broadcast({layer_, ctx.id()});
-      return;
-    }
-    if (ctx.round() == 1) {
-      // Learn the orientation: out-neighbours are (layer, id)-larger.
-      out_port_.assign(static_cast<std::size_t>(ctx.degree()), 0);
-      for (NodeId j = 0; j < ctx.degree(); ++j) {
-        const Message* m = ctx.received(j);
-        if (m == nullptr) continue;
-        const auto other = std::make_pair((*m)[0], (*m)[1]);
-        if (other > std::make_pair(layer_, ctx.id()))
-          out_port_[static_cast<std::size_t>(j)] = 1;
-      }
-      if (impl_->schedule.length() == 0) {
-        ctx.finish(color_ + 1);
-        return;
-      }
-      ctx.broadcast({color_});
-      return;
-    }
-    const std::size_t index = static_cast<std::size_t>(ctx.round() - 2);
-    std::vector<std::int64_t> conflicts(static_cast<std::size_t>(ctx.degree()),
-                                        -1);
-    for (NodeId j = 0; j < ctx.degree(); ++j) {
-      if (!out_port_[static_cast<std::size_t>(j)]) continue;
-      const Message* m = ctx.received(j);
-      if (m != nullptr) conflicts[static_cast<std::size_t>(j)] = (*m)[0];
-    }
-    color_ = linial_step_apply(impl_->schedule.steps[index], color_, conflicts);
-    if (index + 1 == impl_->schedule.length()) {
-      ctx.finish(color_ + 1);
-      return;
-    }
-    ctx.broadcast({color_});
-  }
-
- private:
-  const OutLinialColoring::Impl* impl_;
-  std::int64_t layer_ = 0;
-  std::int64_t color_ = 0;
-  std::vector<char> out_port_;
-};
-
-// --- flat-kernel lowering (mirrors OutLinialProcess::step bit-for-bit) ------
+// --- step kernel ------------------------------------------------------------
 //
 // The out-orientation flags move into the per-port state lane (one word per
 // directed edge); the conflict buffer reuses the per-thread scratch vector.
@@ -183,10 +130,6 @@ OutLinialColoring::OutLinialColoring(std::int64_t out_degree_bound,
                                    std::max<std::int64_t>(m_guess, 1));
   impl_ = std::move(impl);
   kernel_ = make_out_linial_kernel(impl_);
-}
-
-std::unique_ptr<Process> OutLinialColoring::spawn(const NodeInit&) const {
-  return std::make_unique<OutLinialProcess>(impl_.get());
 }
 
 std::shared_ptr<const StepKernel> OutLinialColoring::kernel() const {

@@ -23,7 +23,6 @@ class OutLinialColoring final : public Algorithm {
  public:
   /// out_degree_bound: the orientation's out-degree cap (3*a~).
   OutLinialColoring(std::int64_t out_degree_bound, std::int64_t m_guess);
-  std::unique_ptr<Process> spawn(const NodeInit& init) const override;
   std::shared_ptr<const StepKernel> kernel() const override;
   std::string name() const override;
 

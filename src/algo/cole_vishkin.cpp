@@ -22,74 +22,7 @@ std::vector<std::int64_t> cv_spaces(std::int64_t m_guess) {
   return spaces;
 }
 
-class ColeVishkinProcess final : public Process {
- public:
-  explicit ColeVishkinProcess(const std::vector<std::int64_t>* spaces)
-      : spaces_(spaces) {}
-
-  void step(Context& ctx) override {
-    const std::int64_t parent_port =
-        ctx.input().empty() ? -1 : ctx.input()[0];
-    const std::size_t steps = spaces_->size() - 1;
-    if (ctx.round() == 0) {
-      color_ = ctx.id() % (*spaces_)[0];
-      ctx.broadcast({color_});
-      return;
-    }
-    const std::int64_t parent_color =
-        parent_port >= 0 && ctx.received(static_cast<NodeId>(parent_port))
-            ? (*ctx.received(static_cast<NodeId>(parent_port)))[0]
-            : parent_cache_;
-    if (parent_port >= 0) parent_cache_ = parent_color;
-
-    if (ctx.round() <= static_cast<std::int64_t>(steps)) {
-      // Bit-shrink step.
-      if (parent_port < 0) {
-        color_ = color_ & 1;  // root rule
-      } else {
-        const std::int64_t diff = color_ ^ parent_color;
-        const std::int64_t i = diff == 0 ? 0 : ilog2(diff & (-diff));
-        color_ = 2 * i + ((color_ >> i) & 1);
-      }
-      ctx.broadcast({color_});
-      return;
-    }
-    // Three (shift-down; eliminate t) pairs for t = 5, 4, 3.
-    const std::int64_t phase = ctx.round() - static_cast<std::int64_t>(steps) - 1;
-    const std::int64_t pair = phase / 2;  // 0,1,2
-    const bool shift = (phase % 2) == 0;
-    if (pair >= 3) {
-      ctx.finish(color_ + 1);
-      return;
-    }
-    if (shift) {
-      previous_ = color_;
-      color_ = parent_port < 0 ? (color_ + 1) % 3 : parent_color;
-      ctx.broadcast({color_});
-      return;
-    }
-    const std::int64_t t = 5 - pair;
-    if (color_ == t) {
-      // Conflicts: parent's current color + the single color all children
-      // share (our own pre-shift color).
-      for (std::int64_t c = 0; c < 3; ++c) {
-        if (c != parent_color && c != previous_) {
-          color_ = c;
-          break;
-        }
-      }
-    }
-    ctx.broadcast({color_});
-  }
-
- private:
-  const std::vector<std::int64_t>* spaces_;
-  std::int64_t color_ = 0;
-  std::int64_t previous_ = 0;
-  std::int64_t parent_cache_ = -1;
-};
-
-// --- flat-kernel lowering (mirrors ColeVishkinProcess::step bit-for-bit) ----
+// --- step kernel ------------------------------------------------------------
 
 struct CvKernelConfig {
   std::vector<std::int64_t> spaces;
@@ -234,10 +167,6 @@ ColeVishkin::ColeVishkin(std::int64_t m_guess)
 
 std::shared_ptr<const StepKernel> ColeVishkin::kernel() const {
   return kernel_;
-}
-
-std::unique_ptr<Process> ColeVishkin::spawn(const NodeInit&) const {
-  return std::make_unique<ColeVishkinProcess>(&spaces_);
 }
 
 std::string ColeVishkin::name() const {

@@ -19,10 +19,8 @@ namespace unilocal {
 class ColeVishkin final : public Algorithm {
  public:
   explicit ColeVishkin(std::int64_t m_guess);
-  std::unique_ptr<Process> spawn(const NodeInit& init) const override;
   std::string name() const override;
   std::int64_t schedule_rounds() const noexcept;
-  /// Flat-kernel lowering.
   std::shared_ptr<const StepKernel> kernel() const override;
 
  private:

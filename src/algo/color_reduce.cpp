@@ -9,59 +9,7 @@ namespace unilocal {
 
 namespace {
 
-class ColorReduceProcess final : public Process {
- public:
-  ColorReduceProcess(std::int64_t k_start, std::int64_t target,
-                     std::int64_t rounds)
-      : k_start_(k_start), target_(target), rounds_(rounds) {}
-
-  void step(Context& ctx) override {
-    if (ctx.round() == 0) {
-      color_ = ctx.input().empty() ? 1 : std::max<std::int64_t>(ctx.input()[0], 1);
-      nbr_colors_.assign(static_cast<std::size_t>(ctx.degree()), -1);
-      if (rounds_ == 1) {
-        ctx.finish(color_);
-        return;
-      }
-      ctx.broadcast({color_});
-      return;
-    }
-    // Update the neighbour-color cache (only changed colors arrive).
-    for (NodeId j = 0; j < ctx.degree(); ++j) {
-      const Message* m = ctx.received(j);
-      if (m != nullptr) nbr_colors_[static_cast<std::size_t>(j)] = (*m)[0];
-    }
-    const std::int64_t palette_max =
-        target_ <= 0 ? static_cast<std::int64_t>(ctx.degree()) + 1 : target_;
-    // Round r eliminates color value k_start - r + 1.
-    const std::int64_t eliminated = k_start_ - ctx.round() + 1;
-    if (color_ == eliminated && color_ > palette_max) {
-      color_ = smallest_free(palette_max);
-      if (ctx.round() + 1 < rounds_) ctx.broadcast({color_});
-    }
-    if (ctx.round() + 1 >= rounds_) ctx.finish(color_);
-  }
-
- private:
-  std::int64_t smallest_free(std::int64_t palette_max) const {
-    std::vector<bool> used(static_cast<std::size_t>(palette_max) + 1, false);
-    for (std::int64_t c : nbr_colors_) {
-      if (c >= 1 && c <= palette_max) used[static_cast<std::size_t>(c)] = true;
-    }
-    for (std::int64_t c = 1; c <= palette_max; ++c) {
-      if (!used[static_cast<std::size_t>(c)]) return c;
-    }
-    return palette_max;  // unreachable under good inputs
-  }
-
-  std::int64_t k_start_;
-  std::int64_t target_;
-  std::int64_t rounds_;
-  std::int64_t color_ = 1;
-  std::vector<std::int64_t> nbr_colors_;
-};
-
-// --- flat-kernel lowering (mirrors ColorReduceProcess::step bit-for-bit) ----
+// --- step kernel ------------------------------------------------------------
 //
 // The per-node neighbour-color cache moves into the engine's per-port state
 // arena (one word per directed edge); the smallest-free scan reuses the
@@ -217,10 +165,6 @@ ColorReduce::ColorReduce(std::int64_t k_start, std::int64_t target)
 
 std::shared_ptr<const StepKernel> ColorReduce::kernel() const {
   return kernel_;
-}
-
-std::unique_ptr<Process> ColorReduce::spawn(const NodeInit&) const {
-  return std::make_unique<ColorReduceProcess>(k_start_, target_, rounds_);
 }
 
 std::string ColorReduce::name() const {

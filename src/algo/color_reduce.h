@@ -21,10 +21,8 @@ class ColorReduce final : public Algorithm {
   /// target <= 0 selects the (deg+1) mode. Initial color is input[0]
   /// (1-based); pass through when already within the palette.
   ColorReduce(std::int64_t k_start, std::int64_t target);
-  std::unique_ptr<Process> spawn(const NodeInit& init) const override;
   std::string name() const override;
-  /// Flat-kernel lowering; the neighbour-color cache lives in the per-port
-  /// state arena.
+  /// The neighbour-color cache lives in the per-port state arena.
   std::shared_ptr<const StepKernel> kernel() const override;
 
   /// Rounds the fixed schedule takes (use as a chain-stage budget).

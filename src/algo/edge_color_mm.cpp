@@ -19,131 +19,16 @@ constexpr std::int64_t kKindPropose = 1;  // payload: proposer identity
 constexpr std::int64_t kKindAccept = 2;   // payload: target identity
 constexpr std::int64_t kKindReject = 3;
 
-class ProposalMatchingProcess final : public Process {
- public:
-  explicit ProposalMatchingProcess(std::int64_t delta_guess,
-                                   std::int64_t rounds)
-      : delta_guess_(delta_guess), rounds_(rounds) {}
-
-  void step(Context& ctx) override {
-    if (ctx.round() == 0) {
-      color_ = ctx.input().empty() ? 1 : ctx.input()[0];
-      believed_matched_.assign(static_cast<std::size_t>(ctx.degree()), 0);
-      proposed_.assign(static_cast<std::size_t>(ctx.degree()), 0);
-      ctx.broadcast({0, kKindNone});
-      return;
-    }
-    // --- Ingest: status updates, proposals, replies. ---
-    std::int64_t best_proposer_port = -1;
-    std::int64_t best_proposer_id = 0;
-    for (NodeId j = 0; j < ctx.degree(); ++j) {
-      const Message* m = ctx.received(j);
-      if (m == nullptr) continue;
-      believed_matched_[static_cast<std::size_t>(j)] =
-          static_cast<char>((*m)[0]);
-      const std::int64_t kind = (*m)[1];
-      if (kind == kKindPropose && !matched_) {
-        const std::int64_t proposer = (*m)[2];
-        if (best_proposer_port < 0 || proposer < best_proposer_id) {
-          best_proposer_port = j;
-          best_proposer_id = proposer;
-        }
-      } else if (kind == kKindAccept && awaiting_port_ == j && !matched_) {
-        matched_ = true;
-        match_value_ = match_value(ctx.id(), (*m)[2]);
-        awaiting_port_ = -1;
-      } else if (kind == kKindReject && awaiting_port_ == j) {
-        awaiting_port_ = -1;
-      } else if (kind == kKindPropose && matched_) {
-        pending_rejects_.push_back(j);
-      }
-    }
-    // Accept the best proposal (if still unmatched).
-    std::vector<std::pair<NodeId, Message>> directed;
-    if (best_proposer_port >= 0) {
-      matched_ = true;
-      match_value_ = match_value(ctx.id(), best_proposer_id);
-      awaiting_port_ = -1;  // any outstanding proposal of ours is moot
-      directed.emplace_back(
-          static_cast<NodeId>(best_proposer_port),
-          Message{1, kKindAccept, ctx.id()});
-      // Reject the other proposers of this round.
-      for (NodeId j = 0; j < ctx.degree(); ++j) {
-        const Message* m = ctx.received(j);
-        if (m != nullptr && (*m)[1] == kKindPropose &&
-            j != best_proposer_port) {
-          directed.emplace_back(j, Message{1, kKindReject});
-        }
-      }
-    }
-    for (NodeId j : pending_rejects_) {
-      directed.emplace_back(j, Message{matched_ ? 1 : 0, kKindReject});
-    }
-    pending_rejects_.clear();
-
-    // --- Propose during our own phase. ---
-    const std::int64_t phase_len = 2 * (delta_guess_ + 1);
-    const std::int64_t phase = (ctx.round() - 1) / phase_len + 1;
-    const bool propose_round = ((ctx.round() - 1) % 2) == 0;
-    if (!matched_ && phase == color_ && propose_round &&
-        awaiting_port_ < 0) {
-      NodeId target = -1;
-      for (NodeId j = 0; j < ctx.degree(); ++j) {
-        if (!believed_matched_[static_cast<std::size_t>(j)] &&
-            !proposed_[static_cast<std::size_t>(j)]) {
-          target = j;
-          break;
-        }
-      }
-      if (target >= 0) {
-        proposed_[static_cast<std::size_t>(target)] = 1;
-        awaiting_port_ = target;
-        directed.emplace_back(target, Message{0, kKindPropose, ctx.id()});
-      } else {
-        // Every neighbour is matched (believed state is conservative:
-        // matched is permanent) — the maximality certificate.
-        exhausted_ = true;
-      }
-    }
-    // --- Emit: directed messages win; everyone else hears our status. ---
-    std::vector<char> has_directed(static_cast<std::size_t>(ctx.degree()), 0);
-    for (auto& [port, msg] : directed) {
-      has_directed[static_cast<std::size_t>(port)] = 1;
-      ctx.send(port, std::move(msg));
-    }
-    for (NodeId j = 0; j < ctx.degree(); ++j) {
-      if (!has_directed[static_cast<std::size_t>(j)])
-        ctx.send(j, {matched_ ? 1 : 0, kKindNone});
-    }
-    if (ctx.round() + 1 >= rounds_) {
-      ctx.finish(matched_ ? match_value_ : unmatched_value(ctx.id()));
-    }
-  }
-
- private:
-  std::int64_t delta_guess_;
-  std::int64_t rounds_;
-  std::int64_t color_ = 1;
-  bool matched_ = false;
-  bool exhausted_ = false;
-  std::int64_t match_value_ = 0;
-  std::int64_t awaiting_port_ = -1;
-  std::vector<char> believed_matched_;
-  std::vector<char> proposed_;
-  std::vector<NodeId> pending_rejects_;
-};
-
-// --- flat-kernel lowering (mirrors ProposalMatchingProcess bit-for-bit) -----
+// --- step kernel ------------------------------------------------------------
 //
 // The per-port believed-matched/proposed caches pack into one per-port word
-// (bit 0 / bit 1). The ingest pass is the delicate part: the vtable process
-// re-reads received(j) while emitting rejects, but kernel recv spans may be
-// invalidated by the first send (synchronizer-mode history growth), so the
-// single ingest pass records per-port propose-seen flags and the
-// pending-reject ports into the per-thread scratch (flags in [0, degree),
-// pending ports appended after). Emission then replays the process's exact
-// send order — accept, same-round rejects, pending rejects, own proposal,
-// then status words to every port without a directed message.
+// (bit 0 / bit 1). Receive spans may be invalidated by the first send
+// (synchronizer-mode history growth), so one ingest pass records per-port
+// propose-seen flags and the pending-reject ports into the per-thread
+// scratch (flags in [0, degree), pending ports appended after). Emission
+// then sends in a fixed order: accept, same-round rejects, pending rejects,
+// own proposal, then status words to every port without a directed
+// message.
 
 constexpr std::int64_t kPortBelieved = 1;  // bit 0 of the per-port word
 constexpr std::int64_t kPortProposed = 2;  // bit 1 of the per-port word
@@ -303,10 +188,6 @@ ProposalMatching::ProposalMatching(std::int64_t delta_guess)
   const std::int64_t phases = delta_guess_ + 1;  // one per color class
   rounds_ = 1 + phases * 2 * (delta_guess_ + 1) + 2;
   kernel_ = make_proposal_matching_kernel(delta_guess_, rounds_);
-}
-
-std::unique_ptr<Process> ProposalMatching::spawn(const NodeInit&) const {
-  return std::make_unique<ProposalMatchingProcess>(delta_guess_, rounds_);
 }
 
 std::shared_ptr<const StepKernel> ProposalMatching::kernel() const {

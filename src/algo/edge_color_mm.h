@@ -26,7 +26,6 @@ namespace unilocal {
 class ProposalMatching final : public Algorithm {
  public:
   explicit ProposalMatching(std::int64_t delta_guess);
-  std::unique_ptr<Process> spawn(const NodeInit& init) const override;
   std::shared_ptr<const StepKernel> kernel() const override;
   std::string name() const override;
   std::int64_t schedule_rounds() const noexcept { return rounds_; }

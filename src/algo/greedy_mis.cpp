@@ -9,37 +9,6 @@ namespace {
 constexpr std::int64_t kTagValue = 0;
 constexpr std::int64_t kTagJoined = 1;
 
-class GreedyMisProcess final : public Process {
- public:
-  void step(Context& ctx) override {
-    const bool resolve_round = (ctx.round() % 2) == 1;
-    if (!resolve_round) {
-      for (NodeId j = 0; j < ctx.degree(); ++j) {
-        const Message* m = ctx.received(j);
-        if (m != nullptr && (*m)[0] == kTagJoined) {
-          ctx.finish(0);
-          return;
-        }
-      }
-      ctx.broadcast({kTagValue, ctx.id()});
-      return;
-    }
-    bool smallest = true;
-    for (NodeId j = 0; j < ctx.degree(); ++j) {
-      const Message* m = ctx.received(j);
-      if (m == nullptr || (*m)[0] != kTagValue) continue;
-      if ((*m)[1] < ctx.id()) {
-        smallest = false;
-        break;
-      }
-    }
-    if (smallest) {
-      ctx.broadcast({kTagJoined});
-      ctx.finish(1);
-    }
-  }
-};
-
 class GlobalMis final : public NonUniformAlgorithm {
  public:
   std::string name() const override { return "greedy-mis-as-A{n}"; }
@@ -57,7 +26,7 @@ class GlobalMis final : public NonUniformAlgorithm {
       "2n+4", [](std::int64_t n) { return 2.0 * static_cast<double>(n) + 4.0; }}}};
 };
 
-// --- flat-kernel lowering (mirrors GreedyMisProcess::step bit-for-bit) ------
+// --- step kernel ------------------------------------------------------------
 
 void greedy_mis_kernel_propose(KernelCtx& ctx) {
   for (NodeId j = 0; j < ctx.degree; ++j) {
@@ -140,10 +109,6 @@ std::shared_ptr<const StepKernel> make_greedy_mis_kernel() {
 }
 
 }  // namespace
-
-std::unique_ptr<Process> GreedyMis::spawn(const NodeInit&) const {
-  return std::make_unique<GreedyMisProcess>();
-}
 
 std::shared_ptr<const StepKernel> GreedyMis::kernel() const {
   static const std::shared_ptr<const StepKernel> kernel =

@@ -18,9 +18,7 @@ namespace unilocal {
 
 class GreedyMis final : public Algorithm {
  public:
-  std::unique_ptr<Process> spawn(const NodeInit& init) const override;
   std::string name() const override { return "greedy-mis"; }
-  /// Flat-kernel lowering.
   std::shared_ptr<const StepKernel> kernel() const override;
 };
 

@@ -9,36 +9,7 @@ namespace unilocal {
 
 namespace {
 
-class HPartitionProcess final : public Process {
- public:
-  HPartitionProcess(std::int64_t threshold, std::int64_t phases)
-      : threshold_(threshold), phases_(phases) {}
-
-  void step(Context& ctx) override {
-    if (ctx.round() == 0) {
-      residual_degree_ = ctx.degree();
-      // Peel in lockstep: phase p happens in round p (1-based).
-      return;
-    }
-    // Ingest departure notices from the previous phase.
-    for (NodeId j = 0; j < ctx.degree(); ++j) {
-      if (ctx.received(j) != nullptr) --residual_degree_;
-    }
-    if (layer_ == 0 && residual_degree_ <= threshold_) {
-      layer_ = ctx.round();  // 1-based phase index
-      ctx.broadcast({1});    // departure notice
-    }
-    if (ctx.round() >= phases_) ctx.finish(layer_);
-  }
-
- private:
-  std::int64_t threshold_;
-  std::int64_t phases_;
-  std::int64_t residual_degree_ = 0;
-  std::int64_t layer_ = 0;
-};
-
-// --- flat-kernel lowering (mirrors HPartitionProcess::step bit-for-bit) -----
+// --- step kernel ------------------------------------------------------------
 
 struct HPartitionKernelConfig {
   std::int64_t threshold;
@@ -120,10 +91,6 @@ HPartition::HPartition(std::int64_t arboricity_guess, std::int64_t n_guess)
     : threshold_(3 * std::max<std::int64_t>(arboricity_guess, 1)),
       phases_(phases_for(n_guess)),
       kernel_(make_hpartition_kernel(threshold_, phases_)) {}
-
-std::unique_ptr<Process> HPartition::spawn(const NodeInit&) const {
-  return std::make_unique<HPartitionProcess>(threshold_, phases_);
-}
 
 std::shared_ptr<const StepKernel> HPartition::kernel() const {
   return kernel_;

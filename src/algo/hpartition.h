@@ -20,7 +20,6 @@ namespace unilocal {
 class HPartition final : public Algorithm {
  public:
   HPartition(std::int64_t arboricity_guess, std::int64_t n_guess);
-  std::unique_ptr<Process> spawn(const NodeInit& init) const override;
   std::shared_ptr<const StepKernel> kernel() const override;
   std::string name() const override;
 

@@ -127,49 +127,9 @@ std::int64_t linial_step_apply(const LinialStep& step, std::int64_t color,
 
 namespace {
 
-class LinialProcess final : public Process {
- public:
-  explicit LinialProcess(const LinialSchedule* schedule)
-      : schedule_(schedule) {}
-
-  void step(Context& ctx) override {
-    if (ctx.round() == 0) {
-      color_ = ctx.input().empty() ? ctx.id() : ctx.input()[0];
-      color_ = std::max<std::int64_t>(color_ - 1, 0) % schedule_->initial_space;
-      ctx.broadcast({color_});
-      return;
-    }
-    const std::size_t index = static_cast<std::size_t>(ctx.round() - 1);
-    std::vector<std::int64_t> nbr(static_cast<std::size_t>(ctx.degree()), -1);
-    for (NodeId j = 0; j < ctx.degree(); ++j) {
-      const Message* m = ctx.received(j);
-      if (m != nullptr) nbr[static_cast<std::size_t>(j)] = (*m)[0];
-    }
-    color_ = linial_step_apply(schedule_->steps[index], color_, nbr);
-    if (index + 1 == schedule_->length()) {
-      ctx.finish(color_ + 1);  // 1-based final color
-      return;
-    }
-    ctx.broadcast({color_});
-  }
-
- private:
-  const LinialSchedule* schedule_;
-  std::int64_t color_ = 0;
-};
-
 /// Degenerate (empty-schedule) case: finish immediately with the initial
 /// color.
-class TrivialColorProcess final : public Process {
- public:
-  void step(Context& ctx) override {
-    const std::int64_t c =
-        ctx.input().empty() ? ctx.id() : ctx.input()[0];
-    ctx.finish(std::max<std::int64_t>(c, 1));
-  }
-};
-
-// --- flat-kernel lowering (mirrors LinialProcess::step bit-for-bit) ---------
+// --- step kernel ------------------------------------------------------------
 
 struct LinialKernelState {
   std::int64_t color;
@@ -266,12 +226,6 @@ LinialColoring::LinialColoring(std::int64_t delta_guess,
 
 std::shared_ptr<const StepKernel> LinialColoring::kernel() const {
   return kernel_;
-}
-
-std::unique_ptr<Process> LinialColoring::spawn(const NodeInit&) const {
-  if (schedule_.length() == 0)
-    return std::make_unique<TrivialColorProcess>();
-  return std::make_unique<LinialProcess>(&schedule_);
 }
 
 std::string LinialColoring::name() const {

@@ -60,10 +60,10 @@ std::int64_t linial_step_apply(const LinialStep& step, std::int64_t color,
 class LinialColoring final : public Algorithm {
  public:
   LinialColoring(std::int64_t delta_guess, std::int64_t space_guess);
-  std::unique_ptr<Process> spawn(const NodeInit& init) const override;
   std::string name() const override;
   const LinialSchedule& schedule() const noexcept { return schedule_; }
-  /// Flat-kernel lowering; covers the degenerate empty-schedule case too.
+  /// An empty schedule finishes every node in round 0 with its initial
+  /// color.
   std::shared_ptr<const StepKernel> kernel() const override;
 
  private:

@@ -13,67 +13,7 @@ namespace {
 constexpr std::int64_t kTagValue = 0;   // [tag, rank, identity]
 constexpr std::int64_t kTagJoined = 1;  // [tag]
 
-class LubyProcess final : public Process {
- public:
-  void step(Context& ctx) override {
-    const bool resolve_round = (ctx.round() % 2) == 1;
-    if (!resolve_round) {
-      // Retire if some neighbour joined in the previous resolve round.
-      for (NodeId j = 0; j < ctx.degree(); ++j) {
-        const Message* m = ctx.received(j);
-        if (m != nullptr && (*m)[0] == kTagJoined) {
-          ctx.finish(0);
-          return;
-        }
-      }
-      rank_ = static_cast<std::int64_t>(ctx.rng().next() >> 1);
-      ctx.broadcast({kTagValue, rank_, ctx.id()});
-      return;
-    }
-    // Resolve: compare with undecided neighbours that sent values.
-    bool smallest = true;
-    for (NodeId j = 0; j < ctx.degree(); ++j) {
-      const Message* m = ctx.received(j);
-      if (m == nullptr || (*m)[0] != kTagValue) continue;
-      const std::int64_t other_rank = (*m)[1];
-      const std::int64_t other_id = (*m)[2];
-      if (other_rank < rank_ ||
-          (other_rank == rank_ && other_id < ctx.id())) {
-        smallest = false;
-        break;
-      }
-    }
-    if (smallest) {
-      ctx.broadcast({kTagJoined});
-      ctx.finish(1);
-    }
-  }
-
- private:
-  std::int64_t rank_ = 0;
-};
-
-class TruncatedProcess final : public Process {
- public:
-  TruncatedProcess(std::unique_ptr<Process> inner, std::int64_t budget,
-                   std::int64_t fallback)
-      : inner_(std::move(inner)), budget_(budget), fallback_(fallback) {}
-
-  void step(Context& ctx) override {
-    if (ctx.round() >= budget_) {
-      ctx.finish(fallback_);
-      return;
-    }
-    inner_->step(ctx);
-  }
-
- private:
-  std::unique_ptr<Process> inner_;
-  std::int64_t budget_;
-  std::int64_t fallback_;
-};
-
-// --- flat-kernel lowering (mirrors LubyProcess::step bit-for-bit) -----------
+// --- step kernel ------------------------------------------------------------
 
 struct LubyKernelState {
   std::int64_t rank;
@@ -188,10 +128,7 @@ void truncated_kernel_step(KernelCtx& ctx) {
     ctx.finish(cfg->fallback);
     return;
   }
-  const StepKernel& inner = *cfg->inner;
-  ctx.config = inner.config.get();
-  inner.phases[kernel_phase_index(inner, ctx.round, ctx.state)].fn(ctx);
-  ctx.config = cfg;
+  step_inner_kernel(*cfg->inner, ctx);
   // The budget round must step to latch the fallback.
   if (ctx.wake_round > cfg->budget) ctx.sleep_until(cfg->budget);
 }
@@ -248,7 +185,6 @@ void truncated_kernel_batch(const KernelBatchCtx& b) {
 std::shared_ptr<const StepKernel> make_truncated_kernel(
     std::shared_ptr<const StepKernel> inner, std::int64_t budget,
     std::int64_t fallback) {
-  if (inner == nullptr) return nullptr;
   auto kernel = std::make_shared<StepKernel>();
   kernel->name = inner->name + "@" + std::to_string(budget);
   kernel->state_size = inner->state_size;
@@ -264,10 +200,6 @@ std::shared_ptr<const StepKernel> make_truncated_kernel(
 
 }  // namespace
 
-std::unique_ptr<Process> LubyMis::spawn(const NodeInit&) const {
-  return std::make_unique<LubyProcess>();
-}
-
 std::shared_ptr<const StepKernel> LubyMis::kernel() const {
   static const std::shared_ptr<const StepKernel> kernel = make_luby_kernel();
   return kernel;
@@ -278,16 +210,10 @@ TruncatedAlgorithm::TruncatedAlgorithm(std::shared_ptr<const Algorithm> inner,
                                        std::int64_t fallback)
     : inner_(std::move(inner)),
       budget_(budget),
-      fallback_(fallback),
       kernel_(make_truncated_kernel(inner_->kernel(), budget, fallback)) {}
 
 std::shared_ptr<const StepKernel> TruncatedAlgorithm::kernel() const {
   return kernel_;
-}
-
-std::unique_ptr<Process> TruncatedAlgorithm::spawn(const NodeInit& init) const {
-  return std::make_unique<TruncatedProcess>(inner_->spawn(init), budget_,
-                                            fallback_);
 }
 
 std::string TruncatedAlgorithm::name() const {

@@ -17,9 +17,7 @@ namespace unilocal {
 
 class LubyMis final : public Algorithm {
  public:
-  std::unique_ptr<Process> spawn(const NodeInit& init) const override;
   std::string name() const override { return "luby-mis"; }
-  /// Flat-kernel lowering.
   std::shared_ptr<const StepKernel> kernel() const override;
 };
 
@@ -29,17 +27,14 @@ class TruncatedAlgorithm final : public Algorithm {
  public:
   TruncatedAlgorithm(std::shared_ptr<const Algorithm> inner,
                      std::int64_t budget, std::int64_t fallback = 0);
-  std::unique_ptr<Process> spawn(const NodeInit& init) const override;
   std::string name() const override;
-  /// Lowered whenever the inner algorithm is: wraps the inner kernel in a
-  /// budget check, so transformer pipelines keep the kernel path for their
-  /// truncated stages.
+  /// The inner kernel behind a budget check; keeps the inner phases'
+  /// batch fns.
   std::shared_ptr<const StepKernel> kernel() const override;
 
  private:
   std::shared_ptr<const Algorithm> inner_;
   std::int64_t budget_;
-  std::int64_t fallback_;
   std::shared_ptr<const StepKernel> kernel_;
 };
 

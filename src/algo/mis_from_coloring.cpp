@@ -12,38 +12,7 @@ namespace unilocal {
 
 namespace {
 
-class MisColorSweepProcess final : public Process {
- public:
-  explicit MisColorSweepProcess(std::int64_t num_colors)
-      : num_colors_(num_colors) {}
-
-  void step(Context& ctx) override {
-    if (ctx.round() == 0) {
-      color_ = ctx.input().empty() ? 1 : ctx.input()[0];
-      return;  // nothing to send: no one has joined yet
-    }
-    // Learn of joins decided in the previous round.
-    for (NodeId j = 0; j < ctx.degree(); ++j) {
-      const Message* m = ctx.received(j);
-      if (m != nullptr && (*m)[0] == 1) {
-        ctx.finish(0);  // dominated
-        return;
-      }
-    }
-    if (ctx.round() == color_) {
-      ctx.broadcast({1});
-      ctx.finish(1);
-      return;
-    }
-    if (ctx.round() >= num_colors_ + 1) ctx.finish(0);
-  }
-
- private:
-  std::int64_t num_colors_;
-  std::int64_t color_ = 1;
-};
-
-// --- flat-kernel lowering (mirrors MisColorSweepProcess::step bit-for-bit) --
+// --- step kernel ------------------------------------------------------------
 
 struct MisColorSweepKernelConfig {
   std::int64_t num_colors;
@@ -119,10 +88,6 @@ std::shared_ptr<const StepKernel> make_mis_sweep_kernel(
 MisColorSweep::MisColorSweep(std::int64_t num_colors)
     : num_colors_(std::max<std::int64_t>(num_colors, 1)),
       kernel_(make_mis_sweep_kernel(num_colors_)) {}
-
-std::unique_ptr<Process> MisColorSweep::spawn(const NodeInit&) const {
-  return std::make_unique<MisColorSweepProcess>(num_colors_);
-}
 
 std::shared_ptr<const StepKernel> MisColorSweep::kernel() const {
   return kernel_;

@@ -16,7 +16,6 @@ class MisColorSweep final : public Algorithm {
   /// Sweeps colors 1..num_colors; input[0] = node color. Nodes whose color
   /// exceeds num_colors (possible under bad guesses) output 0 at the end.
   explicit MisColorSweep(std::int64_t num_colors);
-  std::unique_ptr<Process> spawn(const NodeInit& init) const override;
   std::shared_ptr<const StepKernel> kernel() const override;
   std::string name() const override;
   std::int64_t schedule_rounds() const noexcept { return num_colors_ + 2; }

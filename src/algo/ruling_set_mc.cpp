@@ -14,70 +14,13 @@ namespace {
 constexpr std::int64_t kKindMin = 0;  // payload: rank, identity
 constexpr std::int64_t kKindDom = 1;  // payload: remaining hops
 
-class BetaLubyProcess final : public Process {
- public:
-  explicit BetaLubyProcess(int beta) : beta_(beta) {}
-
-  void step(Context& ctx) override {
-    const std::int64_t period = 2 * beta_ + 2;
-    const std::int64_t phase_round = ctx.round() % period;
-    if (phase_round == 0) {
-      // Fresh phase. (Domination waves cannot straddle phases: they start
-      // at phase round beta+1 and travel beta-1 more hops, ending by round
-      // 2*beta < period.)
-      rank_ = static_cast<std::int64_t>(ctx.rng().next() >> 1);
-      min_rank_ = rank_;
-      min_id_ = ctx.id();
-      dominated_ = false;
-      ctx.broadcast({kKindMin, rank_, ctx.id()});
-      return;
-    }
-    // Ingest.
-    std::int64_t dom_hops = -1;
-    for (NodeId j = 0; j < ctx.degree(); ++j) {
-      const Message* m = ctx.received(j);
-      if (m == nullptr) continue;
-      if ((*m)[0] == kKindMin) {
-        if ((*m)[1] < min_rank_ ||
-            ((*m)[1] == min_rank_ && (*m)[2] < min_id_)) {
-          min_rank_ = (*m)[1];
-          min_id_ = (*m)[2];
-        }
-      } else if ((*m)[0] == kKindDom) {
-        dominated_ = true;
-        dom_hops = std::max(dom_hops, (*m)[1]);
-      }
-    }
-    if (phase_round <= beta_ - 1) {
-      // Still flooding minima.
-      ctx.broadcast({kKindMin, min_rank_, min_id_});
-      return;
-    }
-    if (phase_round == beta_) {
-      // Join decision: strict minimum of the beta-ball.
-      if (min_rank_ == rank_ && min_id_ == ctx.id()) {
-        if (beta_ >= 1) ctx.broadcast({kKindDom, beta_ - 1});
-        ctx.finish(1);
-      }
-      return;
-    }
-    // Domination wave (phase rounds beta+1 .. 2*beta).
-    if (dominated_) {
-      if (dom_hops >= 1) ctx.broadcast({kKindDom, dom_hops - 1});
-      ctx.finish(0);
-      return;
-    }
-  }
-
- private:
-  int beta_;
-  std::int64_t rank_ = 0;
-  std::int64_t min_rank_ = 0;
-  std::int64_t min_id_ = 0;
-  bool dominated_ = false;
-};
-
-// --- flat-kernel lowering (mirrors BetaLubyProcess::step bit-for-bit) -------
+// --- step kernel ------------------------------------------------------------
+//
+// Each phase of period 2*beta + 2 runs fresh (draw a rank), beta - 1 flood
+// rounds of the minimum (rank, identity), the join round (the strict minimum
+// of the beta-ball joins), then the domination wave. Waves cannot straddle
+// phases: they start at phase round beta + 1 and travel beta - 1 more hops,
+// ending by round 2*beta < period.
 
 struct BetaLubyKernelConfig {
   std::int64_t beta;
@@ -209,10 +152,6 @@ std::shared_ptr<const StepKernel> make_beta_luby_kernel(int beta) {
 
 BetaLubyRulingSet::BetaLubyRulingSet(int beta)
     : beta_(std::max(beta, 1)), kernel_(make_beta_luby_kernel(beta_)) {}
-
-std::unique_ptr<Process> BetaLubyRulingSet::spawn(const NodeInit&) const {
-  return std::make_unique<BetaLubyProcess>(beta_);
-}
 
 std::shared_ptr<const StepKernel> BetaLubyRulingSet::kernel() const {
   return kernel_;

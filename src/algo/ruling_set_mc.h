@@ -24,7 +24,6 @@ namespace unilocal {
 class BetaLubyRulingSet final : public Algorithm {
  public:
   explicit BetaLubyRulingSet(int beta);
-  std::unique_ptr<Process> spawn(const NodeInit& init) const override;
   std::shared_ptr<const StepKernel> kernel() const override;
   std::string name() const override;
   int beta() const noexcept { return beta_; }

@@ -15,38 +15,13 @@ namespace unilocal {
 
 namespace {
 
-/// Adapter: runs the base coloring with identities as initial colors and
-/// maps the resulting base color c to the packed SLC pair (c, j) with the
-/// smallest j still present in the node's list. Valid SLC configurations
-/// always retain at least one pair per base color (>= deg+1 survive).
-class SlcAdapterProcess final : public Process {
- public:
-  explicit SlcAdapterProcess(std::unique_ptr<Process> base)
-      : base_(std::move(base)) {}
-
-  void step(Context& ctx) override {
-    Context sub = ctx.derived(ctx.round(), {});
-    base_->step(sub);
-    if (!sub.finished()) return;
-    const std::int64_t base_color = std::max<std::int64_t>(sub.output(), 1);
-    std::int64_t best = -1;
-    for (std::int64_t packed : slc_list(ctx.input())) {
-      if (slc_color_base(packed) != base_color) continue;
-      if (best < 0 || slc_color_index(packed) < slc_color_index(best))
-        best = packed;
-    }
-    if (best < 0) best = pack_slc_color(base_color, 1);  // bad-guess fallback
-    ctx.finish(best);
-  }
-
- private:
-  std::unique_ptr<Process> base_;
-};
-
-// --- flat-kernel lowering of the adapter (mirrors SlcAdapterProcess) --------
+// The SLC adapter: runs the base coloring with identities as initial colors
+// and maps the resulting base color c to the packed SLC pair (c, j) with the
+// smallest j still present in the node's list. Valid SLC configurations
+// always retain at least one pair per base color (>= deg+1 survive).
 //
 // State geometry is the base kernel's verbatim; the wrapper hides the SLC
-// input from the base (the base ran on stripped inputs) and, when the base
+// input from the base (which runs on empty inputs) and, when the base
 // finishes, remaps its color to the packed SLC pair before re-latching.
 
 struct SlcAdapterKernelConfig {
@@ -63,12 +38,9 @@ void slc_adapter_kernel_init(std::byte* state, const NodeInit& init,
 
 void slc_adapter_kernel_step(KernelCtx& ctx) {
   const auto* cfg = static_cast<const SlcAdapterKernelConfig*>(ctx.config);
-  const StepKernel& inner = *cfg->inner;
   const auto saved_input = ctx.input;
   ctx.input = {};
-  ctx.config = inner.config.get();
-  inner.phases[kernel_phase_index(inner, ctx.round, ctx.state)].fn(ctx);
-  ctx.config = cfg;
+  step_inner_kernel(*cfg->inner, ctx);
   ctx.input = saved_input;
   if (!ctx.finished) return;
   const std::int64_t base_color = std::max<std::int64_t>(ctx.output, 1);
@@ -92,7 +64,6 @@ void slc_adapter_kernel_batch(const KernelBatchCtx& b) {
 
 std::shared_ptr<const StepKernel> make_slc_adapter_kernel(
     std::shared_ptr<const StepKernel> inner) {
-  if (inner == nullptr) return nullptr;
   auto kernel = std::make_shared<StepKernel>();
   kernel->name = "slc-adapter:" + inner->name;
   kernel->state_size = inner->state_size;
@@ -114,11 +85,6 @@ class SlcAdapterAlgorithm final : public Algorithm {
       : base_(std::move(base)),
         name_(std::move(name)),
         kernel_(make_slc_adapter_kernel(base_->kernel())) {}
-  std::unique_ptr<Process> spawn(const NodeInit& init) const override {
-    NodeInit stripped = init;
-    stripped.input = {};
-    return std::make_unique<SlcAdapterProcess>(base_->spawn(stripped));
-  }
   std::shared_ptr<const StepKernel> kernel() const override { return kernel_; }
   std::string name() const override { return name_; }
 

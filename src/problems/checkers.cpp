@@ -1,134 +1,63 @@
 #include "src/problems/checkers.h"
 
+#include "src/prune/matching_prune.h"
+#include "src/runtime/kernel.h"
 #include "src/runtime/runner.h"
 
 namespace unilocal {
 
 namespace {
 
-class MisCheckerProcess final : public Process {
- public:
-  void step(Context& ctx) override {
-    const std::int64_t mine = ctx.input().back();
-    if (ctx.round() == 0) {
-      ctx.broadcast({mine});
-      return;
-    }
-    bool member_neighbor = false;
-    for (NodeId j = 0; j < ctx.degree(); ++j) {
-      const Message* m = ctx.received(j);
-      if (m != nullptr && (*m)[0] != 0) member_neighbor = true;
-    }
-    const bool bad = (mine != 0 && member_neighbor)   // independence
-                     || (mine == 0 && !member_neighbor);  // maximality
-    ctx.finish(bad ? 1 : 0);
+/// Round 0 of both two-round checkers: announce the tentative output.
+void announce(KernelCtx& ctx) { ctx.broadcast({ctx.input.back()}); }
+
+void mis_check(KernelCtx& ctx) {
+  const std::int64_t mine = ctx.input.back();
+  bool member_neighbor = false;
+  for (NodeId j = 0; j < ctx.degree; ++j) {
+    bool present = false;
+    const auto m = ctx.recv(j, &present);
+    if (present && m[0] != 0) member_neighbor = true;
   }
-};
+  const bool bad = (mine != 0 && member_neighbor)       // independence
+                   || (mine == 0 && !member_neighbor);  // maximality
+  ctx.finish(bad ? 1 : 0);
+}
 
-class ColoringCheckerProcess final : public Process {
- public:
-  void step(Context& ctx) override {
-    const std::int64_t mine = ctx.input().back();
-    if (ctx.round() == 0) {
-      ctx.broadcast({mine});
-      return;
-    }
-    bool conflict = mine <= 0;
-    for (NodeId j = 0; j < ctx.degree(); ++j) {
-      const Message* m = ctx.received(j);
-      if (m != nullptr && (*m)[0] == mine) conflict = true;
-    }
-    ctx.finish(conflict ? 1 : 0);
+void coloring_check(KernelCtx& ctx) {
+  const std::int64_t mine = ctx.input.back();
+  bool conflict = mine <= 0;
+  for (NodeId j = 0; j < ctx.degree; ++j) {
+    bool present = false;
+    const auto m = ctx.recv(j, &present);
+    if (present && m[0] == mine) conflict = true;
   }
-};
+  ctx.finish(conflict ? 1 : 0);
+}
 
-/// Mirrors the P_MM membership computation, but outputs the complaint bit
-/// (the *complement* of the pruning decision): same radius-3 information.
-class MatchingCheckerProcess final : public Process {
- public:
-  void step(Context& ctx) override {
-    const std::int64_t mine = ctx.input().back();
-    switch (ctx.round()) {
-      case 0:
-        ctx.broadcast({mine});
-        break;
-      case 1: {
-        values_.resize(static_cast<std::size_t>(ctx.degree()));
-        int same = 0;
-        for (NodeId j = 0; j < ctx.degree(); ++j) {
-          values_[static_cast<std::size_t>(j)] = (*ctx.received(j))[0];
-          if (values_[static_cast<std::size_t>(j)] == mine) ++same;
-        }
-        for (NodeId j = 0; j < ctx.degree(); ++j) {
-          const int others =
-              same - (values_[static_cast<std::size_t>(j)] == mine ? 1 : 0);
-          ctx.send(j, {mine, others == 0 ? 1 : 0});
-        }
-        break;
-      }
-      case 2: {
-        matched_ = false;
-        for (NodeId j = 0; j < ctx.degree(); ++j) {
-          const Message* m = ctx.received(j);
-          int same_others = 0;
-          for (std::size_t k = 0; k < values_.size(); ++k) {
-            if (k != static_cast<std::size_t>(j) && values_[k] == mine)
-              ++same_others;
-          }
-          if (values_[static_cast<std::size_t>(j)] == mine && (*m)[1] != 0 &&
-              same_others == 0) {
-            matched_ = true;
-            break;
-          }
-        }
-        ctx.broadcast({matched_ ? 1 : 0});
-        break;
-      }
-      case 3: {
-        bool all_matched = true;
-        for (NodeId j = 0; j < ctx.degree(); ++j) {
-          if ((*ctx.received(j))[0] == 0) all_matched = false;
-        }
-        ctx.finish((matched_ || all_matched) ? 0 : 1);
-        break;
-      }
-      default:
-        break;
-    }
-  }
-
- private:
-  std::vector<std::int64_t> values_;
-  bool matched_ = false;
-};
-
-template <typename P>
-class CheckerAlgorithm final : public Algorithm {
- public:
-  explicit CheckerAlgorithm(std::string name) : name_(std::move(name)) {}
-  std::unique_ptr<Process> spawn(const NodeInit&) const override {
-    return std::make_unique<P>();
-  }
-  std::string name() const override { return name_; }
-
- private:
-  std::string name_;
-};
+std::unique_ptr<Algorithm> two_round_checker(std::string name,
+                                             KernelStepFn check) {
+  auto kernel = std::make_shared<StepKernel>();
+  kernel->name = name;
+  kernel->phases = {{"announce", announce}, {"check", check}};
+  return std::make_unique<KernelAlgorithm>(std::move(name), std::move(kernel));
+}
 
 }  // namespace
 
 std::unique_ptr<Algorithm> make_mis_checker() {
-  return std::make_unique<CheckerAlgorithm<MisCheckerProcess>>("check-mis");
+  return two_round_checker("check-mis", mis_check);
 }
 
 std::unique_ptr<Algorithm> make_coloring_checker() {
-  return std::make_unique<CheckerAlgorithm<ColoringCheckerProcess>>(
-      "check-coloring");
+  return two_round_checker("check-coloring", coloring_check);
 }
 
 std::unique_ptr<Algorithm> make_matching_checker() {
-  return std::make_unique<CheckerAlgorithm<MatchingCheckerProcess>>(
-      "check-matching");
+  // P_MM's membership computation (same radius-3 information), outputting
+  // the complaint bit: its complement.
+  return make_matching_membership_algorithm("check-matching",
+                                            /*complement=*/true);
 }
 
 std::vector<std::int64_t> run_checker(const Instance& instance,

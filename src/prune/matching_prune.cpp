@@ -1,6 +1,7 @@
 #include "src/prune/matching_prune.h"
 
 #include "src/problems/matching.h"
+#include "src/runtime/kernel.h"
 
 namespace unilocal {
 
@@ -36,84 +37,83 @@ namespace {
 ///  round 1: for each neighbour v, send [yhat(u), clean_uv] where clean_uv
 ///           says no *other* neighbour of u carries yhat(u).
 ///  round 2: matched(u) is decidable; broadcast the matched bit.
-///  round 3: decide: pruned = matched(u) or all neighbours matched.
-class MatchingPruneProcess final : public Process {
- public:
-  void step(Context& ctx) override {
-    const std::int64_t yhat = ctx.input().back();
-    switch (ctx.round()) {
-      case 0:
-        ctx.broadcast({yhat});
-        break;
-      case 1: {
-        neighbor_values_.resize(static_cast<std::size_t>(ctx.degree()));
-        int same_count = 0;
-        for (NodeId j = 0; j < ctx.degree(); ++j) {
-          const Message* m = ctx.received(j);
-          neighbor_values_[static_cast<std::size_t>(j)] = (*m)[0];
-          if ((*m)[0] == yhat) ++same_count;
-        }
-        for (NodeId j = 0; j < ctx.degree(); ++j) {
-          const int same_excluding_j =
-              same_count -
-              (neighbor_values_[static_cast<std::size_t>(j)] == yhat ? 1 : 0);
-          ctx.send(j, {yhat, same_excluding_j == 0 ? 1 : 0});
-        }
-        break;
-      }
-      case 2: {
-        matched_ = false;
-        for (NodeId j = 0; j < ctx.degree(); ++j) {
-          const Message* m = ctx.received(j);
-          const bool values_equal =
-              neighbor_values_[static_cast<std::size_t>(j)] == yhat;
-          const bool other_clean = (*m)[1] != 0;
-          // clean on our side: no OTHER neighbour (besides j) shares yhat.
-          int same_count = 0;
-          for (std::size_t k = 0; k < neighbor_values_.size(); ++k) {
-            if (k != static_cast<std::size_t>(j) &&
-                neighbor_values_[k] == yhat)
-              ++same_count;
-          }
-          if (values_equal && other_clean && same_count == 0) {
-            matched_ = true;
-            break;
-          }
-        }
-        ctx.broadcast({matched_ ? 1 : 0});
-        break;
-      }
-      case 3: {
-        bool all_matched = true;
-        for (NodeId j = 0; j < ctx.degree(); ++j) {
-          const Message* m = ctx.received(j);
-          if ((*m)[0] == 0) all_matched = false;
-        }
-        ctx.finish((matched_ || all_matched) ? 1 : 0);
-        break;
-      }
-      default:
-        break;
+///  round 3: decide: member = matched(u) or all neighbours matched.
+/// The neighbours' yhat values stay in the per-port words. Every node
+/// sends in every round before it finishes, so rounds 1-3 read a message
+/// on every port.
+struct MatchingMembershipState {
+  std::int64_t matched;
+};
+
+void matching_membership_announce(KernelCtx& ctx) {
+  ctx.broadcast({ctx.input.back()});
+}
+
+void matching_membership_clean(KernelCtx& ctx) {
+  const std::int64_t yhat = ctx.input.back();
+  std::int64_t same = 0;
+  for (NodeId j = 0; j < ctx.degree; ++j) {
+    bool present = false;
+    ctx.port_state[j] = ctx.recv(j, &present)[0];
+    if (ctx.port_state[j] == yhat) ++same;
+  }
+  for (NodeId j = 0; j < ctx.degree; ++j) {
+    const std::int64_t others = same - (ctx.port_state[j] == yhat ? 1 : 0);
+    ctx.send(j, {yhat, others == 0 ? 1 : 0});
+  }
+}
+
+void matching_membership_matched(KernelCtx& ctx) {
+  const std::int64_t yhat = ctx.input.back();
+  std::int64_t same = 0;
+  for (NodeId j = 0; j < ctx.degree; ++j)
+    if (ctx.port_state[j] == yhat) ++same;
+  auto& st = ctx.state_as<MatchingMembershipState>();
+  st.matched = 0;
+  for (NodeId j = 0; j < ctx.degree; ++j) {
+    bool present = false;
+    const bool other_clean = ctx.recv(j, &present)[1] != 0;
+    // Clean on our side: no OTHER neighbour (besides j) shares yhat.
+    if (ctx.port_state[j] == yhat && other_clean && same == 1) {
+      st.matched = 1;
+      break;
     }
   }
+  ctx.broadcast({st.matched});
+}
 
- private:
-  std::vector<std::int64_t> neighbor_values_;
-  bool matched_ = false;
-};
-
-class MatchingPruneLocal final : public Algorithm {
- public:
-  std::unique_ptr<Process> spawn(const NodeInit&) const override {
-    return std::make_unique<MatchingPruneProcess>();
+void matching_membership_decide(KernelCtx& ctx) {
+  bool all_matched = true;
+  for (NodeId j = 0; j < ctx.degree; ++j) {
+    bool present = false;
+    if (ctx.recv(j, &present)[0] == 0) all_matched = false;
   }
-  std::string name() const override { return "P_MM-local"; }
-};
+  const bool member = ctx.state_as<MatchingMembershipState>().matched != 0 ||
+                      all_matched;
+  const bool complement = *static_cast<const bool*>(ctx.config);
+  ctx.finish(member != complement ? 1 : 0);
+}
 
 }  // namespace
 
+std::unique_ptr<Algorithm> make_matching_membership_algorithm(
+    std::string name, bool complement) {
+  auto kernel = std::make_shared<StepKernel>();
+  kernel->name = "matching-membership";
+  kernel->state_size = sizeof(MatchingMembershipState);
+  kernel->state_align = alignof(MatchingMembershipState);
+  kernel->port_state_words = 1;
+  kernel->phases = {{"announce", matching_membership_announce},
+                    {"clean", matching_membership_clean},
+                    {"matched", matching_membership_matched},
+                    {"decide", matching_membership_decide}};
+  kernel->config = std::make_shared<const bool>(complement);
+  return std::make_unique<KernelAlgorithm>(std::move(name), std::move(kernel));
+}
+
 std::unique_ptr<Algorithm> MatchingPruning::as_local_algorithm() const {
-  return std::make_unique<MatchingPruneLocal>();
+  return make_matching_membership_algorithm("P_MM-local",
+                                            /*complement=*/false);
 }
 
 }  // namespace unilocal

@@ -18,4 +18,11 @@ class MatchingPruning final : public PruningAlgorithm {
   std::unique_ptr<Algorithm> as_local_algorithm() const override;
 };
 
+/// The LOCAL realization of P_MM's membership bit: over 4 rounds, with
+/// yhat(v) the last input word, v learns whether it is matched or all its
+/// neighbours are, and outputs that bit — or its complement, which is the
+/// matching checker's alarm (src/problems/checkers.h).
+std::unique_ptr<Algorithm> make_matching_membership_algorithm(
+    std::string name, bool complement);
+
 }  // namespace unilocal

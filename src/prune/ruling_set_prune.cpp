@@ -1,7 +1,10 @@
 #include "src/prune/ruling_set_prune.h"
 
+#include <algorithm>
 #include <limits>
 #include <queue>
+
+#include "src/runtime/kernel.h"
 
 namespace unilocal {
 
@@ -60,63 +63,74 @@ constexpr std::int64_t kInfinity = std::numeric_limits<std::int64_t>::max() / 2;
 /// LOCAL realization: round 0 broadcasts yhat; round 1 computes goodness
 /// and starts flooding the distance-to-nearest-good estimate; the node
 /// decides in round beta + 1.
-class RulingSetPruneProcess final : public Process {
- public:
-  explicit RulingSetPruneProcess(int beta) : beta_(beta) {}
-
-  void step(Context& ctx) override {
-    const std::int64_t yhat = ctx.input().back();
-    if (ctx.round() == 0) {
-      ctx.broadcast({yhat});
-      return;
-    }
-    if (ctx.round() == 1) {
-      bool clean = true;
-      for (NodeId j = 0; j < ctx.degree(); ++j) {
-        const Message* m = ctx.received(j);
-        if (m != nullptr && (*m)[0] != 0) clean = false;
-      }
-      good_ = (yhat != 0) && clean;
-      dist_ = good_ ? 0 : kInfinity;
-    } else {
-      for (NodeId j = 0; j < ctx.degree(); ++j) {
-        const Message* m = ctx.received(j);
-        if (m != nullptr && (*m)[0] + 1 < dist_) dist_ = (*m)[0] + 1;
-      }
-    }
-    if (ctx.round() == beta_ + 1) {
-      const bool pruned =
-          (yhat != 0 && good_) || (yhat == 0 && dist_ <= beta_);
-      ctx.finish(pruned ? 1 : 0);
-      return;
-    }
-    ctx.broadcast({dist_});
-  }
-
- private:
-  int beta_;
-  bool good_ = false;
-  std::int64_t dist_ = kInfinity;
+struct RulingSetPruneState {
+  std::int64_t good;
+  std::int64_t dist;
 };
 
-class RulingSetPruneLocal final : public Algorithm {
- public:
-  explicit RulingSetPruneLocal(int beta) : beta_(beta) {}
-  std::unique_ptr<Process> spawn(const NodeInit&) const override {
-    return std::make_unique<RulingSetPruneProcess>(beta_);
-  }
-  std::string name() const override {
-    return "P(2," + std::to_string(beta_) + ")-local";
-  }
+void ruling_set_prune_announce(KernelCtx& ctx) {
+  ctx.broadcast({ctx.input.back()});
+}
 
- private:
-  int beta_;
-};
+/// Decides in round beta + 1, and floods the distance estimate before.
+void ruling_set_prune_decide_or_flood(KernelCtx& ctx,
+                                      const RulingSetPruneState& st) {
+  const std::int64_t beta = *static_cast<const std::int64_t*>(ctx.config);
+  const std::int64_t yhat = ctx.input.back();
+  if (ctx.round == beta + 1) {
+    const bool pruned =
+        (yhat != 0 && st.good != 0) || (yhat == 0 && st.dist <= beta);
+    ctx.finish(pruned ? 1 : 0);
+    return;
+  }
+  ctx.broadcast({st.dist});
+}
+
+void ruling_set_prune_good(KernelCtx& ctx) {
+  bool clean = true;
+  for (NodeId j = 0; j < ctx.degree; ++j) {
+    bool present = false;
+    const auto m = ctx.recv(j, &present);
+    if (present && m[0] != 0) clean = false;
+  }
+  auto& st = ctx.state_as<RulingSetPruneState>();
+  st.good = ctx.input.back() != 0 && clean ? 1 : 0;
+  st.dist = st.good != 0 ? 0 : kInfinity;
+  ruling_set_prune_decide_or_flood(ctx, st);
+}
+
+void ruling_set_prune_flood(KernelCtx& ctx) {
+  auto& st = ctx.state_as<RulingSetPruneState>();
+  for (NodeId j = 0; j < ctx.degree; ++j) {
+    bool present = false;
+    const auto m = ctx.recv(j, &present);
+    if (present && m[0] + 1 < st.dist) st.dist = m[0] + 1;
+  }
+  ruling_set_prune_decide_or_flood(ctx, st);
+}
+
+std::shared_ptr<const StepKernel> make_ruling_set_prune_kernel(int beta) {
+  auto kernel = std::make_shared<StepKernel>();
+  kernel->name = "ruling-set-prune";
+  kernel->state_size = sizeof(RulingSetPruneState);
+  kernel->state_align = alignof(RulingSetPruneState);
+  kernel->phases = {{"announce", ruling_set_prune_announce},
+                    {"good", ruling_set_prune_good},
+                    {"flood", ruling_set_prune_flood}};
+  kernel->select_fn = [](std::int64_t round, const std::byte*,
+                         const void*) -> std::uint16_t {
+    return static_cast<std::uint16_t>(std::min<std::int64_t>(round, 2));
+  };
+  kernel->config = std::make_shared<const std::int64_t>(beta);
+  return kernel;
+}
 
 }  // namespace
 
 std::unique_ptr<Algorithm> RulingSetPruning::as_local_algorithm() const {
-  return std::make_unique<RulingSetPruneLocal>(beta_);
+  return std::make_unique<KernelAlgorithm>(
+      "P(2," + std::to_string(beta_) + ")-local",
+      make_ruling_set_prune_kernel(beta_));
 }
 
 }  // namespace unilocal

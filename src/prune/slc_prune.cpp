@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "src/problems/slc.h"
+#include "src/runtime/kernel.h"
 
 namespace unilocal {
 
@@ -57,52 +58,48 @@ namespace {
 ///  round 1: decide own membership in W; broadcast it.
 ///  round 2: finish with the prune bit (survivors could also recompute
 ///           their list locally here; the driver uses apply() for that).
-class SlcPruneProcess final : public Process {
- public:
-  void step(Context& ctx) override {
-    const std::int64_t color = ctx.input().back();
-    switch (ctx.round()) {
-      case 0:
-        ctx.broadcast({color});
-        break;
-      case 1: {
-        // The list, viewed past the appended yhat.
-        const auto list = slc_list(ctx.input().first(ctx.input().size() - 1));
-        bool in_list =
-            std::find(list.begin(), list.end(), color) != list.end();
-        bool conflict = false;
-        for (NodeId j = 0; j < ctx.degree(); ++j) {
-          const Message* m = ctx.received(j);
-          if (m != nullptr && (*m)[0] == color) conflict = true;
-        }
-        pruned_ = in_list && !conflict;
-        ctx.broadcast({pruned_ ? 1 : 0});
-        break;
-      }
-      case 2:
-        ctx.finish(pruned_ ? 1 : 0);
-        break;
-      default:
-        break;
-    }
-  }
-
- private:
-  bool pruned_ = false;
+struct SlcPruneState {
+  std::int64_t pruned;
 };
 
-class SlcPruneLocal final : public Algorithm {
- public:
-  std::unique_ptr<Process> spawn(const NodeInit&) const override {
-    return std::make_unique<SlcPruneProcess>();
+void slc_prune_announce(KernelCtx& ctx) { ctx.broadcast({ctx.input.back()}); }
+
+void slc_prune_decide(KernelCtx& ctx) {
+  const std::int64_t color = ctx.input.back();
+  // The list, viewed past the appended yhat.
+  const auto list = slc_list(ctx.input.first(ctx.input.size() - 1));
+  const bool in_list = std::find(list.begin(), list.end(), color) != list.end();
+  bool conflict = false;
+  for (NodeId j = 0; j < ctx.degree; ++j) {
+    bool present = false;
+    const auto m = ctx.recv(j, &present);
+    if (present && m[0] == color) conflict = true;
   }
-  std::string name() const override { return "P_SLC-local"; }
-};
+  auto& st = ctx.state_as<SlcPruneState>();
+  st.pruned = in_list && !conflict ? 1 : 0;
+  ctx.broadcast({st.pruned});
+}
+
+void slc_prune_finish(KernelCtx& ctx) {
+  ctx.finish(ctx.state_as<SlcPruneState>().pruned);
+}
+
+std::shared_ptr<const StepKernel> make_slc_prune_kernel() {
+  auto kernel = std::make_shared<StepKernel>();
+  kernel->name = "slc-prune";
+  kernel->state_size = sizeof(SlcPruneState);
+  kernel->state_align = alignof(SlcPruneState);
+  kernel->phases = {{"announce", slc_prune_announce},
+                    {"decide", slc_prune_decide},
+                    {"finish", slc_prune_finish}};
+  return kernel;
+}
 
 }  // namespace
 
 std::unique_ptr<Algorithm> SlcPruning::as_local_algorithm() const {
-  return std::make_unique<SlcPruneLocal>();
+  return std::make_unique<KernelAlgorithm>("P_SLC-local",
+                                           make_slc_prune_kernel());
 }
 
 }  // namespace unilocal

@@ -29,39 +29,9 @@ class SlowedPruning final : public PruningAlgorithm {
                     const std::vector<std::int64_t>& yhat) const override {
     return inner_->apply(instance, yhat);
   }
-  std::unique_ptr<Algorithm> as_local_algorithm() const override {
-    // Padding with idle rounds keeps the realization honest: the padded
-    // algorithm still computes the same bits, just later.
-    class Padded final : public Algorithm {
-     public:
-      Padded(std::unique_ptr<Algorithm> inner, std::int64_t extra)
-          : inner_(std::move(inner)), extra_(extra) {}
-      class P final : public Process {
-       public:
-        P(std::unique_ptr<Process> inner, std::int64_t extra)
-            : inner_(std::move(inner)), extra_(extra) {}
-        void step(Context& ctx) override {
-          if (ctx.round() < extra_) return;  // idle padding
-          Context sub = ctx.derived(ctx.round() - extra_, ctx.input());
-          inner_->step(sub);
-          if (sub.finished()) ctx.finish(sub.output());
-        }
-
-       private:
-        std::unique_ptr<Process> inner_;
-        std::int64_t extra_;
-      };
-      std::unique_ptr<Process> spawn(const NodeInit& init) const override {
-        return std::make_unique<P>(inner_->spawn(init), extra_);
-      }
-      std::string name() const override { return inner_->name() + "+pad"; }
-
-     private:
-      std::unique_ptr<Algorithm> inner_;
-      std::int64_t extra_;
-    };
-    return std::make_unique<Padded>(inner_->as_local_algorithm(), extra_);
-  }
+  /// The inner realization after `extra_rounds` idle rounds: padding keeps
+  /// the realization honest, computing the same bits, just later.
+  std::unique_ptr<Algorithm> as_local_algorithm() const override;
 
  private:
   std::shared_ptr<const PruningAlgorithm> inner_;

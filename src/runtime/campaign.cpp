@@ -517,8 +517,8 @@ void write_campaign_json(std::ostream& out, const CampaignResult& result,
         << ",\"cells_per_second\":" << result.cells_per_second << ',';
   }
   // Canonical documents keep only the rows that are a pure function of
-  // the grid (the field table's canonical column). The kernel/vtable split
-  // says how the engine ran the steps, and the fault counters are
+  // the grid (the field table's canonical column). The batched-step counts
+  // say how the engine ran the steps, and the fault counters are
   // delivery-layer telemetry: properties Observation 2.1 keeps invariant
   // (outputs, rounds, verdicts) do not depend on them, so they stay out
   // like the wall-clock rates and the workspace-dependent arena capacity.
@@ -526,7 +526,7 @@ void write_campaign_json(std::ostream& out, const CampaignResult& result,
   if (!options.canonical && result.supervision.enabled) {
     // Supervision history describes the worker processes, not the grid:
     // a retried shard computed the same bytes as a first-try one, so —
-    // like the kernel/vtable split — it stays out of canonical mode.
+    // like the batched-step counts — it stays out of canonical mode.
     const SupervisionSummary& sup = result.supervision;
     out << ",\"supervision\":{";
     write_supervision_totals_json(out, sup);

@@ -10,88 +10,15 @@ namespace unilocal {
 
 namespace {
 
-class ChainProcess final : public Process {
- public:
-  ChainProcess(const std::vector<ChainStage>* stages, const NodeInit& init)
-      : stages_(stages), degree_(init.degree), identity_(init.identity),
-        original_input_(init.input.begin(), init.input.end()) {}
-
-  void step(Context& ctx) override {
-    // Advance past completed stages (budgets are cumulative).
-    while (stage_ < stages_->size() &&
-           ctx.round() >= stage_start_ + (*stages_)[stage_].rounds) {
-      close_stage();
-    }
-    if (stage_ >= stages_->size()) {
-      ctx.finish(carry_);
-      return;
-    }
-    if (inner_ == nullptr && !inner_done_) spawn_stage();
-    if (!inner_done_) {
-      Context sub = ctx.derived(ctx.round() - stage_start_, stage_input());
-      inner_->step(sub);
-      if (sub.finished()) {
-        carry_ = sub.output();
-        inner_done_ = true;
-        inner_.reset();
-      }
-    }
-    // Last stage finished and budget also over? The loop above handles the
-    // boundary on the *next* round; if this was the final round of the last
-    // stage, finish right away to avoid one idle round.
-    if (stage_ + 1 == stages_->size() &&
-        ctx.round() + 1 >= stage_start_ + (*stages_)[stage_].rounds) {
-      ctx.finish(inner_done_ ? carry_ : 0);
-    }
-  }
-
- private:
-  std::span<const std::int64_t> stage_input() const {
-    if (stage_ == 0) return original_input_;
-    return {&carry_in_, 1};
-  }
-
-  void spawn_stage() {
-    NodeInit init;
-    init.degree = degree_;
-    init.identity = identity_;
-    init.input = stage_input();
-    inner_ = (*stages_)[stage_].algorithm->spawn(init);
-  }
-
-  void close_stage() {
-    if (!inner_done_) carry_ = 0;  // stage cut off: arbitrary carry
-    carry_in_ = carry_;
-    stage_start_ += (*stages_)[stage_].rounds;
-    ++stage_;
-    inner_.reset();
-    inner_done_ = false;
-  }
-
-  const std::vector<ChainStage>* stages_;
-  NodeId degree_;
-  std::int64_t identity_;
-  std::vector<std::int64_t> original_input_;
-  std::size_t stage_ = 0;
-  std::int64_t stage_start_ = 0;
-  std::unique_ptr<Process> inner_;
-  bool inner_done_ = false;
-  std::int64_t carry_ = 0;
-  std::int64_t carry_in_ = 0;
-};
-
-// --- composite flat-kernel lowering (mirrors ChainProcess bit-for-bit) ------
-//
 // Per-node state is a small header (carry of the last finished stage, the
 // carry frozen as the current stage's input word, and a done latch) followed
 // by ONE inner state region sized/aligned for the widest stage — stages run
 // strictly in sequence, so they can share the slot; each stage entry
-// re-zeroes it (and the per-port words) exactly as a fresh spawn would.
-// The stage index is derived from the round via the cumulative schedule, so
-// it needs no state of its own. Idle rounds (stage finished early, budget
-// not yet elapsed) send nothing and draw no randomness, matching the
-// process path's skipped inner step, so an idle node sleeps until the
-// stage boundary.
+// re-zeroes it (and the per-port words, as wide as the widest stage's)
+// exactly as a fresh engine run would. The stage index is derived from the
+// round via the cumulative schedule, so it needs no state of its own. Idle
+// rounds (stage finished early, budget not yet elapsed) send nothing and
+// draw no randomness, so an idle node sleeps until the stage boundary.
 
 struct ChainKernelHeader {
   std::int64_t carry;       // output of the most recently finished stage
@@ -149,8 +76,8 @@ std::uint16_t chain_kernel_select(std::int64_t round, const std::byte* state,
 // Runs the active stage's round: swaps the ctx to the inner kernel's view
 // (stage-relative round, stage input, inner config/state), dispatches the
 // inner phase, restores, and folds an inner finish into the header instead
-// of the engine latch. Applies the process path's early finish on the final
-// round of the last stage. An inner sleep hint is stage-relative: it is
+// of the engine latch. On the final round of the last stage it finishes
+// right away, saving one idle round. An inner sleep hint is stage-relative: it is
 // moved to absolute rounds and clamped to the stage boundary.
 void chain_forward(KernelCtx& ctx, const ChainKernelConfig& cfg, std::size_t k,
                    std::span<const std::int64_t> stage_input) {
@@ -158,16 +85,13 @@ void chain_forward(KernelCtx& ctx, const ChainKernelConfig& cfg, std::size_t k,
   const StepKernel& inner = *cfg.stages[k].kernel;
   const std::int64_t round = ctx.round;
   const auto saved_input = ctx.input;
-  const void* saved_config = ctx.config;
   std::byte* saved_state = ctx.state;
   ctx.round = round - cfg.stages[k].start;
   ctx.input = stage_input;
-  ctx.config = inner.config.get();
   ctx.state = saved_state + cfg.inner_offset;
-  inner.phases[kernel_phase_index(inner, ctx.round, ctx.state)].fn(ctx);
+  step_inner_kernel(inner, ctx);
   ctx.round = round;
   ctx.input = saved_input;
-  ctx.config = saved_config;
   ctx.state = saved_state;
   if (ctx.finished) {
     h.carry = ctx.output;
@@ -275,15 +199,10 @@ std::shared_ptr<const StepKernel> make_chain_kernel(
   std::int64_t start = 0;
   for (const auto& stage : stages) {
     std::shared_ptr<const StepKernel> inner = stage.algorithm->kernel();
-    if (inner == nullptr) return nullptr;  // some stage is not lowered
     max_align = std::max(max_align, inner->state_align);
     max_size = std::max(max_size, inner->state_size);
-    if (inner->port_state_words != 0) {
-      // Stages share one per-port lane; widths must agree (or be 0).
-      if (port_words != 0 && port_words != inner->port_state_words)
-        return nullptr;
-      port_words = inner->port_state_words;
-    }
+    // Stages share one per-port lane; each uses its own width's prefix.
+    port_words = std::max(port_words, inner->port_state_words);
     cfg->stages.push_back({std::move(inner), start, stage.rounds});
     start += stage.rounds;
   }
@@ -318,10 +237,6 @@ ChainAlgorithm::ChainAlgorithm(std::string name, std::vector<ChainStage> stages)
     total_rounds_ += stage.rounds;
   }
   kernel_ = make_chain_kernel(name_, stages_);
-}
-
-std::unique_ptr<Process> ChainAlgorithm::spawn(const NodeInit& init) const {
-  return std::make_unique<ChainProcess>(&stages_, init);
 }
 
 std::shared_ptr<const StepKernel> ChainAlgorithm::kernel() const {

@@ -1,7 +1,7 @@
 // Fixed-schedule sequential composition of LOCAL algorithms.
 //
-// The paper composes algorithms as A1;A2 (Observation 2.1). Inside one
-// spawned process this combinator runs each stage for a *predeclared*
+// The paper composes algorithms as A1;A2 (Observation 2.1). Within one
+// node's kernel this combinator runs each stage for a *predeclared*
 // number of rounds (all nodes share the schedule, so stage boundaries are
 // globally synchronous); a stage that finishes early idles until its budget
 // elapses, and a stage cut off by its budget contributes the arbitrary
@@ -27,14 +27,10 @@ struct ChainStage {
 class ChainAlgorithm final : public Algorithm {
  public:
   ChainAlgorithm(std::string name, std::vector<ChainStage> stages);
-  std::unique_ptr<Process> spawn(const NodeInit& init) const override;
   std::string name() const override { return name_; }
 
-  /// Composite flat-kernel lowering: non-null exactly when EVERY stage
-  /// algorithm is lowered (and the stages' per-port state widths are
-  /// compatible). The composite keeps a carry/stage header next to the
-  /// widest stage's state record and forwards each round to the active
-  /// stage's kernel, bit-identical to the ChainProcess above.
+  /// The composite kernel: a carry/stage header next to the widest stage's
+  /// state record, forwarding each round to the active stage's kernel.
   std::shared_ptr<const StepKernel> kernel() const override;
 
   /// Total rounds of the fixed schedule (+1 for the final finish round).
@@ -42,6 +38,7 @@ class ChainAlgorithm final : public Algorithm {
 
  private:
   std::string name_;
+  // Keeps the stage algorithms, and so their kernels, alive.
   std::vector<ChainStage> stages_;
   std::int64_t total_rounds_ = 0;
   std::shared_ptr<const StepKernel> kernel_;

@@ -1,17 +1,13 @@
-// Step kernels: algorithms compiled to flat, devirtualized round functions.
+// Step kernels: the one way to write a LOCAL algorithm's per-node program.
 //
-// A StepKernel is the lowered form of an Algorithm: instead of one
-// heap-allocated Process (vtable + private members) per node, the engine
-// keeps every node's state as a fixed-size POD record packed into one
-// engine-owned arena, and runs each local round by calling a free function
-// through a plain function pointer. Receives hand out zero-copy spans into
-// the engine's message arenas and sends write them directly — no
-// Process::step virtual call, no ContextBackend virtual hops, and no
-// per-port Message materialization on the hot path. The engine loops,
-// frontier lists, message arenas, RNG streams, and round accounting are
-// exactly the ones the vtable path uses, so a kernel run is bit-identical
-// to the Process run of the same algorithm (tests/kernel_test.cpp enforces
-// this against both engine modes and the seed reference engine).
+// The engine keeps every node's state as a fixed-size POD record packed
+// into one engine-owned arena, and runs each local round by calling a free
+// function through a plain function pointer. Receives hand out zero-copy
+// spans into the engine's message arenas and sends write them directly.
+// The reference engine (src/runtime/reference.h) runs the same scalar phase
+// functions over its own per-node heap records and vector-per-message
+// inboxes; tests/kernel_test.cpp holds both engines, in both modes, to the
+// frozen results in tests/golden/kernel-blocks.json.
 //
 // The shape follows the classic runtime-graph lowering (flat node records,
 // a phase table, function-pointer callbacks over a scratchpad): a kernel
@@ -21,12 +17,9 @@
 // and a phase/state-machine table — one KernelStepFn per phase with a
 // selector mapping the local round (and state/config) to the phase to run.
 //
-// Lowering contract (what "bit-identical" requires of a kernel):
-//   - consume the node RNG in exactly the order the Process does;
-//   - send the same words to the same ports in the same order;
-//   - read all messages BEFORE the first send of a step: in the
-//     synchronizer mode recv() spans point into the history arena, which a
-//     send may grow (the vtable path pays a defensive copy instead).
+// Receive contract: read all messages BEFORE the first send of a step. In
+// the synchronizer mode recv() spans point into the history arena, which a
+// send may grow.
 //
 // Sleep contract (KernelCtx::sleep_until): a step may end with
 // sleep_until(r), r a local round. It promises that every step of this
@@ -47,15 +40,8 @@
 // slept steps, and one silent round already leaves the network's arena
 // as the skipped rounds would, so dirty_spans_cleared does not move. The
 // synchronizer and delayed loops ignore the hint, which is always
-// correct: it only marks steps that would do nothing.
-//
-// Selection: the engine runs Algorithm::kernel() whenever it is non-null
-// and the vtable path otherwise, so composed pipelines pick up kernels
-// stage by stage and EngineStats::kernel_steps / vtable_steps
-// report where each step ran. Tests reach the vtable path of a lowered
-// algorithm through VtableOnly (src/runtime/reference.h). Lowering of the
-// whole registry zoo is pinned by tests/golden/table1-smoke.canonical.json:
-// every table1 smoke cell must run fully lowered and match those bytes.
+// correct: it only marks steps that would do nothing. The reference engine
+// ignores it too.
 #pragma once
 
 #include <cstddef>
@@ -63,7 +49,9 @@
 #include <initializer_list>
 #include <memory>
 #include <span>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/runtime/local.h"
@@ -84,9 +72,9 @@ using KernelSelectFn = std::uint16_t (*)(std::int64_t round,
                                          const std::byte* state,
                                          const void* config);
 
-/// Engine transport installed into every KernelCtx: non-virtual free
-/// functions over the engine's arenas (one perfectly-predicted indirect
-/// call per send/receive instead of two virtual hops and a Message copy).
+/// Engine transport installed into every KernelCtx: free functions over the
+/// engine's message storage (one perfectly-predicted indirect call per
+/// send/receive).
 using KernelRecvFn = std::span<const std::int64_t> (*)(void* engine, int tid,
                                                        NodeId node,
                                                        NodeId port,
@@ -94,17 +82,18 @@ using KernelRecvFn = std::span<const std::int64_t> (*)(void* engine, int tid,
 using KernelSendFn = void (*)(void* engine, int tid, NodeId node, NodeId port,
                               const std::int64_t* data, std::size_t words);
 
-/// Per-step view handed to a KernelStepFn — the devirtualized counterpart
-/// of Context. Built by the engine per node step; valid only for the call.
+/// Per-step view handed to a KernelStepFn. Built by the engine per node
+/// step; valid only for the call.
 struct KernelCtx {
-  // What the node knows (mirrors Context::degree/id/input/round).
+  // What the node knows; round is the local round, 0-based (round 0 sees
+  // no messages).
   NodeId node = 0;
   NodeId degree = 0;
   std::int64_t identity = 0;
   std::int64_t round = 0;
   std::span<const std::int64_t> input;
-  /// Private randomness stream of this node (same split-by-identity stream
-  /// the vtable path hands out).
+  /// Private randomness stream of this node (split from the run seed by
+  /// identity).
   Rng* rng = nullptr;
 
   /// This node's packed state record (StepKernel::state_size bytes,
@@ -118,7 +107,8 @@ struct KernelCtx {
   /// Per-thread reusable int64 scratch (capacity persists across steps).
   std::vector<std::int64_t>* scratch = nullptr;
 
-  // Finish latch (mirrors Context::finish).
+  // Finish latch: after a step that finished, the node is never stepped
+  // again (messages sent in that step are still delivered).
   bool finished = false;
   std::int64_t output = 0;
   /// Sleep hint (0 = none): the local round at which this node next needs
@@ -153,8 +143,7 @@ struct KernelCtx {
     send_fn(engine, tid, node, j, words.begin(), words.size());
   }
 
-  /// Sends the same words to every neighbour, ports in ascending order
-  /// (matching Context::broadcast).
+  /// Sends the same words to every neighbour, ports in ascending order.
   void broadcast(std::initializer_list<std::int64_t> words) {
     for (NodeId j = 0; j < degree; ++j)
       send_fn(engine, tid, node, j, words.begin(), words.size());
@@ -276,9 +265,8 @@ struct KernelPhase {
   KernelBatchFn batch = nullptr;
 };
 
-/// The lowered algorithm descriptor. Like spawned Processes, a kernel (and
-/// its config blob) must stay valid for the lifetime of the Algorithm that
-/// produced it.
+/// The per-node program descriptor. A kernel (and its config blob) must stay
+/// valid for the lifetime of the Algorithm that produced it.
 struct StepKernel {
   std::string name;
   /// POD per-node state layout; the engine packs n records of this shape
@@ -301,7 +289,7 @@ struct StepKernel {
 };
 
 /// Resolves which phase of `kernel` local round `round` runs — the exact
-/// dispatch rule both engine loops use (shared so composed kernels such as
+/// dispatch rule every engine loop uses (shared so composed kernels such as
 /// the truncation wrapper forward to their inner kernel identically).
 inline std::size_t kernel_phase_index(const StepKernel& kernel,
                                       std::int64_t round,
@@ -312,5 +300,42 @@ inline std::size_t kernel_phase_index(const StepKernel& kernel,
   return n == 1 ? 0
                : static_cast<std::size_t>(round % static_cast<std::int64_t>(n));
 }
+
+/// Steps `inner` for ctx's node at ctx.round, with inner's config swapped in
+/// for the call: how a composite kernel forwards a round to the kernel it
+/// wraps (the caller adjusts round, input or state around the call).
+inline void step_inner_kernel(const StepKernel& inner, KernelCtx& ctx) {
+  const void* outer = ctx.config;
+  ctx.config = inner.config.get();
+  inner.phases[kernel_phase_index(inner, ctx.round, ctx.state)].fn(ctx);
+  ctx.config = outer;
+}
+
+/// Throws std::runtime_error unless `kernel` is runnable: non-null, with
+/// at least one phase and no null step function.
+inline void check_kernel(const StepKernel* kernel, const std::string& algorithm) {
+  if (kernel == nullptr)
+    throw std::runtime_error("algorithm '" + algorithm + "' has no kernel");
+  if (kernel->phases.empty())
+    throw std::runtime_error("kernel '" + kernel->name + "' has no phases");
+  for (const KernelPhase& phase : kernel->phases)
+    if (phase.fn == nullptr)
+      throw std::runtime_error("kernel '" + kernel->name + "' phase '" +
+                                  phase.name + "' has a null step function");
+}
+
+/// An Algorithm that is nothing but a named kernel (the pruning
+/// realizations, the distributed checkers, test probes).
+class KernelAlgorithm final : public Algorithm {
+ public:
+  KernelAlgorithm(std::string name, std::shared_ptr<const StepKernel> kernel)
+      : name_(std::move(name)), kernel_(std::move(kernel)) {}
+  std::string name() const override { return name_; }
+  std::shared_ptr<const StepKernel> kernel() const override { return kernel_; }
+
+ private:
+  std::string name_;
+  std::shared_ptr<const StepKernel> kernel_;
+};
 
 }  // namespace unilocal

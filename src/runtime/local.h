@@ -1,42 +1,35 @@
 // The LOCAL model (Peleg 2000; paper Section 2), as a programming interface.
 //
-// An Algorithm is a factory that spawns one Process per node. Computation
-// proceeds in synchronous rounds: in each round every awake node reads the
-// messages its neighbours sent in the previous round, performs arbitrary
-// local computation, sends (unrestricted-size) messages to its neighbours,
-// and may terminate by writing a final output value. Neighbours are
-// addressed by port number 0..degree-1; a node learns anything beyond its
-// own degree/identity/input only through messages, which is exactly the
-// locality constraint the paper studies.
+// An Algorithm names one per-node program, written as a StepKernel
+// (src/runtime/kernel.h): a POD state record per node plus one plain round
+// function per phase. Computation proceeds in synchronous rounds: in each
+// round every awake node reads the messages its neighbours sent in the
+// previous round, performs arbitrary local computation, sends
+// (unrestricted-size) messages to its neighbours, and may terminate by
+// writing a final output value. Neighbours are addressed by port number
+// 0..degree-1; a node learns anything beyond its own degree/identity/input
+// only through messages, which is exactly the locality constraint the paper
+// studies.
 //
-// Uniformity discipline: a Process receives NO global parameters. Algorithms
+// Uniformity discipline: a kernel receives NO global parameters. Algorithms
 // that require guesses of global parameters (the paper's non-uniform
 // algorithms A_Gamma) receive them at *instantiation* time through the
-// NonUniformAlgorithm interface in src/core/nonuniform.h, never through the
-// runtime.
+// NonUniformAlgorithm interface in src/core/nonuniform.h, baked into the
+// kernel's config, never through the runtime.
 //
-// Context is a facade: message storage belongs to the engine driving the
-// run (the arena engine in src/runtime/runner.cpp, or the preserved
-// vector-per-message baseline in src/runtime/reference.cpp), reached through
-// the narrow ContextBackend interface. Algorithms see the same API either
-// way.
+// Two engines run kernels: the arena engine (src/runtime/runner.h) and the
+// vector-per-message reference engine (src/runtime/reference.h), which
+// share no loop or storage and so check each other.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
-#include <initializer_list>
 #include <memory>
 #include <span>
 #include <string>
-#include <vector>
 
 #include "src/graph/graph.h"
-#include "src/util/rng.h"
 
 namespace unilocal {
-
-/// Unrestricted-size message: a vector of 64-bit values.
-using Message = std::vector<std::int64_t>;
 
 /// Everything a node knows at wake-up time.
 struct NodeInit {
@@ -45,206 +38,17 @@ struct NodeInit {
   std::span<const std::int64_t> input;
 };
 
-/// Engine-side message transport behind a Context. `node` is always the
-/// node the Context was built for; ports are 0..degree-1.
-class ContextBackend {
- public:
-  virtual ~ContextBackend() = default;
-  /// Records data[0..words) as node's outgoing message on `port` for the
-  /// current round; a second send on the same port within one step
-  /// overwrites the first (last write wins, as in a real outbox).
-  virtual void send_words(NodeId node, NodeId port, const std::int64_t* data,
-                          std::size_t words) = 0;
-  /// The message node received on `port` this round (sent by that neighbour
-  /// in the previous round), or an empty span tagged absent. `present` is
-  /// set accordingly. The span stays valid for the rest of the step.
-  virtual std::span<const std::int64_t> recv_words(NodeId node, NodeId port,
-                                                   bool* present) = 0;
-  /// Like recv_words but materialized as a Message (engines keep a
-  /// capacity-reusing scratch per port); nullptr when absent.
-  virtual const Message* recv_message(NodeId node, NodeId port) = 0;
-};
-
-/// Per-round view handed to Process::step. Owned by the runner; valid only
-/// for the duration of the call.
-class Context {
- public:
-  NodeId degree() const noexcept { return degree_; }
-  std::int64_t id() const noexcept { return identity_; }
-  std::span<const std::int64_t> input() const noexcept { return input_; }
-
-  /// Local round number, 0-based (round 0 sees no messages).
-  std::int64_t round() const noexcept { return round_; }
-
-  /// Message from neighbour port j sent in the previous round, or nullptr.
-  const Message* received(NodeId j) const {
-    return backend_->recv_message(node_, j);
-  }
-
-  /// Zero-copy view of the message from port j; empty-and-absent when none
-  /// arrived. Prefer this in new algorithms — it never touches the heap.
-  std::span<const std::int64_t> received_span(NodeId j, bool* present) const {
-    return backend_->recv_words(node_, j, present);
-  }
-
-  /// Sends msg to neighbour port j (delivered next round).
-  void send(NodeId j, const Message& msg) {
-    backend_->send_words(node_, j, msg.data(), msg.size());
-  }
-  /// Sends the literal words to port j without constructing a Message.
-  void send(NodeId j, std::initializer_list<std::int64_t> words) {
-    backend_->send_words(node_, j, words.begin(), words.size());
-  }
-
-  /// Sends a copy of msg to every neighbour.
-  void broadcast(const Message& msg) {
-    for (NodeId j = 0; j < degree_; ++j) send(j, msg);
-  }
-  void broadcast(std::initializer_list<std::int64_t> words) {
-    for (NodeId j = 0; j < degree_; ++j)
-      backend_->send_words(node_, j, words.begin(), words.size());
-  }
-
-  /// Writes the final output; after the current step returns, the process
-  /// is never stepped again (messages sent in this step are still delivered).
-  void finish(std::int64_t output) {
-    finished_ = true;
-    output_ = output;
-  }
-  bool finished() const noexcept { return finished_; }
-
-  /// Private randomness stream of this node.
-  Rng& rng() noexcept { return *rng_; }
-
-  /// Final output value (meaningful once finished()).
-  std::int64_t output() const noexcept { return output_; }
-
-  /// A view of this context with a shifted local round and substituted
-  /// input, sharing the message transport — used by stage-composition
-  /// combinators (src/runtime/chain.h) to run sub-processes.
-  Context derived(std::int64_t round,
-                  std::span<const std::int64_t> input) const {
-    Context copy = *this;
-    copy.round_ = round;
-    copy.input_ = input;
-    copy.finished_ = false;
-    copy.output_ = 0;
-    return copy;
-  }
-
- private:
-  friend struct ContextAccess;
-  NodeId node_ = 0;
-  NodeId degree_ = 0;
-  std::int64_t identity_ = 0;
-  std::span<const std::int64_t> input_;
-  std::int64_t round_ = 0;
-  bool finished_ = false;
-  std::int64_t output_ = 0;
-  Rng* rng_ = nullptr;
-  ContextBackend* backend_ = nullptr;
-};
-
-/// Engine-internal escape hatch for constructing Contexts (keeps the facade
-/// fields private without naming every engine a friend).
-struct ContextAccess {
-  static Context make(ContextBackend* backend, NodeId node, NodeId degree,
-                      std::int64_t identity,
-                      std::span<const std::int64_t> input, std::int64_t round,
-                      Rng* rng) {
-    Context ctx;
-    ctx.backend_ = backend;
-    ctx.node_ = node;
-    ctx.degree_ = degree;
-    ctx.identity_ = identity;
-    ctx.input_ = input;
-    ctx.round_ = round;
-    ctx.rng_ = rng;
-    return ctx;
-  }
-  static bool finished(const Context& ctx) { return ctx.finished_; }
-  static std::int64_t output(const Context& ctx) { return ctx.output_; }
-};
-
-/// Bump allocator backing per-node Process storage. An engine installs a
-/// Scope around its spawn loop; every Process (and nested inner process)
-/// allocated while the scope is active comes out of this arena's chunks
-/// instead of n individual heap allocations, and deleting such a process
-/// runs its destructor but returns no memory — the arena reclaims
-/// everything at once on reset(). Allocations outside any scope go to the
-/// heap and are freed normally, so the same unique_ptr<Process> works
-/// either way (each allocation carries a one-word provenance tag).
-///
-/// reset() requires every process allocated from the arena to be destroyed
-/// already; scopes are per-thread (thread_local active arena) and must not
-/// nest.
-class ProcessArena {
- public:
-  ProcessArena() = default;
-  ~ProcessArena() = default;
-  ProcessArena(const ProcessArena&) = delete;
-  ProcessArena& operator=(const ProcessArena&) = delete;
-
-  /// Drops every allocation; chunk capacity is kept for the next run.
-  void reset() noexcept;
-  /// Bytes handed out since the last reset (headers included).
-  std::size_t bytes_used() const noexcept { return used_; }
-
-  /// While alive, Process allocations on this thread bump through `arena`.
-  class Scope {
-   public:
-    explicit Scope(ProcessArena& arena) noexcept;
-    ~Scope() noexcept;
-    Scope(const Scope&) = delete;
-    Scope& operator=(const Scope&) = delete;
-  };
-
- private:
-  friend class Process;
-  static void* allocate(std::size_t size);
-  static void deallocate(void* p) noexcept;
-  void* bump(std::size_t size);
-
-  std::vector<std::unique_ptr<std::byte[]>> chunks_;
-  std::vector<std::size_t> chunk_sizes_;
-  std::size_t cur_chunk_ = 0;
-  std::size_t cur_offset_ = 0;
-  std::size_t used_ = 0;
-};
-
-/// The per-node program.
-class Process {
- public:
-  virtual ~Process() = default;
-  /// Called once per local round while the node has not finished.
-  virtual void step(Context& ctx) = 0;
-
-  /// Allocation routes through the active ProcessArena::Scope when one is
-  /// installed on this thread (engines wrap their spawn loops), and the
-  /// heap otherwise; delete is correct for both.
-  static void* operator new(std::size_t size);
-  static void operator delete(void* p) noexcept;
-
- protected:
-  Process() = default;
-};
-
 struct StepKernel;
 
-/// A distributed algorithm: spawns one process per node.
+/// A distributed algorithm: one named per-node program.
 class Algorithm {
  public:
   virtual ~Algorithm() = default;
-  virtual std::unique_ptr<Process> spawn(const NodeInit& init) const = 0;
   virtual std::string name() const = 0;
 
-  /// Optional flat-kernel lowering (src/runtime/kernel.h): a POD per-node
-  /// state layout plus free-function round kernels the engine runs without
-  /// Process/Context virtual dispatch, bit-identical to spawn()'s
-  /// processes. Like spawned processes, the returned descriptor is only
-  /// guaranteed valid while this Algorithm lives. Null (the default) means
-  /// no lowering; the engine then uses the vtable path.
-  virtual std::shared_ptr<const StepKernel> kernel() const { return nullptr; }
+  /// The per-node program (never null). The returned descriptor is only
+  /// guaranteed valid while this Algorithm lives.
+  virtual std::shared_ptr<const StepKernel> kernel() const = 0;
 };
 
 }  // namespace unilocal

@@ -2,14 +2,21 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstddef>
 #include <deque>
+#include <memory>
 #include <utility>
+#include <vector>
 
+#include "src/runtime/kernel.h"
 #include "src/util/math.h"
 
 namespace unilocal {
 
 namespace {
+
+/// One message: its words, owned.
+using Message = std::vector<std::int64_t>;
 
 /// rev_port[u][j] = the port of u in the adjacency list of its j-th
 /// neighbour. Recomputed per run — deliberately kept as the seed had it; the
@@ -30,7 +37,11 @@ std::vector<std::vector<NodeId>> reverse_ports(const Graph& g) {
 }
 
 struct NodeSlot {
-  std::unique_ptr<Process> process;
+  // The node's own state record (state_storage is over-allocated so `state`
+  // can sit at the kernel's alignment, and zero-filled) and per-port words.
+  std::unique_ptr<std::byte[]> state_storage;
+  std::byte* state = nullptr;
+  std::vector<std::int64_t> port_state;
   Rng rng{0};
   std::vector<Message> inbox;
   std::vector<char> inbox_present;
@@ -43,23 +54,36 @@ struct NodeSlot {
   std::int64_t finish_global = -1;
 };
 
-class ReferenceRunner final : public ContextBackend {
+class ReferenceRunner {
  public:
   ReferenceRunner(const Instance& instance, const Algorithm& algorithm,
                   const RunOptions& options)
-      : instance_(instance), options_(options) {
+      : instance_(instance), options_(options), kernel_(algorithm.kernel()) {
+    check_kernel(kernel_.get(), algorithm.name());
     const NodeId n = instance.graph.num_nodes();
     slots_.resize(static_cast<std::size_t>(n));
     rev_ = reverse_ports(instance.graph);
+    const std::size_t align =
+        std::max<std::size_t>(kernel_->state_align, 1);
     Rng base(options.seed);
     for (NodeId v = 0; v < n; ++v) {
       auto& slot = slots_[static_cast<std::size_t>(v)];
       const NodeId deg = instance.graph.degree(v);
-      NodeInit init;
-      init.degree = deg;
-      init.identity = instance.identities[static_cast<std::size_t>(v)];
-      init.input = instance.inputs[static_cast<std::size_t>(v)];
-      slot.process = algorithm.spawn(init);
+      slot.state_storage = std::make_unique<std::byte[]>(
+          static_cast<std::size_t>(kernel_->state_size) + align);
+      const auto addr =
+          reinterpret_cast<std::uintptr_t>(slot.state_storage.get());
+      slot.state = slot.state_storage.get() + (align - addr % align) % align;
+      slot.port_state.assign(static_cast<std::size_t>(deg) *
+                                 kernel_->port_state_words,
+                             0);
+      if (kernel_->init_fn != nullptr) {
+        NodeInit init;
+        init.degree = deg;
+        init.identity = instance.identities[static_cast<std::size_t>(v)];
+        init.input = instance.inputs[static_cast<std::size_t>(v)];
+        kernel_->init_fn(slot.state, init, kernel_->config.get());
+      }
       slot.rng = base.split(static_cast<std::uint64_t>(
           instance.identities[static_cast<std::size_t>(v)]));
       slot.inbox.resize(static_cast<std::size_t>(deg));
@@ -69,29 +93,28 @@ class ReferenceRunner final : public ContextBackend {
     }
   }
 
-  // ContextBackend: a fresh Message per send, like the seed engine's
-  // caller-allocated vectors.
-  void send_words(NodeId node, NodeId port, const std::int64_t* data,
-                  std::size_t words) override {
-    auto& slot = slots_[static_cast<std::size_t>(node)];
+  // The KernelCtx transport: a fresh Message per send (last write wins),
+  // and receives straight out of the inbox, which no send touches.
+  static void send_words(void* engine, int, NodeId node, NodeId port,
+                         const std::int64_t* data, std::size_t words) {
+    auto& slot =
+        static_cast<ReferenceRunner*>(engine)->slots_[static_cast<std::size_t>(
+            node)];
     slot.outbox[static_cast<std::size_t>(port)] = Message(data, data + words);
     slot.outbox_present[static_cast<std::size_t>(port)] = 1;
   }
-  std::span<const std::int64_t> recv_words(NodeId node, NodeId port,
-                                           bool* present) override {
-    const auto& slot = slots_[static_cast<std::size_t>(node)];
+  static std::span<const std::int64_t> recv_words(void* engine, int,
+                                                  NodeId node, NodeId port,
+                                                  bool* present) {
+    const auto& slot =
+        static_cast<ReferenceRunner*>(engine)->slots_[static_cast<std::size_t>(
+            node)];
     if (!slot.inbox_present[static_cast<std::size_t>(port)]) {
       *present = false;
       return {};
     }
     *present = true;
     return slot.inbox[static_cast<std::size_t>(port)];
-  }
-  const Message* recv_message(NodeId node, NodeId port) override {
-    const auto& slot = slots_[static_cast<std::size_t>(node)];
-    return slot.inbox_present[static_cast<std::size_t>(port)]
-               ? &slot.inbox[static_cast<std::size_t>(port)]
-               : nullptr;
   }
 
   RunResult run_simultaneous() {
@@ -226,14 +249,24 @@ class ReferenceRunner final : public ContextBackend {
 
   void step_node_prefilled(NodeId v, std::int64_t round) {
     auto& slot = slots_[static_cast<std::size_t>(v)];
-    Context ctx = ContextAccess::make(
-        this, v, instance_.graph.degree(v),
-        instance_.identities[static_cast<std::size_t>(v)],
-        instance_.inputs[static_cast<std::size_t>(v)], round, &slot.rng);
-    slot.process->step(ctx);
-    if (ContextAccess::finished(ctx)) {
+    KernelCtx ctx;
+    ctx.node = v;
+    ctx.degree = instance_.graph.degree(v);
+    ctx.identity = instance_.identities[static_cast<std::size_t>(v)];
+    ctx.round = round;
+    ctx.input = instance_.inputs[static_cast<std::size_t>(v)];
+    ctx.rng = &slot.rng;
+    ctx.state = slot.state;
+    ctx.port_state = slot.port_state.empty() ? nullptr : slot.port_state.data();
+    ctx.config = kernel_->config.get();
+    ctx.scratch = &scratch_;
+    ctx.engine = this;
+    ctx.recv_fn = &ReferenceRunner::recv_words;
+    ctx.send_fn = &ReferenceRunner::send_words;
+    kernel_->phases[kernel_phase_index(*kernel_, round, slot.state)].fn(ctx);
+    if (ctx.finished) {
       slot.finished = true;
-      slot.output = ContextAccess::output(ctx);
+      slot.output = ctx.output;
     }
     for (std::size_t j = 0; j < slot.outbox_present.size(); ++j) {
       if (slot.outbox_present[j]) {
@@ -301,6 +334,8 @@ class ReferenceRunner final : public ContextBackend {
 
   const Instance& instance_;
   const RunOptions& options_;
+  std::shared_ptr<const StepKernel> kernel_;
+  std::vector<std::int64_t> scratch_;
   std::vector<NodeSlot> slots_;
   std::vector<std::vector<NodeId>> rev_;
   std::vector<NodeId> cut_off_;

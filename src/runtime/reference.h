@@ -1,43 +1,28 @@
-// The seed round engine, preserved verbatim in behaviour: one heap-allocated
-// inbox/outbox vector<Message> per node and per-run reverse-port
-// recomputation. It exists for two reasons:
-//   1. as the trusted single-threaded oracle the engine-equivalence test
-//      compares the arena engine against (identical RunResult fields), and
-//   2. as the "before" side of bench_micro_simulator's before/after
-//      comparison (BENCH_engine.json).
-// Production code paths all use run_local (src/runtime/runner.h).
+// The reference round engine: the trusted single-threaded oracle the arena
+// engine (src/runtime/runner.h) is compared against (identical RunResult
+// fields; tests/engine_equivalence_test.cpp and tests/kernel_test.cpp), and
+// the "before" side of bench_micro_simulator's engine comparison
+// (BENCH_engine.json). Production code paths all use run_local.
 //
-// VtableOnly is the matching oracle for the step-kernel tier: run_local
-// takes an algorithm's kernel() whenever it has one, so wrapping the
-// algorithm is how a test (or bench) pins the Process vtable path of the
-// same algorithm.
+// It runs an algorithm's scalar KernelPhase::fn bodies through its own
+// KernelCtx transport and shares no loop, arena, batching or sleep logic
+// with the arena engine:
+//   - every node keeps its own heap state record and per-port words, and a
+//     vector-per-message inbox and outbox;
+//   - reverse ports are recomputed for each run;
+//   - every unfinished node steps every round (sleep hints are ignored, and
+//     batch fns are never called).
 #pragma once
-
-#include <memory>
-#include <string>
 
 #include "src/runtime/runner.h"
 
 namespace unilocal {
 
-/// Forwards spawn() and name() to `inner` and hides its kernel(), so the
-/// engine steps the Process bodies. Holds a reference: `inner` must outlive
-/// the wrapper.
-class VtableOnly final : public Algorithm {
- public:
-  explicit VtableOnly(const Algorithm& inner) : inner_(inner) {}
-  std::unique_ptr<Process> spawn(const NodeInit& init) const override {
-    return inner_.spawn(init);
-  }
-  std::string name() const override { return inner_.name(); }
-
- private:
-  const Algorithm& inner_;
-};
-
-/// Seed-engine twin of run_local: same semantics (simultaneous and
+/// Reference twin of run_local: same semantics (simultaneous and
 /// alpha-synchronizer modes, cutoffs, message accounting), vector-per-message
-/// storage, always single-threaded (RunOptions::num_threads is ignored).
+/// storage, always single-threaded (RunOptions::num_threads and
+/// RunOptions::network are ignored; a delayed run's outputs equal the
+/// simultaneous ones by Observation 2.1).
 RunResult run_local_reference(const Instance& instance,
                               const Algorithm& algorithm,
                               const RunOptions& options = {});

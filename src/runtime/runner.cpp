@@ -168,11 +168,7 @@ class TickTable {
 /// All storage the engine needs, owned by EngineWorkspace so consecutive
 /// runs (alternation steps, run_sequential stages) reuse capacity.
 struct EngineWorkspaceState {
-  // Struct-of-arrays node state. proc_arena backs the procs' storage and is
-  // declared first so the (no-op-delete) Process destructors in ~procs run
-  // while its chunks are still alive.
-  ProcessArena proc_arena;
-  std::vector<std::unique_ptr<Process>> procs;
+  // Struct-of-arrays node state.
   std::vector<Rng> rngs;
   std::vector<char> finished;
   std::vector<std::int64_t> outputs;
@@ -226,21 +222,15 @@ struct EngineWorkspaceState {
   WakeSchedule wake_schedule;
 
   // Packed per-node kernel state (stride-aligned records; see
-  // src/runtime/kernel.h) and the per-port word arena, used instead of
-  // procs when the run goes through a StepKernel.
+  // src/runtime/kernel.h) and the per-port word arena.
   std::vector<std::byte> kernel_state;
   std::vector<std::int64_t> kernel_port_state;
 
-  // Per-thread receive scratch: Message materializations per port with
-  // epoch tags so capacity survives across nodes and rounds; kwords is the
-  // reusable int64 scratch handed to kernels as KernelCtx::scratch;
-  // bucket_nodes/bucket_rounds are the phase-bucketing arrays of the
-  // batched kernel path (one slot per kernel phase, capacity persists).
+  // Per-thread scratch: kwords is the reusable int64 scratch handed to
+  // kernels as KernelCtx::scratch; bucket_nodes/bucket_rounds are the
+  // phase-bucketing arrays of the batched path (one slot per kernel phase,
+  // capacity persists).
   struct Scratch {
-    std::vector<Message> cache;
-    std::vector<char> present;
-    std::vector<std::uint64_t> epoch;
-    std::uint64_t cur_epoch = 0;
     std::vector<std::int64_t> kwords;
     std::vector<std::vector<NodeId>> bucket_nodes;
     std::vector<std::vector<std::int64_t>> bucket_rounds;
@@ -286,25 +276,12 @@ class ArenaEngine {
     trace_ = telemetry::trace_binding();
     if (trace_ != nullptr && trace_->recorder == nullptr) trace_ = nullptr;
 
-    // The engine path follows the algorithm: its flat kernel when it has
-    // one, the Process vtable path otherwise.
     kernel_ = algorithm.kernel();
-    if (kernel_ != nullptr) {
-      if (kernel_->phases.empty())
-        throw std::runtime_error("kernel '" + kernel_->name +
-                                 "' has no phases");
-      for (const KernelPhase& phase : kernel_->phases) {
-        if (phase.fn == nullptr)
-          throw std::runtime_error("kernel '" + kernel_->name + "' phase '" +
-                                   phase.name + "' has a null step function");
-        if (phase.batch != nullptr) kernel_has_batch_ = true;
-      }
-    }
+    check_kernel(kernel_.get(), algorithm.name());
+    for (const KernelPhase& phase : kernel_->phases)
+      if (phase.batch != nullptr) kernel_has_batch_ = true;
 
     const std::size_t nn = static_cast<std::size_t>(n_);
-    // Destroy any previous run's processes before reclaiming their arena.
-    ws_.procs.clear();
-    ws_.proc_arena.reset();
     ws_.rngs.assign(nn, Rng(0));
     ws_.finished.assign(nn, 0);
     ws_.outputs.assign(nn, 0);
@@ -312,67 +289,37 @@ class ArenaEngine {
     ws_.finish_local.assign(nn, -1);
     ws_.finish_global.assign(nn, -1);
 
-    NodeId max_degree = 0;
     Rng base(options.seed);
-    for (NodeId v = 0; v < n_; ++v) {
+    for (NodeId v = 0; v < n_; ++v)
       ws_.rngs[static_cast<std::size_t>(v)] = base.split(
           static_cast<std::uint64_t>(
               instance.identities[static_cast<std::size_t>(v)]));
-      max_degree = std::max(max_degree, csr_.degree(v));
-    }
 
-    if (kernel_ != nullptr) {
-      // Pack every node's POD state record into one zero-filled arena
-      // (stride = state_size rounded up to state_align, base aligned by
-      // hand so vector reuse never mis-aligns records).
-      const std::size_t align = std::max<std::size_t>(kernel_->state_align, 1);
-      kstride_ = (static_cast<std::size_t>(kernel_->state_size) + align - 1) /
-                 align * align;
-      ws_.kernel_state.assign(nn * kstride_ + align, std::byte{0});
-      const auto addr =
-          reinterpret_cast<std::uintptr_t>(ws_.kernel_state.data());
-      kstate_base_ =
-          ws_.kernel_state.data() +
-          static_cast<std::size_t>((align - addr % align) % align);
-      kport_words_ = kernel_->port_state_words;
-      ws_.kernel_port_state.assign(
-          kport_words_ * static_cast<std::size_t>(csr_.num_directed_edges()),
-          0);
-      if (kernel_->init_fn != nullptr) {
-        for (NodeId v = 0; v < n_; ++v) {
-          NodeInit init;
-          init.degree = csr_.degree(v);
-          init.identity = instance.identities[static_cast<std::size_t>(v)];
-          init.input = instance.inputs[static_cast<std::size_t>(v)];
-          kernel_->init_fn(kstate_base_ + static_cast<std::size_t>(v) * kstride_,
-                           init, kernel_->config.get());
-        }
-      }
-    } else {
-      // Vtable path: spawn all processes through the workspace bump arena
-      // (one pair of chunks instead of n individual heap allocations).
-      ws_.procs.reserve(nn);
-      ProcessArena::Scope arena_scope(ws_.proc_arena);
+    // Pack every node's POD state record into one zero-filled arena
+    // (stride = state_size rounded up to state_align, base aligned by hand
+    // so vector reuse never mis-aligns records).
+    const std::size_t align = std::max<std::size_t>(kernel_->state_align, 1);
+    kstride_ = (static_cast<std::size_t>(kernel_->state_size) + align - 1) /
+               align * align;
+    ws_.kernel_state.assign(nn * kstride_ + align, std::byte{0});
+    const auto addr = reinterpret_cast<std::uintptr_t>(ws_.kernel_state.data());
+    kstate_base_ = ws_.kernel_state.data() +
+                   static_cast<std::size_t>((align - addr % align) % align);
+    kport_words_ = kernel_->port_state_words;
+    ws_.kernel_port_state.assign(
+        kport_words_ * static_cast<std::size_t>(csr_.num_directed_edges()), 0);
+    if (kernel_->init_fn != nullptr) {
       for (NodeId v = 0; v < n_; ++v) {
         NodeInit init;
         init.degree = csr_.degree(v);
         init.identity = instance.identities[static_cast<std::size_t>(v)];
         init.input = instance.inputs[static_cast<std::size_t>(v)];
-        ws_.procs.push_back(algorithm.spawn(init));
+        kernel_->init_fn(kstate_base_ + static_cast<std::size_t>(v) * kstride_,
+                         init, kernel_->config.get());
       }
     }
 
     ws_.scratch.resize(static_cast<std::size_t>(threads_));
-    for (auto& scratch : ws_.scratch) {
-      if (scratch.cache.size() < static_cast<std::size_t>(max_degree)) {
-        scratch.cache.resize(static_cast<std::size_t>(max_degree));
-        scratch.present.resize(static_cast<std::size_t>(max_degree), 0);
-        scratch.epoch.resize(static_cast<std::size_t>(max_degree), 0);
-      }
-    }
-
-    backends_.reserve(static_cast<std::size_t>(threads_));
-    for (int t = 0; t < threads_; ++t) backends_.push_back(Backend{this, t});
     deltas_.assign(static_cast<std::size_t>(threads_), StepDelta{});
   }
 
@@ -389,7 +336,7 @@ class ArenaEngine {
     ws_.asleep.assign(static_cast<std::size_t>(n_), 0);
     ws_.sleepers.clear();
     ws_.candidates.clear();
-    if (kernel_ != nullptr) wake_at_ = ws_.local_round.data();
+    wake_at_ = ws_.local_round.data();
 
     NodeId live = n_;  // unfinished nodes, awake or asleep
     peak_live_ = n_;
@@ -847,23 +794,6 @@ class ArenaEngine {
   }
 
  private:
-  struct Backend final : ContextBackend {
-    Backend(ArenaEngine* e, int t) : engine(e), tid(t) {}
-    ArenaEngine* engine;
-    int tid;
-    void send_words(NodeId node, NodeId port, const std::int64_t* data,
-                    std::size_t words) override {
-      engine->do_send(tid, node, port, data, words);
-    }
-    std::span<const std::int64_t> recv_words(NodeId node, NodeId port,
-                                             bool* present) override {
-      return engine->do_recv(tid, node, port, present);
-    }
-    const Message* recv_message(NodeId node, NodeId port) override {
-      return engine->do_recv_message(tid, node, port);
-    }
-  };
-
   /// Round-arena sends are accounted as they happen: a slot's first write
   /// counts the message and notes a sleeping receiver; a resend overwrites
   /// it (last write wins) and only flags a shrink, which the round's
@@ -902,8 +832,8 @@ class ArenaEngine {
   }
 
   /// Zero-copy arena lookup. In the synchronizer mode the returned span
-  /// points into hist_words_, which a same-step send may reallocate — only
-  /// do_recv/do_recv_message (which copy through the scratch) may hold it.
+  /// points into hist_words, which a same-step send may reallocate (the
+  /// kernels' read-before-send contract).
   std::span<const std::int64_t> raw_recv(NodeId node, NodeId port,
                                          bool* present) {
     if (!sync_mode_) return ws_.sim_net.recv(node, port, present);
@@ -925,40 +855,8 @@ class ArenaEngine {
             static_cast<std::size_t>(s.words)};
   }
 
-  std::span<const std::int64_t> do_recv(int tid, NodeId node, NodeId port,
-                                        bool* present) {
-    // The round arena's receive half (simultaneous and delayed modes) is
-    // untouched by this round's sends, so its raw spans honour
-    // Context::received_span's valid-for-the-step contract directly. The
-    // synchronizer mode's history arena grows on send, so hand out the
-    // step-stable scratch copy instead.
-    if (!sync_mode_) return raw_recv(node, port, present);
-    const Message* m = do_recv_message(tid, node, port);
-    if (m == nullptr) {
-      *present = false;
-      return {};
-    }
-    *present = true;
-    return *m;
-  }
-
-  const Message* do_recv_message(int tid, NodeId node, NodeId port) {
-    auto& scratch = ws_.scratch[static_cast<std::size_t>(tid)];
-    const std::size_t p = static_cast<std::size_t>(port);
-    if (scratch.epoch[p] != scratch.cur_epoch) {
-      bool present = false;
-      const auto words = raw_recv(node, port, &present);
-      scratch.epoch[p] = scratch.cur_epoch;
-      scratch.present[p] = present ? 1 : 0;
-      if (present) scratch.cache[p].assign(words.begin(), words.end());
-    }
-    return scratch.present[p] ? &scratch.cache[p] : nullptr;
-  }
-
-  // Non-virtual transport installed into every KernelCtx. Receives are the
-  // zero-copy arena lookup (kernels honour the read-before-send contract, so
-  // the vtable path's defensive scratch copy is unnecessary); sends share
-  // do_send with the vtable path.
+  // The transport installed into every KernelCtx: the zero-copy arena
+  // lookup and do_send.
   static std::span<const std::int64_t> kernel_recv(void* engine, int tid,
                                                    NodeId node, NodeId port,
                                                    bool* present) {
@@ -970,8 +868,7 @@ class ArenaEngine {
     static_cast<ArenaEngine*>(engine)->do_send(tid, node, port, data, words);
   }
 
-  /// One local round of node v through the flat kernel: no Process::step
-  /// virtual call, no ContextBackend hops, no per-port Message copies.
+  /// One local round of node v through phase `phase` of the kernel.
   void step_kernel_phase(int tid, NodeId v, std::int64_t round,
                          std::size_t phase) {
     const std::size_t vi = static_cast<std::size_t>(v);
@@ -1003,7 +900,7 @@ class ArenaEngine {
       wake_at_[vi] = ctx.wake_round;
   }
 
-  void step_kernel(int tid, NodeId v, std::int64_t round) {
+  void step_one(int tid, NodeId v, std::int64_t round) {
     const std::byte* state =
         kstate_base_ + static_cast<std::size_t>(v) * kstride_;
     step_kernel_phase(tid, v, round,
@@ -1097,25 +994,6 @@ class ArenaEngine {
     }
   }
 
-  void step_one(int tid, NodeId v, std::int64_t round) {
-    if (kernel_ != nullptr) {
-      step_kernel(tid, v, round);
-      return;
-    }
-    auto& scratch = ws_.scratch[static_cast<std::size_t>(tid)];
-    ++scratch.cur_epoch;
-    Context ctx = ContextAccess::make(
-        &backends_[static_cast<std::size_t>(tid)], v, csr_.degree(v),
-        instance_.identities[static_cast<std::size_t>(v)],
-        instance_.inputs[static_cast<std::size_t>(v)], round,
-        &ws_.rngs[static_cast<std::size_t>(v)]);
-    ws_.procs[static_cast<std::size_t>(v)]->step(ctx);
-    if (ContextAccess::finished(ctx)) {
-      ws_.finished[static_cast<std::size_t>(v)] = 1;
-      ws_.outputs[static_cast<std::size_t>(v)] = ContextAccess::output(ctx);
-    }
-  }
-
   /// Steps the live-list slice [lo, hi); every listed node is unfinished
   /// and awake at round start (the list is compacted after each round).
   void step_range(int tid, std::size_t lo, std::size_t hi,
@@ -1133,7 +1011,7 @@ class ArenaEngine {
       if (!kernel_has_batch_) step_one(tid, v, round);
       ++delta.steps;
       std::int64_t wake = 0;
-      if (wake_at_ != nullptr && wake_at_[vi] != 0) {
+      if (wake_at_[vi] != 0) {
         wake = std::min(wake_at_[vi], options_.max_rounds - 1);
         wake_at_[vi] = 0;
       }
@@ -1291,7 +1169,6 @@ class ArenaEngine {
     event.dur = trace_->recorder->now() - t0;
     event.pid = trace_->pid;
     event.tid = trace_->tid;
-    event.arg("path", kernel_ != nullptr ? "kernel" : "vtable");
     return event;
   }
 
@@ -1307,8 +1184,6 @@ class ArenaEngine {
                   std::chrono::steady_clock::time_point start) {
     auto& stats = result.stats;
     stats.total_steps = total_steps_;
-    stats.kernel_steps = kernel_ != nullptr ? total_steps_ : 0;
-    stats.vtable_steps = kernel_ != nullptr ? 0 : total_steps_;
     stats.kernel_batched_steps = batched_steps_;
     stats.kernel_batch_calls = batch_calls_;
     stats.peak_round_messages = peak_round_messages_;
@@ -1337,7 +1212,6 @@ class ArenaEngine {
     }
     bytes += static_cast<std::int64_t>(ws_.kernel_state.capacity());
     bytes += static_cast<std::int64_t>(ws_.kernel_port_state.capacity()) * 8;
-    bytes += static_cast<std::int64_t>(ws_.proc_arena.bytes_used());
     stats.arena_bytes = bytes;
     stats.elapsed_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
@@ -1356,7 +1230,6 @@ class ArenaEngine {
       event.arg("mode", delayed_mode_  ? "delayed"
                         : sync_mode_   ? "synchronized"
                                        : "simultaneous");
-      event.arg("path", kernel_ != nullptr ? "kernel" : "vtable");
       event.arg("n", static_cast<std::int64_t>(n_));
       event.arg("rounds", result.rounds_used);
       event.arg("global_rounds", result.global_rounds);
@@ -1374,7 +1247,7 @@ class ArenaEngine {
   EngineWorkspaceState& ws_;
   const NodeId n_;
   int threads_ = 1;
-  // Resolved kernel path (null = vtable) and its packed-state geometry.
+  // The algorithm's kernel and its packed-state geometry.
   std::shared_ptr<const StepKernel> kernel_;
   std::byte* kstate_base_ = nullptr;
   std::size_t kstride_ = 0;
@@ -1387,7 +1260,7 @@ class ArenaEngine {
   std::int64_t batch_calls_ = 0;
   bool sync_mode_ = false;
   bool delayed_mode_ = false;
-  // Simultaneous kernel runs only: the sleep-hint latch (ws_.local_round's
+  // Simultaneous runs only: the sleep-hint latch (ws_.local_round's
   // storage; null when hints are ignored), the sleeping-node count, the
   // steps skipped because their node was asleep, and the rounds the clock
   // jumped over because every node was.
@@ -1401,7 +1274,6 @@ class ArenaEngine {
   std::int64_t trace_rounds_recorded_ = 0;
   bool trace_round_active_ = false;
   std::vector<std::int64_t> trace_phases_;
-  std::vector<Backend> backends_;
   std::vector<StepDelta> deltas_;
   std::int64_t messages_sent_ = 0;
   std::int64_t max_message_words_ = 0;

@@ -91,12 +91,6 @@ struct RunOptions {
     "peak_round_messages", false, nullptr)                                    \
   /* Node steps, counted logically (a sleeping node's rounds count). */      \
   X(total_steps, std::int64_t, 0, kSum, kCounter, "steps", true, nullptr)     \
-  /* Steps through the flat kernel path / the Process vtable path; they sum \
-     to total_steps (composed algorithms may mix both). */                   \
-  X(kernel_steps, std::int64_t, 0, kSum, kCounter, "kernel_steps", false,     \
-    "kernel_steps")                                                           \
-  X(vtable_steps, std::int64_t, 0, kSum, kCounter, "vtable_steps", false,     \
-    "vtable_steps")                                                           \
   /* Kernel steps run through phase-grouped KernelBatchFn buckets, and the   \
      batch calls that carried them (see batch_occupancy()). */               \
   X(kernel_batched_steps, std::int64_t, 0, kSum, kCounter,                    \

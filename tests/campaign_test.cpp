@@ -240,9 +240,9 @@ TEST(Campaign, WritesCsvAndJson) {
   EXPECT_EQ(csv_text.substr(0, csv_text.find('\n')),
             "scenario,n,a,b,algorithm,seed,identities,network,drop,duplicate,"
             "crash,late,nodes,edges,rounds,solved,valid,seconds,messages,"
-            "peak_round_messages,steps,kernel_steps,vtable_steps,"
-            "kernel_batched_steps,kernel_batch_calls,steps_per_sec,"
-            "arena_bytes,peak_live_nodes,peak_frontier_nodes,"
+            "peak_round_messages,steps,kernel_batched_steps,"
+            "kernel_batch_calls,steps_per_sec,arena_bytes,peak_live_nodes,"
+            "peak_frontier_nodes,"
             "dirty_spans_cleared,messages_dropped,messages_duplicated,"
             "max_delivery_skew,output_hash,error");
   // Header plus one row per cell.

@@ -1,10 +1,9 @@
-// Step-kernel equivalence: for every lowered registry building block the
-// flat-kernel engine path (what run_local picks whenever Algorithm::kernel()
-// is non-null) must produce RunResult fields bit-identical to the Process
-// vtable path (the same algorithm behind VtableOnly) and to the preserved
-// seed engine (src/runtime/reference.cpp) — on every instance family,
-// thread count, and both engine modes (simultaneous and synchronizer).
-// Lowering of whole registry pipelines is pinned separately by
+// Building-block kernels: for every registry building block, the arena
+// engine (at 1, 2 and 8 threads) and the reference engine
+// (src/runtime/reference.cpp) must both reproduce the frozen row of
+// tests/golden/kernel-blocks.json, and agree on every RunResult field — on
+// every instance family and in both engine modes (simultaneous and
+// synchronizer). Whole registry pipelines are pinned separately by
 // tests/table1_golden_test.cpp.
 #include <gtest/gtest.h>
 
@@ -58,8 +57,9 @@ void expect_same(const RunResult& want, const RunResult& got,
 // tests/golden/kernel-blocks.json holds one row per (block, instance, engine
 // mode) case below: digests of the outputs and of the local and global
 // finish rounds, plus the run's scalar results. The rows were computed when
-// each block still had a second, independently written per-node body, while
-// both bodies agreed; they stay the check on each block's logic.
+// each block still had a second, independently written per-node body (a
+// virtual-dispatch object per node), while both bodies agreed; they stay
+// the check on each block's logic.
 //
 // To regenerate after an intended change in a block, copy the
 // kernel-blocks.json this test writes into its working directory on a
@@ -162,50 +162,29 @@ void expect_frozen(const std::string& run, const RunResult& result,
   }
 }
 
-/// Reference engine vs the kernel path and the vtable path at every thread
-/// count. `options.wake_rounds` decides the engine mode: empty =
-/// simultaneous, non-empty = synchronizer — callers exercise both.
+/// The reference engine and the arena engine at every thread count, each
+/// against the frozen row `label` and against each other.
+/// `options.wake_rounds` decides the engine mode: empty = simultaneous,
+/// non-empty = synchronizer — callers exercise both.
 void check_kernel_equivalence(const Instance& instance,
                               const Algorithm& algorithm, RunOptions options,
                               const std::string& label) {
-  ASSERT_NE(algorithm.kernel(), nullptr) << label;
-  const VtableOnly vtable(algorithm);
   const RunResult want = run_local_reference(instance, algorithm, options);
   expect_frozen(label, want, label + "/reference", /*record=*/true);
   for (const int threads : {1, 2, 8}) {
     options.num_threads = threads;
-    for (const Algorithm* path : {static_cast<const Algorithm*>(&vtable),
-                                  &algorithm}) {
-      const bool lowered = path == &algorithm;
-      const RunResult got = run_local(instance, *path, options);
-      const std::string tag = label + (lowered ? "/kernel" : "/vtable") +
-                              "/threads=" + std::to_string(threads);
-      expect_same(want, got, tag);
-      expect_frozen(label, got, tag);
-      // The path split must report where the steps actually ran.
-      if (lowered) {
-        EXPECT_EQ(got.stats.kernel_steps, got.stats.total_steps) << tag;
-        EXPECT_EQ(got.stats.vtable_steps, 0) << tag;
-      } else {
-        EXPECT_EQ(got.stats.kernel_steps, 0) << tag;
-        EXPECT_EQ(got.stats.vtable_steps, got.stats.total_steps) << tag;
-      }
-      // Batched-step accounting: only kernel steps batch, each batch call
-      // covers at least one step, and the vtable path never batches.
-      EXPECT_LE(got.stats.kernel_batched_steps, got.stats.kernel_steps)
+    const RunResult got = run_local(instance, algorithm, options);
+    const std::string tag = label + "/threads=" + std::to_string(threads);
+    expect_same(want, got, tag);
+    expect_frozen(label, got, tag);
+    // Batched-step accounting: each batch call covers at least one step.
+    EXPECT_LE(got.stats.kernel_batched_steps, got.stats.total_steps) << tag;
+    EXPECT_EQ(got.stats.kernel_batch_calls > 0,
+              got.stats.kernel_batched_steps > 0)
+        << tag;
+    if (got.stats.kernel_batch_calls > 0)
+      EXPECT_GE(got.stats.kernel_batched_steps, got.stats.kernel_batch_calls)
           << tag;
-      if (!lowered) {
-        EXPECT_EQ(got.stats.kernel_batched_steps, 0) << tag;
-        EXPECT_EQ(got.stats.kernel_batch_calls, 0) << tag;
-      }
-      EXPECT_EQ(got.stats.kernel_batch_calls > 0,
-                got.stats.kernel_batched_steps > 0)
-          << tag;
-      if (got.stats.kernel_batch_calls > 0)
-        EXPECT_GE(got.stats.kernel_batched_steps,
-                  got.stats.kernel_batch_calls)
-            << tag;
-    }
   }
 }
 
@@ -285,58 +264,35 @@ void resend_probe_kernel(KernelCtx& ctx) {
     ctx.finish(resend_probe_output(acc));
 }
 
-/// Pins last-write-wins message accounting (ContextBackend::send_words):
-/// a resend on one port within a step must count once, with its final
-/// length.
-class ResendProbe final : public Algorithm {
- public:
-  explicit ResendProbe(std::int64_t grow_round) {
-    auto kernel = std::make_shared<StepKernel>();
-    kernel->name = name();
-    kernel->state_size = sizeof(ResendProbeState);
-    kernel->state_align = alignof(ResendProbeState);
-    kernel->phases.push_back({"probe", &resend_probe_kernel, nullptr});
-    kernel->config = std::make_shared<const std::int64_t>(grow_round);
-    kernel_ = std::move(kernel);
-    grow_round_ = grow_round;
-  }
+/// Pins last-write-wins message accounting (KernelCtx::send): a resend on
+/// one port within a step must count once, with its final length.
+KernelAlgorithm resend_probe(std::int64_t grow_round) {
+  auto kernel = std::make_shared<StepKernel>();
+  kernel->name = "resend-probe";
+  kernel->state_size = sizeof(ResendProbeState);
+  kernel->state_align = alignof(ResendProbeState);
+  kernel->phases.push_back({"probe", &resend_probe_kernel, nullptr});
+  kernel->config = std::make_shared<const std::int64_t>(grow_round);
+  return KernelAlgorithm("resend-probe", std::move(kernel));
+}
 
-  std::unique_ptr<Process> spawn(const NodeInit&) const override {
-    return std::make_unique<Node>(grow_round_);
-  }
-  std::string name() const override { return "resend-probe"; }
-  std::shared_ptr<const StepKernel> kernel() const override { return kernel_; }
-
- private:
-  class Node final : public Process {
-   public:
-    explicit Node(std::int64_t grow_round) : grow_round_(grow_round) {}
-    void step(Context& ctx) override {
-      acc_ = resend_probe_round(
-          ctx.round(), grow_round_, ctx.degree(), ctx.id(), acc_,
-          [&ctx](NodeId j, bool* present) {
-            return ctx.received_span(j, present);
-          },
-          [&ctx](NodeId j, std::initializer_list<std::int64_t> words) {
-            ctx.send(j, words);
-          });
-      if (resend_probe_done(ctx.round(), ctx.id()))
-        ctx.finish(resend_probe_output(acc_));
-    }
-
-   private:
-    std::int64_t grow_round_;
-    std::uint64_t acc_ = 0;
-  };
-
-  std::int64_t grow_round_ = -1;
-  std::shared_ptr<const StepKernel> kernel_;
-};
+/// A delayed run against the reference's simultaneous run: by
+/// Observation 2.1 every node sees the same messages, so everything but
+/// the timing agrees.
+void expect_delayed_matches(const RunResult& want, const RunResult& got,
+                            const std::string& label) {
+  EXPECT_EQ(want.outputs, got.outputs) << label;
+  EXPECT_EQ(want.finish_rounds, got.finish_rounds) << label;
+  EXPECT_EQ(want.all_finished, got.all_finished) << label;
+  EXPECT_EQ(want.rounds_used, got.rounds_used) << label;
+  EXPECT_EQ(want.messages_sent, got.messages_sent) << label;
+  EXPECT_EQ(want.max_message_words, got.max_message_words) << label;
+  EXPECT_EQ(want.stats.total_steps, got.stats.total_steps) << label;
+}
 
 TEST(KernelEquivalence, ResendProbeCountsFinalWritesOnly) {
   for (const std::int64_t grow_round : {std::int64_t{-1}, std::int64_t{2}}) {
-    const ResendProbe probe(grow_round);
-    const VtableOnly vtable(probe);
+    const KernelAlgorithm probe = resend_probe(grow_round);
     const std::string tag = "resend-grow" + std::to_string(grow_round);
     for (const auto& named : standard_instances(/*seed=*/83)) {
       check_both_engine_modes(named.instance, probe, 19,
@@ -352,19 +308,10 @@ TEST(KernelEquivalence, ResendProbeCountsFinalWritesOnly) {
       options.network.preset = DelayPreset::kHeavyTail;
       for (const int threads : {1, 2, 8}) {
         options.num_threads = threads;
-        for (const Algorithm* path : {static_cast<const Algorithm*>(&vtable),
-                                      static_cast<const Algorithm*>(&probe)}) {
-          const RunResult got = run_local(named.instance, *path, options);
-          const std::string label = tag + "/delayed/" + named.name +
-                                    (path == &probe ? "/kernel" : "/vtable") +
-                                    "/threads=" + std::to_string(threads);
-          EXPECT_EQ(want.outputs, got.outputs) << label;
-          EXPECT_EQ(want.finish_rounds, got.finish_rounds) << label;
-          EXPECT_EQ(want.all_finished, got.all_finished) << label;
-          EXPECT_EQ(want.rounds_used, got.rounds_used) << label;
-          EXPECT_EQ(want.messages_sent, got.messages_sent) << label;
-          EXPECT_EQ(want.max_message_words, got.max_message_words) << label;
-        }
+        const RunResult got = run_local(named.instance, probe, options);
+        expect_delayed_matches(want, got,
+                               tag + "/delayed/" + named.name + "/threads=" +
+                                   std::to_string(threads));
       }
     }
 
@@ -393,11 +340,10 @@ TEST(KernelEquivalence, LubyAndGreedyAcrossInstances) {
   }
 }
 
-TEST(KernelEquivalence, TruncatedLubyKeepsKernelPath) {
-  // The truncation wrapper lowers by wrapping the inner kernel; a budget
-  // that bites mid-run must stay bit-identical on the kernel path too.
+TEST(KernelEquivalence, TruncatedLubyAcrossInstances) {
+  // The truncation wrapper forwards to the inner kernel; a budget that
+  // bites mid-run must stay bit-identical too.
   const TruncatedAlgorithm truncated(std::make_shared<LubyMis>(), 3, 0);
-  ASSERT_NE(truncated.kernel(), nullptr);
   for (const auto& named : standard_instances(/*seed=*/67))
     check_both_engine_modes(named.instance, truncated, 11,
                             "truncated-luby/" + named.name);
@@ -456,7 +402,6 @@ TEST(KernelEquivalence, ColeVishkinOnRootedForests) {
 TEST(KernelEquivalence, BetaLubyRulingSetAcrossInstances) {
   for (const int beta : {1, 2, 3}) {
     const BetaLubyRulingSet ruling(beta);
-    ASSERT_NE(ruling.kernel(), nullptr);
     for (const auto& named : standard_instances(/*seed=*/91))
       check_both_engine_modes(named.instance, ruling, 23,
                               "beta-luby-" + std::to_string(beta) + "/" +
@@ -467,7 +412,6 @@ TEST(KernelEquivalence, BetaLubyRulingSetAcrossInstances) {
 TEST(KernelEquivalence, HPartitionAcrossInstances) {
   for (const auto& named : standard_instances(/*seed=*/97)) {
     const HPartition peel(2, std::max<NodeId>(named.instance.num_nodes(), 2));
-    ASSERT_NE(peel.kernel(), nullptr);
     check_both_engine_modes(named.instance, peel, 29,
                             "hpartition/" + named.name);
   }
@@ -481,7 +425,6 @@ TEST(KernelEquivalence, OutLinialAcrossInstances) {
     const std::int64_t m =
         std::max<std::int64_t>(named.instance.max_identity(), 2);
     const OutLinialColoring coloring(3, m);
-    ASSERT_NE(coloring.kernel(), nullptr);
     check_both_engine_modes(named.instance, coloring, 31,
                             "out-linial/" + named.name);
   }
@@ -498,7 +441,6 @@ TEST(KernelEquivalence, MisColorSweepAcrossInstances) {
       seeded.inputs[static_cast<std::size_t>(v)] = {
           seeded.identities[static_cast<std::size_t>(v)] % k + 1};
     const MisColorSweep sweep(k);
-    ASSERT_NE(sweep.kernel(), nullptr);
     check_both_engine_modes(seeded, sweep, 37, "mis-sweep/" + named.name);
   }
 }
@@ -512,7 +454,6 @@ TEST(KernelEquivalence, ProposalMatchingAcrossInstances) {
       seeded.inputs[static_cast<std::size_t>(v)] = {
           seeded.identities[static_cast<std::size_t>(v)] % (delta + 1) + 1};
     const ProposalMatching matching(delta);
-    ASSERT_NE(matching.kernel(), nullptr);
     check_both_engine_modes(seeded, matching, 41,
                             "proposal-matching/" + named.name);
   }
@@ -532,9 +473,6 @@ TEST(KernelEquivalence, ChainPipelinesAcrossInstances) {
     const auto matching = make_matching_algorithm(delta, m);
     const auto arb = make_arb_coloring_algorithm(
         2, std::max<NodeId>(named.instance.num_nodes(), 2), m);
-    ASSERT_NE(mis->kernel(), nullptr) << named.name;
-    ASSERT_NE(matching->kernel(), nullptr) << named.name;
-    ASSERT_NE(arb->kernel(), nullptr) << named.name;
     check_both_engine_modes(named.instance, *mis, 43,
                             "chain-mis/" + named.name);
     check_both_engine_modes(named.instance, *matching, 43,
@@ -545,8 +483,8 @@ TEST(KernelEquivalence, ChainPipelinesAcrossInstances) {
 }
 
 TEST(KernelEquivalence, DelayedNetworkBitIdentity) {
-  // The event-queue delivery layer runs kernels on the scalar path; the
-  // kernel/vtable split must still be output-invariant under every preset.
+  // The delayed loop steps kernels on the scalar path; under every preset
+  // its runs must match the reference's simultaneous run.
   Rng rng(113);
   const Instance instance = make_instance(gnp(90, 0.06, rng),
                                           IdentityScheme::kRandomPermuted, 5);
@@ -563,13 +501,13 @@ TEST(KernelEquivalence, DelayedNetworkBitIdentity) {
     options.network.preset = preset;
     for (const Algorithm* algorithm :
          std::initializer_list<const Algorithm*>{&luby, mis.get()}) {
-      const RunResult off =
-          run_local(instance, VtableOnly(*algorithm), options);
-      const RunResult on = run_local(instance, *algorithm, options);
-      const std::string tag = std::string("delayed/") + algorithm->name();
-      expect_same(off, on, tag);
-      EXPECT_EQ(on.stats.kernel_steps, on.stats.total_steps) << tag;
-      EXPECT_EQ(on.stats.vtable_steps, 0) << tag;
+      RunOptions simultaneous;
+      simultaneous.seed = options.seed;
+      expect_delayed_matches(
+          run_local_reference(instance, *algorithm, simultaneous),
+          run_local(instance, *algorithm, options),
+          std::string("delayed/") + delay_preset_name(preset) + "/" +
+              algorithm->name());
     }
   }
 }

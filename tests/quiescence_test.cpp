@@ -2,8 +2,9 @@
 // between its sleep_until hint and its next message, and the result must
 // not change. A probe algorithm that sleeps as aggressively as the sleep
 // contract (src/runtime/kernel.h) allows is compared field by field with
-// run_local_reference and the Process path at 1, 2 and 8 threads, alone
-// and behind the chain and truncation composites that clamp hints. The
+// run_local_reference and with a copy whose hints are dropped, at 1, 2 and
+// 8 threads, alone and behind the chain and truncation composites that
+// clamp hints. The
 // engine.steps / engine.slept_steps counters then pin how many steps ran:
 // exactly the ones the probe's own bookkeeping says were needed. When no
 // node is awake the engine jumps its clock to the next timed wake; the
@@ -49,12 +50,18 @@ struct ProbeConfig {
   std::int64_t finish_at = 40;     // plus identity % finish_spread
   std::int64_t finish_spread = 3;
   std::int64_t hops = 1;           // replies per action message
+  // When set, every step adds the steps a sleeping engine must run to
+  // *needed (single-threaded reference runs only); max_rounds is the run's
+  // cut-off.
+  std::int64_t* needed = nullptr;
+  std::int64_t max_rounds = RunOptions{}.max_rounds;
 };
 
 struct ProbeState {
   std::int64_t acc;
   std::int64_t next_act;
   std::int64_t finish_round;
+  std::int64_t due;  // the needed-steps bookkeeping's next due round
 };
 
 void probe_init(ProbeState& st, std::int64_t identity,
@@ -69,7 +76,7 @@ std::int64_t fold(std::int64_t acc, std::int64_t value, NodeId port) {
 }
 
 /// One probe round over an abstract transport; returns true when the node
-/// finished. Shared by the Process and the kernel so they cannot drift.
+/// finished.
 template <typename Recv, typename Send, typename Draw>
 bool probe_round(ProbeState& st, const ProbeConfig& cfg, NodeId degree,
                  std::int64_t round, Recv&& recv, Send&& send, Draw&& draw,
@@ -97,54 +104,6 @@ bool probe_round(ProbeState& st, const ProbeConfig& cfg, NodeId degree,
   return false;
 }
 
-class ProbeProcess final : public Process {
- public:
-  ProbeProcess(const ProbeConfig& cfg, std::int64_t identity,
-               std::int64_t max_rounds, std::int64_t* needed)
-      : cfg_(cfg), max_rounds_(max_rounds), needed_(needed) {
-    probe_init(st_, identity, cfg_);
-  }
-
-  void step(Context& ctx) override {
-    bool mail = false;
-    auto recv = [&](NodeId j, std::int64_t* value, std::int64_t* hops) {
-      const Message* m = ctx.received(j);
-      if (m == nullptr) return false;
-      mail = true;
-      *value = (*m)[0];
-      *hops = (*m)[1];
-      return true;
-    };
-    auto send = [&](NodeId j, std::int64_t value, std::int64_t hops) {
-      ctx.send(j, {value, hops});
-    };
-    auto draw = [&] { return ctx.rng().next(); };
-    std::int64_t out = 0;
-    const bool done =
-        probe_round(st_, cfg_, ctx.degree(), ctx.round(), recv, send, draw,
-                    &out);
-    if (done) ctx.finish(out);
-    // Bookkeeping of the steps a sleeping engine must still run: round 0,
-    // rounds with mail, and the round the last such step asked to wake at
-    // (clamped to the cut-off round, like the engine clamps it).
-    if (needed_ == nullptr) return;
-    const std::int64_t r = ctx.round();
-    if (r == 0 || mail || r >= due_) {
-      ++*needed_;
-      const std::int64_t wake =
-          std::min(std::min(st_.next_act, st_.finish_round), max_rounds_ - 1);
-      due_ = std::max(wake, r + 1);
-    }
-  }
-
- private:
-  ProbeConfig cfg_;
-  std::int64_t max_rounds_;
-  std::int64_t* needed_;
-  ProbeState st_{};
-  std::int64_t due_ = 0;
-};
-
 void probe_kernel_init(std::byte* state, const NodeInit& init,
                        const void* config) {
   probe_init(*reinterpret_cast<ProbeState*>(state), init.identity,
@@ -154,10 +113,12 @@ void probe_kernel_init(std::byte* state, const NodeInit& init,
 void probe_kernel_step(KernelCtx& ctx) {
   const auto& cfg = *static_cast<const ProbeConfig*>(ctx.config);
   auto& st = ctx.state_as<ProbeState>();
+  bool mail = false;
   auto recv = [&](NodeId j, std::int64_t* value, std::int64_t* hops) {
     bool present = false;
     const auto m = ctx.recv(j, &present);
     if (!present) return false;
+    mail = true;
     *value = m[0];
     *hops = m[1];
     return true;
@@ -167,7 +128,18 @@ void probe_kernel_step(KernelCtx& ctx) {
   };
   auto draw = [&] { return ctx.rng->next(); };
   std::int64_t out = 0;
-  if (probe_round(st, cfg, ctx.degree, ctx.round, recv, send, draw, &out)) {
+  const bool done =
+      probe_round(st, cfg, ctx.degree, ctx.round, recv, send, draw, &out);
+  // Bookkeeping of the steps a sleeping engine must still run: round 0,
+  // rounds with mail, and the round the last such step asked to wake at
+  // (clamped to the cut-off round, like the engine clamps it).
+  if (cfg.needed != nullptr && (ctx.round == 0 || mail || ctx.round >= st.due)) {
+    ++*cfg.needed;
+    const std::int64_t wake = std::min(std::min(st.next_act, st.finish_round),
+                                       cfg.max_rounds - 1);
+    st.due = std::max(wake, ctx.round + 1);
+  }
+  if (done) {
     ctx.finish(out);
     return;
   }
@@ -183,15 +155,10 @@ void probe_kernel_batch(const KernelBatchCtx& b) {
 }
 
 /// The probe as an Algorithm. `batched` picks whether the engine steps it
-/// through the batch fn (latch path) or the scalar fn. A non-null `needed`
-/// makes every spawned Process count its needed steps into it (only for
-/// single-threaded reference runs).
+/// through the batch fn (latch path) or the scalar fn.
 class Probe final : public Algorithm {
  public:
-  Probe(ProbeConfig cfg, bool batched,
-        std::int64_t max_rounds = RunOptions{}.max_rounds,
-        std::int64_t* needed = nullptr)
-      : cfg_(cfg), max_rounds_(max_rounds), needed_(needed) {
+  Probe(const ProbeConfig& cfg, bool batched) {
     auto kernel = std::make_shared<StepKernel>();
     kernel->name = "probe";
     kernel->state_size = sizeof(ProbeState);
@@ -199,49 +166,63 @@ class Probe final : public Algorithm {
     kernel->init_fn = probe_kernel_init;
     kernel->phases = {{"probe", probe_kernel_step,
                        batched ? probe_kernel_batch : nullptr}};
-    kernel->config = std::make_shared<ProbeConfig>(cfg_);
+    kernel->config = std::make_shared<ProbeConfig>(cfg);
     kernel_ = std::move(kernel);
-  }
-  std::unique_ptr<Process> spawn(const NodeInit& init) const override {
-    return std::make_unique<ProbeProcess>(cfg_, init.identity, max_rounds_,
-                                          needed_);
   }
   std::shared_ptr<const StepKernel> kernel() const override { return kernel_; }
   std::string name() const override { return "probe"; }
 
  private:
-  ProbeConfig cfg_;
-  std::int64_t max_rounds_;
-  std::int64_t* needed_;
+  std::shared_ptr<const StepKernel> kernel_;
+};
+
+void sleepless_init(std::byte* state, const NodeInit& init,
+                    const void* config) {
+  const auto& inner = *static_cast<const StepKernel*>(config);
+  inner.init_fn(state, init, inner.config.get());
+}
+
+void sleepless_step(KernelCtx& ctx) {
+  step_inner_kernel(*static_cast<const StepKernel*>(ctx.config), ctx);
+  ctx.wake_round = 0;
+}
+
+/// A copy of `inner` with every sleep hint dropped, so the engine steps
+/// each unfinished node every round: a run of it pins what sleeping must
+/// not move (dirty_spans_cleared).
+class Sleepless final : public Algorithm {
+ public:
+  explicit Sleepless(const Algorithm& inner) {
+    std::shared_ptr<const StepKernel> wrapped = inner.kernel();
+    auto kernel = std::make_shared<StepKernel>();
+    kernel->name = wrapped->name + "-sleepless";
+    kernel->state_size = wrapped->state_size;
+    kernel->state_align = wrapped->state_align;
+    kernel->port_state_words = wrapped->port_state_words;
+    kernel->init_fn = wrapped->init_fn != nullptr ? sleepless_init : nullptr;
+    kernel->phases = {{"sleepless", sleepless_step}};
+    kernel->config = std::move(wrapped);
+    kernel_ = std::move(kernel);
+  }
+  std::shared_ptr<const StepKernel> kernel() const override { return kernel_; }
+  std::string name() const override { return "sleepless"; }
+
+ private:
   std::shared_ptr<const StepKernel> kernel_;
 };
 
 /// Finishes in round 0 with its first input word (0 without one): as a
 /// chain stage it outputs the carry the previous stage left.
-class Echo final : public Algorithm {
- public:
-  Echo() {
-    auto kernel = std::make_shared<StepKernel>();
-    kernel->name = "echo";
-    kernel->phases = {{"echo", [](KernelCtx& ctx) {
-                         ctx.finish(ctx.input.empty() ? 0 : ctx.input[0]);
-                       }}};
-    kernel_ = std::move(kernel);
-  }
-  std::unique_ptr<Process> spawn(const NodeInit&) const override {
-    return std::make_unique<EchoProcess>();
-  }
-  std::shared_ptr<const StepKernel> kernel() const override { return kernel_; }
-  std::string name() const override { return "echo"; }
+void echo_step(KernelCtx& ctx) {
+  ctx.finish(ctx.input.empty() ? 0 : ctx.input[0]);
+}
 
- private:
-  struct EchoProcess final : Process {
-    void step(Context& ctx) override {
-      ctx.finish(ctx.input().empty() ? 0 : ctx.input()[0]);
-    }
-  };
-  std::shared_ptr<const StepKernel> kernel_;
-};
+std::shared_ptr<const Algorithm> make_echo() {
+  auto kernel = std::make_shared<StepKernel>();
+  kernel->name = "echo";
+  kernel->phases = {{"echo", echo_step}};
+  return std::make_shared<KernelAlgorithm>("echo", std::move(kernel));
+}
 
 void expect_same(const RunResult& want, const RunResult& got,
                  const std::string& label) {
@@ -269,30 +250,30 @@ std::int64_t counter(const telemetry::MetricsRegistry& reg,
   return 0;
 }
 
-/// The kernel (batched and scalar) and the Process path against the
-/// reference engine at 1, 2 and 8 threads. The Process path never sleeps
+/// The kernel (batched and scalar) and its sleepless copy against the
+/// reference engine at 1, 2 and 8 threads. The sleepless copy never sleeps
 /// or jumps, so it also pins the arena's dirty_spans_cleared. Returns what
-/// the kernel runs skipped, the same on every kernel path and thread count.
+/// the sleeping runs skipped, the same on every path and thread count.
 Skipped check_against_reference(const Instance& instance,
                                 const Algorithm& batched,
                                 const Algorithm& scalar,
                                 const RunOptions& base,
                                 const std::string& label) {
   const RunResult want = run_local_reference(instance, batched, base);
-  const VtableOnly vtable(batched);
+  const Sleepless sleepless(batched);
   const std::int64_t dirty_cleared =
-      run_local(instance, vtable, base).stats.dirty_spans_cleared;
+      run_local(instance, sleepless, base).stats.dirty_spans_cleared;
   std::optional<Skipped> skipped;
   for (const int threads : {1, 2, 8}) {
     RunOptions options = base;
     options.num_threads = threads;
     for (const Algorithm* path :
-         {&batched, &scalar, static_cast<const Algorithm*>(&vtable)}) {
+         {&batched, &scalar, static_cast<const Algorithm*>(&sleepless)}) {
       const std::string tag =
           label + "/" +
           (path == &batched ? "batched"
            : path == &scalar ? "scalar"
-                             : "vtable") +
+                             : "sleepless") +
           "/threads=" + std::to_string(threads);
       telemetry::MetricsRegistry reg;
       RunResult got;
@@ -305,8 +286,7 @@ Skipped check_against_reference(const Instance& instance,
       EXPECT_EQ(got.stats.dirty_spans_cleared, dirty_cleared) << tag;
       const Skipped path_skipped{counter(reg, "engine.slept_steps"),
                                  counter(reg, "engine.jumped_rounds")};
-      if (path == &vtable) {
-        // Processes give no hints.
+      if (path == &sleepless) {
         EXPECT_EQ(path_skipped.slept, 0) << tag;
         EXPECT_EQ(path_skipped.jumped, 0) << tag;
       } else if (!skipped) {
@@ -327,7 +307,10 @@ Skipped check_against_reference(const Instance& instance,
 Skipped check_probe(const Instance& instance, const ProbeConfig& cfg,
                     const RunOptions& options, const std::string& label) {
   std::int64_t needed = 0;
-  const Probe counting(cfg, true, options.max_rounds, &needed);
+  ProbeConfig counting_cfg = cfg;
+  counting_cfg.needed = &needed;
+  counting_cfg.max_rounds = options.max_rounds;
+  const Probe counting(counting_cfg, true);
   const RunResult want = run_local_reference(instance, counting, options);
   const Probe batched(cfg, true);
   const Probe scalar(cfg, false);
@@ -588,7 +571,7 @@ TEST(Quiescence, CompositesClampInnerHints) {
     return ChainAlgorithm("probe-chain", {{probe, 13},
                                           {probe, 30},
                                           {truncated, 19},
-                                          {std::make_shared<Echo>(), 1}});
+                                          {make_echo(), 1}});
   };
   const ChainAlgorithm chain_batched = chain(batched, trunc_batched);
   const ChainAlgorithm chain_scalar = chain(scalar, trunc_scalar);

@@ -9,128 +9,107 @@
 #include "src/graph/params.h"
 #include "src/runtime/chain.h"
 #include "src/runtime/instance.h"
+#include "src/runtime/kernel.h"
 #include "src/runtime/runner.h"
 #include "tests/test_support.h"
 
 namespace unilocal {
 namespace {
 
-/// Finishes immediately with the node degree.
-class DegreeEcho final : public Algorithm {
+/// A one-phase kernel with one int64 state word and an int64 config value
+/// (read through config_of).
+class OnePhase : public Algorithm {
  public:
-  class P final : public Process {
-   public:
-    void step(Context& ctx) override { ctx.finish(ctx.degree()); }
-  };
-  std::unique_ptr<Process> spawn(const NodeInit&) const override {
-    return std::make_unique<P>();
+  OnePhase(std::string name, KernelStepFn fn, std::int64_t config = 0) {
+    auto kernel = std::make_shared<StepKernel>();
+    kernel->name = name;
+    kernel->state_size = sizeof(std::int64_t);
+    kernel->state_align = alignof(std::int64_t);
+    kernel->phases = {{name, fn}};
+    kernel->config = std::make_shared<const std::int64_t>(config);
+    name_ = std::move(name);
+    kernel_ = std::move(kernel);
   }
-  std::string name() const override { return "degree-echo"; }
+  std::string name() const override { return name_; }
+  std::shared_ptr<const StepKernel> kernel() const override { return kernel_; }
+
+  static std::int64_t config_of(const KernelCtx& ctx) {
+    return *static_cast<const std::int64_t*>(ctx.config);
+  }
+
+ private:
+  std::string name_;
+  std::shared_ptr<const StepKernel> kernel_;
+};
+
+/// Finishes immediately with the node degree.
+class DegreeEcho final : public OnePhase {
+ public:
+  DegreeEcho()
+      : OnePhase("degree-echo", [](KernelCtx& ctx) { ctx.finish(ctx.degree); }) {}
 };
 
 /// Floods the maximum identity for `rounds` rounds, then outputs it.
-class MaxFlood final : public Algorithm {
+class MaxFlood final : public OnePhase {
  public:
-  explicit MaxFlood(std::int64_t rounds) : rounds_(rounds) {}
-  class P final : public Process {
-   public:
-    explicit P(std::int64_t rounds) : rounds_(rounds) {}
-    void step(Context& ctx) override {
-      if (ctx.round() == 0) best_ = ctx.id();
-      for (NodeId j = 0; j < ctx.degree(); ++j) {
-        const Message* m = ctx.received(j);
-        if (m != nullptr) best_ = std::max(best_, (*m)[0]);
-      }
-      if (ctx.round() >= rounds_) {
-        ctx.finish(best_);
-        return;
-      }
-      ctx.broadcast({best_});
-    }
-
-   private:
-    std::int64_t rounds_;
-    std::int64_t best_ = 0;
-  };
-  std::unique_ptr<Process> spawn(const NodeInit&) const override {
-    return std::make_unique<P>(rounds_);
-  }
-  std::string name() const override { return "max-flood"; }
+  explicit MaxFlood(std::int64_t rounds) : OnePhase("max-flood", step, rounds) {}
 
  private:
-  std::int64_t rounds_;
+  static void step(KernelCtx& ctx) {
+    std::int64_t& best = ctx.state_as<std::int64_t>();
+    if (ctx.round == 0) best = ctx.identity;
+    for (NodeId j = 0; j < ctx.degree; ++j) {
+      bool present = false;
+      const auto m = ctx.recv(j, &present);
+      if (present) best = std::max(best, m[0]);
+    }
+    if (ctx.round >= config_of(ctx)) {
+      ctx.finish(best);
+      return;
+    }
+    ctx.broadcast({best});
+  }
 };
 
 /// Never finishes; sends nothing.
-class Stubborn final : public Algorithm {
+class Stubborn final : public OnePhase {
  public:
-  class P final : public Process {
-   public:
-    void step(Context&) override {}
-  };
-  std::unique_ptr<Process> spawn(const NodeInit&) const override {
-    return std::make_unique<P>();
-  }
-  std::string name() const override { return "stubborn"; }
+  Stubborn() : OnePhase("stubborn", [](KernelCtx&) {}) {}
 };
 
 /// Outputs one private random draw (tests per-node stream determinism).
-class RandomEcho final : public Algorithm {
+class RandomEcho final : public OnePhase {
  public:
-  class P final : public Process {
-   public:
-    void step(Context& ctx) override {
-      ctx.finish(static_cast<std::int64_t>(ctx.rng().next() >> 3));
-    }
-  };
-  std::unique_ptr<Process> spawn(const NodeInit&) const override {
-    return std::make_unique<P>();
-  }
-  std::string name() const override { return "random-echo"; }
+  RandomEcho()
+      : OnePhase("random-echo", [](KernelCtx& ctx) {
+          ctx.finish(static_cast<std::int64_t>(ctx.rng->next() >> 3));
+        }) {}
 };
 
 /// Adds a constant to input[0] and finishes after one round.
-class AddConst final : public Algorithm {
+class AddConst final : public OnePhase {
  public:
-  explicit AddConst(std::int64_t delta) : delta_(delta) {}
-  class P final : public Process {
-   public:
-    explicit P(std::int64_t d) : delta_(d) {}
-    void step(Context& ctx) override {
-      ctx.finish((ctx.input().empty() ? 0 : ctx.input()[0]) + delta_);
-    }
-
-   private:
-    std::int64_t delta_;
-  };
-  std::unique_ptr<Process> spawn(const NodeInit&) const override {
-    return std::make_unique<P>(delta_);
-  }
-  std::string name() const override { return "add-const"; }
-
- private:
-  std::int64_t delta_;
+  explicit AddConst(std::int64_t delta)
+      : OnePhase("add-const", [](KernelCtx& ctx) {
+          ctx.finish((ctx.input.empty() ? 0 : ctx.input[0]) + config_of(ctx));
+        }, delta) {}
 };
 
 /// Runs until round input[0], sending one word per round until then — a
 /// controllable straggler tail for the live/frontier observability tests.
-class InputCountdown final : public Algorithm {
+class InputCountdown final : public OnePhase {
  public:
-  class P final : public Process {
-   public:
-    void step(Context& ctx) override {
-      const std::int64_t deadline = ctx.input().empty() ? 0 : ctx.input()[0];
-      if (ctx.round() >= deadline) {
-        ctx.finish(ctx.round());
-        return;
-      }
-      ctx.broadcast({ctx.round()});
+  InputCountdown() : OnePhase("input-countdown", step) {}
+
+ private:
+  static void step(KernelCtx& ctx) {
+    const std::int64_t deadline = ctx.input.empty() ? 0 : ctx.input[0];
+    if (ctx.round >= deadline) {
+      ctx.finish(ctx.round);
+      return;
     }
-  };
-  std::unique_ptr<Process> spawn(const NodeInit&) const override {
-    return std::make_unique<P>();
+    ctx.broadcast({ctx.round});
   }
-  std::string name() const override { return "input-countdown"; }
 };
 
 TEST(Runner, ImmediateFinish) {
@@ -260,8 +239,6 @@ TEST(RunnerStats, StatsMergeFoldsLiveCounters) {
       {"total_messages", StatMerge::kSum},
       {"peak_round_messages", StatMerge::kMax},
       {"total_steps", StatMerge::kSum},
-      {"kernel_steps", StatMerge::kSum},
-      {"vtable_steps", StatMerge::kSum},
       {"kernel_batched_steps", StatMerge::kSum},
       {"kernel_batch_calls", StatMerge::kSum},
       {"elapsed_seconds", StatMerge::kSum},

@@ -221,15 +221,15 @@ TEST(Shard, ManifestRejectsIntegersThatWouldWrapIntoRange) {
 
 TEST(Shard, ResultStatsSurviveJsonRoundTripRowForRow) {
   // The key set the shard `stats` block and the --stats-json `engine`
-  // object (one writer, engine_stats_to_json) carried before the field
-  // table; readers across versions depend on it.
+  // object (one writer, engine_stats_to_json) carry; readers across
+  // versions depend on it.
   const std::set<std::string> keys = {
-      "arena_bytes",         "peak_round_messages", "total_messages",
-      "total_steps",         "kernel_steps",        "vtable_steps",
-      "kernel_batched_steps", "kernel_batch_calls", "peak_live_nodes",
-      "final_live_nodes",    "peak_frontier_nodes", "dirty_spans_cleared",
-      "messages_dropped",    "messages_duplicated", "max_delivery_skew",
-      "elapsed_seconds",     "steps_per_second",    "threads"};
+      "arena_bytes",          "peak_round_messages", "total_messages",
+      "total_steps",          "kernel_batched_steps", "kernel_batch_calls",
+      "peak_live_nodes",      "final_live_nodes",    "peak_frontier_nodes",
+      "dirty_spans_cleared",  "messages_dropped",    "messages_duplicated",
+      "max_delivery_skew",    "elapsed_seconds",     "steps_per_second",
+      "threads"};
   ShardResult result;
   CellResult cell;
   cell.cell = tiny_grid()[0];

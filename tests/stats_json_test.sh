@@ -28,7 +28,7 @@ engine=$(printf '%s\n' "$doc" | sed -n 's/.*"engine":{\([^}]*\)}.*/\1/p')
 [ -n "$engine" ] || fail "no \"engine\" object in: $doc"
 
 for key in arena_bytes peak_round_messages total_messages total_steps \
-    kernel_steps vtable_steps kernel_batched_steps kernel_batch_calls \
+    kernel_batched_steps kernel_batch_calls \
     peak_live_nodes final_live_nodes peak_frontier_nodes \
     dirty_spans_cleared messages_dropped messages_duplicated \
     max_delivery_skew elapsed_seconds steps_per_second threads; do

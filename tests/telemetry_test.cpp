@@ -263,7 +263,6 @@ TEST(EngineTracing, RoundSpansNestInRunSpansAndArgsAreComplete) {
     } else if (event.name == "engine.run") {
       ++runs;
       EXPECT_TRUE(event.args.find("mode") != nullptr);
-      EXPECT_TRUE(event.args.find("path") != nullptr);
     } else if (event.name == "round") {
       ++rounds;
       EXPECT_TRUE(event.args.find("frontier") != nullptr);
