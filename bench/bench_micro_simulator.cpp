@@ -86,10 +86,7 @@ BENCHMARK(BM_RulingSetPruneApply)->Arg(4096)->Arg(32768);
 // against the arena engine (run_local: CSR + flat double-buffered arena) on
 // the acceptance workloads: Luby MIS on a 100k-node random graph and on a
 // 100k-node bounded-arboricity graph. Both engines run Luby's kernel phase
-// functions (the seed rows ran a per-node virtual-dispatch body before the
-// kernel became the only form of an algorithm, so their absolute times are
-// not comparable across that change). "steps/s" counters are node steps
-// per wall second.
+// functions. "steps/s" counters are node steps per wall second.
 
 Instance engine_gnp_instance() {
   const NodeId n = 100000;
