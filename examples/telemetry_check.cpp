@@ -16,7 +16,9 @@
 //    track);
 //  - every "round" span carries round/frontier/messages/steps args and
 //    sits inside an "engine.run" span on its lane; every "cell" span
-//    carries index/scenario/algorithm/seed args;
+//    carries index/scenario/algorithm/seed args; every "instance.build"
+//    span carries scenario/seed/n/cells args and sits inside a "cell" span
+//    on its lane;
 //  - --expect-cells=N / --expect-attempts=N pin the number of "cell" /
 //    "attempt" spans (a stitched supervised trace must cover every
 //    campaign cell and every shard attempt).
@@ -127,6 +129,8 @@ int check_trace(const std::string& path, int expect_cells,
       require_args(event, {"round", "frontier", "messages", "steps"});
     } else if (event.name == "engine.run") {
       require_args(event, {"mode", "n", "rounds"});
+    } else if (event.name == "instance.build") {
+      require_args(event, {"scenario", "seed", "n", "cells"});
     }
   }
   for (auto& [lane, spans] : lanes) {
@@ -156,23 +160,28 @@ int check_trace(const std::string& path, int expect_cells,
       open.push_back(span);
     }
   }
-  // Every "round" span must sit inside an "engine.run" span on its lane.
+  // Spans that must sit inside a parent span on their lane.
+  const std::pair<const char*, const char*> kParents[] = {
+      {"round", "engine.run"}, {"instance.build", "cell"}};
   for (const auto& [lane, spans] : lanes) {
     for (const telemetry::TraceEvent* span : spans) {
-      if (span->name != "round") continue;
-      bool covered = false;
-      for (const telemetry::TraceEvent* other : spans) {
-        if (other->name != "engine.run") continue;
-        if (other->ts <= span->ts &&
-            span->ts + span->dur <= other->ts + other->dur) {
-          covered = true;
-          break;
+      for (const auto& [child, parent] : kParents) {
+        if (span->name != child) continue;
+        bool covered = false;
+        for (const telemetry::TraceEvent* other : spans) {
+          if (other->name != parent) continue;
+          if (other->ts <= span->ts &&
+              span->ts + span->dur <= other->ts + other->dur) {
+            covered = true;
+            break;
+          }
         }
+        if (!covered)
+          fail("lane pid=" + std::to_string(lane.first) +
+               " tid=" + std::to_string(lane.second) + ": '" + child +
+               "' span at ts=" + std::to_string(span->ts) + " outside any '" +
+               parent + "' span");
       }
-      if (!covered)
-        fail("lane pid=" + std::to_string(lane.first) +
-             " tid=" + std::to_string(lane.second) + ": 'round' span at ts=" +
-             std::to_string(span->ts) + " outside any 'engine.run' span");
     }
   }
 

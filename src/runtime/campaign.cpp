@@ -1,16 +1,19 @@
 #include "src/runtime/campaign.h"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <condition_variable>
 #include <cstdio>
 #include <deque>
+#include <map>
 #include <mutex>
 #include <optional>
 #include <ostream>
 #include <set>
 #include <stdexcept>
+#include <tuple>
 
 #include "src/util/json.h"
 
@@ -68,7 +71,105 @@ std::uint64_t fnv1a(const std::vector<std::int64_t>& values) {
   return hash;
 }
 
-CellResult run_cell(const CampaignCell& cell,
+/// One distinct instance of a campaign grid: a (scenario, params, seed,
+/// identities) key. The algorithm and the network do not count, so every
+/// pipeline of the grid runs on the same (G, x). The slot's first cell
+/// builds the instance, the others borrow it, and the last one to finish
+/// frees it.
+struct InstanceSlot {
+  std::mutex mutex;
+  /// Set by the first cell to arrive; guarded by `mutex`. The fields below
+  /// it are written once by that cell under `mutex` and only read after.
+  bool built = false;
+  std::optional<Instance> instance;
+  /// The build's exception message (the instance then stays empty).
+  std::string error;
+  /// Cells sharing the slot, fixed before the pool runs.
+  int cells = 0;
+  /// Cells that have not finished yet; guarded by `mutex`.
+  int unfinished = 0;
+};
+
+/// The grid's distinct instances: cell i borrows slots[slot_of[i]].
+struct InstancePlan {
+  std::vector<std::size_t> slot_of;
+  std::deque<InstanceSlot> slots;
+};
+
+InstancePlan plan_instances(const std::vector<CampaignCell>& cells) {
+  // Knobs compare bit for bit, so every value (NaN too) names one key.
+  using Key = std::tuple<std::string, NodeId, std::uint64_t, std::uint64_t,
+                         std::uint64_t, IdentityScheme>;
+  std::map<Key, std::size_t> slot_by_key;
+  InstancePlan plan;
+  plan.slot_of.reserve(cells.size());
+  for (const CampaignCell& cell : cells) {
+    const Key key{cell.scenario,
+                  cell.params.n,
+                  std::bit_cast<std::uint64_t>(cell.params.a),
+                  std::bit_cast<std::uint64_t>(cell.params.b),
+                  cell.seed,
+                  cell.identities};
+    const auto [it, inserted] =
+        slot_by_key.try_emplace(key, plan.slots.size());
+    if (inserted) plan.slots.emplace_back();
+    InstanceSlot& slot = plan.slots[it->second];
+    ++slot.cells;
+    ++slot.unfinished;
+    plan.slot_of.push_back(it->second);
+  }
+  return plan;
+}
+
+/// Makes sure `slot` holds its instance, building it when `cell` is the
+/// slot's first cell to arrive (the others wait here until it is built);
+/// returns true for that cell. A build that throws leaves the instance
+/// empty and its message in slot.error, for every cell of the slot.
+bool lend_instance(InstanceSlot& slot, const CampaignCell& cell,
+                   const ScenarioRegistry& scenarios,
+                   const CampaignOptions& options) {
+  const std::lock_guard<std::mutex> lock(slot.mutex);
+  if (slot.built) return false;
+  slot.built = true;
+  const std::int64_t t0 = options.trace != nullptr ? options.trace->now() : 0;
+  try {
+    slot.instance.emplace(make_instance(
+        scenarios.build(cell.scenario, cell.params, cell.seed),
+        cell.identities, cell.seed));
+    // Fill the CSR cache before lending the instance: the cells then only
+    // read it, and the copies they take share it without racing the fill.
+    slot.instance->csr();
+    if (telemetry::MetricsRegistry* reg = telemetry::metrics())
+      reg->add("campaign.instances_built", 1);
+  } catch (const std::exception& e) {
+    slot.error = e.what();
+  } catch (...) {
+    slot.error = "unknown error";
+  }
+  if (options.trace != nullptr) {
+    telemetry::TraceEvent span;
+    span.name = "instance.build";
+    span.ts = t0;
+    span.dur = options.trace->now() - t0;
+    span.pid = options.trace_pid;
+    span.tid = options.trace->lane();
+    span.arg("scenario", cell.scenario);
+    span.arg("seed", cell.seed);
+    span.arg("n", static_cast<std::int64_t>(cell.params.n));
+    span.arg("cells", static_cast<std::int64_t>(slot.cells));
+    if (!slot.error.empty()) span.arg("error", slot.error);
+    options.trace->record(std::move(span));
+  }
+  return true;
+}
+
+/// Ends a cell's loan; the slot's last cell frees the instance.
+void return_instance(InstanceSlot& slot) {
+  const std::lock_guard<std::mutex> lock(slot.mutex);
+  if (--slot.unfinished == 0) slot.instance.reset();
+}
+
+CellResult run_cell(const CampaignCell& cell, InstanceSlot& slot,
                     const ScenarioRegistry& scenarios,
                     const AlgorithmRegistry& algorithms,
                     EngineWorkspace* workspace,
@@ -80,11 +181,13 @@ CellResult run_cell(const CampaignCell& cell,
   // every artifact (CSV, JSON, shard manifests) reports what actually ran.
   if (cell.network == NetworkOptions{})
     result.cell.network = options.network;
-  const auto start = std::chrono::steady_clock::now();
+  auto start = std::chrono::steady_clock::now();
+  // Only the building cell's time includes the build.
+  if (!lend_instance(slot, cell, scenarios, options))
+    start = std::chrono::steady_clock::now();
   try {
-    Graph graph = scenarios.build(cell.scenario, cell.params, cell.seed);
-    const Instance instance =
-        make_instance(std::move(graph), cell.identities, cell.seed);
+    if (!slot.instance) throw std::runtime_error(slot.error);
+    const Instance& instance = *slot.instance;
     result.nodes = instance.num_nodes();
     result.edges = instance.graph.num_edges();
     AlgorithmRunContext context;
@@ -109,6 +212,7 @@ CellResult run_cell(const CampaignCell& cell,
   result.seconds = std::chrono::duration<double>(
                        std::chrono::steady_clock::now() - start)
                        .count();
+  return_instance(slot);
   return result;
 }
 
@@ -254,14 +358,17 @@ CampaignResult run_campaign(const std::vector<CampaignCell>& cells,
   result.workers = pool->threads();
   result.cells.resize(cells.size());
   WorkspacePool workspaces(pool->threads());
+  InstancePlan instances = plan_instances(cells);
 
   const auto start = std::chrono::steady_clock::now();
   pool->run(static_cast<int>(cells.size()), [&](int i) {
     const WorkspacePool::Lease lease(workspaces);
     const std::size_t ci = static_cast<std::size_t>(i);
+    InstanceSlot& slot = instances.slots[instances.slot_of[ci]];
     if (options.trace == nullptr) {
       result.cells[ci] =
-          run_cell(cells[ci], scenarios, algorithms, lease.get(), options);
+          run_cell(cells[ci], slot, scenarios, algorithms, lease.get(),
+                   options);
       publish_cell_metrics(result.cells[ci]);
       return;
     }
@@ -274,8 +381,8 @@ CampaignResult run_campaign(const std::vector<CampaignCell>& cells,
     binding.trace_rounds = options.trace_rounds;
     const telemetry::ScopedTraceBinding bound(binding);
     const std::int64_t t0 = options.trace->now();
-    result.cells[ci] =
-        run_cell(cells[ci], scenarios, algorithms, lease.get(), options);
+    result.cells[ci] = run_cell(cells[ci], slot, scenarios, algorithms,
+                                lease.get(), options);
     const std::int64_t t1 = options.trace->now();
     const std::size_t grid_index =
         options.trace_cell_indices != nullptr &&

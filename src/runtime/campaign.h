@@ -7,11 +7,21 @@
 // the algorithm registry (src/runtime/algorithm_registry.h), and a seed —
 // executed concurrently at cell granularity on one ThreadPool, with a pool
 // of reusable EngineWorkspaces (one per pool thread, round-robin checkout)
-// so no cell allocates a fresh arena. Cell engines default to one thread;
-// the large-cell policy may raise the engine thread count, and because the
-// engine is thread-count invariant, per-cell outputs stay bit-identical
-// for any worker count, engine thread count, and cell-scheduling order
-// (tests/campaign_test.cpp, tests/algorithm_registry_test.cpp).
+// so no cell allocates a fresh arena. Every cell engine runs on one
+// thread; the engine is thread-count invariant and the registries derive
+// everything from the cell seed, so per-cell outputs are bit-identical for
+// any worker count and cell-scheduling order (tests/campaign_test.cpp,
+// tests/algorithm_registry_test.cpp).
+//
+// Cells share their instance. The cells of one run_campaign call with the
+// same (scenario, params, seed, identities) run on one Instance (graph,
+// identities and CSR view), built once by the first of them to start and
+// lent read-only to the rest; the algorithm and the network are not part
+// of the key. The instance lives from that first cell's start until the
+// last of its cells finishes, and is never kept across run_campaign calls.
+// A build that throws fails every cell of its key with the same error.
+// CellResult::seconds includes the build only for the cell that built the
+// instance.
 //
 // Results carry per-cell summaries, centralized-checker verdicts
 // (src/problems/registry.h), and aggregate percentiles over rounds,
@@ -97,6 +107,8 @@ struct CellResult {
   bool solved = false;
   /// Centralized-checker verdict (false whenever !solved).
   bool valid = false;
+  /// Wall-clock time of the cell; includes the instance build only when
+  /// this cell built it (see the header comment).
   double seconds = 0.0;
   /// FNV-1a over the output vector — the cheap handle for bit-identical
   /// comparisons across worker counts.

@@ -1,8 +1,9 @@
 // The algorithm registry: the full pipeline zoo is registered with valid
 // problem keys and scenario hints, every entry solves + validates on its
 // own Table 1 families, per-cell outputs stay bit-identical across campaign
-// worker counts and the large-cell engine-thread policy, and the
-// registration / selection error paths fire.
+// worker counts and when a direct registry run raises
+// AlgorithmRunContext::engine_threads, and the registration / selection
+// error paths fire.
 #include <gtest/gtest.h>
 
 #include <algorithm>

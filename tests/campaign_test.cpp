@@ -1,15 +1,18 @@
 // Campaign layer: the scenario registry's determinism, checker verdicts,
-// per-cell error isolation, and the headline guarantee — per-cell outputs
-// bit-identical for any worker count and any cell-scheduling order
-// (extending the engine-equivalence bit-identical guarantee one layer up).
+// per-cell error isolation, instance sharing between cells, and the
+// headline guarantee — per-cell outputs bit-identical for any worker count
+// and any cell-scheduling order (extending the engine-equivalence
+// bit-identical guarantee one layer up).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <map>
 #include <sstream>
 #include <stdexcept>
 #include <tuple>
 
+#include "src/graph/generators.h"
 #include "src/problems/registry.h"
 #include "src/runtime/campaign.h"
 #include "src/util/json.h"
@@ -227,6 +230,148 @@ TEST(Campaign, IsolatesThrowingCells) {
   EXPECT_NE(result.cells[2].error.find("unknown scenario"),
             std::string::npos);
   EXPECT_EQ(result.failed, 2);
+}
+
+/// CellResult::output_hash: 64-bit FNV-1a over the outputs'
+/// little-endian bytes.
+std::uint64_t output_hash(const std::vector<std::int64_t>& values) {
+  std::uint64_t hash = 14695981039346656037ULL;
+  for (const std::int64_t value : values) {
+    auto word = static_cast<std::uint64_t>(value);
+    for (int byte = 0; byte < 8; ++byte, word >>= 8) {
+      hash ^= word & 0xffu;
+      hash *= 1099511628211ULL;
+    }
+  }
+  return hash;
+}
+
+/// "gnp" and "tree" families that count their builds; "tree" throws for
+/// `failing_seed` (0 = never).
+ScenarioRegistry counting_scenarios(std::atomic<int>& builds,
+                                    std::uint64_t failing_seed = 0) {
+  ScenarioRegistry registry;
+  registry.add("gnp", "counted gnp, average degree 5",
+               [&builds](const ScenarioParams& params, Rng& rng) {
+                 builds.fetch_add(1);
+                 return gnp(params.n, 5.0 / params.n, rng);
+               });
+  registry.add("tree", "counted random tree; throws for one seed",
+               [&builds, failing_seed](const ScenarioParams& params,
+                                       Rng& rng) {
+                 builds.fetch_add(1);
+                 // The factory sees only the seeded stream: recognise the
+                 // failing seed by its first draw.
+                 if (failing_seed != 0) {
+                   Rng probe(failing_seed);
+                   Rng copy = rng;
+                   if (copy.next() == probe.next())
+                     throw std::runtime_error("tree build failed");
+                 }
+                 return random_tree(params.n, rng);
+               });
+  return registry;
+}
+
+TEST(Campaign, CellsSharingAnInstanceMatchFreshBuilds) {
+  std::atomic<int> builds{0};
+  const ScenarioRegistry scenarios = counting_scenarios(builds);
+  GridOptions grid_options;
+  grid_options.base_seed = 5;
+  grid_options.scenarios = &scenarios;
+  std::vector<CampaignCell> cells =
+      make_grid({"gnp", "tree"}, ScenarioParams{80, 0, 0},
+                {"mis-uniform", "luby-mis", "matching-uniform",
+                 "color-reduce"},
+                2, grid_options);
+  // A duplicated cell shares its twin's instance; sequential identities
+  // make a key of their own.
+  cells.push_back(cells[3]);
+  CampaignCell sequential = cells[0];
+  sequential.identities = IdentityScheme::kSequential;
+  cells.push_back(sequential);
+  const int distinct_keys = 2 * 2 + 1;
+
+  const AlgorithmRegistry& algorithms = default_algorithm_registry();
+  std::vector<CellOutcome> fresh;
+  std::vector<bool> fresh_valid;
+  for (const CampaignCell& cell : cells) {
+    const Instance instance = make_instance(
+        scenarios.build(cell.scenario, cell.params, cell.seed),
+        cell.identities, cell.seed);
+    AlgorithmRunContext context;
+    context.seed = cell.seed;
+    fresh.push_back(algorithms.run(cell.algorithm, instance, context));
+    fresh_valid.push_back(algorithms.problem(cell.algorithm)
+                              .check(instance, fresh.back().outputs));
+  }
+
+  CampaignOptions options;
+  options.scenarios = &scenarios;
+  options.keep_outputs = true;
+  for (const int workers : {1, 2, 8}) {
+    builds = 0;
+    options.workers = workers;
+    const CampaignResult result = run_campaign(cells, options);
+    EXPECT_EQ(builds.load(), distinct_keys) << workers << " workers";
+    ASSERT_EQ(result.cells.size(), cells.size());
+    EXPECT_EQ(result.failed, 0);
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+      const CellResult& got = result.cells[i];
+      const CellOutcome& want = fresh[i];
+      const std::string where = std::to_string(workers) + " workers, " +
+                                got.cell.scenario + '/' + got.cell.algorithm +
+                                " seed " + std::to_string(got.cell.seed);
+      EXPECT_TRUE(got.error.empty()) << where << ": " << got.error;
+      EXPECT_EQ(got.outputs, want.outputs) << where;
+      EXPECT_EQ(got.output_hash, output_hash(want.outputs)) << where;
+      EXPECT_EQ(got.rounds, want.rounds) << where;
+      EXPECT_EQ(got.solved, want.solved) << where;
+      EXPECT_EQ(got.valid, fresh_valid[i]) << where;
+      EXPECT_TRUE(got.valid) << where;
+      for_each_engine_stat([&](const EngineStatField& field, auto member) {
+        if (field.canonical) {
+          EXPECT_EQ(got.stats.*member, want.stats.*member)
+              << where << ", " << field.name;
+        }
+      });
+    }
+  }
+}
+
+TEST(Campaign, AFailedInstanceBuildFailsEveryCellOfItsKey) {
+  std::atomic<int> builds{0};
+  const std::uint64_t failing_seed = 6;
+  const ScenarioRegistry scenarios = counting_scenarios(builds, failing_seed);
+  GridOptions grid_options;
+  grid_options.base_seed = 5;
+  grid_options.scenarios = &scenarios;
+  const std::vector<CampaignCell> cells = make_grid(
+      {"gnp", "tree"}, ScenarioParams{40, 0, 0},
+      {"mis-uniform", "luby-mis", "color-reduce"}, 2, grid_options);
+  CampaignOptions options;
+  options.scenarios = &scenarios;
+  for (const int workers : {1, 2, 8}) {
+    builds = 0;
+    options.workers = workers;
+    const CampaignResult result = run_campaign(cells, options);
+    EXPECT_EQ(builds.load(), 4) << workers << " workers";
+    int failing_cells = 0;
+    for (const CellResult& cell : result.cells) {
+      if (cell.cell.scenario == "tree" && cell.cell.seed == failing_seed) {
+        ++failing_cells;
+        EXPECT_EQ(cell.error, "tree build failed");
+        EXPECT_FALSE(cell.solved);
+      } else {
+        EXPECT_TRUE(cell.error.empty()) << cell.error;
+        EXPECT_TRUE(cell.valid)
+            << cell.cell.scenario << '/' << cell.cell.algorithm;
+      }
+    }
+    EXPECT_EQ(failing_cells, 3);
+    EXPECT_EQ(result.failed, failing_cells);
+    EXPECT_EQ(result.valid, static_cast<int>(cells.size()) - failing_cells);
+  }
 }
 
 TEST(Campaign, WritesCsvAndJson) {
