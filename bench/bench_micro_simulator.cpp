@@ -108,9 +108,10 @@ void run_engine_bench(benchmark::State& state, const Instance& instance,
   for (auto _ : state) {
     RunOptions options;
     options.seed = seed++;
-    options.num_threads = threads;
+    options.workspace = &workspace;
+    options.engine_threads = threads;
     const RunResult result =
-        arena ? run_local(instance, LubyMis{}, options, &workspace)
+        arena ? run_local(instance, LubyMis{}, options)
               : run_local_reference(instance, LubyMis{}, options);
     steps += result.stats.total_steps;
     benchmark::DoNotOptimize(result.outputs.data());
@@ -168,9 +169,8 @@ void run_kernel_bench(benchmark::State& state, const Instance& instance,
   for (auto _ : state) {
     RunOptions options;
     options.seed = seed++;
-    options.num_threads = 1;
-    const RunResult result =
-        run_local(instance, algorithm, options, &workspace);
+    options.workspace = &workspace;
+    const RunResult result = run_local(instance, algorithm, options);
     steps += result.stats.total_steps;
     benchmark::DoNotOptimize(result.outputs.data());
   }
@@ -304,9 +304,10 @@ void BM_EngineLongTail_CaterpillarStragglers(benchmark::State& state) {
   const KernelAlgorithm algorithm = straggler_countdown();
   std::int64_t rounds = 0;
   EngineWorkspace workspace;
+  RunOptions options;
+  options.workspace = &workspace;
   for (auto _ : state) {
-    const RunResult result =
-        run_local(instance, algorithm, RunOptions{}, &workspace);
+    const RunResult result = run_local(instance, algorithm, options);
     rounds += result.rounds_used;
     benchmark::DoNotOptimize(result.outputs.data());
   }
@@ -329,9 +330,9 @@ void BM_EngineLongTail_CaterpillarSyncStragglers(benchmark::State& state) {
   const KernelAlgorithm algorithm = straggler_countdown();
   std::int64_t global_rounds = 0;
   EngineWorkspace workspace;
+  options.workspace = &workspace;
   for (auto _ : state) {
-    const RunResult result =
-        run_local(instance, algorithm, options, &workspace);
+    const RunResult result = run_local(instance, algorithm, options);
     global_rounds += result.global_rounds;
     benchmark::DoNotOptimize(result.outputs.data());
   }
@@ -356,10 +357,10 @@ void BM_EngineLongTail_GnpLubyWakeTail(benchmark::State& state) {
   std::uint64_t seed = 1;
   std::int64_t global_rounds = 0;
   EngineWorkspace workspace;
+  options.workspace = &workspace;
   for (auto _ : state) {
     options.seed = seed++;
-    const RunResult result =
-        run_local(instance, algorithm, options, &workspace);
+    const RunResult result = run_local(instance, algorithm, options);
     global_rounds += result.global_rounds;
     benchmark::DoNotOptimize(result.outputs.data());
   }
@@ -380,16 +381,16 @@ BENCHMARK(BM_EngineLongTail_GnpLubyWakeTail)->Unit(benchmark::kMillisecond);
 
 void run_quiescent(benchmark::State& state, const Instance& instance,
                    const Algorithm& algorithm) {
-  RunOptions options;
-  options.num_threads = static_cast<int>(state.range(0));
-  telemetry::MetricsRegistry metrics;
   EngineWorkspace workspace;
+  RunOptions options;
+  options.workspace = &workspace;
+  options.engine_threads = static_cast<int>(state.range(0));
+  telemetry::MetricsRegistry metrics;
   std::int64_t logical = 0, messages = 0, global_rounds = 0;
   {
     telemetry::ScopedMetrics scope(&metrics);
     for (auto _ : state) {
-      const RunResult result =
-          run_local(instance, algorithm, options, &workspace);
+      const RunResult result = run_local(instance, algorithm, options);
       logical += result.stats.total_steps;
       messages += result.messages_sent;
       global_rounds += result.global_rounds;

@@ -7,7 +7,8 @@
 // instance to the survivors. The round ledger adds each step's measured
 // rounds plus the pruning constant — by Observation 2.1 sequential
 // composition is bounded by the sum, so the ledger upper-bounds the LOCAL
-// running time of the composed uniform algorithm.
+// running time of the composed uniform algorithm. Every step runs under the
+// one EngineConfig the driver was built with (src/runtime/runner.h).
 #pragma once
 
 #include <functional>
@@ -32,28 +33,20 @@ struct SubIterationTrace {
 
 class AlternatingDriver {
  public:
-  /// When `external_workspace` is non-null the driver runs every step in
-  /// that workspace instead of its own — how a nested driver (Theorem 4
-  /// running a transformer-produced executable, or a campaign cell running
-  /// on a checked-out workspace) joins its caller's arena.
+  /// Every engine run the driver issues executes under `engine`. A null
+  /// engine.workspace is pointed at the driver's own, so all steps of the
+  /// alternation share one arena; a lent one is how a nested driver
+  /// (Theorem 4 running a transformer-produced executable, or a campaign
+  /// cell running on a checked-out workspace) joins its caller's arena.
   AlternatingDriver(Instance initial, const PruningAlgorithm& pruning,
-                    EngineWorkspace* external_workspace = nullptr);
+                    const EngineConfig& engine = {});
+  // engine_.workspace may point at workspace_.
+  AlternatingDriver(const AlternatingDriver&) = delete;
+  AlternatingDriver& operator=(const AlternatingDriver&) = delete;
 
-  /// Engine buffers shared by every step of the alternation (and lendable
-  /// to the executables run_custom_step drives): one arena for the whole
-  /// composed algorithm instead of per-stage re-allocation.
-  EngineWorkspace& workspace() noexcept {
-    return external_workspace_ != nullptr ? *external_workspace_
-                                          : workspace_;
-  }
-
-  /// RunOptions::num_threads of every engine run the driver issues. The
-  /// engine is thread-count invariant, so this only affects latency.
-  int engine_threads = 1;
-
-  /// RunOptions::network of every engine run the driver issues (synchronous
-  /// arena vs the seeded delayed network).
-  NetworkOptions network;
+  /// The configuration of every engine run the driver issues (never a null
+  /// workspace); lend it to the executables run_custom_step drives.
+  const EngineConfig& engine() const noexcept { return engine_; }
 
   bool done() const noexcept { return current_.num_nodes() == 0; }
   NodeId remaining() const noexcept { return current_.num_nodes(); }
@@ -94,7 +87,7 @@ class AlternatingDriver {
   const PruningAlgorithm& pruning_;
   Instance current_;
   EngineWorkspace workspace_;
-  EngineWorkspace* external_workspace_ = nullptr;
+  EngineConfig engine_;
   std::vector<NodeId> to_original_;
   std::vector<std::int64_t> outputs_;
   std::int64_t total_rounds_ = 0;

@@ -167,11 +167,11 @@ ColoringTransformResult run_uniform_coloring_transform(
   };
 
   std::uint64_t seed = options.seed;
-  // One arena across every layer's phase-2 run; joins the caller's lent
+  // One arena across both phases of every layer; joins the caller's lent
   // workspace when there is one (campaign cells lend their checked-out one).
   EngineWorkspace local_workspace;
-  EngineWorkspace* workspace =
-      options.workspace != nullptr ? options.workspace : &local_workspace;
+  UniformRunOptions lent = options;
+  if (lent.workspace == nullptr) lent.workspace = &local_workspace;
   for (int layer = 0; layer + 1 < static_cast<int>(thresholds.size());
        ++layer) {
     std::vector<bool> keep(static_cast<std::size_t>(n), false);
@@ -199,7 +199,7 @@ ColoringTransformResult run_uniform_coloring_transform(
     Instance layer_instance = restrict_instance(instance, sub, slc_inputs);
     const SlcSolver solver(algorithm, delta_hat);
     const SlcPruning slc_pruning;
-    UniformRunOptions phase1_options = options;
+    UniformRunOptions phase1_options = lent;
     phase1_options.seed = seed++;
     phase1_options.check_problem = nullptr;
     const UniformRunResult phase1 = run_uniform_transformer(
@@ -223,13 +223,10 @@ ColoringTransformResult run_uniform_coloring_transform(
       recolor_instance.inputs[static_cast<std::size_t>(v)] = {initial};
     }
     const auto phase2_algorithm = algorithm.instantiate(delta_hat, m_phase2);
-    RunOptions run_options;
+    RunOptions run_options{lent};
     run_options.seed = seed++;
-    run_options.num_threads = std::max(1, options.engine_threads);
-    run_options.network = options.network;
     const RunResult phase2 =
-        run_local(recolor_instance, *phase2_algorithm, run_options,
-                  workspace);
+        run_local(recolor_instance, *phase2_algorithm, run_options);
     result.engine_stats.merge(phase2.stats);
     if (!phase2.all_finished) {
       result.solved = false;

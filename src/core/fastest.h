@@ -2,7 +2,9 @@
 // running times depend on unknown parameters. Iteration i executes each
 // U_j restricted to 2^i rounds followed by the pruning algorithm; the first
 // iteration whose budget covers some U_j's true running time terminates, so
-// the ledger is O(min_j f_j(Lambda_j*)).
+// the ledger is O(min_j f_j(Lambda_j*)). Each U_j runs under the driver's
+// EngineConfig, so nested transformer runs share its arena, thread count
+// and delivery layer.
 //
 // Corollary 1(i) is the flagship use: MIS as
 // min{ 2^O(sqrt(log n))-substitute, O(Delta+log* n)-substitute, arboricity }.
@@ -22,14 +24,12 @@ class UniformExecutable {
   /// Returns tentative outputs (arbitrary 0 where unfinished) and the
   /// rounds consumed (<= budget for plain algorithms; transformer-backed
   /// executables may overshoot by their last sub-iteration, a constant
-  /// factor absorbed by the doubling). When the caller lends a workspace
-  /// (run_fastest lends its driver's), the executable runs in that arena;
-  /// engine_threads is the RunOptions::num_threads of every engine run the
-  /// executable issues (thread-count invariant, latency only).
+  /// factor absorbed by the doubling). Every engine run the executable
+  /// issues executes under `engine` (run_fastest passes its driver's, so
+  /// nested runs share its arena, threads and delivery layer).
   virtual AlternatingDriver::CustomOutcome run(
       const Instance& instance, std::int64_t budget, std::uint64_t seed,
-      EngineWorkspace* workspace = nullptr, int engine_threads = 1,
-      const NetworkOptions& network = {}) const = 0;
+      const EngineConfig& engine = {}) const = 0;
 };
 
 /// Wraps a plain LOCAL algorithm (e.g. Luby, greedy MIS).

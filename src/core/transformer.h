@@ -8,7 +8,9 @@
 // iteration whose guesses dominate the true parameters; the round ledger is
 // O(f* . s_f(f*)).
 //
-// The same driver doubles as the engine inside Theorems 2-5.
+// The same driver doubles as the engine inside Theorems 2-5, and the
+// options' EngineConfig (workspace, threads, delivery layer) reaches every
+// engine run of the schedule unchanged.
 #pragma once
 
 #include "src/core/alternating.h"
@@ -17,7 +19,10 @@
 
 namespace unilocal {
 
-struct UniformRunOptions {
+/// The inherited EngineConfig is the one every sub-iteration runs under:
+/// Theorem 4 lends its driver's workspace, campaign cells their checked-out
+/// one; outputs are bit-identical for any engine_threads.
+struct UniformRunOptions : EngineConfig {
   std::uint64_t seed = 1;
   /// Safety cap on iterations (2^i budgets overflow long before this).
   int max_iterations = 48;
@@ -27,18 +32,6 @@ struct UniformRunOptions {
   /// (used to run a transformer-produced uniform algorithm "restricted to T
   /// rounds" inside Theorem 4). < 0 means unlimited.
   std::int64_t round_cap = -1;
-  /// Optional lent engine workspace: the transformer's driver runs every
-  /// sub-iteration in this arena instead of allocating its own (Theorem 4
-  /// lends its driver's workspace; campaign cells lend their checked-out
-  /// one). Not safe to share between concurrent runs.
-  EngineWorkspace* workspace = nullptr;
-  /// Worker threads for every engine run driven by this transformer
-  /// (RunOptions::num_threads of each sub-iteration). The engine is
-  /// thread-count invariant, so outputs are bit-identical for any value.
-  int engine_threads = 1;
-  /// RunOptions::network of every sub-iteration (synchronous arena vs the
-  /// seeded delayed network with latency/fault injection).
-  NetworkOptions network;
 };
 
 struct UniformRunResult {

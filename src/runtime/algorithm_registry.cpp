@@ -144,19 +144,14 @@ std::vector<std::string> AlgorithmRegistry::resolve(
 namespace {
 
 UniformRunOptions uniform_options(const AlgorithmRunContext& context) {
-  UniformRunOptions options;
+  UniformRunOptions options{context};
   options.seed = context.seed;
-  options.workspace = context.workspace;
-  options.engine_threads = context.engine_threads;
-  options.network = context.network;
   return options;
 }
 
 RunOptions local_options(const AlgorithmRunContext& context) {
-  RunOptions options;
+  RunOptions options{context};
   options.seed = context.seed;
-  options.num_threads = std::max(1, context.engine_threads);
-  options.network = context.network;
   return options;
 }
 
@@ -178,8 +173,7 @@ CellOutcome run_correct_guess_baseline(const NonUniformAlgorithm& wrapped,
                                        const AlgorithmRunContext& context) {
   const auto algorithm = instantiate_with_correct_guesses(wrapped, instance);
   return from_local(
-      run_local(instance, *algorithm, local_options(context),
-                context.workspace));
+      run_local(instance, *algorithm, local_options(context)));
 }
 
 using BaselineHook = std::function<BaselineOutcome(
@@ -205,8 +199,7 @@ BaselineHook gdelta_baseline(std::int64_t lambda) {
     const std::int64_t m = eval_param(Param::kMaxIdentity, instance);
     const auto algorithm = black_box->instantiate(delta, m);
     return BaselineOutcome{
-        from_local(run_local(instance, *algorithm, local_options(context),
-                             context.workspace)),
+        from_local(run_local(instance, *algorithm, local_options(context))),
         black_box->bound(delta, m)};
   };
 }
@@ -379,7 +372,7 @@ AlgorithmRegistry make_default_registry() {
          RunOptions options = local_options(context);
          options.max_rounds = std::int64_t{1} << 24;
          return from_local(
-             run_local(instance, luby, options, context.workspace));
+             run_local(instance, luby, options));
        }});
 
   // --- coloring ------------------------------------------------------------
@@ -478,8 +471,7 @@ AlgorithmRegistry make_default_registry() {
          const ColorReduce algorithm(
              std::max<std::int64_t>(instance.max_identity(), 1), 0);
          return from_local(run_local(seeded, algorithm,
-                                     local_options(context),
-                                     context.workspace));
+                                     local_options(context)));
        }});
   table.add(
       {"cole-vishkin", "coloring:3",
@@ -498,8 +490,7 @@ AlgorithmRegistry make_default_registry() {
          const ColeVishkin algorithm(
              std::max<std::int64_t>(rooted.max_identity(), 2));
          return from_local(run_local(rooted, algorithm,
-                                     local_options(context),
-                                     context.workspace));
+                                     local_options(context)));
        }});
 
   // --- matching ------------------------------------------------------------

@@ -6,10 +6,11 @@
 // scored against (src/problems/registry.h), the knob values baked into it
 // (e.g. ruling-set beta, coloring slack lambda), the scenario families its
 // Table 1 row is stated over, and the factory that actually runs it. Every
-// factory must be deterministic in (instance, seed), run its engine with
-// the thread count the context prescribes (the engine is thread-count
-// invariant, so outputs never depend on it), and honor the lent workspace —
-// that is what makes campaign results bit-identical for any worker count.
+// factory must be deterministic in (instance, seed) and forward the
+// context's EngineConfig (workspace, engine threads, network) unchanged to
+// every engine run — the engine is thread-count invariant and the network
+// is part of the cell, which is what makes campaign results bit-identical
+// for any worker count.
 //
 // Note on layering: like src/runtime/campaign.*, this is the orchestration
 // layer of the library — its default table wires up core/algo/prune — so
@@ -47,17 +48,11 @@ struct BaselineOutcome {
   double f_star = 0.0;
 };
 
-/// Everything a factory run needs beyond the instance.
-struct AlgorithmRunContext {
+/// Everything a factory run needs beyond the instance: the seed, and the
+/// EngineConfig every engine run of the entry executes under (campaigns
+/// lend a pool workspace and bake the cell's network in).
+struct AlgorithmRunContext : EngineConfig {
   std::uint64_t seed = 1;
-  /// Lent engine workspace (campaigns lend a pool workspace); may be null.
-  EngineWorkspace* workspace = nullptr;
-  /// RunOptions::num_threads for the entry's engine runs (thread-count
-  /// invariant — affects latency only, never outputs).
-  int engine_threads = 1;
-  /// RunOptions::network for the entry's engine runs (synchronous arena vs
-  /// the seeded delayed network with latency/fault injection).
-  NetworkOptions network;
 };
 
 struct AlgorithmSpec {

@@ -176,11 +176,6 @@ CellResult run_cell(const CampaignCell& cell, InstanceSlot& slot,
                     const CampaignOptions& options) {
   CellResult result;
   result.cell = cell;
-  // Cells with an explicit network keep it; default-sync cells inherit the
-  // campaign-wide delivery layer. The effective network is written back so
-  // every artifact (CSV, JSON, shard manifests) reports what actually ran.
-  if (cell.network == NetworkOptions{})
-    result.cell.network = options.network;
   auto start = std::chrono::steady_clock::now();
   // Only the building cell's time includes the build.
   if (!lend_instance(slot, cell, scenarios, options))
@@ -193,7 +188,7 @@ CellResult run_cell(const CampaignCell& cell, InstanceSlot& slot,
     AlgorithmRunContext context;
     context.seed = cell.seed;
     context.workspace = workspace;
-    context.network = result.cell.network;
+    context.network = cell.network;
     CellOutcome outcome =
         algorithms.run(cell.algorithm, instance, context);
     result.rounds = outcome.rounds;

@@ -277,11 +277,6 @@ struct CampaignOptions {
   const ScenarioRegistry* scenarios = nullptr;
   /// Algorithm registry (default_algorithm_registry() when null).
   const AlgorithmRegistry* algorithms = nullptr;
-  /// Delivery layer applied to every cell whose own CampaignCell::network
-  /// was left at the default (sync). A cell with an explicit non-default
-  /// network keeps it — grids built with GridOptions::networks bake the
-  /// network into each cell.
-  NetworkOptions network;
   /// Telemetry (PR 10): when non-null, every cell runs under a span on this
   /// recorder (with the ambient engine binding installed, so engine runs
   /// emit their per-round events into the same lanes). Never feeds the

@@ -20,8 +20,8 @@ namespace unilocal {
 
 /// Reference twin of run_local: same semantics (simultaneous and
 /// alpha-synchronizer modes, cutoffs, message accounting), vector-per-message
-/// storage, always single-threaded (RunOptions::num_threads and
-/// RunOptions::network are ignored; a delayed run's outputs equal the
+/// storage, always single-threaded (the inherited EngineConfig — workspace,
+/// engine_threads, network — is ignored; a delayed run's outputs equal the
 /// simultaneous ones by Observation 2.1).
 RunResult run_local_reference(const Instance& instance,
                               const Algorithm& algorithm,

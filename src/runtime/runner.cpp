@@ -262,7 +262,7 @@ class ArenaEngine {
     // The synchronizer and delayed event loops are sequential; only the
     // simultaneous mode fans the live list out over threads.
     threads_ = options.wake_rounds.empty() && !delayed_mode_
-                   ? std::max(1, options.num_threads)
+                   ? std::max(1, options.engine_threads)
                    : 1;
     threads_ = std::min(threads_, 1 << 14);  // owner tag fits pack_offset
     if (threads_ > 1) {
@@ -1288,9 +1288,10 @@ class ArenaEngine {
 }  // namespace
 
 RunResult run_local(const Instance& instance, const Algorithm& algorithm,
-                    const RunOptions& options, EngineWorkspace* workspace) {
+                    const RunOptions& options) {
   std::optional<EngineWorkspace> local;
-  if (workspace == nullptr) workspace = &local.emplace();
+  EngineWorkspace* workspace =
+      options.workspace != nullptr ? options.workspace : &local.emplace();
   ArenaEngine engine(instance, algorithm, options, workspace->state());
   if (options.network.kind == NetworkKind::kDelayed)
     return engine.run_delayed(options.wake_rounds);
@@ -1309,13 +1310,14 @@ std::vector<RunResult> run_sequential(
                 static_cast<std::size_t>(instance.num_nodes()), 0)
           : options.wake_rounds;
   std::uint64_t seed = options.seed;
-  EngineWorkspace workspace;  // one arena across all stages
+  std::optional<EngineWorkspace> local;  // one arena across all stages
+  RunOptions stage_options = options;
+  if (stage_options.workspace == nullptr)
+    stage_options.workspace = &local.emplace();
   for (const Algorithm* algorithm : algorithms) {
-    RunOptions stage_options = options;
     stage_options.wake_rounds = wake;
     stage_options.seed = seed++;
-    RunResult result =
-        run_local(current, *algorithm, stage_options, &workspace);
+    RunResult result = run_local(current, *algorithm, stage_options);
     // The next stage starts at each node in the global round right after
     // this one finished there, taking this stage's output as an extra input
     // word (Observation 2.1 composition).

@@ -25,7 +25,7 @@
 // pool; messages only cross the round barrier and every node owns a private
 // Rng stream, so results are bit-identical for any thread count (the
 // engine-equivalence test enforces this against the preserved seed engine in
-// src/runtime/reference.h). The delayed network (RunOptions::network) runs
+// src/runtime/reference.h). The delayed network (EngineConfig::network) runs
 // lockstep local rounds over the same arena and derives each node's step
 // times from a max-plus recurrence over its in-edges' pulse arrivals.
 #pragma once
@@ -44,7 +44,28 @@
 
 namespace unilocal {
 
-struct RunOptions {
+class EngineWorkspace;
+
+/// How every engine run of a (possibly composed) algorithm executes: the
+/// one decision a campaign cell makes and every layer above run_local —
+/// the alternation driver, the Theorem 1/2/4/5 transformers, the registry —
+/// forwards unchanged. None of it changes an output bit.
+struct EngineConfig {
+  /// Reused engine buffers (nullptr = a run-local workspace). Not safe to
+  /// share between concurrent runs.
+  EngineWorkspace* workspace = nullptr;
+  /// Worker threads stepping disjoint node ranges in the simultaneous mode
+  /// (values below 1 mean 1). Outputs are independent of this value; the
+  /// synchronizer and delayed modes always run single-threaded.
+  int engine_threads = 1;
+  /// Delivery layer (src/runtime/network.h): the round-exact synchronous
+  /// arena (default), or the seeded delayed network with per-edge latency
+  /// and fault injection. Outputs are a pure function of (instance, seed,
+  /// network), so they stay invariant under engine_threads and sharding.
+  NetworkOptions network;
+};
+
+struct RunOptions : EngineConfig {
   /// Maximum local rounds per node; reaching it forces termination with
   /// default_output.
   std::int64_t max_rounds = std::numeric_limits<std::int64_t>::max() / 4;
@@ -53,17 +74,7 @@ struct RunOptions {
   std::uint64_t seed = 1;
   /// Optional wake-up round per node (empty = all wake at 0). Non-empty
   /// wake rounds enable the alpha-synchronizer emulation.
-  std::vector<std::int64_t> wake_rounds;
-  /// Worker threads stepping disjoint node ranges in the simultaneous mode
-  /// (1 = fully inline). Outputs are independent of this value; the
-  /// synchronizer mode always runs single-threaded.
-  int num_threads = 1;
-  /// Delivery layer (src/runtime/network.h): the round-exact synchronous
-  /// arena (default), or the seeded delayed network with per-edge latency
-  /// and fault injection. The delayed mode runs its lockstep rounds
-  /// single-threaded; outputs are a pure function of (instance, seed,
-  /// network), so they stay invariant under num_threads and sharding.
-  NetworkOptions network;
+  std::vector<std::int64_t> wake_rounds{};
 };
 
 /// The EngineStats field table: one row per engine counter and the only
@@ -255,18 +266,16 @@ class EngineWorkspace {
   std::unique_ptr<EngineWorkspaceState> state_;
 };
 
-/// Runs one algorithm on an instance. Passing a workspace reuses its
-/// buffers; nullptr uses a run-local workspace.
+/// Runs one algorithm on an instance, in options.workspace when it is set.
 RunResult run_local(const Instance& instance, const Algorithm& algorithm,
-                    const RunOptions& options = {},
-                    EngineWorkspace* workspace = nullptr);
+                    const RunOptions& options = {});
 
 /// Runs algorithms in sequence (paper's A1;A2): each node starts algorithm
 /// k+1 in the global round after it finished algorithm k (alpha-synchronizer
 /// semantics), with each algorithm's input being the previous algorithm's
 /// per-node output appended to the instance input. Returns one RunResult per
 /// stage; the last stage's outputs are the composition's outputs. All stages
-/// share one workspace (and therefore one arena).
+/// share one workspace (options.workspace, or a run-local one).
 std::vector<RunResult> run_sequential(const Instance& instance,
                                       const std::vector<const Algorithm*>& algorithms,
                                       const RunOptions& options = {});

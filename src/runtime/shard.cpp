@@ -169,13 +169,11 @@ const ShardCostModel& default_shard_cost_model() {
 // --- planning ---------------------------------------------------------------
 
 ShardPlan plan_shards(const std::vector<CampaignCell>& cells, int num_shards,
-                      ShardPolicy policy, const ShardPlanOptions& options) {
+                      ShardPolicy policy) {
   if (num_shards < 1)
     throw std::runtime_error("plan_shards: num_shards must be >= 1, got " +
                              std::to_string(num_shards));
-  const ShardCostModel& model = options.cost_model != nullptr
-                                    ? *options.cost_model
-                                    : default_shard_cost_model();
+  const ShardCostModel& model = default_shard_cost_model();
 
   std::vector<std::vector<std::size_t>> assignment(
       static_cast<std::size_t>(num_shards));

@@ -9,7 +9,7 @@
 //  - Planning.  plan_shards() partitions the cells into self-describing
 //    ShardManifests — registry keys, params, and seeds only, no pointers —
 //    under a policy: round-robin (cell i -> shard i mod K) or
-//    cost-balanced (greedy LPT over a per-cell cost model, nodes x
+//    cost-balanced (greedy LPT over default_shard_cost_model(), nodes x
 //    algorithm weight, so straggler-heavy grids split evenly). Manifests
 //    and plans round-trip through JSON (src/util/json.h).
 //  - Execution.  run_shard() re-resolves the manifest's keys against the
@@ -105,17 +105,12 @@ struct ShardPlan {
   static ShardPlan from_json(const json::Value& value);
 };
 
-struct ShardPlanOptions {
-  /// Cost model for kCostBalanced (default_shard_cost_model() when null).
-  const ShardCostModel* cost_model = nullptr;
-};
-
 /// Partitions `cells` into num_shards manifests under `policy`.
 /// Deterministic (ties broken by grid index / shard index); every cell
 /// lands in exactly one shard; shards may be empty when num_shards exceeds
 /// the cell count. Throws std::runtime_error when num_shards < 1.
 ShardPlan plan_shards(const std::vector<CampaignCell>& cells, int num_shards,
-                      ShardPolicy policy, const ShardPlanOptions& options = {});
+                      ShardPolicy policy);
 
 /// What one shard produced: the manifest's fingerprints plus one
 /// CellResult per manifest cell, in manifest order. Per-node outputs are

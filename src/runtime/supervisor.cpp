@@ -29,6 +29,9 @@ double seconds_between(Clock::time_point from, Clock::time_point to) {
 
 constexpr const char* kJournalFormat = "unilocal-supervisor-journal-v1";
 
+/// How long the event loop sleeps between polls of its workers.
+constexpr std::chrono::milliseconds kPollInterval{2};
+
 std::string read_text_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) throw std::runtime_error("cannot open " + path);
@@ -364,9 +367,7 @@ SupervisorReport supervise_shards(const ShardPlan& plan,
     throw std::runtime_error("supervise_shards: max_attempts must be >= 1");
   if (options.scratch_dir.empty())
     throw std::runtime_error("supervise_shards: scratch_dir is required");
-  const ShardCostModel& cost_model = options.cost_model != nullptr
-                                         ? *options.cost_model
-                                         : default_shard_cost_model();
+  const ShardCostModel& model = default_shard_cost_model();
   const std::size_t num_shards = plan.shards.size();
 
   SupervisorReport report;
@@ -381,7 +382,7 @@ SupervisorReport supervise_shards(const ShardPlan& plan,
   for (std::size_t s = 0; s < num_shards; ++s) {
     report.shards[s].shard_index = static_cast<int>(s);
     for (const CampaignCell& cell : plan.shards[s].cells)
-      shard_costs[s] += cost_model.cell_cost(cell);
+      shard_costs[s] += model.cell_cost(cell);
     manifest_paths[s] =
         options.scratch_dir + "/shard-" + std::to_string(s) + ".json";
     std::ofstream out(manifest_paths[s], std::ios::binary | std::ios::trunc);
@@ -726,8 +727,7 @@ SupervisorReport supervise_shards(const ShardPlan& plan,
       }
       if (resolved && pending.empty()) break;
 
-      std::this_thread::sleep_for(std::chrono::duration<double>(
-          std::max(1e-4, options.poll_interval_seconds)));
+      std::this_thread::sleep_for(kPollInterval);
     }
   } catch (...) {
     kill_everything();

@@ -13,8 +13,9 @@
 //    shell), stdout discarded, stderr captured per attempt for
 //    diagnostics.
 //  - Timeout.  Each attempt gets a wall-clock deadline derived from the
-//    shard's ShardCostModel estimate (base + seconds-per-cost-unit x
-//    estimated cost); overrunning attempts are SIGKILLed and requeued.
+//    shard's default_shard_cost_model() estimate (base +
+//    seconds-per-cost-unit x estimated cost); overrunning attempts are
+//    SIGKILLed and requeued. The event loop polls its workers every 2 ms.
 //  - Retry.  A crashed, nonzero-exit, timed-out, or fingerprint-invalid
 //    attempt requeues the shard with bounded retries under deterministic
 //    exponential backoff plus seeded jitter (splitmix64 over
@@ -183,8 +184,6 @@ struct SupervisorOptions {
   bool speculate = true;
   double straggler_factor = 3.0;
   int straggler_min_samples = 2;
-  /// Event-loop poll interval.
-  double poll_interval_seconds = 0.002;
   /// Scratch directory for manifests / per-attempt results / stderr
   /// captures; must exist. supervise_shards writes
   /// shard-<i>.json manifests here before launching anything.
@@ -193,9 +192,6 @@ struct SupervisorOptions {
   /// already holds entries for this plan, their shards are skipped
   /// (resume); new acceptances are appended and flushed line-by-line.
   std::string journal_path;
-  /// Cost model for timeouts/speculation (default_shard_cost_model() when
-  /// null).
-  const ShardCostModel* cost_model = nullptr;
   /// Optional trace recorder: when set, every attempt becomes an "X" span
   /// on (trace_pid, tid = shard_index + 1) and lifecycle transitions
   /// (launch / sigkill / speculate / retry / accept / journal-skip) become

@@ -2,8 +2,9 @@
 // problem keys and scenario hints, every entry solves + validates on its
 // own Table 1 families, per-cell outputs stay bit-identical across campaign
 // worker counts and when a direct registry run raises
-// AlgorithmRunContext::engine_threads, and the registration / selection
-// error paths fire.
+// AlgorithmRunContext::engine_threads, every engine run of every pipeline
+// uses the cell's network, and the registration / selection error paths
+// fire.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,6 +12,8 @@
 
 #include "src/runtime/algorithm_registry.h"
 #include "src/runtime/campaign.h"
+#include "src/runtime/telemetry.h"
+#include "src/util/json.h"
 
 namespace unilocal {
 namespace {
@@ -262,6 +265,39 @@ TEST(AlgorithmRegistry, EngineThreadsPreserveOutputs) {
     EXPECT_EQ(threaded.rounds, plain.rounds) << tag;
     EXPECT_EQ(threaded.solved, plain.solved) << tag;
   }
+}
+
+TEST(AlgorithmRegistry, EveryEngineRunUsesTheCellNetwork) {
+  // The cell's network must reach every engine run of every pipeline, the
+  // nested ones too (Theorem 4's executables, both Theorem 5 phases): a
+  // layer that drops it runs its stage on the synchronous arena instead.
+  NetworkOptions network;
+  network.kind = NetworkKind::kDelayed;
+  network.preset = DelayPreset::kUniform;
+  GridOptions grid;
+  grid.networks = {network};
+  ScenarioParams params;
+  params.n = 48;
+  const auto cells = make_table1_grid(params, 1, grid);
+  telemetry::TraceRecorder recorder;
+  CampaignOptions options;
+  options.workers = 2;
+  options.trace = &recorder;
+  const CampaignResult result = run_campaign(cells, options);
+  for (const CellResult& cell : result.cells) {
+    EXPECT_TRUE(cell.valid)
+        << cell.cell.algorithm << '/' << cell.cell.scenario << ' '
+        << cell.error;
+  }
+  std::size_t runs = 0;
+  for (const telemetry::TraceEvent& event : recorder.events()) {
+    if (event.name != "engine.run") continue;
+    ++runs;
+    const json::Value* mode = event.args.find("mode");
+    ASSERT_NE(mode, nullptr);
+    EXPECT_EQ(mode->as_string(), "delayed");
+  }
+  EXPECT_GE(runs, cells.size());
 }
 
 TEST(AlgorithmRegistry, ColeVishkinReportsUnsolvedOffFamily) {

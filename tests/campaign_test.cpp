@@ -16,6 +16,7 @@
 #include "src/problems/registry.h"
 #include "src/runtime/campaign.h"
 #include "src/util/json.h"
+#include "tests/test_support.h"
 
 namespace unilocal {
 namespace {
@@ -232,20 +233,6 @@ TEST(Campaign, IsolatesThrowingCells) {
   EXPECT_EQ(result.failed, 2);
 }
 
-/// CellResult::output_hash: 64-bit FNV-1a over the outputs'
-/// little-endian bytes.
-std::uint64_t output_hash(const std::vector<std::int64_t>& values) {
-  std::uint64_t hash = 14695981039346656037ULL;
-  for (const std::int64_t value : values) {
-    auto word = static_cast<std::uint64_t>(value);
-    for (int byte = 0; byte < 8; ++byte, word >>= 8) {
-      hash ^= word & 0xffu;
-      hash *= 1099511628211ULL;
-    }
-  }
-  return hash;
-}
-
 /// "gnp" and "tree" families that count their builds; "tree" throws for
 /// `failing_seed` (0 = never).
 ScenarioRegistry counting_scenarios(std::atomic<int>& builds,
@@ -324,7 +311,8 @@ TEST(Campaign, CellsSharingAnInstanceMatchFreshBuilds) {
                                 " seed " + std::to_string(got.cell.seed);
       EXPECT_TRUE(got.error.empty()) << where << ": " << got.error;
       EXPECT_EQ(got.outputs, want.outputs) << where;
-      EXPECT_EQ(got.output_hash, output_hash(want.outputs)) << where;
+      EXPECT_EQ(got.output_hash, testing_support::fnv1a(want.outputs))
+          << where;
       EXPECT_EQ(got.rounds, want.rounds) << where;
       EXPECT_EQ(got.solved, want.solved) << where;
       EXPECT_EQ(got.valid, fresh_valid[i]) << where;

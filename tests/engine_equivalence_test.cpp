@@ -35,7 +35,7 @@ void check_all_thread_counts(const Instance& instance,
                              const std::string& label) {
   const RunResult want = run_local_reference(instance, algorithm, options);
   for (const int threads : {1, 2, 8}) {
-    options.num_threads = threads;
+    options.engine_threads = threads;
     const RunResult got = run_local(instance, algorithm, options);
     expect_same(want, got,
                 label + " threads=" + std::to_string(threads));
@@ -162,13 +162,17 @@ TEST(EngineEquivalence, WorkspaceReuseDoesNotLeakState) {
   const LubyMis luby;
   const GreedyMis greedy;
   EngineWorkspace workspace;
+  const auto in_workspace = [&workspace](RunOptions options) {
+    options.workspace = &workspace;
+    return options;
+  };
   Rng wake_rng(23);
   for (const auto& named : standard_instances(/*seed=*/29)) {
     RunOptions options;
     options.seed = 41;
     const RunResult fresh = run_local(named.instance, luby, options);
-    const RunResult reused = run_local(named.instance, luby, options,
-                                       &workspace);
+    const RunResult reused =
+        run_local(named.instance, luby, in_workspace(options));
     expect_same(fresh, reused, "reuse/luby/" + named.name);
 
     options.wake_rounds.assign(
@@ -176,8 +180,8 @@ TEST(EngineEquivalence, WorkspaceReuseDoesNotLeakState) {
     for (auto& w : options.wake_rounds)
       w = static_cast<std::int64_t>(wake_rng.next_below(4));
     const RunResult fresh_sync = run_local(named.instance, greedy, options);
-    const RunResult reused_sync = run_local(named.instance, greedy, options,
-                                            &workspace);
+    const RunResult reused_sync =
+        run_local(named.instance, greedy, in_workspace(options));
     expect_same(fresh_sync, reused_sync, "reuse/greedy-sync/" + named.name);
   }
 }

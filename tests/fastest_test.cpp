@@ -96,13 +96,15 @@ TEST(Theorem4, TransformedExecutableRunsInLentArena) {
   Instance big = make_instance(gnp(3000, 0.003, rng),
                                IdentityScheme::kRandomPermuted, 3);
   RunOptions grow_options;
+  grow_options.workspace = &workspace;
   const GreedyMis greedy;
-  const RunResult grown = run_local(big, greedy, grow_options, &workspace);
+  const RunResult grown = run_local(big, greedy, grow_options);
   ASSERT_GT(grown.stats.arena_bytes, 0);
 
   Combinator combinator;
   Instance small = make_instance(path_graph(24), IdentityScheme::kSequential);
-  const auto lent = combinator.colored->run(small, 1 << 12, 1, &workspace);
+  const auto lent =
+      combinator.colored->run(small, 1 << 12, 1, {.workspace = &workspace});
   EXPECT_GE(lent.stats.arena_bytes, grown.stats.arena_bytes);
 
   // Without a lent workspace the nested driver's own arena is sized to the
@@ -117,7 +119,9 @@ TEST(Theorem1, TransformerRunsInLentWorkspace) {
   Instance big = make_instance(gnp(3000, 0.003, rng),
                                IdentityScheme::kRandomPermuted, 4);
   const GreedyMis greedy;
-  const RunResult grown = run_local(big, greedy, {}, &workspace);
+  RunOptions grow_options;
+  grow_options.workspace = &workspace;
+  const RunResult grown = run_local(big, greedy, grow_options);
   ASSERT_GT(grown.stats.arena_bytes, 0);
 
   Instance small = make_instance(path_graph(24), IdentityScheme::kSequential);
@@ -142,8 +146,7 @@ class BudgetRecorder final : public UniformExecutable {
   std::string name() const override { return "budget-recorder"; }
   AlternatingDriver::CustomOutcome run(
       const Instance& instance, std::int64_t budget, std::uint64_t /*seed*/,
-      EngineWorkspace* /*workspace*/, int /*engine_threads*/,
-      const NetworkOptions& /*network*/) const override {
+      const EngineConfig& /*engine*/) const override {
     budgets_->push_back(budget);
     return {std::vector<std::int64_t>(
                 static_cast<std::size_t>(instance.num_nodes()), 0),

@@ -38,6 +38,7 @@ namespace unilocal {
 namespace {
 
 using testing_support::fnv1a;
+using testing_support::kGoldenHashBasis;
 using testing_support::standard_instances;
 
 void expect_same(const RunResult& want, const RunResult& got,
@@ -75,8 +76,10 @@ json::Value frozen_row(const std::string& run, const RunResult& result) {
                   result.global_finish_rounds.end());
   json::Value row = json::Value::object();
   row.set("run", json::Value::string(run));
-  row.set("output_hash", json::Value::number(fnv1a(result.outputs)));
-  row.set("finish_hash", json::Value::number(fnv1a(finishes)));
+  row.set("output_hash",
+          json::Value::number(fnv1a(result.outputs, kGoldenHashBasis)));
+  row.set("finish_hash",
+          json::Value::number(fnv1a(finishes, kGoldenHashBasis)));
   row.set("all_finished", json::Value::boolean(result.all_finished));
   row.set("rounds_used", json::Value::number(result.rounds_used));
   row.set("global_rounds", json::Value::number(result.global_rounds));
@@ -172,7 +175,7 @@ void check_kernel_equivalence(const Instance& instance,
   const RunResult want = run_local_reference(instance, algorithm, options);
   expect_frozen(label, want, label + "/reference", /*record=*/true);
   for (const int threads : {1, 2, 8}) {
-    options.num_threads = threads;
+    options.engine_threads = threads;
     const RunResult got = run_local(instance, algorithm, options);
     const std::string tag = label + "/threads=" + std::to_string(threads);
     expect_same(want, got, tag);
@@ -307,7 +310,7 @@ TEST(KernelEquivalence, ResendProbeCountsFinalWritesOnly) {
       options.network.kind = NetworkKind::kDelayed;
       options.network.preset = DelayPreset::kHeavyTail;
       for (const int threads : {1, 2, 8}) {
-        options.num_threads = threads;
+        options.engine_threads = threads;
         const RunResult got = run_local(named.instance, probe, options);
         expect_delayed_matches(want, got,
                                tag + "/delayed/" + named.name + "/threads=" +
@@ -323,7 +326,7 @@ TEST(KernelEquivalence, ResendProbeCountsFinalWritesOnly) {
     EXPECT_EQ(want.max_message_words, grow_round < 0 ? 2 : 4) << tag;
     for (const int threads : {1, 2, 8}) {
       RunOptions options;
-      options.num_threads = threads;
+      options.engine_threads = threads;
       const RunResult got = run_local(cycle, probe, options);
       EXPECT_EQ(got.stats.peak_round_messages, 2 * cycle.graph.num_edges())
           << tag << " threads=" << threads;

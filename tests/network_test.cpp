@@ -401,13 +401,12 @@ TEST(DelayedNetwork, DeterministicAcrossThreadCountsAndRepetition) {
     RunOptions options;
     options.seed = 5;
     options.network = network;
-    options.num_threads = 1;
     const RunResult want = run_local(named.instance, luby, options);
     EngineWorkspace workspace;
+    options.workspace = &workspace;
     for (const int threads : {1, 2, 8}) {
-      options.num_threads = threads;
-      const RunResult got =
-          run_local(named.instance, luby, options, &workspace);
+      options.engine_threads = threads;
+      const RunResult got = run_local(named.instance, luby, options);
       expect_same_result(want, got,
                          named.name + "/threads=" + std::to_string(threads));
     }
@@ -450,7 +449,7 @@ TEST(DelayedNetwork, CrashedNodesStarveNeighboursAndTerminate) {
   const RunResult first = run_local(instance, LubyMis(), options);
   EXPECT_FALSE(first.all_finished);
   EXPECT_GT(first.stats.final_live_nodes, 0);
-  options.num_threads = 8;
+  options.engine_threads = 8;
   const RunResult second = run_local(instance, LubyMis(), options);
   expect_same_result(first, second, "crash determinism");
 
@@ -613,6 +612,11 @@ TEST(DelayedCampaign, VerdictsHoldAndNetworkSeparatesGridIdentity) {
   EXPECT_GT(result.percentiles[EngineStat::messages_dropped].max, 0.0);
   EXPECT_GT(result.percentiles[EngineStat::messages_duplicated].max, 0.0);
   EXPECT_GT(result.percentiles[EngineStat::max_delivery_skew].max, 0.0);
+  // Each cell's network lands in the artifacts.
+  std::ostringstream csv;
+  write_campaign_csv(csv, result);
+  EXPECT_NE(csv.str().find("delay:heavytail"), std::string::npos);
+  EXPECT_NE(csv.str().find("messages_dropped"), std::string::npos);
 
   std::vector<CampaignCell> sync_cells = cells;
   for (CampaignCell& cell : sync_cells) cell.network = NetworkOptions{};
@@ -620,17 +624,6 @@ TEST(DelayedCampaign, VerdictsHoldAndNetworkSeparatesGridIdentity) {
   std::vector<CampaignCell> other_knob = cells;
   other_knob.back().network.drop = 0.051;
   EXPECT_NE(campaign_grid_hash(cells), campaign_grid_hash(other_knob));
-
-  // CampaignOptions::network applies the layer campaign-wide to
-  // default-sync cells, and the effective network lands in the artifacts.
-  CampaignOptions options;
-  options.network = delayed(DelayPreset::kWeighted);
-  const CampaignResult overridden = run_campaign(sync_cells, options);
-  EXPECT_EQ(overridden.valid, static_cast<int>(sync_cells.size()));
-  std::ostringstream csv;
-  write_campaign_csv(csv, overridden);
-  EXPECT_NE(csv.str().find("delay:weighted"), std::string::npos);
-  EXPECT_NE(csv.str().find("messages_dropped"), std::string::npos);
 }
 
 }  // namespace

@@ -266,7 +266,7 @@ Skipped check_against_reference(const Instance& instance,
   std::optional<Skipped> skipped;
   for (const int threads : {1, 2, 8}) {
     RunOptions options = base;
-    options.num_threads = threads;
+    options.engine_threads = threads;
     for (const Algorithm* path :
          {&batched, &scalar, static_cast<const Algorithm*>(&sleepless)}) {
       const std::string tag =
@@ -542,7 +542,7 @@ TEST(Quiescence, JumpsWithTwoThreads) {
   options.seed = 5;
   const Skipped skipped = check_probe(instance, cfg, options, "threads");
   EXPECT_GT(skipped.jumped, 0);
-  options.num_threads = 2;
+  options.engine_threads = 2;
   const RunResult got = run_local(instance, Probe(cfg, true), options);
   EXPECT_EQ(check_round_spans(traced_rounds(instance, Probe(cfg, true),
                                             options),
@@ -612,7 +612,7 @@ TEST(Quiescence, ColorReduceStepsAreLinearInNodesAndMessages) {
   for (const int threads : {1, 2}) {
     telemetry::MetricsRegistry reg;
     RunOptions options;
-    options.num_threads = threads;
+    options.engine_threads = threads;
     RunResult got;
     {
       telemetry::ScopedMetrics scope(&reg);

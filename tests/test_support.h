@@ -15,10 +15,17 @@
 namespace unilocal {
 namespace testing_support {
 
-/// FNV-1a over the little-endian bytes of `values`: the compact digest the
-/// golden fixtures store for per-node vectors.
-inline std::uint64_t fnv1a(const std::vector<std::int64_t>& values) {
-  std::uint64_t hash = 1469598103934665603ULL;
+/// The basis the frozen golden fixtures (kernel-blocks.json,
+/// delayed-runs.json) were written with: the FNV-1a 64-bit offset basis
+/// missing its last digit. Changing it would rewrite every stored digest.
+inline constexpr std::uint64_t kGoldenHashBasis = 1469598103934665603ULL;
+
+/// FNV-1a over the little-endian bytes of `values`. The default basis is
+/// the standard offset basis, which CellResult::output_hash uses; the golden
+/// fixtures pass kGoldenHashBasis.
+inline std::uint64_t fnv1a(const std::vector<std::int64_t>& values,
+                           std::uint64_t basis = 14695981039346656037ULL) {
+  std::uint64_t hash = basis;
   for (const std::int64_t value : values) {
     auto word = static_cast<std::uint64_t>(value);
     for (int byte = 0; byte < 8; ++byte) {
