@@ -372,7 +372,7 @@ BENCHMARK(BM_EngineLongTail_GnpLubyWakeTail)->Unit(benchmark::kMillisecond);
 
 // --- quiescent nodes (BENCH_engine.json quiescent_engine, clock_jump) -
 //
-// Both benches run color-reduce from a proper coloring of a G(n, 8/n), so
+// These benches run color-reduce from a proper coloring of a G(n, 8/n), so
 // nearly every logical step is an idle poll the engine can skip while the
 // node sleeps. "logical_steps" is EngineStats::total_steps (unchanged by
 // sleeping); "executed_steps" subtracts the engine.slept_steps counter;
@@ -380,11 +380,13 @@ BENCHMARK(BM_EngineLongTail_GnpLubyWakeTail)->Unit(benchmark::kMillisecond);
 // clock skipped because every node was asleep. Arg = engine threads.
 
 void run_quiescent(benchmark::State& state, const Instance& instance,
-                   const Algorithm& algorithm) {
+                   const Algorithm& algorithm,
+                   const NetworkOptions& network = {}) {
   EngineWorkspace workspace;
   RunOptions options;
   options.workspace = &workspace;
   options.engine_threads = static_cast<int>(state.range(0));
+  options.network = network;
   telemetry::MetricsRegistry metrics;
   std::int64_t logical = 0, messages = 0, global_rounds = 0;
   {
@@ -415,19 +417,43 @@ void run_quiescent(benchmark::State& state, const Instance& instance,
 
 // From the identity coloring of a 4096-node graph: 4096 rounds in which
 // each node recolours at most once.
-void BM_EngineQuiescent_ColorReduceGnp4096(benchmark::State& state) {
-  const NodeId n = 4096;
+constexpr NodeId kQuiescentNodes = 4096;
+
+Instance identity_colored_gnp4096() {
+  const NodeId n = kQuiescentNodes;
   Rng rng(12);
   Instance instance = make_instance(gnp(n, 8.0 / n, rng),
                                     IdentityScheme::kRandomPermuted, 6);
   for (NodeId v = 0; v < n; ++v)
     instance.inputs[static_cast<std::size_t>(v)] = {
         instance.identities[static_cast<std::size_t>(v)]};
-  run_quiescent(state, instance, ColorReduce(n, /*target=*/0));
+  return instance;
+}
+
+void BM_EngineQuiescent_ColorReduceGnp4096(benchmark::State& state) {
+  run_quiescent(state, identity_colored_gnp4096(),
+                ColorReduce(kQuiescentNodes, /*target=*/0));
 }
 BENCHMARK(BM_EngineQuiescent_ColorReduceGnp4096)
     ->Arg(1)
     ->Arg(2)
+    ->Unit(benchmark::kMillisecond);
+
+// The same run on the heavy-tail delayed network with 5% drops. The
+// delayed loop skips sleepers' kernels too, but every node still draws a
+// pulse on each out-edge in every round and there is no clock jump, so
+// the pulse draws and per-tick tallies dominate. The loop is sequential:
+// Arg 1 only.
+void BM_EngineQuiescent_ColorReduceGnp4096Delayed(benchmark::State& state) {
+  NetworkOptions network;
+  network.kind = NetworkKind::kDelayed;
+  network.preset = DelayPreset::kHeavyTail;
+  network.drop = 0.05;
+  run_quiescent(state, identity_colored_gnp4096(),
+                ColorReduce(kQuiescentNodes, /*target=*/0), network);
+}
+BENCHMARK(BM_EngineQuiescent_ColorReduceGnp4096Delayed)
+    ->Arg(1)
     ->Unit(benchmark::kMillisecond);
 
 // From the sparse coloring 1 + 64 * identity of a 512-node graph: only

@@ -24,11 +24,13 @@
 // Sleep contract (KernelCtx::sleep_until): a step may end with
 // sleep_until(r), r a local round. It promises that every step of this
 // node before round r that receives no message would send nothing, draw no
-// randomness, change no state and not finish. The simultaneous loop then
-// stops stepping the node until round r or until a message lands for it,
-// whichever comes first (a step that receives mail is a real step, and it
-// may sleep again). Skipped steps still count as steps in EngineStats, so
-// every stat and canonical byte is the same as with the hint ignored.
+// randomness, change no state and not finish. The simultaneous and delayed
+// loops then skip the node's kernel until round r or until a message lands
+// for it, whichever comes first (a step that receives mail is a real step,
+// and it may sleep again). Skipped steps still count as steps in
+// EngineStats, and a delayed sleeper still advances its local round and
+// pulses every out-edge, so every stat and canonical byte is the same as
+// with the hint ignored.
 // Composites keep the promise in the outer round numbering: the chain
 // turns an inner stage's request into absolute rounds and clamps it to
 // the stage boundary, the truncation wrapper clamps it to its budget, and
@@ -38,10 +40,9 @@
 // the earliest wake round would step no one, so the simultaneous loop
 // jumps its clock straight there; the skipped rounds' sleepers count as
 // slept steps, and one silent round already leaves the network's arena
-// as the skipped rounds would, so dirty_spans_cleared does not move. The
-// synchronizer and delayed loops ignore the hint, which is always
-// correct: it only marks steps that would do nothing. The reference engine
-// ignores it too.
+// as the skipped rounds would, so dirty_spans_cleared does not move. Only
+// the synchronizer loop and the reference engine ignore the hint, which is
+// always correct: it only marks steps that would do nothing.
 #pragma once
 
 #include <cstddef>

@@ -1,7 +1,6 @@
 #include "src/runtime/network.h"
 
 #include <algorithm>
-#include <bit>
 #include <cerrno>
 #include <cstdlib>
 #include <stdexcept>
@@ -10,19 +9,10 @@ namespace unilocal {
 
 namespace {
 
-/// A transmission lost this many consecutive times is abandoned — the
-/// receiver stalls for good instead of waiting on endless retries. At
-/// drop=0.05 abandonment has probability 0.05^64: never; it only bites at
-/// adversarial drop rates.
-constexpr int kMaxRetransmits = 64;
-
 /// Stream-tag salts separating the network's RNG bases from each other and
 /// from the per-node algorithm streams (which split Rng(seed) by identity).
 constexpr std::uint64_t kEdgeStreamSalt = 0x6e6574776f726b31ULL;   // "network1"
 constexpr std::uint64_t kFaultStreamSalt = 0x6e6574776f726b32ULL;  // "network2"
-
-/// Heavy-tail level cap: delays span [1, 2^17).
-constexpr int kHeavyTailMaxLevel = 16;
 
 }  // namespace
 
@@ -251,59 +241,6 @@ void DelayedNetwork::begin_run(const CsrGraph& csr, std::uint64_t seed,
     }
   }
   dropped_ = duplicated_ = 0;
-}
-
-std::int64_t DelayedNetwork::draw_delay(std::int64_t edge) {
-  Rng& rng = edge_rngs_[static_cast<std::size_t>(edge)];
-  switch (opts_.preset) {
-    case DelayPreset::kUniform:
-      return rng.next_in(1, opts_.max_delay);
-    case DelayPreset::kWeighted:
-      // The per-edge latency was drawn once in begin_run; transmissions on
-      // this edge all take the same time (a "distance matrix").
-      return edge_base_[static_cast<std::size_t>(edge)];
-    case DelayPreset::kHeavyTail: {
-      // Integer Pareto-like tail without libm (std::pow is not
-      // bit-portable across libm builds): level t has probability
-      // 2^-(t+1), the delay is uniform in [2^t, 2^(t+1)).
-      const int level = std::min(std::countr_one(rng.next()),
-                                 kHeavyTailMaxLevel);
-      const std::int64_t lo = std::int64_t{1} << level;
-      return lo + static_cast<std::int64_t>(
-                      rng.next_below(static_cast<std::uint64_t>(lo)));
-    }
-  }
-  return 1;
-}
-
-DelayedNetwork::Pulse DelayedNetwork::draw_pulse(std::int64_t edge,
-                                                 std::int64_t now) {
-  Pulse pulse;
-  std::int64_t delay = draw_delay(edge);
-  if (opts_.drop >= 1.0) {
-    // Degenerate knob: nothing is ever delivered, and nothing retries
-    // forever.
-    ++dropped_;
-    return pulse;
-  }
-  Rng& rng = edge_rngs_[static_cast<std::size_t>(edge)];
-  if (opts_.drop > 0.0) {
-    int attempts = 0;
-    while (rng.next_bool(opts_.drop)) {
-      ++dropped_;
-      if (++attempts >= kMaxRetransmits) return pulse;  // abandoned
-      // Lost transmission: the sender retries after a timeout, so the pulse
-      // arrives late rather than never (outputs stay those of the
-      // synchronous run; only timestamps move).
-      delay += retransmit_after_ + draw_delay(edge);
-    }
-  }
-  pulse.arrival = now + delay;
-  if (opts_.duplicate > 0.0 && rng.next_bool(opts_.duplicate)) {
-    ++duplicated_;
-    pulse.duplicate = pulse.arrival + draw_delay(edge);  // strictly later
-  }
-  return pulse;
 }
 
 std::int64_t DelayedNetwork::arena_bytes() const {

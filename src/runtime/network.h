@@ -30,6 +30,7 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <limits>
 #include <span>
@@ -227,10 +228,12 @@ class SynchronousNetwork {
   }
 
   /// Whether any neighbour has sent to `node` this round.
-  bool has_mail(NodeId node) const {
-    const auto first = send_spans_.begin() + csr_->offset(node);
-    return std::any_of(first, first + csr_->degree(node),
-                       [](const Span& s) { return s.words >= 0; });
+  bool has_mail(NodeId node) const { return any_span(send_spans_, node); }
+
+  /// Whether any neighbour sent to `node` last round: the mail its step
+  /// this round can read (the receive half).
+  bool received_any(NodeId node) const {
+    return any_span(recv_spans_, node);
   }
 
   /// The longest message in the send half: this round's exact maximum
@@ -245,6 +248,13 @@ class SynchronousNetwork {
   std::int64_t arena_bytes() const;
 
  private:
+  /// Whether one of `node`'s inbox slots in `spans` holds a message.
+  bool any_span(const std::vector<Span>& spans, NodeId node) const {
+    const auto first = spans.begin() + csr_->offset(node);
+    return std::any_of(first, first + csr_->degree(node),
+                       [](const Span& s) { return s.words >= 0; });
+  }
+
   void reset_half(std::vector<Span>& spans,
                   std::vector<std::vector<std::int64_t>>& dirty_lists,
                   bool bulk);
@@ -311,15 +321,74 @@ class DelayedNetwork {
 
   /// Draws the fate of the pulse `edge` carries when its sender steps at
   /// time `now`: the latency, then each loss (a retransmission after
-  /// 2*max_delay ticks plus a fresh latency), then the duplicate.
-  Pulse draw_pulse(std::int64_t edge, std::int64_t now);
+  /// 2*max_delay ticks plus a fresh latency), then the duplicate. Inline,
+  /// like the Rng draws under it: the delayed loop draws a pulse on every
+  /// out-edge of every node in every local round.
+  Pulse draw_pulse(std::int64_t edge, std::int64_t now) {
+    Pulse pulse;
+    std::int64_t delay = draw_delay(edge);
+    if (opts_.drop >= 1.0) {
+      // Degenerate knob: nothing is ever delivered, and nothing retries
+      // forever.
+      ++dropped_;
+      return pulse;
+    }
+    Rng& rng = edge_rngs_[static_cast<std::size_t>(edge)];
+    if (opts_.drop > 0.0) {
+      int attempts = 0;
+      while (rng.next_bool(opts_.drop)) {
+        ++dropped_;
+        if (++attempts >= kMaxRetransmits) return pulse;  // abandoned
+        // Lost transmission: the sender retries after a timeout, so the
+        // pulse arrives late rather than never (outputs stay those of the
+        // synchronous run; only timestamps move).
+        delay += retransmit_after_ + draw_delay(edge);
+      }
+    }
+    pulse.arrival = now + delay;
+    if (opts_.duplicate > 0.0 && rng.next_bool(opts_.duplicate)) {
+      ++duplicated_;
+      pulse.duplicate = pulse.arrival + draw_delay(edge);  // strictly later
+    }
+    return pulse;
+  }
 
   std::int64_t dropped() const { return dropped_; }
   std::int64_t duplicated() const { return duplicated_; }
   std::int64_t arena_bytes() const;
 
  private:
-  std::int64_t draw_delay(std::int64_t edge);
+  /// A transmission lost this many consecutive times is abandoned — the
+  /// receiver stalls for good instead of waiting on endless retries. At
+  /// drop=0.05 abandonment has probability 0.05^64: never; it only bites
+  /// at adversarial drop rates.
+  static constexpr int kMaxRetransmits = 64;
+
+  /// Heavy-tail level cap: delays span [1, 2^17).
+  static constexpr int kHeavyTailMaxLevel = 16;
+
+  std::int64_t draw_delay(std::int64_t edge) {
+    Rng& rng = edge_rngs_[static_cast<std::size_t>(edge)];
+    switch (opts_.preset) {
+      case DelayPreset::kUniform:
+        return rng.next_in(1, opts_.max_delay);
+      case DelayPreset::kWeighted:
+        // The per-edge latency was drawn once in begin_run; transmissions
+        // on this edge all take the same time (a "distance matrix").
+        return edge_base_[static_cast<std::size_t>(edge)];
+      case DelayPreset::kHeavyTail: {
+        // Integer Pareto-like tail without libm (std::pow is not
+        // bit-portable across libm builds): level t has probability
+        // 2^-(t+1), the delay is uniform in [2^t, 2^(t+1)).
+        const int level = std::min(std::countr_one(rng.next()),
+                                   kHeavyTailMaxLevel);
+        const std::int64_t lo = std::int64_t{1} << level;
+        return lo + static_cast<std::int64_t>(
+                        rng.next_below(static_cast<std::uint64_t>(lo)));
+      }
+    }
+    return 1;
+  }
 
   NetworkOptions opts_;
   std::int64_t retransmit_after_ = 0;

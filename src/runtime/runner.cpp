@@ -61,10 +61,10 @@ struct alignas(64) StepDelta {
 /// registry; a single null check when none is installed. Counters sum and
 /// gauges take the max under the registry's per-thread-cell merge, so the
 /// merged snapshot is identical for any worker-thread placement of runs.
-/// engine.slept_steps counts the steps of total_steps the simultaneous
-/// loop skipped because the node was asleep (see kernel.h's sleep contract),
-/// and engine.jumped_rounds the rounds its clock jumped over because no
-/// node was awake.
+/// engine.slept_steps counts the steps of total_steps the simultaneous and
+/// delayed loops skipped because the node was asleep (see kernel.h's sleep
+/// contract), and engine.jumped_rounds the rounds the simultaneous clock
+/// jumped over because no node was awake.
 void publish_engine_metrics(const EngineStats& stats, std::int64_t rounds,
                             std::int64_t slept_steps,
                             std::int64_t jumped_rounds) {
@@ -190,9 +190,11 @@ struct EngineWorkspaceState {
   // local round (DelayedNetwork::kNever once v stalls for good), reach[e]
   // the latest arrival among the pulses edge e has carried (kNever once
   // one was abandoned or its sender stalled), and ticks the per-timestamp
-  // tallies behind the peak stats.
+  // tallies behind the peak stats. wake[v] is the sleep-hint latch: the
+  // local round v's latest hint asks for (0 = none).
   std::vector<std::int64_t> step_time;
   std::vector<std::int64_t> reach;
+  std::vector<std::int64_t> wake;
   TickTable ticks;
 
   // Compacted list of unfinished awake nodes (simultaneous mode),
@@ -259,7 +261,7 @@ class ArenaEngine {
         n_(instance.graph.num_nodes()) {
     validate_network_options(options.network);
     delayed_mode_ = options.network.kind == NetworkKind::kDelayed;
-    // The synchronizer and delayed event loops are sequential; only the
+    // The synchronizer and delayed loops are sequential; only the
     // simultaneous mode fans the live list out over threads.
     threads_ = options.wake_rounds.empty() && !delayed_mode_
                    ? std::max(1, options.engine_threads)
@@ -637,7 +639,11 @@ class ArenaEngine {
   /// round it performs (the paper's Observation 2.1), so payloads move
   /// through the round-exact arena; each round first computes every t(v,r)
   /// from round r-1's arrivals, then steps the nodes whose time is finite
-  /// and draws their pulses. Sleep hints are ignored: sleepers still pulse.
+  /// and draws their pulses. A node whose latched sleep hint asks for a
+  /// later round and whose receive half holds no mail skips its kernel
+  /// step, which the sleep contract makes a no-op; it still counts as
+  /// stepped, advances its local round and pulses every out-edge, so the
+  /// timestamps, faults and stats are those of the full run.
   ///
   /// The stats read as the timeline of a discrete-event run that delivers
   /// before stepping at equal times and stops right after the last
@@ -661,6 +667,9 @@ class ArenaEngine {
     auto& reach = ws_.reach;
     time.assign(static_cast<std::size_t>(n_), kNever);
     reach.assign(slots, std::numeric_limits<std::int64_t>::min());
+    auto& wake = ws_.wake;
+    wake.assign(static_cast<std::size_t>(n_), 0);
+    wake_at_ = wake.data();
     ws_.ticks.reset();
     const auto stall = [&](NodeId v) {
       const std::int64_t base = csr_.offset(v);
@@ -708,12 +717,21 @@ class ArenaEngine {
         }
       }
       arena.begin_round(prev_round_messages);
-      std::int64_t stepped = 0;
+      std::int64_t stepped = 0, asleep = 0;
       for (const NodeId v : active) {
         const std::size_t vi = static_cast<std::size_t>(v);
         const std::int64_t now = time[vi];
         if (now == kNever) continue;
-        step_one(0, v, r);
+        if (wake[vi] > r && !arena.received_any(v)) {
+          ++asleep;
+        } else {
+          wake[vi] = 0;
+          step_one(0, v, r);
+          // Clamped like the simultaneous loop's latch, so a sleeper wakes
+          // for the cut-off round.
+          if (wake[vi] != 0)
+            wake[vi] = std::min(wake[vi], options_.max_rounds - 1);
+        }
         ++stepped;
         ws_.ticks.add_step(now);
         last_step = std::max(last_step, now);
@@ -754,6 +772,7 @@ class ArenaEngine {
       delta.clear();
       arena.end_round();
       total_steps_ += stepped;
+      slept_steps_ += asleep;
       messages_sent_ += round_messages;
       prev_round_messages = round_messages;
       std::erase_if(active, [&](NodeId v) {
@@ -765,12 +784,15 @@ class ArenaEngine {
         floor = std::min(floor, time[static_cast<std::size_t>(v)]);
       ws_.ticks.set_floor(floor);
       if (traced) {
+        // As in the simultaneous span, frontier and steps count the kernel
+        // steps run, and asleep the stepped sleepers that skipped theirs.
         telemetry::TraceEvent event = make_round_event(trace_t0);
         event.arg("round", r);
-        event.arg("frontier", stepped);
+        event.arg("frontier", stepped - asleep);
+        event.arg("asleep", asleep);
         event.arg("stalled", static_cast<std::int64_t>(stalled));
         event.arg("messages", round_messages);
-        event.arg("steps", stepped);
+        event.arg("steps", stepped - asleep);
         trace_->recorder->record(std::move(event));
       }
     }
@@ -1201,7 +1223,9 @@ class ArenaEngine {
       bytes += net.arena_bytes() + ws_.sim_net.arena_bytes() +
                ws_.ticks.bytes();
       bytes += static_cast<std::int64_t>(
-          (ws_.step_time.capacity() + ws_.reach.capacity()) * 8);
+          (ws_.step_time.capacity() + ws_.reach.capacity() +
+           ws_.wake.capacity()) *
+          8);
     } else if (sync_mode_) {
       bytes += static_cast<std::int64_t>(ws_.hist_words.capacity()) * 8;
       for (const auto& h : ws_.hist)
@@ -1259,10 +1283,11 @@ class ArenaEngine {
   std::int64_t batch_calls_ = 0;
   bool sync_mode_ = false;
   bool delayed_mode_ = false;
-  // Simultaneous runs only: the sleep-hint latch (ws_.local_round's
-  // storage; null when hints are ignored), the sleeping-node count, the
-  // steps skipped because their node was asleep, and the rounds the clock
-  // jumped over because every node was.
+  // The sleep-hint latch (ws_.local_round's storage in simultaneous runs,
+  // ws_.wake in delayed ones; null when hints are ignored), the sleeping-
+  // node count (simultaneous), the steps skipped because their node was
+  // asleep, and the rounds the simultaneous clock jumped over because every
+  // node was.
   std::int64_t* wake_at_ = nullptr;
   NodeId asleep_ = 0;
   std::int64_t slept_steps_ = 0;

@@ -9,12 +9,6 @@ std::uint64_t splitmix64(std::uint64_t x) noexcept {
   return x ^ (x >> 31);
 }
 
-namespace {
-inline std::uint64_t rotl(std::uint64_t x, int k) noexcept {
-  return (x << k) | (x >> (64 - k));
-}
-}  // namespace
-
 Rng::Rng(std::uint64_t seed) noexcept : lineage_(seed) {
   std::uint64_t sm = seed;
   for (auto& lane : s_) {
@@ -24,49 +18,6 @@ Rng::Rng(std::uint64_t seed) noexcept : lineage_(seed) {
   // xoshiro must not start at the all-zero state; splitmix64 of any seed
   // cannot produce four zero outputs in a row, but keep a cheap guard.
   if ((s_[0] | s_[1] | s_[2] | s_[3]) == 0) s_[0] = 1;
-}
-
-std::uint64_t Rng::next() noexcept {
-  const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
-}
-
-std::uint64_t Rng::next_below(std::uint64_t bound) noexcept {
-  // Lemire's nearly-divisionless method.
-  std::uint64_t x = next();
-  __uint128_t m = static_cast<__uint128_t>(x) * bound;
-  std::uint64_t l = static_cast<std::uint64_t>(m);
-  if (l < bound) {
-    const std::uint64_t t = (0 - bound) % bound;
-    while (l < t) {
-      x = next();
-      m = static_cast<__uint128_t>(x) * bound;
-      l = static_cast<std::uint64_t>(m);
-    }
-  }
-  return static_cast<std::uint64_t>(m >> 64);
-}
-
-std::int64_t Rng::next_in(std::int64_t lo, std::int64_t hi) noexcept {
-  const std::uint64_t span = static_cast<std::uint64_t>(hi - lo) + 1;
-  return lo + static_cast<std::int64_t>(next_below(span));
-}
-
-double Rng::next_double() noexcept {
-  return static_cast<double>(next() >> 11) * 0x1.0p-53;
-}
-
-bool Rng::next_bool(double p) noexcept {
-  if (p <= 0.0) return false;
-  if (p >= 1.0) return true;
-  return next_double() < p;
 }
 
 Rng Rng::split(std::uint64_t stream) const noexcept {

@@ -6,6 +6,7 @@
 // independent-looking streams, as the LOCAL model requires.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -29,20 +30,55 @@ class Rng {
   static constexpr result_type max() noexcept { return ~0ULL; }
 
   result_type operator()() noexcept { return next(); }
-  std::uint64_t next() noexcept;
+
+  // The draws are inline: the delayed network makes two or three per
+  // pulse, and an out-of-line call costs about as much as the draw.
+  std::uint64_t next() noexcept {
+    const std::uint64_t result = std::rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = std::rotl(s_[3], 45);
+    return result;
+  }
 
   /// Uniform integer in [0, bound). bound must be > 0. Uses Lemire's
   /// multiply-shift rejection method (unbiased).
-  std::uint64_t next_below(std::uint64_t bound) noexcept;
+  std::uint64_t next_below(std::uint64_t bound) noexcept {
+    std::uint64_t x = next();
+    __uint128_t m = static_cast<__uint128_t>(x) * bound;
+    std::uint64_t l = static_cast<std::uint64_t>(m);
+    if (l < bound) {
+      const std::uint64_t t = (0 - bound) % bound;
+      while (l < t) {
+        x = next();
+        m = static_cast<__uint128_t>(x) * bound;
+        l = static_cast<std::uint64_t>(m);
+      }
+    }
+    return static_cast<std::uint64_t>(m >> 64);
+  }
 
   /// Uniform integer in [lo, hi] inclusive; requires lo <= hi.
-  std::int64_t next_in(std::int64_t lo, std::int64_t hi) noexcept;
+  std::int64_t next_in(std::int64_t lo, std::int64_t hi) noexcept {
+    const std::uint64_t span = static_cast<std::uint64_t>(hi - lo) + 1;
+    return lo + static_cast<std::int64_t>(next_below(span));
+  }
 
   /// Uniform double in [0, 1).
-  double next_double() noexcept;
+  double next_double() noexcept {
+    return static_cast<double>(next() >> 11) * 0x1.0p-53;
+  }
 
   /// Bernoulli trial with success probability p (clamped to [0,1]).
-  bool next_bool(double p) noexcept;
+  bool next_bool(double p) noexcept {
+    if (p <= 0.0) return false;
+    if (p >= 1.0) return true;
+    return next_double() < p;
+  }
 
   /// A fresh generator whose stream is a deterministic function of this
   /// generator's seed lineage and `stream` — used to give each simulated

@@ -9,13 +9,19 @@
 // exactly the ones the probe's own bookkeeping says were needed. When no
 // node is awake the engine jumps its clock to the next timed wake; the
 // per-round span's `jumped` arg and engine.jumped_rounds show the skipped
-// rounds, which must change nothing either.
+// rounds, which must change nothing either. The delayed loop skips
+// sleepers too, while they keep pulsing: there the probe and color-reduce
+// are compared field by field, stats included, with their hint-dropped
+// copies under heavy-tail latencies, drops, duplicates and late joiners.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
 #include <optional>
 #include <string>
+#include <tuple>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "src/algo/color_reduce.h"
@@ -25,6 +31,7 @@
 #include "src/graph/params.h"
 #include "src/runtime/chain.h"
 #include "src/runtime/kernel.h"
+#include "src/runtime/network.h"
 #include "src/runtime/reference.h"
 #include "src/runtime/runner.h"
 #include "src/runtime/telemetry.h"
@@ -51,9 +58,11 @@ struct ProbeConfig {
   std::int64_t finish_spread = 3;
   std::int64_t hops = 1;           // replies per action message
   // When set, every step adds the steps a sleeping engine must run to
-  // *needed (single-threaded reference runs only); max_rounds is the run's
-  // cut-off.
+  // *needed (reference or delayed runs only, which step one node at a
+  // time), and those of them that mail woke before their due round to
+  // *mail_wakes; max_rounds is the run's cut-off.
   std::int64_t* needed = nullptr;
+  std::int64_t* mail_wakes = nullptr;
   std::int64_t max_rounds = RunOptions{}.max_rounds;
 };
 
@@ -135,6 +144,8 @@ void probe_kernel_step(KernelCtx& ctx) {
   // (clamped to the cut-off round, like the engine clamps it).
   if (cfg.needed != nullptr && (ctx.round == 0 || mail || ctx.round >= st.due)) {
     ++*cfg.needed;
+    if (cfg.mail_wakes != nullptr && ctx.round < st.due)
+      ++*cfg.mail_wakes;
     const std::int64_t wake = std::min(std::min(st.next_act, st.finish_round),
                                        cfg.max_rounds - 1);
     st.due = std::max(wake, ctx.round + 1);
@@ -588,24 +599,30 @@ TEST(Quiescence, CompositesClampInnerHints) {
             0);
 }
 
-TEST(Quiescence, ColorReduceStepsAreLinearInNodesAndMessages) {
-  // Linial colors a fixed gnp instance, then color-reduce runs O(k) rounds
-  // in which each node recolours at most once. With sleeping, a node runs
-  // round 0, its elimination round, the final round and the rounds it gets
-  // mail in: at most 3n + messages executed steps, against n * rounds
-  // logical ones.
-  const Instance base = gnp_instance(400, 0.02, 31);
+/// `base` with each node's Linial color as its input, and the largest
+/// color.
+std::pair<Instance, std::int64_t> linial_colored(const Instance& base) {
   const std::int64_t delta =
       std::max<std::int64_t>(max_degree(base.graph), 1);
   const LinialColoring linial(delta, base.max_identity());
   const RunResult colors = run_local(base, linial);
-  ASSERT_TRUE(colors.all_finished);
+  EXPECT_TRUE(colors.all_finished);
   Instance instance = base;
   std::int64_t k = 1;
   for (std::size_t v = 0; v < colors.outputs.size(); ++v) {
     instance.inputs[v] = {colors.outputs[v]};
     k = std::max(k, colors.outputs[v]);
   }
+  return {std::move(instance), k};
+}
+
+TEST(Quiescence, ColorReduceStepsAreLinearInNodesAndMessages) {
+  // Linial colors a fixed gnp instance, then color-reduce runs O(k) rounds
+  // in which each node recolours at most once. With sleeping, a node runs
+  // round 0, its elimination round, the final round and the rounds it gets
+  // mail in: at most 3n + messages executed steps, against n * rounds
+  // logical ones.
+  const auto [instance, k] = linial_colored(gnp_instance(400, 0.02, 31));
   const ColorReduce reduce(k, /*target=*/0);
   const RunResult want = run_local_reference(instance, reduce);
   const std::int64_t n = instance.num_nodes();
@@ -625,6 +642,183 @@ TEST(Quiescence, ColorReduceStepsAreLinearInNodesAndMessages) {
     EXPECT_EQ(counter(reg, "engine.steps"), got.stats.total_steps) << tag;
     EXPECT_LE(executed, 3 * n + got.messages_sent) << tag;
     EXPECT_GT(got.stats.total_steps, 10 * executed) << tag;
+  }
+}
+
+// --- the delayed loop ---------------------------------------------------
+
+/// Heavy-tail latencies with drops, duplicates and late joiners.
+RunOptions delayed_options(std::uint64_t seed) {
+  RunOptions options;
+  options.seed = seed;
+  options.network.kind = NetworkKind::kDelayed;
+  options.network.preset = DelayPreset::kHeavyTail;
+  options.network.drop = 0.1;
+  options.network.duplicate = 0.2;
+  options.network.late = 0.3;
+  options.network.late_by = 40;
+  return options;
+}
+
+/// Runs `algorithm` and its hint-dropped copy through the delayed loop.
+/// Every RunResult field and every integral stat but arena_bytes (a
+/// capacity) must match: a sleeper that skips its kernel still advances
+/// its local round and draws its pulses, so timestamps, faults and skews
+/// stay put. The copy never sleeps; the executed steps are
+/// engine.steps - engine.slept_steps of the sleeping run, which also has
+/// its round spans' `asleep` args add up to engine.slept_steps. Returns the
+/// sleeping run's result and executed steps.
+std::pair<RunResult, std::int64_t> check_delayed(const Instance& instance,
+                                                 const Algorithm& algorithm,
+                                                 const RunOptions& options,
+                                                 const std::string& label) {
+  const auto run = [&](const Algorithm& path, std::int64_t* slept) {
+    telemetry::MetricsRegistry reg;
+    telemetry::TraceRecorder recorder;
+    telemetry::TraceBinding binding;
+    binding.recorder = &recorder;
+    binding.trace_rounds = options.max_rounds;
+    RunResult result;
+    {
+      telemetry::ScopedMetrics metrics(&reg);
+      telemetry::ScopedTraceBinding trace(binding);
+      result = run_local(instance, path, options);
+    }
+    EXPECT_EQ(counter(reg, "engine.steps"), result.stats.total_steps)
+        << label;
+    *slept = counter(reg, "engine.slept_steps");
+    std::int64_t span_asleep = 0;
+    for (const auto& event : recorder.events())
+      if (event.name == "round")
+        span_asleep += event.args.find("asleep")->as_i64();
+    EXPECT_EQ(span_asleep, *slept) << label;
+    return result;
+  };
+  std::int64_t hintless_slept = 0, slept = 0;
+  const RunResult want = run(Sleepless(algorithm), &hintless_slept);
+  const RunResult got = run(algorithm, &slept);
+  EXPECT_EQ(hintless_slept, 0) << label;
+  expect_same(want, got, label);
+  for_each_engine_stat([&](const EngineStatField& field, auto member) {
+    if constexpr (std::is_integral_v<
+                      std::remove_reference_t<decltype(got.stats.*member)>>) {
+      if (field.id == EngineStat::arena_bytes) return;
+      EXPECT_EQ(want.stats.*member, got.stats.*member)
+          << label << " " << field.name;
+    }
+  });
+  return {got, got.stats.total_steps - slept};
+}
+
+/// A sleeping delayed probe run: its result, executed steps, and the steps
+/// mail woke before their due round.
+struct DelayedProbe {
+  RunResult result;
+  std::int64_t executed = 0;
+  std::int64_t mail_wakes = 0;
+};
+
+/// The probe through check_delayed: the executed steps must be exactly
+/// what the probe's bookkeeping needs in a hint-dropped run.
+DelayedProbe check_probe_delayed(const Instance& instance,
+                                 const ProbeConfig& cfg,
+                                 const RunOptions& options,
+                                 const std::string& label) {
+  DelayedProbe out;
+  std::int64_t needed = 0;
+  ProbeConfig counting_cfg = cfg;
+  counting_cfg.needed = &needed;
+  counting_cfg.mail_wakes = &out.mail_wakes;
+  counting_cfg.max_rounds = options.max_rounds;
+  run_local(instance, Sleepless(Probe(counting_cfg, true)), options);
+  std::tie(out.result, out.executed) =
+      check_delayed(instance, Probe(cfg, true), options, label);
+  EXPECT_EQ(out.executed, needed) << label;
+  return out;
+}
+
+TEST(Quiescence, DelayedProbeMatchesHintDroppedRuns) {
+  for (const auto& named : testing_support::standard_instances(/*seed=*/73)) {
+    for (const std::int64_t hops : {0, 2}) {
+      ProbeConfig cfg;
+      cfg.hops = hops;
+      cfg.period = 5;
+      const std::string label =
+          named.name + "/hops=" + std::to_string(hops);
+      const DelayedProbe probe =
+          check_probe_delayed(named.instance, cfg, delayed_options(9), label);
+      if (named.instance.num_nodes() > 0)
+        EXPECT_LT(probe.executed, probe.result.stats.total_steps) << label;
+    }
+  }
+  // Staggered wake rounds on top of the late joiners.
+  const Instance instance = gnp_instance(50, 0.1, 2);
+  RunOptions options = delayed_options(4);
+  for (NodeId v = 0; v < instance.num_nodes(); ++v)
+    options.wake_rounds.push_back(3 * (v % 7));
+  ProbeConfig cfg;
+  cfg.period = 8;
+  cfg.hops = 1;
+  check_probe_delayed(instance, cfg, options, "wake-rounds");
+}
+
+TEST(Quiescence, DelayedMailLandsMidSleep) {
+  // Identities 0 and 10, period 20: node 0 acts in round 1 while node 1
+  // sleeps until round 11, so node 0's message lands on a sleeper, which
+  // must step that round, reply (hops 1) and sleep again, all at the
+  // timestamps of the hint-dropped run.
+  Instance instance = make_instance(path_graph(2), IdentityScheme::kSequential);
+  instance.identities = {0, 10};
+  ProbeConfig cfg;
+  cfg.period = 20;
+  cfg.hops = 1;
+  const DelayedProbe probe =
+      check_probe_delayed(instance, cfg, delayed_options(5), "mid-sleep");
+  EXPECT_GT(probe.mail_wakes, 0);
+  EXPECT_LT(probe.executed, probe.result.stats.total_steps);
+}
+
+TEST(Quiescence, DelayedSleepersReachTheCutoff) {
+  // Every action and finish round lies past max_rounds, so in round 0 all
+  // nodes ask to sleep to a round clamped to max_rounds - 1: each then
+  // sleeps through rounds 1 .. max_rounds - 2 and is cut off in the round
+  // it wakes, with the hint-dropped run's finish rounds and timestamps.
+  ProbeConfig cfg;
+  cfg.first_act = 1000;
+  cfg.finish_at = 2000;
+  const Instance instance = gnp_instance(30, 0.1, 3);
+  const std::int64_t n = instance.num_nodes();
+  for (const std::int64_t max_rounds : {1, 2, 3, 50}) {
+    RunOptions options = delayed_options(6);
+    options.max_rounds = max_rounds;
+    options.default_output = -1;
+    const std::string label = "max_rounds=" + std::to_string(max_rounds);
+    const DelayedProbe probe =
+        check_probe_delayed(instance, cfg, options, label);
+    EXPECT_FALSE(probe.result.all_finished) << label;
+    EXPECT_EQ(probe.result.finish_rounds,
+              std::vector<std::int64_t>(30, max_rounds))
+        << label;
+    EXPECT_EQ(probe.executed, std::min<std::int64_t>(max_rounds, 2) * n)
+        << label;
+  }
+}
+
+TEST(Quiescence, DelayedColorReduceSkipsSleepers) {
+  // color-reduce under the lossy delayed network: the same bound on
+  // executed steps as in the simultaneous loop, and the result, stats and
+  // timestamps of the hint-dropped run.
+  const auto [instance, k] = linial_colored(gnp_instance(300, 0.02, 37));
+  const ColorReduce reduce(k, /*target=*/0);
+  const std::int64_t n = instance.num_nodes();
+  for (const std::uint64_t seed : {1, 2}) {
+    const std::string label = "seed=" + std::to_string(seed);
+    const auto [got, executed] =
+        check_delayed(instance, reduce, delayed_options(seed), label);
+    EXPECT_TRUE(got.all_finished) << label;
+    EXPECT_GT(got.stats.messages_dropped, 0) << label;
+    EXPECT_LE(executed, 3 * n + got.messages_sent) << label;
+    EXPECT_GT(got.stats.total_steps, 10 * executed) << label;
   }
 }
 

@@ -332,8 +332,13 @@ TEST(Supervise, RecoversCrashCorruptFlakyAndInvalidToIdenticalBytes) {
   // honest. crash = die without output; corrupt = torn write (half the
   // golden); flaky = valid output but nonzero exit; invalid = well-formed
   // JSON that is not this shard's result (fingerprint rejection).
+  // Speculation stays off: under load a slow fork/exec would earn a
+  // speculative extra attempt and break the exact count below (speculation
+  // has its own test).
+  SupervisorOptions options = harness.options();
+  options.speculate = false;
   const SupervisorReport report = supervise_shards(
-      harness.plan, harness.options(),
+      harness.plan, options,
       harness.sh_worker([](const ShardAttemptContext& context) {
         if (context.attempt >= 2) return std::string("cp \"$1\" \"$2\"");
         switch (context.shard_index % 4) {

@@ -313,37 +313,53 @@ TEST(EngineTracing, TraceRoundsCapsPerRunRoundSpans) {
 }
 
 // The delayed network's lockstep rounds emit one span per round, with the
-// nodes stepped, the nodes stalled for good and the payload pulses sent;
-// with every round traced, the spans' steps add up to the runs'. Crashes
-// make stalls show.
+// nodes whose kernel ran, the sleepers that stepped without it, the nodes
+// stalled for good and the payload pulses sent; with every round traced,
+// the spans' steps and asleep args add up to the runs' steps, and their
+// asleep args to engine.slept_steps. Crashes make stalls show, and
+// color-reduce sleeps.
 TEST(EngineTracing, DelayedRoundSpansCountStepsAndStalls) {
   GridOptions grid;
   NetworkOptions network;
   network.kind = NetworkKind::kDelayed;
   network.preset = DelayPreset::kHeavyTail;
-  network.crash = 0.2;
   network.drop = 0.1;
-  grid.networks = {network};
+  NetworkOptions crashing = network;
+  crashing.crash = 0.2;
+  // Crashes stall most of a small graph within a few rounds, so the
+  // sleepers show in the crash-free runs.
+  grid.networks = {network, crashing};
   ScenarioParams params;
   params.n = 32;
-  const auto cells =
-      make_grid({"gnp"}, params, {"luby-mis", "mis-uniform"}, 1, grid);
+  const auto cells = make_grid({"gnp"}, params,
+                               {"luby-mis", "mis-uniform", "color-reduce"},
+                               1, grid);
   FakeClock clock(1);
   TraceRecorder recorder(&clock);
   CampaignOptions options;
   options.workers = 1;
   options.trace = &recorder;
   options.trace_rounds = std::numeric_limits<std::int64_t>::max();
-  const CampaignResult traced = run_campaign(cells, options);
+  MetricsRegistry registry;
+  CampaignResult traced;
+  {
+    const telemetry::ScopedMetrics scoped(&registry);
+    traced = run_campaign(cells, options);
+  }
 
-  std::int64_t span_steps = 0, run_steps = 0, runs = 0, max_stalled = 0;
+  std::int64_t span_steps = 0, span_asleep = 0, run_steps = 0, runs = 0,
+               max_stalled = 0;
   for (const TraceEvent& event : recorder.events()) {
     if (event.name == "round") {
-      for (const char* key : {"round", "frontier", "stalled", "messages"})
+      for (const char* key :
+           {"round", "frontier", "asleep", "stalled", "messages"})
         EXPECT_TRUE(event.args.find(key) != nullptr) << key;
       EXPECT_EQ(event.args.at("frontier").as_i64(),
                 event.args.at("steps").as_i64());
-      span_steps += event.args.at("steps").as_i64();
+      const std::int64_t asleep = event.args.at("asleep").as_i64();
+      EXPECT_GE(asleep, 0);
+      span_steps += event.args.at("steps").as_i64() + asleep;
+      span_asleep += asleep;
       max_stalled = std::max(max_stalled, event.args.at("stalled").as_i64());
     } else if (event.name == "engine.run") {
       ++runs;
@@ -354,6 +370,11 @@ TEST(EngineTracing, DelayedRoundSpansCountStepsAndStalls) {
   EXPECT_GT(runs, 2);
   EXPECT_EQ(span_steps, run_steps);
   EXPECT_GT(max_stalled, 0);
+  std::int64_t slept_steps = -1;
+  for (const MetricSnapshot& metric : registry.snapshot())
+    if (metric.name == "engine.slept_steps") slept_steps = metric.value;
+  EXPECT_GT(span_asleep, 0);
+  EXPECT_EQ(span_asleep, slept_steps);
 
   options.trace = nullptr;
   EXPECT_EQ(canonical_json(run_campaign(cells, options)),
