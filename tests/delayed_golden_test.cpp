@@ -12,6 +12,15 @@
 // coloring-theorem5 pipeline (many alternation runs per cell; its rows are
 // the pipeline's CellOutcome, whose stats merge every run's).
 //
+// After the delayed grid come the synchronizer's runs: staggered
+// RunOptions::wake_rounds on the synchronous network, frozen from the
+// synchronizer's own scheduler before it was folded into the lockstep
+// loop. They cross four wake mixes (staggered, negative entries, late
+// wakers at 40 + v, and a max_rounds cut-off) with the three families, a
+// path beside an isolated node, and the empty graph, for Luby and the
+// chain. Their rows carry every field but the two batch counters, which
+// only say how the engine dispatched the kernel.
+//
 // To regenerate after an intended change in the delayed mode, copy the
 // delayed-runs.json this test writes into its working directory on a
 // mismatch over tests/golden/delayed-runs.json.
@@ -27,6 +36,7 @@
 
 #include "src/algo/greedy_mis.h"
 #include "src/algo/luby.h"
+#include "src/graph/graph.h"
 #include "src/graph/scenario_registry.h"
 #include "src/runtime/algorithm_registry.h"
 #include "src/runtime/chain.h"
@@ -47,11 +57,15 @@ json::Value int_array(const std::vector<std::int64_t>& values) {
   return out;
 }
 
-void add_stats(json::Value& row, const EngineStats& stats) {
+void add_stats(json::Value& row, const EngineStats& stats,
+               bool batch_counters = true) {
   for_each_engine_stat([&](const EngineStatField& field, auto member) {
     if constexpr (std::is_integral_v<
                       std::remove_reference_t<decltype(stats.*member)>>) {
       if (field.id == EngineStat::arena_bytes) return;
+      if (!batch_counters && (field.id == EngineStat::kernel_batched_steps ||
+                              field.id == EngineStat::kernel_batch_calls))
+        return;
       row.set(field.name, json::Value::number(
                               static_cast<std::int64_t>(stats.*member)));
     }
@@ -97,6 +111,61 @@ std::vector<FaultMix> fault_mixes(DelayPreset preset) {
   return mixes;
 }
 
+json::Value run_row(const std::string& run, const RunResult& result,
+                    bool batch_counters = true) {
+  json::Value row = json::Value::object();
+  row.set("run", json::Value::string(run));
+  row.set("output_hash",
+          json::Value::number(fnv1a(result.outputs, kGoldenHashBasis)));
+  row.set("finish_rounds", int_array(result.finish_rounds));
+  row.set("global_finish_rounds", int_array(result.global_finish_rounds));
+  row.set("rounds_used", json::Value::number(result.rounds_used));
+  row.set("global_rounds", json::Value::number(result.global_rounds));
+  row.set("all_finished", json::Value::boolean(result.all_finished));
+  row.set("max_message_words", json::Value::number(result.max_message_words));
+  add_stats(row, result.stats, batch_counters);
+  return row;
+}
+
+struct WakeMix {
+  std::string name;
+  std::int64_t (*wake)(NodeId v);
+  std::int64_t max_rounds = 0;  // 0 = the default cap
+};
+
+std::vector<WakeMix> wake_mixes() {
+  return {
+      {"stagger", [](NodeId v) -> std::int64_t { return (v * 7) % 11; }},
+      {"negative", [](NodeId v) -> std::int64_t { return (v * 5) % 9 - 4; }},
+      {"late", [](NodeId v) -> std::int64_t { return 40 + v; }},
+      {"cutoff", [](NodeId v) -> std::int64_t { return (v * 7) % 11; }, 3},
+  };
+}
+
+/// The synchronizer's instances: the three families at n = 40, a path of
+/// nine nodes beside an isolated node, and the empty graph.
+std::vector<std::pair<std::string, Instance>> sync_instances() {
+  std::vector<std::pair<std::string, Instance>> out;
+  std::uint64_t seed = 3;
+  for (const std::string family : {"gnp", "bounded-degree", "power-law"}) {
+    ScenarioParams params;
+    params.n = 40;
+    out.emplace_back(family, make_instance(default_scenarios().build(
+                                               family, params, seed),
+                                           IdentityScheme::kRandomPermuted,
+                                           seed));
+    ++seed;
+  }
+  GraphBuilder builder(10);
+  for (NodeId v = 0; v + 1 < 9; ++v) builder.add_edge(v, v + 1);
+  out.emplace_back("isolated", make_instance(builder.build(),
+                                             IdentityScheme::kRandomPermuted,
+                                             seed++));
+  out.emplace_back("empty", make_instance(Graph(0),
+                                          IdentityScheme::kSequential, seed));
+  return out;
+}
+
 std::string compute_document() {
   const std::vector<std::string> families = {"gnp", "bounded-degree",
                                              "power-law"};
@@ -136,21 +205,8 @@ std::string compute_document() {
         const std::vector<std::pair<std::string, const Algorithm*>> runs = {
             {"luby", luby.get()}, {"chain", &chain}};
         for (const auto& [name, algorithm] : runs) {
-          const RunResult result = run_local(instance, *algorithm, options);
-          json::Value row = json::Value::object();
-          row.set("run", json::Value::string(label + '/' + name));
-          row.set("output_hash",
-                  json::Value::number(fnv1a(result.outputs, kGoldenHashBasis)));
-          row.set("finish_rounds", int_array(result.finish_rounds));
-          row.set("global_finish_rounds",
-                  int_array(result.global_finish_rounds));
-          row.set("rounds_used", json::Value::number(result.rounds_used));
-          row.set("global_rounds", json::Value::number(result.global_rounds));
-          row.set("all_finished", json::Value::boolean(result.all_finished));
-          row.set("max_message_words",
-                  json::Value::number(result.max_message_words));
-          add_stats(row, result.stats);
-          emit(row);
+          emit(run_row(label + '/' + name,
+                       run_local(instance, *algorithm, options)));
         }
         // The pipeline takes its network from the run context; staggered
         // wake rounds and the cut-off are RunOptions the registry does not
@@ -173,6 +229,22 @@ std::string compute_document() {
         emit(row);
         ++seed;
       }
+    }
+  }
+  const std::vector<std::pair<std::string, Instance>> instances =
+      sync_instances();
+  for (const WakeMix& mix : wake_mixes()) {
+    for (const auto& [family, instance] : instances) {
+      RunOptions options;
+      options.seed = 11;
+      if (mix.max_rounds > 0) options.max_rounds = mix.max_rounds;
+      for (NodeId v = 0; v < instance.num_nodes(); ++v)
+        options.wake_rounds.push_back(mix.wake(v));
+      const std::string label = "sync/" + mix.name + '/' + family;
+      emit(run_row(label + "/luby", run_local(instance, *luby, options),
+                   /*batch_counters=*/false));
+      emit(run_row(label + "/chain", run_local(instance, chain, options),
+                   /*batch_counters=*/false));
     }
   }
   return doc + "\n]\n";
