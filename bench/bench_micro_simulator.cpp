@@ -319,9 +319,9 @@ BENCHMARK(BM_EngineLongTail_CaterpillarStragglers)
     ->Unit(benchmark::kMillisecond);
 
 /// The same straggler tail under the alpha synchronizer (all nodes wake at
-/// 0): after a couple of global rounds only the 100 spine stragglers remain
-/// eligible while thousands of global rounds elapse — the worst case for a
-/// per-global-round full eligibility rescan.
+/// 0): after a couple of rounds only the 100 spine stragglers remain live
+/// while thousands of rounds elapse, so the per-round cost must track the
+/// survivors, not n.
 void BM_EngineLongTail_CaterpillarSyncStragglers(benchmark::State& state) {
   const Instance instance = longtail_caterpillar_instance(4000);
   RunOptions options;
@@ -344,8 +344,9 @@ BENCHMARK(BM_EngineLongTail_CaterpillarSyncStragglers)
     ->Unit(benchmark::kMillisecond);
 
 /// Luby on G(n,p) under the alpha synchronizer with 8 late wakers spread up
-/// to global round 8000: the whole graph throttles to within its distance of
-/// the sleepers, so most global rounds have an empty (or tiny) eligible set.
+/// to global round 8000: each node's rounds wait on the late wakers within
+/// its distance, so the run spans thousands of global rounds while every
+/// node performs only Luby's few local rounds.
 void BM_EngineLongTail_GnpLubyWakeTail(benchmark::State& state) {
   const Instance instance = engine_gnp_instance();
   RunOptions options;
@@ -381,12 +382,14 @@ BENCHMARK(BM_EngineLongTail_GnpLubyWakeTail)->Unit(benchmark::kMillisecond);
 
 void run_quiescent(benchmark::State& state, const Instance& instance,
                    const Algorithm& algorithm,
-                   const NetworkOptions& network = {}) {
+                   const NetworkOptions& network = {},
+                   std::vector<std::int64_t> wake_rounds = {}) {
   EngineWorkspace workspace;
   RunOptions options;
   options.workspace = &workspace;
   options.engine_threads = static_cast<int>(state.range(0));
   options.network = network;
+  options.wake_rounds = std::move(wake_rounds);
   telemetry::MetricsRegistry metrics;
   std::int64_t logical = 0, messages = 0, global_rounds = 0;
   {
@@ -453,6 +456,22 @@ void BM_EngineQuiescent_ColorReduceGnp4096Delayed(benchmark::State& state) {
                 ColorReduce(kQuiescentNodes, /*target=*/0), network);
 }
 BENCHMARK(BM_EngineQuiescent_ColorReduceGnp4096Delayed)
+    ->Arg(1)
+    ->Unit(benchmark::kMillisecond);
+
+// The same run under the alpha synchronizer, with wake rounds staggered
+// over 0..10. The synchronizer runs through the same lockstep loop as the
+// delayed network, at unit latency: sleepers skip their kernels and still
+// pulse, and the loop is sequential: Arg 1 only.
+void BM_EngineQuiescent_ColorReduceGnp4096Sync(benchmark::State& state) {
+  std::vector<std::int64_t> wake_rounds;
+  for (NodeId v = 0; v < kQuiescentNodes; ++v)
+    wake_rounds.push_back((v * 7) % 11);
+  run_quiescent(state, identity_colored_gnp4096(),
+                ColorReduce(kQuiescentNodes, /*target=*/0), {},
+                std::move(wake_rounds));
+}
+BENCHMARK(BM_EngineQuiescent_ColorReduceGnp4096Sync)
     ->Arg(1)
     ->Unit(benchmark::kMillisecond);
 

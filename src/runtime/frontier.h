@@ -1,6 +1,5 @@
-// Work-list primitives for the frontier-driven round engine
-// (src/runtime/runner.cpp): stamp-keyed membership sets, wake-round
-// admission schedules, and the timed-wake queue of sleeping nodes. Kept
+// Work-list primitive of the simultaneous round loop
+// (src/runtime/runner.cpp): the timed-wake queue of sleeping nodes. Kept
 // engine-agnostic and header-only so tests can exercise the scheduling
 // logic without spinning up a full run (tests/frontier_test.cpp).
 #pragma once
@@ -15,76 +14,6 @@
 #include "src/graph/graph.h"
 
 namespace unilocal {
-
-/// O(1) insert-if-absent membership keyed by a monotone stamp (the engine
-/// uses the global round number): bumping the stamp empties the set without
-/// touching memory, so per-round candidate/frontier dedup costs nothing to
-/// reset. reset() is O(n) and only needed when the node count changes or a
-/// new run begins.
-class StampSet {
- public:
-  void reset(std::size_t n) { stamp_.assign(n, -1); }
-
-  /// Records id as a member under `stamp`; true when it was not yet one.
-  bool insert(std::size_t id, std::int64_t stamp) {
-    if (stamp_[id] == stamp) return false;
-    stamp_[id] = stamp;
-    return true;
-  }
-
-  bool contains(std::size_t id, std::int64_t stamp) const {
-    return stamp_[id] == stamp;
-  }
-
- private:
-  std::vector<std::int64_t> stamp_;
-};
-
-/// Wake-round admission queue for the synchronizer: nodes sorted by
-/// (wake round, node id) and popped as the global clock advances. Negative
-/// wake rounds are clamped to 0 (the reference engine treats them as
-/// immediately awake). next_pending() lets the engine jump the global clock
-/// over stretches with an empty eligible set instead of spinning one empty
-/// round at a time; it skips (and permanently consumes) entries whose node
-/// already finished, since those can never be admitted.
-class WakeSchedule {
- public:
-  void init(const std::vector<std::int64_t>& wake_rounds) {
-    order_.clear();
-    order_.reserve(wake_rounds.size());
-    for (std::size_t v = 0; v < wake_rounds.size(); ++v)
-      order_.emplace_back(std::max<std::int64_t>(wake_rounds[v], 0),
-                          static_cast<NodeId>(v));
-    std::sort(order_.begin(), order_.end());
-    next_ = 0;
-  }
-
-  /// Calls f(node) for every not-yet-admitted node whose wake round is
-  /// <= global, in (wake round, node id) order.
-  template <typename F>
-  void admit(std::int64_t global, F&& f) {
-    while (next_ < order_.size() && order_[next_].first <= global) {
-      f(order_[next_].second);
-      ++next_;
-    }
-  }
-
-  /// Wake round of the earliest pending node that is still unfinished, or
-  /// nullopt when none remains.
-  std::optional<std::int64_t> next_pending(const std::vector<char>& finished) {
-    while (next_ < order_.size() &&
-           finished[static_cast<std::size_t>(order_[next_].second)])
-      ++next_;
-    if (next_ >= order_.size()) return std::nullopt;
-    return order_[next_].first;
-  }
-
-  bool exhausted() const { return next_ >= order_.size(); }
-
- private:
-  std::vector<std::pair<std::int64_t, NodeId>> order_;
-  std::size_t next_ = 0;
-};
 
 /// Timed wake-ups of sleeping nodes in the simultaneous loop: a (wake
 /// round, node id) min-heap with lazy invalidation. A node woken early by a

@@ -17,20 +17,17 @@
 // and a phase/state-machine table — one KernelStepFn per phase with a
 // selector mapping the local round (and state/config) to the phase to run.
 //
-// Receive contract: read all messages BEFORE the first send of a step. In
-// the synchronizer mode recv() spans point into the history arena, which a
-// send may grow.
-//
 // Sleep contract (KernelCtx::sleep_until): a step may end with
 // sleep_until(r), r a local round. It promises that every step of this
 // node before round r that receives no message would send nothing, draw no
-// randomness, change no state and not finish. The simultaneous and delayed
-// loops then skip the node's kernel until round r or until a message lands
-// for it, whichever comes first (a step that receives mail is a real step,
-// and it may sleep again). Skipped steps still count as steps in
-// EngineStats, and a delayed sleeper still advances its local round and
-// pulses every out-edge, so every stat and canonical byte is the same as
-// with the hint ignored.
+// randomness, change no state and not finish. The simultaneous and lockstep
+// loops (the lockstep one runs the delayed network and the synchronizer)
+// then skip the node's kernel until round r or until a message lands for
+// it, whichever comes first (a step that receives mail is a real step, and
+// it may sleep again). Skipped steps still count as steps in EngineStats,
+// and a lockstep sleeper still advances its local round and pulses every
+// out-edge, so every stat and canonical byte is the same as with the hint
+// ignored.
 // Composites keep the promise in the outer round numbering: the chain
 // turns an inner stage's request into absolute rounds and clamps it to
 // the stage boundary, the truncation wrapper clamps it to its budget, and
@@ -41,8 +38,8 @@
 // jumps its clock straight there; the skipped rounds' sleepers count as
 // slept steps, and one silent round already leaves the network's arena
 // as the skipped rounds would, so dirty_spans_cleared does not move. Only
-// the synchronizer loop and the reference engine ignore the hint, which is
-// always correct: it only marks steps that would do nothing.
+// the reference engine ignores the hint, which is always correct: it only
+// marks steps that would do nothing.
 #pragma once
 
 #include <cstddef>
@@ -130,8 +127,8 @@ struct KernelCtx {
   }
 
   /// Message from neighbour port j sent in the previous round; empty and
-  /// absent when none arrived. Zero-copy: in the synchronizer mode the span
-  /// is invalidated by this step's first send — read before sending.
+  /// absent when none arrived. Zero-copy: the span points into the
+  /// receive half of the round arena and stays valid for the whole step.
   std::span<const std::int64_t> recv(NodeId j, bool* present) {
     return recv_fn(engine, tid, node, j, present);
   }
@@ -168,14 +165,11 @@ struct KernelCtx {
 /// tight loop over the strided state arena (the shape the compiler can
 /// vectorize). Aliasing: records of distinct nodes never overlap
 /// (stride >= state_size), and within a bucket every node owns its own RNG
-/// stream and per-edge send slots, so nodes may be stepped in any order —
-/// but each node must still read all of its messages before its first send
-/// (the synchronizer-mode span invalidation applies per node exactly as in
-/// the scalar contract above).
+/// stream and per-edge send slots, so nodes may be stepped in any order.
 struct KernelBatchCtx {
   /// The bucket: count node ids, with rounds[i] the local round nodes[i]
-  /// is stepping (uniform in simultaneous mode; per-node under the
-  /// synchronizer).
+  /// is stepping (the same for every node: only the simultaneous loop
+  /// steps buckets).
   const NodeId* nodes = nullptr;
   const std::int64_t* rounds = nullptr;
   std::size_t count = 0;

@@ -6,7 +6,9 @@
 //   SynchronousNetwork — the round-exact double-buffered span arena, keyed
 //     by receiver: everything sent in round r is available in round r+1,
 //     nothing is lost. This is the default and stays
-//     bit-identical to the seed reference engine.
+//     bit-identical to the seed reference engine. Staggered wake rounds
+//     (the alpha synchronizer) run on it through the delayed mode's
+//     lockstep loop, with every latency 1 and nothing drawn.
 //
 //   DelayedNetwork — the asynchronous regime the paper's synchronizer
 //     exists to tame: every transmission of a directed edge gets a latency
@@ -18,7 +20,7 @@
 //     rounds with the same messages as the synchronous one; only the
 //     timestamps, fault counters and stalls differ. The engine therefore
 //     runs it as lockstep rounds over the synchronous arena plus a max-plus
-//     recurrence for each node's step time (run_delayed in
+//     recurrence for each node's step time (run_lockstep in
 //     src/runtime/runner.cpp). All draws derive from the run seed through
 //     dedicated streams consumed in sender-round order, so a run is
 //     bit-repeatable for any engine thread count and shards merge
@@ -284,7 +286,7 @@ class SynchronousNetwork {
 /// fate when it is sent: a latency from the edge's stream, losses (each
 /// retransmitted after a timeout, up to an abandonment cap) and a possible
 /// duplicate. The engine turns these arrival times into step times (see
-/// run_delayed in src/runtime/runner.cpp); the payloads themselves travel
+/// run_lockstep in src/runtime/runner.cpp); the payloads themselves travel
 /// through the round-exact SynchronousNetwork.
 ///
 /// Determinism contract: all draws come from per-edge streams split off a

@@ -7,6 +7,7 @@
 #include <limits>
 #include <numeric>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <type_traits>
 #include <unordered_map>
@@ -16,7 +17,6 @@
 #include "src/graph/params.h"
 #include "src/runtime/frontier.h"
 #include "src/runtime/telemetry.h"
-#include "src/util/math.h"
 #include "src/util/thread_pool.h"
 
 namespace unilocal {
@@ -62,7 +62,7 @@ struct alignas(64) StepDelta {
 /// gauges take the max under the registry's per-thread-cell merge, so the
 /// merged snapshot is identical for any worker-thread placement of runs.
 /// engine.slept_steps counts the steps of total_steps the simultaneous and
-/// delayed loops skipped because the node was asleep (see kernel.h's sleep
+/// lockstep loops skipped because the node was asleep (see kernel.h's sleep
 /// contract), and engine.jumped_rounds the rounds the simultaneous clock
 /// jumped over because no node was awake.
 void publish_engine_metrics(const EngineStats& stats, std::int64_t rounds,
@@ -85,15 +85,18 @@ void publish_engine_metrics(const EngineStats& stats, std::int64_t rounds,
   });
 }
 
-/// The delayed loop's per-timestamp tallies: the steps taken and the payload
+/// The lockstep loop's per-timestamp tallies: the steps taken and the payload
 /// pulses (duplicates included) arriving at one timestamp, and the worst
 /// skew (arrival - send - 1) of any pulse arriving then. Only the ticks
 /// later rounds can still add to are kept: a tick below the floor (the
 /// earliest time any node can still step at) is final, and folds into the
 /// running maxima whenever the table has doubled since the last sweep.
+/// Consecutive tallies mostly hit one tick, so the last one looked up is
+/// kept at hand (a map node stays put until it is erased).
 class TickTable {
  public:
   void reset() {
+    memo_ = nullptr;
     ticks_.clear();
     sweep_at_ = kMinSweep;
     floor_ = std::numeric_limits<std::int64_t>::min();
@@ -105,18 +108,21 @@ class TickTable {
 
   void add_step(std::int64_t time) { ++at(time).steps; }
 
-  void add_arrival(std::int64_t time, std::int64_t skew, bool payload) {
-    // A silent pulse only matters for the skew, and cannot raise it past a
+  /// Pulses arriving at `time` with `skew`, `payload` of them messages.
+  void add_arrival(std::int64_t time, std::int64_t skew,
+                   std::int64_t payload) {
+    // Silent pulses only matter for the skew, and cannot raise it past a
     // maximum already folded from final ticks.
-    if (!payload && skew <= max_skew_) return;
+    if (payload == 0 && skew <= max_skew_) return;
     Tick& tick = at(time);
-    tick.payload += payload ? 1 : 0;
+    tick.payload += payload;
     tick.skew = std::max(tick.skew, skew);
   }
 
   /// Folds every tick left: steps always, arrivals only up to `last`.
   void finish(std::int64_t last) {
     for (const auto& [time, tick] : ticks_) fold(tick, time <= last);
+    memo_ = nullptr;
     ticks_.clear();
   }
 
@@ -136,6 +142,7 @@ class TickTable {
   static constexpr std::size_t kMinSweep = 64;
 
   Tick& at(std::int64_t time) {
+    if (memo_ != nullptr && memo_time_ == time) return *memo_;
     if (ticks_.size() >= sweep_at_) {
       std::erase_if(ticks_, [this](const auto& entry) {
         if (entry.first >= floor_) return false;
@@ -144,7 +151,9 @@ class TickTable {
       });
       sweep_at_ = 2 * ticks_.size() + kMinSweep;
     }
-    return ticks_[time];
+    memo_time_ = time;
+    memo_ = &ticks_[time];
+    return *memo_;
   }
 
   void fold(const Tick& tick, bool arrivals) {
@@ -155,6 +164,8 @@ class TickTable {
   }
 
   std::unordered_map<std::int64_t, Tick> ticks_;
+  Tick* memo_ = nullptr;
+  std::int64_t memo_time_ = 0;
   std::size_t sweep_at_ = kMinSweep;
   std::int64_t floor_ = std::numeric_limits<std::int64_t>::min();
   std::int64_t peak_steps_ = 0;
@@ -171,25 +182,25 @@ struct EngineWorkspaceState {
   std::vector<Rng> rngs;
   std::vector<char> finished;
   std::vector<std::int64_t> outputs;
-  // Local round of each node (synchronizer and delayed modes). Every
-  // unfinished node of a simultaneous run is at the global round, so that
-  // loop keeps its slot for the node's sleep hint instead: the requested
-  // wake round while it is asleep or just stepped, 0 otherwise.
+  // Local round of each node (lockstep mode). Every unfinished node of a
+  // simultaneous run is at the global round, so that loop keeps its slot
+  // for the node's sleep hint instead: the requested wake round while it
+  // is asleep or just stepped, 0 otherwise.
   std::vector<std::int64_t> local_round;
   std::vector<std::int64_t> finish_local;
   std::vector<std::int64_t> finish_global;
 
   // Delivery layers (src/runtime/network.h), owned here so consecutive
   // runs reuse their capacity: the double-buffered round arena (which the
-  // delayed mode's lockstep rounds use too) and the delayed mode's latency
-  // and fault streams.
+  // lockstep rounds use too) and the delayed mode's latency and fault
+  // streams.
   SynchronousNetwork sim_net;
   DelayedNetwork delayed_net;
 
-  // Delayed-mode timing state: step_time[v] is the time of v's latest
-  // local round (DelayedNetwork::kNever once v stalls for good), reach[e]
-  // the latest arrival among the pulses edge e has carried (kNever once
-  // one was abandoned or its sender stalled), and ticks the per-timestamp
+  // Lockstep timing state: step_time[v] is the time of v's latest local
+  // round (DelayedNetwork::kNever once v stalls for good), reach[e] the
+  // latest arrival among the pulses edge e has carried (kNever once one
+  // was abandoned or its sender stalled), and ticks the per-timestamp
   // tallies behind the peak stats. wake[v] is the sleep-hint latch: the
   // local round v's latest hint asks for (0 = none).
   std::vector<std::int64_t> step_time;
@@ -201,26 +212,12 @@ struct EngineWorkspaceState {
   // ascending; the per-round thread chunks partition this list, not the
   // node-id space. Sleeping nodes are flagged in asleep (written only
   // between rounds, so stepping threads may read it) and queued by wake
-  // round in sleepers; the loop borrows candidates/next_frontier below as
-  // its woken list and merge buffer.
+  // round in sleepers; the nodes a round wakes collect in woken until they
+  // are merged back into live through the merged buffer.
   std::vector<NodeId> live;
   std::vector<char> asleep;
   SleeperQueue sleepers;
-
-  // Grow-only history arena (synchronizer mode): hist[e][i] = what the
-  // owner of directed edge e emitted in its local round i.
-  std::vector<std::vector<Span>> hist;
-  std::vector<std::int64_t> hist_words;
-
-  // Synchronizer scheduling state: lag[v] counts unfinished neighbours
-  // whose local round trails v's (v is eligible exactly when awake and
-  // lag == 0); stepped_round stamps the global round of v's last step so
-  // counter maintenance can reconstruct pre-round values.
-  std::vector<std::int32_t> lag;
-  std::vector<std::int64_t> stepped_round;
-  std::vector<NodeId> frontier, next_frontier, candidates;
-  StampSet queued, candidate_set;
-  WakeSchedule wake_schedule;
+  std::vector<NodeId> woken, merged;
 
   // Packed per-node kernel state (stride-aligned records; see
   // src/runtime/kernel.h) and the per-port word arena.
@@ -260,12 +257,18 @@ class ArenaEngine {
         ws_(ws),
         n_(instance.graph.num_nodes()) {
     validate_network_options(options.network);
+    if (!options.wake_rounds.empty() &&
+        options.wake_rounds.size() != static_cast<std::size_t>(n_))
+      throw std::invalid_argument(
+          "RunOptions::wake_rounds has " +
+          std::to_string(options.wake_rounds.size()) + " entries for " +
+          std::to_string(n_) + " nodes (expected 0 or " +
+          std::to_string(n_) + ")");
     delayed_mode_ = options.network.kind == NetworkKind::kDelayed;
-    // The synchronizer and delayed loops are sequential; only the
-    // simultaneous mode fans the live list out over threads.
-    threads_ = options.wake_rounds.empty() && !delayed_mode_
-                   ? std::max(1, options.engine_threads)
-                   : 1;
+    lockstep_ = delayed_mode_ || !options.wake_rounds.empty();
+    // The lockstep loop is sequential; only the simultaneous mode fans the
+    // live list out over threads.
+    threads_ = lockstep_ ? 1 : std::max(1, options.engine_threads);
     threads_ = std::min(threads_, 1 << 14);  // owner tag fits pack_offset
     if (threads_ > 1) {
       if (!ws_.pool || ws_.pool->threads() != threads_)
@@ -324,6 +327,9 @@ class ArenaEngine {
     deltas_.assign(static_cast<std::size_t>(threads_), StepDelta{});
   }
 
+  RunResult run() { return lockstep_ ? run_lockstep() : run_simultaneous(); }
+
+ private:
   RunResult run_simultaneous() {
     const auto start = std::chrono::steady_clock::now();
     begin_trace_run();
@@ -336,7 +342,7 @@ class ArenaEngine {
     std::iota(ws_.live.begin(), ws_.live.end(), NodeId{0});
     ws_.asleep.assign(static_cast<std::size_t>(n_), 0);
     ws_.sleepers.clear();
-    ws_.candidates.clear();
+    ws_.woken.clear();
     wake_at_ = ws_.local_round.data();
 
     NodeId live = n_;  // unfinished nodes, awake or asleep
@@ -443,221 +449,49 @@ class ArenaEngine {
     return result;
   }
 
-  RunResult run_synchronized(const std::vector<std::int64_t>& wake_rounds) {
-    const auto start = std::chrono::steady_clock::now();
-    begin_trace_run();
-    assert(wake_rounds.size() == static_cast<std::size_t>(n_));
-    const std::size_t slots = static_cast<std::size_t>(
-        csr_.num_directed_edges());
-    ws_.hist.resize(slots);
-    for (auto& h : ws_.hist) h.clear();
-    ws_.hist_words.clear();
-    sync_mode_ = true;
-
-    const std::size_t nn = static_cast<std::size_t>(n_);
-    ws_.lag.assign(nn, 0);
-    ws_.stepped_round.assign(nn, -1);
-    ws_.queued.reset(nn);
-    ws_.candidate_set.reset(nn);
-    ws_.wake_schedule.init(wake_rounds);
-    ws_.frontier.clear();
-    ws_.next_frontier.clear();
-    ws_.candidates.clear();
-
-    NodeId live = n_;
-    peak_live_ = n_;
-    std::int64_t global = 0;
-    std::int64_t max_wake = 0;
-    for (std::int64_t w : wake_rounds) max_wake = std::max(max_wake, w);
-    const std::int64_t global_cap = sat_add(
-        max_wake,
-        sat_add(sat_mul(4, sat_add(options_.max_rounds, 1)),
-                4 * static_cast<std::int64_t>(n_) + 16));
-    auto& frontier = ws_.frontier;
-    while (live > 0 && global < global_cap) {
-      // Admit nodes whose wake round has arrived. A node that has never
-      // stepped holds the minimum local round, so its lag counter is
-      // necessarily 0 and it goes straight onto the frontier; a node whose
-      // counter rose after waking re-enters through the candidate pass when
-      // the counter returns to 0.
-      ws_.wake_schedule.admit(global, [&](NodeId v) {
-        const std::size_t vi = static_cast<std::size_t>(v);
-        if (!ws_.finished[vi] && ws_.lag[vi] == 0 &&
-            ws_.queued.insert(vi, global))
-          frontier.push_back(v);
-      });
-      if (frontier.empty()) {
-        // Every unfinished node is asleep or transitively waiting on a
-        // sleeper; the reference engine spins no-op global rounds here, so
-        // jumping the clock to the next unfinished wake-up is observation-
-        // equivalent and O(1) per skipped stretch.
-        const auto next = ws_.wake_schedule.next_pending(ws_.finished);
-        global = next.has_value() ? std::min(*next, global_cap) : global_cap;
-        continue;
-      }
-      const bool traced = begin_trace_round();
-      const std::int64_t trace_t0 =
-          traced ? trace_->recorder->now() : 0;
-      peak_frontier_ = std::max<std::int64_t>(
-          peak_frontier_, static_cast<std::int64_t>(frontier.size()));
-      std::int64_t round_messages = 0;
-      const std::int64_t steps_before = total_steps_;
-      const std::int64_t batched_before = batched_steps_;
-      const std::int64_t batch_calls_before = batch_calls_;
-      // Phase 1: step the frontier — exactly the eligible snapshot the
-      // per-round rescan used to recompute. A batch-capable kernel steps it
-      // phase-bucketed first (frontier nodes are mutually independent this
-      // global round: the lag counters guarantee no node reads a message a
-      // frontier peer sends in the same global round), then the per-node
-      // padding/accounting pass runs unchanged.
-      for (const NodeId v : frontier)
-        ws_.stepped_round[static_cast<std::size_t>(v)] = global;
-      if (kernel_has_batch_)
-        step_bucketed(0, frontier.data(), frontier.size(), -1,
-                      &batched_steps_, &batch_calls_,
-                      traced ? &trace_phases_ : nullptr);
-      for (const NodeId v : frontier) {
-        const std::size_t vi = static_cast<std::size_t>(v);
-        const std::int64_t r = ws_.local_round[vi];
-        if (!kernel_has_batch_) step_one(0, v, r);
-        // Pad ports that stayed silent so hist[e] stays indexed by the
-        // sender's local round, then account the round's traffic.
-        const std::int64_t base = csr_.offset(v);
-        const NodeId deg = csr_.degree(v);
-        for (NodeId j = 0; j < deg; ++j) {
-          auto& h = ws_.hist[static_cast<std::size_t>(base + j)];
-          if (static_cast<std::int64_t>(h.size()) <= r) h.push_back(Span{});
-          const Span& s = h.back();
-          if (s.words >= 0) {
-            ++messages_sent_;
-            ++round_messages;
-            max_message_words_ = std::max(max_message_words_, s.words);
-          }
-        }
-        ++ws_.local_round[vi];
-        ++total_steps_;
-        if (ws_.finished[vi]) {
-          ws_.finish_local[vi] = r;
-          ws_.finish_global[vi] = global;
-          --live;
-        } else if (ws_.local_round[vi] >= options_.max_rounds) {
-          ws_.finished[vi] = 1;
-          ws_.outputs[vi] = options_.default_output;
-          ++cut_off_;
-          ws_.finish_local[vi] = options_.max_rounds;
-          ws_.finish_global[vi] = global;
-          --live;
-        }
-      }
-      // Phase 2: dependency-counter maintenance. For each edge touched by a
-      // step, re-derive both directions' "lags me" contributions from the
-      // before/after local rounds (the stepped_round stamp reconstructs a
-      // stepped neighbour's pre-round value). Everything whose counter
-      // moved — plus every surviving stepped node — becomes a candidate.
-      for (const NodeId v : frontier) {
-        const std::size_t vi = static_cast<std::size_t>(v);
-        const std::int64_t r_v = ws_.local_round[vi] - 1;  // pre-step round
-        const bool fin_v = ws_.finished[vi] != 0;
-        const NodeId deg = csr_.degree(v);
-        for (NodeId j = 0; j < deg; ++j) {
-          const NodeId u = csr_.neighbor(v, j);
-          const std::size_t ui = static_cast<std::size_t>(u);
-          const bool u_stepped = ws_.stepped_round[ui] == global;
-          if (!ws_.finished[ui]) {
-            // v's contribution to lag[u], before vs after v's step.
-            const std::int64_t lr_u_before =
-                ws_.local_round[ui] - (u_stepped ? 1 : 0);
-            const int before = r_v < lr_u_before ? 1 : 0;
-            const int after =
-                (!fin_v && r_v + 1 < ws_.local_round[ui]) ? 1 : 0;
-            if (after != before) {
-              ws_.lag[ui] += after - before;
-              if (ws_.candidate_set.insert(ui, global))
-                ws_.candidates.push_back(u);
-            }
-          }
-          if (!u_stepped && !fin_v) {
-            // The unchanged neighbour u newly lags v exactly when it sits
-            // at v's pre-step round.
-            if (!ws_.finished[ui] && ws_.local_round[ui] == r_v)
-              ++ws_.lag[vi];
-          }
-        }
-        if (!fin_v && ws_.candidate_set.insert(vi, global))
-          ws_.candidates.push_back(v);
-      }
-      // Phase 3: the next frontier is exactly the candidates that ended the
-      // round awake, unfinished, and unlagged.
-      for (const NodeId c : ws_.candidates) {
-        const std::size_t ci = static_cast<std::size_t>(c);
-        if (!ws_.finished[ci] && ws_.lag[ci] == 0 &&
-            wake_rounds[ci] <= global + 1 && ws_.queued.insert(ci, global + 1))
-          ws_.next_frontier.push_back(c);
-      }
-      ws_.candidates.clear();
-      peak_round_messages_ = std::max(peak_round_messages_, round_messages);
-      if (traced) {
-        telemetry::TraceEvent event = make_round_event(trace_t0);
-        event.arg("global", global);
-        event.arg("frontier", static_cast<std::int64_t>(frontier.size()));
-        event.arg("messages", round_messages);
-        event.arg("steps", total_steps_ - steps_before);
-        if (kernel_has_batch_) {
-          event.arg("batched_steps", batched_steps_ - batched_before);
-          event.arg("batch_calls", batch_calls_ - batch_calls_before);
-        }
-        attach_phase_sizes(event);
-        trace_->recorder->record(std::move(event));
-      }
-      std::swap(frontier, ws_.next_frontier);
-      ws_.next_frontier.clear();
-      ++global;
-    }
-    final_live_ = live;
-    std::int64_t max_local = 0;
-    for (NodeId v = 0; v < n_; ++v)
-      max_local =
-          std::max(max_local, ws_.local_round[static_cast<std::size_t>(v)]);
-    RunResult result = finalize(live, max_local, global);
-    fill_stats(result, start);
-    return result;
-  }
-
-  /// The asynchronous mode, run as lockstep local rounds plus a max-plus
-  /// recurrence for the timestamps. Under the alpha synchronizer a node
-  /// performs local round r once every in-edge has delivered its sender's
-  /// pulses of rounds < r (or all of them, when the sender finished first).
-  /// Each pulse's arrival is fixed when it is sent, and each edge's stream
-  /// is consumed in its sender's round order, so step times follow
-  ///   t(v,0) = wake(v) + late-joiner delay,
-  ///   t(v,r) = max(t(v,r-1), max over in-edges e of R_e(r-1)),
+  /// The lockstep loop: the delayed network, and staggered wake rounds on
+  /// the synchronous one (the alpha synchronizer with every latency 1).
+  /// Under the alpha synchronizer a node performs local round r once every
+  /// in-edge has delivered its sender's pulses of rounds < r (or all of
+  /// them, when the sender finished first). Each pulse's arrival is fixed
+  /// when it is sent, and each edge's stream is consumed in its sender's
+  /// round order, so step times follow
+  ///   t(v,0) = max(wake(v), 0) + late-joiner delay,
+  ///   t(v,r) = max(t(v,r-1) + gap, max over in-edges e of R_e(r-1)),
   /// where R_e(k) is the latest arrival among the sender's pulses of rounds
   /// <= min(k, its final round) — infinite when one of those pulses was
   /// abandoned, or when the sender is unfinished and never performs round k
   /// (crashed or stalled). A node whose time is infinite stalls for good.
-  /// Every node therefore sees the synchronous run's messages in each local
-  /// round it performs (the paper's Observation 2.1), so payloads move
-  /// through the round-exact arena; each round first computes every t(v,r)
-  /// from round r-1's arrivals, then steps the nodes whose time is finite
-  /// and draws their pulses. A node whose latched sleep hint asks for a
-  /// later round and whose receive half holds no mail skips its kernel
-  /// step, which the sleep contract makes a no-op; it still counts as
-  /// stepped, advances its local round and pulses every out-edge, so the
-  /// timestamps, faults and stats are those of the full run.
+  /// The gap is 0 on the delayed network and 1 on the synchronous one,
+  /// where a node's own rounds are one tick apart, every pulse lands at
+  /// the next tick and nothing is drawn (no latency, fault, crash or late
+  /// joiner). Every node therefore sees the synchronous run's messages in
+  /// each local round it performs (the paper's Observation 2.1), so
+  /// payloads move through the round-exact arena; each round first
+  /// computes every t(v,r) from round r-1's arrivals, then steps the nodes
+  /// whose time is finite and sends their pulses. A node whose latched
+  /// sleep hint asks for a later round and whose receive half holds no
+  /// mail skips its kernel step, which the sleep contract makes a no-op;
+  /// it still counts as stepped, advances its local round and pulses every
+  /// out-edge, so the timestamps, faults and stats are those of the full
+  /// run.
   ///
   /// The stats read as the timeline of a discrete-event run that delivers
-  /// before stepping at equal times and stops right after the last
-  /// finishing step, at T_end: peak_frontier_nodes is the most steps
+  /// before stepping at equal times: peak_frontier_nodes is the most steps
   /// sharing one timestamp; peak_round_messages (payload pulses) and
   /// max_delivery_skew count the pulses, duplicates included, arriving by
-  /// T_end — all of them when the run stalls; global_rounds is T_end, or
-  /// the latest step or arrival of a stalled run.
-  RunResult run_delayed(const std::vector<std::int64_t>& wake_rounds) {
+  /// the end. A delayed run ends right after the last finishing step, at
+  /// T_end, and global_rounds is T_end, or the latest step or arrival of a
+  /// stalled run (which counts every pulse). A synchronous run ends at
+  /// T_end + 1, the tick its last pulses land, and global_rounds is that
+  /// tick.
+  RunResult run_lockstep() {
     constexpr std::int64_t kNever = DelayedNetwork::kNever;
     const auto start = std::chrono::steady_clock::now();
     begin_trace_run();
+    const std::int64_t gap = delayed_mode_ ? 0 : 1;
     DelayedNetwork& net = ws_.delayed_net;
-    net.begin_run(csr_, options_.seed, options_.network);
+    if (delayed_mode_) net.begin_run(csr_, options_.seed, options_.network);
     const std::size_t slots = static_cast<std::size_t>(
         csr_.num_directed_edges());
     SynchronousNetwork& arena = ws_.sim_net;
@@ -679,18 +513,23 @@ class ArenaEngine {
 
     // Crashed nodes never step; they stay live and are finalized as cut
     // off, like any node that stalls.
+    const std::vector<std::int64_t>& wake_rounds = options_.wake_rounds;
     auto& active = ws_.live;
     active.clear();
     NodeId stalled = 0;
     for (NodeId v = 0; v < n_; ++v) {
-      if (net.crashed(v)) {
-        stall(v);
-        ++stalled;
-        continue;
+      const std::size_t vi = static_cast<std::size_t>(v);
+      std::int64_t& t = time[vi];
+      t = wake_rounds.empty() ? 0 : std::max<std::int64_t>(wake_rounds[vi], 0);
+      if (delayed_mode_) {
+        if (net.crashed(v)) {
+          t = kNever;
+          stall(v);
+          ++stalled;
+          continue;
+        }
+        t += net.wake_delay(v);
       }
-      time[static_cast<std::size_t>(v)] =
-          (wake_rounds.empty() ? 0 : wake_rounds[static_cast<std::size_t>(v)]) +
-          net.wake_delay(v);
       active.push_back(v);
     }
 
@@ -704,6 +543,7 @@ class ArenaEngine {
       if (r > 0) {
         for (const NodeId v : active) {
           std::int64_t& t = time[static_cast<std::size_t>(v)];
+          t += gap;
           for (NodeId j = 0; j < csr_.degree(v); ++j)
             t = std::max(t, reach[static_cast<std::size_t>(
                                 csr_.in_edge_index(v, j))]);
@@ -722,6 +562,7 @@ class ArenaEngine {
         const std::size_t vi = static_cast<std::size_t>(v);
         const std::int64_t now = time[vi];
         if (now == kNever) continue;
+        const std::int64_t sent_before = delta.messages;
         if (wake[vi] > r && !arena.received_any(v)) {
           ++asleep;
         } else {
@@ -749,6 +590,13 @@ class ArenaEngine {
           --live;
         }
         const std::int64_t base = csr_.offset(v);
+        if (!delayed_mode_) {
+          // Every pulse lands at now + 1, the messages among them at once.
+          for (NodeId j = 0; j < csr_.degree(v); ++j)
+            reach[static_cast<std::size_t>(base + j)] = now + 1;
+          ws_.ticks.add_arrival(now + 1, 0, delta.messages - sent_before);
+          continue;
+        }
         for (NodeId j = 0; j < csr_.degree(v); ++j) {
           const std::int64_t e = base + j;
           const bool payload = arena.sent(v, j);
@@ -797,11 +645,16 @@ class ArenaEngine {
       }
     }
     arena.end_run();
-    // A run where every node finished ends at its last step, T_end; a
-    // stalled one counts every pulse it sent.
-    const std::int64_t global =
-        live == 0 ? last_step : std::max(last_step, last_arrival);
-    ws_.ticks.finish(live == 0 ? last_step : kNever);
+    std::int64_t global = 0, last = 0;
+    if (!delayed_mode_) {
+      global = last = n_ > 0 ? last_step + 1 : 0;
+    } else if (live == 0) {
+      global = last = last_step;
+    } else {
+      global = std::max(last_step, last_arrival);
+      last = kNever;
+    }
+    ws_.ticks.finish(last);
     peak_frontier_ = ws_.ticks.peak_steps();
     peak_round_messages_ = ws_.ticks.peak_payload();
     final_live_ = live;
@@ -814,66 +667,27 @@ class ArenaEngine {
     return result;
   }
 
- private:
   /// Round-arena sends are accounted as they happen: a slot's first write
   /// counts the message and notes a sleeping receiver; a resend overwrites
   /// it (last write wins) and only flags a shrink, which the round's
   /// max-words reduction then resolves by rescanning the send half.
   void do_send(int tid, NodeId node, NodeId port, const std::int64_t* data,
                std::size_t words) {
-    if (!sync_mode_) {
-      StepDelta& delta = deltas_[static_cast<std::size_t>(tid)];
-      const auto len = static_cast<std::int64_t>(words);
-      const std::int64_t prev = ws_.sim_net.send(tid, node, port, data, words);
-      if (prev < 0) {
-        ++delta.messages;
-        // asleep only changes between rounds, so it is safe to read here.
-        if (asleep_ > 0) {
-          const NodeId u = csr_.neighbor(node, port);
-          if (ws_.asleep[static_cast<std::size_t>(u)])
-            delta.mailed.push_back(u);
-        }
-      } else if (len < prev) {
-        delta.shrunk = true;
+    StepDelta& delta = deltas_[static_cast<std::size_t>(tid)];
+    const auto len = static_cast<std::int64_t>(words);
+    const std::int64_t prev = ws_.sim_net.send(tid, node, port, data, words);
+    if (prev < 0) {
+      ++delta.messages;
+      // asleep only changes between rounds, so it is safe to read here.
+      if (asleep_ > 0) {
+        const NodeId u = csr_.neighbor(node, port);
+        if (ws_.asleep[static_cast<std::size_t>(u)])
+          delta.mailed.push_back(u);
       }
-      delta.max_words = std::max(delta.max_words, len);
-      return;
+    } else if (len < prev) {
+      delta.shrunk = true;
     }
-    const std::int64_t r = ws_.local_round[static_cast<std::size_t>(node)];
-    auto& h =
-        ws_.hist[static_cast<std::size_t>(csr_.edge_index(node, port))];
-    Span s;
-    s.offset = static_cast<std::int64_t>(ws_.hist_words.size());
-    s.words = static_cast<std::int64_t>(words);
-    ws_.hist_words.insert(ws_.hist_words.end(), data, data + words);
-    if (static_cast<std::int64_t>(h.size()) <= r)
-      h.push_back(s);     // first send on this port this round
-    else
-      h.back() = s;       // resend: last write wins
-  }
-
-  /// Zero-copy arena lookup. In the synchronizer mode the returned span
-  /// points into hist_words, which a same-step send may reallocate (the
-  /// kernels' read-before-send contract).
-  std::span<const std::int64_t> raw_recv(NodeId node, NodeId port,
-                                         bool* present) {
-    if (!sync_mode_) return ws_.sim_net.recv(node, port, present);
-    const std::int64_t want =
-        ws_.local_round[static_cast<std::size_t>(node)] - 1;
-    const auto& h = ws_.hist[static_cast<std::size_t>(
-        csr_.in_edge_index(node, port))];
-    if (want < 0 || want >= static_cast<std::int64_t>(h.size())) {
-      *present = false;
-      return {};
-    }
-    const Span s = h[static_cast<std::size_t>(want)];
-    if (s.words < 0) {
-      *present = false;
-      return {};
-    }
-    *present = true;
-    return {ws_.hist_words.data() + s.offset,
-            static_cast<std::size_t>(s.words)};
+    delta.max_words = std::max(delta.max_words, len);
   }
 
   // The transport installed into every KernelCtx: the zero-copy arena
@@ -882,7 +696,8 @@ class ArenaEngine {
                                                    NodeId node, NodeId port,
                                                    bool* present) {
     (void)tid;
-    return static_cast<ArenaEngine*>(engine)->raw_recv(node, port, present);
+    return static_cast<ArenaEngine*>(engine)->ws_.sim_net.recv(node, port,
+                                                               present);
   }
   static void kernel_send(void* engine, int tid, NodeId node, NodeId port,
                           const std::int64_t* data, std::size_t words) {
@@ -917,8 +732,7 @@ class ArenaEngine {
       ws_.finished[vi] = 1;
       ws_.outputs[vi] = ctx.output;
     }
-    if (ctx.wake_round != 0 && wake_at_ != nullptr)
-      wake_at_[vi] = ctx.wake_round;
+    if (ctx.wake_round != 0) wake_at_[vi] = ctx.wake_round;
   }
 
   void step_one(int tid, NodeId v, std::int64_t round) {
@@ -958,19 +772,16 @@ class ArenaEngine {
     return b;
   }
 
-  /// Phase-grouped kernel stepping: bucket `count` nodes by resolved
-  /// kernel_phase_index (one pass over the strided state arena), then run
-  /// each bucket through its phase's KernelBatchFn — or the scalar per-node
-  /// loop when the phase has none. `uniform_round` >= 0 is the common local
-  /// round (simultaneous mode); -1 reads each node's own ws_.local_round
-  /// (synchronizer frontiers mix rounds). Bucketing reorders node steps,
-  /// which is observation-equivalent: every node owns its RNG stream, its
-  /// state record, and its per-edge send slots, and no node of one round's
-  /// step set reads what another sent in the same set (simultaneous rounds
-  /// deliver next round; synchronizer eligibility forbids same-global-round
-  /// dependencies).
+  /// Phase-grouped kernel stepping: bucket `count` nodes of local round
+  /// `round` by resolved kernel_phase_index (one pass over the strided
+  /// state arena), then run each bucket through its phase's KernelBatchFn —
+  /// or the scalar per-node loop when the phase has none. Bucketing
+  /// reorders node steps, which is observation-equivalent: every node owns
+  /// its RNG stream, its state record, and its per-edge send slots, and no
+  /// node of one round reads what another sent in the same round (it is
+  /// delivered next round).
   void step_bucketed(int tid, const NodeId* nodes, std::size_t count,
-                     std::int64_t uniform_round, std::int64_t* batched_steps,
+                     std::int64_t round, std::int64_t* batched_steps,
                      std::int64_t* batch_calls,
                      std::vector<std::int64_t>* phase_sizes = nullptr) {
     auto& scratch = ws_.scratch[static_cast<std::size_t>(tid)];
@@ -983,13 +794,11 @@ class ArenaEngine {
     }
     for (std::size_t i = 0; i < count; ++i) {
       const NodeId v = nodes[i];
-      const std::int64_t r =
-          uniform_round >= 0 ? uniform_round
-                             : ws_.local_round[static_cast<std::size_t>(v)];
       const std::size_t p = kernel_phase_index(
-          *kernel_, r, kstate_base_ + static_cast<std::size_t>(v) * kstride_);
+          *kernel_, round,
+          kstate_base_ + static_cast<std::size_t>(v) * kstride_);
       scratch.bucket_nodes[p].push_back(v);
-      scratch.bucket_rounds[p].push_back(r);
+      scratch.bucket_rounds[p].push_back(round);
     }
     if (phase_sizes != nullptr) {
       phase_sizes->assign(nphases, 0);
@@ -1067,7 +876,7 @@ class ArenaEngine {
   /// mail. Parks the stepped nodes that asked to sleep, except those with
   /// mail sent this round (a sleeping receiver is caught by its sender,
   /// but these were awake when the mail went out). Then wakes, into
-  /// ws_.candidates, every sleeper that got mail or whose wake round is
+  /// ws_.woken, every sleeper that got mail or whose wake round is
   /// next. Returns whether any node parked.
   bool settle_sleepers(std::int64_t round) {
     bool parked = false;
@@ -1122,16 +931,16 @@ class ArenaEngine {
     ws_.asleep[vi] = 0;
     wake_at_[vi] = 0;
     --asleep_;
-    ws_.candidates.push_back(v);
+    ws_.woken.push_back(v);
   }
 
   /// Merges the nodes settle_sleepers woke back into the ascending live
   /// list.
   void readmit_woken() {
-    auto& woken = ws_.candidates;
+    auto& woken = ws_.woken;
     if (woken.empty()) return;
     std::sort(woken.begin(), woken.end());
-    auto& merged = ws_.next_frontier;
+    auto& merged = ws_.merged;
     merged.resize(ws_.live.size() + woken.size());
     std::merge(ws_.live.begin(), ws_.live.end(), woken.begin(), woken.end(),
                merged.begin());
@@ -1214,24 +1023,22 @@ class ArenaEngine {
     stats.peak_frontier_nodes = peak_frontier_;
     stats.dirty_spans_cleared = dirty_cleared_;
     stats.threads = threads_;
-    std::int64_t bytes = 0;
+    std::int64_t bytes = ws_.sim_net.arena_bytes();
     if (delayed_mode_) {
+      // Only a delayed run draws; the network keeps its counters until the
+      // next delayed run begins.
       const DelayedNetwork& net = ws_.delayed_net;
       stats.messages_dropped = net.dropped();
       stats.messages_duplicated = net.duplicated();
+      bytes += net.arena_bytes();
+    }
+    if (lockstep_) {
       stats.max_delivery_skew = ws_.ticks.max_skew();
-      bytes += net.arena_bytes() + ws_.sim_net.arena_bytes() +
-               ws_.ticks.bytes();
+      bytes += ws_.ticks.bytes();
       bytes += static_cast<std::int64_t>(
           (ws_.step_time.capacity() + ws_.reach.capacity() +
            ws_.wake.capacity()) *
           8);
-    } else if (sync_mode_) {
-      bytes += static_cast<std::int64_t>(ws_.hist_words.capacity()) * 8;
-      for (const auto& h : ws_.hist)
-        bytes += static_cast<std::int64_t>(h.capacity() * sizeof(Span));
-    } else {
-      bytes += ws_.sim_net.arena_bytes();
     }
     bytes += static_cast<std::int64_t>(ws_.kernel_state.capacity());
     bytes += static_cast<std::int64_t>(ws_.kernel_port_state.capacity()) * 8;
@@ -1250,9 +1057,9 @@ class ArenaEngine {
       event.dur = trace_->recorder->now() - trace_run_t0_;
       event.pid = trace_->pid;
       event.tid = trace_->tid;
-      event.arg("mode", delayed_mode_  ? "delayed"
-                        : sync_mode_   ? "synchronized"
-                                       : "simultaneous");
+      event.arg("mode", delayed_mode_ ? "delayed"
+                        : lockstep_   ? "synchronized"
+                                      : "simultaneous");
       event.arg("n", static_cast<std::int64_t>(n_));
       event.arg("rounds", result.rounds_used);
       event.arg("global_rounds", result.global_rounds);
@@ -1275,19 +1082,19 @@ class ArenaEngine {
   std::byte* kstate_base_ = nullptr;
   std::size_t kstride_ = 0;
   std::size_t kport_words_ = 0;
-  // True when any kernel phase has a KernelBatchFn: the simultaneous and
-  // synchronizer loops then step phase-bucketed (the delayed loop steps
-  // scalar).
+  // True when any kernel phase has a KernelBatchFn: the simultaneous loop
+  // then steps phase-bucketed (the lockstep loop steps scalar).
   bool kernel_has_batch_ = false;
   std::int64_t batched_steps_ = 0;
   std::int64_t batch_calls_ = 0;
-  bool sync_mode_ = false;
+  // The delayed network, and the lockstep loop (the delayed network, or
+  // staggered wake rounds on the synchronous one).
   bool delayed_mode_ = false;
+  bool lockstep_ = false;
   // The sleep-hint latch (ws_.local_round's storage in simultaneous runs,
-  // ws_.wake in delayed ones; null when hints are ignored), the sleeping-
-  // node count (simultaneous), the steps skipped because their node was
-  // asleep, and the rounds the simultaneous clock jumped over because every
-  // node was.
+  // ws_.wake in lockstep ones), the sleeping-node count (simultaneous), the
+  // steps skipped because their node was asleep, and the rounds the
+  // simultaneous clock jumped over because every node was.
   std::int64_t* wake_at_ = nullptr;
   NodeId asleep_ = 0;
   std::int64_t slept_steps_ = 0;
@@ -1318,10 +1125,7 @@ RunResult run_local(const Instance& instance, const Algorithm& algorithm,
   EngineWorkspace* workspace =
       options.workspace != nullptr ? options.workspace : &local.emplace();
   ArenaEngine engine(instance, algorithm, options, workspace->state());
-  if (options.network.kind == NetworkKind::kDelayed)
-    return engine.run_delayed(options.wake_rounds);
-  if (options.wake_rounds.empty()) return engine.run_simultaneous();
-  return engine.run_synchronized(options.wake_rounds);
+  return engine.run();
 }
 
 std::vector<RunResult> run_sequential(

@@ -13,21 +13,20 @@
 //
 // Engine layout: node state is struct-of-arrays; all message traffic of a
 // round lives in one flat int64 arena addressed by CsrGraph edge indices,
-// with the send and receive halves swapped between rounds. Both loops are
-// frontier-driven: the simultaneous mode walks a compacted live-node list
-// (rebalanced across threads each round) and resets only the span slots
-// written last round via per-thread dirty lists, so per-round cost tracks
-// the surviving frontier and its traffic rather than n + edges; the
-// synchronizer mode schedules with per-node dependency-lag counters and a
-// wake-admission queue, so scheduling costs O(total steps + messages)
-// instead of an O(n + edges) eligibility rescan per global round. The
-// simultaneous mode can step disjoint chunks of the live list on a thread
-// pool; messages only cross the round barrier and every node owns a private
-// Rng stream, so results are bit-identical for any thread count (the
-// engine-equivalence test enforces this against the preserved seed engine in
-// src/runtime/reference.h). The delayed network (EngineConfig::network) runs
-// lockstep local rounds over the same arena and derives each node's step
-// times from a max-plus recurrence over its in-edges' pulse arrivals.
+// with the send and receive halves swapped between rounds. There are two
+// loops. The simultaneous one walks a compacted live-node list (rebalanced
+// across threads each round) and resets only the span slots written last
+// round via per-thread dirty lists, so per-round cost tracks the surviving
+// frontier and its traffic rather than n + edges. It can step disjoint
+// chunks of the live list on a thread pool; messages only cross the round
+// barrier and every node owns a private Rng stream, so results are
+// bit-identical for any thread count (the engine-equivalence test enforces
+// this against the preserved seed engine in src/runtime/reference.h). The
+// lockstep one runs the staggered mode and the delayed network
+// (EngineConfig::network): it steps every live node's local rounds in
+// lockstep over the same arena and derives each node's step times from a
+// max-plus recurrence over its in-edges' pulse arrivals; under the
+// synchronizer on the synchronous network every pulse takes one tick.
 #pragma once
 
 #include <algorithm>
@@ -56,7 +55,8 @@ struct EngineConfig {
   EngineWorkspace* workspace = nullptr;
   /// Worker threads stepping disjoint node ranges in the simultaneous mode
   /// (values below 1 mean 1). Outputs are independent of this value; the
-  /// synchronizer and delayed modes always run single-threaded.
+  /// lockstep loop (the synchronizer and the delayed network) always runs
+  /// single-threaded.
   int engine_threads = 1;
   /// Delivery layer (src/runtime/network.h): the round-exact synchronous
   /// arena (default), or the seeded delayed network with per-edge latency
@@ -73,7 +73,9 @@ struct RunOptions : EngineConfig {
   /// Seed for the per-node randomness streams (split by identity).
   std::uint64_t seed = 1;
   /// Optional wake-up round per node (empty = all wake at 0). Non-empty
-  /// wake rounds enable the alpha-synchronizer emulation.
+  /// wake rounds enable the alpha-synchronizer emulation. Negative entries
+  /// count as 0, as in the reference engine; a size other than 0 or the
+  /// node count makes run_local throw std::invalid_argument.
   std::vector<std::int64_t> wake_rounds{};
 };
 
@@ -237,8 +239,8 @@ struct RunResult {
   /// The LOCAL running time: max over nodes of (local finish round + 1);
   /// 0 for the empty graph.
   std::int64_t rounds_used = 0;
-  /// Global (wall) rounds the synchronizer mode consumed; equals rounds_used
-  /// in the simultaneous mode.
+  /// Global (wall) rounds the synchronizer mode consumed (the global round
+  /// of its last step + 1); equals rounds_used in the simultaneous mode.
   std::int64_t global_rounds = 0;
   std::int64_t messages_sent = 0;
   std::int64_t max_message_words = 0;
@@ -267,6 +269,8 @@ class EngineWorkspace {
 };
 
 /// Runs one algorithm on an instance, in options.workspace when it is set.
+/// Throws std::invalid_argument on malformed wake_rounds and
+/// std::runtime_error on malformed network options.
 RunResult run_local(const Instance& instance, const Algorithm& algorithm,
                     const RunOptions& options = {});
 

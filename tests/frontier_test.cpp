@@ -1,75 +1,11 @@
-// Unit tests for the frontier-engine work-list primitives
-// (src/runtime/frontier.h): stamp-keyed membership, wake-round admission
-// with jump-ahead, and the sleeping-node wake queue.
+// Unit tests for the frontier-engine work-list primitive
+// (src/runtime/frontier.h): the sleeping-node wake queue.
 #include <gtest/gtest.h>
 
 #include "src/runtime/frontier.h"
 
 namespace unilocal {
 namespace {
-
-TEST(StampSet, InsertIsOncePerStamp) {
-  StampSet set;
-  set.reset(4);
-  EXPECT_TRUE(set.insert(2, 0));
-  EXPECT_FALSE(set.insert(2, 0));
-  EXPECT_TRUE(set.contains(2, 0));
-  EXPECT_FALSE(set.contains(1, 0));
-  // Bumping the stamp empties the set without touching memory.
-  EXPECT_TRUE(set.insert(2, 1));
-  EXPECT_FALSE(set.contains(2, 0));
-}
-
-TEST(StampSet, ResetClearsMembership) {
-  StampSet set;
-  set.reset(2);
-  EXPECT_TRUE(set.insert(0, 5));
-  set.reset(2);
-  EXPECT_TRUE(set.insert(0, 5));
-}
-
-TEST(WakeSchedule, AdmitsInWakeThenIdOrder) {
-  WakeSchedule schedule;
-  schedule.init({3, 0, 0, -2, 5});
-  std::vector<NodeId> admitted;
-  schedule.admit(0, [&](NodeId v) { admitted.push_back(v); });
-  // Negative wake rounds clamp to 0; ties admit by node id.
-  EXPECT_EQ(admitted, (std::vector<NodeId>{1, 2, 3}));
-  admitted.clear();
-  schedule.admit(2, [&](NodeId v) { admitted.push_back(v); });
-  EXPECT_TRUE(admitted.empty());
-  schedule.admit(4, [&](NodeId v) { admitted.push_back(v); });
-  EXPECT_EQ(admitted, (std::vector<NodeId>{0}));
-  EXPECT_FALSE(schedule.exhausted());
-  schedule.admit(5, [&](NodeId v) { admitted.push_back(v); });
-  EXPECT_TRUE(schedule.exhausted());
-}
-
-TEST(WakeSchedule, NextPendingSkipsFinishedNodes) {
-  WakeSchedule schedule;
-  schedule.init({0, 4, 7, 9});
-  std::vector<char> finished(4, 0);
-  schedule.admit(0, [](NodeId) {});
-  // Nodes 1 and 2 finished before their wake rounds matter: the jump target
-  // must be node 3's wake round, and the skipped entries are consumed.
-  finished[1] = finished[2] = 1;
-  const auto next = schedule.next_pending(finished);
-  ASSERT_TRUE(next.has_value());
-  EXPECT_EQ(*next, 9);
-  std::vector<NodeId> admitted;
-  schedule.admit(9, [&](NodeId v) { admitted.push_back(v); });
-  EXPECT_EQ(admitted, (std::vector<NodeId>{3}));
-  EXPECT_FALSE(schedule.next_pending(finished).has_value());
-  EXPECT_TRUE(schedule.exhausted());
-}
-
-TEST(WakeSchedule, EmptyInit) {
-  WakeSchedule schedule;
-  schedule.init({});
-  EXPECT_TRUE(schedule.exhausted());
-  std::vector<char> finished;
-  EXPECT_FALSE(schedule.next_pending(finished).has_value());
-}
 
 TEST(SleeperQueue, PopsDueEntriesInRoundThenIdOrder) {
   SleeperQueue queue;

@@ -9,10 +9,12 @@
 // exactly the ones the probe's own bookkeeping says were needed. When no
 // node is awake the engine jumps its clock to the next timed wake; the
 // per-round span's `jumped` arg and engine.jumped_rounds show the skipped
-// rounds, which must change nothing either. The delayed loop skips
+// rounds, which must change nothing either. The lockstep loop skips
 // sleepers too, while they keep pulsing: there the probe and color-reduce
 // are compared field by field, stats included, with their hint-dropped
-// copies under heavy-tail latencies, drops, duplicates and late joiners.
+// copies, under heavy-tail latencies, drops, duplicates and late joiners
+// on the delayed network, and under staggered wake rounds on the
+// synchronous one (the synchronizer).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -58,7 +60,7 @@ struct ProbeConfig {
   std::int64_t finish_spread = 3;
   std::int64_t hops = 1;           // replies per action message
   // When set, every step adds the steps a sleeping engine must run to
-  // *needed (reference or delayed runs only, which step one node at a
+  // *needed (reference or lockstep runs only, which step one node at a
   // time), and those of them that mail woke before their due round to
   // *mail_wakes; max_rounds is the run's cut-off.
   std::int64_t* needed = nullptr;
@@ -645,7 +647,7 @@ TEST(Quiescence, ColorReduceStepsAreLinearInNodesAndMessages) {
   }
 }
 
-// --- the delayed loop ---------------------------------------------------
+// --- the lockstep loop: the delayed network and the synchronizer --------
 
 /// Heavy-tail latencies with drops, duplicates and late joiners.
 RunOptions delayed_options(std::uint64_t seed) {
@@ -660,7 +662,7 @@ RunOptions delayed_options(std::uint64_t seed) {
   return options;
 }
 
-/// Runs `algorithm` and its hint-dropped copy through the delayed loop.
+/// Runs `algorithm` and its hint-dropped copy through the lockstep loop.
 /// Every RunResult field and every integral stat but arena_bytes (a
 /// capacity) must match: a sleeper that skips its kernel still advances
 /// its local round and draws its pulses, so timestamps, faults and skews
@@ -668,7 +670,7 @@ RunOptions delayed_options(std::uint64_t seed) {
 /// engine.steps - engine.slept_steps of the sleeping run, which also has
 /// its round spans' `asleep` args add up to engine.slept_steps. Returns the
 /// sleeping run's result and executed steps.
-std::pair<RunResult, std::int64_t> check_delayed(const Instance& instance,
+std::pair<RunResult, std::int64_t> check_lockstep(const Instance& instance,
                                                  const Algorithm& algorithm,
                                                  const RunOptions& options,
                                                  const std::string& label) {
@@ -712,19 +714,19 @@ std::pair<RunResult, std::int64_t> check_delayed(const Instance& instance,
 
 /// A sleeping delayed probe run: its result, executed steps, and the steps
 /// mail woke before their due round.
-struct DelayedProbe {
+struct LockstepProbe {
   RunResult result;
   std::int64_t executed = 0;
   std::int64_t mail_wakes = 0;
 };
 
-/// The probe through check_delayed: the executed steps must be exactly
+/// The probe through check_lockstep: the executed steps must be exactly
 /// what the probe's bookkeeping needs in a hint-dropped run.
-DelayedProbe check_probe_delayed(const Instance& instance,
+LockstepProbe check_probe_lockstep(const Instance& instance,
                                  const ProbeConfig& cfg,
                                  const RunOptions& options,
                                  const std::string& label) {
-  DelayedProbe out;
+  LockstepProbe out;
   std::int64_t needed = 0;
   ProbeConfig counting_cfg = cfg;
   counting_cfg.needed = &needed;
@@ -732,7 +734,7 @@ DelayedProbe check_probe_delayed(const Instance& instance,
   counting_cfg.max_rounds = options.max_rounds;
   run_local(instance, Sleepless(Probe(counting_cfg, true)), options);
   std::tie(out.result, out.executed) =
-      check_delayed(instance, Probe(cfg, true), options, label);
+      check_lockstep(instance, Probe(cfg, true), options, label);
   EXPECT_EQ(out.executed, needed) << label;
   return out;
 }
@@ -745,8 +747,8 @@ TEST(Quiescence, DelayedProbeMatchesHintDroppedRuns) {
       cfg.period = 5;
       const std::string label =
           named.name + "/hops=" + std::to_string(hops);
-      const DelayedProbe probe =
-          check_probe_delayed(named.instance, cfg, delayed_options(9), label);
+      const LockstepProbe probe =
+          check_probe_lockstep(named.instance, cfg, delayed_options(9), label);
       if (named.instance.num_nodes() > 0)
         EXPECT_LT(probe.executed, probe.result.stats.total_steps) << label;
     }
@@ -759,7 +761,7 @@ TEST(Quiescence, DelayedProbeMatchesHintDroppedRuns) {
   ProbeConfig cfg;
   cfg.period = 8;
   cfg.hops = 1;
-  check_probe_delayed(instance, cfg, options, "wake-rounds");
+  check_probe_lockstep(instance, cfg, options, "wake-rounds");
 }
 
 TEST(Quiescence, DelayedMailLandsMidSleep) {
@@ -772,8 +774,8 @@ TEST(Quiescence, DelayedMailLandsMidSleep) {
   ProbeConfig cfg;
   cfg.period = 20;
   cfg.hops = 1;
-  const DelayedProbe probe =
-      check_probe_delayed(instance, cfg, delayed_options(5), "mid-sleep");
+  const LockstepProbe probe =
+      check_probe_lockstep(instance, cfg, delayed_options(5), "mid-sleep");
   EXPECT_GT(probe.mail_wakes, 0);
   EXPECT_LT(probe.executed, probe.result.stats.total_steps);
 }
@@ -793,8 +795,8 @@ TEST(Quiescence, DelayedSleepersReachTheCutoff) {
     options.max_rounds = max_rounds;
     options.default_output = -1;
     const std::string label = "max_rounds=" + std::to_string(max_rounds);
-    const DelayedProbe probe =
-        check_probe_delayed(instance, cfg, options, label);
+    const LockstepProbe probe =
+        check_probe_lockstep(instance, cfg, options, label);
     EXPECT_FALSE(probe.result.all_finished) << label;
     EXPECT_EQ(probe.result.finish_rounds,
               std::vector<std::int64_t>(30, max_rounds))
@@ -814,9 +816,79 @@ TEST(Quiescence, DelayedColorReduceSkipsSleepers) {
   for (const std::uint64_t seed : {1, 2}) {
     const std::string label = "seed=" + std::to_string(seed);
     const auto [got, executed] =
-        check_delayed(instance, reduce, delayed_options(seed), label);
+        check_lockstep(instance, reduce, delayed_options(seed), label);
     EXPECT_TRUE(got.all_finished) << label;
     EXPECT_GT(got.stats.messages_dropped, 0) << label;
+    EXPECT_LE(executed, 3 * n + got.messages_sent) << label;
+    EXPECT_GT(got.stats.total_steps, 10 * executed) << label;
+  }
+}
+
+/// Staggered wake rounds on the synchronous network: the synchronizer.
+RunOptions synchronizer_options(NodeId n, std::uint64_t seed) {
+  RunOptions options;
+  options.seed = seed;
+  for (NodeId v = 0; v < n; ++v) options.wake_rounds.push_back((v * 7) % 11);
+  return options;
+}
+
+TEST(Quiescence, SynchronizerProbeMatchesHintDroppedRuns) {
+  // The synchronizer skips sleepers like the delayed loop, and still
+  // agrees with the reference engine's synchronizer, which ignores hints.
+  for (const auto& named : testing_support::standard_instances(/*seed=*/79)) {
+    for (const std::int64_t hops : {0, 2}) {
+      ProbeConfig cfg;
+      cfg.hops = hops;
+      cfg.period = 5;
+      const std::string label =
+          named.name + "/hops=" + std::to_string(hops);
+      const RunOptions options =
+          synchronizer_options(named.instance.num_nodes(), 9);
+      const LockstepProbe probe =
+          check_probe_lockstep(named.instance, cfg, options, label);
+      expect_same(
+          run_local_reference(named.instance, Probe(cfg, true), options),
+          probe.result, label + "/reference");
+      if (named.instance.num_nodes() > 0)
+        EXPECT_LT(probe.executed, probe.result.stats.total_steps) << label;
+    }
+  }
+}
+
+TEST(Quiescence, SynchronizerSleepersReachTheCutoff) {
+  // As on the delayed network: every node sleeps from round 0 to the
+  // clamped round max_rounds - 1 and is cut off in the round it wakes.
+  ProbeConfig cfg;
+  cfg.first_act = 1000;
+  cfg.finish_at = 2000;
+  const Instance instance = gnp_instance(30, 0.1, 3);
+  const std::int64_t n = instance.num_nodes();
+  for (const std::int64_t max_rounds : {1, 2, 3, 50}) {
+    RunOptions options = synchronizer_options(30, 6);
+    options.max_rounds = max_rounds;
+    options.default_output = -1;
+    const std::string label = "max_rounds=" + std::to_string(max_rounds);
+    const LockstepProbe probe =
+        check_probe_lockstep(instance, cfg, options, label);
+    EXPECT_FALSE(probe.result.all_finished) << label;
+    EXPECT_EQ(probe.result.finish_rounds,
+              std::vector<std::int64_t>(30, max_rounds))
+        << label;
+    EXPECT_EQ(probe.executed, std::min<std::int64_t>(max_rounds, 2) * n)
+        << label;
+  }
+}
+
+TEST(Quiescence, SynchronizerColorReduceSkipsSleepers) {
+  const auto [instance, k] = linial_colored(gnp_instance(300, 0.02, 37));
+  const ColorReduce reduce(k, /*target=*/0);
+  const std::int64_t n = instance.num_nodes();
+  for (const std::uint64_t seed : {1, 2}) {
+    const std::string label = "seed=" + std::to_string(seed);
+    const auto [got, executed] = check_lockstep(
+        instance, reduce, synchronizer_options(instance.num_nodes(), seed),
+        label);
+    EXPECT_TRUE(got.all_finished) << label;
     EXPECT_LE(executed, 3 * n + got.messages_sent) << label;
     EXPECT_GT(got.stats.total_steps, 10 * executed) << label;
   }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <utility>
 
@@ -195,9 +196,9 @@ TEST(RunnerStats, LiveAndFrontierCounters) {
 }
 
 TEST(RunnerStats, SynchronizerFrontierCounters) {
-  // Under the synchronizer the frontier is the eligible set: with node 0
-  // asleep until round 10 it never reaches full width, and the history
-  // arena does no dirty-span clearing at all.
+  // Under the synchronizer the frontier is the most steps sharing one
+  // global round: with node 0 asleep until round 10 it never reaches full
+  // width, and the lockstep loop does no dirty-span clearing at all.
   Instance instance =
       make_instance(path_graph(40), IdentityScheme::kSequential);
   for (NodeId v = 0; v < 40; ++v)
@@ -312,6 +313,80 @@ TEST(RunnerSynchronized, TerminationTimeBoundedByRunningTime) {
   // The paper's running-time definition: every node terminates within t
   // rounds after its t-ball woke, with t <= the simultaneous running time.
   for (std::int64_t t : times) EXPECT_LE(t, result.rounds_used + 1);
+}
+
+TEST(RunnerSynchronized, RejectsWakeRoundsOfTheWrongSize) {
+  const Instance instance =
+      make_instance(path_graph(7), IdentityScheme::kSequential);
+  for (const NetworkKind kind :
+       {NetworkKind::kSynchronous, NetworkKind::kDelayed}) {
+    for (const std::size_t size : {std::size_t{3}, std::size_t{8}}) {
+      RunOptions options;
+      options.network.kind = kind;
+      options.wake_rounds.assign(size, 0);
+      try {
+        run_local(instance, MaxFlood{4}, options);
+        ADD_FAILURE() << "wake_rounds of size " << size << " accepted";
+      } catch (const std::invalid_argument& error) {
+        const std::string what = error.what();
+        EXPECT_NE(what.find("RunOptions::wake_rounds"), std::string::npos)
+            << what;
+        EXPECT_NE(what.find(std::to_string(size) + " entries"),
+                  std::string::npos)
+            << what;
+        EXPECT_NE(what.find("7 nodes"), std::string::npos) << what;
+      }
+    }
+  }
+}
+
+TEST(RunnerSynchronized, NegativeWakeRoundsCountAsZero) {
+  const Instance instance =
+      make_instance(path_graph(7), IdentityScheme::kSequential);
+  for (const NetworkKind kind :
+       {NetworkKind::kSynchronous, NetworkKind::kDelayed}) {
+    RunOptions zero;
+    zero.network.kind = kind;
+    zero.wake_rounds = {0, 2, 0, 0, 1, 0, 0};
+    RunOptions negative = zero;
+    negative.wake_rounds = {-1, 2, -40, 0, 1, -3, 0};
+    const RunResult want = run_local(instance, MaxFlood{6}, zero);
+    const RunResult got = run_local(instance, MaxFlood{6}, negative);
+    EXPECT_EQ(got.outputs, want.outputs);
+    EXPECT_EQ(got.finish_rounds, want.finish_rounds);
+    EXPECT_EQ(got.global_finish_rounds, want.global_finish_rounds);
+    EXPECT_EQ(got.global_rounds, want.global_rounds);
+    EXPECT_EQ(got.stats.peak_frontier_nodes, want.stats.peak_frontier_nodes);
+    EXPECT_EQ(got.stats.peak_round_messages, want.stats.peak_round_messages);
+  }
+}
+
+TEST(RunnerSynchronized, IgnoresAnEarlierDelayedRunsFaults) {
+  // A workspace that last ran the lossy delayed network still holds its
+  // fault counters; a synchronizer run in it reports none.
+  const Instance instance =
+      make_instance(cycle_graph(12), IdentityScheme::kSequential);
+  EngineWorkspace workspace;
+  RunOptions delayed;
+  delayed.workspace = &workspace;
+  delayed.network.kind = NetworkKind::kDelayed;
+  delayed.network.drop = 0.3;
+  delayed.network.duplicate = 0.3;
+  const RunResult lossy = run_local(instance, MaxFlood{5}, delayed);
+  ASSERT_GT(lossy.stats.messages_dropped, 0);
+  ASSERT_GT(lossy.stats.messages_duplicated, 0);
+  RunOptions synchronized;
+  synchronized.workspace = &workspace;
+  synchronized.wake_rounds.assign(12, 1);
+  const RunResult got = run_local(instance, MaxFlood{5}, synchronized);
+  EXPECT_EQ(got.stats.messages_dropped, 0);
+  EXPECT_EQ(got.stats.messages_duplicated, 0);
+  EXPECT_EQ(got.stats.max_delivery_skew, 0);
+  // Every node wakes at 1 and steps rounds 0..5 at global 1..6; the run
+  // ends one tick after the last step, when its last pulses land.
+  EXPECT_EQ(got.global_rounds, 7);
+  EXPECT_EQ(got.stats.peak_frontier_nodes, 12);
+  EXPECT_EQ(got.stats.peak_round_messages, 24);
 }
 
 TEST(RunnerSequential, CompositionPipesOutputs) {
