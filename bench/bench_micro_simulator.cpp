@@ -262,8 +262,8 @@ BENCHMARK(BM_KernelBatched_ChainMisArboricity100k)
 // The paper's pruning/alternation pipelines leave a shrinking straggler
 // frontier running long after the bulk of the graph has terminated. These
 // workloads reproduce that shape so the engine's fixed per-round costs
-// (send-span clears, finished-node scans, synchronizer eligibility
-// scheduling) are exposed instead of being buried under live stepping work.
+// (send-span clears, finished-node scans, the synchronizer's per-round
+// timing) are exposed instead of being buried under live stepping work.
 
 /// Broadcasts one word per round until round input[0], then finishes — the
 /// canonical long tail: nearly every node retires after a couple of rounds

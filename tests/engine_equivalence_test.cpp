@@ -92,10 +92,10 @@ TEST(EngineEquivalence, StaggeredWakeRounds) {
 }
 
 TEST(EngineEquivalence, SynchronizerRandomWakeGrids) {
-  // Random wake-round grids across seeds: the frontier scheduler (lag
-  // counters + wake admission) must reproduce the reference engine's
-  // per-global-round eligible snapshots exactly — outputs, per-node local
-  // and global finish rounds, and message counts all bit-identical.
+  // Random wake-round grids across seeds: the lockstep loop's unit-latency
+  // recurrence must reproduce the reference engine's per-global-round
+  // eligible snapshots exactly — outputs, per-node local and global finish
+  // rounds, and message counts all bit-identical.
   const LubyMis luby;
   const GreedyMis greedy;
   Rng wake_rng(101);
