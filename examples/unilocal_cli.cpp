@@ -43,13 +43,17 @@
 //   --smoke shrinks the grid (n=64, 1 seed) for CI. Exit status 0 iff
 //   every cell ran, solved, and passed its centralized checker.
 //
-//   Both sweep and table1 accept --shards=K [--policy=P]: the grid is
-//   planned into K shards, run as K concurrently *supervised* worker
-//   processes (each `unilocal_cli shard run` on its own manifest,
-//   src/runtime/supervisor.h), and merged — the merged output is
-//   bit-identical (per-cell output hashes, grid hash) to the
+//   sweep and table1 differ only in their grid flags; once the grid is
+//   built they share one run path and every other flag. With --shards=K
+//   [--policy=P] the grid is planned into K shards, run as K concurrently
+//   *supervised* worker processes (each `unilocal_cli shard run` on its
+//   own manifest, src/runtime/supervisor.h), and merged — the merged
+//   output is bit-identical (per-cell output hashes, grid hash) to the
 //   single-process run. --canonical emits only the deterministic JSON
-//   fields so sharded and single-process outputs diff byte-equal.
+//   fields so sharded and single-process outputs diff byte-equal. A
+//   sharded --trace stitches every accepted worker attempt's trace under
+//   its own pid lane, and a sharded --metrics merges the accepted
+//   attempts' metrics (campaign.*, engine.*) with the supervisor.* ones.
 //   Supervision knobs: --max-attempts=N (launches per shard, default 3),
 //   --shard-timeout=S (base per-attempt deadline; the cost model adds a
 //   per-cost term), --journal=FILE (checkpoint journal — rerunning after
@@ -88,9 +92,11 @@
 // ("table1: --n: expected a number in [0, 2147483647], got '-1'").
 //
 // Prints one line per node: "<identity> <output>" (plus a summary on
-// stderr). Every algorithm here is the uniform product of the paper's
-// transformers — the tool needs no -n/-delta flags because no node needs
-// them; that is the point of the paper.
+// stderr). Each problem runs its algorithm-registry pipeline (mis-uniform,
+// matching-uniform, coloring-theorem5, rulingset2-lv) with seed 1 and is
+// scored by that entry's checker. Every one is the uniform product of the
+// paper's transformers — the tool needs no -n/-delta flags because no
+// node needs them; that is the point of the paper.
 #include <unistd.h>
 
 #include <charconv>
@@ -107,19 +113,8 @@
 #include <thread>
 #include <vector>
 
-#include "src/algo/edge_color_mm.h"
-#include "src/algo/mis_from_coloring.h"
-#include "src/algo/ruling_set_mc.h"
-#include "src/core/coloring_transform.h"
-#include "src/core/mc_to_lv.h"
-#include "src/core/transformer.h"
 #include "src/graph/io.h"
-#include "src/problems/coloring.h"
-#include "src/problems/matching.h"
-#include "src/problems/mis.h"
-#include "src/problems/ruling_set.h"
-#include "src/prune/matching_prune.h"
-#include "src/prune/ruling_set_prune.h"
+#include "src/runtime/algorithm_registry.h"
 #include "src/runtime/campaign.h"
 #include "src/runtime/paper_ledger.h"
 #include "src/runtime/run_log.h"
@@ -336,38 +331,45 @@ struct NetworkFlags {
   }
 };
 
+/// --inject=SPEC and --inject-seed=U, the chaos knobs the supervisor
+/// forwards to its workers. Flags arrive in any order, so --inject keeps
+/// an earlier --inject-seed.
+bool consume_chaos(const std::string& arg, ChaosOptions& chaos) {
+  if (arg.rfind("--inject=", 0) == 0) {
+    const std::uint64_t seed = chaos.seed;
+    chaos = parse_chaos_spec(arg.substr(arg.find('=') + 1));
+    chaos.seed = seed;
+  } else if (arg.rfind("--inject-seed=", 0) == 0) {
+    chaos.seed = flag_number<std::uint64_t>(arg, 0);
+  } else {
+    return false;
+  }
+  return true;
+}
+
 /// The supervision flag group sweep/table1 share (all require --shards=K):
-/// retry budget, timeout, checkpoint journal, partial-merge opt-in, and
-/// the hidden chaos knobs. consume() throws std::runtime_error naming the
-/// offending flag on malformed values.
+/// retry budget, timeout, checkpoint journal and straggler speculation
+/// land in `options` (whose defaults are supervisor.h's), plus the
+/// partial-merge opt-in and the hidden chaos knobs. consume() throws
+/// std::runtime_error naming the offending flag on malformed values.
 struct SupervisorFlags {
-  int max_attempts = 3;
-  double base_timeout_seconds = 300.0;
+  SupervisorOptions options;
   bool allow_partial = false;
-  bool speculate = true;
-  std::string journal_path;
   ChaosOptions chaos;
   bool any_set = false;
 
   bool consume(const std::string& arg) {
-    const auto value = [&arg] { return arg.substr(arg.find('=') + 1); };
     if (arg.rfind("--max-attempts=", 0) == 0) {
-      max_attempts = flag_number(arg, 1);
+      options.max_attempts = flag_number(arg, 1);
     } else if (arg.rfind("--shard-timeout=", 0) == 0) {
-      base_timeout_seconds = flag_number(arg, 0.001, 1e6);
+      options.base_timeout_seconds = flag_number(arg, 0.001, 1e6);
     } else if (arg == "--allow-partial") {
       allow_partial = true;
     } else if (arg == "--no-speculate") {
-      speculate = false;
+      options.speculate = false;
     } else if (arg.rfind("--journal=", 0) == 0) {
-      journal_path = value();
-    } else if (arg.rfind("--inject=", 0) == 0) {
-      const std::uint64_t seed = chaos.seed;  // flags arrive in any order
-      chaos = parse_chaos_spec(value());
-      chaos.seed = seed;
-    } else if (arg.rfind("--inject-seed=", 0) == 0) {
-      chaos.seed = flag_number<std::uint64_t>(arg, 0);
-    } else {
+      options.journal_path = arg.substr(arg.find('=') + 1);
+    } else if (!consume_chaos(arg, chaos)) {
       return false;
     }
     any_set = true;
@@ -435,16 +437,73 @@ struct TelemetrySinks {
       write_text_file(flags.metrics_path, registry->to_json().dump() + "\n");
   }
 };
+/// How a campaign result is reported (sweep, table1 and shard merge):
+/// --format=csv|json, --canonical (deterministic JSON fields only) and
+/// --log=FILE (append to and diff against the run log).
+struct ReportFlags {
+  bool json = false;
+  bool canonical = false;
+  std::string log_path;
 
+  bool consume(const std::string& arg) {
+    const auto value = [&arg] { return arg.substr(arg.find('=') + 1); };
+    if (arg == "--canonical") {
+      canonical = true;
+      json = true;
+    } else if (arg.rfind("--format=", 0) == 0) {
+      const std::string format = value();
+      if (format != "csv" && format != "json")
+        throw FlagError("--format: expected csv or json, got '" + format +
+                        "'");
+      json = format == "json";
+    } else if (arg.rfind("--log=", 0) == 0) {
+      log_path = value();
+    } else {
+      return false;
+    }
+    return true;
+  }
+};
+
+/// Every flag sweep and table1 share — all but their grid flags: where the
+/// cells run (--workers, --shards, --policy), how the result is reported,
+/// and the network, supervisor and telemetry groups.
+struct CampaignFlags {
+  unsigned workers = std::max(1u, std::thread::hardware_concurrency());
+  bool workers_given = false;
+  int shards = 0;
+  ShardPolicy policy = ShardPolicy::kCostBalanced;
+  ReportFlags report;
+  NetworkFlags network;
+  SupervisorFlags supervisor;
+  TelemetryFlags telemetry;
+
+  bool consume(const std::string& arg) {
+    if (report.consume(arg) || network.consume(arg) ||
+        supervisor.consume(arg) || telemetry.consume(arg))
+      return true;
+    if (arg.rfind("--workers=", 0) == 0) {
+      workers = flag_number(arg, 1u, kMaxWorkers);
+      workers_given = true;
+    } else if (arg.rfind("--shards=", 0) == 0) {
+      shards = flag_number(arg, 0, kMaxShards);
+    } else if (arg.rfind("--policy=", 0) == 0) {
+      policy = parse_shard_policy(arg.substr(arg.find('=') + 1));
+    } else {
+      return false;
+    }
+    return true;
+  }
+};
 
 /// Writes the per-cell output, prints the aggregate summary and every
 /// non-valid cell, optionally appends to / diffs against the run log.
 /// Returns 0 iff every cell ran, solved, and passed its checker.
 int report_campaign(const char* what, const CampaignResult& result,
-                    bool json, bool canonical, const std::string& log_path) {
-  if (json || canonical) {
+                    const ReportFlags& flags) {
+  if (flags.json || flags.canonical) {
     CampaignJsonOptions json_options;
-    json_options.canonical = canonical;
+    json_options.canonical = flags.canonical;
     write_campaign_json(std::cout, result, json_options);
     std::cout << '\n';
   } else {
@@ -462,7 +521,7 @@ int report_campaign(const char* what, const CampaignResult& result,
         std::fprintf(stderr, "  %-22s p50=%.0f p90=%.0f p99=%.0f max=%.0f\n",
                      key, p.p50, p.p90, p.p99, p.max);
       });
-  if (result.supervision.enabled) {
+  if (result.supervision.shards > 0) {
     const SupervisionSummary& sup = result.supervision;
     std::fprintf(stderr,
                  "%s: supervision: shards=%d attempts=%d retries=%d "
@@ -498,6 +557,7 @@ int report_campaign(const char* what, const CampaignResult& result,
                    cell.cell.scenario.c_str(), cell.cell.algorithm.c_str(),
                    static_cast<unsigned long long>(cell.cell.seed));
   }
+  const std::string& log_path = flags.log_path;
   if (!log_path.empty()) {
     const RunLogComparison comparison = compare_run_log(log_path, result);
     if (comparison.found) {
@@ -547,13 +607,15 @@ struct ScratchDir {
 /// single-process run whenever every shard is eventually accepted;
 /// --allow-partial degrades exhausted shards to an explicit report.
 int run_sharded(const char* what, const std::vector<CampaignCell>& cells,
-                int shards, ShardPolicy policy, int workers_per_shard,
-                bool json_output, bool canonical,
-                const std::string& log_path,
-                const SupervisorFlags& supervisor_flags,
-                const TelemetryFlags& telemetry_flags) {
+                const CampaignFlags& flags) {
   namespace fs = std::filesystem;
-  const ShardPlan plan = plan_shards(cells, shards, policy);
+  const ShardPlan plan = plan_shards(cells, flags.shards, flags.policy);
+  // --workers means workers per shard process; the default splits the
+  // machine evenly instead of oversubscribing it K times.
+  const int workers_per_shard =
+      flags.workers_given
+          ? static_cast<int>(flags.workers)
+          : std::max(1, static_cast<int>(flags.workers) / flags.shards);
 
   std::string dir_template =
       (fs::temp_directory_path() / "unilocal-shards-XXXXXX").string();
@@ -563,89 +625,90 @@ int run_sharded(const char* what, const std::vector<CampaignCell>& cells,
     throw std::runtime_error("cannot create shard scratch directory");
   const ScratchDir scratch{dir_buffer.data()};
 
-  // Sharded telemetry: the supervisor records its own spans on pid 1;
-  // workers write per-attempt trace files into scratch, and the accepted
-  // attempt of each shard is stitched under pid shard+2 before scratch is
-  // deleted. --metrics here snapshots the supervisor process only (the
-  // cells ran in the workers).
-  const TelemetrySinks sinks(telemetry_flags);
+  // Sharded telemetry: the supervisor records its own spans on its pid
+  // lane; workers write per-attempt trace and metrics files into scratch,
+  // and the accepted attempt of each shard is folded in — its trace
+  // stitched under its own pid lane, its metrics merged into the
+  // supervisor's registry — before scratch is deleted.
+  const TelemetrySinks sinks(flags.telemetry);
   const telemetry::ScopedMetrics scoped_metrics(sinks.registry.get());
   if (sinks.recorder != nullptr)
-    sinks.recorder->set_process_name(1, "supervisor");
-  const auto worker_trace_path = [&scratch](int shard, int attempt) {
-    return (scratch.dir /
-            ("trace-" + std::to_string(shard) + "-attempt-" +
-             std::to_string(attempt) + ".json"))
+    sinks.recorder->set_process_name(kSupervisorTracePid, "supervisor");
+  const auto worker_file = [&scratch](const char* kind, int shard,
+                                      int attempt) {
+    return (scratch.dir / (std::string(kind) + "-" + std::to_string(shard) +
+                           "-attempt-" + std::to_string(attempt) + ".json"))
         .string();
   };
 
-  SupervisorOptions options;
-  options.max_attempts = supervisor_flags.max_attempts;
-  options.base_timeout_seconds = supervisor_flags.base_timeout_seconds;
-  options.speculate = supervisor_flags.speculate;
+  SupervisorOptions options = flags.supervisor.options;
   options.scratch_dir = scratch.dir.string();
-  options.journal_path = supervisor_flags.journal_path;
   options.trace = sinks.recorder.get();
 
   const std::string exe = self_executable();
-  const std::string inject_spec = chaos_spec_name(supervisor_flags.chaos);
-  const std::uint64_t inject_seed = supervisor_flags.chaos.seed;
+  const ChaosOptions& chaos = flags.supervisor.chaos;
+  const std::string inject_spec = chaos_spec_name(chaos);
   const bool tracing = sinks.recorder != nullptr;
-  const std::int64_t trace_rounds = telemetry_flags.trace_rounds;
-  const WorkerCommand command =
-      [&exe, workers_per_shard, &inject_spec, inject_seed,
-       tracing, trace_rounds,
-       &worker_trace_path](const ShardAttemptContext& context) {
-        std::vector<std::string> argv = {
-            exe,
-            "shard",
-            "run",
-            context.manifest_path,
-            "--out=" + context.result_path,
-            "--workers=" + std::to_string(workers_per_shard)};
-        if (tracing) {
-          argv.push_back("--trace=" + worker_trace_path(context.shard_index,
-                                                        context.attempt));
-          argv.push_back("--trace-rounds=" + std::to_string(trace_rounds));
-        }
-        if (!inject_spec.empty()) {
-          // The worker draws its own fault from (spec, seed, shard,
-          // attempt) — the supervisor only forwards the attempt number.
-          argv.push_back("--inject=" + inject_spec);
-          argv.push_back("--inject-seed=" + std::to_string(inject_seed));
-          argv.push_back("--attempt=" + std::to_string(context.attempt));
-        }
-        return argv;
-      };
+  const bool metering = sinks.registry != nullptr;
+  const WorkerCommand command = [&](const ShardAttemptContext& context) {
+    std::vector<std::string> argv = {
+        exe,
+        "shard",
+        "run",
+        context.manifest_path,
+        "--out=" + context.result_path,
+        "--workers=" + std::to_string(workers_per_shard)};
+    if (tracing) {
+      argv.push_back("--trace=" + worker_file("trace", context.shard_index,
+                                              context.attempt));
+      argv.push_back("--trace-rounds=" +
+                     std::to_string(flags.telemetry.trace_rounds));
+    }
+    if (metering)
+      argv.push_back("--metrics=" + worker_file("metrics", context.shard_index,
+                                                context.attempt));
+    if (!inject_spec.empty()) {
+      // The worker draws its own fault from (spec, seed, shard, attempt) —
+      // the supervisor only forwards the attempt number.
+      argv.push_back("--inject=" + inject_spec);
+      argv.push_back("--inject-seed=" + std::to_string(chaos.seed));
+      argv.push_back("--attempt=" + std::to_string(context.attempt));
+    }
+    return argv;
+  };
 
   const SupervisorReport report = supervise_shards(plan, options, command);
 
-  // Stitch the accepted attempt of every completed shard into the merged
-  // trace while scratch still exists. A worker that died before writing
-  // its trace (or a journal-resumed shard, which launched no process)
-  // simply contributes no lane.
-  if (sinks.recorder != nullptr) {
-    for (const ShardSupervision& sup : report.shards) {
-      if (!sup.completed || sup.from_journal) continue;
-      for (const ShardAttemptRecord& record : sup.log) {
-        if (record.outcome != "accepted") continue;
-        const std::string path =
-            worker_trace_path(sup.shard_index, record.attempt);
-        try {
-          sinks.recorder->merge_process(
-              json::Value::parse(read_text_file(path)), sup.shard_index + 2,
-              "shard " + std::to_string(sup.shard_index));
-        } catch (const std::exception& e) {
-          std::fprintf(stderr, "%s: trace stitch: skipping %s: %s\n", what,
-                       path.c_str(), e.what());
-        }
-        break;
-      }
+  // Fold the accepted attempt of every completed shard in while scratch
+  // still exists. A worker that died before writing its files (or a
+  // journal-resumed shard, which launched no process) contributes nothing.
+  const auto fold = [&](const char* kind, int shard, int attempt,
+                        const auto& apply) {
+    const std::string path = worker_file(kind, shard, attempt);
+    try {
+      apply(json::Value::parse(read_text_file(path)));
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "%s: %s stitch: skipping %s: %s\n", what, kind,
+                   path.c_str(), e.what());
+    }
+  };
+  for (const ShardSupervision& row : report.rows) {
+    if (!row.completed || row.from_journal) continue;
+    for (const ShardAttemptRecord& record : row.log) {
+      if (record.outcome != "accepted") continue;
+      const int shard = row.shard_index;
+      if (tracing)
+        fold("trace", shard, record.attempt, [&](const json::Value& doc) {
+          sinks.recorder->merge_process(doc, kSupervisorTracePid + 1 + shard,
+                                        "shard " + std::to_string(shard));
+        });
+      if (metering)
+        fold("metrics", shard, record.attempt,
+             [&](const json::Value& doc) { sinks.registry->merge(doc); });
+      break;
     }
   }
-  if (sinks.registry != nullptr) {
-    // Sharded --metrics snapshots the supervisor process: the supervision
-    // counters (cell-level metrics live in the workers).
+  if (metering) {
     sinks.registry->add("supervisor.attempts", report.attempts);
     sinks.registry->add("supervisor.retries", report.retries);
     sinks.registry->add("supervisor.requeues", report.requeues);
@@ -653,20 +716,19 @@ int run_sharded(const char* what, const std::vector<CampaignCell>& cells,
                         report.stragglers_respawned);
     sinks.registry->add("supervisor.shards_from_journal",
                         report.shards_from_journal);
-    sinks.registry->add("supervisor.shards_failed",
-                        static_cast<std::int64_t>(report.failed_shards.size()));
+    sinks.registry->add("supervisor.shards_failed", report.shards_failed);
   }
-  sinks.write(telemetry_flags);
+  sinks.write(flags.telemetry);
   std::fprintf(stderr,
                "%s: supervised %zu shards (%s policy, %d workers each): "
                "%d attempts, %d retries, %d stragglers respawned, "
                "%d from journal, %.3fs\n",
-               what, plan.shards.size(), shard_policy_name(policy),
+               what, plan.shards.size(), shard_policy_name(flags.policy),
                workers_per_shard, report.attempts, report.retries,
                report.stragglers_respawned, report.shards_from_journal,
                report.elapsed_seconds);
 
-  if (!report.all_completed() && !supervisor_flags.allow_partial) {
+  if (!report.all_completed() && !flags.supervisor.allow_partial) {
     // failure_summary reads the worker stderr captures NOW, while scratch
     // still exists; the ScratchDir guard then deletes them.
     throw std::runtime_error(std::string(what) + ": " +
@@ -683,44 +745,28 @@ int run_sharded(const char* what, const std::vector<CampaignCell>& cells,
     std::fprintf(stderr, "%s: %s\n", what, report.failure_summary().c_str());
     std::fprintf(stderr, "%s: %s\n", what, partial.describe().c_str());
   }
+  merged.supervision = report;
+  return report_campaign(what, merged, flags.report);
+}
 
-  merged.supervision.enabled = true;
-  merged.supervision.shards = static_cast<int>(plan.shards.size());
-  merged.supervision.attempts = report.attempts;
-  merged.supervision.retries = report.retries;
-  merged.supervision.requeues = report.requeues;
-  merged.supervision.stragglers_respawned = report.stragglers_respawned;
-  merged.supervision.shards_from_journal = report.shards_from_journal;
-  merged.supervision.shards_failed =
-      static_cast<int>(report.failed_shards.size());
-  std::vector<double> attempt_seconds;
-  for (const ShardSupervision& sup : report.shards) {
-    ShardSupervisionRow row;
-    row.shard_index = sup.shard_index;
-    row.completed = sup.completed;
-    row.from_journal = sup.from_journal;
-    row.attempts = sup.attempts;
-    row.retries = sup.retries;
-    row.stragglers_respawned = sup.stragglers_respawned;
-    row.total_attempt_seconds = sup.total_attempt_seconds;
-    for (const ShardAttemptRecord& record : sup.log) {
-      ShardAttemptTiming timing;
-      timing.attempt = record.attempt;
-      timing.speculative = record.speculative;
-      timing.start_seconds = record.start_seconds;
-      timing.end_seconds = record.end_seconds;
-      timing.killed = record.killed;
-      timing.outcome = record.outcome;
-      if (record.killed) ++merged.supervision.attempts_killed;
-      row.attempt_log.push_back(std::move(timing));
-    }
-    merged.supervision.rows.push_back(row);
-    if (!sup.from_journal)
-      attempt_seconds.push_back(sup.total_attempt_seconds);
-  }
-  merged.supervision.attempt_seconds =
-      campaign_percentiles(std::move(attempt_seconds));
-  return report_campaign(what, merged, json_output, canonical, log_path);
+/// The one run path of sweep and table1 once their grid is built: the
+/// supervised sharded driver under --shards=K, an in-process campaign
+/// otherwise.
+int run_cells(const char* what, const std::vector<CampaignCell>& cells,
+              const CampaignFlags& flags) {
+  flags.supervisor.require_shards(flags.shards);
+  if (flags.shards > 0) return run_sharded(what, cells, flags);
+  const TelemetrySinks sinks(flags.telemetry);
+  const telemetry::ScopedMetrics scoped_metrics(sinks.registry.get());
+  if (sinks.recorder != nullptr)
+    sinks.recorder->set_process_name(1, "campaign");
+  CampaignOptions options;
+  options.workers = static_cast<int>(flags.workers);
+  options.trace = sinks.recorder.get();
+  options.trace_rounds = flags.telemetry.trace_rounds;
+  const CampaignResult result = run_campaign(cells, options);
+  sinks.write(flags.telemetry);
+  return report_campaign(what, result, flags.report);
 }
 
 int run_shard_plan(int argc, char** argv) {
@@ -834,12 +880,7 @@ int run_shard_run(int argc, char** argv) {
       out_path = value();
     } else if (arg.rfind("--workers=", 0) == 0) {
       workers = flag_number(arg, 1u, kMaxWorkers);
-    } else if (arg.rfind("--inject=", 0) == 0) {
-      const std::uint64_t seed = chaos.seed;
-      chaos = parse_chaos_spec(value());
-      chaos.seed = seed;
-    } else if (arg.rfind("--inject-seed=", 0) == 0) {
-      chaos.seed = flag_number<std::uint64_t>(arg, 0);
+    } else if (consume_chaos(arg, chaos)) {
     } else if (arg.rfind("--attempt=", 0) == 0) {
       attempt = flag_number(arg, 1);
     } else if (arg.rfind("--", 0) != 0 && manifest_path.empty()) {
@@ -912,21 +953,10 @@ int run_shard_run(int argc, char** argv) {
 int run_shard_merge(int argc, char** argv) {
   std::string plan_path;
   std::vector<std::string> result_paths;
-  bool json_output = false;
-  bool canonical = false;
-  std::string log_path;
+  ReportFlags report_flags;
   for (int i = 3; i < argc; ++i) {
     const std::string arg = argv[i];
-    const auto value = [&arg] { return arg.substr(arg.find('=') + 1); };
-    if (arg == "--canonical") {
-      canonical = true;
-      json_output = true;
-    } else if (arg.rfind("--format=", 0) == 0) {
-      const std::string format = value();
-      if (format != "csv" && format != "json") return usage();
-      json_output = format == "json";
-    } else if (arg.rfind("--log=", 0) == 0) {
-      log_path = value();
+    if (report_flags.consume(arg)) {
     } else if (arg.rfind("--", 0) == 0) {
       return reject_argument("shard merge", arg);
     } else if (plan_path.empty()) {
@@ -944,8 +974,7 @@ int run_shard_merge(int argc, char** argv) {
     results.push_back(
         ShardResult::from_json(json::Value::parse(read_text_file(path))));
   const CampaignResult merged = merge_shard_results(plan, results);
-  return report_campaign("shard merge", merged, json_output, canonical,
-                         log_path);
+  return report_campaign("shard merge", merged, report_flags);
 }
 
 int run_shard_command(int argc, char** argv) {
@@ -965,22 +994,11 @@ int run_sweep(int argc, char** argv) {
   ScenarioParams params;
   params.n = 200;
   int seeds = 2;
-  unsigned workers = std::thread::hardware_concurrency();
-  if (workers == 0) workers = 1;
-  bool workers_given = false;
-  int shards = 0;
-  ShardPolicy policy = ShardPolicy::kCostBalanced;
-  NetworkFlags network_flags;
-  SupervisorFlags supervisor_flags;
-  TelemetryFlags telemetry_flags;
-  bool json_output = false;
-  bool canonical = false;
-  std::string log_path;
+  CampaignFlags flags;
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
     const auto value = [&arg] { return arg.substr(arg.find('=') + 1); };
-    if (network_flags.consume(arg) || supervisor_flags.consume(arg) ||
-        telemetry_flags.consume(arg)) {
+    if (flags.consume(arg)) {
     } else if (arg == "--list") {
       const auto& registry = default_algorithm_registry();
       std::printf("scenario families:\n");
@@ -1016,22 +1034,6 @@ int run_sweep(int argc, char** argv) {
       params.b = flag_number(arg, 0.0, 1e6);
     } else if (arg.rfind("--seeds=", 0) == 0) {
       seeds = flag_number(arg, 1);
-    } else if (arg.rfind("--workers=", 0) == 0) {
-      workers = flag_number(arg, 1u, kMaxWorkers);
-      workers_given = true;
-    } else if (arg.rfind("--shards=", 0) == 0) {
-      shards = flag_number(arg, 0, kMaxShards);
-    } else if (arg.rfind("--policy=", 0) == 0) {
-      policy = parse_shard_policy(value());
-    } else if (arg == "--canonical") {
-      canonical = true;
-      json_output = true;
-    } else if (arg.rfind("--log=", 0) == 0) {
-      log_path = value();
-    } else if (arg.rfind("--format=", 0) == 0) {
-      const std::string format = value();
-      if (format != "csv" && format != "json") return usage();
-      json_output = format == "json";
     } else {
       return reject_argument("sweep", arg);
     }
@@ -1041,60 +1043,27 @@ int run_sweep(int argc, char** argv) {
   const auto algorithms =
       default_algorithm_registry().resolve(algorithm_patterns);
   GridOptions grid_options;
-  grid_options.networks = network_flags.resolve();
+  grid_options.networks = flags.network.resolve();
   const auto cells =
       make_grid(scenarios, params, algorithms, seeds, grid_options);
   if (cells.empty()) {
     std::fprintf(stderr, "sweep: empty grid\n");
     return 1;
   }
-  supervisor_flags.require_shards(shards);
-  if (shards > 0) {
-    // --workers now means workers per shard process; default to an even
-    // split of the machine instead of oversubscribing it K times.
-    const int per_shard = workers_given
-                              ? static_cast<int>(workers)
-                              : std::max(1, static_cast<int>(workers) / shards);
-    return run_sharded("sweep", cells, shards, policy, per_shard, json_output,
-                       canonical, log_path, supervisor_flags,
-                       telemetry_flags);
-  }
-  const TelemetrySinks sinks(telemetry_flags);
-  const telemetry::ScopedMetrics scoped_metrics(sinks.registry.get());
-  if (sinks.recorder != nullptr)
-    sinks.recorder->set_process_name(1, "campaign");
-  CampaignOptions options;
-  options.workers = static_cast<int>(workers);
-  options.trace = sinks.recorder.get();
-  options.trace_rounds = telemetry_flags.trace_rounds;
-  const CampaignResult result = run_campaign(cells, options);
-  sinks.write(telemetry_flags);
-  return report_campaign("sweep", result, json_output, canonical, log_path);
+  return run_cells("sweep", cells, flags);
 }
 
 int run_table1(int argc, char** argv) {
   ScenarioParams params;
   params.n = 256;
   int seeds = 2;
-  unsigned workers = std::thread::hardware_concurrency();
-  if (workers == 0) workers = 1;
-  bool workers_given = false;
-  int shards = 0;
-  ShardPolicy policy = ShardPolicy::kCostBalanced;
-  NetworkFlags network_flags;
-  SupervisorFlags supervisor_flags;
-  TelemetryFlags telemetry_flags;
-  bool json_output = false;
-  bool canonical = false;
   bool smoke = false;
   bool n_given = false;
   bool seeds_given = false;
-  std::string log_path;
+  CampaignFlags flags;
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
-    const auto value = [&arg] { return arg.substr(arg.find('=') + 1); };
-    if (network_flags.consume(arg) || supervisor_flags.consume(arg) ||
-        telemetry_flags.consume(arg)) {
+    if (flags.consume(arg)) {
     } else if (arg == "--smoke") {
       smoke = true;
     } else if (arg.rfind("--n=", 0) == 0) {
@@ -1103,22 +1072,6 @@ int run_table1(int argc, char** argv) {
     } else if (arg.rfind("--seeds=", 0) == 0) {
       seeds = flag_number(arg, 1);
       seeds_given = true;
-    } else if (arg.rfind("--workers=", 0) == 0) {
-      workers = flag_number(arg, 1u, kMaxWorkers);
-      workers_given = true;
-    } else if (arg.rfind("--shards=", 0) == 0) {
-      shards = flag_number(arg, 0, kMaxShards);
-    } else if (arg.rfind("--policy=", 0) == 0) {
-      policy = parse_shard_policy(value());
-    } else if (arg == "--canonical") {
-      canonical = true;
-      json_output = true;
-    } else if (arg.rfind("--log=", 0) == 0) {
-      log_path = value();
-    } else if (arg.rfind("--format=", 0) == 0) {
-      const std::string format = value();
-      if (format != "csv" && format != "json") return usage();
-      json_output = format == "json";
     } else {
       return reject_argument("table1", arg);
     }
@@ -1130,33 +1083,14 @@ int run_table1(int argc, char** argv) {
     if (!seeds_given) seeds = 1;
   }
   GridOptions grid_options;
-  grid_options.networks = network_flags.resolve();
+  grid_options.networks = flags.network.resolve();
   const auto cells = make_table1_grid(params, seeds, grid_options);
   std::fprintf(stderr,
                "table1: %zu cells (%zu algorithms x their Table 1 "
                "families x %d seed%s, n=%d)\n",
                cells.size(), default_algorithm_registry().names().size(),
                seeds, seeds == 1 ? "" : "s", params.n);
-  supervisor_flags.require_shards(shards);
-  if (shards > 0) {
-    const int per_shard = workers_given
-                              ? static_cast<int>(workers)
-                              : std::max(1, static_cast<int>(workers) / shards);
-    return run_sharded("table1", cells, shards, policy, per_shard,
-                       json_output, canonical, log_path, supervisor_flags,
-                       telemetry_flags);
-  }
-  const TelemetrySinks sinks(telemetry_flags);
-  const telemetry::ScopedMetrics scoped_metrics(sinks.registry.get());
-  if (sinks.recorder != nullptr)
-    sinks.recorder->set_process_name(1, "campaign");
-  CampaignOptions options;
-  options.workers = static_cast<int>(workers);
-  options.trace = sinks.recorder.get();
-  options.trace_rounds = telemetry_flags.trace_rounds;
-  const CampaignResult result = run_campaign(cells, options);
-  sinks.write(telemetry_flags);
-  return report_campaign("table1", result, json_output, canonical, log_path);
+  return run_cells("table1", cells, flags);
 }
 
 int run_ledger(int argc, char** argv) {
@@ -1216,7 +1150,6 @@ int main(int argc, char** argv) {
     }
   }
   bool want_stats = false;
-  UniformRunOptions run_options;
   NetworkFlags network_flags;
   TelemetryFlags telemetry_flags;
   std::string stats_json_path;
@@ -1250,10 +1183,23 @@ int main(int argc, char** argv) {
     }
   }
   if (problem_arg == nullptr) return usage();
+  // Each problem is its Table 1 pipeline in the algorithm registry, run
+  // and checked exactly as a campaign cell with seed 1 would be.
+  const std::string problem = problem_arg;
+  const std::pair<const char*, const char*> pipelines[] = {
+      {"mis", "mis-uniform"},
+      {"matching", "matching-uniform"},
+      {"coloring", "coloring-theorem5"},
+      {"rulingset2", "rulingset2-lv"}};
+  const char* key = nullptr;
+  for (const auto& [name, pipeline] : pipelines)
+    if (problem == name) key = pipeline;
+  if (key == nullptr) return usage();
+  AlgorithmRunContext context;
   try {
     // Unknown presets ("--network=delay:pareto") and knobs without a
     // delayed network surface here, before any graph is read.
-    run_options.network = network_flags.resolve_single();
+    context.network = network_flags.resolve_single();
   } catch (const std::exception& e) {
     std::fprintf(stderr, "%s\n", e.what());
     return usage();
@@ -1274,10 +1220,9 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "parse error: %s\n", e.what());
     return 1;
   }
-  Instance instance = make_instance(std::move(g),
-                                    IdentityScheme::kRandomPermuted, 1);
+  const Instance instance =
+      make_instance(std::move(g), IdentityScheme::kRandomPermuted, 1);
 
-  const std::string problem = problem_arg;
   // --stats-json folds a metrics snapshot into its document, so it wants a
   // registry even without --metrics.
   const TelemetrySinks sinks(telemetry_flags, !stats_json_path.empty());
@@ -1290,54 +1235,15 @@ int main(int argc, char** argv) {
     binding.trace_rounds = telemetry_flags.trace_rounds;
     trace_scope = std::make_unique<telemetry::ScopedTraceBinding>(binding);
   }
-  EngineStats engine_stats;
-  std::int64_t total_rounds = 0;
+  CellOutcome outcome;
   try {
-  if (problem == "mis") {
-    const auto algorithm = make_coloring_mis();
-    const RulingSetPruning pruning(1);
-    const auto result =
-        run_uniform_transformer(instance, *algorithm, pruning, run_options);
-    emit(instance, result.outputs, result.total_rounds,
-         result.solved &&
-             is_maximal_independent_set(instance.graph, result.outputs),
-         "mis");
-    engine_stats = result.engine_stats;
-    total_rounds = result.total_rounds;
-  } else if (problem == "matching") {
-    const auto algorithm = make_colored_matching();
-    const MatchingPruning pruning;
-    const auto result =
-        run_uniform_transformer(instance, *algorithm, pruning, run_options);
-    emit(instance, result.outputs, result.total_rounds,
-         result.solved && is_maximal_matching(instance.graph, result.outputs),
-         "matching");
-    engine_stats = result.engine_stats;
-    total_rounds = result.total_rounds;
-  } else if (problem == "coloring") {
-    const auto algorithm = make_lambda_gdelta_coloring(1);
-    const auto result =
-        run_uniform_coloring_transform(instance, *algorithm, run_options);
-    emit(instance, result.colors, result.total_rounds,
-         result.solved && is_proper_coloring(instance.graph, result.colors),
-         "coloring");
-    engine_stats = result.engine_stats;
-    total_rounds = result.total_rounds;
-  } else if (problem == "rulingset2") {
-    const auto algorithm = make_mc_ruling_set(2);
-    const RulingSetPruning pruning(2);
-    const auto result =
-        run_las_vegas_transformer(instance, *algorithm, pruning, run_options);
-    emit(instance, result.outputs, result.total_rounds,
-         result.solved &&
-             is_two_beta_ruling_set(instance.graph, result.outputs, 2),
-         "rulingset2");
-    engine_stats = result.engine_stats;
-    total_rounds = result.total_rounds;
-  } else {
-    return usage();
-  }
-  if (want_stats) emit_stats(engine_stats, problem.c_str());
+    const AlgorithmRegistry& registry = default_algorithm_registry();
+    outcome = registry.run(key, instance, context);
+    emit(instance, outcome.outputs, outcome.rounds,
+         outcome.solved &&
+             registry.problem(key).check(instance, outcome.outputs),
+         problem.c_str());
+    if (want_stats) emit_stats(outcome.stats, problem.c_str());
   } catch (const std::exception& e) {
     std::fprintf(stderr, "%s: %s\n", problem.c_str(), e.what());
     return 1;
@@ -1349,8 +1255,8 @@ int main(int argc, char** argv) {
       // snapshot (the same registry the engine reported into).
       json::Value doc = json::Value::object();
       doc.set("problem", json::Value::string(problem));
-      doc.set("rounds", json::Value::number(total_rounds));
-      doc.set("engine", engine_stats_to_json(engine_stats));
+      doc.set("rounds", json::Value::number(outcome.rounds));
+      doc.set("engine", engine_stats_to_json(outcome.stats));
       const json::Value metrics_doc = sinks.registry->to_json();
       doc.set("metrics", *metrics_doc.find("metrics"));
       write_text_file(stats_json_path, doc.dump() + "\n");

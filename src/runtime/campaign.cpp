@@ -556,9 +556,9 @@ void write_supervision_csv(std::ostream& out,
                            const SupervisionSummary& summary) {
   out << "shard,completed,from_journal,attempts,retries,"
          "stragglers_respawned,total_attempt_seconds,attempts_killed\n";
-  for (const ShardSupervisionRow& row : summary.rows) {
+  for (const ShardSupervision& row : summary.rows) {
     int killed = 0;
-    for (const ShardAttemptTiming& at : row.attempt_log)
+    for (const ShardAttemptRecord& at : row.log)
       if (at.killed) ++killed;
     out << row.shard_index << ',' << (row.completed ? 1 : 0) << ','
         << (row.from_journal ? 1 : 0) << ',' << row.attempts << ','
@@ -625,7 +625,7 @@ void write_campaign_json(std::ostream& out, const CampaignResult& result,
   // (outputs, rounds, verdicts) do not depend on them, so they stay out
   // like the wall-clock rates and the workspace-dependent arena capacity.
   write_percentile_set_json(out, result.percentiles, options.canonical);
-  if (!options.canonical && result.supervision.enabled) {
+  if (!options.canonical && result.supervision.shards > 0) {
     // Supervision history describes the worker processes, not the grid:
     // a retried shard computed the same bytes as a first-try one, so —
     // like the batched-step counts — it stays out of canonical mode.
@@ -634,7 +634,7 @@ void write_campaign_json(std::ostream& out, const CampaignResult& result,
     write_supervision_totals_json(out, sup);
     out << ",\"per_shard\":[";
     for (std::size_t i = 0; i < sup.rows.size(); ++i) {
-      const ShardSupervisionRow& row = sup.rows[i];
+      const ShardSupervision& row = sup.rows[i];
       if (i != 0) out << ',';
       out << "{\"shard\":" << row.shard_index
           << ",\"completed\":" << (row.completed ? "true" : "false")
@@ -647,8 +647,8 @@ void write_campaign_json(std::ostream& out, const CampaignResult& result,
       // start plus the kill flag, so a killed straggler's timeline is
       // reconstructable without the live trace.
       out << ",\"attempt_log\":[";
-      for (std::size_t a = 0; a < row.attempt_log.size(); ++a) {
-        const ShardAttemptTiming& at = row.attempt_log[a];
+      for (std::size_t a = 0; a < row.log.size(); ++a) {
+        const ShardAttemptRecord& at = row.log[a];
         if (a != 0) out << ',';
         out << "{\"attempt\":" << at.attempt
             << ",\"speculative\":" << (at.speculative ? "true" : "false")

@@ -163,47 +163,55 @@ void for_each_campaign_percentile(Set& set, F&& f) {
 /// log). Returns all zeros for an empty input.
 CampaignPercentiles campaign_percentiles(std::vector<double> values);
 
-/// One supervised attempt's timing, relative to the supervision start
-/// (PR 10): persisted into the non-canonical JSON and the run log so
+/// One launch of one shard, as the supervisor (src/runtime/supervisor.h)
+/// saw it end. The timing fields go into the non-canonical JSON so
 /// post-hoc analysis of killed/straggler attempts does not need the live
 /// trace.
-struct ShardAttemptTiming {
+struct ShardAttemptRecord {
   int attempt = 0;
   bool speculative = false;
-  /// Seconds from supervision start to fork / to reap.
+  double seconds = 0.0;
+  /// "accepted", "exited N", "killed by signal N", "timeout after Ns",
+  /// "invalid result: ...", "superseded", or "spawn failed: ...".
+  std::string outcome;
+  std::string stderr_path;
+  /// Launch/reap times in seconds since supervision began — the wall
+  /// placement of this attempt, not just its duration (end - start ==
+  /// seconds up to reap latency).
   double start_seconds = 0.0;
   double end_seconds = 0.0;
-  /// The supervisor SIGKILLed this attempt (deadline or superseded).
+  /// True when the supervisor SIGKILLed this attempt (deadline overrun or
+  /// superseded by an accepted sibling).
   bool killed = false;
-  /// "accepted", "superseded", or the wait-status description.
-  std::string outcome;
 };
 
-/// Per-shard supervision telemetry (the PR 9 shard supervisor,
-/// src/runtime/supervisor.h), carried on a merged CampaignResult when the
-/// campaign ran under supervision.
-struct ShardSupervisionRow {
+/// Per-shard supervision history.
+struct ShardSupervision {
   int shard_index = 0;
   bool completed = false;
-  /// The accepted result came from the checkpoint journal; no process ran.
+  /// True when the accepted result came from the checkpoint journal (no
+  /// process was launched at all).
   bool from_journal = false;
   int attempts = 0;
+  /// Requeues caused by a failed attempt (crash/exit/timeout/invalid).
   int retries = 0;
+  /// Speculative duplicates launched while an attempt was still running.
   int stragglers_respawned = 0;
   /// Wall-clock summed over every attempt of this shard (including killed
   /// and superseded ones).
   double total_attempt_seconds = 0.0;
-  /// Per-attempt timing history, in launch order.
-  std::vector<ShardAttemptTiming> attempt_log;
+  /// Every attempt, in reap order.
+  std::vector<ShardAttemptRecord> log;
 };
 
-/// Campaign-level supervision telemetry. Pure scheduling history — which
+/// Campaign-level supervision telemetry, filled by supervise_shards
+/// (SupervisorReport extends it). Pure scheduling history — which
 /// processes ran, how often they were retried — so, like the kernel-step
 /// split, it is excluded from canonical JSON: supervision affects when
-/// work runs, never what it computes.
+/// work runs, never what it computes. A campaign was supervised iff
+/// shards > 0; the writers omit the summary otherwise.
 struct SupervisionSummary {
-  /// False on unsupervised campaigns; the writers then omit it entirely.
-  bool enabled = false;
+  /// Plan size (0 on unsupervised campaigns).
   int shards = 0;
   int attempts = 0;
   int retries = 0;
@@ -217,9 +225,11 @@ struct SupervisionSummary {
   /// Shards that exhausted retries (> 0 only under --allow-partial; a
   /// strict merge would have thrown).
   int shards_failed = 0;
-  /// Percentiles of per-shard total attempt wall-clock.
+  /// Percentiles of per-shard total attempt wall-clock, over the shards
+  /// that launched a process (journal-resumed shards ran nothing).
   CampaignPercentiles attempt_seconds;
-  std::vector<ShardSupervisionRow> rows;
+  /// One row per plan shard, in shard-index order.
+  std::vector<ShardSupervision> rows;
 };
 
 /// JSON members shared by the campaign JSON and the run log, written
@@ -243,8 +253,9 @@ struct CampaignResult {
   int valid = 0;
   int failed = 0;
   CampaignStatPercentiles percentiles;
-  /// Supervision telemetry (PR 9): filled by the sharded drivers after
-  /// merge_shard_results; enabled = false on plain run_campaign results.
+  /// Supervision telemetry (PR 9): the sharded drivers assign their
+  /// SupervisorReport after merge_shard_results; shards = 0 on plain
+  /// run_campaign results.
   /// finalize_campaign_aggregates leaves it untouched — it describes the
   /// processes, not the cells.
   SupervisionSummary supervision;
@@ -341,7 +352,7 @@ void write_campaign_csv(std::ostream& out, const CampaignResult& result);
 
 /// One CSV row per supervised shard plus a header row (the per-cell table
 /// above stays stable whether or not a campaign was supervised). Callers
-/// should skip it when !summary.enabled.
+/// should skip it when summary.shards == 0.
 void write_supervision_csv(std::ostream& out,
                            const SupervisionSummary& summary);
 

@@ -59,7 +59,6 @@ bool parse_entry(const std::string& line, RunLogEntry& entry) {
         });
     if (const json::Value* sup = root.find("supervision")) {
       SupervisionSummary& summary = entry.supervision;
-      summary.enabled = true;
       summary.shards = json::int_field<int>(*sup, "shards");
       summary.attempts = json::int_field<int>(*sup, "attempts");
       summary.retries = json::int_field<int>(*sup, "retries");
@@ -143,7 +142,7 @@ RunLogEntry make_run_log_entry(const CampaignResult& result) {
   entry.elapsed_seconds = result.elapsed_seconds;
   entry.cells_per_second = result.cells_per_second;
   entry.percentiles = result.percentiles;
-  if (result.supervision.enabled) {
+  if (result.supervision.shards > 0) {
     entry.supervision = result.supervision;
     entry.supervision.rows.clear();
   }

@@ -29,8 +29,8 @@ struct RunLogEntry {
   /// read as zero.
   CampaignStatPercentiles percentiles;
   /// Supervision totals of a supervised sharded campaign (rows left
-  /// empty); enabled = false and all zero when the campaign ran
-  /// unsupervised or the entry predates supervision.
+  /// empty); all zero when the campaign ran unsupervised or the entry
+  /// predates supervision.
   SupervisionSummary supervision;
 };
 

@@ -336,7 +336,7 @@ std::string SupervisorReport::failure_summary() const {
   for (const int s : failed_shards) {
     if (!first_shard) message += "; ";
     first_shard = false;
-    const ShardSupervision& sup = shards[static_cast<std::size_t>(s)];
+    const ShardSupervision& sup = rows[static_cast<std::size_t>(s)];
     message += "shard " + std::to_string(s) + " failed after " +
                std::to_string(sup.attempts) + " attempt" +
                (sup.attempts == 1 ? "" : "s") + " [";
@@ -371,7 +371,8 @@ SupervisorReport supervise_shards(const ShardPlan& plan,
   const std::size_t num_shards = plan.shards.size();
 
   SupervisorReport report;
-  report.shards.resize(num_shards);
+  report.shards = static_cast<int>(num_shards);
+  report.rows.resize(num_shards);
   std::vector<std::string> manifest_paths(num_shards);
   std::vector<double> shard_costs(num_shards, 0.0);
   std::vector<ShardResult> accepted(num_shards);
@@ -380,7 +381,7 @@ SupervisorReport supervise_shards(const ShardPlan& plan,
   std::vector<int> launches(num_shards, 0);
 
   for (std::size_t s = 0; s < num_shards; ++s) {
-    report.shards[s].shard_index = static_cast<int>(s);
+    report.rows[s].shard_index = static_cast<int>(s);
     for (const CampaignCell& cell : plan.shards[s].cells)
       shard_costs[s] += model.cell_cost(cell);
     manifest_paths[s] =
@@ -404,15 +405,15 @@ SupervisorReport supervise_shards(const ShardPlan& plan,
       const std::size_t slot = static_cast<std::size_t>(result.shard_index);
       completed[slot] = 1;
       accepted[slot] = result;
-      report.shards[slot].completed = true;
-      report.shards[slot].from_journal = true;
+      report.rows[slot].completed = true;
+      report.rows[slot].from_journal = true;
       ++report.shards_from_journal;
       if (options.trace != nullptr) {
         telemetry::TraceEvent event;
         event.name = "journal-skip";
         event.phase = 'i';
         event.ts = options.trace->now();
-        event.pid = options.trace_pid;
+        event.pid = kSupervisorTracePid;
         event.tid = result.shard_index + 1;
         event.arg("shard", static_cast<std::int64_t>(result.shard_index));
         options.trace->record(std::move(event));
@@ -467,7 +468,7 @@ SupervisorReport supervise_shards(const ShardPlan& plan,
     event.name = name;
     event.phase = 'i';
     event.ts = options.trace->now();
-    event.pid = options.trace_pid;
+    event.pid = kSupervisorTracePid;
     event.tid = shard + 1;
     event.arg("shard", static_cast<std::int64_t>(shard));
     if (attempt > 0) event.arg("attempt", static_cast<std::int64_t>(attempt));
@@ -477,7 +478,7 @@ SupervisorReport supervise_shards(const ShardPlan& plan,
   const auto record_attempt = [&report, &options, begin](
                                   const RunningAttempt& r, double seconds,
                                   std::string outcome) {
-    ShardSupervision& sup = report.shards[static_cast<std::size_t>(r.shard)];
+    ShardSupervision& sup = report.rows[static_cast<std::size_t>(r.shard)];
     sup.total_attempt_seconds += seconds;
     ShardAttemptRecord record;
     record.attempt = r.attempt;
@@ -494,7 +495,7 @@ SupervisorReport supervise_shards(const ShardPlan& plan,
       event.phase = 'X';
       event.ts = r.trace_t0;
       event.dur = options.trace->now() - r.trace_t0;
-      event.pid = options.trace_pid;
+      event.pid = kSupervisorTracePid;
       event.tid = r.shard + 1;
       event.arg("shard", static_cast<std::int64_t>(r.shard));
       event.arg("attempt", static_cast<std::int64_t>(r.attempt));
@@ -509,7 +510,7 @@ SupervisorReport supervise_shards(const ShardPlan& plan,
   const auto launch = [&](int shard, bool speculative) {
     const std::size_t slot = static_cast<std::size_t>(shard);
     const int attempt = ++launches[slot];
-    ++report.shards[slot].attempts;
+    ++report.rows[slot].attempts;
     ++report.attempts;
     ShardAttemptContext context;
     context.shard_index = shard;
@@ -626,7 +627,7 @@ SupervisorReport supervise_shards(const ShardPlan& plan,
               trace_instant("accept", done.shard, done.attempt);
               completed[slot] = 1;
               accepted[slot] = std::move(result);
-              report.shards[slot].completed = true;
+              report.rows[slot].completed = true;
               rate_samples.push_back(seconds /
                                      std::max(1.0, shard_costs[slot]));
               if (journal_out.is_open()) {
@@ -669,11 +670,11 @@ SupervisorReport supervise_shards(const ShardPlan& plan,
           failed[slot] = 1;
           continue;
         }
-        ++report.shards[slot].retries;
+        ++report.rows[slot].retries;
         ++report.retries;
         ++report.requeues;
         trace_instant("retry", done.shard, done.attempt);
-        const int retry = report.shards[slot].retries;
+        const int retry = report.rows[slot].retries;
         const double delay =
             std::min(options.backoff_max_seconds,
                      options.backoff_base_seconds *
@@ -701,7 +702,7 @@ SupervisorReport supervise_shards(const ShardPlan& plan,
           if (seconds_between(r.start, now) <=
               options.straggler_factor * expected)
             continue;
-          ++report.shards[slot].stragglers_respawned;
+          ++report.rows[slot].stragglers_respawned;
           ++report.stragglers_respawned;
           ++report.requeues;
           trace_instant("speculate", r.shard, r.attempt);
@@ -734,12 +735,19 @@ SupervisorReport supervise_shards(const ShardPlan& plan,
     throw;
   }
 
+  std::vector<double> attempt_seconds;
   for (std::size_t s = 0; s < num_shards; ++s) {
+    const ShardSupervision& row = report.rows[s];
     if (completed[s] != 0)
       report.results.push_back(std::move(accepted[s]));
     else
       report.failed_shards.push_back(static_cast<int>(s));
+    for (const ShardAttemptRecord& record : row.log)
+      if (record.killed) ++report.attempts_killed;
+    if (!row.from_journal) attempt_seconds.push_back(row.total_attempt_seconds);
   }
+  report.shards_failed = static_cast<int>(report.failed_shards.size());
+  report.attempt_seconds = campaign_percentiles(std::move(attempt_seconds));
   report.elapsed_seconds = seconds_between(begin, Clock::now());
   return report;
 }

@@ -193,64 +193,27 @@ struct SupervisorOptions {
   /// (resume); new acceptances are appended and flushed line-by-line.
   std::string journal_path;
   /// Optional trace recorder: when set, every attempt becomes an "X" span
-  /// on (trace_pid, tid = shard_index + 1) and lifecycle transitions
-  /// (launch / sigkill / speculate / retry / accept / journal-skip) become
-  /// "i" instants. Null disables all span recording.
+  /// on (kSupervisorTracePid, tid = shard_index + 1) and lifecycle
+  /// transitions (launch / sigkill / speculate / retry / accept /
+  /// journal-skip) become "i" instants. Null disables all span recording.
   telemetry::TraceRecorder* trace = nullptr;
-  /// pid lane the supervisor's spans live on (workers get their own lanes
-  /// when the caller stitches their trace files via merge_process).
-  int trace_pid = 1;
 };
 
-/// One launch of one shard, as the supervisor saw it end.
-struct ShardAttemptRecord {
-  int attempt = 0;
-  bool speculative = false;
-  double seconds = 0.0;
-  /// "accepted", "exited N", "killed by signal N", "timeout after Ns",
-  /// "invalid result: ...", "superseded", or "spawn failed: ...".
-  std::string outcome;
-  std::string stderr_path;
-  /// Launch/reap times in seconds since supervision began — the wall
-  /// placement of this attempt, not just its duration (end - start ==
-  /// seconds up to reap latency).
-  double start_seconds = 0.0;
-  double end_seconds = 0.0;
-  /// True when the supervisor SIGKILLed this attempt (deadline overrun or
-  /// superseded by an accepted sibling).
-  bool killed = false;
-};
+/// The pid lane the supervisor's spans live on; callers that stitch the
+/// workers' trace files (merge_process) put shard i on lane
+/// kSupervisorTracePid + 1 + i.
+constexpr int kSupervisorTracePid = 1;
 
-/// Per-shard supervision history.
-struct ShardSupervision {
-  int shard_index = 0;
-  bool completed = false;
-  /// True when the accepted result came from the checkpoint journal (no
-  /// process was launched at all).
-  bool from_journal = false;
-  int attempts = 0;
-  /// Requeues caused by a failed attempt (crash/exit/timeout/invalid).
-  int retries = 0;
-  /// Speculative duplicates launched while an attempt was still running.
-  int stragglers_respawned = 0;
-  double total_attempt_seconds = 0.0;
-  std::vector<ShardAttemptRecord> log;
-};
-
-struct SupervisorReport {
+/// The whole supervision history (the SupervisionSummary totals and
+/// per-shard rows of src/runtime/campaign.h, all filled here) plus what
+/// the merge needs. A merged campaign takes it as is:
+/// `merged.supervision = report`.
+struct SupervisorReport : SupervisionSummary {
   /// Accepted results in shard-index order (failed shards absent) — feed
   /// straight into merge_shard_results / merge_shard_results_partial.
   std::vector<ShardResult> results;
-  /// One entry per plan shard, in shard-index order.
-  std::vector<ShardSupervision> shards;
   /// Shards whose retries were exhausted.
   std::vector<int> failed_shards;
-  int attempts = 0;
-  int retries = 0;
-  /// Total re-enqueues: failure retries + speculative launches.
-  int requeues = 0;
-  int stragglers_respawned = 0;
-  int shards_from_journal = 0;
   double elapsed_seconds = 0.0;
 
   bool all_completed() const { return failed_shards.empty(); }

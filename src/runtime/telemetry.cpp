@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
+#include <charconv>
 #include <chrono>
 #include <fstream>
 #include <stdexcept>
@@ -257,6 +258,45 @@ json::Value MetricsRegistry::to_json() const {
   }
   doc.set("metrics", std::move(rows));
   return doc;
+}
+
+void MetricsRegistry::merge(const json::Value& doc) {
+  for (const json::Value& row : doc.at("metrics").as_array()) {
+    const std::string& name = row.at("name").as_string();
+    const std::string& kind = row.at("kind").as_string();
+    if (kind == "counter") {
+      add(counter(name), row.at("value").as_i64());
+    } else if (kind == "gauge") {
+      record_max(gauge(name), row.at("value").as_i64());
+    } else if (kind == "histogram") {
+      const int id = histogram(name);
+      const std::int64_t count = row.at("count").as_i64();
+      if (count == 0) continue;
+      Cell& cell = local_cell();
+      cell.ensure(static_cast<std::size_t>(id) + 1);
+      if (!cell.hist[id]) cell.hist[id] = std::make_unique<Cell::Hist>();
+      Cell::Hist& h = *cell.hist[id];
+      const std::int64_t min = row.at("min").as_i64();
+      const std::int64_t max = row.at("max").as_i64();
+      h.min = h.count == 0 ? min : std::min(h.min, min);
+      h.max = h.count == 0 ? max : std::max(h.max, max);
+      h.count += count;
+      h.sum += row.at("sum").as_i64();
+      for (const auto& [key, value] : row.at("buckets").as_object()) {
+        int bucket = -1;
+        const char* end = key.data() + key.size();
+        const auto [stop, error] = std::from_chars(key.data(), end, bucket);
+        if (error != std::errc() || stop != end || bucket < 0 ||
+            bucket >= kHistogramBuckets)
+          throw std::runtime_error("metric '" + name +
+                                   "': bad histogram bucket '" + key + "'");
+        h.buckets[static_cast<std::size_t>(bucket)] += value.as_i64();
+      }
+    } else {
+      throw std::runtime_error("metric '" + name + "': unknown kind '" +
+                               kind + "'");
+    }
+  }
 }
 
 namespace {

@@ -144,6 +144,14 @@ class MetricsRegistry {
   /// carry count/sum/min/max and a sparse {"bucket": count} object.
   json::Value to_json() const;
 
+  /// Folds a to_json() document (another registry's snapshot, e.g. a
+  /// worker process's --metrics file) into this registry by the same rules
+  /// snapshot() merges threads with: counters sum, gauges keep the max,
+  /// histograms add count, sum and buckets and combine min and max.
+  /// Throws std::runtime_error on a malformed document or a name already
+  /// registered under another kind.
+  void merge(const json::Value& doc);
+
   /// Engine storage for one thread (opaque; see telemetry.cpp).
   struct Cell;
 

@@ -3,7 +3,8 @@
 # and one stderr line naming the flag. --kernel=on is the retired
 # engine-path switch, so it must be rejected like any other unknown flag.
 # A numeric flag value that is out of range, would wrap in a narrowing
-# cast, or is not a number exits 2 naming the flag and the value.
+# cast, or is not a number exits 2 naming the flag and the value. Each
+# verb accepts only its own flags: a flag of another verb is unknown too.
 #
 #   sh tests/cli_flags_test.sh path/to/unilocal_cli
 set -u
@@ -70,6 +71,13 @@ for flag in --bogus --kernel=on; do
   check "$flag" shard run
   check "$flag" shard merge
 done
+
+# sweep and table1 share one campaign flag group, but each keeps only its
+# own grid flags, and shard merge takes only the report flags.
+check --a=1 table1 --smoke
+check --scenarios=gnp table1 --smoke
+check --smoke sweep
+check --workers=1 shard merge
 
 [ "$failures" -eq 0 ] && echo "cli_flags_test: all verbs name unknown flags and bad values"
 exit "$failures"

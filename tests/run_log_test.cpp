@@ -162,7 +162,6 @@ TEST_F(RunLogTest, SupervisionBlockRoundTripsAndIsOmittedWhenUnsupervised) {
   append_run_log(path_, plain);
   // Supervised campaign: the block round-trips.
   CampaignResult supervised = tiny_campaign();
-  supervised.supervision.enabled = true;
   supervised.supervision.shards = 4;
   supervised.supervision.attempts = 7;
   supervised.supervision.retries = 2;
@@ -175,8 +174,6 @@ TEST_F(RunLogTest, SupervisionBlockRoundTripsAndIsOmittedWhenUnsupervised) {
   append_run_log(path_, supervised);
   const auto entries = read_run_log(path_);
   ASSERT_EQ(entries.size(), 2u);
-  EXPECT_FALSE(entries[0].supervision.enabled);
-  EXPECT_TRUE(entries[1].supervision.enabled);
   EXPECT_EQ(entries[0].supervision.shards, 0);
   EXPECT_EQ(entries[0].supervision.attempts, 0);
   EXPECT_EQ(entries[1].supervision.shards, 4);

@@ -12,6 +12,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <set>
@@ -357,12 +358,12 @@ TEST(Supervise, RecoversCrashCorruptFlakyAndInvalidToIdenticalBytes) {
   EXPECT_TRUE(report.all_completed());
   EXPECT_EQ(report.attempts, 8);  // every shard: one failure + one success
   EXPECT_EQ(report.retries, 4);
-  ASSERT_EQ(report.shards.size(), 4u);
-  EXPECT_EQ(report.shards[0].log[0].outcome, "exited 134");
-  EXPECT_NE(report.shards[1].log[0].outcome.find("invalid result"),
+  ASSERT_EQ(report.rows.size(), 4u);
+  EXPECT_EQ(report.rows[0].log[0].outcome, "exited 134");
+  EXPECT_NE(report.rows[1].log[0].outcome.find("invalid result"),
             std::string::npos);
-  EXPECT_EQ(report.shards[2].log[0].outcome, "exited 43");
-  EXPECT_NE(report.shards[3].log[0].outcome.find("invalid result"),
+  EXPECT_EQ(report.rows[2].log[0].outcome, "exited 43");
+  EXPECT_NE(report.rows[3].log[0].outcome.find("invalid result"),
             std::string::npos);
   const CampaignResult merged =
       merge_shard_results(harness.plan, report.results);
@@ -382,11 +383,11 @@ TEST(Supervise, KillsHangsAtTheDeadlineAndRetries) {
         return std::string("cp \"$1\" \"$2\"");
       }));
   EXPECT_TRUE(report.all_completed());
-  EXPECT_EQ(report.shards[0].attempts, 2);
-  EXPECT_NE(report.shards[0].log[0].outcome.find("timeout after"),
+  EXPECT_EQ(report.rows[0].attempts, 2);
+  EXPECT_NE(report.rows[0].log[0].outcome.find("timeout after"),
             std::string::npos)
-      << report.shards[0].log[0].outcome;
-  EXPECT_LT(report.shards[0].log[0].seconds, 5.0)
+      << report.rows[0].log[0].outcome;
+  EXPECT_LT(report.rows[0].log[0].seconds, 5.0)
       << "the hang must be killed at the deadline, not waited out";
   const CampaignResult merged =
       merge_shard_results(harness.plan, report.results);
@@ -406,8 +407,9 @@ TEST(Supervise, ExhaustedRetriesNameTheShardAndItsHistory) {
       }));
   EXPECT_FALSE(report.all_completed());
   EXPECT_EQ(report.failed_shards, (std::vector<int>{1}));
-  EXPECT_EQ(report.shards[1].attempts, 2);
-  EXPECT_EQ(report.shards[1].retries, 1);
+  EXPECT_EQ(report.shards_failed, 1);
+  EXPECT_EQ(report.rows[1].attempts, 2);
+  EXPECT_EQ(report.rows[1].retries, 1);
   const std::string summary = report.failure_summary();
   EXPECT_NE(summary.find("shard 1 failed after 2 attempts"),
             std::string::npos)
@@ -448,8 +450,10 @@ TEST(Supervise, ResumesFromJournalWithoutLaunchingCompletedShards) {
   EXPECT_TRUE(resumed.all_completed());
   EXPECT_EQ(resumed.attempts, 0);
   EXPECT_EQ(resumed.shards_from_journal, 4);
-  for (const ShardSupervision& sup : resumed.shards)
+  for (const ShardSupervision& sup : resumed.rows)
     EXPECT_TRUE(sup.from_journal);
+  // No shard launched a process, so there are no attempt times to rank.
+  EXPECT_EQ(resumed.attempt_seconds.max, 0.0);
   const CampaignResult merged =
       merge_shard_results(harness.plan, resumed.results);
   EXPECT_EQ(harness.canonical_json(merged), harness.single_process_canonical);
@@ -482,6 +486,9 @@ TEST(Supervise, ResumesFromJournalWithoutLaunchingCompletedShards) {
   EXPECT_TRUE(partial.all_completed());
   EXPECT_EQ(partial.shards_from_journal, 2);
   EXPECT_EQ(partial.attempts, 2);
+  EXPECT_EQ(partial.attempt_seconds.max,
+            std::max(partial.rows[2].total_attempt_seconds,
+                     partial.rows[3].total_attempt_seconds));
   const CampaignResult remerged =
       merge_shard_results(harness.plan, partial.results);
   EXPECT_EQ(harness.canonical_json(remerged),
@@ -506,9 +513,9 @@ TEST(Supervise, SpeculativelyDuplicatesStragglersFirstAcceptWins) {
       }));
   EXPECT_TRUE(report.all_completed());
   EXPECT_GE(report.stragglers_respawned, 1);
-  EXPECT_GE(report.shards[4].attempts, 2);
+  EXPECT_GE(report.rows[4].attempts, 2);
   bool superseded = false;
-  for (const ShardAttemptRecord& record : report.shards[4].log)
+  for (const ShardAttemptRecord& record : report.rows[4].log)
     superseded = superseded || record.outcome == "superseded";
   EXPECT_TRUE(superseded) << "the losing attempt must be reaped as superseded";
   EXPECT_LT(report.elapsed_seconds, 20.0)
@@ -522,28 +529,41 @@ TEST(Supervise, SpeculativelyDuplicatesStragglersFirstAcceptWins) {
 
 TEST(SupervisionTelemetry, InJsonButNeverInCanonicalAndCsvListsShards) {
   Harness harness(2);
+  SupervisorOptions options = harness.options();
+  options.base_timeout_seconds = 1.0;
+  options.timeout_seconds_per_cost = 0.0;
   const SupervisorReport report = supervise_shards(
-      harness.plan, harness.options(),
+      harness.plan, options,
       harness.sh_worker([](const ShardAttemptContext& context) {
         if (context.shard_index == 0 && context.attempt == 1)
-          return std::string("exit 3");
+          return std::string("sleep 30");  // killed at the deadline
         return std::string("cp \"$1\" \"$2\"");
       }));
   ASSERT_TRUE(report.all_completed());
-  CampaignResult merged = merge_shard_results(harness.plan, report.results);
-  merged.supervision.enabled = true;
-  merged.supervision.shards = 2;
-  merged.supervision.attempts = report.attempts;
-  merged.supervision.retries = report.retries;
-  for (const ShardSupervision& sup : report.shards) {
-    ShardSupervisionRow row;
-    row.shard_index = sup.shard_index;
-    row.completed = sup.completed;
-    row.attempts = sup.attempts;
-    row.retries = sup.retries;
-    row.total_attempt_seconds = sup.total_attempt_seconds;
-    merged.supervision.rows.push_back(row);
+  // The report carries its own totals, computed in supervise_shards.
+  EXPECT_EQ(report.shards, static_cast<int>(harness.plan.shards.size()));
+  EXPECT_EQ(report.attempts, 3);
+  EXPECT_EQ(report.retries, 1);
+  int killed = 0;
+  int not_completed = 0;
+  std::vector<double> launched_seconds;
+  for (const ShardSupervision& row : report.rows) {
+    for (const ShardAttemptRecord& record : row.log)
+      if (record.killed) ++killed;
+    if (!row.completed) ++not_completed;
+    if (!row.from_journal) launched_seconds.push_back(row.total_attempt_seconds);
   }
+  EXPECT_EQ(killed, 1);
+  EXPECT_EQ(report.attempts_killed, killed);
+  EXPECT_EQ(report.shards_failed, not_completed);
+  const CampaignPercentiles expected =
+      campaign_percentiles(std::move(launched_seconds));
+  EXPECT_EQ(report.attempt_seconds.p50, expected.p50);
+  EXPECT_EQ(report.attempt_seconds.max, expected.max);
+  EXPECT_GT(report.attempt_seconds.max, 0.0);
+
+  CampaignResult merged = merge_shard_results(harness.plan, report.results);
+  merged.supervision = report;
 
   std::ostringstream full;
   write_campaign_json(full, merged);

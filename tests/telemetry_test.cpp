@@ -123,6 +123,38 @@ TEST(MetricsRegistry, ToJsonHistogramBucketsSumToCount) {
   EXPECT_EQ(bucket_total, 100);
 }
 
+TEST(MetricsRegistry, MergingSnapshotsEqualsRecordingInOneRegistry) {
+  const auto record = [](MetricsRegistry& registry, int lo, int hi) {
+    for (int i = lo; i < hi; ++i) {
+      registry.add("m.count", i);
+      registry.record_max("m.peak", (i * 7) % 61);
+      registry.observe("m.sizes", i % 19 - 3);
+    }
+    registry.histogram("m.never");
+  };
+  MetricsRegistry whole, first, second, merged;
+  record(whole, 0, 100);
+  record(first, 0, 40);
+  record(second, 40, 100);
+  merged.merge(first.to_json());
+  merged.merge(second.to_json());
+  EXPECT_EQ(merged.to_json(), whole.to_json());
+  EXPECT_TRUE(merged.snapshot() == whole.snapshot());
+
+  MetricsRegistry clash;
+  clash.gauge("m.count");
+  EXPECT_THROW(clash.merge(first.to_json()), std::runtime_error);
+  MetricsRegistry target;
+  EXPECT_THROW(target.merge(json::Value::parse(
+                   R"({"metrics":[{"name":"x","kind":"meter","value":1}]})")),
+               std::runtime_error);
+  EXPECT_THROW(
+      target.merge(json::Value::parse(
+          R"({"metrics":[{"name":"h","kind":"histogram","count":1,"sum":1,)"
+          R"("min":1,"max":1,"buckets":{"48":1}}]})")),
+      std::runtime_error);
+}
+
 // --- trace events ------------------------------------------------------------
 
 TEST(TraceEvent, JsonRoundTripPreservesEveryField) {
@@ -507,7 +539,7 @@ TEST(SupervisorTelemetry, AttemptRecordsCarryTimestampsAndSpansMatch) {
       supervise_shards(harness.plan, options, harness.copy_worker());
   ASSERT_TRUE(report.all_completed());
 
-  for (const ShardSupervision& sup : report.shards) {
+  for (const ShardSupervision& sup : report.rows) {
     ASSERT_EQ(sup.log.size(), 1u);
     const ShardAttemptRecord& record = sup.log[0];
     EXPECT_EQ(record.outcome, "accepted");
@@ -550,8 +582,8 @@ TEST(SupervisorTelemetry, TimeoutKillSetsKilledAndEmitsSigkill) {
   const SupervisorReport report =
       supervise_shards(harness.plan, options, hang);
   ASSERT_FALSE(report.all_completed());
-  ASSERT_EQ(report.shards[0].log.size(), 1u);
-  const ShardAttemptRecord& record = report.shards[0].log[0];
+  ASSERT_EQ(report.rows[0].log.size(), 1u);
+  const ShardAttemptRecord& record = report.rows[0].log[0];
   EXPECT_TRUE(record.killed);
   EXPECT_NE(record.outcome.find("timeout"), std::string::npos);
   EXPECT_GT(record.end_seconds, record.start_seconds);
