@@ -437,6 +437,7 @@ struct TelemetrySinks {
       write_text_file(flags.metrics_path, registry->to_json().dump() + "\n");
   }
 };
+
 /// How a campaign result is reported (sweep, table1 and shard merge):
 /// --format=csv|json, --canonical (deterministic JSON fields only) and
 /// --log=FILE (append to and diff against the run log).
@@ -449,7 +450,6 @@ struct ReportFlags {
     const auto value = [&arg] { return arg.substr(arg.find('=') + 1); };
     if (arg == "--canonical") {
       canonical = true;
-      json = true;
     } else if (arg.rfind("--format=", 0) == 0) {
       const std::string format = value();
       if (format != "csv" && format != "json")
