@@ -10,13 +10,13 @@
 #include <stdexcept>
 #include <string>
 #include <type_traits>
-#include <unordered_map>
 #include <utility>
 
 #include "src/graph/csr.h"
 #include "src/graph/params.h"
 #include "src/runtime/frontier.h"
 #include "src/runtime/telemetry.h"
+#include "src/runtime/tick_table.h"
 #include "src/util/thread_pool.h"
 
 namespace unilocal {
@@ -84,94 +84,6 @@ void publish_engine_metrics(const EngineStats& stats, std::int64_t rounds,
       reg->record_max(name, value);
   });
 }
-
-/// The lockstep loop's per-timestamp tallies: the steps taken and the payload
-/// pulses (duplicates included) arriving at one timestamp, and the worst
-/// skew (arrival - send - 1) of any pulse arriving then. Only the ticks
-/// later rounds can still add to are kept: a tick below the floor (the
-/// earliest time any node can still step at) is final, and folds into the
-/// running maxima whenever the table has doubled since the last sweep.
-/// Consecutive tallies mostly hit one tick, so the last one looked up is
-/// kept at hand (a map node stays put until it is erased).
-class TickTable {
- public:
-  void reset() {
-    memo_ = nullptr;
-    ticks_.clear();
-    sweep_at_ = kMinSweep;
-    floor_ = std::numeric_limits<std::int64_t>::min();
-    peak_steps_ = peak_payload_ = max_skew_ = 0;
-  }
-
-  /// Ticks below `floor` can no longer change (floors never decrease).
-  void set_floor(std::int64_t floor) { floor_ = floor; }
-
-  void add_step(std::int64_t time) { ++at(time).steps; }
-
-  /// Pulses arriving at `time` with `skew`, `payload` of them messages.
-  void add_arrival(std::int64_t time, std::int64_t skew,
-                   std::int64_t payload) {
-    // Silent pulses only matter for the skew, and cannot raise it past a
-    // maximum already folded from final ticks.
-    if (payload == 0 && skew <= max_skew_) return;
-    Tick& tick = at(time);
-    tick.payload += payload;
-    tick.skew = std::max(tick.skew, skew);
-  }
-
-  /// Folds every tick left: steps always, arrivals only up to `last`.
-  void finish(std::int64_t last) {
-    for (const auto& [time, tick] : ticks_) fold(tick, time <= last);
-    memo_ = nullptr;
-    ticks_.clear();
-  }
-
-  std::int64_t peak_steps() const { return peak_steps_; }
-  std::int64_t peak_payload() const { return peak_payload_; }
-  std::int64_t max_skew() const { return max_skew_; }
-  std::int64_t bytes() const {
-    return static_cast<std::int64_t>(ticks_.bucket_count() * sizeof(void*));
-  }
-
- private:
-  struct Tick {
-    std::int64_t steps = 0;
-    std::int64_t payload = 0;
-    std::int64_t skew = 0;
-  };
-  static constexpr std::size_t kMinSweep = 64;
-
-  Tick& at(std::int64_t time) {
-    if (memo_ != nullptr && memo_time_ == time) return *memo_;
-    if (ticks_.size() >= sweep_at_) {
-      std::erase_if(ticks_, [this](const auto& entry) {
-        if (entry.first >= floor_) return false;
-        fold(entry.second, true);
-        return true;
-      });
-      sweep_at_ = 2 * ticks_.size() + kMinSweep;
-    }
-    memo_time_ = time;
-    memo_ = &ticks_[time];
-    return *memo_;
-  }
-
-  void fold(const Tick& tick, bool arrivals) {
-    peak_steps_ = std::max(peak_steps_, tick.steps);
-    if (!arrivals) return;
-    peak_payload_ = std::max(peak_payload_, tick.payload);
-    max_skew_ = std::max(max_skew_, tick.skew);
-  }
-
-  std::unordered_map<std::int64_t, Tick> ticks_;
-  Tick* memo_ = nullptr;
-  std::int64_t memo_time_ = 0;
-  std::size_t sweep_at_ = kMinSweep;
-  std::int64_t floor_ = std::numeric_limits<std::int64_t>::min();
-  std::int64_t peak_steps_ = 0;
-  std::int64_t peak_payload_ = 0;
-  std::int64_t max_skew_ = 0;
-};
 
 }  // namespace
 
