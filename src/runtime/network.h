@@ -147,8 +147,9 @@ inline std::int64_t pack_offset(int owner, std::size_t offset) {
 /// RECEIVER — what node v receives on port j sits in slot offset(v) + j, so
 /// v's whole inbox is one contiguous run of spans, and a send from v on port
 /// j writes the slot its neighbour u reads as its own port,
-/// offset(u) + reverse_port(v, j). Callers speak (node, port); the slot
-/// layout stays inside this class, bound to the CsrGraph the run began with.
+/// offset(u) + reverse_port(v, j) = csr.in_edge_index(v, j). Callers speak
+/// (node, port), apart from sent_at (a receiver slot), and the class binds
+/// the slots to the CsrGraph the run began with.
 /// The spans are double-buffered between a send half and a receive half
 /// that swap at each round barrier; one-word payloads ride inline in the
 /// span and longer ones in per-thread word buffers. Slots are reset lazily
@@ -224,9 +225,14 @@ class SynchronousNetwork {
 
   /// Whether `node` has sent on `port` this round.
   bool sent(NodeId node, NodeId port) const {
-    return send_spans_[static_cast<std::size_t>(
-                           csr_->in_edge_index(node, port))]
-               .words >= 0;
+    return sent_at(csr_->in_edge_index(node, port));
+  }
+
+  /// The same by receiver slot: whether receiver slot `slot`
+  /// (csr.in_edge_index(node, port) of the sender) holds a message this
+  /// round — for a caller that keys its own per-edge state by that slot.
+  bool sent_at(std::int64_t slot) const {
+    return send_spans_[static_cast<std::size_t>(slot)].words >= 0;
   }
 
   /// Whether any neighbour has sent to `node` this round.

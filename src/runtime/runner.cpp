@@ -110,10 +110,11 @@ struct EngineWorkspaceState {
   DelayedNetwork delayed_net;
 
   // Lockstep timing state: step_time[v] is the time of v's latest local
-  // round (DelayedNetwork::kNever once v stalls for good), reach[e] the
-  // latest arrival among the pulses edge e has carried (kNever once one
-  // was abandoned or its sender stalled), and ticks the per-timestamp
-  // tallies behind the peak stats. wake[v] is the sleep-hint latch: the
+  // round (DelayedNetwork::kNever once v stalls for good), reach[s] the
+  // latest arrival among the pulses carried to receiver slot s (the round
+  // arena's slot offset(v) + j for v's port j; kNever once one was
+  // abandoned or its sender stalled), and ticks the per-timestamp tallies
+  // behind the peak stats (src/runtime/tick_table.h). wake[v] is the sleep-hint latch: the
   // local round v's latest hint asks for (0 = none).
   std::vector<std::int64_t> step_time;
   std::vector<std::int64_t> reach;
@@ -397,6 +398,14 @@ class ArenaEngine {
   /// stalled run (which counts every pulse). A synchronous run ends at
   /// T_end + 1, the tick its last pulses land, and global_rounds is that
   /// tick.
+  ///
+  /// Bookkeeping: reach is keyed by receiver slot, like the round arena, so
+  /// a node's time reads its in-edges contiguously at offset(v); a sender
+  /// files each pulse at in_edge_index(v, j), where its payload test also
+  /// looks, while the pulse draws stay keyed by the sender's edge. The
+  /// per-tick tallies are a TickTable (src/runtime/tick_table.h): one
+  /// open-addressing array swept at 3/4 full, which folds a silent pulse's
+  /// skew at once when a step at or after its arrival is already tallied.
   RunResult run_lockstep() {
     constexpr std::int64_t kNever = DelayedNetwork::kNever;
     const auto start = std::chrono::steady_clock::now();
@@ -418,9 +427,8 @@ class ArenaEngine {
     wake_at_ = wake.data();
     ws_.ticks.reset();
     const auto stall = [&](NodeId v) {
-      const std::int64_t base = csr_.offset(v);
       for (NodeId j = 0; j < csr_.degree(v); ++j)
-        reach[static_cast<std::size_t>(base + j)] = kNever;
+        reach[static_cast<std::size_t>(csr_.in_edge_index(v, j))] = kNever;
     };
 
     // Crashed nodes never step; they stay live and are finalized as cut
@@ -456,9 +464,8 @@ class ArenaEngine {
         for (const NodeId v : active) {
           std::int64_t& t = time[static_cast<std::size_t>(v)];
           t += gap;
-          for (NodeId j = 0; j < csr_.degree(v); ++j)
-            t = std::max(t, reach[static_cast<std::size_t>(
-                                csr_.in_edge_index(v, j))]);
+          const std::int64_t* in = reach.data() + csr_.offset(v);
+          for (NodeId j = 0; j < csr_.degree(v); ++j) t = std::max(t, in[j]);
         }
         // Only now, with every round-r time read off round r-1's arrivals,
         // may a newly stalled node's edges turn infinite.
@@ -475,7 +482,8 @@ class ArenaEngine {
         const std::int64_t now = time[vi];
         if (now == kNever) continue;
         const std::int64_t sent_before = delta.messages;
-        if (wake[vi] > r && !arena.received_any(v)) {
+        const bool slept = wake[vi] > r && !arena.received_any(v);
+        if (slept) {
           ++asleep;
         } else {
           wake[vi] = 0;
@@ -501,19 +509,22 @@ class ArenaEngine {
           ws_.finish_global[vi] = now;
           --live;
         }
-        const std::int64_t base = csr_.offset(v);
         if (!delayed_mode_) {
           // Every pulse lands at now + 1, the messages among them at once.
           for (NodeId j = 0; j < csr_.degree(v); ++j)
-            reach[static_cast<std::size_t>(base + j)] = now + 1;
+            reach[static_cast<std::size_t>(csr_.in_edge_index(v, j))] =
+                now + 1;
           ws_.ticks.add_arrival(now + 1, 0, delta.messages - sent_before);
           continue;
         }
+        const std::int64_t base = csr_.offset(v);
         for (NodeId j = 0; j < csr_.degree(v); ++j) {
-          const std::int64_t e = base + j;
-          const bool payload = arena.sent(v, j);
-          const DelayedNetwork::Pulse pulse = net.draw_pulse(e, now);
-          std::int64_t& latest = reach[static_cast<std::size_t>(e)];
+          // The draws stay keyed by the sender's edge, reach by the
+          // receiver's slot; a node that slept sent nothing.
+          const std::int64_t slot = csr_.in_edge_index(v, j);
+          const bool payload = !slept && arena.sent_at(slot);
+          const DelayedNetwork::Pulse pulse = net.draw_pulse(base + j, now);
+          std::int64_t& latest = reach[static_cast<std::size_t>(slot)];
           latest = std::max(latest, pulse.arrival);
           if (pulse.arrival == kNever) continue;
           ws_.ticks.add_arrival(pulse.arrival, pulse.arrival - now - 1,

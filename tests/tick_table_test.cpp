@@ -231,6 +231,39 @@ TEST(TickTable, SilentPulsesAfterTheLastStepDoNotCount) {
   }
 }
 
+TEST(TickTable, FinalTicksKeepTheTableSmall) {
+  // Every tick but the newest is below the floor: sweeps fold them and
+  // the table never doubles.
+  TickTable table;
+  for (std::int64_t t = 0; t < 100000; ++t) {
+    table.add_step(t);
+    table.add_arrival(t + 1, 0, 1);
+    table.set_floor(t);
+  }
+  table.finish(kNever);
+  EXPECT_EQ(table.peak_steps(), 1);
+  EXPECT_EQ(table.peak_payload(), 1);
+  EXPECT_LT(table.bytes(),
+            static_cast<std::int64_t>(2 * TickTable::kMinSlots * 32));
+}
+
+TEST(TickTable, LiveTicksDoubleTheTable) {
+  // 10,000 ticks all at or above the floor: the table doubles until they
+  // fit at most 3/4 full, and holds at most four slots per live tick
+  // (the sweep's side copy of the survivors included).
+  constexpr std::int64_t kTicks = 10000;
+  TickTable table;
+  for (std::int64_t t = 0; t < kTicks; ++t) {
+    table.add_step(t << 32);
+    table.add_step(t << 32);
+  }
+  table.set_floor(kNever);
+  table.finish(kNever);
+  EXPECT_EQ(table.peak_steps(), 2);
+  EXPECT_GE(table.bytes(), kTicks * 32 * 4 / 3);
+  EXPECT_LE(table.bytes(), kTicks * 32 * 4);
+}
+
 TEST(TickTable, ResetForgetsTheLastRun) {
   TickTable table;
   for (int i = 0; i < 5; ++i) table.add_step(7);
