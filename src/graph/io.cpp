@@ -1,6 +1,7 @@
 #include "src/graph/io.h"
 
 #include <limits>
+#include <new>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -31,7 +32,14 @@ Graph read_edge_list(std::istream& in) {
     if (u == v) throw std::runtime_error("edge list: self-loop");
     builder.add_edge(static_cast<NodeId>(u), static_cast<NodeId>(v));
   }
-  return builder.build();
+  // A header within NodeId range may still ask for more adjacency lists
+  // than the host can hold (2^31 - 1 of them take about 51 GB).
+  try {
+    return builder.build();
+  } catch (const std::bad_alloc&) {
+    throw std::runtime_error("edge list: cannot allocate " +
+                             std::to_string(n) + " nodes");
+  }
 }
 
 std::string to_edge_list_string(const Graph& g) {

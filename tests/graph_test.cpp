@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
 
@@ -339,6 +341,30 @@ TEST(Io, RejectsNodeCountsPastNodeId) {
             "edge list: node count 4294967298 exceeds 2147483647");
   EXPECT_EQ(edge_list_error("2147483648 0\n"),
             "edge list: node count 2147483648 exceeds 2147483647");
+}
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+constexpr bool kSanitized = true;
+#else
+constexpr bool kSanitized = false;
+#endif
+
+TEST(Io, NamesTheNodeCountWhenItCannotAllocate) {
+  // The sanitizers' allocators abort on a failed allocation instead of
+  // throwing std::bad_alloc, and reserve more address space than the cap.
+  if (kSanitized) GTEST_SKIP() << "a sanitizer allocator aborts on failure";
+  // Cap this process's address space at 8 GB, so the 24-byte adjacency
+  // list per node (about 51 and 48 GB here) fails on any host.
+  rlimit saved{};
+  ASSERT_EQ(getrlimit(RLIMIT_AS, &saved), 0);
+  rlimit capped = saved;
+  capped.rlim_cur = std::min<rlim_t>(saved.rlim_cur, rlim_t{8} << 30);
+  ASSERT_EQ(setrlimit(RLIMIT_AS, &capped), 0);
+  const std::string widest = edge_list_error("2147483647 0\n");
+  const std::string wide = edge_list_error("2000000000 1\n0 1\n");
+  ASSERT_EQ(setrlimit(RLIMIT_AS, &saved), 0);
+  EXPECT_EQ(widest, "edge list: cannot allocate 2147483647 nodes");
+  EXPECT_EQ(wide, "edge list: cannot allocate 2000000000 nodes");
 }
 
 TEST(Io, DotContainsNodesAndEdges) {
