@@ -626,18 +626,18 @@ int run_sharded(const char* what, const std::vector<CampaignCell>& cells,
   const ScratchDir scratch{dir_buffer.data()};
 
   // Sharded telemetry: the supervisor records its own spans on its pid
-  // lane; workers write per-attempt trace and metrics files into scratch,
-  // and the accepted attempt of each shard is folded in — its trace
-  // stitched under its own pid lane, its metrics merged into the
-  // supervisor's registry — before scratch is deleted.
+  // lane; workers write per-attempt trace and metrics files into scratch.
+  // The accepted attempt of each shard is folded in: its trace stitched
+  // under its own pid lane before scratch is deleted, and its metrics
+  // snapshot, which the supervisor keeps (and journals), merged into the
+  // supervisor's registry.
   const TelemetrySinks sinks(flags.telemetry);
   const telemetry::ScopedMetrics scoped_metrics(sinks.registry.get());
   if (sinks.recorder != nullptr)
     sinks.recorder->set_process_name(kSupervisorTracePid, "supervisor");
-  const auto worker_file = [&scratch](const char* kind, int shard,
-                                      int attempt) {
-    return (scratch.dir / (std::string(kind) + "-" + std::to_string(shard) +
-                           "-attempt-" + std::to_string(attempt) + ".json"))
+  const auto trace_file = [&scratch](int shard, int attempt) {
+    return (scratch.dir / ("trace-" + std::to_string(shard) + "-attempt-" +
+                           std::to_string(attempt) + ".json"))
         .string();
   };
 
@@ -659,14 +659,12 @@ int run_sharded(const char* what, const std::vector<CampaignCell>& cells,
         "--out=" + context.result_path,
         "--workers=" + std::to_string(workers_per_shard)};
     if (tracing) {
-      argv.push_back("--trace=" + worker_file("trace", context.shard_index,
+      argv.push_back("--trace=" + trace_file(context.shard_index,
                                               context.attempt));
       argv.push_back("--trace-rounds=" +
                      std::to_string(flags.telemetry.trace_rounds));
     }
-    if (metering)
-      argv.push_back("--metrics=" + worker_file("metrics", context.shard_index,
-                                                context.attempt));
+    if (metering) argv.push_back("--metrics=" + context.metrics_path);
     if (!inject_spec.empty()) {
       // The worker draws its own fault from (spec, seed, shard, attempt) —
       // the supervisor only forwards the attempt number.
@@ -679,36 +677,39 @@ int run_sharded(const char* what, const std::vector<CampaignCell>& cells,
 
   const SupervisorReport report = supervise_shards(plan, options, command);
 
-  // Fold the accepted attempt of every completed shard in while scratch
-  // still exists. A worker that died before writing its files (or a
+  // Stitch the accepted attempt's trace of every completed shard in while
+  // scratch still exists. A worker that died before writing its file (or a
   // journal-resumed shard, which launched no process) contributes nothing.
-  const auto fold = [&](const char* kind, int shard, int attempt,
-                        const auto& apply) {
-    const std::string path = worker_file(kind, shard, attempt);
-    try {
-      apply(json::Value::parse(read_text_file(path)));
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "%s: %s stitch: skipping %s: %s\n", what, kind,
-                   path.c_str(), e.what());
-    }
-  };
   for (const ShardSupervision& row : report.rows) {
-    if (!row.completed || row.from_journal) continue;
+    if (!tracing || !row.completed || row.from_journal) continue;
     for (const ShardAttemptRecord& record : row.log) {
       if (record.outcome != "accepted") continue;
       const int shard = row.shard_index;
-      if (tracing)
-        fold("trace", shard, record.attempt, [&](const json::Value& doc) {
-          sinks.recorder->merge_process(doc, kSupervisorTracePid + 1 + shard,
-                                        "shard " + std::to_string(shard));
-        });
-      if (metering)
-        fold("metrics", shard, record.attempt,
-             [&](const json::Value& doc) { sinks.registry->merge(doc); });
+      const std::string path = trace_file(shard, record.attempt);
+      try {
+        sinks.recorder->merge_process(
+            json::Value::parse(read_text_file(path)),
+            kSupervisorTracePid + 1 + shard, "shard " + std::to_string(shard));
+      } catch (const std::exception& e) {
+        std::fprintf(stderr, "%s: trace stitch: skipping %s: %s\n", what,
+                     path.c_str(), e.what());
+      }
       break;
     }
   }
   if (metering) {
+    for (const ShardSupervision& row : report.rows) {
+      if (!row.completed) continue;
+      const json::Value& doc =
+          report.metrics[static_cast<std::size_t>(row.shard_index)];
+      try {
+        if (doc.is_null()) throw std::runtime_error("no snapshot");
+        sinks.registry->merge(doc);
+      } catch (const std::exception& e) {
+        std::fprintf(stderr, "%s: metrics stitch: skipping shard %d: %s\n",
+                     what, row.shard_index, e.what());
+      }
+    }
     sinks.registry->add("supervisor.attempts", report.attempts);
     sinks.registry->add("supervisor.retries", report.retries);
     sinks.registry->add("supervisor.requeues", report.requeues);

@@ -57,6 +57,17 @@ std::string stderr_tail(const std::string& path, std::size_t limit = 400) {
   return text;
 }
 
+/// The metrics snapshot a worker wrote to `path`: null when it wrote none
+/// or the file does not parse (metrics are telemetry; the result alone
+/// decides acceptance).
+json::Value read_metrics_snapshot(const std::string& path) {
+  try {
+    return json::Value::parse(read_text_file(path));
+  } catch (...) {
+    return {};
+  }
+}
+
 }  // namespace
 
 // --- small process/shell helpers --------------------------------------------
@@ -239,6 +250,8 @@ SupervisorJournal read_supervisor_journal(const std::string& path,
       if (seen[slot] != 0) continue;  // first acceptance wins
       seen[slot] = 1;
       journal.completed.push_back(std::move(result));
+      const json::Value* metrics = entry.find("metrics");
+      journal.metrics.push_back(metrics != nullptr ? *metrics : json::Value());
     } catch (...) {
       continue;
     }
@@ -291,6 +304,7 @@ struct RunningAttempt {
   double timeout_seconds = 0.0;
   std::string result_path;
   std::string stderr_path;
+  std::string metrics_path;
   bool timed_out = false;
   bool superseded = false;
   /// Set at either SIGKILL site (deadline overrun, supersede) so the
@@ -373,6 +387,7 @@ SupervisorReport supervise_shards(const ShardPlan& plan,
   SupervisorReport report;
   report.shards = static_cast<int>(num_shards);
   report.rows.resize(num_shards);
+  report.metrics.resize(num_shards);
   std::vector<std::string> manifest_paths(num_shards);
   std::vector<double> shard_costs(num_shards, 0.0);
   std::vector<ShardResult> accepted(num_shards);
@@ -401,10 +416,12 @@ SupervisorReport supervise_shards(const ShardPlan& plan,
   if (!options.journal_path.empty()) {
     const SupervisorJournal journal =
         read_supervisor_journal(options.journal_path, plan);
-    for (const ShardResult& result : journal.completed) {
+    for (std::size_t i = 0; i < journal.completed.size(); ++i) {
+      const ShardResult& result = journal.completed[i];
       const std::size_t slot = static_cast<std::size_t>(result.shard_index);
       completed[slot] = 1;
       accepted[slot] = result;
+      report.metrics[slot] = journal.metrics[i];
       report.rows[slot].completed = true;
       report.rows[slot].from_journal = true;
       ++report.shards_from_journal;
@@ -523,6 +540,9 @@ SupervisorReport supervise_shards(const ShardPlan& plan,
     context.stderr_path = options.scratch_dir + "/stderr-" +
                           std::to_string(shard) + "-attempt-" +
                           std::to_string(attempt) + ".log";
+    context.metrics_path = options.scratch_dir + "/metrics-" +
+                           std::to_string(shard) + "-attempt-" +
+                           std::to_string(attempt) + ".json";
     RunningAttempt r;
     r.shard = shard;
     r.attempt = attempt;
@@ -532,6 +552,7 @@ SupervisorReport supervise_shards(const ShardPlan& plan,
                         options.timeout_seconds_per_cost * shard_costs[slot];
     r.result_path = context.result_path;
     r.stderr_path = context.stderr_path;
+    r.metrics_path = context.metrics_path;
     if (options.trace != nullptr) r.trace_t0 = options.trace->now();
     trace_instant("launch", shard, attempt);
     r.pid = spawn_worker(command(context), context.stderr_path);
@@ -627,6 +648,7 @@ SupervisorReport supervise_shards(const ShardPlan& plan,
               trace_instant("accept", done.shard, done.attempt);
               completed[slot] = 1;
               accepted[slot] = std::move(result);
+              report.metrics[slot] = read_metrics_snapshot(done.metrics_path);
               report.rows[slot].completed = true;
               rate_samples.push_back(seconds /
                                      std::max(1.0, shard_costs[slot]));
@@ -638,6 +660,8 @@ SupervisorReport supervise_shards(const ShardPlan& plan,
                           json::Value::number(
                               static_cast<std::int64_t>(done.attempt)));
                 entry.set("result", accepted[slot].to_json());
+                if (!report.metrics[slot].is_null())
+                  entry.set("metrics", report.metrics[slot]);
                 journal_out << entry.dump() << "\n";
                 journal_out.flush();
               }

@@ -33,7 +33,9 @@
 //    Both compute bit-identical results, so speculation can never change
 //    outputs.
 //  - Checkpointing.  Every accepted ShardResult is appended to a JSON
-//    lines journal keyed by the plan's campaign_grid_hash. A campaign
+//    lines journal keyed by the plan's campaign_grid_hash, with the
+//    attempt's metrics snapshot when the worker wrote one, so a resumed
+//    run reports the journaled shards' metrics too. A campaign
 //    killed mid-flight resumes by skipping journaled shards; because
 //    shards are deterministic, the resumed merge is byte-identical to an
 //    uninterrupted run (tests/supervisor_test.cpp, CI).
@@ -126,6 +128,9 @@ struct SupervisorJournal {
   bool found = false;
   std::uint64_t plan_grid_hash = 0;
   std::vector<ShardResult> completed;
+  /// Parallel to `completed`: the accepted attempt's metrics snapshot
+  /// stored on its line (null when the line has none).
+  std::vector<json::Value> metrics;
 };
 
 /// Reads a checkpoint journal and returns the accepted results that
@@ -151,6 +156,10 @@ struct ShardAttemptContext {
   std::string manifest_path;
   std::string result_path;
   std::string stderr_path;
+  /// Where the worker may write its metrics snapshot (the document of
+  /// telemetry::MetricsRegistry::to_json); the accepted attempt's is kept
+  /// in the report and the journal.
+  std::string metrics_path;
 };
 
 /// Builds the argv (argv[0] = executable) for one attempt. No shell is
@@ -214,6 +223,9 @@ struct SupervisorReport : SupervisionSummary {
   std::vector<ShardResult> results;
   /// Shards whose retries were exhausted.
   std::vector<int> failed_shards;
+  /// Per shard index: the accepted attempt's metrics snapshot, from this
+  /// run or from its journal line; null when none was written or stored.
+  std::vector<json::Value> metrics;
   double elapsed_seconds = 0.0;
 
   bool all_completed() const { return failed_shards.empty(); }

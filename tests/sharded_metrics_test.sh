@@ -3,7 +3,8 @@
 # attempt's metrics, so the cell-level counters equal the single-process
 # run's. campaign.instances_built (each worker builds its own instances)
 # and the engine.arena_bytes gauge (workspace-dependent) may differ; the
-# supervisor.* counters appear only in the sharded file.
+# supervisor.* counters appear only in the sharded file. A run resumed
+# from the checkpoint journal reports the same cell-level counters.
 #
 #   sh tests/sharded_metrics_test.sh path/to/unilocal_cli
 set -u
@@ -39,6 +40,24 @@ for metric in engine.steps engine.messages engine.runs engine.slept_steps \
 done
 [ "$(counter "$dir/sharded.json" supervisor.attempts)" = 3 ] ||
   fail "sharded metrics lack supervisor.attempts=3: $(cat "$dir/sharded.json")"
+
+# A run resumed from its checkpoint journal launches nothing; the journal
+# lines carry each accepted attempt's metrics, so the counters still match.
+"$cli" table1 --smoke --shards=3 --workers=1 --journal="$dir/journal" \
+  --metrics="$dir/first.json" > /dev/null 2> "$dir/first.err" ||
+  { cat "$dir/first.err"; exit 1; }
+"$cli" table1 --smoke --shards=3 --workers=1 --journal="$dir/journal" \
+  --metrics="$dir/resumed.json" > /dev/null 2> "$dir/resumed.err" ||
+  { cat "$dir/resumed.err"; exit 1; }
+[ "$(counter "$dir/resumed.json" supervisor.shards_from_journal)" = 3 ] ||
+  fail "resumed run did not take 3 shards from the journal"
+for metric in engine.steps engine.messages engine.runs engine.slept_steps \
+    campaign.cells campaign.cells_valid; do
+  single=$(counter "$dir/single.json" "$metric")
+  resumed=$(counter "$dir/resumed.json" "$metric")
+  [ "$single" = "$resumed" ] ||
+    fail "$metric: single-process $single, resumed '${resumed}'"
+done
 
 [ "$failures" -eq 0 ] &&
   echo "sharded_metrics_test: sharded cell counters match the single-process run"

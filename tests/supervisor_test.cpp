@@ -495,6 +495,75 @@ TEST(Supervise, ResumesFromJournalWithoutLaunchingCompletedShards) {
             harness.single_process_canonical);
 }
 
+TEST(Supervise, JournalKeepsTheAcceptedAttemptsMetrics) {
+  // Each worker writes a one-counter snapshot naming its shard and
+  // attempt; the report and the journal keep the accepted attempt's.
+  Harness harness(3);
+  SupervisorOptions options = harness.options();
+  options.journal_path = harness.dir.path + "/journal.jsonl";
+  const auto snapshot = [](const ShardAttemptContext& context) {
+    return "{\"metrics\":[{\"name\":\"test.shard\",\"kind\":\"counter\","
+           "\"value\":" +
+           std::to_string(100 * context.shard_index + context.attempt) +
+           "}]}";
+  };
+  const SupervisorReport first = supervise_shards(
+      harness.plan, options,
+      harness.sh_worker([&](const ShardAttemptContext& context) {
+        // Shard 1's first attempt writes its metrics, then fails.
+        const std::string metrics = "printf '%s' " +
+                                    shell_quote(snapshot(context)) + " > " +
+                                    shell_quote(context.metrics_path) + "; ";
+        if (context.shard_index == 1 && context.attempt == 1)
+          return metrics + "exit 3";
+        return metrics + "cp \"$1\" \"$2\"";
+      }));
+  ASSERT_TRUE(first.all_completed());
+  ASSERT_EQ(first.metrics.size(), 3u);
+  const auto value = [](const json::Value& doc) {
+    return doc.at("metrics").as_array().at(0).at("value").as_i64();
+  };
+  EXPECT_EQ(value(first.metrics[0]), 1);
+  EXPECT_EQ(value(first.metrics[1]), 102);
+  EXPECT_EQ(value(first.metrics[2]), 201);
+
+  const WorkerCommand must_not_run =
+      harness.sh_worker([](const ShardAttemptContext&) {
+        return std::string("echo must-not-run >&2; exit 99");
+      });
+  const SupervisorReport resumed =
+      supervise_shards(harness.plan, options, must_not_run);
+  EXPECT_EQ(resumed.shards_from_journal, 3);
+  ASSERT_EQ(resumed.metrics.size(), 3u);
+  for (std::size_t s = 0; s < 3; ++s)
+    EXPECT_EQ(resumed.metrics[s].dump(), first.metrics[s].dump()) << s;
+
+  // A journal line without a snapshot (an older journal) still resumes.
+  std::ifstream in(options.journal_path);
+  std::string line, bare_text;
+  ASSERT_TRUE(std::getline(in, line));
+  bare_text += line + "\n";
+  while (std::getline(in, line)) {
+    const json::Value entry = json::Value::parse(line);
+    ASSERT_NE(entry.find("metrics"), nullptr);
+    json::Value bare = json::Value::object();
+    for (const char* key : {"shard", "attempt", "result"})
+      bare.set(key, entry.at(key));
+    bare_text += bare.dump() + "\n";
+  }
+  SupervisorOptions bare_options = harness.options();
+  bare_options.journal_path = harness.dir.path + "/bare.jsonl";
+  write_file(bare_options.journal_path, bare_text);
+  const SupervisorReport bare =
+      supervise_shards(harness.plan, bare_options, must_not_run);
+  EXPECT_TRUE(bare.all_completed());
+  EXPECT_EQ(bare.shards_from_journal, 3);
+  for (const json::Value& doc : bare.metrics) EXPECT_TRUE(doc.is_null());
+  EXPECT_EQ(harness.canonical_json(
+                merge_shard_results(harness.plan, bare.results)),
+            harness.single_process_canonical);
+}
+
 TEST(Supervise, SpeculativelyDuplicatesStragglersFirstAcceptWins) {
   Harness harness(5);
   SupervisorOptions options = harness.options();
