@@ -659,8 +659,8 @@ int run_sharded(const char* what, const std::vector<CampaignCell>& cells,
         "--out=" + context.result_path,
         "--workers=" + std::to_string(workers_per_shard)};
     if (tracing) {
-      argv.push_back("--trace=" + trace_file(context.shard_index,
-                                              context.attempt));
+      argv.push_back("--trace=" +
+                     trace_file(context.shard_index, context.attempt));
       argv.push_back("--trace-rounds=" +
                      std::to_string(flags.telemetry.trace_rounds));
     }

@@ -113,9 +113,12 @@ struct EngineWorkspaceState {
   // round (DelayedNetwork::kNever once v stalls for good), reach[s] the
   // latest arrival among the pulses carried to receiver slot s (the round
   // arena's slot offset(v) + j for v's port j; kNever once one was
-  // abandoned or its sender stalled), and ticks the per-timestamp tallies
-  // behind the peak stats (src/runtime/tick_table.h). wake[v] is the sleep-hint latch: the
-  // local round v's latest hint asks for (0 = none).
+  // abandoned or its sender stalled) on the delayed network, and on the
+  // synchronous one, where all of a node's pulses land together, reach[u]
+  // the latest arrival of node u's pulses; ticks holds the per-timestamp
+  // tallies
+  // behind the peak stats (src/runtime/tick_table.h). wake[v] is the
+  // sleep-hint latch: the local round v's latest hint asks for (0 = none).
   std::vector<std::int64_t> step_time;
   std::vector<std::int64_t> reach;
   std::vector<std::int64_t> wake;
@@ -399,10 +402,13 @@ class ArenaEngine {
   /// T_end + 1, the tick its last pulses land, and global_rounds is that
   /// tick.
   ///
-  /// Bookkeeping: reach is keyed by receiver slot, like the round arena, so
-  /// a node's time reads its in-edges contiguously at offset(v); a sender
-  /// files each pulse at in_edge_index(v, j), where its payload test also
-  /// looks, while the pulse draws stay keyed by the sender's edge. The
+  /// Bookkeeping: on the delayed network reach is keyed by receiver slot,
+  /// like the round arena, so a node's time reads its in-edges
+  /// contiguously at offset(v); a sender files each pulse at
+  /// in_edge_index(v, j), where its payload test also looks, while the
+  /// pulse draws stay keyed by the sender's edge. On the synchronous
+  /// network every pulse of a step lands at now + 1, so reach keeps one
+  /// entry per sender and a node reads it through its neighbour list. The
   /// per-tick tallies are a TickTable (src/runtime/tick_table.h): one
   /// open-addressing array swept at 3/4 full, which folds a silent pulse's
   /// skew at once when a step at or after its arrival is already tallied.
@@ -421,12 +427,14 @@ class ArenaEngine {
     auto& time = ws_.step_time;
     auto& reach = ws_.reach;
     time.assign(static_cast<std::size_t>(n_), kNever);
-    reach.assign(slots, std::numeric_limits<std::int64_t>::min());
+    reach.assign(delayed_mode_ ? slots : static_cast<std::size_t>(n_),
+                 std::numeric_limits<std::int64_t>::min());
     auto& wake = ws_.wake;
     wake.assign(static_cast<std::size_t>(n_), 0);
     wake_at_ = wake.data();
     ws_.ticks.reset();
     const auto stall = [&](NodeId v) {
+      assert(delayed_mode_);  // unit latency never stalls a node
       for (NodeId j = 0; j < csr_.degree(v); ++j)
         reach[static_cast<std::size_t>(csr_.in_edge_index(v, j))] = kNever;
     };
@@ -464,8 +472,13 @@ class ArenaEngine {
         for (const NodeId v : active) {
           std::int64_t& t = time[static_cast<std::size_t>(v)];
           t += gap;
-          const std::int64_t* in = reach.data() + csr_.offset(v);
-          for (NodeId j = 0; j < csr_.degree(v); ++j) t = std::max(t, in[j]);
+          if (delayed_mode_) {
+            const std::int64_t* in = reach.data() + csr_.offset(v);
+            for (NodeId j = 0; j < csr_.degree(v); ++j) t = std::max(t, in[j]);
+          } else {
+            for (const NodeId u : csr_.neighbors(v))
+              t = std::max(t, reach[static_cast<std::size_t>(u)]);
+          }
         }
         // Only now, with every round-r time read off round r-1's arrivals,
         // may a newly stalled node's edges turn infinite.
@@ -511,9 +524,7 @@ class ArenaEngine {
         }
         if (!delayed_mode_) {
           // Every pulse lands at now + 1, the messages among them at once.
-          for (NodeId j = 0; j < csr_.degree(v); ++j)
-            reach[static_cast<std::size_t>(csr_.in_edge_index(v, j))] =
-                now + 1;
+          reach[vi] = now + 1;
           ws_.ticks.add_arrival(now + 1, 0, delta.messages - sent_before);
           continue;
         }

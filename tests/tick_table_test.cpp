@@ -87,14 +87,17 @@ std::string describe(const Episode& e, std::uint64_t seed) {
          " long_skew=" + std::to_string(e.long_skew);
 }
 
+/// Uniform in [0, bound).
+std::int64_t draw(std::mt19937_64& rng, std::int64_t bound) {
+  return static_cast<std::int64_t>(rng() % static_cast<std::uint64_t>(bound));
+}
+
 /// Plays one lockstep run: every round each active node steps at its time,
 /// then pulses each out-edge; nodes finish after their own round count or
 /// (stalled runs) stall for good; the floor is the earliest time an active
 /// node can still step. Returns `last` as the loop would pass it.
 std::int64_t play(const Episode& e, std::mt19937_64& rng, Pair& feed) {
-  auto below = [&rng](std::int64_t bound) {  // uniform in [0, bound)
-    return static_cast<std::int64_t>(rng() % static_cast<std::uint64_t>(bound));
-  };
+  const auto below = [&rng](std::int64_t bound) { return draw(rng, bound); };
   const bool sync = e.outcome == Outcome::kSynchronous;
   std::vector<std::int64_t> time(static_cast<std::size_t>(e.nodes));
   std::vector<int> rounds_left(static_cast<std::size_t>(e.nodes));
@@ -110,8 +113,9 @@ std::int64_t play(const Episode& e, std::mt19937_64& rng, Pair& feed) {
     if (r > 0) {
       for (const std::size_t v : active) {
         // The next time: the node's own gap plus a wait for late pulses.
-        const int wait = static_cast<int>(below(8));
-        time[v] += (sync ? 1 : 0) + (wait < 4 ? 0 : below(wait == 7 ? 200 : 6));
+        const std::int64_t wait = below(8);
+        time[v] += sync ? 1 : 0;
+        if (wait >= 4) time[v] += below(wait == 7 ? 200 : 6);
       }
     }
     for (const std::size_t v : active) {
@@ -165,9 +169,7 @@ std::int64_t play(const Episode& e, std::mt19937_64& rng, Pair& feed) {
 }
 
 Episode draw_episode(std::mt19937_64& rng, int index) {
-  auto below = [&rng](std::int64_t bound) {
-    return static_cast<std::int64_t>(rng() % static_cast<std::uint64_t>(bound));
-  };
+  const auto below = [&rng](std::int64_t bound) { return draw(rng, bound); };
   Episode e;
   e.outcome = static_cast<Outcome>(index % 3);
   const bool big = index % 5 == 0;  // enough live ticks to double the table
@@ -181,7 +183,7 @@ Episode draw_episode(std::mt19937_64& rng, int index) {
   return e;
 }
 
-void expect_matches(TickTable& table, const Oracle& oracle,
+void expect_matches(const TickTable& table, const Oracle& oracle,
                     const std::string& label) {
   EXPECT_EQ(table.peak_steps(), oracle.peak_steps) << label;
   EXPECT_EQ(table.peak_payload(), oracle.peak_payload) << label;
