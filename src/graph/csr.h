@@ -36,6 +36,12 @@ class CsrGraph {
   /// to KernelBatchCtx so batch fns index degrees and per-port lanes without
   /// a per-node accessor call.
   const std::int64_t* offsets_data() const noexcept { return offsets_.data(); }
+  /// Raw neighbour and reverse-port arrays (2m entries each, indexed by
+  /// edge_index) — the round arena walks a sender's row through these.
+  const NodeId* neighbors_data() const noexcept { return neighbors_.data(); }
+  const NodeId* reverse_ports_data() const noexcept {
+    return reverse_ports_.data();
+  }
   NodeId degree(NodeId v) const {
     return static_cast<NodeId>(offsets_[static_cast<std::size_t>(v) + 1] -
                                offsets_[static_cast<std::size_t>(v)]);

@@ -71,14 +71,20 @@ using KernelSelectFn = std::uint16_t (*)(std::int64_t round,
                                          const void* config);
 
 /// Engine transport installed into every KernelCtx: free functions over the
-/// engine's message storage (one perfectly-predicted indirect call per
-/// send/receive).
+/// engine's message storage. A receive is one perfectly-predicted indirect
+/// call per port. A send is one call per port range: send() passes
+/// [j, j+1) and broadcast() the whole row [0, degree), so the engine walks
+/// the sender's out-row in one loop and stores a multi-word payload once
+/// for every port of the range.
 using KernelRecvFn = std::span<const std::int64_t> (*)(void* engine, int tid,
                                                        NodeId node,
                                                        NodeId port,
                                                        bool* present);
-using KernelSendFn = void (*)(void* engine, int tid, NodeId node, NodeId port,
-                              const std::int64_t* data, std::size_t words);
+/// Sends data[0..words) on each port in [first, last), ascending; never
+/// called with an empty range.
+using KernelSendFn = void (*)(void* engine, int tid, NodeId node, NodeId first,
+                              NodeId last, const std::int64_t* data,
+                              std::size_t words);
 
 /// Per-step view handed to a KernelStepFn. Built by the engine per node
 /// step; valid only for the call.
@@ -135,16 +141,17 @@ struct KernelCtx {
 
   /// Sends the words to port j (delivered next round; last write wins).
   void send(NodeId j, const std::int64_t* data, std::size_t words) {
-    send_fn(engine, tid, node, j, data, words);
+    send_fn(engine, tid, node, j, j + 1, data, words);
   }
   void send(NodeId j, std::initializer_list<std::int64_t> words) {
-    send_fn(engine, tid, node, j, words.begin(), words.size());
+    send_fn(engine, tid, node, j, j + 1, words.begin(), words.size());
   }
 
-  /// Sends the same words to every neighbour, ports in ascending order.
+  /// Sends the same words to every neighbour, ports in ascending order, in
+  /// one transport call (none at degree 0).
   void broadcast(std::initializer_list<std::int64_t> words) {
-    for (NodeId j = 0; j < degree; ++j)
-      send_fn(engine, tid, node, j, words.begin(), words.size());
+    if (degree > 0)
+      send_fn(engine, tid, node, 0, degree, words.begin(), words.size());
   }
 
   void finish(std::int64_t out) {

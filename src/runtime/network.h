@@ -124,8 +124,12 @@ void validate_network_options(const NetworkOptions& options);
 /// other length lives in the word buffer of the thread that sent it, and
 /// offset packs that thread's id into its top bits above the word offset —
 /// needed because the live list is re-chunked across threads every round,
-/// so a sender's thread cannot be derived from its node id. Either way the
-/// span stays 16 bytes (4 per cache line) on the hot receive path.
+/// so a sender's thread cannot be derived from its node id. Every slot of
+/// one range send (a broadcast) shares one copy of a multi-word payload:
+/// the words are only read through the receive half, and a later send to
+/// one of those slots appends its own copy instead of writing in place.
+/// Either way the span stays 16 bytes (4 per cache line) on the hot receive
+/// path.
 struct Span {
   std::int64_t offset = 0;
   std::int64_t words = -1;
@@ -150,6 +154,9 @@ inline std::int64_t pack_offset(int owner, std::size_t offset) {
 /// offset(u) + reverse_port(v, j) = csr.in_edge_index(v, j). Callers speak
 /// (node, port), apart from sent_at (a receiver slot), and the class binds
 /// the slots to the CsrGraph the run began with.
+/// A send covers a range of the sender's ports: one loop over its CSR row
+/// writes every slot, and a multi-word payload is stored once for the
+/// whole range.
 /// The spans are double-buffered between a send half and a receive half
 /// that swap at each round barrier; one-word payloads ride inline in the
 /// span and longer ones in per-thread word buffers. Slots are reset lazily
@@ -180,27 +187,47 @@ class SynchronousNetwork {
   /// they were written with).
   void end_run();
 
-  /// Records data[0..words) as `node`'s message on `port` this round; a
-  /// second send on the same port overwrites the first (last write wins).
-  /// Returns the length the slot held before this write, -1 on the round's
-  /// first write — so callers can count each slot's final message once.
-  std::int64_t send(int tid, NodeId node, NodeId port,
-                    const std::int64_t* data, std::size_t words) {
-    const std::int64_t slot = csr_->in_edge_index(node, port);
-    Span& s = send_spans_[static_cast<std::size_t>(slot)];
-    const std::int64_t prev = s.words;
-    if (!send_bulk_ && prev < 0)
-      send_dirty_[static_cast<std::size_t>(tid)]
-          .push_back(slot);  // first write this round: schedule the reset
+  /// Records data[0..words) as `node`'s message on each port in
+  /// [first, last) this round, the payload stored once for the range; a
+  /// later send on one of those ports overwrites only its own slot (last
+  /// write wins). Calls on_slot(receiver, prev) for each port in order,
+  /// prev being the length the slot held before this write, -1 on the
+  /// round's first write — so callers can count each slot's final message
+  /// once. An empty range changes nothing.
+  template <typename OnSlot>
+  void send(int tid, NodeId node, NodeId first, NodeId last,
+            const std::int64_t* data, std::size_t words, OnSlot&& on_slot) {
+    if (first >= last) return;
+    const std::int64_t* offsets = csr_->offsets_data();
+    const NodeId* neighbors = csr_->neighbors_data();
+    const NodeId* reverse_ports = csr_->reverse_ports_data();
+    const std::int64_t row = offsets[static_cast<std::size_t>(node)];
+    std::int64_t offset = 0;
     if (words == 1) {
-      s.offset = data[0];
+      offset = data[0];
     } else {
       auto& buf = send_words_[static_cast<std::size_t>(tid)];
-      s.offset = pack_offset(tid, buf.size());
+      offset = pack_offset(tid, buf.size());
       buf.insert(buf.end(), data, data + words);
     }
-    s.words = static_cast<std::int64_t>(words);
-    return prev;
+    const auto len = static_cast<std::int64_t>(words);
+    Span* spans = send_spans_.data();
+    // Bulk rounds record nothing; otherwise a slot's first write this round
+    // schedules its reset.
+    std::vector<std::int64_t>* dirty =
+        send_bulk_ ? nullptr : &send_dirty_[static_cast<std::size_t>(tid)];
+    for (NodeId j = first; j < last; ++j) {
+      const auto edge = static_cast<std::size_t>(row + j);
+      const NodeId receiver = neighbors[edge];
+      const std::int64_t slot =
+          offsets[static_cast<std::size_t>(receiver)] + reverse_ports[edge];
+      Span& s = spans[static_cast<std::size_t>(slot)];
+      const std::int64_t prev = s.words;
+      if (dirty != nullptr && prev < 0) dirty->push_back(slot);
+      s.offset = offset;
+      s.words = len;
+      on_slot(receiver, prev);
+    }
   }
 
   /// What `node` received on `port`: the previous round's message from that
@@ -223,14 +250,9 @@ class SynchronousNetwork {
             static_cast<std::size_t>(s.words)};
   }
 
-  /// Whether `node` has sent on `port` this round.
-  bool sent(NodeId node, NodeId port) const {
-    return sent_at(csr_->in_edge_index(node, port));
-  }
-
-  /// The same by receiver slot: whether receiver slot `slot`
-  /// (csr.in_edge_index(node, port) of the sender) holds a message this
-  /// round — for a caller that keys its own per-edge state by that slot.
+  /// Whether receiver slot `slot` (csr.in_edge_index(node, port) of the
+  /// sender) holds a message this round — for a caller that keys its own
+  /// per-edge state by that slot.
   bool sent_at(std::int64_t slot) const {
     return send_spans_[static_cast<std::size_t>(slot)].words >= 0;
   }

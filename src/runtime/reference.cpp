@@ -93,15 +93,18 @@ class ReferenceRunner {
     }
   }
 
-  // The KernelCtx transport: a fresh Message per send (last write wins),
-  // and receives straight out of the inbox, which no send touches.
-  static void send_words(void* engine, int, NodeId node, NodeId port,
-                         const std::int64_t* data, std::size_t words) {
+  // The KernelCtx transport: a fresh Message per port sent to (last write
+  // wins), and receives straight out of the inbox, which no send touches.
+  static void send_words(void* engine, int, NodeId node, NodeId first,
+                         NodeId last, const std::int64_t* data,
+                         std::size_t words) {
     auto& slot =
         static_cast<ReferenceRunner*>(engine)->slots_[static_cast<std::size_t>(
             node)];
-    slot.outbox[static_cast<std::size_t>(port)] = Message(data, data + words);
-    slot.outbox_present[static_cast<std::size_t>(port)] = 1;
+    for (NodeId port = first; port < last; ++port) {
+      slot.outbox[static_cast<std::size_t>(port)] = Message(data, data + words);
+      slot.outbox_present[static_cast<std::size_t>(port)] = 1;
+    }
   }
   static std::span<const std::int64_t> recv_words(void* engine, int,
                                                   NodeId node, NodeId port,

@@ -601,26 +601,33 @@ class ArenaEngine {
     return result;
   }
 
-  /// Round-arena sends are accounted as they happen: a slot's first write
-  /// counts the message and notes a sleeping receiver; a resend overwrites
-  /// it (last write wins) and only flags a shrink, which the round's
-  /// max-words reduction then resolves by rescanning the send half.
-  void do_send(int tid, NodeId node, NodeId port, const std::int64_t* data,
-               std::size_t words) {
+  /// Round-arena sends are accounted as they happen, one call per port
+  /// range: a slot's first write counts the message and notes a sleeping
+  /// receiver; a resend overwrites it (last write wins) and only flags a
+  /// shrink, which the round's max-words reduction then resolves by
+  /// rescanning the send half.
+  void do_send(int tid, NodeId node, NodeId first, NodeId last,
+               const std::int64_t* data, std::size_t words) {
     StepDelta& delta = deltas_[static_cast<std::size_t>(tid)];
     const auto len = static_cast<std::int64_t>(words);
-    const std::int64_t prev = ws_.sim_net.send(tid, node, port, data, words);
-    if (prev < 0) {
-      ++delta.messages;
-      // asleep only changes between rounds, so it is safe to read here.
-      if (asleep_ > 0) {
-        const NodeId u = csr_.neighbor(node, port);
-        if (ws_.asleep[static_cast<std::size_t>(u)])
-          delta.mailed.push_back(u);
-      }
-    } else if (len < prev) {
-      delta.shrunk = true;
-    }
+    // asleep only changes between rounds, so it is safe to read here.
+    const bool any_asleep = asleep_ > 0;
+    const char* asleep = ws_.asleep.data();
+    std::int64_t messages = 0;
+    bool shrunk = false;
+    ws_.sim_net.send(tid, node, first, last, data, words,
+                     [&](NodeId receiver, std::int64_t prev) {
+                       if (prev < 0) {
+                         ++messages;
+                         if (any_asleep &&
+                             asleep[static_cast<std::size_t>(receiver)])
+                           delta.mailed.push_back(receiver);
+                       } else if (len < prev) {
+                         shrunk = true;
+                       }
+                     });
+    delta.messages += messages;
+    delta.shrunk = delta.shrunk || shrunk;
     delta.max_words = std::max(delta.max_words, len);
   }
 
@@ -633,9 +640,11 @@ class ArenaEngine {
     return static_cast<ArenaEngine*>(engine)->ws_.sim_net.recv(node, port,
                                                                present);
   }
-  static void kernel_send(void* engine, int tid, NodeId node, NodeId port,
-                          const std::int64_t* data, std::size_t words) {
-    static_cast<ArenaEngine*>(engine)->do_send(tid, node, port, data, words);
+  static void kernel_send(void* engine, int tid, NodeId node, NodeId first,
+                          NodeId last, const std::int64_t* data,
+                          std::size_t words) {
+    static_cast<ArenaEngine*>(engine)->do_send(tid, node, first, last, data,
+                                               words);
   }
 
   /// One local round of node v through phase `phase` of the kernel.

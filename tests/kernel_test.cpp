@@ -7,6 +7,7 @@
 // tests/table1_golden_test.cpp.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <fstream>
 #include <initializer_list>
@@ -279,6 +280,60 @@ KernelAlgorithm resend_probe(std::int64_t grow_round) {
   return KernelAlgorithm("resend-probe", std::move(kernel));
 }
 
+/// The broadcast probe: a node sends only in the rounds where
+/// (identity + round) % 3 == 0 and sleeps in between, so a receiver is
+/// often asleep when mail reaches it and only its sender can wake it.
+/// Send rounds alternate two steps: a 3-word broadcast followed by a 1-word
+/// resend on port 0, and a 1-word broadcast followed by a 4-word send on
+/// the last port. A node without neighbours broadcasts 5 words, which send
+/// nothing and must not move max_message_words.
+struct BroadcastProbeState {
+  std::uint64_t acc;
+};
+
+void broadcast_probe_kernel(KernelCtx& ctx) {
+  std::uint64_t& acc = ctx.state_as<BroadcastProbeState>().acc;
+  for (NodeId j = 0; j < ctx.degree; ++j) {
+    bool present = false;
+    const std::span<const std::int64_t> words = ctx.recv(j, &present);
+    if (!present) continue;  // a step without mail changes nothing
+    acc = acc * 31 + static_cast<std::uint64_t>(j) * 7 + words.size() + 1;
+    for (const std::int64_t w : words)
+      acc = acc * 31 + static_cast<std::uint64_t>(w);
+  }
+  const std::int64_t round = ctx.round;
+  const std::int64_t identity = ctx.identity;
+  if ((identity + round) % 3 == 0) {
+    const std::int64_t tag = identity * 1000 + round * 10;
+    if (ctx.degree == 0) {
+      ctx.broadcast({tag, tag, tag, tag, tag});
+    } else if ((round / 3) % 2 == 0) {
+      ctx.broadcast({tag, tag + 1, tag + 2});
+      ctx.send(0, {tag + 5});
+    } else {
+      ctx.broadcast({tag});
+      ctx.send(ctx.degree - 1, {tag, tag + 1, tag + 2, tag + 3});
+    }
+  }
+  const std::int64_t finish_round = 7 + identity % 3;
+  if (round >= finish_round) {
+    ctx.finish(static_cast<std::int64_t>(acc >> 1));
+    return;
+  }
+  std::int64_t next_send = round + 1;
+  while ((identity + next_send) % 3 != 0) ++next_send;
+  ctx.sleep_until(std::min(next_send, finish_round));
+}
+
+KernelAlgorithm broadcast_probe() {
+  auto kernel = std::make_shared<StepKernel>();
+  kernel->name = "broadcast-probe";
+  kernel->state_size = sizeof(BroadcastProbeState);
+  kernel->state_align = alignof(BroadcastProbeState);
+  kernel->phases.push_back({"probe", &broadcast_probe_kernel, nullptr});
+  return KernelAlgorithm("broadcast-probe", std::move(kernel));
+}
+
 /// A delayed run against the reference's simultaneous run: by
 /// Observation 2.1 every node sees the same messages, so everything but
 /// the timing agrees.
@@ -330,6 +385,37 @@ TEST(KernelEquivalence, ResendProbeCountsFinalWritesOnly) {
       const RunResult got = run_local(cycle, probe, options);
       EXPECT_EQ(got.stats.peak_round_messages, 2 * cycle.graph.num_edges())
           << tag << " threads=" << threads;
+    }
+  }
+
+  // Broadcasts followed by single-port resends, against the reference
+  // (which sends port by port) in the simultaneous loop, where sleeping
+  // receivers must be woken by each port of a broadcast, and under
+  // delay:heavytail.
+  const KernelAlgorithm probe = broadcast_probe();
+  for (const auto& named : standard_instances(/*seed=*/89)) {
+    RunOptions options;
+    options.seed = 23;
+    const RunResult want = run_local_reference(named.instance, probe, options);
+    EXPECT_EQ(want.max_message_words,
+              named.instance.graph.num_edges() > 0 ? 4 : 0)
+        << named.name;
+    for (const NetworkKind kind :
+         {NetworkKind::kSynchronous, NetworkKind::kDelayed}) {
+      options.network.kind = kind;
+      options.network.preset = DelayPreset::kHeavyTail;
+      for (const int threads : {1, 2, 8}) {
+        options.engine_threads = threads;
+        const RunResult got = run_local(named.instance, probe, options);
+        const std::string label =
+            "broadcast/" + named.name +
+            (kind == NetworkKind::kDelayed ? "/delayed" : "/simul") +
+            "/threads=" + std::to_string(threads);
+        if (kind == NetworkKind::kDelayed)
+          expect_delayed_matches(want, got, label);
+        else
+          expect_same(want, got, label);
+      }
     }
   }
 }

@@ -144,9 +144,30 @@ std::optional<Words> received(const SynchronousNetwork& net, NodeId node,
   return Words(words.begin(), words.end());
 }
 
-void send(SynchronousNetwork& net, int tid, NodeId node, NodeId port,
-          const Words& words) {
-  net.send(tid, node, port, words.data(), words.size());
+/// One range send of `words` from `node` on ports [first, last): the
+/// (receiver, previous slot length) pairs the arena reports, in port order.
+std::vector<std::pair<NodeId, std::int64_t>> send_range(
+    SynchronousNetwork& net, int tid, NodeId node, NodeId first, NodeId last,
+    const Words& words) {
+  std::vector<std::pair<NodeId, std::int64_t>> slots;
+  net.send(tid, node, first, last, words.data(), words.size(),
+           [&slots](NodeId receiver, std::int64_t prev) {
+             slots.emplace_back(receiver, prev);
+           });
+  return slots;
+}
+
+/// A single-port send; returns the length the slot held before (-1 on the
+/// round's first write).
+std::int64_t send(SynchronousNetwork& net, int tid, NodeId node, NodeId port,
+                  const Words& words) {
+  return send_range(net, tid, node, port, port + 1, words).at(0).second;
+}
+
+/// Whether `node` has sent on `port` this round.
+bool sent(const SynchronousNetwork& net, const CsrGraph& csr, NodeId node,
+          NodeId port) {
+  return net.sent_at(csr.in_edge_index(node, port));
 }
 
 /// Every receive of the round is absent and nothing is sent yet.
@@ -157,7 +178,8 @@ void expect_round_clean(const SynchronousNetwork& net, const CsrGraph& csr,
     for (NodeId j = 0; j < csr.degree(v); ++j) {
       EXPECT_EQ(received(net, v, j), std::nullopt)
           << label << " node " << v << " port " << j;
-      EXPECT_FALSE(net.sent(v, j)) << label << " node " << v << " port " << j;
+      EXPECT_FALSE(sent(net, csr, v, j))
+          << label << " node " << v << " port " << j;
     }
   }
 }
@@ -179,7 +201,7 @@ TEST(SynchronousNetwork, DeliversZeroOneAndThreeWordsFromTwoThreads) {
   for (const NodeId v : {0, 1})
     for (NodeId j = 0; j < csr.degree(v); ++j) {
       send(net, /*tid=*/v, v, j, message(v, j));
-      EXPECT_TRUE(net.sent(v, j));
+      EXPECT_TRUE(sent(net, csr, v, j));
     }
   for (NodeId u = 0; u < csr.num_nodes(); ++u) EXPECT_TRUE(net.has_mail(u));
   EXPECT_EQ(net.send_max_words(), 3);
@@ -210,15 +232,15 @@ TEST(SynchronousNetwork, InlineAndBufferedOverwritesOfOneSlot) {
     net.begin_round(prev);
     const std::string label = prev > 0 ? "bulk" : "dirty";
     // Buffered then inline, inline then buffered, empty then inline.
-    EXPECT_EQ(net.send(0, 0, 0, Words{1, 2, 3}.data(), 3), -1) << label;
-    EXPECT_EQ(net.send(0, 0, 0, Words{4}.data(), 1), 3) << label;
-    EXPECT_EQ(net.send(0, 0, 1, Words{5}.data(), 1), -1) << label;
-    EXPECT_EQ(net.send(0, 0, 1, Words{6, 7, 8}.data(), 3), 1) << label;
-    EXPECT_EQ(net.send(0, 1, 0, nullptr, 0), -1) << label;
-    EXPECT_EQ(net.send(0, 1, 0, Words{9}.data(), 1), 0) << label;
+    EXPECT_EQ(send(net, 0, 0, 0, Words{1, 2, 3}), -1) << label;
+    EXPECT_EQ(send(net, 0, 0, 0, Words{4}), 3) << label;
+    EXPECT_EQ(send(net, 0, 0, 1, Words{5}), -1) << label;
+    EXPECT_EQ(send(net, 0, 0, 1, Words{6, 7, 8}), 1) << label;
+    EXPECT_EQ(send(net, 0, 1, 0, Words{}), -1) << label;
+    EXPECT_EQ(send(net, 0, 1, 0, Words{9}), 0) << label;
     EXPECT_EQ(net.send_max_words(), 3) << label;
     // Shrinking the only long message leaves a one-word maximum.
-    EXPECT_EQ(net.send(0, 0, 1, Words{10}.data(), 1), 3) << label;
+    EXPECT_EQ(send(net, 0, 0, 1, Words{10}), 3) << label;
     EXPECT_EQ(net.send_max_words(), 1) << label;
     net.end_round();
     net.begin_round(3);
@@ -233,6 +255,71 @@ TEST(SynchronousNetwork, InlineAndBufferedOverwritesOfOneSlot) {
     net.end_round();
   }
   net.end_run();
+}
+
+TEST(SynchronousNetwork, RangeSendStoresAMultiWordPayloadOnce) {
+  // K5: node 0 sends three words on its whole row [0, 4) in one call, then
+  // resends single ports; node 2 sends two words after it on the same
+  // thread. Run as a bulk round, then as a dirty-list round.
+  const CsrGraph csr(complete_graph(5));
+  const std::int64_t slots = csr.num_directed_edges();
+  const NodeId d = csr.degree(0);
+  const Words shared{7, 8, 9};
+  SynchronousNetwork net;
+  net.begin_run(csr, 1);
+  for (const std::int64_t prev_messages : {slots, std::int64_t{0}}) {
+    const std::string label = prev_messages > 0 ? "bulk" : "dirty";
+    net.begin_round(prev_messages);
+    const auto reported = send_range(net, 0, 0, 0, d, shared);
+    ASSERT_EQ(reported.size(), static_cast<std::size_t>(d)) << label;
+    for (NodeId j = 0; j < d; ++j) {
+      EXPECT_EQ(reported[static_cast<std::size_t>(j)].first,
+                csr.neighbor(0, j))
+          << label << " port " << j;
+      EXPECT_EQ(reported[static_cast<std::size_t>(j)].second, -1)
+          << label << " port " << j;
+    }
+    // An empty range reports nothing, sends nothing and stores no words.
+    EXPECT_TRUE(send_range(net, 0, 1, 2, 2, Words{1, 2, 3, 4, 5}).empty())
+        << label;
+    for (NodeId j = 0; j < csr.degree(1); ++j)
+      EXPECT_FALSE(sent(net, csr, 1, j)) << label << " port " << j;
+    EXPECT_EQ(net.send_max_words(), 3) << label;
+    EXPECT_EQ(send(net, 0, 2, 0, Words{5, 6}), -1) << label;
+    // Resends of single ports of the range: each overwrites only its own
+    // slot and reports the shared length.
+    EXPECT_EQ(send(net, 0, 0, 1, Words{-1, -2, -3}), 3) << label;
+    EXPECT_EQ(send(net, 0, 0, 2, Words{4}), 3) << label;
+    EXPECT_EQ(net.send_max_words(), 3) << label;
+    net.end_round();
+    net.begin_round(6);
+    std::vector<const std::int64_t*> data;
+    for (NodeId j = 0; j < d; ++j) {
+      const NodeId u = csr.neighbor(0, j);
+      const NodeId p = csr.reverse_port(0, j);
+      const Words want = j == 1 ? Words{-1, -2, -3} : j == 2 ? Words{4} : shared;
+      EXPECT_EQ(received(net, u, p), want) << label << " port " << j;
+      bool present = false;
+      data.push_back(net.recv(u, p, &present).data());
+    }
+    // Ports 0 and 3 read one copy of the payload. The word buffer grew by
+    // 3 words for the whole range: node 2's message starts right after it
+    // and the port-1 resend after that.
+    EXPECT_EQ(data[0], data[3]) << label;
+    bool present = false;
+    const std::int64_t* from2 =
+        net.recv(csr.neighbor(2, 0), csr.reverse_port(2, 0), &present).data();
+    EXPECT_EQ(received(net, csr.neighbor(2, 0), csr.reverse_port(2, 0)),
+              (Words{5, 6}))
+        << label;
+    EXPECT_EQ(from2, data[0] + 3) << label;
+    EXPECT_EQ(data[1], data[0] + 5) << label;
+    net.end_round();
+  }
+  net.end_run();
+  // The dirty round's half held node 0's four slots and node 2's one: the
+  // resends and the empty range recorded no further dirty entries.
+  EXPECT_EQ(net.dirty_cleared(), 5);
 }
 
 TEST(SynchronousNetwork, ReceiveSpansStayValidThroughTheRound) {
@@ -303,7 +390,7 @@ TEST(SynchronousNetwork, BulkAndDirtyResetsLeaveTheArenaClean) {
   net.begin_round(2);
   for (NodeId v = 0; v < csr.num_nodes(); ++v)
     for (NodeId j = 0; j < csr.degree(v); ++j)
-      EXPECT_FALSE(net.sent(v, j)) << "node " << v << " port " << j;
+      EXPECT_FALSE(sent(net, csr, v, j)) << "node " << v << " port " << j;
   EXPECT_EQ(net.dirty_cleared(), 0);
   EXPECT_EQ(received(net, 0, csr.reverse_port(3, 0)), Words{3});
   EXPECT_EQ(received(net, 1, csr.reverse_port(4, 1)), Words{4});
