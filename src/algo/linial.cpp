@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <vector>
 
 #include "src/runtime/kernel.h"
 #include "src/util/math.h"
@@ -96,23 +97,27 @@ std::int64_t linial_step_apply(const LinialStep& step, std::int64_t color,
                                step.in_space;
   std::int64_t own[64];
   digits_of(clamped, own);
-  // Collect conflicting neighbour colors (clamped the same way).
-  std::vector<std::int64_t> others;
-  others.reserve(neighbor_colors.size());
+  // The base-p digits of every conflicting neighbour color (clamped the
+  // same way), computed once into per-thread scratch whose capacity
+  // persists across calls.
+  thread_local std::vector<std::int64_t> others;
+  others.resize(neighbor_colors.size() * static_cast<std::size_t>(digits));
+  std::int64_t* end = others.data();
   for (std::int64_t c : neighbor_colors) {
     if (c < 0) continue;
     const std::int64_t other = ((c % step.in_space) + step.in_space) %
                                step.in_space;
-    if (other != clamped) others.push_back(other);
+    if (other == clamped) continue;
+    digits_of(other, end);
+    end += digits;
   }
   std::int64_t fallback = 0;
   for (std::int64_t a = 0; a < p; ++a) {
     const std::int64_t mine = eval(own, a);
     bool unique = true;
-    std::int64_t buffer[64];
-    for (std::int64_t c : others) {
-      digits_of(c, buffer);
-      if (eval(buffer, a) == mine) {
+    for (const std::int64_t* coeff = others.data(); coeff != end;
+         coeff += digits) {
+      if (eval(coeff, a) == mine) {
         unique = false;
         break;
       }

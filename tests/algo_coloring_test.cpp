@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <span>
+#include <vector>
+
 #include "src/algo/cole_vishkin.h"
 #include "src/algo/color_reduce.h"
 #include "src/algo/dplus1.h"
@@ -40,6 +44,107 @@ TEST(LinialSchedule, LogStarLengthGrowth) {
   const auto tiny = linial_schedule(4, 1 << 10);
   const auto huge = linial_schedule(4, std::int64_t{1} << 44);
   EXPECT_LE(huge.length(), tiny.length() + 4);  // log* flavoured growth
+}
+
+/// linial_step_apply as it was written before it kept the conflicting
+/// colors' digits in scratch: a fresh vector per call, and every conflicting
+/// color's digits re-derived for each evaluation point.
+std::int64_t linial_step_apply_unhoisted(
+    const LinialStep& step, std::int64_t color,
+    std::span<const std::int64_t> neighbor_colors) {
+  const std::int64_t p = step.prime;
+  const int digits = static_cast<int>(step.degree) + 1;
+  auto digits_of = [&](std::int64_t c, std::int64_t* out) {
+    for (int i = 0; i < digits; ++i) {
+      out[i] = c % p;
+      c /= p;
+    }
+  };
+  auto eval = [&](const std::int64_t* coeff, std::int64_t a) {
+    std::int64_t acc = 0;
+    for (int i = digits - 1; i >= 0; --i) acc = (acc * a + coeff[i]) % p;
+    return acc;
+  };
+  const std::int64_t clamped = ((color % step.in_space) + step.in_space) %
+                               step.in_space;
+  std::int64_t own[64];
+  digits_of(clamped, own);
+  std::vector<std::int64_t> others;
+  for (std::int64_t c : neighbor_colors) {
+    if (c < 0) continue;
+    const std::int64_t other = ((c % step.in_space) + step.in_space) %
+                               step.in_space;
+    if (other != clamped) others.push_back(other);
+  }
+  std::int64_t fallback = 0;
+  for (std::int64_t a = 0; a < p; ++a) {
+    const std::int64_t mine = eval(own, a);
+    bool unique = true;
+    std::int64_t buffer[64];
+    for (std::int64_t c : others) {
+      digits_of(c, buffer);
+      if (eval(buffer, a) == mine) {
+        unique = false;
+        break;
+      }
+    }
+    if (unique) return a * p + mine;
+    fallback = a * p + mine;
+  }
+  return fallback;
+}
+
+TEST(LinialStep, MatchesTheUnhoistedStepOnRandomInputs) {
+  // Steps from real schedules, small and large; colors and neighbour lists
+  // drawn around the step's input space, with duplicates, negative entries,
+  // copies of the node's own color and lists long enough to force the
+  // fallback.
+  std::vector<LinialStep> steps;
+  for (const std::int64_t delta : {1, 2, 3, 8, 40})
+    for (const std::int64_t space :
+         {std::int64_t{50}, std::int64_t{1} << 20, std::int64_t{1} << 40})
+      for (const LinialStep& step : linial_schedule(delta, space).steps)
+        steps.push_back(step);
+  steps.push_back(LinialStep{2, 1, 4, 4});
+  ASSERT_FALSE(steps.empty());
+  Rng rng(2027);
+  for (int trial = 0; trial < 4000; ++trial) {
+    const LinialStep& step = steps[rng.next_below(steps.size())];
+    const auto draw_color = [&]() -> std::int64_t {
+      switch (rng.next_below(6)) {
+        case 0:
+          return -static_cast<std::int64_t>(rng.next_below(10)) - 1;
+        case 1:
+          return static_cast<std::int64_t>(
+              rng.next_below(static_cast<std::uint64_t>(3 * step.in_space)));
+        default:
+          return static_cast<std::int64_t>(
+              rng.next_below(static_cast<std::uint64_t>(step.in_space)));
+      }
+    };
+    const std::int64_t color = draw_color();
+    std::vector<std::int64_t> nbrs(rng.next_below(trial % 10 == 0 ? 200 : 12));
+    for (std::int64_t& c : nbrs) {
+      const std::uint64_t kind = rng.next_below(8);
+      if (kind == 0 && !nbrs.empty()) {
+        c = nbrs[rng.next_below(nbrs.size())];  // a duplicate (or a zero)
+      } else if (kind == 1) {
+        c = color;
+      } else {
+        c = draw_color();
+      }
+    }
+    const std::int64_t want = linial_step_apply_unhoisted(step, color, nbrs);
+    EXPECT_EQ(linial_step_apply(step, color, nbrs), want)
+        << "trial " << trial << " prime " << step.prime << " degree "
+        << step.degree << " color " << color;
+  }
+  // Colors 2 and 3 collide with color 0 at both points of F_2, so the
+  // fallback (the last point, 1 * 2 + f(1)) is the answer.
+  const LinialStep tiny{2, 1, 4, 4};
+  const std::vector<std::int64_t> blocking{2, 3, -1, 3};
+  EXPECT_EQ(linial_step_apply_unhoisted(tiny, 0, blocking), 2);
+  EXPECT_EQ(linial_step_apply(tiny, 0, blocking), 2);
 }
 
 TEST(LinialStep, SeparatesFromConflicts) {
