@@ -396,6 +396,7 @@ TEST(KernelEquivalence, ResendProbeCountsFinalWritesOnly) {
   for (const auto& named : standard_instances(/*seed=*/89)) {
     RunOptions options;
     options.seed = 23;
+    options.network.preset = DelayPreset::kHeavyTail;
     const RunResult want = run_local_reference(named.instance, probe, options);
     EXPECT_EQ(want.max_message_words,
               named.instance.graph.num_edges() > 0 ? 4 : 0)
@@ -403,7 +404,6 @@ TEST(KernelEquivalence, ResendProbeCountsFinalWritesOnly) {
     for (const NetworkKind kind :
          {NetworkKind::kSynchronous, NetworkKind::kDelayed}) {
       options.network.kind = kind;
-      options.network.preset = DelayPreset::kHeavyTail;
       for (const int threads : {1, 2, 8}) {
         options.engine_threads = threads;
         const RunResult got = run_local(named.instance, probe, options);
