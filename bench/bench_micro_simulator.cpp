@@ -6,9 +6,7 @@
 #include "src/algo/color_reduce.h"
 #include "src/algo/luby.h"
 #include "src/algo/greedy_mis.h"
-#include "src/algo/mis_from_coloring.h"
 #include "src/graph/generators.h"
-#include "src/graph/params.h"
 #include "src/graph/subgraph.h"
 #include "src/prune/ruling_set_prune.h"
 #include "src/runtime/kernel.h"
@@ -153,110 +151,6 @@ BENCHMARK(BM_EngineArena_Arboricity100k)
     ->Unit(benchmark::kMillisecond)
     ->Iterations(3);
 
-// --- batched vs scalar kernels (BENCH_engine.json pr8_batched_vs_scalar) ----
-//
-// The batched tier against the same kernels stepped one node at a
-// time: Arg(0) runs a copy of the kernel with every KernelBatchFn
-// stripped (the engine falls back to the scalar per-node loop), Arg(1)
-// the batch functions as registered. Both run on one thread; outputs are
-// bit-identical, only the bucket dispatch and the laned scans differ.
-
-void run_kernel_bench(benchmark::State& state, const Instance& instance,
-                      const Algorithm& algorithm) {
-  std::uint64_t seed = 1;
-  std::int64_t steps = 0;
-  EngineWorkspace workspace;
-  for (auto _ : state) {
-    RunOptions options;
-    options.seed = seed++;
-    options.workspace = &workspace;
-    const RunResult result = run_local(instance, algorithm, options);
-    steps += result.stats.total_steps;
-    benchmark::DoNotOptimize(result.outputs.data());
-  }
-  state.counters["steps/s"] = benchmark::Counter(
-      static_cast<double>(steps), benchmark::Counter::kIsRate);
-  state.counters["nodes"] = static_cast<double>(instance.num_nodes());
-}
-
-/// Serves the inner algorithm's kernel with all batch fns removed.
-class ScalarKernelAlgorithm final : public Algorithm {
- public:
-  explicit ScalarKernelAlgorithm(std::shared_ptr<const Algorithm> inner)
-      : inner_(std::move(inner)) {
-    auto stripped = std::make_shared<StepKernel>(*inner_->kernel());
-    for (auto& phase : stripped->phases) phase.batch = nullptr;
-    kernel_ = std::move(stripped);
-  }
-  std::shared_ptr<const StepKernel> kernel() const override {
-    return kernel_;
-  }
-  std::string name() const override { return inner_->name() + "/scalar"; }
-
- private:
-  std::shared_ptr<const Algorithm> inner_;
-  std::shared_ptr<const StepKernel> kernel_;
-};
-
-void run_batched_bench(benchmark::State& state,
-                       const Instance& instance,
-                       std::shared_ptr<const Algorithm> algorithm) {
-  const ScalarKernelAlgorithm scalar(algorithm);
-  const Algorithm& chosen =
-      state.range(0) == 0 ? static_cast<const Algorithm&>(scalar)
-                          : *algorithm;
-  run_kernel_bench(state, instance, chosen);
-}
-
-void BM_KernelBatched_LubyGnp100k(benchmark::State& state) {
-  run_batched_bench(state, engine_gnp_instance(),
-                    std::make_shared<LubyMis>());
-}
-BENCHMARK(BM_KernelBatched_LubyGnp100k)
-    ->Arg(0)
-    ->Arg(1)
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(3);
-
-void BM_KernelBatched_LubyArboricity100k(benchmark::State& state) {
-  run_batched_bench(state, engine_arboricity_instance(),
-                    std::make_shared<LubyMis>());
-}
-BENCHMARK(BM_KernelBatched_LubyArboricity100k)
-    ->Arg(0)
-    ->Arg(1)
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(3);
-
-void BM_KernelBatched_GreedyGnp100k(benchmark::State& state) {
-  run_batched_bench(state, engine_gnp_instance(),
-                    std::make_shared<GreedyMis>());
-}
-BENCHMARK(BM_KernelBatched_GreedyGnp100k)
-    ->Arg(0)
-    ->Arg(1)
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(3);
-
-void BM_KernelBatched_ChainMisArboricity100k(benchmark::State& state) {
-  // The composite chain (Linial -> color-reduce -> sweep) on the
-  // bounded-arboricity family: the gnp instance's Delta^2 reduce tail
-  // would dominate the whole bench suite.
-  const Instance instance = engine_arboricity_instance();
-  const std::int64_t delta =
-      std::max<std::int64_t>(max_degree(instance.graph), 1);
-  const std::int64_t m =
-      std::max<std::int64_t>(instance.max_identity(), 2);
-  run_batched_bench(
-      state, instance,
-      std::shared_ptr<const Algorithm>(make_coloring_mis_algorithm(delta, m)));
-}
-BENCHMARK(BM_KernelBatched_ChainMisArboricity100k)
-    ->Arg(0)
-    ->Arg(1)
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(3);
-
 // --- engine long-tail family (BENCH_engine.json straggler rows) -------------
 //
 // The paper's pruning/alternation pipelines leave a shrinking straggler
@@ -280,7 +174,7 @@ void straggler_countdown_step(KernelCtx& ctx) {
 KernelAlgorithm straggler_countdown() {
   auto kernel = std::make_shared<StepKernel>();
   kernel->name = "straggler-countdown";
-  kernel->phases = {{"countdown", straggler_countdown_step}};
+  kernel->phases = {kernel_phase<straggler_countdown_step>("countdown")};
   return KernelAlgorithm("straggler-countdown", std::move(kernel));
 }
 

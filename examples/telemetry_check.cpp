@@ -15,10 +15,12 @@
 //    inside it (no partial overlap — what Perfetto renders as a broken
 //    track);
 //  - every "round" span carries round/frontier/messages/steps args and
-//    sits inside an "engine.run" span on its lane; every "cell" span
-//    carries index/scenario/algorithm/seed args; every "instance.build"
-//    span carries scenario/seed/n/cells args and sits inside a "cell" span
-//    on its lane;
+//    sits inside an "engine.run" span on its lane; a simultaneous-loop
+//    round span (no "stalled" arg) carries a "phases" array of bucket
+//    sizes summing to its steps (telemetry::round_phases_problem); every
+//    "cell" span carries index/scenario/algorithm/seed args; every
+//    "instance.build" span carries scenario/seed/n/cells args and sits
+//    inside a "cell" span on its lane;
 //  - --expect-cells=N / --expect-attempts=N pin the number of "cell" /
 //    "attempt" spans (a stitched supervised trace must cover every
 //    campaign cell and every shard attempt).
@@ -127,6 +129,10 @@ int check_trace(const std::string& path, int expect_cells,
     } else if (event.name == "round") {
       ++rounds;
       require_args(event, {"round", "frontier", "messages", "steps"});
+      const std::string problem = telemetry::round_phases_problem(event);
+      if (!problem.empty())
+        fail("'round' span at ts=" + std::to_string(event.ts) + ": " +
+             problem);
     } else if (event.name == "engine.run") {
       require_args(event, {"mode", "n", "rounds"});
     } else if (event.name == "instance.build") {

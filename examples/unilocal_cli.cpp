@@ -8,8 +8,9 @@
 //              reads stdin when omitted.
 //   --stats:   also print per-run engine statistics (arena bytes, peak
 //              messages/round, steps/sec, peak/final live nodes, frontier
-//              width, lazily cleared dirty spans, batched kernel steps)
-//              on stderr. Every algorithm runs as its step kernel
+//              width, lazily cleared dirty spans, and the simultaneous
+//              steps with the phase-bucket calls carrying them) on
+//              stderr. Every algorithm runs as its step kernel
 //              (src/runtime/kernel.h).
 //   --network: delivery layer (src/runtime/network.h): the round-exact
 //              synchronous arena (sync, the default) or the seeded

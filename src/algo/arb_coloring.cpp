@@ -76,30 +76,6 @@ void out_linial_kernel_reduce(KernelCtx& ctx) {
   ctx.broadcast({st.color});
 }
 
-void out_linial_batch_round0(const KernelBatchCtx& b) {
-  for (std::size_t i = 0; i < b.count; ++i) {
-    KernelCtx ctx = b.node_ctx(i);
-    out_linial_kernel_round0(ctx);
-    b.latch(i, ctx);
-  }
-}
-
-void out_linial_batch_orient(const KernelBatchCtx& b) {
-  for (std::size_t i = 0; i < b.count; ++i) {
-    KernelCtx ctx = b.node_ctx(i);
-    out_linial_kernel_orient(ctx);
-    b.latch(i, ctx);
-  }
-}
-
-void out_linial_batch_reduce(const KernelBatchCtx& b) {
-  for (std::size_t i = 0; i < b.count; ++i) {
-    KernelCtx ctx = b.node_ctx(i);
-    out_linial_kernel_reduce(ctx);
-    b.latch(i, ctx);
-  }
-}
-
 std::shared_ptr<const StepKernel> make_out_linial_kernel(
     std::shared_ptr<const OutLinialColoring::Impl> impl) {
   auto kernel = std::make_shared<StepKernel>();
@@ -108,9 +84,9 @@ std::shared_ptr<const StepKernel> make_out_linial_kernel(
   kernel->state_align = alignof(OutLinialKernelState);
   kernel->port_state_words = 1;
   kernel->phases = {
-      {"round0", out_linial_kernel_round0, out_linial_batch_round0},
-      {"orient", out_linial_kernel_orient, out_linial_batch_orient},
-      {"reduce", out_linial_kernel_reduce, out_linial_batch_reduce}};
+      kernel_phase<out_linial_kernel_round0>("round0"),
+      kernel_phase<out_linial_kernel_orient>("orient"),
+      kernel_phase<out_linial_kernel_reduce>("reduce")};
   kernel->select_fn = [](std::int64_t round, const std::byte*,
                          const void*) -> std::uint16_t {
     if (round == 0) return 0;

@@ -111,30 +111,6 @@ void cv_kernel_tail(KernelCtx& ctx) {
   ctx.broadcast({st.color});
 }
 
-void cv_batch_round0(const KernelBatchCtx& b) {
-  for (std::size_t i = 0; i < b.count; ++i) {
-    KernelCtx ctx = b.node_ctx(i);
-    cv_kernel_round0(ctx);
-    b.latch(i, ctx);
-  }
-}
-
-void cv_batch_shrink(const KernelBatchCtx& b) {
-  for (std::size_t i = 0; i < b.count; ++i) {
-    KernelCtx ctx = b.node_ctx(i);
-    cv_kernel_shrink(ctx);
-    b.latch(i, ctx);
-  }
-}
-
-void cv_batch_tail(const KernelBatchCtx& b) {
-  for (std::size_t i = 0; i < b.count; ++i) {
-    KernelCtx ctx = b.node_ctx(i);
-    cv_kernel_tail(ctx);
-    b.latch(i, ctx);
-  }
-}
-
 std::uint16_t cv_kernel_select(std::int64_t round, const std::byte*,
                                const void* config) {
   const auto* cfg = static_cast<const CvKernelConfig*>(config);
@@ -151,9 +127,9 @@ std::shared_ptr<const StepKernel> make_cv_kernel(
   kernel->state_size = sizeof(CvKernelState);
   kernel->state_align = alignof(CvKernelState);
   kernel->init_fn = cv_kernel_init;
-  kernel->phases = {{"round0", cv_kernel_round0, cv_batch_round0},
-                    {"shrink", cv_kernel_shrink, cv_batch_shrink},
-                    {"tail", cv_kernel_tail, cv_batch_tail}};
+  kernel->phases = {kernel_phase<cv_kernel_round0>("round0"),
+                    kernel_phase<cv_kernel_shrink>("shrink"),
+                    kernel_phase<cv_kernel_tail>("tail")};
   kernel->select_fn = cv_kernel_select;
   kernel->config = std::shared_ptr<const void>(
       std::make_shared<CvKernelConfig>(CvKernelConfig{spaces}));

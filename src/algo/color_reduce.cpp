@@ -113,24 +113,6 @@ void color_reduce_kernel_eliminate(KernelCtx& ctx) {
   color_reduce_sleep(ctx, *cfg, st.color);
 }
 
-// --- batched stepping (phase-grouped buckets; see KernelBatchCtx) -----------
-
-void color_reduce_batch_init(const KernelBatchCtx& b) {
-  for (std::size_t i = 0; i < b.count; ++i) {
-    KernelCtx ctx = b.node_ctx(i);
-    color_reduce_kernel_init(ctx);
-    b.latch(i, ctx);
-  }
-}
-
-void color_reduce_batch_eliminate(const KernelBatchCtx& b) {
-  for (std::size_t i = 0; i < b.count; ++i) {
-    KernelCtx ctx = b.node_ctx(i);
-    color_reduce_kernel_eliminate(ctx);
-    b.latch(i, ctx);
-  }
-}
-
 std::shared_ptr<const StepKernel> make_color_reduce_kernel(
     std::int64_t k_start, std::int64_t target, std::int64_t rounds) {
   auto kernel = std::make_shared<StepKernel>();
@@ -139,9 +121,8 @@ std::shared_ptr<const StepKernel> make_color_reduce_kernel(
   kernel->state_align = alignof(ColorReduceKernelState);
   kernel->port_state_words = 1;
   kernel->phases = {
-      {"init", color_reduce_kernel_init, color_reduce_batch_init},
-      {"eliminate", color_reduce_kernel_eliminate,
-       color_reduce_batch_eliminate}};
+      kernel_phase<color_reduce_kernel_init>("init"),
+      kernel_phase<color_reduce_kernel_eliminate>("eliminate")};
   kernel->select_fn = [](std::int64_t round, const std::byte*,
                          const void*) -> std::uint16_t {
     return round == 0 ? 0 : 1;

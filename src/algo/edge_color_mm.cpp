@@ -144,22 +144,6 @@ void proposal_matching_kernel_phase(KernelCtx& ctx) {
   }
 }
 
-void proposal_matching_batch_round0(const KernelBatchCtx& b) {
-  for (std::size_t i = 0; i < b.count; ++i) {
-    KernelCtx ctx = b.node_ctx(i);
-    proposal_matching_kernel_round0(ctx);
-    b.latch(i, ctx);
-  }
-}
-
-void proposal_matching_batch_phase(const KernelBatchCtx& b) {
-  for (std::size_t i = 0; i < b.count; ++i) {
-    KernelCtx ctx = b.node_ctx(i);
-    proposal_matching_kernel_phase(ctx);
-    b.latch(i, ctx);
-  }
-}
-
 std::shared_ptr<const StepKernel> make_proposal_matching_kernel(
     std::int64_t delta_guess, std::int64_t rounds) {
   auto kernel = std::make_shared<StepKernel>();
@@ -167,10 +151,8 @@ std::shared_ptr<const StepKernel> make_proposal_matching_kernel(
   kernel->state_size = sizeof(ProposalMatchingKernelState);
   kernel->state_align = alignof(ProposalMatchingKernelState);
   kernel->port_state_words = 1;
-  kernel->phases = {{"round0", proposal_matching_kernel_round0,
-                     proposal_matching_batch_round0},
-                    {"phase", proposal_matching_kernel_phase,
-                     proposal_matching_batch_phase}};
+  kernel->phases = {kernel_phase<proposal_matching_kernel_round0>("round0"),
+                    kernel_phase<proposal_matching_kernel_phase>("phase")};
   kernel->select_fn = [](std::int64_t round, const std::byte*,
                          const void*) -> std::uint16_t {
     return round == 0 ? 0 : 1;

@@ -40,29 +40,9 @@ void greedy_mis_kernel_propose(KernelCtx& ctx) {
   ctx.broadcast({kTagValue, ctx.identity});
 }
 
-void greedy_mis_kernel_resolve(KernelCtx& ctx) {
-  bool smallest = true;
-  for (NodeId j = 0; j < ctx.degree; ++j) {
-    bool present = false;
-    const auto m = ctx.recv(j, &present);
-    if (!present || m[0] != kTagValue) continue;
-    if (m[1] < ctx.identity) {
-      smallest = false;
-      break;
-    }
-  }
-  if (smallest) {
-    ctx.broadcast({kTagJoined});
-    ctx.finish(1);
-  }
-}
-
-// --- batched stepping (phase-grouped buckets; see KernelBatchCtx) -----------
-//
-// Same bodies as the scalar phases, run inline over the bucket; the resolve
-// identity-compare scan accumulates beat flags in fixed-width lanes instead
-// of early-exiting, which reads and sends the same words either way.
-
+// The identity-compare scan accumulates beat flags over every port in
+// fixed-width lanes instead of early-exiting; it reads and sends the same
+// words either way, so it is bit-identical to the early-exit scan.
 constexpr NodeId kScanLanes = 4;
 
 inline std::int64_t greedy_port_beats(KernelCtx& ctx, NodeId j) {
@@ -72,30 +52,18 @@ inline std::int64_t greedy_port_beats(KernelCtx& ctx, NodeId j) {
   return m[1] < ctx.identity ? 1 : 0;
 }
 
-void greedy_mis_batch_propose(const KernelBatchCtx& b) {
-  for (std::size_t i = 0; i < b.count; ++i) {
-    KernelCtx ctx = b.node_ctx(i);
-    greedy_mis_kernel_propose(ctx);
-    b.latch(i, ctx);
-  }
-}
-
-void greedy_mis_batch_resolve(const KernelBatchCtx& b) {
-  for (std::size_t i = 0; i < b.count; ++i) {
-    KernelCtx ctx = b.node_ctx(i);
-    std::int64_t beat[kScanLanes] = {};
-    NodeId j = 0;
-    for (; j + kScanLanes <= ctx.degree; j += kScanLanes)
-      for (NodeId l = 0; l < kScanLanes; ++l)
-        beat[l] |= greedy_port_beats(ctx, j + l);
-    std::int64_t any = 0;
-    for (NodeId l = 0; l < kScanLanes; ++l) any |= beat[l];
-    for (; j < ctx.degree; ++j) any |= greedy_port_beats(ctx, j);
-    if (any == 0) {
-      ctx.broadcast({kTagJoined});
-      ctx.finish(1);
-    }
-    b.latch(i, ctx);
+void greedy_mis_kernel_resolve(KernelCtx& ctx) {
+  std::int64_t beat[kScanLanes] = {};
+  NodeId j = 0;
+  for (; j + kScanLanes <= ctx.degree; j += kScanLanes)
+    for (NodeId l = 0; l < kScanLanes; ++l)
+      beat[l] |= greedy_port_beats(ctx, j + l);
+  std::int64_t any = 0;
+  for (NodeId l = 0; l < kScanLanes; ++l) any |= beat[l];
+  for (; j < ctx.degree; ++j) any |= greedy_port_beats(ctx, j);
+  if (any == 0) {
+    ctx.broadcast({kTagJoined});
+    ctx.finish(1);
   }
 }
 
@@ -103,8 +71,8 @@ std::shared_ptr<const StepKernel> make_greedy_mis_kernel() {
   auto kernel = std::make_shared<StepKernel>();
   kernel->name = "greedy-mis";
   kernel->phases = {
-      {"propose", greedy_mis_kernel_propose, greedy_mis_batch_propose},
-      {"resolve", greedy_mis_kernel_resolve, greedy_mis_batch_resolve}};
+      kernel_phase<greedy_mis_kernel_propose>("propose"),
+      kernel_phase<greedy_mis_kernel_resolve>("resolve")};
   return kernel;
 }
 

@@ -43,22 +43,6 @@ void hpartition_kernel_peel(KernelCtx& ctx) {
   if (ctx.round >= cfg->phases) ctx.finish(st.layer);
 }
 
-void hpartition_batch_round0(const KernelBatchCtx& b) {
-  for (std::size_t i = 0; i < b.count; ++i) {
-    KernelCtx ctx = b.node_ctx(i);
-    hpartition_kernel_round0(ctx);
-    b.latch(i, ctx);
-  }
-}
-
-void hpartition_batch_peel(const KernelBatchCtx& b) {
-  for (std::size_t i = 0; i < b.count; ++i) {
-    KernelCtx ctx = b.node_ctx(i);
-    hpartition_kernel_peel(ctx);
-    b.latch(i, ctx);
-  }
-}
-
 std::shared_ptr<const StepKernel> make_hpartition_kernel(
     std::int64_t threshold, std::int64_t phases) {
   auto kernel = std::make_shared<StepKernel>();
@@ -66,8 +50,8 @@ std::shared_ptr<const StepKernel> make_hpartition_kernel(
   kernel->state_size = sizeof(HPartitionKernelState);
   kernel->state_align = alignof(HPartitionKernelState);
   kernel->phases = {
-      {"round0", hpartition_kernel_round0, hpartition_batch_round0},
-      {"peel", hpartition_kernel_peel, hpartition_batch_peel}};
+      kernel_phase<hpartition_kernel_round0>("round0"),
+      kernel_phase<hpartition_kernel_peel>("peel")};
   kernel->select_fn = [](std::int64_t round, const std::byte*,
                          const void*) -> std::uint16_t {
     return round == 0 ? 0 : 1;

@@ -172,46 +172,19 @@ void trivial_color_kernel_step(KernelCtx& ctx) {
   ctx.finish(std::max<std::int64_t>(c, 1));
 }
 
-// --- batched stepping (phase-grouped buckets; see KernelBatchCtx) -----------
-
-void linial_batch_init(const KernelBatchCtx& b) {
-  for (std::size_t i = 0; i < b.count; ++i) {
-    KernelCtx ctx = b.node_ctx(i);
-    linial_kernel_init_phase(ctx);
-    b.latch(i, ctx);
-  }
-}
-
-void linial_batch_reduce(const KernelBatchCtx& b) {
-  for (std::size_t i = 0; i < b.count; ++i) {
-    KernelCtx ctx = b.node_ctx(i);
-    linial_kernel_reduce(ctx);
-    b.latch(i, ctx);
-  }
-}
-
-void trivial_color_batch_step(const KernelBatchCtx& b) {
-  for (std::size_t i = 0; i < b.count; ++i) {
-    KernelCtx ctx = b.node_ctx(i);
-    trivial_color_kernel_step(ctx);
-    b.latch(i, ctx);
-  }
-}
-
 std::shared_ptr<const StepKernel> make_linial_kernel(
     const LinialSchedule& schedule) {
   auto kernel = std::make_shared<StepKernel>();
   if (schedule.length() == 0) {
     kernel->name = "linial-trivial";
-    kernel->phases = {
-        {"finish", trivial_color_kernel_step, trivial_color_batch_step}};
+    kernel->phases = {kernel_phase<trivial_color_kernel_step>("finish")};
     return kernel;
   }
   kernel->name = "linial";
   kernel->state_size = sizeof(LinialKernelState);
   kernel->state_align = alignof(LinialKernelState);
-  kernel->phases = {{"init", linial_kernel_init_phase, linial_batch_init},
-                    {"reduce", linial_kernel_reduce, linial_batch_reduce}};
+  kernel->phases = {kernel_phase<linial_kernel_init_phase>("init"),
+                    kernel_phase<linial_kernel_reduce>("reduce")};
   kernel->select_fn = [](std::int64_t round, const std::byte*,
                          const void*) -> std::uint16_t {
     return round == 0 ? 0 : 1;

@@ -33,33 +33,10 @@ void luby_kernel_propose(KernelCtx& ctx) {
   ctx.broadcast({kTagValue, st.rank, ctx.identity});
 }
 
-void luby_kernel_resolve(KernelCtx& ctx) {
-  const auto& st = ctx.state_as<LubyKernelState>();
-  bool smallest = true;
-  for (NodeId j = 0; j < ctx.degree; ++j) {
-    bool present = false;
-    const auto m = ctx.recv(j, &present);
-    if (!present || m[0] != kTagValue) continue;
-    if (m[1] < st.rank || (m[1] == st.rank && m[2] < ctx.identity)) {
-      smallest = false;
-      break;
-    }
-  }
-  if (smallest) {
-    ctx.broadcast({kTagJoined});
-    ctx.finish(1);
-  }
-}
-
-// --- batched stepping (phase-grouped buckets; see KernelBatchCtx) -----------
-//
-// The batch fns run the same per-node bodies as the scalar phases, built
-// inline over the bucket so the per-node indirect dispatch folds away. The
-// resolve neighbour max-scan is restructured into fixed-width lanes — a
-// branch-free beat-flag accumulation instead of an early-exit compare
-// chain — which reads the same messages and sends the same words, so it
-// stays bit-identical to the scalar phase.
-
+// The neighbour scan runs in fixed-width lanes: a branch-free beat-flag
+// accumulation over every port instead of an early-exit compare chain. It
+// reads the same messages and sends the same words as the early-exit scan,
+// so it is bit-identical to it.
 constexpr NodeId kScanLanes = 4;
 
 inline std::int64_t luby_port_beats(KernelCtx& ctx, std::int64_t rank,
@@ -70,31 +47,19 @@ inline std::int64_t luby_port_beats(KernelCtx& ctx, std::int64_t rank,
   return (m[1] < rank || (m[1] == rank && m[2] < ctx.identity)) ? 1 : 0;
 }
 
-void luby_batch_propose(const KernelBatchCtx& b) {
-  for (std::size_t i = 0; i < b.count; ++i) {
-    KernelCtx ctx = b.node_ctx(i);
-    luby_kernel_propose(ctx);
-    b.latch(i, ctx);
-  }
-}
-
-void luby_batch_resolve(const KernelBatchCtx& b) {
-  for (std::size_t i = 0; i < b.count; ++i) {
-    KernelCtx ctx = b.node_ctx(i);
-    const auto& st = ctx.state_as<LubyKernelState>();
-    std::int64_t beat[kScanLanes] = {};
-    NodeId j = 0;
-    for (; j + kScanLanes <= ctx.degree; j += kScanLanes)
-      for (NodeId l = 0; l < kScanLanes; ++l)
-        beat[l] |= luby_port_beats(ctx, st.rank, j + l);
-    std::int64_t any = 0;
-    for (NodeId l = 0; l < kScanLanes; ++l) any |= beat[l];
-    for (; j < ctx.degree; ++j) any |= luby_port_beats(ctx, st.rank, j);
-    if (any == 0) {
-      ctx.broadcast({kTagJoined});
-      ctx.finish(1);
-    }
-    b.latch(i, ctx);
+void luby_kernel_resolve(KernelCtx& ctx) {
+  const auto& st = ctx.state_as<LubyKernelState>();
+  std::int64_t beat[kScanLanes] = {};
+  NodeId j = 0;
+  for (; j + kScanLanes <= ctx.degree; j += kScanLanes)
+    for (NodeId l = 0; l < kScanLanes; ++l)
+      beat[l] |= luby_port_beats(ctx, st.rank, j + l);
+  std::int64_t any = 0;
+  for (NodeId l = 0; l < kScanLanes; ++l) any |= beat[l];
+  for (; j < ctx.degree; ++j) any |= luby_port_beats(ctx, st.rank, j);
+  if (any == 0) {
+    ctx.broadcast({kTagJoined});
+    ctx.finish(1);
   }
 }
 
@@ -103,8 +68,8 @@ std::shared_ptr<const StepKernel> make_luby_kernel() {
   kernel->name = "luby";
   kernel->state_size = sizeof(LubyKernelState);
   kernel->state_align = alignof(LubyKernelState);
-  kernel->phases = {{"propose", luby_kernel_propose, luby_batch_propose},
-                    {"resolve", luby_kernel_resolve, luby_batch_resolve}};
+  kernel->phases = {kernel_phase<luby_kernel_propose>("propose"),
+                    kernel_phase<luby_kernel_resolve>("resolve")};
   return kernel;
 }
 
@@ -133,45 +98,36 @@ void truncated_kernel_step(KernelCtx& ctx) {
   if (ctx.wake_round > cfg->budget) ctx.sleep_until(cfg->budget);
 }
 
-// Forwards maximal same-inner-phase runs of the bucket to the inner kernel's
-// batch fns, so truncation keeps the inner kernel's batching instead of
-// degrading every step to a scalar dispatch. Past-budget nodes latch the
-// fallback directly, and latched sleep hints are clamped to the budget.
+// The one hand-written batch fn. A bucket at or past the budget latches
+// the fallback directly. Otherwise it forwards maximal same-inner-phase
+// runs of the bucket to the inner kernel's batch fns, so truncation keeps
+// the inner kernel's batching instead of one inner dispatch per node, and
+// clamps the latched sleep hints to the budget.
 void truncated_kernel_batch(const KernelBatchCtx& b) {
   const auto* cfg = static_cast<const TruncateKernelConfig*>(b.config);
-  const StepKernel& inner = *cfg->inner;
-  std::size_t i = 0;
-  while (i < b.count) {
-    if (b.rounds[i] >= cfg->budget) {
+  if (b.round >= cfg->budget) {
+    for (std::size_t i = 0; i < b.count; ++i) {
       b.finished[b.nodes[i]] = 1;
       b.outputs[b.nodes[i]] = cfg->fallback;
-      ++i;
-      continue;
     }
-    const auto inner_phase = [&](std::size_t k) {
-      return kernel_phase_index(
-          inner, b.rounds[k],
-          b.state_base + static_cast<std::size_t>(b.nodes[k]) * b.stride);
-    };
+    return;
+  }
+  const StepKernel& inner = *cfg->inner;
+  const auto inner_phase = [&](std::size_t k) {
+    return kernel_phase_index(
+        inner, b.round,
+        b.state_base + static_cast<std::size_t>(b.nodes[k]) * b.stride);
+  };
+  std::size_t i = 0;
+  while (i < b.count) {
     const std::size_t p = inner_phase(i);
     std::size_t j = i + 1;
-    while (j < b.count && b.rounds[j] < cfg->budget && inner_phase(j) == p)
-      ++j;
+    while (j < b.count && inner_phase(j) == p) ++j;
     KernelBatchCtx sub = b;
     sub.nodes = b.nodes + i;
-    sub.rounds = b.rounds + i;
     sub.count = j - i;
     sub.config = inner.config.get();
-    const KernelPhase& phase = inner.phases[p];
-    if (phase.batch != nullptr) {
-      phase.batch(sub);
-    } else {
-      for (std::size_t k = 0; k < sub.count; ++k) {
-        KernelCtx ctx = sub.node_ctx(k);
-        phase.fn(ctx);
-        sub.latch(k, ctx);
-      }
-    }
+    inner.phases[p].batch(sub);
     if (b.wake_rounds != nullptr) {
       for (std::size_t k = i; k < j; ++k) {
         std::int64_t& wake = b.wake_rounds[b.nodes[k]];
@@ -185,6 +141,7 @@ void truncated_kernel_batch(const KernelBatchCtx& b) {
 std::shared_ptr<const StepKernel> make_truncated_kernel(
     std::shared_ptr<const StepKernel> inner, std::int64_t budget,
     std::int64_t fallback) {
+  check_kernel(inner.get(), "truncated inner");  // run through its batch fns
   auto kernel = std::make_shared<StepKernel>();
   kernel->name = inner->name + "@" + std::to_string(budget);
   kernel->state_size = inner->state_size;

@@ -48,22 +48,6 @@ void mis_sweep_kernel_sweep(KernelCtx& ctx) {
   if (ctx.round >= cfg->num_colors + 1) ctx.finish(0);
 }
 
-void mis_sweep_batch_round0(const KernelBatchCtx& b) {
-  for (std::size_t i = 0; i < b.count; ++i) {
-    KernelCtx ctx = b.node_ctx(i);
-    mis_sweep_kernel_round0(ctx);
-    b.latch(i, ctx);
-  }
-}
-
-void mis_sweep_batch_sweep(const KernelBatchCtx& b) {
-  for (std::size_t i = 0; i < b.count; ++i) {
-    KernelCtx ctx = b.node_ctx(i);
-    mis_sweep_kernel_sweep(ctx);
-    b.latch(i, ctx);
-  }
-}
-
 std::shared_ptr<const StepKernel> make_mis_sweep_kernel(
     std::int64_t num_colors) {
   auto kernel = std::make_shared<StepKernel>();
@@ -71,8 +55,8 @@ std::shared_ptr<const StepKernel> make_mis_sweep_kernel(
   kernel->state_size = sizeof(MisColorSweepKernelState);
   kernel->state_align = alignof(MisColorSweepKernelState);
   kernel->phases = {
-      {"round0", mis_sweep_kernel_round0, mis_sweep_batch_round0},
-      {"sweep", mis_sweep_kernel_sweep, mis_sweep_batch_sweep}};
+      kernel_phase<mis_sweep_kernel_round0>("round0"),
+      kernel_phase<mis_sweep_kernel_sweep>("sweep")};
   kernel->select_fn = [](std::int64_t round, const std::byte*,
                          const void*) -> std::uint16_t {
     return round == 0 ? 0 : 1;

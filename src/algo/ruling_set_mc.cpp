@@ -91,48 +91,16 @@ void beta_luby_kernel_dom(KernelCtx& ctx) {
   }
 }
 
-void beta_luby_batch_fresh(const KernelBatchCtx& b) {
-  for (std::size_t i = 0; i < b.count; ++i) {
-    KernelCtx ctx = b.node_ctx(i);
-    beta_luby_kernel_fresh(ctx);
-    b.latch(i, ctx);
-  }
-}
-
-void beta_luby_batch_flood(const KernelBatchCtx& b) {
-  for (std::size_t i = 0; i < b.count; ++i) {
-    KernelCtx ctx = b.node_ctx(i);
-    beta_luby_kernel_flood(ctx);
-    b.latch(i, ctx);
-  }
-}
-
-void beta_luby_batch_join(const KernelBatchCtx& b) {
-  for (std::size_t i = 0; i < b.count; ++i) {
-    KernelCtx ctx = b.node_ctx(i);
-    beta_luby_kernel_join(ctx);
-    b.latch(i, ctx);
-  }
-}
-
-void beta_luby_batch_dom(const KernelBatchCtx& b) {
-  for (std::size_t i = 0; i < b.count; ++i) {
-    KernelCtx ctx = b.node_ctx(i);
-    beta_luby_kernel_dom(ctx);
-    b.latch(i, ctx);
-  }
-}
-
 std::shared_ptr<const StepKernel> make_beta_luby_kernel(int beta) {
   auto kernel = std::make_shared<StepKernel>();
   kernel->name = "beta-luby";
   kernel->state_size = sizeof(BetaLubyKernelState);
   kernel->state_align = alignof(BetaLubyKernelState);
   kernel->phases = {
-      {"fresh", beta_luby_kernel_fresh, beta_luby_batch_fresh},
-      {"flood", beta_luby_kernel_flood, beta_luby_batch_flood},
-      {"join", beta_luby_kernel_join, beta_luby_batch_join},
-      {"dom", beta_luby_kernel_dom, beta_luby_batch_dom}};
+      kernel_phase<beta_luby_kernel_fresh>("fresh"),
+      kernel_phase<beta_luby_kernel_flood>("flood"),
+      kernel_phase<beta_luby_kernel_join>("join"),
+      kernel_phase<beta_luby_kernel_dom>("dom")};
   kernel->select_fn = [](std::int64_t round, const std::byte*,
                          const void* config) -> std::uint16_t {
     const auto* cfg = static_cast<const BetaLubyKernelConfig*>(config);

@@ -54,14 +54,6 @@ void slc_adapter_kernel_step(KernelCtx& ctx) {
   ctx.output = best;
 }
 
-void slc_adapter_kernel_batch(const KernelBatchCtx& b) {
-  for (std::size_t i = 0; i < b.count; ++i) {
-    KernelCtx ctx = b.node_ctx(i);
-    slc_adapter_kernel_step(ctx);
-    b.latch(i, ctx);
-  }
-}
-
 std::shared_ptr<const StepKernel> make_slc_adapter_kernel(
     std::shared_ptr<const StepKernel> inner) {
   auto kernel = std::make_shared<StepKernel>();
@@ -72,7 +64,7 @@ std::shared_ptr<const StepKernel> make_slc_adapter_kernel(
   kernel->init_fn =
       inner->init_fn != nullptr ? slc_adapter_kernel_init : nullptr;
   kernel->phases = {
-      {"adapt", slc_adapter_kernel_step, slc_adapter_kernel_batch}};
+      kernel_phase<slc_adapter_kernel_step>("adapt")};
   kernel->config = std::shared_ptr<const void>(
       std::make_shared<SlcAdapterKernelConfig>(
           SlcAdapterKernelConfig{std::move(inner)}));

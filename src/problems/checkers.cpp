@@ -35,22 +35,23 @@ void coloring_check(KernelCtx& ctx) {
   ctx.finish(conflict ? 1 : 0);
 }
 
-std::unique_ptr<Algorithm> two_round_checker(std::string name,
-                                             KernelStepFn check) {
+template <KernelStepFn Check>
+std::unique_ptr<Algorithm> two_round_checker(std::string name) {
   auto kernel = std::make_shared<StepKernel>();
   kernel->name = name;
-  kernel->phases = {{"announce", announce}, {"check", check}};
+  kernel->phases = {kernel_phase<announce>("announce"),
+                    kernel_phase<Check>("check")};
   return std::make_unique<KernelAlgorithm>(std::move(name), std::move(kernel));
 }
 
 }  // namespace
 
 std::unique_ptr<Algorithm> make_mis_checker() {
-  return two_round_checker("check-mis", mis_check);
+  return two_round_checker<mis_check>("check-mis");
 }
 
 std::unique_ptr<Algorithm> make_coloring_checker() {
-  return two_round_checker("check-coloring", coloring_check);
+  return two_round_checker<coloring_check>("check-coloring");
 }
 
 std::unique_ptr<Algorithm> make_matching_checker() {

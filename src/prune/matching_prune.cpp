@@ -103,10 +103,10 @@ std::unique_ptr<Algorithm> make_matching_membership_algorithm(
   kernel->state_size = sizeof(MatchingMembershipState);
   kernel->state_align = alignof(MatchingMembershipState);
   kernel->port_state_words = 1;
-  kernel->phases = {{"announce", matching_membership_announce},
-                    {"clean", matching_membership_clean},
-                    {"matched", matching_membership_matched},
-                    {"decide", matching_membership_decide}};
+  kernel->phases = {kernel_phase<matching_membership_announce>("announce"),
+                    kernel_phase<matching_membership_clean>("clean"),
+                    kernel_phase<matching_membership_matched>("matched"),
+                    kernel_phase<matching_membership_decide>("decide")};
   kernel->config = std::make_shared<const bool>(complement);
   return std::make_unique<KernelAlgorithm>(std::move(name), std::move(kernel));
 }

@@ -114,9 +114,9 @@ std::shared_ptr<const StepKernel> make_ruling_set_prune_kernel(int beta) {
   kernel->name = "ruling-set-prune";
   kernel->state_size = sizeof(RulingSetPruneState);
   kernel->state_align = alignof(RulingSetPruneState);
-  kernel->phases = {{"announce", ruling_set_prune_announce},
-                    {"good", ruling_set_prune_good},
-                    {"flood", ruling_set_prune_flood}};
+  kernel->phases = {kernel_phase<ruling_set_prune_announce>("announce"),
+                    kernel_phase<ruling_set_prune_good>("good"),
+                    kernel_phase<ruling_set_prune_flood>("flood")};
   kernel->select_fn = [](std::int64_t round, const std::byte*,
                          const void*) -> std::uint16_t {
     return static_cast<std::uint16_t>(std::min<std::int64_t>(round, 2));

@@ -89,9 +89,9 @@ std::shared_ptr<const StepKernel> make_slc_prune_kernel() {
   kernel->name = "slc-prune";
   kernel->state_size = sizeof(SlcPruneState);
   kernel->state_align = alignof(SlcPruneState);
-  kernel->phases = {{"announce", slc_prune_announce},
-                    {"decide", slc_prune_decide},
-                    {"finish", slc_prune_finish}};
+  kernel->phases = {kernel_phase<slc_prune_announce>("announce"),
+                    kernel_phase<slc_prune_decide>("decide"),
+                    kernel_phase<slc_prune_finish>("finish")};
   return kernel;
 }
 

@@ -45,7 +45,7 @@ std::unique_ptr<Algorithm> SlowedPruning::as_local_algorithm() const {
   kernel->port_state_words = inner_kernel->port_state_words;
   kernel->init_fn =
       inner_kernel->init_fn != nullptr ? padded_kernel_init : nullptr;
-  kernel->phases = {{"pad", padded_kernel_step}};
+  kernel->phases = {kernel_phase<padded_kernel_step>("pad")};
   kernel->config = std::make_shared<const PaddedKernelConfig>(
       PaddedKernelConfig{std::move(inner), std::move(inner_kernel), extra_});
   return std::make_unique<KernelAlgorithm>(std::move(name), std::move(kernel));

@@ -162,34 +162,10 @@ void chain_kernel_done(KernelCtx& ctx) {
   ctx.finish(h.carry);
 }
 
-// Batched forms: loop the bucket over the scalar phase bodies (the chain
+// The chain's batched forms are the generated ones (kernel_phase<F>): its
 // phases keep per-stage input/config handling, so the composite does not
-// forward whole buckets to inner batch fns — the win here is one dispatch
-// per bucket with the stage bookkeeping inlined).
-void chain_batch_enter(const KernelBatchCtx& b) {
-  for (std::size_t i = 0; i < b.count; ++i) {
-    KernelCtx ctx = b.node_ctx(i);
-    chain_kernel_enter(ctx);
-    b.latch(i, ctx);
-  }
-}
-
-void chain_batch_run(const KernelBatchCtx& b) {
-  for (std::size_t i = 0; i < b.count; ++i) {
-    KernelCtx ctx = b.node_ctx(i);
-    chain_kernel_run(ctx);
-    b.latch(i, ctx);
-  }
-}
-
-void chain_batch_idle(const KernelBatchCtx& b) {
-  for (std::size_t i = 0; i < b.count; ++i) {
-    KernelCtx ctx = b.node_ctx(i);
-    chain_kernel_idle(ctx);
-    b.latch(i, ctx);
-  }
-}
-
+// forward whole buckets to inner batch fns; the win is one dispatch per
+// bucket with the stage bookkeeping inlined.
 std::shared_ptr<const StepKernel> make_chain_kernel(
     const std::string& name, const std::vector<ChainStage>& stages) {
   auto cfg = std::make_shared<ChainKernelConfig>();
@@ -218,10 +194,10 @@ std::shared_ptr<const StepKernel> make_chain_kernel(
       static_cast<std::uint32_t>(cfg->inner_offset) + max_size;
   kernel->state_align = max_align;
   kernel->port_state_words = port_words;
-  kernel->phases = {{"enter", chain_kernel_enter, chain_batch_enter},
-                    {"run", chain_kernel_run, chain_batch_run},
-                    {"idle", chain_kernel_idle, chain_batch_idle},
-                    {"done", chain_kernel_done}};
+  kernel->phases = {kernel_phase<chain_kernel_enter>("enter"),
+                    kernel_phase<chain_kernel_run>("run"),
+                    kernel_phase<chain_kernel_idle>("idle"),
+                    kernel_phase<chain_kernel_done>("done")};
   kernel->select_fn = chain_kernel_select;
   kernel->config = std::shared_ptr<const void>(std::move(cfg));
   return kernel;

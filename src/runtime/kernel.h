@@ -16,6 +16,11 @@
 // color_reduce's neighbour palette), an optional spawn-time initializer,
 // and a phase/state-machine table — one KernelStepFn per phase with a
 // selector mapping the local round (and state/config) to the phase to run.
+// A phase is written once, as its scalar KernelStepFn; kernel_phase<F>
+// generates its batched form (KernelBatchFn), which the simultaneous loop
+// runs over each round's same-phase bucket. The lockstep loop, the
+// reference engine and composites forwarding a round (step_inner_kernel)
+// call the scalar body.
 //
 // Sleep contract (KernelCtx::sleep_until): a step may end with
 // sleep_until(r), r a local round. It promises that every step of this
@@ -165,21 +170,19 @@ struct KernelCtx {
 };
 
 /// Batched counterpart of KernelCtx: one bucket of same-phase nodes per
-/// call. The engine groups the round's live/frontier list by resolved
-/// kernel_phase_index and hands each bucket to the phase's KernelBatchFn
-/// (when it has one) instead of building a KernelCtx per node — the batch
-/// fn loops the bucket itself, so the per-node phase body inlines into one
-/// tight loop over the strided state arena (the shape the compiler can
-/// vectorize). Aliasing: records of distinct nodes never overlap
+/// call. The simultaneous loop groups the round's live list by resolved
+/// kernel_phase_index and hands each bucket to the phase's KernelBatchFn,
+/// which loops the bucket itself, so the per-node phase body inlines into
+/// one tight loop over the strided state arena instead of one indirect
+/// call per node. Aliasing: records of distinct nodes never overlap
 /// (stride >= state_size), and within a bucket every node owns its own RNG
 /// stream and per-edge send slots, so nodes may be stepped in any order.
 struct KernelBatchCtx {
-  /// The bucket: count node ids, with rounds[i] the local round nodes[i]
-  /// is stepping (the same for every node: only the simultaneous loop
-  /// steps buckets).
+  /// The bucket: count node ids, all stepping local round `round` (only
+  /// the simultaneous loop steps buckets).
   const NodeId* nodes = nullptr;
-  const std::int64_t* rounds = nullptr;
   std::size_t count = 0;
+  std::int64_t round = 0;
 
   /// The packed state arena: node v's record lives at
   /// state_base + v * stride.
@@ -213,17 +216,15 @@ struct KernelBatchCtx {
   KernelRecvFn recv_fn = nullptr;
   KernelSendFn send_fn = nullptr;
 
-  /// The scalar view of bucket slot i — batch fns that share their body
-  /// with the scalar KernelStepFn build one of these per node and call the
-  /// phase body directly (a plain call the compiler inlines, instead of the
-  /// engine's per-node indirect dispatch).
+  /// The scalar view of bucket slot i, built by kernel_batch<F> for each
+  /// node of the bucket.
   KernelCtx node_ctx(std::size_t i) const {
     const NodeId v = nodes[i];
     KernelCtx ctx;
     ctx.node = v;
     ctx.degree = static_cast<NodeId>(csr_offsets[v + 1] - csr_offsets[v]);
     ctx.identity = identities[v];
-    ctx.round = rounds[i];
+    ctx.round = round;
     ctx.input = std::span<const std::int64_t>(
         inputs[v].data(), inputs[v].size());
     ctx.rng = &rngs[v];
@@ -253,19 +254,36 @@ struct KernelBatchCtx {
 };
 
 /// One phase over one bucket of same-phase nodes. Must be bit-identical to
-/// running the phase's scalar fn over the bucket in order (the engine's
-/// batched-vs-scalar tests enforce this on every family / thread count /
-/// network model).
+/// running the phase's scalar fn over the bucket in order (kernel_test
+/// holds the simultaneous loop to the reference engine, which runs the
+/// scalar fns, on every family and thread count).
 using KernelBatchFn = void (*)(const KernelBatchCtx&);
 
-/// One row of a kernel's phase/state-machine table.
+/// One row of a kernel's phase/state-machine table: the scalar body and its
+/// batched form. Build rows with kernel_phase<F>.
 struct KernelPhase {
   std::string name;
   KernelStepFn fn = nullptr;
-  /// Optional batched form of `fn`; phases without one run the scalar
-  /// per-node loop.
   KernelBatchFn batch = nullptr;
 };
+
+/// The batched form of scalar phase F: one KernelCtx per bucket node, F,
+/// then the finish/sleep latch. F is a compile-time constant, so the call
+/// is direct (no per-node dispatch) and the compiler may inline it.
+template <KernelStepFn F>
+void kernel_batch(const KernelBatchCtx& b) {
+  for (std::size_t i = 0; i < b.count; ++i) {
+    KernelCtx ctx = b.node_ctx(i);
+    F(ctx);
+    b.latch(i, ctx);
+  }
+}
+
+/// The phase row for scalar body F and its generated batched form.
+template <KernelStepFn F>
+KernelPhase kernel_phase(std::string name) {
+  return {std::move(name), F, &kernel_batch<F>};
+}
 
 /// The per-node program descriptor. A kernel (and its config blob) must stay
 /// valid for the lifetime of the Algorithm that produced it.
@@ -282,7 +300,8 @@ struct StepKernel {
   KernelInitFn init_fn = nullptr;
   /// The state-machine table; local round r runs
   /// phases[select_fn(r, state, config)], or phases[r % phases.size()]
-  /// when select_fn is null. Must be non-empty with non-null fns.
+  /// when select_fn is null. Must be non-empty, each row built by
+  /// kernel_phase<F> (truncation's hand-written row aside).
   std::vector<KernelPhase> phases;
   KernelSelectFn select_fn = nullptr;
   /// Algorithm-wide read-only parameters (schedules, palettes, budgets)
@@ -314,16 +333,20 @@ inline void step_inner_kernel(const StepKernel& inner, KernelCtx& ctx) {
 }
 
 /// Throws std::runtime_error unless `kernel` is runnable: non-null, with
-/// at least one phase and no null step function.
+/// at least one phase and no null step or batch function.
 inline void check_kernel(const StepKernel* kernel, const std::string& algorithm) {
   if (kernel == nullptr)
     throw std::runtime_error("algorithm '" + algorithm + "' has no kernel");
   if (kernel->phases.empty())
     throw std::runtime_error("kernel '" + kernel->name + "' has no phases");
-  for (const KernelPhase& phase : kernel->phases)
+  for (const KernelPhase& phase : kernel->phases) {
     if (phase.fn == nullptr)
       throw std::runtime_error("kernel '" + kernel->name + "' phase '" +
                                   phase.name + "' has a null step function");
+    if (phase.batch == nullptr)
+      throw std::runtime_error("kernel '" + kernel->name + "' phase '" +
+                                  phase.name + "' has a null batch function");
+  }
 }
 
 /// An Algorithm that is nothing but a named kernel (the pruning

@@ -38,7 +38,7 @@ struct alignas(64) StepDelta {
   std::int64_t batch_calls = 0;
   NodeId newly_finished = 0;
   NodeId cut_off = 0;
-  /// Per-phase bucket sizes of this thread's step_bucketed calls; filled
+  /// Per-phase bucket sizes of this thread's step_range call; filled
   /// only while a traced round is in flight (empty otherwise).
   std::vector<std::int64_t> phase_sizes;
   /// Simultaneous-mode sleep traffic: stepped nodes that asked to sleep,
@@ -141,13 +141,13 @@ struct EngineWorkspaceState {
   std::vector<std::int64_t> kernel_port_state;
 
   // Per-thread scratch: kwords is the reusable int64 scratch handed to
-  // kernels as KernelCtx::scratch; bucket_nodes/bucket_rounds are the
-  // phase-bucketing arrays of the batched path (one slot per kernel phase,
-  // capacity persists).
-  struct Scratch {
+  // kernels as KernelCtx::scratch; bucket_nodes are the simultaneous
+  // loop's phase buckets (one per kernel phase, capacity persists). Kernels
+  // resize kwords on every step, so each thread's record gets its own cache
+  // line.
+  struct alignas(64) Scratch {
     std::vector<std::int64_t> kwords;
     std::vector<std::vector<NodeId>> bucket_nodes;
-    std::vector<std::vector<std::int64_t>> bucket_rounds;
   };
   std::vector<Scratch> scratch;
 
@@ -198,8 +198,6 @@ class ArenaEngine {
 
     kernel_ = algorithm.kernel();
     check_kernel(kernel_.get(), algorithm.name());
-    for (const KernelPhase& phase : kernel_->phases)
-      if (phase.batch != nullptr) kernel_has_batch_ = true;
 
     const std::size_t nn = static_cast<std::size_t>(n_);
     ws_.rngs.assign(nn, Rng(0));
@@ -274,11 +272,10 @@ class ArenaEngine {
       peak_frontier_ = std::max<std::int64_t>(peak_frontier_, live);
       std::int64_t round_messages = 0;
       std::int64_t round_steps = 0;
-      std::int64_t round_batched = 0, round_batch_calls = 0;
       const std::size_t live_n = ws_.live.size();
       const std::int64_t round_asleep = live - static_cast<NodeId>(live_n);
       if (threads_ == 1) {
-        step_range(0, 0, live_n, round);
+        step_range(0, 0, live_n, round, traced);
       } else {
         // Rebalance every round: chunk the compacted live list, not the
         // node-id space, so workers stay busy as the frontier shrinks.
@@ -289,7 +286,7 @@ class ArenaEngine {
           const std::size_t lo =
               std::min(live_n, static_cast<std::size_t>(t) * chunk);
           const std::size_t hi = std::min(live_n, lo + chunk);
-          step_range(t, lo, hi, round);
+          step_range(t, lo, hi, round, traced);
         });
       }
       // Sleepers count as stepped: total_steps stays the logical count.
@@ -308,8 +305,6 @@ class ArenaEngine {
         batched_steps_ += delta.batched_steps;
         batch_calls_ += delta.batch_calls;
         cut_off_ += delta.cut_off;
-        round_batched += delta.batched_steps;
-        round_batch_calls += delta.batch_calls;
         if (traced && !delta.phase_sizes.empty()) {
           if (trace_phases_.size() < delta.phase_sizes.size())
             trace_phases_.resize(delta.phase_sizes.size(), 0);
@@ -344,10 +339,6 @@ class ArenaEngine {
         event.arg("messages", round_messages);
         event.arg("steps", round_steps);
         if (jumped > 0) event.arg("jumped", jumped);
-        if (kernel_has_batch_) {
-          event.arg("batched_steps", round_batched);
-          event.arg("batch_calls", round_batch_calls);
-        }
         attach_phase_sizes(event);
         trace_->recorder->record(std::move(event));
       }
@@ -647,9 +638,9 @@ class ArenaEngine {
                                                words);
   }
 
-  /// One local round of node v through phase `phase` of the kernel.
-  void step_kernel_phase(int tid, NodeId v, std::int64_t round,
-                         std::size_t phase) {
+  /// One local round of node v through its scalar phase body (the lockstep
+  /// loop's step).
+  void step_one(int tid, NodeId v, std::int64_t round) {
     const std::size_t vi = static_cast<std::size_t>(v);
     KernelCtx ctx;
     ctx.node = v;
@@ -670,7 +661,7 @@ class ArenaEngine {
     ctx.tid = tid;
     ctx.recv_fn = &ArenaEngine::kernel_recv;
     ctx.send_fn = &ArenaEngine::kernel_send;
-    kernel_->phases[phase].fn(ctx);
+    kernel_->phases[kernel_phase_index(*kernel_, round, ctx.state)].fn(ctx);
     if (ctx.finished) {
       ws_.finished[vi] = 1;
       ws_.outputs[vi] = ctx.output;
@@ -678,22 +669,14 @@ class ArenaEngine {
     if (ctx.wake_round != 0) wake_at_[vi] = ctx.wake_round;
   }
 
-  void step_one(int tid, NodeId v, std::int64_t round) {
-    const std::byte* state =
-        kstate_base_ + static_cast<std::size_t>(v) * kstride_;
-    step_kernel_phase(tid, v, round,
-                      kernel_phase_index(*kernel_, round, state));
-  }
-
   /// The batched bucket view over the engine arrays (KernelBatchCtx must
-  /// mirror exactly what step_kernel_phase puts into a scalar KernelCtx).
+  /// mirror exactly what step_one puts into a scalar KernelCtx).
   KernelBatchCtx make_batch_ctx(int tid, const NodeId* nodes,
-                                const std::int64_t* rounds,
-                                std::size_t count) {
+                                std::size_t count, std::int64_t round) {
     KernelBatchCtx b;
     b.nodes = nodes;
-    b.rounds = rounds;
     b.count = count;
+    b.round = round;
     b.state_base = kstate_base_;
     b.stride = kstride_;
     b.port_state_base =
@@ -715,73 +698,47 @@ class ArenaEngine {
     return b;
   }
 
-  /// Phase-grouped kernel stepping: bucket `count` nodes of local round
-  /// `round` by resolved kernel_phase_index (one pass over the strided
-  /// state arena), then run each bucket through its phase's KernelBatchFn —
-  /// or the scalar per-node loop when the phase has none. Bucketing
-  /// reorders node steps, which is observation-equivalent: every node owns
-  /// its RNG stream, its state record, and its per-edge send slots, and no
-  /// node of one round reads what another sent in the same round (it is
-  /// delivered next round).
-  void step_bucketed(int tid, const NodeId* nodes, std::size_t count,
-                     std::int64_t round, std::int64_t* batched_steps,
-                     std::int64_t* batch_calls,
-                     std::vector<std::int64_t>* phase_sizes = nullptr) {
+  /// Steps the live-list slice [lo, hi) phase-bucketed: bucket its nodes by
+  /// resolved kernel_phase_index (one pass over the strided state arena),
+  /// run each bucket through its phase's KernelBatchFn, then do each node's
+  /// round bookkeeping; a traced round also records the bucket sizes. Every
+  /// listed node is unfinished and awake at round start (the list is
+  /// compacted after each round). Bucketing reorders
+  /// node steps, which is observation-equivalent: every node owns its RNG
+  /// stream, its state record, and its per-edge send slots, and no node of
+  /// one round reads what another sent in the same round (it is delivered
+  /// next round).
+  void step_range(int tid, std::size_t lo, std::size_t hi,
+                  std::int64_t round, bool traced) {
+    StepDelta& delta = deltas_[static_cast<std::size_t>(tid)];
     auto& scratch = ws_.scratch[static_cast<std::size_t>(tid)];
     const std::size_t nphases = kernel_->phases.size();
     scratch.bucket_nodes.resize(nphases);
-    scratch.bucket_rounds.resize(nphases);
-    for (std::size_t p = 0; p < nphases; ++p) {
-      scratch.bucket_nodes[p].clear();
-      scratch.bucket_rounds[p].clear();
-    }
-    for (std::size_t i = 0; i < count; ++i) {
-      const NodeId v = nodes[i];
+    for (auto& bucket : scratch.bucket_nodes) bucket.clear();
+    for (std::size_t i = lo; i < hi; ++i) {
+      const NodeId v = ws_.live[i];
       const std::size_t p = kernel_phase_index(
           *kernel_, round,
           kstate_base_ + static_cast<std::size_t>(v) * kstride_);
       scratch.bucket_nodes[p].push_back(v);
-      scratch.bucket_rounds[p].push_back(round);
     }
-    if (phase_sizes != nullptr) {
-      phase_sizes->assign(nphases, 0);
+    if (traced) {
+      delta.phase_sizes.assign(nphases, 0);
       for (std::size_t p = 0; p < nphases; ++p)
-        (*phase_sizes)[p] =
+        delta.phase_sizes[p] =
             static_cast<std::int64_t>(scratch.bucket_nodes[p].size());
     }
     for (std::size_t p = 0; p < nphases; ++p) {
       const auto& bucket = scratch.bucket_nodes[p];
       if (bucket.empty()) continue;
-      const KernelPhase& phase = kernel_->phases[p];
-      if (phase.batch != nullptr) {
-        const KernelBatchCtx b = make_batch_ctx(
-            tid, bucket.data(), scratch.bucket_rounds[p].data(),
-            bucket.size());
-        phase.batch(b);
-        *batched_steps += static_cast<std::int64_t>(bucket.size());
-        ++*batch_calls;
-      } else {
-        for (std::size_t i = 0; i < bucket.size(); ++i)
-          step_kernel_phase(tid, bucket[i], scratch.bucket_rounds[p][i], p);
-      }
+      kernel_->phases[p].batch(
+          make_batch_ctx(tid, bucket.data(), bucket.size(), round));
+      delta.batched_steps += static_cast<std::int64_t>(bucket.size());
+      ++delta.batch_calls;
     }
-  }
-
-  /// Steps the live-list slice [lo, hi); every listed node is unfinished
-  /// and awake at round start (the list is compacted after each round).
-  void step_range(int tid, std::size_t lo, std::size_t hi,
-                  std::int64_t round) {
-    StepDelta& delta = deltas_[static_cast<std::size_t>(tid)];
-    // Batch-capable kernels step the whole slice phase-bucketed up front;
-    // the per-node loop below then only does the round bookkeeping.
-    if (kernel_has_batch_)
-      step_bucketed(tid, ws_.live.data() + lo, hi - lo, round,
-                    &delta.batched_steps, &delta.batch_calls,
-                    trace_round_active_ ? &delta.phase_sizes : nullptr);
     for (std::size_t i = lo; i < hi; ++i) {
       const NodeId v = ws_.live[i];
       const std::size_t vi = static_cast<std::size_t>(v);
-      if (!kernel_has_batch_) step_one(tid, v, round);
       ++delta.steps;
       std::int64_t wake = 0;
       if (wake_at_[vi] != 0) {
@@ -918,7 +875,7 @@ class ArenaEngine {
 
   /// Trace helpers. begin_trace_run stamps the run's start on the recorder
   /// clock; begin_trace_round applies the per-run head-sampling cap and
-  /// arms per-phase bucket-size collection for the round.
+  /// clears the round's per-phase bucket sizes.
   void begin_trace_run() {
     if (trace_ == nullptr) return;
     trace_run_t0_ = trace_->recorder->now();
@@ -927,7 +884,6 @@ class ArenaEngine {
   bool begin_trace_round() {
     const bool traced =
         trace_ != nullptr && trace_rounds_recorded_ < trace_->trace_rounds;
-    trace_round_active_ = traced && kernel_has_batch_;
     if (traced) {
       ++trace_rounds_recorded_;
       trace_phases_.clear();
@@ -1025,9 +981,8 @@ class ArenaEngine {
   std::byte* kstate_base_ = nullptr;
   std::size_t kstride_ = 0;
   std::size_t kport_words_ = 0;
-  // True when any kernel phase has a KernelBatchFn: the simultaneous loop
-  // then steps phase-bucketed (the lockstep loop steps scalar).
-  bool kernel_has_batch_ = false;
+  // Simultaneous steps run through batch fns and the batch calls carrying
+  // them (the lockstep loop steps scalar and counts neither).
   std::int64_t batched_steps_ = 0;
   std::int64_t batch_calls_ = 0;
   // The delayed network, and the lockstep loop (the delayed network, or
@@ -1046,7 +1001,6 @@ class ArenaEngine {
   const telemetry::TraceBinding* trace_ = nullptr;
   std::int64_t trace_run_t0_ = 0;
   std::int64_t trace_rounds_recorded_ = 0;
-  bool trace_round_active_ = false;
   std::vector<std::int64_t> trace_phases_;
   std::vector<StepDelta> deltas_;
   std::int64_t messages_sent_ = 0;

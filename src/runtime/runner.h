@@ -104,8 +104,9 @@ struct RunOptions : EngineConfig {
     "peak_round_messages", false, nullptr)                                    \
   /* Node steps, counted logically (a sleeping node's rounds count). */      \
   X(total_steps, std::int64_t, 0, kSum, kCounter, "steps", true, nullptr)     \
-  /* Kernel steps run through phase-grouped KernelBatchFn buckets, and the   \
-     batch calls that carried them (see batch_occupancy()). */               \
+  /* Simultaneous-loop steps, all run through phase-grouped KernelBatchFn     \
+     buckets, and the bucket calls that carried them (see                     \
+     batch_occupancy()); the lockstep loop counts neither. */                 \
   X(kernel_batched_steps, std::int64_t, 0, kSum, kCounter,                    \
     "kernel_batched_steps", false, "kernel_batched_steps")                    \
   X(kernel_batch_calls, std::int64_t, 0, kSum, kCounter,                      \

@@ -154,7 +154,7 @@ ChaosOptions parse_chaos_spec(const std::string& spec) {
       throw std::runtime_error("--inject: malformed probability '" + text +
                                "' for " + kind);
     }
-    if (p < 0.0 || p > 1.0)
+    if (!(p >= 0.0 && p <= 1.0))  // NaN fails both tests
       throw std::runtime_error("--inject: probability for " + kind +
                                " must be in [0, 1], got " + text);
     if (kind == "crash")

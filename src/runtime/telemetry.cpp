@@ -480,6 +480,25 @@ void TraceRecorder::merge_process(const json::Value& document, int pid,
   }
 }
 
+std::string round_phases_problem(const TraceEvent& event) {
+  if (!event.args.is_object() || event.args.find("stalled") != nullptr)
+    return "";
+  const json::Value* phases = event.args.find("phases");
+  if (phases == nullptr || !phases->is_array())
+    return "no 'phases' array of bucket sizes";
+  const json::Value* steps = event.args.find("steps");
+  if (steps == nullptr || !steps->is_number()) return "no numeric 'steps' arg";
+  std::int64_t sum = 0;
+  for (const json::Value& size : phases->as_array()) {
+    if (!size.is_number()) return "a non-numeric 'phases' entry";
+    sum += size.as_i64();
+  }
+  if (sum != steps->as_i64())
+    return "'phases' sum to " + std::to_string(sum) + " but 'steps' is " +
+           std::to_string(steps->as_i64());
+  return "";
+}
+
 // ---------------------------------------------------------------------------
 // Ambient engine binding
 

@@ -256,6 +256,13 @@ class TraceRecorder {
   std::unique_ptr<State> state_;
 };
 
+/// What is wrong with the bucket sizes of a "round" span, or "" when
+/// nothing is. A span of the simultaneous loop (one without the "stalled"
+/// arg that only lockstep rounds carry) steps every node through one
+/// phase bucket, so it must hold a "phases" array of bucket sizes summing
+/// to its "steps" arg. Shared by the telemetry_check tool and the tests.
+std::string round_phases_problem(const TraceEvent& event);
+
 // ---------------------------------------------------------------------------
 // Ambient engine binding
 

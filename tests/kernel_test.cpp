@@ -15,6 +15,7 @@
 #include <memory>
 #include <span>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -275,7 +276,7 @@ KernelAlgorithm resend_probe(std::int64_t grow_round) {
   kernel->name = "resend-probe";
   kernel->state_size = sizeof(ResendProbeState);
   kernel->state_align = alignof(ResendProbeState);
-  kernel->phases.push_back({"probe", &resend_probe_kernel, nullptr});
+  kernel->phases.push_back(kernel_phase<resend_probe_kernel>("probe"));
   kernel->config = std::make_shared<const std::int64_t>(grow_round);
   return KernelAlgorithm("resend-probe", std::move(kernel));
 }
@@ -330,7 +331,7 @@ KernelAlgorithm broadcast_probe() {
   kernel->name = "broadcast-probe";
   kernel->state_size = sizeof(BroadcastProbeState);
   kernel->state_align = alignof(BroadcastProbeState);
-  kernel->phases.push_back({"probe", &broadcast_probe_kernel, nullptr});
+  kernel->phases.push_back(kernel_phase<broadcast_probe_kernel>("probe"));
   return KernelAlgorithm("broadcast-probe", std::move(kernel));
 }
 
@@ -418,6 +419,40 @@ TEST(KernelEquivalence, ResendProbeCountsFinalWritesOnly) {
       }
     }
   }
+}
+
+// kernel_phase<F> pairs the scalar body F with its generated batch form,
+// and check_kernel rejects a row without a batch form, by kernel and phase
+// name: the simultaneous loop steps every phase through one. A truncation
+// over such a kernel is refused as it is built, since it forwards its
+// buckets to the inner batch forms.
+TEST(KernelTable, EveryPhaseNeedsABatchForm) {
+  const KernelPhase row = kernel_phase<broadcast_probe_kernel>("probe");
+  EXPECT_EQ(row.name, "probe");
+  EXPECT_EQ(row.fn, &broadcast_probe_kernel);
+  EXPECT_EQ(row.batch, &kernel_batch<broadcast_probe_kernel>);
+
+  auto kernel = std::make_shared<StepKernel>();
+  kernel->name = "scalar-only";
+  kernel->state_size = sizeof(BroadcastProbeState);
+  kernel->state_align = alignof(BroadcastProbeState);
+  kernel->phases = {row, {"raw", &broadcast_probe_kernel, nullptr}};
+  const auto bare = std::make_shared<KernelAlgorithm>("bare", kernel);
+  const Instance instance = make_instance(cycle_graph(8));
+  for (const NetworkKind kind :
+       {NetworkKind::kSynchronous, NetworkKind::kDelayed}) {
+    RunOptions options;
+    options.network.kind = kind;
+    try {
+      run_local(instance, *bare, options);
+      ADD_FAILURE() << "a null batch form was accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(),
+                   "kernel 'scalar-only' phase 'raw' has a null batch "
+                   "function");
+    }
+  }
+  EXPECT_THROW(TruncatedAlgorithm(bare, 4), std::runtime_error);
 }
 
 TEST(KernelEquivalence, LubyAndGreedyAcrossInstances) {

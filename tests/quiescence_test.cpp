@@ -159,26 +159,16 @@ void probe_kernel_step(KernelCtx& ctx) {
   ctx.sleep_until(std::min(st.next_act, st.finish_round));
 }
 
-void probe_kernel_batch(const KernelBatchCtx& b) {
-  for (std::size_t i = 0; i < b.count; ++i) {
-    KernelCtx ctx = b.node_ctx(i);
-    probe_kernel_step(ctx);
-    b.latch(i, ctx);
-  }
-}
-
-/// The probe as an Algorithm. `batched` picks whether the engine steps it
-/// through the batch fn (latch path) or the scalar fn.
+/// The probe as an Algorithm.
 class Probe final : public Algorithm {
  public:
-  Probe(const ProbeConfig& cfg, bool batched) {
+  explicit Probe(const ProbeConfig& cfg) {
     auto kernel = std::make_shared<StepKernel>();
     kernel->name = "probe";
     kernel->state_size = sizeof(ProbeState);
     kernel->state_align = alignof(ProbeState);
     kernel->init_fn = probe_kernel_init;
-    kernel->phases = {{"probe", probe_kernel_step,
-                       batched ? probe_kernel_batch : nullptr}};
+    kernel->phases = {kernel_phase<probe_kernel_step>("probe")};
     kernel->config = std::make_shared<ProbeConfig>(cfg);
     kernel_ = std::move(kernel);
   }
@@ -213,7 +203,7 @@ class Sleepless final : public Algorithm {
     kernel->state_align = wrapped->state_align;
     kernel->port_state_words = wrapped->port_state_words;
     kernel->init_fn = wrapped->init_fn != nullptr ? sleepless_init : nullptr;
-    kernel->phases = {{"sleepless", sleepless_step}};
+    kernel->phases = {kernel_phase<sleepless_step>("sleepless")};
     kernel->config = std::move(wrapped);
     kernel_ = std::move(kernel);
   }
@@ -233,7 +223,7 @@ void echo_step(KernelCtx& ctx) {
 std::shared_ptr<const Algorithm> make_echo() {
   auto kernel = std::make_shared<StepKernel>();
   kernel->name = "echo";
-  kernel->phases = {{"echo", echo_step}};
+  kernel->phases = {kernel_phase<echo_step>("echo")};
   return std::make_shared<KernelAlgorithm>("echo", std::move(kernel));
 }
 
@@ -263,17 +253,16 @@ std::int64_t counter(const telemetry::MetricsRegistry& reg,
   return 0;
 }
 
-/// The kernel (batched and scalar) and its sleepless copy against the
-/// reference engine at 1, 2 and 8 threads. The sleepless copy never sleeps
-/// or jumps, so it also pins the arena's dirty_spans_cleared. Returns what
-/// the sleeping runs skipped, the same on every path and thread count.
+/// The kernel and its sleepless copy against the reference engine at 1, 2
+/// and 8 threads. The sleepless copy never sleeps or jumps, so it also pins
+/// the arena's dirty_spans_cleared. Returns what the sleeping runs skipped,
+/// the same on every thread count.
 Skipped check_against_reference(const Instance& instance,
-                                const Algorithm& batched,
-                                const Algorithm& scalar,
+                                const Algorithm& algorithm,
                                 const RunOptions& base,
                                 const std::string& label) {
-  const RunResult want = run_local_reference(instance, batched, base);
-  const Sleepless sleepless(batched);
+  const RunResult want = run_local_reference(instance, algorithm, base);
+  const Sleepless sleepless(algorithm);
   const std::int64_t dirty_cleared =
       run_local(instance, sleepless, base).stats.dirty_spans_cleared;
   std::optional<Skipped> skipped;
@@ -281,12 +270,9 @@ Skipped check_against_reference(const Instance& instance,
     RunOptions options = base;
     options.engine_threads = threads;
     for (const Algorithm* path :
-         {&batched, &scalar, static_cast<const Algorithm*>(&sleepless)}) {
+         {&algorithm, static_cast<const Algorithm*>(&sleepless)}) {
       const std::string tag =
-          label + "/" +
-          (path == &batched ? "batched"
-           : path == &scalar ? "scalar"
-                             : "sleepless") +
+          label + "/" + (path == &sleepless ? "sleepless" : "kernel") +
           "/threads=" + std::to_string(threads);
       telemetry::MetricsRegistry reg;
       RunResult got;
@@ -305,7 +291,7 @@ Skipped check_against_reference(const Instance& instance,
       } else if (!skipped) {
         skipped = path_skipped;
       } else {
-        // Same sleeps and jumps on every path.
+        // Same sleeps and jumps at every thread count.
         EXPECT_EQ(path_skipped.slept, skipped->slept) << tag;
         EXPECT_EQ(path_skipped.jumped, skipped->jumped) << tag;
       }
@@ -323,12 +309,10 @@ Skipped check_probe(const Instance& instance, const ProbeConfig& cfg,
   ProbeConfig counting_cfg = cfg;
   counting_cfg.needed = &needed;
   counting_cfg.max_rounds = options.max_rounds;
-  const Probe counting(counting_cfg, true);
+  const Probe counting(counting_cfg);
   const RunResult want = run_local_reference(instance, counting, options);
-  const Probe batched(cfg, true);
-  const Probe scalar(cfg, false);
   const Skipped skipped =
-      check_against_reference(instance, batched, scalar, options, label);
+      check_against_reference(instance, Probe(cfg), options, label);
   EXPECT_EQ(want.stats.total_steps - skipped.slept, needed) << label;
   return skipped;
 }
@@ -454,7 +438,7 @@ TEST(Quiescence, SleepersReachTheCutoff) {
     const Instance instance = gnp_instance(40, 0.1, 5);
     check_probe(instance, cfg, options,
                 "cutoff=" + std::to_string(max_rounds));
-    const RunResult got = run_local(instance, Probe(cfg, true), options);
+    const RunResult got = run_local(instance, Probe(cfg), options);
     EXPECT_FALSE(got.all_finished) << max_rounds;
   }
 }
@@ -469,9 +453,9 @@ TEST(Quiescence, RoundsWithEveryNodeAsleep) {
   const Instance instance = gnp_instance(6, 0.3, 8);
   const Skipped skipped =
       check_probe(instance, cfg, RunOptions{}, "all-asleep");
-  const RunResult got = run_local(instance, Probe(cfg, true));
+  const RunResult got = run_local(instance, Probe(cfg));
   const std::int64_t jumped = check_round_spans(
-      traced_rounds(instance, Probe(cfg, true), RunOptions{}),
+      traced_rounds(instance, Probe(cfg), RunOptions{}),
       got.global_rounds, "all-asleep");
   EXPECT_GT(jumped, 0);
   EXPECT_EQ(jumped, skipped.jumped);
@@ -494,12 +478,12 @@ TEST(Quiescence, EveryNodeSleepsToTheCutoffRound) {
     const std::string label = "max_rounds=" + std::to_string(max_rounds);
     const Skipped skipped = check_probe(instance, cfg, options, label);
     EXPECT_EQ(skipped.jumped, max_rounds - 2) << label;
-    const RunResult got = run_local(instance, Probe(cfg, true), options);
+    const RunResult got = run_local(instance, Probe(cfg), options);
     EXPECT_FALSE(got.all_finished) << label;
     EXPECT_EQ(got.global_rounds, max_rounds) << label;
     EXPECT_EQ(got.finish_rounds, std::vector<std::int64_t>(30, max_rounds))
         << label;
-    check_round_spans(traced_rounds(instance, Probe(cfg, true), options),
+    check_round_spans(traced_rounds(instance, Probe(cfg), options),
                       got.global_rounds, label);
   }
 }
@@ -528,9 +512,9 @@ TEST(Quiescence, MailInTheRoundBeforeAJump) {
     options.seed = seed;
     const std::string label = "seed=" + std::to_string(seed);
     check_probe(instance, cfg, options, label);
-    const RunResult got = run_local(instance, Probe(cfg, true), options);
+    const RunResult got = run_local(instance, Probe(cfg), options);
     const std::vector<RoundSpan> spans =
-        traced_rounds(instance, Probe(cfg, true), options);
+        traced_rounds(instance, Probe(cfg), options);
     check_round_spans(spans, got.global_rounds, label);
     for (std::size_t i = 1; i < spans.size(); ++i) {
       if (spans[i - 1].messages == 0 || spans[i].jumped == 0) continue;
@@ -556,8 +540,8 @@ TEST(Quiescence, JumpsWithTwoThreads) {
   const Skipped skipped = check_probe(instance, cfg, options, "threads");
   EXPECT_GT(skipped.jumped, 0);
   options.engine_threads = 2;
-  const RunResult got = run_local(instance, Probe(cfg, true), options);
-  EXPECT_EQ(check_round_spans(traced_rounds(instance, Probe(cfg, true),
+  const RunResult got = run_local(instance, Probe(cfg), options);
+  EXPECT_EQ(check_round_spans(traced_rounds(instance, Probe(cfg),
                                             options),
                               got.global_rounds, "threads=2"),
             skipped.jumped);
@@ -566,39 +550,29 @@ TEST(Quiescence, JumpsWithTwoThreads) {
 TEST(Quiescence, CompositesClampInnerHints) {
   // A chain stage's hint is moved to absolute rounds and clamped to the
   // stage boundary; the truncation wrapper clamps to its budget, both in
-  // its batch fn (run by the engine) and its scalar fn (run by the chain).
+  // its batch fn (run by the engine) and its scalar fn (run by the chain,
+  // and by the reference engine).
   // Budgets below the probe's finish round cut stages off while nodes
   // sleep. The echo stage outputs the truncated stage's carry: the budget
   // fallback, or 0 had the truncated probe slept through its budget.
   ProbeConfig cfg;
   cfg.period = 7;
   cfg.finish_at = 20;
-  const auto batched = std::make_shared<Probe>(cfg, true);
-  const auto scalar = std::make_shared<Probe>(cfg, false);
-  const auto trunc_batched =
-      std::make_shared<TruncatedAlgorithm>(batched, 16, -3);
-  const auto trunc_scalar =
-      std::make_shared<TruncatedAlgorithm>(scalar, 16, -3);
-  const auto chain = [](std::shared_ptr<const Algorithm> probe,
-                        std::shared_ptr<const Algorithm> truncated) {
-    return ChainAlgorithm("probe-chain", {{probe, 13},
-                                          {probe, 30},
-                                          {truncated, 19},
-                                          {make_echo(), 1}});
-  };
-  const ChainAlgorithm chain_batched = chain(batched, trunc_batched);
-  const ChainAlgorithm chain_scalar = chain(scalar, trunc_scalar);
+  const auto probe = std::make_shared<Probe>(cfg);
+  const auto truncated = std::make_shared<TruncatedAlgorithm>(probe, 16, -3);
+  const ChainAlgorithm chain("probe-chain", {{probe, 13},
+                                             {probe, 30},
+                                             {truncated, 19},
+                                             {make_echo(), 1}});
   const Instance instance = gnp_instance(50, 0.08, 13);
   RunOptions options;
   options.seed = 17;
-  EXPECT_GT(check_against_reference(instance, chain_batched, chain_scalar,
-                                    options, "chain")
-                .slept,
+  EXPECT_GT(check_against_reference(instance, chain, options, "chain").slept,
             0);
-  EXPECT_GT(check_against_reference(instance, *trunc_batched, *trunc_scalar,
-                                    options, "truncated")
-                .slept,
-            0);
+  EXPECT_GT(
+      check_against_reference(instance, *truncated, options, "truncated")
+          .slept,
+      0);
 }
 
 /// `base` with each node's Linial color as its input, and the largest
@@ -732,9 +706,9 @@ LockstepProbe check_probe_lockstep(const Instance& instance,
   counting_cfg.needed = &needed;
   counting_cfg.mail_wakes = &out.mail_wakes;
   counting_cfg.max_rounds = options.max_rounds;
-  run_local(instance, Sleepless(Probe(counting_cfg, true)), options);
+  run_local(instance, Sleepless(Probe(counting_cfg)), options);
   std::tie(out.result, out.executed) =
-      check_lockstep(instance, Probe(cfg, true), options, label);
+      check_lockstep(instance, Probe(cfg), options, label);
   EXPECT_EQ(out.executed, needed) << label;
   return out;
 }
@@ -847,7 +821,7 @@ TEST(Quiescence, SynchronizerProbeMatchesHintDroppedRuns) {
       const LockstepProbe probe =
           check_probe_lockstep(named.instance, cfg, options, label);
       expect_same(
-          run_local_reference(named.instance, Probe(cfg, true), options),
+          run_local_reference(named.instance, Probe(cfg), options),
           probe.result, label + "/reference");
       if (named.instance.num_nodes() > 0)
         EXPECT_LT(probe.executed, probe.result.stats.total_steps) << label;

@@ -17,18 +17,18 @@
 namespace unilocal {
 namespace {
 
-/// A one-phase kernel with one int64 state word and an int64 config value
-/// (read through config_of).
+/// A one-phase kernel named after its phase, with one int64 state word and
+/// an int64 config value (read through config_of).
 class OnePhase : public Algorithm {
  public:
-  OnePhase(std::string name, KernelStepFn fn, std::int64_t config = 0) {
+  explicit OnePhase(KernelPhase phase, std::int64_t config = 0) {
     auto kernel = std::make_shared<StepKernel>();
-    kernel->name = name;
+    kernel->name = phase.name;
     kernel->state_size = sizeof(std::int64_t);
     kernel->state_align = alignof(std::int64_t);
-    kernel->phases = {{name, fn}};
     kernel->config = std::make_shared<const std::int64_t>(config);
-    name_ = std::move(name);
+    name_ = phase.name;
+    kernel->phases = {std::move(phase)};
     kernel_ = std::move(kernel);
   }
   std::string name() const override { return name_; }
@@ -46,14 +46,17 @@ class OnePhase : public Algorithm {
 /// Finishes immediately with the node degree.
 class DegreeEcho final : public OnePhase {
  public:
-  DegreeEcho()
-      : OnePhase("degree-echo", [](KernelCtx& ctx) { ctx.finish(ctx.degree); }) {}
+  DegreeEcho() : OnePhase(kernel_phase<step>("degree-echo")) {}
+
+ private:
+  static void step(KernelCtx& ctx) { ctx.finish(ctx.degree); }
 };
 
 /// Floods the maximum identity for `rounds` rounds, then outputs it.
 class MaxFlood final : public OnePhase {
  public:
-  explicit MaxFlood(std::int64_t rounds) : OnePhase("max-flood", step, rounds) {}
+  explicit MaxFlood(std::int64_t rounds)
+      : OnePhase(kernel_phase<step>("max-flood"), rounds) {}
 
  private:
   static void step(KernelCtx& ctx) {
@@ -75,32 +78,40 @@ class MaxFlood final : public OnePhase {
 /// Never finishes; sends nothing.
 class Stubborn final : public OnePhase {
  public:
-  Stubborn() : OnePhase("stubborn", [](KernelCtx&) {}) {}
+  Stubborn() : OnePhase(kernel_phase<step>("stubborn")) {}
+
+ private:
+  static void step(KernelCtx&) {}
 };
 
 /// Outputs one private random draw (tests per-node stream determinism).
 class RandomEcho final : public OnePhase {
  public:
-  RandomEcho()
-      : OnePhase("random-echo", [](KernelCtx& ctx) {
-          ctx.finish(static_cast<std::int64_t>(ctx.rng->next() >> 3));
-        }) {}
+  RandomEcho() : OnePhase(kernel_phase<step>("random-echo")) {}
+
+ private:
+  static void step(KernelCtx& ctx) {
+    ctx.finish(static_cast<std::int64_t>(ctx.rng->next() >> 3));
+  }
 };
 
 /// Adds a constant to input[0] and finishes after one round.
 class AddConst final : public OnePhase {
  public:
   explicit AddConst(std::int64_t delta)
-      : OnePhase("add-const", [](KernelCtx& ctx) {
-          ctx.finish((ctx.input.empty() ? 0 : ctx.input[0]) + config_of(ctx));
-        }, delta) {}
+      : OnePhase(kernel_phase<step>("add-const"), delta) {}
+
+ private:
+  static void step(KernelCtx& ctx) {
+    ctx.finish((ctx.input.empty() ? 0 : ctx.input[0]) + config_of(ctx));
+  }
 };
 
 /// Runs until round input[0], sending one word per round until then — a
 /// controllable straggler tail for the live/frontier observability tests.
 class InputCountdown final : public OnePhase {
  public:
-  InputCountdown() : OnePhase("input-countdown", step) {}
+  InputCountdown() : OnePhase(kernel_phase<step>("input-countdown")) {}
 
  private:
   static void step(KernelCtx& ctx) {

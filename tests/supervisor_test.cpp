@@ -179,6 +179,9 @@ TEST(ChaosSpec, ParsesRoundTripsAndRejects) {
   EXPECT_THROW(parse_chaos_spec("explode:0.5"), std::runtime_error);
   EXPECT_THROW(parse_chaos_spec("crash:1.5"), std::runtime_error);
   EXPECT_THROW(parse_chaos_spec("crash:banana"), std::runtime_error);
+  EXPECT_THROW(parse_chaos_spec("crash:nan"), std::runtime_error);
+  EXPECT_THROW(parse_chaos_spec("hang:nan"), std::runtime_error);
+  EXPECT_THROW(parse_chaos_spec("crash:nan,hang:1"), std::runtime_error);
   EXPECT_THROW(parse_chaos_spec("crash:0.6,hang:0.6"), std::runtime_error);
   EXPECT_THROW(parse_chaos_spec("crash"), std::runtime_error);
 }

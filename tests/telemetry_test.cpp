@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <fstream>
+#include <initializer_list>
 #include <limits>
 #include <map>
 #include <sstream>
@@ -300,6 +301,7 @@ TEST(EngineTracing, RoundSpansNestInRunSpansAndArgsAreComplete) {
       EXPECT_TRUE(event.args.find("frontier") != nullptr);
       EXPECT_TRUE(event.args.find("messages") != nullptr);
       EXPECT_TRUE(event.args.find("steps") != nullptr);
+      EXPECT_EQ(telemetry::round_phases_problem(event), "");
     }
   }
   EXPECT_EQ(cells, 4);
@@ -322,6 +324,35 @@ TEST(EngineTracing, RoundSpansNestInRunSpansAndArgsAreComplete) {
                            << " outside every engine.run span";
     }
   }
+}
+
+// The bucket-size check telemetry_check runs on every round span: a
+// simultaneous round's phases must sum to its steps; lockstep rounds
+// (the ones with a stalled arg) step unbucketed and carry none.
+TEST(EngineTracing, RoundPhasesMustSumToSteps) {
+  const auto span = [](std::initializer_list<std::int64_t> sizes) {
+    TraceEvent event;
+    event.name = "round";
+    event.arg("steps", std::int64_t{5});
+    json::Value phases = json::Value::array();
+    for (const std::int64_t size : sizes)
+      phases.push_back(json::Value::number(size));
+    event.args.set("phases", std::move(phases));
+    return event;
+  };
+  EXPECT_EQ(telemetry::round_phases_problem(span({2, 3})), "");
+  EXPECT_EQ(telemetry::round_phases_problem(span({2, 2})),
+            "'phases' sum to 4 but 'steps' is 5");
+  EXPECT_EQ(telemetry::round_phases_problem(span({2, 2, 2})),
+            "'phases' sum to 6 but 'steps' is 5");
+
+  TraceEvent bare;
+  bare.name = "round";
+  bare.arg("steps", std::int64_t{5});
+  EXPECT_EQ(telemetry::round_phases_problem(bare),
+            "no 'phases' array of bucket sizes");
+  bare.arg("stalled", std::int64_t{0});
+  EXPECT_EQ(telemetry::round_phases_problem(bare), "");
 }
 
 TEST(EngineTracing, TraceRoundsCapsPerRunRoundSpans) {
