@@ -62,6 +62,28 @@ void BM_InducedSubgraph(benchmark::State& state) {
 }
 BENCHMARK(BM_InducedSubgraph)->Arg(4096)->Arg(32768);
 
+// A fixed 100k-node list of 800k random draws (duplicates in both
+// orientations and self-loops included) through GraphBuilder: the sort and
+// unique step plus the one counting pass that writes the flat arrays.
+void BM_GraphBuild(benchmark::State& state) {
+  const NodeId n = 100000;
+  Rng rng(5);
+  std::vector<std::pair<NodeId, NodeId>> edges(800000);
+  for (auto& [u, v] : edges) {
+    u = static_cast<NodeId>(rng.next_below(n));
+    v = static_cast<NodeId>(rng.next_below(n));
+  }
+  std::int64_t built_edges = 0;
+  for (auto _ : state) {
+    GraphBuilder builder(n);
+    for (const auto& [u, v] : edges) builder.add_edge(u, v);
+    built_edges = builder.build().num_edges();
+    benchmark::DoNotOptimize(built_edges);
+  }
+  state.counters["edges"] = static_cast<double>(built_edges);
+}
+BENCHMARK(BM_GraphBuild)->Unit(benchmark::kMillisecond);
+
 void BM_RulingSetPruneApply(benchmark::State& state) {
   const NodeId n = static_cast<NodeId>(state.range(0));
   Rng rng(3);

@@ -808,9 +808,9 @@ int run_shard_plan(int argc, char** argv) {
       params.n = flag_number<NodeId>(arg, 0);
       n_given = true;
     } else if (arg.rfind("--a=", 0) == 0) {
-      params.a = flag_number(arg, 0.0, 1e6);
+      params.a = flag_number(arg, 0.0, kMaxScenarioKnob);
     } else if (arg.rfind("--b=", 0) == 0) {
-      params.b = flag_number(arg, 0.0, 1e6);
+      params.b = flag_number(arg, 0.0, kMaxScenarioKnob);
     } else if (arg.rfind("--seeds=", 0) == 0) {
       seeds = flag_number(arg, 1);
       seeds_given = true;
@@ -1031,9 +1031,9 @@ int run_sweep(int argc, char** argv) {
     } else if (arg.rfind("--n=", 0) == 0) {
       params.n = flag_number<NodeId>(arg, 0);
     } else if (arg.rfind("--a=", 0) == 0) {
-      params.a = flag_number(arg, 0.0, 1e6);
+      params.a = flag_number(arg, 0.0, kMaxScenarioKnob);
     } else if (arg.rfind("--b=", 0) == 0) {
-      params.b = flag_number(arg, 0.0, 1e6);
+      params.b = flag_number(arg, 0.0, kMaxScenarioKnob);
     } else if (arg.rfind("--seeds=", 0) == 0) {
       seeds = flag_number(arg, 1);
     } else {

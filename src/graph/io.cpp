@@ -1,5 +1,7 @@
 #include "src/graph/io.h"
 
+#include <cctype>
+#include <istream>
 #include <limits>
 #include <new>
 #include <sstream>
@@ -13,10 +15,23 @@ void write_edge_list(std::ostream& out, const Graph& g) {
   for (const auto& [u, v] : g.edges()) out << u << ' ' << v << '\n';
 }
 
+namespace {
+
+/// Reads the next integer, which must end at whitespace or the end of the
+/// input: a number run into other characters ("1+2", "3x") is malformed,
+/// not two tokens.
+bool read_int(std::istream& in, std::int64_t& value) {
+  if (!(in >> value)) return false;
+  const int next = in.peek();
+  return next == std::char_traits<char>::eof() || std::isspace(next) != 0;
+}
+
+}  // namespace
+
 Graph read_edge_list(std::istream& in) {
   std::int64_t n = 0;
   std::int64_t m = 0;
-  if (!(in >> n >> m) || n < 0 || m < 0)
+  if (!read_int(in, n) || !read_int(in, m) || n < 0 || m < 0)
     throw std::runtime_error("edge list: bad header");
   constexpr std::int64_t kMaxNodes = std::numeric_limits<NodeId>::max();
   if (n > kMaxNodes)
@@ -26,14 +41,20 @@ Graph read_edge_list(std::istream& in) {
   for (std::int64_t e = 0; e < m; ++e) {
     std::int64_t u = 0;
     std::int64_t v = 0;
-    if (!(in >> u >> v)) throw std::runtime_error("edge list: truncated");
+    if (!read_int(in, u) || !read_int(in, v))
+      throw std::runtime_error("edge list: truncated or malformed edge " +
+                               std::to_string(e));
     if (u < 0 || v < 0 || u >= n || v >= n)
       throw std::runtime_error("edge list: endpoint out of range");
     if (u == v) throw std::runtime_error("edge list: self-loop");
     builder.add_edge(static_cast<NodeId>(u), static_cast<NodeId>(v));
   }
-  // A header within NodeId range may still ask for more adjacency lists
-  // than the host can hold (2^31 - 1 of them take about 51 GB).
+  // Edges past the header's count would otherwise be dropped unread.
+  if (!(in >> std::ws).eof())
+    throw std::runtime_error("edge list: data after the header's " +
+                             std::to_string(m) + " edges");
+  // A header within NodeId range may still ask for more offsets than the
+  // host can hold (2^31 of them take about 17 GB).
   try {
     return builder.build();
   } catch (const std::bad_alloc&) {

@@ -13,7 +13,9 @@ namespace unilocal {
 void write_edge_list(std::ostream& out, const Graph& g);
 
 /// Parses the format produced by write_edge_list. Throws std::runtime_error
-/// on malformed input (negative ids, out-of-range endpoints, truncation).
+/// starting "edge list:" on malformed input (negative ids, out-of-range
+/// endpoints, self-loops, truncation, tokens that are not whole integers,
+/// anything but whitespace after the header's m edges).
 Graph read_edge_list(std::istream& in);
 
 /// Round-trip helpers.

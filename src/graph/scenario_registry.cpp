@@ -1,6 +1,7 @@
 #include "src/graph/scenario_registry.h"
 
 #include <cmath>
+#include <sstream>
 #include <stdexcept>
 
 #include "src/util/math.h"
@@ -28,6 +29,21 @@ const std::string& ScenarioRegistry::describe(const std::string& name) const {
   if (it == entries_.end())
     throw std::runtime_error("unknown scenario: " + name);
   return it->second.describe;
+}
+
+void validate_scenario_params(const ScenarioParams& params) {
+  if (params.n < 0)
+    throw std::runtime_error("ScenarioParams::n must be >= 0, got " +
+                             std::to_string(params.n));
+  const auto check_knob = [](const char* name, double value) {
+    if (value >= 0.0 && value <= kMaxScenarioKnob) return;
+    std::ostringstream message;
+    message << "ScenarioParams::" << name << " must be in [0, "
+            << kMaxScenarioKnob << "], got " << value;
+    throw std::runtime_error(message.str());
+  };
+  check_knob("a", params.a);
+  check_knob("b", params.b);
 }
 
 Graph ScenarioRegistry::build(const std::string& name,

@@ -27,6 +27,15 @@ struct ScenarioParams {
   double b = 0.0;
 };
 
+/// Largest accepted a or b: factories cast them to NodeId, which must not
+/// overflow.
+inline constexpr double kMaxScenarioKnob = 1e6;
+
+/// Throws std::runtime_error naming the field unless n >= 0 and a, b lie in
+/// [0, kMaxScenarioKnob]. Documents read from outside (shard manifests)
+/// call this before any factory sees the params.
+void validate_scenario_params(const ScenarioParams& params);
+
 class ScenarioRegistry {
  public:
   using Factory = std::function<Graph(const ScenarioParams&, Rng&)>;

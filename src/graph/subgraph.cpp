@@ -16,16 +16,24 @@ InducedSubgraph induced_subgraph(const Graph& g,
       result.to_old.push_back(v);
     }
   }
-  GraphBuilder builder(static_cast<NodeId>(result.to_old.size()));
-  for (NodeId new_u = 0; new_u < static_cast<NodeId>(result.to_old.size());
-       ++new_u) {
-    const NodeId old_u = result.to_old[static_cast<std::size_t>(new_u)];
-    for (NodeId old_v : g.neighbors(old_u)) {
+  // to_new is monotone, so each filtered row stays ascending.
+  Graph& sub = result.graph;
+  sub.offsets_.reserve(result.to_old.size() + 1);
+  for (const NodeId old_u : result.to_old) {
+    for (const NodeId old_v : g.neighbors(old_u)) {
       const NodeId new_v = result.to_new[static_cast<std::size_t>(old_v)];
-      if (new_v > new_u) builder.add_edge(new_u, new_v);
+      if (new_v >= 0) sub.neighbors_.push_back(new_v);
     }
+    sub.offsets_.push_back(static_cast<std::int64_t>(sub.neighbors_.size()));
   }
-  result.graph = builder.build();
+  // Sweeping rows in ascending u, the neighbours of v already swept are
+  // exactly those smaller than u, so a per-node counter is u's port in v's
+  // row.
+  sub.reverse_ports_.resize(sub.neighbors_.size());
+  std::vector<NodeId> next_port(result.to_old.size(), 0);
+  for (std::size_t i = 0; i < sub.neighbors_.size(); ++i)
+    sub.reverse_ports_[i] =
+        next_port[static_cast<std::size_t>(sub.neighbors_[i])]++;
   return result;
 }
 

@@ -136,9 +136,6 @@ bool lend_instance(InstanceSlot& slot, const CampaignCell& cell,
     slot.instance.emplace(make_instance(
         scenarios.build(cell.scenario, cell.params, cell.seed),
         cell.identities, cell.seed));
-    // Fill the CSR cache before lending the instance: the cells then only
-    // read it, and the copies they take share it without racing the fill.
-    slot.instance->csr();
     if (telemetry::MetricsRegistry* reg = telemetry::metrics())
       reg->add("campaign.instances_built", 1);
   } catch (const std::exception& e) {

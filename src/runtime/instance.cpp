@@ -1,20 +1,9 @@
 #include "src/runtime/instance.h"
 
 #include <algorithm>
-#include <mutex>
 #include <unordered_set>
 
 namespace unilocal {
-
-const CsrGraph& Instance::csr() const {
-  // One process-wide mutex serializes cache fills; builds happen once per
-  // topology, so contention is a non-issue and every read stays safe when
-  // several threads race the first run_local over one Instance.
-  static std::mutex build_mutex;
-  std::lock_guard<std::mutex> lock(build_mutex);
-  if (!csr_cache_) csr_cache_ = std::make_shared<CsrGraph>(graph);
-  return *csr_cache_;
-}
 
 std::int64_t Instance::max_identity() const {
   std::int64_t best = 0;

@@ -5,10 +5,8 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
-#include "src/graph/csr.h"
 #include "src/graph/graph.h"
 #include "src/graph/subgraph.h"
 #include "src/util/rng.h"
@@ -27,15 +25,8 @@ struct Instance {
 
   NodeId num_nodes() const noexcept { return graph.num_nodes(); }
 
-  /// Flat CSR view of `graph` (offsets + neighbours + reverse ports), built
-  /// lazily once and shared by every run over this topology — copies taken
-  /// after the first build share the cache (copies taken before it each
-  /// build their own). Concurrent calls on one Instance are safe; the build
-  /// is serialized. Callers that mutate `graph` after the first run must
-  /// call invalidate_csr(); the repo's own mutation paths
-  /// (restrict_instance, make_instance) always build fresh Instances.
-  const CsrGraph& csr() const;
-  void invalidate_csr() { csr_cache_.reset(); }
+  /// The topology; kept only for perfbench/perfbench.cpp's two callers.
+  const Graph& csr() const { return graph; }
 
   /// Maximum identity m(G, x) — a non-decreasing graph parameter.
   std::int64_t max_identity() const;
@@ -43,9 +34,6 @@ struct Instance {
   /// True when identities are unique, in range, and vectors are sized
   /// consistently with the graph.
   bool valid() const;
-
- private:
-  mutable std::shared_ptr<const CsrGraph> csr_cache_;
 };
 
 enum class IdentityScheme {

@@ -116,9 +116,9 @@ void validate_network_options(const NetworkOptions& options) {
 
 // --- SynchronousNetwork ----------------------------------------------------
 
-void SynchronousNetwork::begin_run(const CsrGraph& csr, int threads) {
-  csr_ = &csr;
-  const auto slots = static_cast<std::size_t>(csr.num_directed_edges());
+void SynchronousNetwork::begin_run(const Graph& graph, int threads) {
+  graph_ = &graph;
+  const auto slots = static_cast<std::size_t>(graph.num_directed_edges());
   if (!clean_ || send_spans_.size() != slots || recv_spans_.size() != slots) {
     send_spans_.assign(slots, Span{});
     recv_spans_.assign(slots, Span{});
@@ -208,12 +208,12 @@ std::int64_t SynchronousNetwork::arena_bytes() const {
 
 // --- DelayedNetwork --------------------------------------------------------
 
-void DelayedNetwork::begin_run(const CsrGraph& csr, std::uint64_t seed,
+void DelayedNetwork::begin_run(const Graph& graph, std::uint64_t seed,
                                const NetworkOptions& options) {
   opts_ = options;
   retransmit_after_ = 2 * opts_.max_delay;
-  const std::size_t slots = static_cast<std::size_t>(csr.num_directed_edges());
-  const std::size_t nn = static_cast<std::size_t>(csr.num_nodes());
+  const auto slots = static_cast<std::size_t>(graph.num_directed_edges());
+  const std::size_t nn = static_cast<std::size_t>(graph.num_nodes());
 
   // One private stream per directed edge, consumed only at that edge's send
   // times — the draw sequence is a function of the sender's schedule alone.

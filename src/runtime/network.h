@@ -39,7 +39,7 @@
 #include <string>
 #include <vector>
 
-#include "src/graph/csr.h"
+#include "src/graph/graph.h"
 #include "src/util/rng.h"
 
 namespace unilocal {
@@ -151,10 +151,10 @@ inline std::int64_t pack_offset(int owner, std::size_t offset) {
 /// RECEIVER — what node v receives on port j sits in slot offset(v) + j, so
 /// v's whole inbox is one contiguous run of spans, and a send from v on port
 /// j writes the slot its neighbour u reads as its own port,
-/// offset(u) + reverse_port(v, j) = csr.in_edge_index(v, j). Callers speak
+/// offset(u) + reverse_port(v, j) = graph.in_edge_index(v, j). Callers speak
 /// (node, port), apart from sent_at (a receiver slot), and the class binds
-/// the slots to the CsrGraph the run began with.
-/// A send covers a range of the sender's ports: one loop over its CSR row
+/// the slots to the Graph the run began with.
+/// A send covers a range of the sender's ports: one loop over its adjacency row
 /// writes every slot, and a multi-word payload is stored once for the
 /// whole range.
 /// The spans are double-buffered between a send half and a receive half
@@ -168,10 +168,10 @@ inline std::int64_t pack_offset(int owner, std::size_t offset) {
 /// its own tid and no two threads send from the same node.
 class SynchronousNetwork {
  public:
-  /// Per-run preparation over `csr`, which must outlive the run: rebuilds
+  /// Per-run preparation over `graph`, which must outlive the run: rebuilds
   /// the span tables only when the slot count changed or the last run
   /// exited dirty (a thrown step).
-  void begin_run(const CsrGraph& csr, int threads);
+  void begin_run(const Graph& graph, int threads);
 
   /// Resets the send half (strategy it was written under) and picks this
   /// round's write strategy: a round whose predecessor moved at least a
@@ -198,9 +198,9 @@ class SynchronousNetwork {
   void send(int tid, NodeId node, NodeId first, NodeId last,
             const std::int64_t* data, std::size_t words, OnSlot&& on_slot) {
     if (first >= last) return;
-    const std::int64_t* offsets = csr_->offsets_data();
-    const NodeId* neighbors = csr_->neighbors_data();
-    const NodeId* reverse_ports = csr_->reverse_ports_data();
+    const std::int64_t* offsets = graph_->offsets_data();
+    const NodeId* neighbors = graph_->neighbors_data();
+    const NodeId* reverse_ports = graph_->reverse_ports_data();
     const std::int64_t row = offsets[static_cast<std::size_t>(node)];
     std::int64_t offset = 0;
     if (words == 1) {
@@ -237,7 +237,7 @@ class SynchronousNetwork {
   std::span<const std::int64_t> recv(NodeId node, NodeId port,
                                      bool* present) const {
     const Span& s =
-        recv_spans_[static_cast<std::size_t>(csr_->offset(node) + port)];
+        recv_spans_[static_cast<std::size_t>(graph_->offset(node) + port)];
     if (s.words < 0) {
       *present = false;
       return {};
@@ -250,7 +250,7 @@ class SynchronousNetwork {
             static_cast<std::size_t>(s.words)};
   }
 
-  /// Whether receiver slot `slot` (csr.in_edge_index(node, port) of the
+  /// Whether receiver slot `slot` (graph.in_edge_index(node, port) of the
   /// sender) holds a message this round — for a caller that keys its own
   /// per-edge state by that slot.
   bool sent_at(std::int64_t slot) const {
@@ -280,8 +280,8 @@ class SynchronousNetwork {
  private:
   /// Whether one of `node`'s inbox slots in `spans` holds a message.
   bool any_span(const std::vector<Span>& spans, NodeId node) const {
-    const auto first = spans.begin() + csr_->offset(node);
-    return std::any_of(first, first + csr_->degree(node),
+    const auto first = spans.begin() + graph_->offset(node);
+    return std::any_of(first, first + graph_->degree(node),
                        [](const Span& s) { return s.words >= 0; });
   }
 
@@ -289,7 +289,7 @@ class SynchronousNetwork {
                   std::vector<std::vector<std::int64_t>>& dirty_lists,
                   bool bulk);
 
-  const CsrGraph* csr_ = nullptr;
+  const Graph* graph_ = nullptr;
   std::vector<Span> send_spans_, recv_spans_;
   std::vector<std::vector<std::int64_t>> send_words_, recv_words_;
   std::vector<std::vector<std::int64_t>> send_dirty_, recv_dirty_;
@@ -338,7 +338,7 @@ class DelayedNetwork {
   /// Per-run preparation: derives edge/fault streams from `seed` and draws
   /// the crash/late-joiner sets. Capacity is kept across runs (workspace
   /// reuse).
-  void begin_run(const CsrGraph& csr, std::uint64_t seed,
+  void begin_run(const Graph& graph, std::uint64_t seed,
                  const NetworkOptions& options);
 
   bool crashed(NodeId v) const {

@@ -19,8 +19,9 @@ namespace {
 using Message = std::vector<std::int64_t>;
 
 /// rev_port[u][j] = the port of u in the adjacency list of its j-th
-/// neighbour. Recomputed per run — deliberately kept as the seed had it; the
-/// arena engine reads the precomputed CsrGraph instead.
+/// neighbour. Recomputed per run by binary search — deliberately kept as the
+/// seed had it, an oracle independent of the Graph's own reverse-port array
+/// the arena engine reads.
 std::vector<std::vector<NodeId>> reverse_ports(const Graph& g) {
   std::vector<std::vector<NodeId>> rev(static_cast<std::size_t>(g.num_nodes()));
   for (NodeId u = 0; u < g.num_nodes(); ++u) {

@@ -12,7 +12,6 @@
 #include <type_traits>
 #include <utility>
 
-#include "src/graph/csr.h"
 #include "src/graph/params.h"
 #include "src/runtime/frontier.h"
 #include "src/runtime/telemetry.h"
@@ -168,7 +167,7 @@ class ArenaEngine {
   ArenaEngine(const Instance& instance, const Algorithm& algorithm,
               const RunOptions& options, EngineWorkspaceState& ws)
       : instance_(instance),
-        csr_(instance.csr()),
+        graph_(instance.graph),
         options_(options),
         ws_(ws),
         n_(instance.graph.num_nodes()) {
@@ -225,11 +224,12 @@ class ArenaEngine {
                    static_cast<std::size_t>((align - addr % align) % align);
     kport_words_ = kernel_->port_state_words;
     ws_.kernel_port_state.assign(
-        kport_words_ * static_cast<std::size_t>(csr_.num_directed_edges()), 0);
+        kport_words_ * static_cast<std::size_t>(graph_.num_directed_edges()),
+        0);
     if (kernel_->init_fn != nullptr) {
       for (NodeId v = 0; v < n_; ++v) {
         NodeInit init;
-        init.degree = csr_.degree(v);
+        init.degree = graph_.degree(v);
         init.identity = instance.identities[static_cast<std::size_t>(v)];
         init.input = instance.inputs[static_cast<std::size_t>(v)];
         kernel_->init_fn(kstate_base_ + static_cast<std::size_t>(v) * kstride_,
@@ -248,9 +248,9 @@ class ArenaEngine {
     const auto start = std::chrono::steady_clock::now();
     begin_trace_run();
     const std::size_t slots = static_cast<std::size_t>(
-        csr_.num_directed_edges());
+        graph_.num_directed_edges());
     SynchronousNetwork& net = ws_.sim_net;
-    net.begin_run(csr_, threads_);
+    net.begin_run(graph_, threads_);
 
     ws_.live.resize(static_cast<std::size_t>(n_));
     std::iota(ws_.live.begin(), ws_.live.end(), NodeId{0});
@@ -409,11 +409,11 @@ class ArenaEngine {
     begin_trace_run();
     const std::int64_t gap = delayed_mode_ ? 0 : 1;
     DelayedNetwork& net = ws_.delayed_net;
-    if (delayed_mode_) net.begin_run(csr_, options_.seed, options_.network);
+    if (delayed_mode_) net.begin_run(graph_, options_.seed, options_.network);
     const std::size_t slots = static_cast<std::size_t>(
-        csr_.num_directed_edges());
+        graph_.num_directed_edges());
     SynchronousNetwork& arena = ws_.sim_net;
-    arena.begin_run(csr_, 1);
+    arena.begin_run(graph_, 1);
     StepDelta& delta = deltas_[0];
     auto& time = ws_.step_time;
     auto& reach = ws_.reach;
@@ -426,8 +426,8 @@ class ArenaEngine {
     ws_.ticks.reset();
     const auto stall = [&](NodeId v) {
       assert(delayed_mode_);  // unit latency never stalls a node
-      for (NodeId j = 0; j < csr_.degree(v); ++j)
-        reach[static_cast<std::size_t>(csr_.in_edge_index(v, j))] = kNever;
+      for (NodeId j = 0; j < graph_.degree(v); ++j)
+        reach[static_cast<std::size_t>(graph_.in_edge_index(v, j))] = kNever;
     };
 
     // Crashed nodes never step; they stay live and are finalized as cut
@@ -464,10 +464,11 @@ class ArenaEngine {
           std::int64_t& t = time[static_cast<std::size_t>(v)];
           t += gap;
           if (delayed_mode_) {
-            const std::int64_t* in = reach.data() + csr_.offset(v);
-            for (NodeId j = 0; j < csr_.degree(v); ++j) t = std::max(t, in[j]);
+            const std::int64_t* in = reach.data() + graph_.offset(v);
+            for (NodeId j = 0; j < graph_.degree(v); ++j)
+              t = std::max(t, in[j]);
           } else {
-            for (const NodeId u : csr_.neighbors(v))
+            for (const NodeId u : graph_.neighbors(v))
               t = std::max(t, reach[static_cast<std::size_t>(u)]);
           }
         }
@@ -519,11 +520,11 @@ class ArenaEngine {
           ws_.ticks.add_arrival(now + 1, 0, delta.messages - sent_before);
           continue;
         }
-        const std::int64_t base = csr_.offset(v);
-        for (NodeId j = 0; j < csr_.degree(v); ++j) {
+        const std::int64_t base = graph_.offset(v);
+        for (NodeId j = 0; j < graph_.degree(v); ++j) {
           // The draws stay keyed by the sender's edge, reach by the
           // receiver's slot; a node that slept sent nothing.
-          const std::int64_t slot = csr_.in_edge_index(v, j);
+          const std::int64_t slot = graph_.in_edge_index(v, j);
           const bool payload = !slept && arena.sent_at(slot);
           const DelayedNetwork::Pulse pulse = net.draw_pulse(base + j, now);
           std::int64_t& latest = reach[static_cast<std::size_t>(slot)];
@@ -644,7 +645,7 @@ class ArenaEngine {
     const std::size_t vi = static_cast<std::size_t>(v);
     KernelCtx ctx;
     ctx.node = v;
-    ctx.degree = csr_.degree(v);
+    ctx.degree = graph_.degree(v);
     ctx.identity = instance_.identities[vi];
     ctx.round = round;
     ctx.input = instance_.inputs[vi];
@@ -654,7 +655,7 @@ class ArenaEngine {
         kport_words_ == 0
             ? nullptr
             : ws_.kernel_port_state.data() +
-                  static_cast<std::size_t>(csr_.offset(v)) * kport_words_;
+                  static_cast<std::size_t>(graph_.offset(v)) * kport_words_;
     ctx.config = kernel_->config.get();
     ctx.scratch = &ws_.scratch[static_cast<std::size_t>(tid)].kwords;
     ctx.engine = this;
@@ -682,7 +683,7 @@ class ArenaEngine {
     b.port_state_base =
         kport_words_ == 0 ? nullptr : ws_.kernel_port_state.data();
     b.port_words = static_cast<std::int64_t>(kport_words_);
-    b.csr_offsets = csr_.offsets_data();
+    b.csr_offsets = graph_.offsets_data();
     b.identities = instance_.identities.data();
     b.inputs = instance_.inputs.data();
     b.rngs = ws_.rngs.data();
@@ -971,7 +972,7 @@ class ArenaEngine {
   }
 
   const Instance& instance_;
-  const CsrGraph& csr_;
+  const Graph& graph_;
   const RunOptions& options_;
   EngineWorkspaceState& ws_;
   const NodeId n_;

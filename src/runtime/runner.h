@@ -12,7 +12,7 @@
 // to terminate with the arbitrary output RunOptions::default_output (0).
 //
 // Engine layout: node state is struct-of-arrays; all message traffic of a
-// round lives in one flat int64 arena addressed by CsrGraph edge indices,
+// round lives in one flat int64 arena addressed by Graph edge indices,
 // with the send and receive halves swapped between rounds. There are two
 // loops. The simultaneous one walks a compacted live-node list (rebalanced
 // across threads each round) and resets only the span slots written last

@@ -69,7 +69,9 @@ CampaignCell cell_identity_from_json(const json::Value& value,
   cell.network.late = value.at("late").as_double();
   cell.network.max_delay = value.at("max_delay").as_i64();
   cell.network.late_by = value.at("late_by").as_i64();
-  validate_network_options(cell.network);  // names the out-of-range field
+  // Both name the out-of-range field.
+  validate_scenario_params(cell.params);
+  validate_network_options(cell.network);
   return cell;
 }
 

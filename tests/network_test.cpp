@@ -32,7 +32,6 @@
 #include "src/algo/greedy_mis.h"
 #include "src/algo/luby.h"
 #include "src/algo/ruling_set_mc.h"
-#include "src/graph/csr.h"
 #include "src/graph/generators.h"
 #include "src/runtime/campaign.h"
 #include "src/runtime/network.h"
@@ -165,20 +164,20 @@ std::int64_t send(SynchronousNetwork& net, int tid, NodeId node, NodeId port,
 }
 
 /// Whether `node` has sent on `port` this round.
-bool sent(const SynchronousNetwork& net, const CsrGraph& csr, NodeId node,
+bool sent(const SynchronousNetwork& net, const Graph& g, NodeId node,
           NodeId port) {
-  return net.sent_at(csr.in_edge_index(node, port));
+  return net.sent_at(g.in_edge_index(node, port));
 }
 
 /// Every receive of the round is absent and nothing is sent yet.
-void expect_round_clean(const SynchronousNetwork& net, const CsrGraph& csr,
+void expect_round_clean(const SynchronousNetwork& net, const Graph& g,
                         const std::string& label) {
-  for (NodeId v = 0; v < csr.num_nodes(); ++v) {
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
     EXPECT_FALSE(net.has_mail(v)) << label << " node " << v;
-    for (NodeId j = 0; j < csr.degree(v); ++j) {
+    for (NodeId j = 0; j < g.degree(v); ++j) {
       EXPECT_EQ(received(net, v, j), std::nullopt)
           << label << " node " << v << " port " << j;
-      EXPECT_FALSE(sent(net, csr, v, j))
+      EXPECT_FALSE(sent(net, g, v, j))
           << label << " node " << v << " port " << j;
     }
   }
@@ -188,7 +187,7 @@ TEST(SynchronousNetwork, DeliversZeroOneAndThreeWordsFromTwoThreads) {
   // K4: node v's port j message has j words (0, 1 or 3 for j = 0, 1, 2),
   // sent by node 0 on thread 0 and node 1 on thread 1; nodes 2 and 3 stay
   // silent.
-  const CsrGraph csr(complete_graph(4));
+  const Graph g = complete_graph(4);
   const auto message = [](NodeId v, NodeId j) {
     Words words;
     for (NodeId k = 0; k < (j == 2 ? 3 : j); ++k)
@@ -196,20 +195,20 @@ TEST(SynchronousNetwork, DeliversZeroOneAndThreeWordsFromTwoThreads) {
     return words;
   };
   SynchronousNetwork net;
-  net.begin_run(csr, 2);
-  net.begin_round(csr.num_directed_edges());
+  net.begin_run(g, 2);
+  net.begin_round(g.num_directed_edges());
   for (const NodeId v : {0, 1})
-    for (NodeId j = 0; j < csr.degree(v); ++j) {
+    for (NodeId j = 0; j < g.degree(v); ++j) {
       send(net, /*tid=*/v, v, j, message(v, j));
-      EXPECT_TRUE(sent(net, csr, v, j));
+      EXPECT_TRUE(sent(net, g, v, j));
     }
-  for (NodeId u = 0; u < csr.num_nodes(); ++u) EXPECT_TRUE(net.has_mail(u));
+  for (NodeId u = 0; u < g.num_nodes(); ++u) EXPECT_TRUE(net.has_mail(u));
   EXPECT_EQ(net.send_max_words(), 3);
   net.end_round();
   net.begin_round(6);
-  for (NodeId u = 0; u < csr.num_nodes(); ++u)
-    for (NodeId p = 0; p < csr.degree(u); ++p) {
-      const NodeId v = csr.neighbor(u, p);
+  for (NodeId u = 0; u < g.num_nodes(); ++u)
+    for (NodeId p = 0; p < g.degree(u); ++p) {
+      const NodeId v = g.neighbor(u, p);
       const std::string label =
           "receiver " + std::to_string(u) + " port " + std::to_string(p);
       if (v > 1) {
@@ -217,16 +216,16 @@ TEST(SynchronousNetwork, DeliversZeroOneAndThreeWordsFromTwoThreads) {
         continue;
       }
       // The sender's port towards u is the reverse port.
-      EXPECT_EQ(received(net, u, p), message(v, csr.reverse_port(u, p)))
+      EXPECT_EQ(received(net, u, p), message(v, g.reverse_port(u, p)))
           << label;
     }
   net.end_run();
 }
 
 TEST(SynchronousNetwork, InlineAndBufferedOverwritesOfOneSlot) {
-  const CsrGraph csr(complete_graph(3));
+  const Graph g = complete_graph(3);
   SynchronousNetwork net;
-  net.begin_run(csr, 1);
+  net.begin_run(g, 1);
   for (const std::int64_t prev : {std::int64_t{6}, std::int64_t{0}}) {
     // Bulk round (prev = every slot) first, then a dirty-list round.
     net.begin_round(prev);
@@ -244,13 +243,13 @@ TEST(SynchronousNetwork, InlineAndBufferedOverwritesOfOneSlot) {
     EXPECT_EQ(net.send_max_words(), 1) << label;
     net.end_round();
     net.begin_round(3);
-    const NodeId from0_to1 = csr.reverse_port(0, 0);
-    const NodeId from0_to2 = csr.reverse_port(0, 1);
-    const NodeId from1_to0 = csr.reverse_port(1, 0);
+    const NodeId from0_to1 = g.reverse_port(0, 0);
+    const NodeId from0_to2 = g.reverse_port(0, 1);
+    const NodeId from1_to0 = g.reverse_port(1, 0);
     EXPECT_EQ(received(net, 1, from0_to1), Words{4}) << label;
     EXPECT_EQ(received(net, 2, from0_to2), Words{10}) << label;
     EXPECT_EQ(received(net, 0, from1_to0), Words{9}) << label;
-    EXPECT_EQ(received(net, 2, csr.reverse_port(1, 1)), std::nullopt)
+    EXPECT_EQ(received(net, 2, g.reverse_port(1, 1)), std::nullopt)
         << label;
     net.end_round();
   }
@@ -261,12 +260,12 @@ TEST(SynchronousNetwork, RangeSendStoresAMultiWordPayloadOnce) {
   // K5: node 0 sends three words on its whole row [0, 4) in one call, then
   // resends single ports; node 2 sends two words after it on the same
   // thread. Run as a bulk round, then as a dirty-list round.
-  const CsrGraph csr(complete_graph(5));
-  const std::int64_t slots = csr.num_directed_edges();
-  const NodeId d = csr.degree(0);
+  const Graph g = complete_graph(5);
+  const std::int64_t slots = g.num_directed_edges();
+  const NodeId d = g.degree(0);
   const Words shared{7, 8, 9};
   SynchronousNetwork net;
-  net.begin_run(csr, 1);
+  net.begin_run(g, 1);
   for (const std::int64_t prev_messages : {slots, std::int64_t{0}}) {
     const std::string label = prev_messages > 0 ? "bulk" : "dirty";
     net.begin_round(prev_messages);
@@ -274,7 +273,7 @@ TEST(SynchronousNetwork, RangeSendStoresAMultiWordPayloadOnce) {
     ASSERT_EQ(reported.size(), static_cast<std::size_t>(d)) << label;
     for (NodeId j = 0; j < d; ++j) {
       EXPECT_EQ(reported[static_cast<std::size_t>(j)].first,
-                csr.neighbor(0, j))
+                g.neighbor(0, j))
           << label << " port " << j;
       EXPECT_EQ(reported[static_cast<std::size_t>(j)].second, -1)
           << label << " port " << j;
@@ -282,8 +281,8 @@ TEST(SynchronousNetwork, RangeSendStoresAMultiWordPayloadOnce) {
     // An empty range reports nothing, sends nothing and stores no words.
     EXPECT_TRUE(send_range(net, 0, 1, 2, 2, Words{1, 2, 3, 4, 5}).empty())
         << label;
-    for (NodeId j = 0; j < csr.degree(1); ++j)
-      EXPECT_FALSE(sent(net, csr, 1, j)) << label << " port " << j;
+    for (NodeId j = 0; j < g.degree(1); ++j)
+      EXPECT_FALSE(sent(net, g, 1, j)) << label << " port " << j;
     EXPECT_EQ(net.send_max_words(), 3) << label;
     EXPECT_EQ(send(net, 0, 2, 0, Words{5, 6}), -1) << label;
     // Resends of single ports of the range: each overwrites only its own
@@ -295,8 +294,8 @@ TEST(SynchronousNetwork, RangeSendStoresAMultiWordPayloadOnce) {
     net.begin_round(6);
     std::vector<const std::int64_t*> data;
     for (NodeId j = 0; j < d; ++j) {
-      const NodeId u = csr.neighbor(0, j);
-      const NodeId p = csr.reverse_port(0, j);
+      const NodeId u = g.neighbor(0, j);
+      const NodeId p = g.reverse_port(0, j);
       const Words want = j == 1 ? Words{-1, -2, -3} : j == 2 ? Words{4} : shared;
       EXPECT_EQ(received(net, u, p), want) << label << " port " << j;
       bool present = false;
@@ -308,8 +307,8 @@ TEST(SynchronousNetwork, RangeSendStoresAMultiWordPayloadOnce) {
     EXPECT_EQ(data[0], data[3]) << label;
     bool present = false;
     const std::int64_t* from2 =
-        net.recv(csr.neighbor(2, 0), csr.reverse_port(2, 0), &present).data();
-    EXPECT_EQ(received(net, csr.neighbor(2, 0), csr.reverse_port(2, 0)),
+        net.recv(g.neighbor(2, 0), g.reverse_port(2, 0), &present).data();
+    EXPECT_EQ(received(net, g.neighbor(2, 0), g.reverse_port(2, 0)),
               (Words{5, 6}))
         << label;
     EXPECT_EQ(from2, data[0] + 3) << label;
@@ -323,22 +322,22 @@ TEST(SynchronousNetwork, RangeSendStoresAMultiWordPayloadOnce) {
 }
 
 TEST(SynchronousNetwork, ReceiveSpansStayValidThroughTheRound) {
-  const CsrGraph csr(complete_graph(5));
+  const Graph g = complete_graph(5);
   SynchronousNetwork net;
-  net.begin_run(csr, 2);
-  net.begin_round(csr.num_directed_edges());
+  net.begin_run(g, 2);
+  net.begin_round(g.num_directed_edges());
   // Round 0: even senders one inline word, odd senders three words.
   const auto message = [](NodeId v, NodeId j) {
     return v % 2 == 0 ? Words{10 * v + j} : Words{v, j, -v};
   };
-  for (NodeId v = 0; v < csr.num_nodes(); ++v)
-    for (NodeId j = 0; j < csr.degree(v); ++j)
+  for (NodeId v = 0; v < g.num_nodes(); ++v)
+    for (NodeId j = 0; j < g.degree(v); ++j)
       send(net, v % 2, v, j, message(v, j));
   net.end_round();
-  net.begin_round(csr.num_directed_edges());
+  net.begin_round(g.num_directed_edges());
   std::vector<std::span<const std::int64_t>> spans;
-  for (NodeId u = 0; u < csr.num_nodes(); ++u)
-    for (NodeId p = 0; p < csr.degree(u); ++p) {
+  for (NodeId u = 0; u < g.num_nodes(); ++u)
+    for (NodeId p = 0; p < g.degree(u); ++p) {
       bool present = false;
       spans.push_back(net.recv(u, p, &present));
       ASSERT_TRUE(present);
@@ -346,15 +345,15 @@ TEST(SynchronousNetwork, ReceiveSpansStayValidThroughTheRound) {
   // Round 1 overwrites every slot of the send half, with long messages
   // that regrow both threads' word buffers, and resends some inline.
   const Words long_message(64, -7);
-  for (NodeId v = 0; v < csr.num_nodes(); ++v)
-    for (NodeId j = 0; j < csr.degree(v); ++j) {
+  for (NodeId v = 0; v < g.num_nodes(); ++v)
+    for (NodeId j = 0; j < g.degree(v); ++j) {
       send(net, v % 2, v, j, long_message);
       if (j == 0) send(net, v % 2, v, j, Words{-1});
     }
   std::size_t i = 0;
-  for (NodeId u = 0; u < csr.num_nodes(); ++u)
-    for (NodeId p = 0; p < csr.degree(u); ++p, ++i) {
-      const Words want = message(csr.neighbor(u, p), csr.reverse_port(u, p));
+  for (NodeId u = 0; u < g.num_nodes(); ++u)
+    for (NodeId p = 0; p < g.degree(u); ++p, ++i) {
+      const Words want = message(g.neighbor(u, p), g.reverse_port(u, p));
       EXPECT_EQ(Words(spans[i].begin(), spans[i].end()), want)
           << "receiver " << u << " port " << p;
     }
@@ -364,67 +363,67 @@ TEST(SynchronousNetwork, ReceiveSpansStayValidThroughTheRound) {
 TEST(SynchronousNetwork, BulkAndDirtyResetsLeaveTheArenaClean) {
   // K6 has 30 slots; a round whose predecessor moved fewer than 30 / 4
   // messages writes through the dirty lists.
-  const CsrGraph csr(complete_graph(6));
-  const std::int64_t slots = csr.num_directed_edges();
+  const Graph g = complete_graph(6);
+  const std::int64_t slots = g.num_directed_edges();
   SynchronousNetwork net;
-  net.begin_run(csr, 2);
+  net.begin_run(g, 2);
 
   // Round 0 (bulk, round 0 assumes a dense start): node 0 on every port.
   net.begin_round(slots);
-  for (NodeId j = 0; j < csr.degree(0); ++j) send(net, 0, 0, j, Words{j});
+  for (NodeId j = 0; j < g.degree(0); ++j) send(net, 0, 0, j, Words{j});
   net.end_round();
 
   // Round 1 (dirty): two slots, one written twice from the other thread.
-  net.begin_round(csr.degree(0));
+  net.begin_round(g.degree(0));
   send(net, 1, 3, 0, Words{1, 2});
   send(net, 1, 3, 0, Words{3});
   send(net, 0, 4, 1, Words{4});
   // K6 ports list the other nodes in ascending order: node 3's port 0
   // reaches node 0 and node 4's port 1 reaches node 1.
-  for (NodeId u = 0; u < csr.num_nodes(); ++u)
+  for (NodeId u = 0; u < g.num_nodes(); ++u)
     EXPECT_EQ(net.has_mail(u), u <= 1) << "node " << u;
   net.end_round();
 
   // Round 2: round 0's half came back reset by the bulk fill, which the
   // dirty-clear stat does not count.
   net.begin_round(2);
-  for (NodeId v = 0; v < csr.num_nodes(); ++v)
-    for (NodeId j = 0; j < csr.degree(v); ++j)
-      EXPECT_FALSE(sent(net, csr, v, j)) << "node " << v << " port " << j;
+  for (NodeId v = 0; v < g.num_nodes(); ++v)
+    for (NodeId j = 0; j < g.degree(v); ++j)
+      EXPECT_FALSE(sent(net, g, v, j)) << "node " << v << " port " << j;
   EXPECT_EQ(net.dirty_cleared(), 0);
-  EXPECT_EQ(received(net, 0, csr.reverse_port(3, 0)), Words{3});
-  EXPECT_EQ(received(net, 1, csr.reverse_port(4, 1)), Words{4});
-  for (NodeId u = 0; u < csr.num_nodes(); ++u) EXPECT_FALSE(net.has_mail(u));
+  EXPECT_EQ(received(net, 0, g.reverse_port(3, 0)), Words{3});
+  EXPECT_EQ(received(net, 1, g.reverse_port(4, 1)), Words{4});
+  for (NodeId u = 0; u < g.num_nodes(); ++u) EXPECT_FALSE(net.has_mail(u));
   net.end_round();
   net.end_run();
   // end_run cleared round 1's two dirty slots; round 2 wrote nothing.
   EXPECT_EQ(net.dirty_cleared(), 2);
 
   // The next run starts with both halves clean (and no rebuild needed).
-  net.begin_run(csr, 2);
+  net.begin_run(g, 2);
   EXPECT_EQ(net.dirty_cleared(), 0);
   net.begin_round(slots);
-  expect_round_clean(net, csr, "rerun round 0");
+  expect_round_clean(net, g, "rerun round 0");
   net.end_round();
   net.begin_round(0);
-  expect_round_clean(net, csr, "rerun round 1");
+  expect_round_clean(net, g, "rerun round 1");
   net.end_round();
   net.end_run();
   EXPECT_EQ(net.dirty_cleared(), 0);
 
   // A run that ends on bulk halves is clean afterwards too.
-  net.begin_run(csr, 1);
+  net.begin_run(g, 1);
   for (int round = 0; round < 2; ++round) {
     net.begin_round(slots);
-    for (NodeId v = 0; v < csr.num_nodes(); ++v)
-      for (NodeId j = 0; j < csr.degree(v); ++j) send(net, 0, v, j, Words{v});
+    for (NodeId v = 0; v < g.num_nodes(); ++v)
+      for (NodeId j = 0; j < g.degree(v); ++j) send(net, 0, v, j, Words{v});
     net.end_round();
   }
   net.end_run();
   EXPECT_EQ(net.dirty_cleared(), 0);
-  net.begin_run(csr, 1);
+  net.begin_run(g, 1);
   net.begin_round(0);
-  expect_round_clean(net, csr, "after bulk run");
+  expect_round_clean(net, g, "after bulk run");
   net.end_round();
   net.end_run();
 }

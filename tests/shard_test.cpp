@@ -219,6 +219,39 @@ TEST(Shard, ManifestRejectsIntegersThatWouldWrapIntoRange) {
   }
 }
 
+TEST(Shard, ManifestRejectsScenarioKnobsOutOfRange) {
+  // Each manifest's grid hash covers its cells, so only a range check stands
+  // between a knob past kMaxScenarioKnob and a factory's cast to NodeId
+  // (undefined behaviour). The parser must reject it, naming the field.
+  struct Case {
+    std::string scenario;
+    ScenarioParams params;
+    std::string error;
+  };
+  for (const Case& c : std::vector<Case>{
+           {"grid", {40, 1e300, 0.0},
+            "ScenarioParams::a must be in [0, 1e+06], got 1e+300"},
+           {"bounded-degree", {40, 1e300, 0.0},
+            "ScenarioParams::a must be in [0, 1e+06], got 1e+300"},
+           {"forest", {40, 3e9, 0.0},
+            "ScenarioParams::a must be in [0, 1e+06], got 3e+09"},
+           {"gnp", {40, 0.0, -1.0},
+            "ScenarioParams::b must be in [0, 1e+06], got -1"},
+           {"path", {-1, 0.0, 0.0},
+            "ScenarioParams::n must be >= 0, got -1"}}) {
+    const ShardPlan plan =
+        plan_shards(make_grid({c.scenario}, c.params, {"mis-uniform"}, 1, 5),
+                    1, ShardPolicy::kRoundRobin);
+    const std::string text = plan.shards[0].to_json().dump();
+    try {
+      ShardManifest::from_json(json::Value::parse(text));
+      ADD_FAILURE() << "accepted " << text;
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()), c.error) << c.scenario;
+    }
+  }
+}
+
 TEST(Shard, ResultStatsSurviveJsonRoundTripRowForRow) {
   // The key set the shard `stats` block and the --stats-json `engine`
   // object (one writer, engine_stats_to_json) carry; readers across
