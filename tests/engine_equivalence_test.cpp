@@ -6,6 +6,9 @@
 // per-round arena replace the vector-per-message baseline.
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
+#include "src/algo/color_reduce.h"
 #include "src/algo/greedy_mis.h"
 #include "src/algo/luby.h"
 #include "src/algo/ruling_set_mc.h"
@@ -158,31 +161,67 @@ TEST(EngineEquivalence, ActiveSetLongTailThreadInvariance) {
 
 TEST(EngineEquivalence, WorkspaceReuseDoesNotLeakState) {
   // One workspace across runs of different algorithms, graphs, and modes
-  // must give exactly the per-run results of fresh workspaces.
+  // must give exactly the per-run results and stats of fresh workspaces.
+  // The runs interleave the simultaneous loop, the synchronizer and the
+  // delayed network (crashes and drops), for a kernel that sleeps
+  // (color-reduce) and one that does not (Luby): the live list, the sleeper
+  // set and the wake latch serve every mode.
   const LubyMis luby;
   const GreedyMis greedy;
   EngineWorkspace workspace;
-  const auto in_workspace = [&workspace](RunOptions options) {
-    options.workspace = &workspace;
-    return options;
-  };
   Rng wake_rng(23);
   for (const auto& named : standard_instances(/*seed=*/29)) {
-    RunOptions options;
-    options.seed = 41;
-    const RunResult fresh = run_local(named.instance, luby, options);
-    const RunResult reused =
-        run_local(named.instance, luby, in_workspace(options));
-    expect_same(fresh, reused, "reuse/luby/" + named.name);
+    // Distinct 1-based colors, so color-reduce recolours from k = n.
+    Instance colored = named.instance;
+    const NodeId n = colored.num_nodes();
+    for (NodeId v = 0; v < n; ++v)
+      colored.inputs[static_cast<std::size_t>(v)] = {v + 1};
+    const ColorReduce reduce(std::max<NodeId>(n, 1), /*target=*/0);
 
-    options.wake_rounds.assign(
-        static_cast<std::size_t>(named.instance.num_nodes()), 0);
-    for (auto& w : options.wake_rounds)
+    RunOptions simultaneous;
+    simultaneous.seed = 41;
+    RunOptions synchronized = simultaneous;
+    synchronized.wake_rounds.assign(static_cast<std::size_t>(n), 0);
+    for (auto& w : synchronized.wake_rounds)
       w = static_cast<std::int64_t>(wake_rng.next_below(4));
-    const RunResult fresh_sync = run_local(named.instance, greedy, options);
-    const RunResult reused_sync =
-        run_local(named.instance, greedy, in_workspace(options));
-    expect_same(fresh_sync, reused_sync, "reuse/greedy-sync/" + named.name);
+    RunOptions delayed = simultaneous;
+    delayed.network = parse_network_spec("delay:heavytail");
+    delayed.network.crash = 0.1;
+    delayed.network.drop = 0.1;
+
+    struct Run {
+      std::string label;
+      const Algorithm* algorithm;
+      const Instance* instance;
+      RunOptions options;
+    };
+    const std::vector<Run> runs = {
+        {"luby", &luby, &named.instance, simultaneous},
+        {"greedy-sync", &greedy, &named.instance, synchronized},
+        {"color-reduce-delayed", &reduce, &colored, delayed},
+        {"color-reduce", &reduce, &colored, simultaneous},
+        {"luby-delayed", &luby, &named.instance, delayed},
+        {"color-reduce-sync", &reduce, &colored, synchronized},
+        {"luby-sync", &luby, &named.instance, synchronized},
+    };
+    for (const Run& run : runs) {
+      const std::string label = "reuse/" + run.label + "/" + named.name;
+      const RunResult fresh =
+          run_local(*run.instance, *run.algorithm, run.options);
+      RunOptions options = run.options;
+      options.workspace = &workspace;
+      const RunResult reused = run_local(*run.instance, *run.algorithm, options);
+      expect_same(fresh, reused, label);
+      for_each_engine_stat([&](const EngineStatField& field, auto member) {
+        // Capacity and timing depend on what the workspace ran before.
+        if (field.id == EngineStat::arena_bytes ||
+            std::is_floating_point_v<std::remove_reference_t<
+                decltype(fresh.stats.*member)>>)
+          return;
+        EXPECT_EQ(fresh.stats.*member, reused.stats.*member)
+            << label << " stat " << field.name;
+      });
+    }
   }
 }
 
