@@ -15,15 +15,16 @@
 //    inside it (no partial overlap — what Perfetto renders as a broken
 //    track);
 //  - every "round" span carries round/frontier/messages/steps args and
-//    sits inside an "engine.run" span on its lane; a simultaneous-loop
-//    round span (no "stalled" arg) carries a "phases" array of bucket
-//    sizes summing to its steps (telemetry::round_phases_problem); every
+//    sits inside an "engine.run" span on its lane and carries a "phases"
+//    array of bucket sizes summing to its steps
+//    (telemetry::round_phases_problem); every
 //    "cell" span carries index/scenario/algorithm/seed args; every
 //    "instance.build" span carries scenario/seed/n/cells args and sits
 //    inside a "cell" span on its lane;
 //  - --expect-cells=N / --expect-attempts=N pin the number of "cell" /
 //    "attempt" spans (a stitched supervised trace must cover every
-//    campaign cell and every shard attempt).
+//    campaign cell and every shard attempt). A value that is not a whole
+//    non-negative int exits 2 with one line naming the flag and the value.
 //
 // Metrics checks: {"metrics": [...]} sorted by unique name, kind in
 // {counter, gauge, histogram}, histogram count == sum of bucket counts and
@@ -31,8 +32,10 @@
 //
 // Exit 0 when everything holds; every violation is printed and exits 1.
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <string>
@@ -259,6 +262,25 @@ int check_metrics(const std::string& path) {
   return 0;
 }
 
+/// The value of a count flag: the whole text as an int in [0, INT_MAX],
+/// or -1 after one stderr line naming the flag and the value.
+int count_flag(const std::string& arg) {
+  const std::size_t eq = arg.find('=');
+  const std::string text = arg.substr(eq + 1);
+  int value = 0;
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  if (text.empty() || error != std::errc() || stop != end || value < 0) {
+    std::fprintf(stderr,
+                 "telemetry_check: %s: expected a number in [0, %d], got "
+                 "'%s'\n",
+                 arg.substr(0, eq).c_str(),
+                 std::numeric_limits<int>::max(), text.c_str());
+    return -1;
+  }
+  return value;
+}
+
 int usage() {
   std::fprintf(stderr,
                "usage: telemetry_check --trace=FILE [--expect-cells=N] "
@@ -276,16 +298,17 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const auto value = [&arg] { return arg.substr(arg.find('=') + 1); };
-    if (arg.rfind("--trace=", 0) == 0)
+    if (arg.rfind("--trace=", 0) == 0) {
       trace_path = value();
-    else if (arg.rfind("--metrics=", 0) == 0)
+    } else if (arg.rfind("--metrics=", 0) == 0) {
       metrics_path = value();
-    else if (arg.rfind("--expect-cells=", 0) == 0)
-      expect_cells = std::stoi(value());
-    else if (arg.rfind("--expect-attempts=", 0) == 0)
-      expect_attempts = std::stoi(value());
-    else
+    } else if (arg.rfind("--expect-cells=", 0) == 0) {
+      if ((expect_cells = count_flag(arg)) < 0) return 2;
+    } else if (arg.rfind("--expect-attempts=", 0) == 0) {
+      if ((expect_attempts = count_flag(arg)) < 0) return 2;
+    } else {
       return usage();
+    }
   }
   if (trace_path.empty() && metrics_path.empty()) return usage();
   if (!trace_path.empty())

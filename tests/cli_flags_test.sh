@@ -5,10 +5,12 @@
 # A numeric flag value that is out of range, would wrap in a narrowing
 # cast, or is not a number exits 2 naming the flag and the value. Each
 # verb accepts only its own flags: a flag of another verb is unknown too.
+# telemetry_check's count flags are held to the same rule.
 #
-#   sh tests/cli_flags_test.sh path/to/unilocal_cli
+#   sh tests/cli_flags_test.sh path/to/unilocal_cli path/to/telemetry_check
 set -u
 cli="$1"
+telemetry_check="$2"
 failures=0
 
 check() {
@@ -31,9 +33,14 @@ check() {
 }
 
 check_value() {
-  flag="$1"
-  shift
-  err=$("$cli" "$@" "$flag" </dev/null 2>&1 >/dev/null)
+  check_value_of "$cli" "$@"
+}
+
+check_value_of() {
+  program="$1"
+  flag="$2"
+  shift 2
+  err=$("$program" "$@" "$flag" </dev/null 2>&1 >/dev/null)
   status=$?
   if [ "$status" -ne 2 ]; then
     echo "FAIL: '$* $flag' exited $status, expected 2"
@@ -61,6 +68,13 @@ check_value --max-delay=9223372036854775807 mis --network=delay:uniform --drop=0
 check_value --max-delay=4294967297 table1 --network=delay:heavytail
 check_value --late-by=9223372036854775807 sweep --network=delay:weighted --late=0.5
 check_value --late-by=0 shard plan --dir=unused --table1 --network=delay:uniform
+
+# A count must be a whole non-negative int: no exception escapes, no
+# trailing characters are ignored.
+for flag in --expect-cells=abc --expect-cells=5x --expect-cells=99999999999 \
+    --expect-attempts=-1 --expect-attempts=; do
+  check_value_of "$telemetry_check" "$flag" --trace=unused
+done
 
 for flag in --bogus --kernel=on; do
   check "$flag" mis
