@@ -1,6 +1,7 @@
 #include "src/core/alternating.h"
 
 #include <cassert>
+#include <utility>
 
 namespace unilocal {
 
@@ -58,13 +59,14 @@ NodeId AlternatingDriver::prune_and_glue(
       keep[static_cast<std::size_t>(v)] = true;
     }
   }
-  const InducedSubgraph sub = induced_subgraph(current_.graph, keep);
+  InducedSubgraph sub = induced_subgraph(current_.graph, keep);
   std::vector<NodeId> new_to_original(sub.to_old.size());
   for (std::size_t i = 0; i < sub.to_old.size(); ++i) {
     new_to_original[i] =
         to_original_[static_cast<std::size_t>(sub.to_old[i])];
   }
-  current_ = restrict_instance(current_, sub, pruned.surviving_inputs);
+  current_ =
+      restrict_instance(current_, std::move(sub), pruned.surviving_inputs);
   to_original_ = std::move(new_to_original);
   total_rounds_ += rounds_used + pruning_.running_time();
   if (trace != nullptr) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <utility>
 
 #include "src/algo/lambda_coloring.h"
 #include "src/algo/linial.h"
@@ -180,7 +181,7 @@ ColoringTransformResult run_uniform_coloring_transform(
     const std::int64_t g_hat = algorithm.g(delta_hat);
 
     // ---- Phase 1: uniform SLC on the layer. ----
-    const InducedSubgraph sub = induced_subgraph(instance.graph, keep);
+    InducedSubgraph sub = induced_subgraph(instance.graph, keep);
     std::vector<Input> slc_inputs(static_cast<std::size_t>(n));
     const auto full_list = full_slc_list(g_hat, delta_hat);
     for (NodeId v = 0; v < n; ++v) {
@@ -188,7 +189,9 @@ ColoringTransformResult run_uniform_coloring_transform(
         slc_inputs[static_cast<std::size_t>(v)] =
             make_slc_input(delta_hat, full_list);
     }
-    Instance layer_instance = restrict_instance(instance, sub, slc_inputs);
+    // The layer instance takes the subgraph over; only to_old stays.
+    Instance layer_instance = restrict_instance(
+        instance, {std::move(sub.graph), sub.to_old, {}}, slc_inputs);
     const SlcSolver solver(algorithm, delta_hat);
     const SlcPruning slc_pruning;
     UniformRunOptions phase1_options = lent;
@@ -206,7 +209,7 @@ ColoringTransformResult run_uniform_coloring_transform(
     // Phase 1 pairs become initial colors in [1, g_hat*(delta_hat+1)].
     const std::int64_t m_phase2 = g_hat * (delta_hat + 1);
     Instance recolor_instance = layer_instance;
-    for (NodeId v = 0; v < sub.graph.num_nodes(); ++v) {
+    for (NodeId v = 0; v < recolor_instance.num_nodes(); ++v) {
       const std::int64_t packed =
           phase1.outputs[static_cast<std::size_t>(v)];
       const std::int64_t initial =
@@ -226,10 +229,10 @@ ColoringTransformResult run_uniform_coloring_transform(
     }
 
     // ---- Stitch into the layer's private palette. ----
-    for (NodeId v = 0; v < sub.graph.num_nodes(); ++v) {
-      const NodeId original = sub.to_old[static_cast<std::size_t>(v)];
+    for (std::size_t i = 0; i < sub.to_old.size(); ++i) {
+      const NodeId original = sub.to_old[i];
       result.colors[static_cast<std::size_t>(original)] =
-          g_hat + phase2.outputs[static_cast<std::size_t>(v)];
+          g_hat + phase2.outputs[i];
     }
     LayerTrace trace;
     trace.layer = layer + 1;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <unordered_set>
+#include <utility>
 
 namespace unilocal {
 
@@ -56,10 +57,10 @@ Instance make_instance(Graph g, IdentityScheme scheme, std::uint64_t seed) {
   return instance;
 }
 
-Instance restrict_instance(const Instance& instance, const InducedSubgraph& sub,
+Instance restrict_instance(const Instance& instance, InducedSubgraph sub,
                            const std::vector<Input>& new_inputs) {
   Instance result;
-  result.graph = sub.graph;
+  result.graph = std::move(sub.graph);
   const std::size_t kept = sub.to_old.size();
   result.identities.resize(kept);
   result.inputs.resize(kept);

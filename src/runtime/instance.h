@@ -48,8 +48,10 @@ Instance make_instance(Graph g, IdentityScheme scheme = IdentityScheme::kRandomP
 
 /// Restricts an instance to the kept nodes; identities are preserved
 /// (paper: subinstances keep their identities), inputs are replaced by
-/// `new_inputs` entries of the kept nodes (indexed by OLD node id).
-Instance restrict_instance(const Instance& instance, const InducedSubgraph& sub,
+/// `new_inputs` entries of the kept nodes (indexed by OLD node id). The
+/// result takes `sub.graph` over: pass an rvalue to move it instead of
+/// copying.
+Instance restrict_instance(const Instance& instance, InducedSubgraph sub,
                            const std::vector<Input>& new_inputs);
 
 }  // namespace unilocal
