@@ -376,9 +376,9 @@ BENCHMARK(BM_EngineQuiescent_ColorReduceGnp4096Delayed)
     ->Unit(benchmark::kMillisecond);
 
 // The same run under the alpha synchronizer, with wake rounds staggered
-// over 0..10. The synchronizer runs through the same lockstep loop as the
-// delayed network, at unit latency: sleepers skip their kernels and still
-// pulse, and the loop is sequential: Arg 1 only.
+// over 0..10. The synchronizer is a timed run like the delayed network, at
+// unit latency: sleepers skip their kernels and still pulse, and timed
+// runs are sequential: Arg 1 only.
 void BM_EngineQuiescent_ColorReduceGnp4096Sync(benchmark::State& state) {
   std::vector<std::int64_t> wake_rounds;
   for (NodeId v = 0; v < kQuiescentNodes; ++v)

@@ -1,4 +1,4 @@
-// Work-list primitive of the simultaneous round loop
+// Work-list primitive of the engine's round loop
 // (src/runtime/runner.cpp): the timed-wake queue of sleeping nodes. Kept
 // engine-agnostic and header-only so tests can exercise the scheduling
 // logic without spinning up a full run (tests/frontier_test.cpp).
@@ -15,15 +15,15 @@
 
 namespace unilocal {
 
-/// Timed wake-ups of sleeping nodes in the simultaneous loop: a (wake
-/// round, node id) min-heap with lazy invalidation. A node woken early by a
+/// Timed wake-ups of sleeping nodes in the round loop: a (wake round,
+/// node id) min-heap with lazy invalidation. A node woken early by a
 /// message leaves its entry behind, and may sleep again with a new entry;
 /// pop_due drops every entry the caller's predicate no longer vouches for,
 /// so neither case needs a search of the heap. Nodes that wake and sleep
 /// again many times before their round pile up stale entries; prune()
 /// drops them in one pass when they outnumber the live ones. next_due()
-/// lets the engine jump the clock to the earliest timed wake when no node
-/// is awake.
+/// lets an untimed run jump the clock to the earliest timed wake when no
+/// node is awake.
 class SleeperQueue {
  public:
   void clear() { heap_.clear(); }

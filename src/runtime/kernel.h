@@ -17,30 +17,30 @@
 // and a phase/state-machine table — one KernelStepFn per phase with a
 // selector mapping the local round (and state/config) to the phase to run.
 // A phase is written once, as its scalar KernelStepFn; kernel_phase<F>
-// generates its batched form (KernelBatchFn), which the simultaneous loop
-// runs over each round's same-phase bucket. The lockstep loop, the
-// reference engine and composites forwarding a round (step_inner_kernel)
-// call the scalar body.
+// generates its batched form (KernelBatchFn), which the engine's round
+// loop runs over each round's same-phase bucket. Only the reference
+// engine and composites forwarding a round (step_inner_kernel) call the
+// scalar body.
 //
 // Sleep contract (KernelCtx::sleep_until): a step may end with
 // sleep_until(r), r a local round. It promises that every step of this
 // node before round r that receives no message would send nothing, draw no
-// randomness, change no state and not finish. The simultaneous and lockstep
-// loops (the lockstep one runs the delayed network and the synchronizer)
-// then skip the node's kernel until round r or until a message lands for
-// it, whichever comes first (a step that receives mail is a real step, and
-// it may sleep again). Skipped steps still count as steps in EngineStats,
-// and a lockstep sleeper still advances its local round and pulses every
-// out-edge, so every stat and canonical byte is the same as with the hint
-// ignored.
+// randomness, change no state and not finish. The engine's round loop
+// (which also runs the delayed network and the synchronizer) then skips
+// the node's kernel until round r or until a message lands for it,
+// whichever comes first (a step that receives mail is a real step, and it
+// may sleep again). Skipped steps still count as steps in EngineStats, and
+// in a timed run a sleeper still advances its local round and pulses
+// every out-edge, so every stat and canonical byte is the same as with
+// the hint ignored.
 // Composites keep the promise in the outer round numbering: the chain
 // turns an inner stage's request into absolute rounds and clamps it to
 // the stage boundary, the truncation wrapper clamps it to its budget, and
 // the slc-adapter passes the ctx through unchanged. The engine clamps to
 // max_rounds - 1 so the cut-off fires on the same round. When a round
 // sends nothing and leaves every unfinished node asleep, the rounds up to
-// the earliest wake round would step no one, so the simultaneous loop
-// jumps its clock straight there; the skipped rounds' sleepers count as
+// the earliest wake round would step no one, so an untimed run jumps its
+// clock straight there; the skipped rounds' sleepers count as
 // slept steps, and one silent round already leaves the network's arena
 // as the skipped rounds would, so dirty_spans_cleared does not move. Only
 // the reference engine ignores the hint, which is always correct: it only
@@ -170,7 +170,7 @@ struct KernelCtx {
 };
 
 /// Batched counterpart of KernelCtx: one bucket of same-phase nodes per
-/// call. The simultaneous loop groups the round's live list by resolved
+/// call. The round loop groups the round's live list by resolved
 /// kernel_phase_index and hands each bucket to the phase's KernelBatchFn,
 /// which loops the bucket itself, so the per-node phase body inlines into
 /// one tight loop over the strided state arena instead of one indirect
@@ -178,8 +178,7 @@ struct KernelCtx {
 /// (stride >= state_size), and within a bucket every node owns its own RNG
 /// stream and per-edge send slots, so nodes may be stepped in any order.
 struct KernelBatchCtx {
-  /// The bucket: count node ids, all stepping local round `round` (only
-  /// the simultaneous loop steps buckets).
+  /// The bucket: count node ids, all stepping local round `round`.
   const NodeId* nodes = nullptr;
   std::size_t count = 0;
   std::int64_t round = 0;
@@ -255,7 +254,7 @@ struct KernelBatchCtx {
 
 /// One phase over one bucket of same-phase nodes. Must be bit-identical to
 /// running the phase's scalar fn over the bucket in order (kernel_test
-/// holds the simultaneous loop to the reference engine, which runs the
+/// holds the round loop to the reference engine, which runs the
 /// scalar fns, on every family and thread count).
 using KernelBatchFn = void (*)(const KernelBatchCtx&);
 

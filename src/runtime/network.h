@@ -6,9 +6,10 @@
 //   SynchronousNetwork — the round-exact double-buffered span arena, keyed
 //     by receiver: everything sent in round r is available in round r+1,
 //     nothing is lost. This is the default and stays
-//     bit-identical to the seed reference engine. Staggered wake rounds
-//     (the alpha synchronizer) run on it through the delayed mode's
-//     lockstep loop, with every latency 1 and nothing drawn.
+//     bit-identical to the seed reference engine. Every run's payloads
+//     travel through it, and staggered wake rounds (the alpha
+//     synchronizer) time it like the delayed network, with every latency
+//     1 and nothing drawn.
 //
 //   DelayedNetwork — the asynchronous regime the paper's synchronizer
 //     exists to tame: every transmission of a directed edge gets a latency
@@ -19,12 +20,12 @@
 //     transparent (Observation 2.1), so a delayed run steps the same local
 //     rounds with the same messages as the synchronous one; only the
 //     timestamps, fault counters and stalls differ. The engine therefore
-//     runs it as lockstep rounds over the synchronous arena plus a max-plus
-//     recurrence for each node's step time (run_lockstep in
-//     src/runtime/runner.cpp). All draws derive from the run seed through
-//     dedicated streams consumed in sender-round order, so a run is
-//     bit-repeatable for any engine thread count and shards merge
-//     byte-identically.
+//     runs it through its one round loop over the synchronous arena, plus
+//     a max-plus recurrence for each node's step time (the timing and
+//     pulse passes in src/runtime/runner.cpp). All draws derive from the
+//     run seed through dedicated streams consumed in sender-round order,
+//     so a run is bit-repeatable for any engine thread count and shards
+//     merge byte-identically.
 //
 // A NetworkOptions value travels with RunOptions (and through the campaign
 // and shard layers as a grid dimension); parsing/naming helpers here back
@@ -258,12 +259,10 @@ class SynchronousNetwork {
   }
 
   /// Whether any neighbour has sent to `node` this round.
-  bool has_mail(NodeId node) const { return any_span(send_spans_, node); }
-
-  /// Whether any neighbour sent to `node` last round: the mail its step
-  /// this round can read (the receive half).
-  bool received_any(NodeId node) const {
-    return any_span(recv_spans_, node);
+  bool has_mail(NodeId node) const {
+    const auto first = send_spans_.begin() + graph_->offset(node);
+    return std::any_of(first, first + graph_->degree(node),
+                       [](const Span& s) { return s.words >= 0; });
   }
 
   /// The longest message in the send half: this round's exact maximum
@@ -278,13 +277,6 @@ class SynchronousNetwork {
   std::int64_t arena_bytes() const;
 
  private:
-  /// Whether one of `node`'s inbox slots in `spans` holds a message.
-  bool any_span(const std::vector<Span>& spans, NodeId node) const {
-    const auto first = spans.begin() + graph_->offset(node);
-    return std::any_of(first, first + graph_->degree(node),
-                       [](const Span& s) { return s.words >= 0; });
-  }
-
   void reset_half(std::vector<Span>& spans,
                   std::vector<std::vector<std::int64_t>>& dirty_lists,
                   bool bulk);
@@ -314,8 +306,8 @@ class SynchronousNetwork {
 /// fate when it is sent: a latency from the edge's stream, losses (each
 /// retransmitted after a timeout, up to an abandonment cap) and a possible
 /// duplicate. The engine turns these arrival times into step times (see
-/// run_lockstep in src/runtime/runner.cpp); the payloads themselves travel
-/// through the round-exact SynchronousNetwork.
+/// the timing pass in src/runtime/runner.cpp); the payloads themselves
+/// travel through the round-exact SynchronousNetwork.
 ///
 /// Determinism contract: all draws come from per-edge streams split off a
 /// network-tagged base seed (never the per-node algorithm streams), and an

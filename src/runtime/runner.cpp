@@ -40,8 +40,8 @@ struct alignas(64) StepDelta {
   /// Per-phase bucket sizes of this thread's step_range call; filled
   /// only while a traced round is in flight (empty otherwise).
   std::vector<std::int64_t> phase_sizes;
-  /// Simultaneous-mode sleep traffic: stepped nodes that asked to sleep,
-  /// and sleeping receivers of this round's messages (with repeats).
+  /// Sleep traffic: stepped nodes that asked to sleep, and sleeping
+  /// receivers of this round's messages (with repeats).
   std::vector<NodeId> parking;
   std::vector<NodeId> mailed;
 
@@ -60,10 +60,10 @@ struct alignas(64) StepDelta {
 /// registry; a single null check when none is installed. Counters sum and
 /// gauges take the max under the registry's per-thread-cell merge, so the
 /// merged snapshot is identical for any worker-thread placement of runs.
-/// engine.slept_steps counts the steps of total_steps the simultaneous and
-/// lockstep loops skipped because the node was asleep (see kernel.h's sleep
-/// contract), and engine.jumped_rounds the rounds the simultaneous clock
-/// jumped over because no node was awake.
+/// engine.slept_steps counts the steps of total_steps the round loop
+/// skipped because the node was asleep (see kernel.h's sleep contract), and
+/// engine.jumped_rounds the rounds the clock jumped over because no node
+/// was awake.
 void publish_engine_metrics(const EngineStats& stats, std::int64_t rounds,
                             std::int64_t slept_steps,
                             std::int64_t jumped_rounds) {
@@ -93,46 +93,45 @@ struct EngineWorkspaceState {
   std::vector<Rng> rngs;
   std::vector<char> finished;
   std::vector<std::int64_t> outputs;
-  // Local round of each node (lockstep mode). Every unfinished node of a
-  // simultaneous run is at the global round, so that loop keeps its slot
-  // for the node's sleep hint instead: the requested wake round while it
-  // is asleep or just stepped, 0 otherwise.
-  std::vector<std::int64_t> local_round;
   std::vector<std::int64_t> finish_local;
   std::vector<std::int64_t> finish_global;
 
   // Delivery layers (src/runtime/network.h), owned here so consecutive
-  // runs reuse their capacity: the double-buffered round arena (which the
-  // lockstep rounds use too) and the delayed mode's latency and fault
-  // streams.
+  // runs reuse their capacity: the double-buffered round arena, which
+  // carries every run's payloads, and the delayed network's latency and
+  // fault streams.
   SynchronousNetwork sim_net;
   DelayedNetwork delayed_net;
 
-  // Lockstep timing state: step_time[v] is the time of v's latest local
-  // round (DelayedNetwork::kNever once v stalls for good), reach[s] the
-  // latest arrival among the pulses carried to receiver slot s (the round
-  // arena's slot offset(v) + j for v's port j; kNever once one was
-  // abandoned or its sender stalled) on the delayed network, and on the
-  // synchronous one, where all of a node's pulses land together, reach[u]
-  // the latest arrival of node u's pulses; ticks holds the per-timestamp
-  // tallies
-  // behind the peak stats (src/runtime/tick_table.h). wake[v] is the
-  // sleep-hint latch: the local round v's latest hint asks for (0 = none).
-  std::vector<std::int64_t> step_time;
-  std::vector<std::int64_t> reach;
-  std::vector<std::int64_t> wake;
-  TickTable ticks;
-
-  // Compacted list of unfinished awake nodes (simultaneous mode),
-  // ascending; the per-round thread chunks partition this list, not the
-  // node-id space. Sleeping nodes are flagged in asleep (written only
-  // between rounds, so stepping threads may read it) and queued by wake
-  // round in sleepers; the nodes a round wakes collect in woken until they
-  // are merged back into live through the merged buffer.
+  // Compacted list of unfinished awake nodes, ascending; the per-round
+  // thread chunks partition this list, not the node-id space. Sleeping
+  // nodes are flagged in asleep (written only between rounds, so stepping
+  // threads may read it) and queued by wake round in sleepers; the nodes a
+  // round wakes collect in woken until they are merged back into live
+  // through the merged buffer. wake[v] is the sleep-hint latch: the round
+  // v's latest hint asks for while it is asleep or just stepped, 0
+  // otherwise.
   std::vector<NodeId> live;
   std::vector<char> asleep;
   SleeperQueue sleepers;
   std::vector<NodeId> woken, merged;
+  std::vector<std::int64_t> wake;
+
+  // Timing state of a timed run (the delayed network, or wake rounds):
+  // active lists the unfinished nodes that have not stalled, sleepers
+  // included, ascending; step_time[v] is the time of v's latest local
+  // round (DelayedNetwork::kNever once v stalls for good); reach[s] is the
+  // latest arrival among the pulses carried to receiver slot s (the round
+  // arena's slot offset(v) + j for v's port j; kNever once one was
+  // abandoned or its sender stalled) on the delayed network, and on the
+  // synchronous one, where all of a node's pulses land together, reach[u]
+  // is the latest arrival of node u's pulses; ticks holds the
+  // per-timestamp tallies behind the peak stats
+  // (src/runtime/tick_table.h).
+  std::vector<NodeId> active;
+  std::vector<std::int64_t> step_time;
+  std::vector<std::int64_t> reach;
+  TickTable ticks;
 
   // Packed per-node kernel state (stride-aligned records; see
   // src/runtime/kernel.h) and the per-port word arena.
@@ -140,8 +139,8 @@ struct EngineWorkspaceState {
   std::vector<std::int64_t> kernel_port_state;
 
   // Per-thread scratch: kwords is the reusable int64 scratch handed to
-  // kernels as KernelCtx::scratch; bucket_nodes are the simultaneous
-  // loop's phase buckets (one per kernel phase, capacity persists). Kernels
+  // kernels as KernelCtx::scratch; bucket_nodes are the round loop's
+  // phase buckets (one per kernel phase, capacity persists). Kernels
   // resize kwords on every step, so each thread's record gets its own cache
   // line.
   struct alignas(64) Scratch {
@@ -180,10 +179,10 @@ class ArenaEngine {
           std::to_string(n_) + " nodes (expected 0 or " +
           std::to_string(n_) + ")");
     delayed_mode_ = options.network.kind == NetworkKind::kDelayed;
-    lockstep_ = delayed_mode_ || !options.wake_rounds.empty();
-    // The lockstep loop is sequential; only the simultaneous mode fans the
-    // live list out over threads.
-    threads_ = lockstep_ ? 1 : std::max(1, options.engine_threads);
+    timed_ = delayed_mode_ || !options.wake_rounds.empty();
+    // Timed runs are sequential; only an untimed run fans the live list out
+    // over threads.
+    threads_ = timed_ ? 1 : std::max(1, options.engine_threads);
     threads_ = std::min(threads_, 1 << 14);  // owner tag fits pack_offset
     if (threads_ > 1) {
       if (!ws_.pool || ws_.pool->threads() != threads_)
@@ -202,7 +201,6 @@ class ArenaEngine {
     ws_.rngs.assign(nn, Rng(0));
     ws_.finished.assign(nn, 0);
     ws_.outputs.assign(nn, 0);
-    ws_.local_round.assign(nn, 0);
     ws_.finish_local.assign(nn, -1);
     ws_.finish_global.assign(nn, -1);
 
@@ -241,10 +239,16 @@ class ArenaEngine {
     deltas_.assign(static_cast<std::size_t>(threads_), StepDelta{});
   }
 
-  RunResult run() { return lockstep_ ? run_lockstep() : run_simultaneous(); }
-
- private:
-  RunResult run_simultaneous() {
+  /// The one round loop. Every unfinished node performs local round r in
+  /// iteration r, so the arena carries round r's messages exactly as in
+  /// the synchronous run; awake nodes step phase-bucketed, sleepers skip
+  /// their kernel (see kernel.h's sleep contract), and when a round sends
+  /// nothing and leaves every unfinished node asleep the clock jumps to the
+  /// earliest wake round. A timed run (the delayed network, or staggered
+  /// wake rounds on the synchronous one) adds only its timestamps: a timing
+  /// pass before each round's steps (advance_clocks) and a pulse pass after
+  /// them (pulse); it stays single-threaded and makes no clock jump.
+  RunResult run() {
     const auto start = std::chrono::steady_clock::now();
     begin_trace_run();
     const std::size_t slots = static_cast<std::size_t>(
@@ -252,28 +256,39 @@ class ArenaEngine {
     SynchronousNetwork& net = ws_.sim_net;
     net.begin_run(graph_, threads_);
 
-    ws_.live.resize(static_cast<std::size_t>(n_));
-    std::iota(ws_.live.begin(), ws_.live.end(), NodeId{0});
     ws_.asleep.assign(static_cast<std::size_t>(n_), 0);
     ws_.sleepers.clear();
     ws_.woken.clear();
-    wake_at_ = ws_.local_round.data();
+    ws_.wake.assign(static_cast<std::size_t>(n_), 0);
+    wake_at_ = ws_.wake.data();
+    if (timed_) {
+      begin_timing();
+    } else {
+      ws_.live.resize(static_cast<std::size_t>(n_));
+      std::iota(ws_.live.begin(), ws_.live.end(), NodeId{0});
+    }
 
-    NodeId live = n_;  // unfinished nodes, awake or asleep
+    NodeId live = n_;  // unfinished nodes: awake, asleep or stalled
     peak_live_ = n_;
     std::int64_t prev_round_messages =
         static_cast<std::int64_t>(slots);  // round 0 assumes a dense start
     std::int64_t round = 0;
-    for (; live > 0 && round < options_.max_rounds; ++round) {
+    for (; live > stalled_ && round < options_.max_rounds; ++round) {
       const bool traced = begin_trace_round();
       const std::int64_t trace_t0 =
           traced ? trace_->recorder->now() : 0;
+      if (timed_ && round > 0) {
+        advance_clocks();
+        if (live == stalled_) break;  // every unfinished node stalled
+      }
       net.begin_round(prev_round_messages);
       peak_frontier_ = std::max<std::int64_t>(peak_frontier_, live);
       std::int64_t round_messages = 0;
       std::int64_t round_steps = 0;
       const std::size_t live_n = ws_.live.size();
-      const std::int64_t round_asleep = live - static_cast<NodeId>(live_n);
+      const NodeId stepping = live - stalled_;
+      const std::int64_t round_asleep =
+          stepping - static_cast<NodeId>(live_n);
       if (threads_ == 1) {
         step_range(0, 0, live_n, round, traced);
       } else {
@@ -290,7 +305,7 @@ class ArenaEngine {
         });
       }
       // Sleepers count as stepped: total_steps stays the logical count.
-      total_steps_ += live;
+      total_steps_ += stepping;
       slept_steps_ += round_asleep;
       const NodeId live_before = live;
       std::int64_t round_max_words = 0;
@@ -317,6 +332,8 @@ class ArenaEngine {
       peak_round_messages_ =
           std::max(peak_round_messages_, round_messages);
       prev_round_messages = round_messages;
+      // Before settle_sleepers: asleep still marks who skipped this round.
+      if (timed_) pulse();
       const bool parked = settle_sleepers(round);
       for (auto& delta : deltas_) delta.clear();
       net.end_round();
@@ -328,7 +345,7 @@ class ArenaEngine {
       }
       readmit_woken();
       const std::int64_t jumped =
-          ws_.live.empty() && live > 0 && round_messages == 0
+          !timed_ && ws_.live.empty() && live > 0 && round_messages == 0
               ? jump_to_next_wake(round, live)
               : 0;
       if (traced) {
@@ -336,6 +353,7 @@ class ArenaEngine {
         event.arg("round", round);
         event.arg("frontier", static_cast<std::int64_t>(live_n));
         event.arg("asleep", round_asleep);
+        if (timed_) event.arg("stalled", static_cast<std::int64_t>(stalled_));
         event.arg("messages", round_messages);
         event.arg("steps", round_steps);
         if (jumped > 0) event.arg("jumped", jumped);
@@ -349,39 +367,37 @@ class ArenaEngine {
       round += jumped;
     }
     net.end_run();
-    dirty_cleared_ = net.dirty_cleared();
     final_live_ = live;
-    RunResult result = finalize(live, round, round);
+    RunResult result =
+        finalize(live, round, timed_ ? end_timing(live) : round);
     fill_stats(result, start);
     return result;
   }
 
-  /// The lockstep loop: the delayed network, and staggered wake rounds on
-  /// the synchronous one (the alpha synchronizer with every latency 1).
-  /// Under the alpha synchronizer a node performs local round r once every
-  /// in-edge has delivered its sender's pulses of rounds < r (or all of
-  /// them, when the sender finished first). Each pulse's arrival is fixed
-  /// when it is sent, and each edge's stream is consumed in its sender's
-  /// round order, so step times follow
+  /// The timing of a timed run. Under the alpha synchronizer a node
+  /// performs local round r once every in-edge has delivered its sender's
+  /// pulses of rounds < r (or all of them, when the sender finished first).
+  /// Each pulse's arrival is fixed when it is sent, and each edge's stream
+  /// is consumed in its sender's round order, so step times follow
   ///   t(v,0) = max(wake(v), 0) + late-joiner delay,
   ///   t(v,r) = max(t(v,r-1) + gap, max over in-edges e of R_e(r-1)),
   /// where R_e(k) is the latest arrival among the sender's pulses of rounds
   /// <= min(k, its final round) — infinite when one of those pulses was
   /// abandoned, or when the sender is unfinished and never performs round k
-  /// (crashed or stalled). A node whose time is infinite stalls for good.
-  /// The gap is 0 on the delayed network and 1 on the synchronous one,
-  /// where a node's own rounds are one tick apart, every pulse lands at
-  /// the next tick and nothing is drawn (no latency, fault, crash or late
-  /// joiner). Every node therefore sees the synchronous run's messages in
-  /// each local round it performs (the paper's Observation 2.1), so
-  /// payloads move through the round-exact arena; each round first
-  /// computes every t(v,r) from round r-1's arrivals, then steps the nodes
-  /// whose time is finite and sends their pulses. A node whose latched
-  /// sleep hint asks for a later round and whose receive half holds no
-  /// mail skips its kernel step, which the sleep contract makes a no-op;
-  /// it still counts as stepped, advances its local round and pulses every
-  /// out-edge, so the timestamps, faults and stats are those of the full
-  /// run.
+  /// (crashed or stalled). A node whose time is infinite stalls for good:
+  /// it never steps again, mail does not wake it, and it is finalized as
+  /// cut off with default_output while it still counts as live. The gap is
+  /// 0 on the delayed network and 1 on the synchronous one, where a node's
+  /// own rounds are one tick apart, every pulse lands at the next tick and
+  /// nothing is drawn (no latency, fault, crash or late joiner). Every node
+  /// therefore sees the synchronous run's messages in each local round it
+  /// performs (the paper's Observation 2.1), so the round loop steps the
+  /// nodes exactly as in an untimed run, and the timestamps ride beside
+  /// it: advance_clocks computes every t(v,r) from round r-1's arrivals
+  /// before round r's steps, and pulse draws the arrivals of the pulses
+  /// each active node sends in round r, sleepers included, so the
+  /// timestamps, faults and stats are those of the run with every sleep
+  /// hint ignored.
   ///
   /// The stats read as the timeline of a discrete-event run that delivers
   /// before stepping at equal times: peak_frontier_nodes is the most steps
@@ -403,194 +419,160 @@ class ArenaEngine {
   /// per-tick tallies are a TickTable (src/runtime/tick_table.h): one
   /// open-addressing array swept at 3/4 full, which folds a silent pulse's
   /// skew at once when a step at or after its arrival is already tallied.
-  RunResult run_lockstep() {
-    constexpr std::int64_t kNever = DelayedNetwork::kNever;
-    const auto start = std::chrono::steady_clock::now();
-    begin_trace_run();
-    const std::int64_t gap = delayed_mode_ ? 0 : 1;
+  ///
+  /// begin_timing sets every node's round-0 time; crashed nodes never step,
+  /// so they count as stalled from the start and stay out of the live list.
+  void begin_timing() {
     DelayedNetwork& net = ws_.delayed_net;
     if (delayed_mode_) net.begin_run(graph_, options_.seed, options_.network);
-    const std::size_t slots = static_cast<std::size_t>(
-        graph_.num_directed_edges());
-    SynchronousNetwork& arena = ws_.sim_net;
-    arena.begin_run(graph_, 1);
-    StepDelta& delta = deltas_[0];
     auto& time = ws_.step_time;
-    auto& reach = ws_.reach;
     time.assign(static_cast<std::size_t>(n_), kNever);
-    reach.assign(delayed_mode_ ? slots : static_cast<std::size_t>(n_),
-                 std::numeric_limits<std::int64_t>::min());
-    auto& wake = ws_.wake;
-    wake.assign(static_cast<std::size_t>(n_), 0);
-    wake_at_ = wake.data();
+    ws_.reach.assign(delayed_mode_
+                         ? static_cast<std::size_t>(graph_.num_directed_edges())
+                         : static_cast<std::size_t>(n_),
+                     std::numeric_limits<std::int64_t>::min());
     ws_.ticks.reset();
-    const auto stall = [&](NodeId v) {
-      assert(delayed_mode_);  // unit latency never stalls a node
-      for (NodeId j = 0; j < graph_.degree(v); ++j)
-        reach[static_cast<std::size_t>(graph_.in_edge_index(v, j))] = kNever;
-    };
-
-    // Crashed nodes never step; they stay live and are finalized as cut
-    // off, like any node that stalls.
     const std::vector<std::int64_t>& wake_rounds = options_.wake_rounds;
-    auto& active = ws_.live;
+    auto& active = ws_.active;
     active.clear();
-    NodeId stalled = 0;
     for (NodeId v = 0; v < n_; ++v) {
       const std::size_t vi = static_cast<std::size_t>(v);
-      std::int64_t& t = time[vi];
-      t = wake_rounds.empty() ? 0 : std::max<std::int64_t>(wake_rounds[vi], 0);
-      if (delayed_mode_) {
-        if (net.crashed(v)) {
-          t = kNever;
-          stall(v);
-          ++stalled;
-          continue;
-        }
-        t += net.wake_delay(v);
+      if (delayed_mode_ && net.crashed(v)) {
+        stall(v);
+        continue;
       }
+      time[vi] = wake_rounds.empty()
+                     ? 0
+                     : std::max<std::int64_t>(wake_rounds[vi], 0);
+      if (delayed_mode_) time[vi] += net.wake_delay(v);
       active.push_back(v);
     }
+    ws_.live = active;
+  }
 
-    NodeId live = n_;
-    peak_live_ = n_;
-    std::int64_t last_step = 0, last_arrival = 0;
-    std::int64_t prev_round_messages = static_cast<std::int64_t>(slots);
-    for (std::int64_t r = 0; !active.empty(); ++r) {
-      const bool traced = begin_trace_round();
-      const std::int64_t trace_t0 = traced ? trace_->recorder->now() : 0;
-      if (r > 0) {
-        for (const NodeId v : active) {
-          std::int64_t& t = time[static_cast<std::size_t>(v)];
-          t += gap;
-          if (delayed_mode_) {
-            const std::int64_t* in = reach.data() + graph_.offset(v);
-            for (NodeId j = 0; j < graph_.degree(v); ++j)
-              t = std::max(t, in[j]);
-          } else {
-            for (const NodeId u : graph_.neighbors(v))
-              t = std::max(t, reach[static_cast<std::size_t>(u)]);
-          }
-        }
-        // Only now, with every round-r time read off round r-1's arrivals,
-        // may a newly stalled node's edges turn infinite.
-        for (const NodeId v : active) {
-          if (time[static_cast<std::size_t>(v)] != kNever) continue;
-          stall(v);
-          ++stalled;
-        }
-      }
-      arena.begin_round(prev_round_messages);
-      std::int64_t stepped = 0, asleep = 0;
-      for (const NodeId v : active) {
-        const std::size_t vi = static_cast<std::size_t>(v);
-        const std::int64_t now = time[vi];
-        if (now == kNever) continue;
-        const std::int64_t sent_before = delta.messages;
-        const bool slept = wake[vi] > r && !arena.received_any(v);
-        if (slept) {
-          ++asleep;
-        } else {
-          wake[vi] = 0;
-          step_one(0, v, r);
-          // Clamped like the simultaneous loop's latch, so a sleeper wakes
-          // for the cut-off round.
-          if (wake[vi] != 0)
-            wake[vi] = std::min(wake[vi], options_.max_rounds - 1);
-        }
-        ++stepped;
-        ws_.ticks.add_step(now);
-        last_step = std::max(last_step, now);
-        ++ws_.local_round[vi];
-        if (ws_.finished[vi]) {
-          ws_.finish_local[vi] = r;
-          ws_.finish_global[vi] = now;
-          --live;
-        } else if (ws_.local_round[vi] >= options_.max_rounds) {
-          ws_.finished[vi] = 1;
-          ws_.outputs[vi] = options_.default_output;
-          ++cut_off_;
-          ws_.finish_local[vi] = options_.max_rounds;
-          ws_.finish_global[vi] = now;
-          --live;
-        }
-        if (!delayed_mode_) {
-          // Every pulse lands at now + 1, the messages among them at once.
-          reach[vi] = now + 1;
-          ws_.ticks.add_arrival(now + 1, 0, delta.messages - sent_before);
-          continue;
-        }
-        const std::int64_t base = graph_.offset(v);
-        for (NodeId j = 0; j < graph_.degree(v); ++j) {
-          // The draws stay keyed by the sender's edge, reach by the
-          // receiver's slot; a node that slept sent nothing.
-          const std::int64_t slot = graph_.in_edge_index(v, j);
-          const bool payload = !slept && arena.sent_at(slot);
-          const DelayedNetwork::Pulse pulse = net.draw_pulse(base + j, now);
-          std::int64_t& latest = reach[static_cast<std::size_t>(slot)];
-          latest = std::max(latest, pulse.arrival);
-          if (pulse.arrival == kNever) continue;
-          ws_.ticks.add_arrival(pulse.arrival, pulse.arrival - now - 1,
-                                payload);
-          last_arrival = std::max(last_arrival, pulse.arrival);
-          if (pulse.duplicate == kNever) continue;
-          ws_.ticks.add_arrival(pulse.duplicate, pulse.duplicate - now - 1,
-                                payload);
-          last_arrival = std::max(last_arrival, pulse.duplicate);
-        }
-      }
-      const std::int64_t round_messages = delta.messages;
-      max_message_words_ = std::max(
-          max_message_words_,
-          delta.shrunk ? arena.send_max_words() : delta.max_words);
-      delta.clear();
-      arena.end_round();
-      total_steps_ += stepped;
-      slept_steps_ += asleep;
-      messages_sent_ += round_messages;
-      prev_round_messages = round_messages;
-      std::erase_if(active, [&](NodeId v) {
-        const std::size_t vi = static_cast<std::size_t>(v);
-        return ws_.finished[vi] != 0 || time[vi] == kNever;
-      });
-      std::int64_t floor = kNever;
-      for (const NodeId v : active)
-        floor = std::min(floor, time[static_cast<std::size_t>(v)]);
-      ws_.ticks.set_floor(floor);
-      if (traced) {
-        // As in the simultaneous span, frontier and steps count the kernel
-        // steps run, and asleep the stepped sleepers that skipped theirs.
-        telemetry::TraceEvent event = make_round_event(trace_t0);
-        event.arg("round", r);
-        event.arg("frontier", stepped - asleep);
-        event.arg("asleep", asleep);
-        event.arg("stalled", static_cast<std::int64_t>(stalled));
-        event.arg("messages", round_messages);
-        event.arg("steps", stepped - asleep);
-        trace_->recorder->record(std::move(event));
+  /// The timing pass before round r > 0: every active node's t(v,r), then
+  /// the nodes it stalls leave the active list, the live list and the
+  /// sleeper set.
+  void advance_clocks() {
+    auto& time = ws_.step_time;
+    const std::int64_t* reach = ws_.reach.data();
+    const std::int64_t gap = delayed_mode_ ? 0 : 1;
+    for (const NodeId v : ws_.active) {
+      std::int64_t& t = time[static_cast<std::size_t>(v)];
+      t += gap;
+      if (delayed_mode_) {
+        const std::int64_t* in = reach + graph_.offset(v);
+        for (NodeId j = 0; j < graph_.degree(v); ++j) t = std::max(t, in[j]);
+      } else {
+        for (const NodeId u : graph_.neighbors(v))
+          t = std::max(t, reach[static_cast<std::size_t>(u)]);
       }
     }
-    arena.end_run();
+    // Only now, with every round-r time read off round r-1's arrivals, may
+    // a newly stalled node's edges turn infinite.
+    bool awake_stalled = false;
+    std::erase_if(ws_.active, [&](NodeId v) {
+      const std::size_t vi = static_cast<std::size_t>(v);
+      if (time[vi] != kNever) return false;
+      stall(v);
+      if (ws_.asleep[vi] != 0) {
+        // Out of the sleeper set: its queue entry no longer stands.
+        ws_.asleep[vi] = 0;
+        --asleep_;
+      } else {
+        awake_stalled = true;
+      }
+      return true;
+    });
+    if (awake_stalled) {
+      std::erase_if(ws_.live, [&](NodeId v) {
+        return time[static_cast<std::size_t>(v)] == kNever;
+      });
+    }
+  }
+
+  /// Marks v stalled for good (a crash, or an infinite step time): its
+  /// pulses never arrive.
+  void stall(NodeId v) {
+    assert(delayed_mode_);  // unit latency never stalls a node
+    ws_.step_time[static_cast<std::size_t>(v)] = kNever;
+    for (NodeId j = 0; j < graph_.degree(v); ++j)
+      ws_.reach[static_cast<std::size_t>(graph_.in_edge_index(v, j))] =
+          kNever;
+    ++stalled_;
+  }
+
+  /// The pulse pass after round r's steps, while the send half holds the
+  /// round's mail: every active node tallies its step at its time, finishes
+  /// there, and sends one pulse per out-edge, a payload one where it wrote
+  /// the slot (a sleeper wrote none). Then the finished nodes leave the
+  /// active list, whose earliest time is the tick table's new floor.
+  void pulse() {
+    const auto& time = ws_.step_time;
+    auto& reach = ws_.reach;
+    TickTable& ticks = ws_.ticks;
+    const SynchronousNetwork& arena = ws_.sim_net;
+    DelayedNetwork& net = ws_.delayed_net;
+    for (const NodeId v : ws_.active) {
+      const std::size_t vi = static_cast<std::size_t>(v);
+      const std::int64_t now = time[vi];
+      const bool awake = ws_.asleep[vi] == 0;
+      ticks.add_step(now);
+      last_step_ = std::max(last_step_, now);
+      if (ws_.finished[vi]) ws_.finish_global[vi] = now;
+      if (!delayed_mode_) {
+        // Every pulse lands at now + 1, the messages among them at once.
+        std::int64_t sent = 0;
+        if (awake)
+          for (NodeId j = 0; j < graph_.degree(v); ++j)
+            sent += arena.sent_at(graph_.in_edge_index(v, j)) ? 1 : 0;
+        reach[vi] = now + 1;
+        ticks.add_arrival(now + 1, 0, sent);
+        continue;
+      }
+      const std::int64_t base = graph_.offset(v);
+      for (NodeId j = 0; j < graph_.degree(v); ++j) {
+        // The draws stay keyed by the sender's edge, reach by the
+        // receiver's slot.
+        const std::int64_t slot = graph_.in_edge_index(v, j);
+        const bool payload = awake && arena.sent_at(slot);
+        const DelayedNetwork::Pulse pulse = net.draw_pulse(base + j, now);
+        std::int64_t& latest = reach[static_cast<std::size_t>(slot)];
+        latest = std::max(latest, pulse.arrival);
+        if (pulse.arrival == kNever) continue;
+        ticks.add_arrival(pulse.arrival, pulse.arrival - now - 1, payload);
+        last_arrival_ = std::max(last_arrival_, pulse.arrival);
+        if (pulse.duplicate == kNever) continue;
+        ticks.add_arrival(pulse.duplicate, pulse.duplicate - now - 1,
+                          payload);
+        last_arrival_ = std::max(last_arrival_, pulse.duplicate);
+      }
+    }
+    std::int64_t floor = kNever;
+    std::erase_if(ws_.active, [&](NodeId v) {
+      const std::size_t vi = static_cast<std::size_t>(v);
+      if (ws_.finished[vi] != 0) return true;
+      floor = std::min(floor, time[vi]);
+      return false;
+    });
+    ticks.set_floor(floor);
+  }
+
+  /// Closes a timed run's tick table and returns its global_rounds.
+  std::int64_t end_timing(NodeId live) {
     std::int64_t global = 0, last = 0;
     if (!delayed_mode_) {
-      global = last = n_ > 0 ? last_step + 1 : 0;
+      global = last = n_ > 0 ? last_step_ + 1 : 0;
     } else if (live == 0) {
-      global = last = last_step;
+      global = last = last_step_;
     } else {
-      global = std::max(last_step, last_arrival);
+      global = std::max(last_step_, last_arrival_);
       last = kNever;
     }
     ws_.ticks.finish(last);
     peak_frontier_ = ws_.ticks.peak_steps();
     peak_round_messages_ = ws_.ticks.peak_payload();
-    final_live_ = live;
-    std::int64_t max_local = 0;
-    for (NodeId v = 0; v < n_; ++v)
-      max_local =
-          std::max(max_local, ws_.local_round[static_cast<std::size_t>(v)]);
-    RunResult result = finalize(live, max_local, global);
-    fill_stats(result, start);
-    return result;
+    return global;
   }
 
   /// Round-arena sends are accounted as they happen, one call per port
@@ -639,39 +621,7 @@ class ArenaEngine {
                                                words);
   }
 
-  /// One local round of node v through its scalar phase body (the lockstep
-  /// loop's step).
-  void step_one(int tid, NodeId v, std::int64_t round) {
-    const std::size_t vi = static_cast<std::size_t>(v);
-    KernelCtx ctx;
-    ctx.node = v;
-    ctx.degree = graph_.degree(v);
-    ctx.identity = instance_.identities[vi];
-    ctx.round = round;
-    ctx.input = instance_.inputs[vi];
-    ctx.rng = &ws_.rngs[vi];
-    ctx.state = kstate_base_ + vi * kstride_;
-    ctx.port_state =
-        kport_words_ == 0
-            ? nullptr
-            : ws_.kernel_port_state.data() +
-                  static_cast<std::size_t>(graph_.offset(v)) * kport_words_;
-    ctx.config = kernel_->config.get();
-    ctx.scratch = &ws_.scratch[static_cast<std::size_t>(tid)].kwords;
-    ctx.engine = this;
-    ctx.tid = tid;
-    ctx.recv_fn = &ArenaEngine::kernel_recv;
-    ctx.send_fn = &ArenaEngine::kernel_send;
-    kernel_->phases[kernel_phase_index(*kernel_, round, ctx.state)].fn(ctx);
-    if (ctx.finished) {
-      ws_.finished[vi] = 1;
-      ws_.outputs[vi] = ctx.output;
-    }
-    if (ctx.wake_round != 0) wake_at_[vi] = ctx.wake_round;
-  }
-
-  /// The batched bucket view over the engine arrays (KernelBatchCtx must
-  /// mirror exactly what step_one puts into a scalar KernelCtx).
+  /// The batched bucket view over the engine arrays.
   KernelBatchCtx make_batch_ctx(int tid, const NodeId* nodes,
                                 std::size_t count, std::int64_t round) {
     KernelBatchCtx b;
@@ -914,14 +864,17 @@ class ArenaEngine {
                   std::chrono::steady_clock::time_point start) {
     auto& stats = result.stats;
     stats.total_steps = total_steps_;
-    stats.kernel_batched_steps = batched_steps_;
-    stats.kernel_batch_calls = batch_calls_;
+    if (!timed_) {
+      // Timed runs report none of these three (see runner.h).
+      stats.kernel_batched_steps = batched_steps_;
+      stats.kernel_batch_calls = batch_calls_;
+      stats.dirty_spans_cleared = ws_.sim_net.dirty_cleared();
+    }
     stats.peak_round_messages = peak_round_messages_;
     stats.total_messages = messages_sent_;
     stats.peak_live_nodes = peak_live_;
     stats.final_live_nodes = final_live_;
     stats.peak_frontier_nodes = peak_frontier_;
-    stats.dirty_spans_cleared = dirty_cleared_;
     stats.threads = threads_;
     std::int64_t bytes = ws_.sim_net.arena_bytes();
     if (delayed_mode_) {
@@ -932,7 +885,7 @@ class ArenaEngine {
       stats.messages_duplicated = net.duplicated();
       bytes += net.arena_bytes();
     }
-    if (lockstep_) {
+    if (timed_) {
       stats.max_delivery_skew = ws_.ticks.max_skew();
       bytes += ws_.ticks.bytes();
       bytes += static_cast<std::int64_t>(
@@ -958,7 +911,7 @@ class ArenaEngine {
       event.pid = trace_->pid;
       event.tid = trace_->tid;
       event.arg("mode", delayed_mode_ ? "delayed"
-                        : lockstep_   ? "synchronized"
+                        : timed_      ? "synchronized"
                                       : "simultaneous");
       event.arg("n", static_cast<std::int64_t>(n_));
       event.arg("rounds", result.rounds_used);
@@ -982,18 +935,22 @@ class ArenaEngine {
   std::byte* kstate_base_ = nullptr;
   std::size_t kstride_ = 0;
   std::size_t kport_words_ = 0;
-  // Simultaneous steps run through batch fns and the batch calls carrying
-  // them (the lockstep loop steps scalar and counts neither).
+  // Steps run through batch fns and the batch calls carrying them.
   std::int64_t batched_steps_ = 0;
   std::int64_t batch_calls_ = 0;
-  // The delayed network, and the lockstep loop (the delayed network, or
+  // The delayed network, and a timed run (the delayed network, or
   // staggered wake rounds on the synchronous one).
+  static constexpr std::int64_t kNever = DelayedNetwork::kNever;
   bool delayed_mode_ = false;
-  bool lockstep_ = false;
-  // The sleep-hint latch (ws_.local_round's storage in simultaneous runs,
-  // ws_.wake in lockstep ones), the sleeping-node count (simultaneous), the
-  // steps skipped because their node was asleep, and the rounds the
-  // simultaneous clock jumped over because every node was.
+  bool timed_ = false;
+  // Timed runs: the nodes stalled for good (crashes included), and the
+  // latest step time and pulse arrival.
+  NodeId stalled_ = 0;
+  std::int64_t last_step_ = 0;
+  std::int64_t last_arrival_ = 0;
+  // The sleep-hint latch (ws_.wake), the sleeping-node count, the steps
+  // skipped because their node was asleep, and the rounds the clock jumped
+  // over because every node was.
   std::int64_t* wake_at_ = nullptr;
   NodeId asleep_ = 0;
   std::int64_t slept_steps_ = 0;
@@ -1011,7 +968,6 @@ class ArenaEngine {
   std::int64_t peak_live_ = 0;
   std::int64_t final_live_ = 0;
   std::int64_t peak_frontier_ = 0;
-  std::int64_t dirty_cleared_ = 0;
   NodeId cut_off_ = 0;
 };
 

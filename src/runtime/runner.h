@@ -13,19 +13,22 @@
 //
 // Engine layout: node state is struct-of-arrays; all message traffic of a
 // round lives in one flat int64 arena addressed by Graph edge indices,
-// with the send and receive halves swapped between rounds. There are two
-// loops. The simultaneous one walks a compacted live-node list (rebalanced
-// across threads each round) and resets only the span slots written last
-// round via per-thread dirty lists, so per-round cost tracks the surviving
-// frontier and its traffic rather than n + edges. It can step disjoint
-// chunks of the live list on a thread pool; messages only cross the round
-// barrier and every node owns a private Rng stream, so results are
-// bit-identical for any thread count (the engine-equivalence test enforces
-// this against the preserved seed engine in src/runtime/reference.h). The
-// lockstep one runs the staggered mode and the delayed network
-// (EngineConfig::network): it steps every live node's local rounds in
-// lockstep over the same arena and derives each node's step times from a
-// max-plus recurrence over its in-edges' pulse arrivals; under the
+// with the send and receive halves swapped between rounds. There is one
+// round loop. It walks a compacted list of awake nodes (rebalanced across
+// threads each round), steps them in phase buckets, parks sleeping nodes
+// until mail or their wake round, and resets only the span slots written
+// last round via per-thread dirty lists, so per-round cost tracks the
+// surviving frontier and its traffic rather than n + edges. It can step
+// disjoint chunks of the live list on a thread pool; messages only cross
+// the round barrier and every node owns a private Rng stream, so results
+// are bit-identical for any thread count (the engine-equivalence test
+// enforces this against the preserved seed engine in
+// src/runtime/reference.h). A timed run — the staggered mode, or the
+// delayed network (EngineConfig::network) — steps the same local rounds
+// with the same messages (Observation 2.1) and only adds timestamps: a
+// timing pass before each round derives every node's step time from a
+// max-plus recurrence over its in-edges' pulse arrivals, and a pulse pass
+// after it draws the arrivals of the pulses the round sent; under the
 // synchronizer on the synchronous network every pulse takes one tick.
 #pragma once
 
@@ -53,10 +56,9 @@ struct EngineConfig {
   /// Reused engine buffers (nullptr = a run-local workspace). Not safe to
   /// share between concurrent runs.
   EngineWorkspace* workspace = nullptr;
-  /// Worker threads stepping disjoint node ranges in the simultaneous mode
-  /// (values below 1 mean 1). Outputs are independent of this value; the
-  /// lockstep loop (the synchronizer and the delayed network) always runs
-  /// single-threaded.
+  /// Worker threads stepping disjoint node ranges (values below 1 mean 1).
+  /// Outputs are independent of this value; timed runs (the synchronizer
+  /// and the delayed network) always run single-threaded.
   int engine_threads = 1;
   /// Delivery layer (src/runtime/network.h): the round-exact synchronous
   /// arena (default), or the seeded delayed network with per-edge latency
@@ -104,9 +106,9 @@ struct RunOptions : EngineConfig {
     "peak_round_messages", false, nullptr)                                    \
   /* Node steps, counted logically (a sleeping node's rounds count). */      \
   X(total_steps, std::int64_t, 0, kSum, kCounter, "steps", true, nullptr)     \
-  /* Simultaneous-loop steps, all run through phase-grouped KernelBatchFn     \
-     buckets, and the bucket calls that carried them (see                     \
-     batch_occupancy()); the lockstep loop counts neither. */                 \
+  /* Executed steps, all run through phase-grouped KernelBatchFn buckets,    \
+     and the bucket calls that carried them (see batch_occupancy()); timed   \
+     runs report 0 for both. */                                              \
   X(kernel_batched_steps, std::int64_t, 0, kSum, kCounter,                    \
     "kernel_batched_steps", false, "kernel_batched_steps")                    \
   X(kernel_batch_calls, std::int64_t, 0, kSum, kCounter,                      \
@@ -123,13 +125,13 @@ struct RunOptions : EngineConfig {
   /* Most unfinished nodes at the start of any round. */                     \
   X(peak_live_nodes, std::int64_t, 0, kMax, kGauge, "peak_live_nodes", true,  \
     "peak_live_nodes")                                                        \
-  /* Unfinished nodes when the run ended (non-zero only when a round cap    \
-     cut the run off). */                                                    \
+  /* Unfinished nodes when the run ended (non-zero only when nodes stalled   \
+     on the delayed network). */                                             \
   X(final_live_nodes, std::int64_t, 0, kLast, kNone, nullptr, false, nullptr) \
   /* Most nodes stepped within one (global) round. */                        \
   X(peak_frontier_nodes, std::int64_t, 0, kMax, kGauge,                       \
     "peak_frontier_nodes", true, "peak_frontier_nodes")                       \
-  /* Send-span slots reset through the dirty lists (simultaneous mode). */   \
+  /* Send-span slots reset through the dirty lists; timed runs report 0. */  \
   X(dirty_spans_cleared, std::int64_t, 0, kSum, kCounter,                     \
     "dirty_spans_cleared", true, "dirty_spans_cleared")                       \
   /* DelayedNetwork faults (zero when synchronous): lost transmissions,     \

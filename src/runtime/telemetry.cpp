@@ -481,9 +481,8 @@ void TraceRecorder::merge_process(const json::Value& document, int pid,
 }
 
 std::string round_phases_problem(const TraceEvent& event) {
-  if (!event.args.is_object() || event.args.find("stalled") != nullptr)
-    return "";
-  const json::Value* phases = event.args.find("phases");
+  const json::Value* phases =
+      event.args.is_object() ? event.args.find("phases") : nullptr;
   if (phases == nullptr || !phases->is_array())
     return "no 'phases' array of bucket sizes";
   const json::Value* steps = event.args.find("steps");

@@ -257,10 +257,10 @@ class TraceRecorder {
 };
 
 /// What is wrong with the bucket sizes of a "round" span, or "" when
-/// nothing is. A span of the simultaneous loop (one without the "stalled"
-/// arg that only lockstep rounds carry) steps every node through one
-/// phase bucket, so it must hold a "phases" array of bucket sizes summing
-/// to its "steps" arg. Shared by the telemetry_check tool and the tests.
+/// nothing is. Every round steps each awake node through one phase bucket,
+/// timed runs included, so a round span must hold a "phases" array of
+/// bucket sizes summing to its "steps" arg. Shared by the telemetry_check
+/// tool and the tests.
 std::string round_phases_problem(const TraceEvent& event);
 
 // ---------------------------------------------------------------------------

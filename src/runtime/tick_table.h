@@ -9,7 +9,7 @@
 
 namespace unilocal {
 
-/// The lockstep loop's per-timestamp tallies (run_lockstep in
+/// A timed run's per-timestamp tallies (the pulse pass in
 /// src/runtime/runner.cpp): the steps taken and the payload pulses
 /// (duplicates included) arriving at one timestamp, and the worst skew
 /// (arrival - send - 1) of any pulse arriving then, read off as three

@@ -14,8 +14,8 @@
 //
 // After the delayed grid come the synchronizer's runs: staggered
 // RunOptions::wake_rounds on the synchronous network, frozen from the
-// synchronizer's own scheduler before it was folded into the lockstep
-// loop. They cross four wake mixes (staggered, negative entries, late
+// synchronizer's own scheduler before it was folded into the delayed
+// network's loop. They cross four wake mixes (staggered, negative entries, late
 // wakers at 40 + v, and a max_rounds cut-off) with the three families, a
 // path beside an isolated node, and the empty graph, for Luby and the
 // chain. Their rows carry every field but the two batch counters, which

@@ -95,7 +95,7 @@ TEST(EngineEquivalence, StaggeredWakeRounds) {
 }
 
 TEST(EngineEquivalence, SynchronizerRandomWakeGrids) {
-  // Random wake-round grids across seeds: the lockstep loop's unit-latency
+  // Random wake-round grids across seeds: the timing pass's unit-latency
   // recurrence must reproduce the reference engine's per-global-round
   // eligible snapshots exactly — outputs, per-node local and global finish
   // rounds, and message counts all bit-identical.
@@ -195,13 +195,15 @@ TEST(EngineEquivalence, WorkspaceReuseDoesNotLeakState) {
       const Instance* instance;
       RunOptions options;
     };
+    // A delayed color-reduce run can end with crashed or stalled sleepers
+    // still latched, so a run that never sleeps follows it.
     const std::vector<Run> runs = {
-        {"luby", &luby, &named.instance, simultaneous},
-        {"greedy-sync", &greedy, &named.instance, synchronized},
         {"color-reduce-delayed", &reduce, &colored, delayed},
-        {"color-reduce", &reduce, &colored, simultaneous},
-        {"luby-delayed", &luby, &named.instance, delayed},
+        {"luby", &luby, &named.instance, simultaneous},
         {"color-reduce-sync", &reduce, &colored, synchronized},
+        {"luby-delayed", &luby, &named.instance, delayed},
+        {"color-reduce", &reduce, &colored, simultaneous},
+        {"greedy-sync", &greedy, &named.instance, synchronized},
         {"luby-sync", &luby, &named.instance, synchronized},
     };
     for (const Run& run : runs) {

@@ -9,12 +9,12 @@
 // exactly the ones the probe's own bookkeeping says were needed. When no
 // node is awake the engine jumps its clock to the next timed wake; the
 // per-round span's `jumped` arg and engine.jumped_rounds show the skipped
-// rounds, which must change nothing either. The lockstep loop skips
-// sleepers too, while they keep pulsing: there the probe and color-reduce
-// are compared field by field, stats included, with their hint-dropped
-// copies, under heavy-tail latencies, drops, duplicates and late joiners
-// on the delayed network, and under staggered wake rounds on the
-// synchronous one (the synchronizer).
+// rounds, which must change nothing either. Timed runs skip sleepers too,
+// while they keep pulsing: there the probe and color-reduce are compared
+// field by field, stats included, with their hint-dropped copies, under
+// heavy-tail latencies, drops, duplicates and late joiners on the delayed
+// network, and under staggered wake rounds on the synchronous one (the
+// synchronizer).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -60,9 +60,9 @@ struct ProbeConfig {
   std::int64_t finish_spread = 3;
   std::int64_t hops = 1;           // replies per action message
   // When set, every step adds the steps a sleeping engine must run to
-  // *needed (reference or lockstep runs only, which step one node at a
-  // time), and those of them that mail woke before their due round to
-  // *mail_wakes; max_rounds is the run's cut-off.
+  // *needed (reference or timed runs only, which step on one thread), and
+  // those of them that mail woke before their due round to *mail_wakes;
+  // max_rounds is the run's cut-off.
   std::int64_t* needed = nullptr;
   std::int64_t* mail_wakes = nullptr;
   std::int64_t max_rounds = RunOptions{}.max_rounds;
@@ -621,7 +621,7 @@ TEST(Quiescence, ColorReduceStepsAreLinearInNodesAndMessages) {
   }
 }
 
-// --- the lockstep loop: the delayed network and the synchronizer --------
+// --- timed runs: the delayed network and the synchronizer --------------
 
 /// Heavy-tail latencies with drops, duplicates and late joiners.
 RunOptions delayed_options(std::uint64_t seed) {
@@ -636,7 +636,7 @@ RunOptions delayed_options(std::uint64_t seed) {
   return options;
 }
 
-/// Runs `algorithm` and its hint-dropped copy through the lockstep loop.
+/// Runs `algorithm` and its hint-dropped copy as timed runs.
 /// Every RunResult field and every integral stat but arena_bytes (a
 /// capacity) must match: a sleeper that skips its kernel still advances
 /// its local round and draws its pulses, so timestamps, faults and skews
@@ -644,10 +644,10 @@ RunOptions delayed_options(std::uint64_t seed) {
 /// engine.steps - engine.slept_steps of the sleeping run, which also has
 /// its round spans' `asleep` args add up to engine.slept_steps. Returns the
 /// sleeping run's result and executed steps.
-std::pair<RunResult, std::int64_t> check_lockstep(const Instance& instance,
-                                                 const Algorithm& algorithm,
-                                                 const RunOptions& options,
-                                                 const std::string& label) {
+std::pair<RunResult, std::int64_t> check_timed(const Instance& instance,
+                                               const Algorithm& algorithm,
+                                               const RunOptions& options,
+                                               const std::string& label) {
   const auto run = [&](const Algorithm& path, std::int64_t* slept) {
     telemetry::MetricsRegistry reg;
     telemetry::TraceRecorder recorder;
@@ -688,19 +688,19 @@ std::pair<RunResult, std::int64_t> check_lockstep(const Instance& instance,
 
 /// A sleeping delayed probe run: its result, executed steps, and the steps
 /// mail woke before their due round.
-struct LockstepProbe {
+struct TimedProbe {
   RunResult result;
   std::int64_t executed = 0;
   std::int64_t mail_wakes = 0;
 };
 
-/// The probe through check_lockstep: the executed steps must be exactly
+/// The probe through check_timed: the executed steps must be exactly
 /// what the probe's bookkeeping needs in a hint-dropped run.
-LockstepProbe check_probe_lockstep(const Instance& instance,
-                                 const ProbeConfig& cfg,
-                                 const RunOptions& options,
-                                 const std::string& label) {
-  LockstepProbe out;
+TimedProbe check_probe_timed(const Instance& instance,
+                             const ProbeConfig& cfg,
+                             const RunOptions& options,
+                             const std::string& label) {
+  TimedProbe out;
   std::int64_t needed = 0;
   ProbeConfig counting_cfg = cfg;
   counting_cfg.needed = &needed;
@@ -708,7 +708,7 @@ LockstepProbe check_probe_lockstep(const Instance& instance,
   counting_cfg.max_rounds = options.max_rounds;
   run_local(instance, Sleepless(Probe(counting_cfg)), options);
   std::tie(out.result, out.executed) =
-      check_lockstep(instance, Probe(cfg), options, label);
+      check_timed(instance, Probe(cfg), options, label);
   EXPECT_EQ(out.executed, needed) << label;
   return out;
 }
@@ -721,8 +721,8 @@ TEST(Quiescence, DelayedProbeMatchesHintDroppedRuns) {
       cfg.period = 5;
       const std::string label =
           named.name + "/hops=" + std::to_string(hops);
-      const LockstepProbe probe =
-          check_probe_lockstep(named.instance, cfg, delayed_options(9), label);
+      const TimedProbe probe =
+          check_probe_timed(named.instance, cfg, delayed_options(9), label);
       if (named.instance.num_nodes() > 0)
         EXPECT_LT(probe.executed, probe.result.stats.total_steps) << label;
     }
@@ -735,7 +735,7 @@ TEST(Quiescence, DelayedProbeMatchesHintDroppedRuns) {
   ProbeConfig cfg;
   cfg.period = 8;
   cfg.hops = 1;
-  check_probe_lockstep(instance, cfg, options, "wake-rounds");
+  check_probe_timed(instance, cfg, options, "wake-rounds");
 }
 
 TEST(Quiescence, DelayedMailLandsMidSleep) {
@@ -748,8 +748,8 @@ TEST(Quiescence, DelayedMailLandsMidSleep) {
   ProbeConfig cfg;
   cfg.period = 20;
   cfg.hops = 1;
-  const LockstepProbe probe =
-      check_probe_lockstep(instance, cfg, delayed_options(5), "mid-sleep");
+  const TimedProbe probe =
+      check_probe_timed(instance, cfg, delayed_options(5), "mid-sleep");
   EXPECT_GT(probe.mail_wakes, 0);
   EXPECT_LT(probe.executed, probe.result.stats.total_steps);
 }
@@ -769,8 +769,8 @@ TEST(Quiescence, DelayedSleepersReachTheCutoff) {
     options.max_rounds = max_rounds;
     options.default_output = -1;
     const std::string label = "max_rounds=" + std::to_string(max_rounds);
-    const LockstepProbe probe =
-        check_probe_lockstep(instance, cfg, options, label);
+    const TimedProbe probe =
+        check_probe_timed(instance, cfg, options, label);
     EXPECT_FALSE(probe.result.all_finished) << label;
     EXPECT_EQ(probe.result.finish_rounds,
               std::vector<std::int64_t>(30, max_rounds))
@@ -790,7 +790,7 @@ TEST(Quiescence, DelayedColorReduceSkipsSleepers) {
   for (const std::uint64_t seed : {1, 2}) {
     const std::string label = "seed=" + std::to_string(seed);
     const auto [got, executed] =
-        check_lockstep(instance, reduce, delayed_options(seed), label);
+        check_timed(instance, reduce, delayed_options(seed), label);
     EXPECT_TRUE(got.all_finished) << label;
     EXPECT_GT(got.stats.messages_dropped, 0) << label;
     EXPECT_LE(executed, 3 * n + got.messages_sent) << label;
@@ -818,8 +818,8 @@ TEST(Quiescence, SynchronizerProbeMatchesHintDroppedRuns) {
           named.name + "/hops=" + std::to_string(hops);
       const RunOptions options =
           synchronizer_options(named.instance.num_nodes(), 9);
-      const LockstepProbe probe =
-          check_probe_lockstep(named.instance, cfg, options, label);
+      const TimedProbe probe =
+          check_probe_timed(named.instance, cfg, options, label);
       expect_same(
           run_local_reference(named.instance, Probe(cfg), options),
           probe.result, label + "/reference");
@@ -842,8 +842,8 @@ TEST(Quiescence, SynchronizerSleepersReachTheCutoff) {
     options.max_rounds = max_rounds;
     options.default_output = -1;
     const std::string label = "max_rounds=" + std::to_string(max_rounds);
-    const LockstepProbe probe =
-        check_probe_lockstep(instance, cfg, options, label);
+    const TimedProbe probe =
+        check_probe_timed(instance, cfg, options, label);
     EXPECT_FALSE(probe.result.all_finished) << label;
     EXPECT_EQ(probe.result.finish_rounds,
               std::vector<std::int64_t>(30, max_rounds))
@@ -859,7 +859,7 @@ TEST(Quiescence, SynchronizerColorReduceSkipsSleepers) {
   const std::int64_t n = instance.num_nodes();
   for (const std::uint64_t seed : {1, 2}) {
     const std::string label = "seed=" + std::to_string(seed);
-    const auto [got, executed] = check_lockstep(
+    const auto [got, executed] = check_timed(
         instance, reduce, synchronizer_options(instance.num_nodes(), seed),
         label);
     EXPECT_TRUE(got.all_finished) << label;

@@ -209,7 +209,7 @@ TEST(RunnerStats, LiveAndFrontierCounters) {
 TEST(RunnerStats, SynchronizerFrontierCounters) {
   // Under the synchronizer the frontier is the most steps sharing one
   // global round: with node 0 asleep until round 10 it never reaches full
-  // width, and the lockstep loop does no dirty-span clearing at all.
+  // width, and a timed run reports no dirty-span clearing at all.
   Instance instance =
       make_instance(path_graph(40), IdentityScheme::kSequential);
   for (NodeId v = 0; v < 40; ++v)

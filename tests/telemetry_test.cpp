@@ -327,8 +327,8 @@ TEST(EngineTracing, RoundSpansNestInRunSpansAndArgsAreComplete) {
 }
 
 // The bucket-size check telemetry_check runs on every round span: a
-// simultaneous round's phases must sum to its steps; lockstep rounds
-// (the ones with a stalled arg) step unbucketed and carry none.
+// round's phases must sum to its steps, timed rounds (the ones with a
+// stalled arg) included.
 TEST(EngineTracing, RoundPhasesMustSumToSteps) {
   const auto span = [](std::initializer_list<std::int64_t> sizes) {
     TraceEvent event;
@@ -352,7 +352,8 @@ TEST(EngineTracing, RoundPhasesMustSumToSteps) {
   EXPECT_EQ(telemetry::round_phases_problem(bare),
             "no 'phases' array of bucket sizes");
   bare.arg("stalled", std::int64_t{0});
-  EXPECT_EQ(telemetry::round_phases_problem(bare), "");
+  EXPECT_EQ(telemetry::round_phases_problem(bare),
+            "no 'phases' array of bucket sizes");
 }
 
 TEST(EngineTracing, TraceRoundsCapsPerRunRoundSpans) {
@@ -375,12 +376,12 @@ TEST(EngineTracing, TraceRoundsCapsPerRunRoundSpans) {
   }
 }
 
-// The delayed network's lockstep rounds emit one span per round, with the
-// nodes whose kernel ran, the sleepers that stepped without it, the nodes
-// stalled for good and the payload pulses sent; with every round traced,
-// the spans' steps and asleep args add up to the runs' steps, and their
-// asleep args to engine.slept_steps. Crashes make stalls show, and
-// color-reduce sleeps.
+// The delayed network's rounds emit one span per round, with the nodes
+// whose kernel ran (in phase buckets), the sleepers that stepped without
+// it, the nodes stalled for good and the payload pulses sent; with every
+// round traced, the spans' steps and asleep args add up to the runs'
+// steps, and their asleep args to engine.slept_steps. Crashes make stalls
+// show, and color-reduce sleeps.
 TEST(EngineTracing, DelayedRoundSpansCountStepsAndStalls) {
   GridOptions grid;
   NetworkOptions network;
@@ -419,6 +420,7 @@ TEST(EngineTracing, DelayedRoundSpansCountStepsAndStalls) {
         EXPECT_TRUE(event.args.find(key) != nullptr) << key;
       EXPECT_EQ(event.args.at("frontier").as_i64(),
                 event.args.at("steps").as_i64());
+      EXPECT_EQ(telemetry::round_phases_problem(event), "");
       const std::int64_t asleep = event.args.at("asleep").as_i64();
       EXPECT_GE(asleep, 0);
       span_steps += event.args.at("steps").as_i64() + asleep;

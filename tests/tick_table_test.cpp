@@ -1,4 +1,4 @@
-// TickTable (src/runtime/tick_table.h), the lockstep loop's per-timestamp
+// TickTable (src/runtime/tick_table.h), a timed run's per-timestamp
 // tallies, against a brute-force oracle: a std::map of every tick ever
 // touched, with no sweeps, no memo and no early fold, whose maxima are read
 // off at the end. Seeded random event streams follow the loop's rules —
@@ -92,7 +92,7 @@ std::int64_t draw(std::mt19937_64& rng, std::int64_t bound) {
   return static_cast<std::int64_t>(rng() % static_cast<std::uint64_t>(bound));
 }
 
-/// Plays one lockstep run: every round each active node steps at its time,
+/// Plays one timed run: every round each active node steps at its time,
 /// then pulses each out-edge; nodes finish after their own round count or
 /// (stalled runs) stall for good; the floor is the earliest time an active
 /// node can still step. Returns `last` as the loop would pass it.
