@@ -374,6 +374,7 @@ class ArenaEngine {
     return result;
   }
 
+ private:
   /// The timing of a timed run. Under the alpha synchronizer a node
   /// performs local round r once every in-edge has delivered its sender's
   /// pulses of rounds < r (or all of them, when the sender finished first).
